@@ -10,7 +10,6 @@ from .abelian import (
     PPartition,
     enumerate_abelian,
     hasse_edges,
-    is_subdivision,
     preceq,
     preceq_p,
     up_set,
@@ -45,7 +44,6 @@ from .errors import CapacityError
 from .oracle import ValidationReport, cross_validate, regular_abelian_types
 from .permgroup import (
     ArcColoring,
-    BlockSystem,
     PermGroup,
     Permutation,
     automorphism_group,
@@ -60,7 +58,6 @@ from .permgroup import (
 __all__ = [
     "AbelianType",
     "ArcColoring",
-    "BlockSystem",
     "CapacityError",
     "ConnectionSet",
     "Digraph",
@@ -89,7 +86,6 @@ __all__ = [
     "factorize",
     "hasse_edges",
     "is_nilpotent",
-    "is_subdivision",
     "minimal_group",
     "orbital_coloring",
     "parse_connection_set",

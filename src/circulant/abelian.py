@@ -3,9 +3,7 @@
 An abelian p-group is an integer partition of the exponent; an abelian group
 of order n is one partition per prime.  The order ``preceq_p`` compares
 p-groups by chains with cyclic quotients (equivalently, dominance of the
-exponent partitions), ``preceq`` is the prime-by-prime product order, and
-``is_subdivision`` is the separate multiset-grouping predicate on exponent
-strings.
+exponent partitions), and ``preceq`` is the prime-by-prime product order.
 """
 
 from dataclasses import dataclass
@@ -72,10 +70,6 @@ class AbelianType:
                 return s
         raise KeyError(f"no Sylow {p}-subgroup in a group of order {self.order}")
 
-    @property
-    def is_cyclic(self) -> bool:
-        return all(s.rank == 1 for s in self.sylow)
-
     def invariant_factors(self) -> tuple[int, ...]:
         """Cyclic factor orders d_1 >= d_2 >= ..., each dividing the previous."""
         width = max((s.rank for s in self.sylow), default=0)
@@ -99,38 +93,6 @@ class AbelianType:
 
     def __str__(self) -> str:
         return self.text()
-
-
-def is_subdivision(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether the multiset a can be grouped so the group sums are exactly b.
-
-    Order of entries is immaterial.  Descending-sorted backtracking: each
-    entry of a is placed into one of the bins b, largest entries first, and a
-    bin must end exactly full.
-    """
-    if any(x < 1 for x in a) or any(x < 1 for x in b):
-        raise ValueError("entries must be positive")
-    if sum(a) != sum(b):
-        return False
-    entries = sorted(a, reverse=True)
-    bins = sorted(b, reverse=True)
-
-    def place(i: int, remaining: tuple[int, ...]) -> bool:
-        if i == len(entries):
-            return all(r == 0 for r in remaining)
-        x = entries[i]
-        seen = set()
-        for j, r in enumerate(remaining):
-            # identical remainders are interchangeable
-            if r < x or r in seen:
-                continue
-            seen.add(r)
-            nxt = remaining[:j] + (r - x,) + remaining[j + 1:]
-            if place(i + 1, nxt):
-                return True
-        return False
-
-    return place(0, tuple(bins))
 
 
 def preceq_p(g: PPartition, h: PPartition) -> bool:

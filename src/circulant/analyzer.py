@@ -41,9 +41,8 @@ class ConnectionSet:
     def without_loops(self) -> "ConnectionSet":
         return ConnectionSet(self.n, self.members - {0})
 
-    def digraph(self, strip_loops: bool = False) -> Digraph:
-        members = self.members - {0} if strip_loops else self.members
-        return cayley_digraph(self.n, members)
+    def digraph(self) -> Digraph:
+        return cayley_digraph(self.n, self.members)
 
     def scaled(self, c: int) -> "ConnectionSet":
         return ConnectionSet(self.n, frozenset((c * x) % self.n for x in self.members))
@@ -103,12 +102,16 @@ class PrimeLayers:
     layer_sizes: tuple[int, ...]
 
     @property
-    def boundaries(self) -> tuple[int, ...]:
-        return (0,) + self.valid_levels + (self.a,)
-
-    @property
     def minimal_sylow(self) -> PPartition:
         return PPartition(self.p, tuple(sorted(self.layer_sizes, reverse=True)))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "a": self.a,
+            "valid_levels": list(self.valid_levels),
+            "layers": list(self.layer_sizes),
+        }
 
 
 @dataclass(frozen=True)
@@ -237,15 +240,7 @@ def analysis_report(s: ConnectionSet) -> dict:
         "n": s.n,
         "S": sorted(s.members),
         "arithmetic_condition": exact,
-        "per_prime": [
-            {
-                "p": layers.p,
-                "a": layers.a,
-                "valid_levels": list(layers.valid_levels),
-                "layers": list(layers.layer_sizes),
-            }
-            for layers in decomposition.per_prime
-        ],
+        "per_prime": [layers.to_json_dict() for layers in decomposition.per_prime],
         "minimal_group": minimal.text(),
         "realizable": [g.text() for g in realizable],
         "exact": exact,

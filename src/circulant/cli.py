@@ -4,8 +4,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, TextIO
 
 from .abelian import enumerate_abelian, hasse_edges
 from .analyzer import (
@@ -15,32 +13,15 @@ from .analyzer import (
     parse_connection_set,
     product_type_witness,
 )
-from .digraph import dot_text, edge_list_text, tower_connection_set
+from .digraph import DEFAULT_VERTEX_CAP, dot_text, edge_list_text, tower_connection_set
 from .errors import CapacityError
 from .oracle import MISMATCH, ORACLE_CAPPED, cross_validate
+from .permgroup import DEFAULT_ELEMENT_CAP
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISMATCH = 2
 EXIT_CAPACITY = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    instance: Optional[ConnectionSet] = None
-    n: Optional[int] = None
-    prime: Optional[int] = None
-    p: Optional[int] = None
-    layers: tuple[int, ...] = ()
-    batch: Optional[str] = None
-    cap: int = 10**6
-    vertex_cap: int = 64
-    fmt: str = "text"
-    strip_loops: bool = False
-    strict: bool = False
-    seed: Optional[int] = None
-    parse_warnings: list[str] = field(default_factory=list)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,146 +48,101 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="circulant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_instance=True):
-        if with_instance:
-            p.add_argument("instance", help='connection set literal, e.g. "n=45;S=0,1,15,30"')
-        p.add_argument("--cap", type=int, default=10**6, help="element enumeration cap")
-        p.add_argument("--vertex-cap", type=int, default=64, help="digraph size cap for searches")
-        p.add_argument("--format", dest="fmt", choices=["text", "json", "dot"], default="text")
+    def instance_command(name, help, other_format, nargs=None):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("instance", nargs=nargs, help='connection set literal, e.g. "n=45;S=0,1,15,30"')
+        p.add_argument("--format", dest="fmt", choices=["text", other_format], default="text")
         p.add_argument("--strip-loops", action="store_true", help="drop 0 from S before building digraphs")
-        p.add_argument("--strict", action="store_true", help="exit 3 on capacity errors")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized suites (reserved)")
+        return p
 
-    common(sub.add_parser("analyze", help="levels, minimal group, realizable groups"))
-    d = sub.add_parser("decompose", help="per-prime valid levels and layers")
-    common(d)
+    instance_command("analyze", "levels, minimal group, realizable groups", "json")
+    d = instance_command("decompose", "per-prime valid levels and layers", "json")
     d.add_argument("--prime", type=int, default=None, help="restrict output to one prime")
-    common(sub.add_parser("witness", help="product-type tower digraphs as edge lists"))
+    instance_command("witness", "product-type tower digraphs as edge lists", "dot")
     g = sub.add_parser("generate", help="emit the circulant connection set of a tower")
     g.add_argument("--p", type=int, required=True, help="prime")
     g.add_argument("--layers", required=True, help="comma-separated layer exponents, outermost first")
-    common(g, with_instance=False)
-    v = sub.add_parser("verify", help="cross-validate the analyzer against the oracle")
-    v.add_argument("instance", nargs="?", default=None, help='connection set literal; omit with --batch')
-    v.add_argument("--batch", default=None, help="corpus file, one instance per line, # comments")
-    v.add_argument("--cap", type=int, default=10**6)
-    v.add_argument("--vertex-cap", type=int, default=64)
-    v.add_argument("--format", dest="fmt", choices=["text", "json", "dot"], default="text")
-    v.add_argument("--strip-loops", action="store_true")
-    v.add_argument("--strict", action="store_true")
-    v.add_argument("--seed", type=int, default=None)
+    g.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
+    v = instance_command("verify", "cross-validate the analyzer against the oracle", "json", nargs="?")
+    v.add_argument("--batch", default=None, help="corpus file in place of the instance, one instance per line, # comments")
+    v.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP, help="element enumeration cap")
+    v.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP, help="digraph size cap for searches")
+    v.add_argument("--strict", action="store_true", help="exit 3 on capacity errors")
     p = sub.add_parser("poset", help="abelian groups of order n with Hasse cover pairs")
     p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=10**6)
-    p.add_argument("--vertex-cap", type=int, default=64)
     p.add_argument("--format", dest="fmt", choices=["text", "json", "dot"], default="text")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    config = RunConfig(
-        command=args.command,
-        cap=getattr(args, "cap", 10**6),
-        vertex_cap=getattr(args, "vertex_cap", 64),
-        fmt=getattr(args, "fmt", "text"),
-        strip_loops=getattr(args, "strip_loops", False),
-        strict=getattr(args, "strict", False),
-        seed=getattr(args, "seed", None),
-    )
-    if getattr(args, "instance", None):
-        config.instance, config.parse_warnings = _parse_instance(args.instance)
-    config.batch = getattr(args, "batch", None)
-    config.n = getattr(args, "n", None)
-    config.prime = getattr(args, "prime", None)
-    if getattr(args, "p", None) is not None:
-        config.p = args.p
-        config.layers = tuple(int(x) for x in args.layers.split(","))
-    return config
+def _effective(args) -> ConnectionSet:
+    s = args.instance
+    return s.without_loops() if args.strip_loops else s
 
 
-def _effective(config: RunConfig) -> ConnectionSet:
-    s = config.instance
-    return s.without_loops() if config.strip_loops else s
+def _prime_line(entry: dict) -> str:
+    return f"p = {entry['p']}^{entry['a']}: valid levels {entry['valid_levels']}, layers {entry['layers']}"
 
 
-def _run_analyze(config: RunConfig, out: TextIO) -> int:
-    report = analysis_report(_effective(config))
-    if config.fmt == "json":
-        print(_json_dumps(report), file=out)
+def _run_analyze(args) -> int:
+    report = analysis_report(_effective(args))
+    if args.fmt == "json":
+        print(_json_dumps(report))
         return EXIT_OK
-    print(f"n = {report['n']}", file=out)
-    print(f"S = {{{','.join(map(str, report['S']))}}}", file=out)
-    print(f"arithmetic condition gcd(k, phi(k)) = 1: {report['arithmetic_condition']}", file=out)
+    print(f"n = {report['n']}")
+    print(f"S = {{{','.join(map(str, report['S']))}}}")
+    print(f"arithmetic condition gcd(k, phi(k)) = 1: {report['arithmetic_condition']}")
     for entry in report["per_prime"]:
-        print(
-            f"p = {entry['p']}^{entry['a']}: valid levels {entry['valid_levels']}, "
-            f"layers {entry['layers']}",
-            file=out,
-        )
-    print(f"minimal group: {report['minimal_group']}", file=out)
-    print(f"realizable: [{', '.join(report['realizable'])}]", file=out)
-    print(f"exact: {report['exact']}", file=out)
+        print(_prime_line(entry))
+    print(f"minimal group: {report['minimal_group']}")
+    print(f"realizable: [{', '.join(report['realizable'])}]")
+    print(f"exact: {report['exact']}")
     return EXIT_OK
 
 
-def _run_decompose(config: RunConfig, out: TextIO) -> int:
-    decomposition = decompose(_effective(config))
+def _run_decompose(args) -> int:
+    decomposition = decompose(_effective(args))
     entries = [
-        layers for layers in decomposition.per_prime
-        if config.prime is None or layers.p == config.prime
+        layers.to_json_dict() for layers in decomposition.per_prime
+        if args.prime is None or layers.p == args.prime
     ]
-    if config.prime is not None and not entries:
-        print(f"error: {config.prime} does not divide {decomposition.n}", file=sys.stderr)
+    if args.prime is not None and not entries:
+        print(f"error: {args.prime} does not divide {decomposition.n}", file=sys.stderr)
         return EXIT_ERROR
-    if config.fmt == "json":
-        payload = {
-            "n": decomposition.n,
-            "per_prime": [
-                {
-                    "p": e.p,
-                    "a": e.a,
-                    "valid_levels": list(e.valid_levels),
-                    "layers": list(e.layer_sizes),
-                }
-                for e in entries
-            ],
-        }
-        print(_json_dumps(payload), file=out)
+    if args.fmt == "json":
+        print(_json_dumps({"n": decomposition.n, "per_prime": entries}))
         return EXIT_OK
-    for e in entries:
-        print(f"p = {e.p}^{e.a}: valid levels {list(e.valid_levels)}, layers {list(e.layer_sizes)}", file=out)
+    for entry in entries:
+        print(_prime_line(entry))
     return EXIT_OK
 
 
-def _run_witness(config: RunConfig, out: TextIO) -> int:
-    s = _effective(config)
+def _run_witness(args) -> int:
+    s = _effective(args)
     towers = product_type_witness(s)
     primes = [layers.p for layers in decompose(s).per_prime]
     for p, tower in zip(primes, towers):
-        if config.fmt == "dot":
-            print(dot_text(tower, name=f"tower_p{p}"), file=out)
+        if args.fmt == "dot":
+            print(dot_text(tower, name=f"tower_p{p}"))
         else:
-            print(f"# p={p}", file=out)
-            print(edge_list_text(tower), file=out)
+            print(f"# p={p}")
+            print(edge_list_text(tower))
     return EXIT_OK
 
 
-def _run_generate(config: RunConfig, out: TextIO) -> int:
-    n, members = tower_connection_set(config.p, config.layers)
+def _run_generate(args) -> int:
+    n, members = tower_connection_set(args.p, tuple(int(x) for x in args.layers.split(",")))
     s = ConnectionSet(n, members)
-    if config.fmt == "json":
-        print(_json_dumps({"n": n, "S": sorted(members)}), file=out)
+    if args.fmt == "json":
+        print(_json_dumps({"n": n, "S": sorted(members)}))
     else:
-        print(s.text(), file=out)
+        print(s.text())
     return EXIT_OK
 
 
-def _verdict_exit(verdicts: list[str], config: RunConfig) -> int:
+def _verdict_exit(verdicts: list[str], strict: bool) -> int:
     if any(v == MISMATCH for v in verdicts):
         return EXIT_MISMATCH
-    if config.strict and any(v == ORACLE_CAPPED for v in verdicts):
+    if strict and any(v == ORACLE_CAPPED for v in verdicts):
         return EXIT_CAPACITY
     return EXIT_OK
 
@@ -219,14 +155,14 @@ def _report_line(report, fmt: str) -> str:
     return f"n={report.n} S={list(report.s)} predicted={predicted} actual={actual} verdict={report.verdict}"
 
 
-def _run_verify(config: RunConfig, out: TextIO) -> int:
-    if (config.instance is None) == (config.batch is None):
+def _run_verify(args) -> int:
+    if (args.instance is None) == (args.batch is None):
         print("error: verify needs exactly one of an instance literal or --batch", file=sys.stderr)
         return EXIT_ERROR
     instances = []
-    if config.batch is not None:
+    if args.batch is not None:
         try:
-            with open(config.batch, encoding="utf-8") as handle:
+            with open(args.batch, encoding="utf-8") as handle:
                 lines = handle.readlines()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -238,48 +174,48 @@ def _run_verify(config: RunConfig, out: TextIO) -> int:
             try:
                 instance, warns = _parse_instance(stripped)
             except ValueError as exc:
-                print(f"error: {config.batch}:{lineno}: {exc}", file=sys.stderr)
+                print(f"error: {args.batch}:{lineno}: {exc}", file=sys.stderr)
                 return EXIT_ERROR
             for w in warns:
-                print(f"warning: {config.batch}:{lineno}: {w}", file=sys.stderr)
+                print(f"warning: {args.batch}:{lineno}: {w}", file=sys.stderr)
             instances.append(instance)
     else:
-        instances.append(_effective(config))
+        instances.append(args.instance)
     verdicts = []
     for instance in instances:
-        effective = instance.without_loops() if config.strip_loops else instance
-        report = cross_validate(effective, cap=config.cap, vertex_cap=config.vertex_cap)
+        effective = instance.without_loops() if args.strip_loops else instance
+        report = cross_validate(effective, cap=args.cap, vertex_cap=args.vertex_cap)
         verdicts.append(report.verdict)
-        print(_report_line(report, config.fmt), file=out)
-    return _verdict_exit(verdicts, config)
+        print(_report_line(report, args.fmt))
+    return _verdict_exit(verdicts, args.strict)
 
 
-def _run_poset(config: RunConfig, out: TextIO) -> int:
-    groups = enumerate_abelian(config.n)
-    edges = hasse_edges(config.n) if config.n >= 2 else []
-    if config.fmt == "json":
+def _run_poset(args) -> int:
+    groups = enumerate_abelian(args.n)
+    edges = hasse_edges(args.n) if args.n >= 2 else []
+    if args.fmt == "json":
         payload = {
-            "n": config.n,
+            "n": args.n,
             "groups": [g.text() for g in groups],
             "cover_pairs": [[a.text(), b.text()] for a, b in edges],
         }
-        print(_json_dumps(payload), file=out)
-    elif config.fmt == "dot":
-        lines = [f"digraph poset_{config.n} {{"]
+        print(_json_dumps(payload))
+    elif args.fmt == "dot":
+        lines = [f"digraph poset_{args.n} {{"]
         index = {g: i for i, g in enumerate(groups)}
         for g in groups:
             lines.append(f'  g{index[g]} [label="{g.text()}"];')
         for a, b in edges:
             lines.append(f"  g{index[a]} -> g{index[b]};")
         lines.append("}")
-        print("\n".join(lines), file=out)
+        print("\n".join(lines))
     else:
-        print(f"{len(groups)} abelian groups of order {config.n}:", file=out)
+        print(f"{len(groups)} abelian groups of order {args.n}:")
         for g in groups:
-            print(f"  {g.text()}", file=out)
-        print(f"{len(edges)} cover pairs:", file=out)
+            print(f"  {g.text()}")
+        print(f"{len(edges)} cover pairs:")
         for a, b in edges:
-            print(f"  {a.text()} < {b.text()}", file=out)
+            print(f"  {a.text()} < {b.text()}")
     return EXIT_OK
 
 
@@ -293,30 +229,20 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig, out: Optional[TextIO] = None) -> int:
-    if out is None:
-        out = sys.stdout
-    for message in config.parse_warnings:
-        print(f"warning: {message}", file=sys.stderr)
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[config.command](config, out)
+        if getattr(args, "instance", None) is not None:
+            args.instance, parse_warnings = _parse_instance(args.instance)
+            for message in parse_warnings:
+                print(f"warning: {message}", file=sys.stderr)
+        return _COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY if config.strict else EXIT_ERROR
+        return EXIT_CAPACITY if getattr(args, "strict", False) else EXIT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ._refine import iso_search
+from .arith import big_omega
 from .errors import CapacityError
 
 DEFAULT_VERTEX_CAP = 64
@@ -86,6 +87,8 @@ def wreath(outer: Digraph, inner: Digraph) -> Digraph:
 
 
 def _tower_factors(p: int, layers: tuple[int, ...]) -> list[Digraph]:
+    if p < 2 or big_omega(p) != 1:
+        raise ValueError(f"p must be prime, got {p}")
     if not layers or any(k < 1 for k in layers):
         raise ValueError(f"layers must be a nonempty sequence of positive integers: {layers}")
     factors = []

@@ -11,10 +11,10 @@ from typing import Optional
 
 from .abelian import AbelianType, enumerate_abelian
 from .analyzer import ConnectionSet, realizable_groups
+from .digraph import DEFAULT_VERTEX_CAP
 from .errors import CapacityError
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
-    DEFAULT_VERTEX_CAP,
     PermGroup,
     Permutation,
     automorphism_group,
@@ -151,13 +151,12 @@ def cross_validate(
     s: ConnectionSet,
     cap: int = DEFAULT_ELEMENT_CAP,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    strip_loops: bool = False,
 ) -> ValidationReport:
     """Compare the analyzer's prediction against the brute-force oracle."""
     predicted, exact = realizable_groups(s)
     predicted = tuple(predicted)
     try:
-        aut = automorphism_group(s.digraph(strip_loops=strip_loops), vertex_cap=vertex_cap)
+        aut = automorphism_group(s.digraph(), vertex_cap=vertex_cap)
         actual = tuple(regular_abelian_types(aut, s.n, cap))
     except CapacityError:
         return ValidationReport(s.n, tuple(sorted(s.members)), predicted, None, ORACLE_CAPPED)

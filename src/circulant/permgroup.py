@@ -1,4 +1,4 @@
-"""Desk-scale permutation groups: orbits, blocks, 2-closure, digraph automorphisms.
+"""Desk-scale permutation groups: orbits, 2-closure, digraph automorphisms.
 
 Groups are given by generators.  Element enumeration is a plain BFS closure
 under a configurable cap (default 10^6); there is deliberately no stabilizer
@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from . import _refine
-from .arith import big_omega
-from .digraph import Digraph
+from .digraph import DEFAULT_VERTEX_CAP, Digraph
 from .errors import CapacityError
 
 DEFAULT_ELEMENT_CAP = 10**6
-DEFAULT_VERTEX_CAP = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -91,61 +89,10 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*self.cycle_lengths())
 
-    def uniform_cycle_length(self) -> Optional[int]:
-        """Common length of all cycles, or None if lengths are mixed."""
-        lengths = set(self.cycle_lengths())
-        return lengths.pop() if len(lengths) == 1 else None
-
-    def image_list(self) -> list[int]:
-        """Serialized image form, e.g. [1, 2, 0]."""
-        return list(self.images)
-
 
 def rotation(n: int, k: int = 1) -> Permutation:
     """The translation x -> x + k on Z_n."""
     return Permutation(tuple((x + k) % n for x in range(n)))
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """G-invariant partition of the point set into equal-size blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        points = [x for b in self.blocks for x in b]
-        if sorted(points) != list(range(len(points))):
-            raise ValueError("blocks do not partition the point set")
-        if len({len(b) for b in self.blocks}) > 1:
-            raise ValueError("blocks have unequal sizes")
-
-    @classmethod
-    def from_sets(cls, blocks: Iterable[Iterable[int]]) -> "BlockSystem":
-        return cls(tuple(sorted(tuple(sorted(b)) for b in blocks)))
-
-    @classmethod
-    def singletons(cls, n: int) -> "BlockSystem":
-        return cls(tuple((x,) for x in range(n)))
-
-    @property
-    def degree(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def block_size(self) -> int:
-        return len(self.blocks[0])
-
-    def block_index(self) -> list[int]:
-        idx = [0] * self.degree
-        for i, b in enumerate(self.blocks):
-            for x in b:
-                idx[x] = i
-        return idx
-
-    def refines(self, other: "BlockSystem") -> bool:
-        """Whether every block of ``other`` is a union of blocks of this system."""
-        idx = other.block_index()
-        return all(len({idx[x] for x in b}) == 1 for b in self.blocks)
 
 
 @dataclass
@@ -185,15 +132,6 @@ class PermGroup:
     def cyclic(cls, n: int) -> "PermGroup":
         """The rotation group of Z_n in its regular action."""
         return cls(n, (rotation(n, 1),), cached_order=n)
-
-    @classmethod
-    def from_image_lists(cls, degree: int, images: Iterable[Iterable[int]]) -> "PermGroup":
-        """Deserialize a group from generator image sequences."""
-        return cls(degree, tuple(Permutation(tuple(seq)) for seq in images))
-
-    def generator_image_lists(self) -> list[list[int]]:
-        """JSON-ready generators in image form."""
-        return [g.image_list() for g in self.generators]
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
@@ -277,23 +215,14 @@ class PermGroup:
         return len(self.elements(cap))
 
     def orbits(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.degree
+        gens = [g.images for g in self.generators]
+        seen: set[int] = set()
         out = []
         for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                x = frontier.pop()
-                for g in self.generators:
-                    y = g(x)
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        frontier.append(y)
-            out.append(tuple(sorted(orbit)))
+            if start not in seen:
+                orbit = _refine._close_orbit({start}, gens)
+                seen |= orbit
+                out.append(tuple(sorted(orbit)))
         return out
 
     def is_transitive(self) -> bool:
@@ -312,129 +241,6 @@ class PermGroup:
             return len(self.elements(bound)) == self.degree
         except CapacityError:
             return False
-
-    def is_semiregular(self, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-        return all(g.is_identity or not g.has_fixed_point() for g in self.elements(cap))
-
-    def minimal_block_system(self, a: int, b: int) -> BlockSystem:
-        """Finest block system placing a and b in one block (union-find closure)."""
-        if not self.is_transitive():
-            raise ValueError("block systems require a transitive group")
-        if a == b:
-            raise ValueError("points must be distinct")
-        n = self.degree
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> bool:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            parent[max(rx, ry)] = min(rx, ry)
-            return True
-
-        union(a, b)
-        queue = [(a, b)]
-        while queue:
-            x, y = queue.pop()
-            for g in self.generators:
-                gx, gy = g(x), g(y)
-                if union(gx, gy):
-                    queue.append((gx, gy))
-        classes: dict[int, list[int]] = {}
-        for x in range(n):
-            classes.setdefault(find(x), []).append(x)
-        return BlockSystem.from_sets(classes.values())
-
-    def imprimitivity_chain(self) -> Optional[list[BlockSystem]]:
-        """A maximal chain of nested block systems with prime index ratios.
-
-        The chain has Omega(degree)+1 systems from singletons to the full set,
-        each ratio prime, if such a chain exists; None otherwise.  Search is
-        greedy over prime-size minimal systems with backtracking.
-        """
-        if not self.is_transitive():
-            raise ValueError("imprimitivity chains require a transitive group")
-        gens = [g.images for g in self.generators]
-        chain = _prime_step_chain(gens, self.degree)
-        if chain is None:
-            return None
-        return [BlockSystem.from_sets(partition) for partition in chain]
-
-
-def _prime_step_chain(gens: list[tuple[int, ...]], m: int) -> Optional[list[list[list[int]]]]:
-    if m == 1:
-        return [[[0]]]
-    candidates = []
-    seen = set()
-    for b in range(1, m):
-        blocks = _minimal_blocks_raw(gens, m, 0, b)
-        key = tuple(tuple(blk) for blk in blocks)
-        if key in seen:
-            continue
-        seen.add(key)
-        if _is_prime(len(blocks[0])):
-            candidates.append(blocks)
-    candidates.sort(key=lambda blocks: (len(blocks[0]), blocks))
-    singles = [[x] for x in range(m)]
-    for blocks in candidates:
-        qgens = _quotient_gens(gens, blocks)
-        sub = _prime_step_chain(qgens, len(blocks))
-        if sub is not None:
-            lifted = [[sorted(x for j in qblock for x in blocks[j]) for qblock in partition] for partition in sub]
-            return [singles] + lifted
-    return None
-
-
-def _minimal_blocks_raw(gens, n: int, a: int, b: int) -> list[list[int]]:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    union(a, b)
-    queue = [(a, b)]
-    while queue:
-        x, y = queue.pop()
-        for g in gens:
-            gx, gy = g[x], g[y]
-            if union(gx, gy):
-                queue.append((gx, gy))
-    classes: dict[int, list[int]] = {}
-    for x in range(n):
-        classes.setdefault(find(x), []).append(x)
-    return sorted([sorted(c) for c in classes.values()])
-
-
-def _quotient_gens(gens, blocks: list[list[int]]) -> list[tuple[int, ...]]:
-    idx = {}
-    for i, blk in enumerate(blocks):
-        for x in blk:
-            idx[x] = i
-    return [tuple(idx[g[blk[0]]] for blk in blocks) for g in gens]
-
-
-def _is_prime(k: int) -> bool:
-    return k >= 2 and big_omega(k) == 1
-
-
-def enumerate_elements(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
-    return group.elements(cap)
 
 
 def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
@@ -538,7 +344,6 @@ def two_closure(group: PermGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermG
 def is_nilpotent(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
     """Whether the lower central series reaches the trivial group."""
     els = group.elements(cap)
-    identity = Permutation.identity(group.degree)
     current = set(els)
     while True:
         commutators = set()
@@ -550,23 +355,8 @@ def is_nilpotent(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
                     commutators.add(c)
         if not commutators:
             return True
-        nxt = _mulclose(commutators, identity)
+        nxt = set(PermGroup(group.degree, tuple(commutators)).elements(cap))
         if len(nxt) == len(current):
             return False
         current = nxt
 
-
-def _mulclose(gens: Iterable[Permutation], identity: Permutation) -> set[Permutation]:
-    gens = list(gens)
-    els = {identity, *gens}
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = p * g
-                if q not in els:
-                    els.add(q)
-                    new.append(q)
-        frontier = new
-    return els

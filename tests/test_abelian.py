@@ -1,8 +1,6 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from brute import brute_subdivision
 from circulant.abelian import (
@@ -10,7 +8,6 @@ from circulant.abelian import (
     PPartition,
     enumerate_abelian,
     hasse_edges,
-    is_subdivision,
     partitions,
     preceq,
     preceq_p,
@@ -46,53 +43,6 @@ class TestPPartition:
         assert s.rank == 3
 
 
-class TestSubdivision:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            ((2, 2, 1), (4, 1), True),
-            # grouping {1,1}->2, {3}->3 exists, per the exhaustive grouping oracle
-            ((3, 1, 1), (2, 3), True),
-            ((5,), (5,), True),
-            ((2, 2, 1), (3, 2), True),
-            ((2, 2, 1), (3, 1, 1), False),
-            ((1, 1, 1, 1, 1), (5,), True),
-            ((1, 1), (1, 1), True),
-            ((2,), (1, 1), False),
-        ],
-    )
-    def test_examples(self, a, b, expected):
-        assert is_subdivision(a, b) is expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            is_subdivision((0, 1), (1,))
-
-    def test_matches_brute_force_exhaustively(self):
-        for k in range(1, 6):
-            for a in partitions(k):
-                for b in partitions(k):
-                    assert is_subdivision(a, b) is brute_subdivision(a, b)
-
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force_random(self, a, data):
-        # group a randomly to build b, then compare both checkers on (a, b)
-        bins = data.draw(st.integers(1, len(a)))
-        assignment = data.draw(st.lists(st.integers(0, bins - 1), min_size=len(a), max_size=len(a)))
-        sums = [0] * bins
-        for x, j in zip(a, assignment):
-            sums[j] += x
-        b = tuple(sorted((s for s in sums if s > 0), reverse=True))
-        a = tuple(sorted(a, reverse=True))
-        assert is_subdivision(a, b)
-        assert brute_subdivision(a, b)
-
-    def test_order_of_entries_is_immaterial(self):
-        assert is_subdivision((1, 2, 2), (4, 1)) is True
-        assert is_subdivision((2, 1, 2), (1, 4)) is True
-
-
 class TestPreceq:
     def test_preceq_p_examples(self):
         assert preceq_p(PPartition(3, (2, 2, 1)), PPartition(3, (3, 2)))
@@ -106,7 +56,7 @@ class TestPreceq:
         # confirmed by the subgroup-chain oracle and by a realizable circulant
         assert preceq_p(PPartition(2, (2, 2)), PPartition(2, (3, 1)))
         assert preceq_p(PPartition(2, (2, 2, 1)), PPartition(2, (3, 1, 1)))
-        assert not is_subdivision((2, 2), (3, 1))
+        assert not brute_subdivision((2, 2), (3, 1))
 
     def test_matches_strip_peeling_oracle(self):
         from brute import brute_strip_peelings

@@ -47,6 +47,11 @@ class TestAnalyze:
         assert code == 1
         assert "bad element" in err
 
+    def test_empty_literal_is_parse_error(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "")
+        assert code == 1
+        assert "expected 'n=...; S=...'" in err
+
     def test_strip_loops(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "n=45;S=0,1,15,30", "--strip-loops", "--format", "json")
         assert code == 0
@@ -102,6 +107,13 @@ class TestGenerate:
         code, out, _ = run_cli(capsys, "generate", "--p", "2", "--layers", "1,1", "--format", "json")
         payload = json.loads(out)
         assert payload["n"] == 4
+
+    @pytest.mark.parametrize("p", ["1", "0", "-3", "4", "6"])
+    def test_non_prime_p_exit_1(self, capsys, p):
+        code, out, err = run_cli(capsys, "generate", "--p", p, "--layers", "1,1")
+        assert code == 1
+        assert out == ""
+        assert f"p must be prime, got {p}" in err
 
 
 class TestVerify:
@@ -187,11 +199,53 @@ class TestPoset:
         assert cli._json_dumps(json.loads(line)) == line
 
 
+REMOVED_FLAGS = [
+    ("poset", "8", "--seed", "1"),
+    ("poset", "8", "--cap", "5"),
+    ("poset", "8", "--strict"),
+    ("analyze", "n=8;S=1", "--cap", "5"),
+    ("analyze", "n=8;S=1", "--vertex-cap", "5"),
+    ("analyze", "n=8;S=1", "--strict"),
+    ("analyze", "n=8;S=1", "--seed", "1"),
+    ("analyze", "n=8;S=1", "--format", "dot"),
+    ("decompose", "n=8;S=1", "--strict"),
+    ("decompose", "n=8;S=1", "--format", "dot"),
+    ("witness", "n=8;S=1", "--cap", "5"),
+    ("witness", "n=8;S=1", "--format", "json"),
+    ("generate", "--p", "2", "--layers", "1", "--strict"),
+    ("generate", "--p", "2", "--layers", "1", "--strip-loops"),
+    ("generate", "--p", "2", "--layers", "1", "--format", "dot"),
+    ("verify", "n=8;S=1", "--seed", "1"),
+    ("verify", "n=8;S=1", "--format", "dot"),
+]
+
+KEPT_FLAGS = [
+    ("analyze", "n=8;S=0,1", "--format", "json", "--strip-loops"),
+    ("decompose", "n=8;S=0,1", "--format", "json", "--strip-loops", "--prime", "2"),
+    ("witness", "n=8;S=0,1", "--format", "dot", "--strip-loops"),
+    ("generate", "--p", "2", "--layers", "1", "--format", "json"),
+    ("verify", "n=8;S=0,1", "--cap", "500", "--vertex-cap", "8", "--format", "json", "--strip-loops", "--strict"),
+    ("poset", "8", "--format", "dot"),
+]
+
+# removed flags are usage errors (argparse exits 1); kept flags still run
+FLAG_TABLE = [(argv, 1) for argv in REMOVED_FLAGS] + [(argv, 0) for argv in KEPT_FLAGS]
+
+
 class TestParser:
     def test_unknown_command_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv,expected", FLAG_TABLE, ids=[" ".join(argv) for argv, _ in FLAG_TABLE])
+    def test_flag_table(self, capsys, argv, expected):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert code == expected
+        assert bool(capsys.readouterr().out) is (expected == 0)
 
     def test_analyze_and_verify_share_prediction(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "n=8;S=4", "--format", "json")

@@ -161,6 +161,13 @@ class TestTowerConnectionSet:
         n, s = tower_connection_set(3, (2,))
         assert (n, set(s)) == (9, {1})
 
+    @pytest.mark.parametrize("p", [1, 0, -3, 4, 6])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            tower_connection_set(p, (1, 1))
+        with pytest.raises(ValueError, match="p must be prime"):
+            tower_digraph(p, (1,))
+
 
 class TestIsomorphism:
     def test_cycle_and_its_reversal(self):

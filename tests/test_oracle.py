@@ -14,10 +14,11 @@ from circulant.oracle import (
     ORACLE_CAPPED,
     SOUND_SUBSET,
     ValidationReport,
+    _uniform_length,
     cross_validate,
     regular_abelian_types,
 )
-from circulant.permgroup import PermGroup, Permutation, automorphism_group, direct_product
+from circulant.permgroup import PermGroup, Permutation, automorphism_group, direct_product, rotation
 
 
 def reference_regular_representation(abelian_type):
@@ -77,6 +78,11 @@ def _mulclose(gens, identity):
 
 
 class TestRegularAbelianTypes:
+    def test_uniform_length(self):
+        assert _uniform_length(Permutation.from_cycles(6, [(0, 1, 2), (3, 4)]).images) is None
+        assert _uniform_length(rotation(6).images) == 6
+        assert _uniform_length(Permutation.from_cycles(6, [(0, 1), (2, 3), (4, 5)]).images) == 2
+
     def test_directed_nine_cycle(self):
         aut = automorphism_group(directed_cycle(9))
         assert [g.text() for g in regular_abelian_types(aut, 9)] == ["Z9"]
@@ -227,7 +233,7 @@ class TestCrossValidate:
 
     def test_strip_loops_does_not_change_verdict(self):
         with_loops = cross_validate(ConnectionSet.of(9, [0, 3, 6]))
-        without = cross_validate(ConnectionSet.of(9, [0, 3, 6]), strip_loops=True)
+        without = cross_validate(ConnectionSet.of(9, [0, 3, 6]).without_loops())
         assert with_loops.verdict == without.verdict == EXACT_MATCH
         assert with_loops.actual == without.actual
 
