@@ -139,20 +139,22 @@ def _prime_exponent(n: int, p: int) -> int:
 def coset_condition(s: ConnectionSet, p: int, level: int) -> bool:
     """Whether S outside W is a union of cosets of P.
 
-    P is the subgroup of order p^level and W the subgroup of order
-    p^level * n/p^a, i.e. P extended by the full Hall p'-part.
+    P = <n/p^level> is the subgroup of order p^level and W = <p^(a-level)>
+    the subgroup of order p^level * n/p^a, i.e. P extended by the full Hall
+    p'-part.  Membership in W is divisibility and P is scanned lazily, so
+    nothing grows with n.
     """
     n = s.n
     a = _prime_exponent(n, p)
     if not (1 <= level <= a - 1):
         raise ValueError(f"level {level} outside 1..{a - 1} for p={p}, n={n}")
-    subgroup = subgroup_of_order(n, p**level)
-    envelope = subgroup_of_order(n, p**level * (n // p**a))
+    envelope_step = p ** (a - level)
+    subgroup_step = n // p**level
     members = s.members
     for x in members:
-        if x in envelope:
+        if x % envelope_step == 0:
             continue
-        if any((x + t) % n not in members for t in subgroup):
+        if any((x + t) % n not in members for t in range(subgroup_step, n, subgroup_step)):
             return False
     return True
 

@@ -1,7 +1,8 @@
 """Elementary number theory shared by the other modules.
 
-Everything here is exact integer arithmetic via trial division; inputs are
-desk scale (n up to about 10^6), so nothing probabilistic is needed.
+Everything here is exact integer arithmetic; factoring is trial division up
+to sqrt(n), so `analyze` at n near 10^12 takes tens of milliseconds when n has
+small prime factors and about 0.3 s when n is a prime that large.
 """
 
 from dataclasses import dataclass

@@ -86,7 +86,8 @@ def wreath(outer: Digraph, inner: Digraph) -> Digraph:
     return Digraph(outer.vertex_count * inner.vertex_count, frozenset(arcs))
 
 
-def _tower_factors(p: int, layers: tuple[int, ...]) -> list[Digraph]:
+def _tower_factors(p: int, layers: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
+    """Each factor as its connection set (q, A), so that it is Cay(Z_q, A)."""
     if p < 2 or big_omega(p) != 1:
         raise ValueError(f"p must be prime, got {p}")
     if not layers or any(k < 1 for k in layers):
@@ -96,13 +97,13 @@ def _tower_factors(p: int, layers: tuple[int, ...]) -> list[Digraph]:
     for i, k in enumerate(layers):
         q = p ** k
         if q > 2:
-            factors.append(directed_cycle(q))
+            factors.append((q, frozenset({1})))  # directed q-cycle
             prev_is_digon = False
         elif i == 0 or not prev_is_digon:
-            factors.append(directed_cycle(2))  # K_2, the digon
+            factors.append((2, frozenset({1})))  # K_2, the digon
             prev_is_digon = True
         else:
-            factors.append(empty_digraph(2))  # K_2-bar
+            factors.append((2, frozenset()))  # K_2-bar
             prev_is_digon = False
     return factors
 
@@ -115,7 +116,7 @@ def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
     factors alternate between the digon and the arcless pair so consecutive
     Sym(2) factors cannot merge into a larger symmetric group.
     """
-    factors = _tower_factors(p, tuple(layers))
+    factors = [cayley_digraph(q, a) for q, a in _tower_factors(p, tuple(layers))]
     result = factors[0]
     for f in factors[1:]:
         result = wreath(result, f)
@@ -129,12 +130,9 @@ def tower_connection_set(p: int, layers: Iterable[int]) -> tuple[int, frozenset[
     around Cay(Z_m, S) keeps q*S and adds the full residue class a + qZ_m for
     every a in A, which is the coset structure the wreath product demands.
     """
-    factors = _tower_factors(p, tuple(layers))
     n = 1
     s: set[int] = set()
-    for f in reversed(factors):
-        q = f.vertex_count
-        a = {w for (v, w) in f.arcs if v == 0}  # factor's own connection set
+    for q, a in reversed(_tower_factors(p, tuple(layers))):
         s = {q * x for x in s} | {e + q * t for e in a for t in range(n)}
         n *= q
     return n, frozenset(s)

@@ -1,8 +1,8 @@
 """Desk-scale permutation groups: orbits, 2-closure, digraph automorphisms.
 
-Groups are given by generators.  Element enumeration is a plain BFS closure
-under a configurable cap (default 10^6); there is deliberately no stabilizer
-chain machinery.  Automorphism groups of (colored) digraphs come from the
+Groups are given by generators.  Element enumeration is a Dimino-style
+closure under a configurable cap (default 10^6); there is deliberately no
+stabilizer chain machinery.  Automorphism groups of (colored) digraphs come from the
 refinement search engine, which also reports the exact group order, cached on
 the returned group.
 """
@@ -157,56 +157,40 @@ class PermGroup:
         return els
 
     def _closure(self, cap: int) -> tuple[Permutation, ...]:
+        # Dimino-style incremental closure.  compose(e, table(r)) has images
+        # x -> r[e[x]]: below degree 256 images are bytes and composing is one
+        # C-level translate, from 256 on they are tuples.
         if self.degree < 256:
-            return self._closure_bytes(cap)
-        gens = [g.images for g in self.generators]
-        identity = tuple(range(self.degree))
-        els = {identity}
-        frontier = [identity]
-        while frontier:
-            new = []
-            for p in frontier:
-                getter = p.__getitem__
-                for g in gens:
-                    q = tuple(map(getter, g))
-                    if q not in els:
-                        els.add(q)
-                        new.append(q)
-                        if len(els) > cap:
-                            raise CapacityError("group order exceeds element cap", cap)
-            frontier = new
-        return tuple(Permutation._make(t) for t in sorted(els))
-
-    def _closure_bytes(self, cap: int) -> tuple[Permutation, ...]:
-        # Dimino-style incremental closure on bytes images; composition is one
-        # C-level translate: e.translate(r + pad) has images x -> r[e[x]].
-        pad = bytes(range(self.degree, 256))
-        gens = [bytes(g.images) for g in self.generators]
-        identity = bytes(range(self.degree))
+            pad = bytes(range(self.degree, 256))
+            encode, table, compose = bytes, lambda r: r + pad, bytes.translate
+        else:
+            encode, table, compose = tuple, lambda r: r.__getitem__, lambda e, t: tuple(map(t, e))
+        gens = [encode(g.images) for g in self.generators]
+        identity = encode(range(self.degree))
         els_list = [identity]
         els_set = {identity}
-        active: list[bytes] = []
+        active: list = []
         for g in gens:
             if g in els_set:
                 continue
             active.append(g)
             old = els_list[:]  # subgroup before adding g; new elements fill whole cosets of it
-            step_tables = [s + pad for s in active]
+            step_tables = [table(s) for s in active]
             queue = [g]
             while queue:
                 r = queue.pop()
                 if r in els_set:
                     continue
-                r_table = r + pad
+                r_table = table(r)
                 for e in old:
-                    x = e.translate(r_table)
+                    x = compose(e, r_table)
                     if x not in els_set:
                         els_set.add(x)
                         els_list.append(x)
                         if len(els_set) > cap:
                             raise CapacityError("group order exceeds element cap", cap)
-                for table in step_tables:
-                    queue.append(r.translate(table))
+                for t in step_tables:
+                    queue.append(compose(r, t))
         return tuple(Permutation._make(tuple(b)) for b in sorted(els_set))
 
     def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:

@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
-and pair-orbit preservation directly from the definition.
+pair-orbit preservation directly from the definition, and the coset
+condition on the explicit subgroups of Z_n.
 """
 
 from itertools import permutations, product
+
+from circulant.analyzer import subgroup_of_order
 
 
 def brute_subdivision(a, b):
@@ -19,6 +22,23 @@ def brute_subdivision(a, b):
         if sums == list(b):
             return True
     return False
+
+
+def brute_coset_condition(s, p, level):
+    """S outside W is a union of cosets of P, with P and W built as sets."""
+    n = s.n
+    a = 0
+    while n % p ** (a + 1) == 0:
+        a += 1
+    subgroup = subgroup_of_order(n, p**level)
+    envelope = subgroup_of_order(n, p**level * (n // p**a))
+    members = s.members
+    for x in members:
+        if x in envelope:
+            continue
+        if any((x + t) % n not in members for t in subgroup):
+            return False
+    return True
 
 
 def brute_automorphisms(digraph):

@@ -1,3 +1,9 @@
+from hypothesis import settings
+
+# The same examples on every run, and no per-example deadline on slow hosts.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
+
 ACCEPTANCE_RESULTS = []
 
 

@@ -1,8 +1,13 @@
 import json
 import random
+from itertools import chain, combinations
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from brute import brute_coset_condition
 from circulant.abelian import AbelianType, preceq
 from circulant.analyzer import (
     ConnectionSet,
@@ -97,6 +102,31 @@ class TestCosetCondition:
         # S = (1 + <5>) in Z_25 is one full coset of the order-5 subgroup
         s = ConnectionSet.of(25, {(1 + 5 * k) % 25 for k in range(5)})
         assert coset_condition(s, 5, 1) is True
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 16])
+    def test_matches_brute_force_exhaustively(self, n):
+        subsets = chain.from_iterable(combinations(range(n), k) for k in range(n + 1))
+        checked = 0
+        for members in subsets:
+            s = ConnectionSet.of(n, members)
+            for p, a in factorize(n).factors:
+                for level in range(1, a):
+                    assert coset_condition(s, p, level) == brute_coset_condition(s, p, level), (s, p, level)
+                    checked += 1
+        assert checked >= 2**n
+
+    def test_matches_brute_force_random(self):
+        rng = random.Random(71)
+        valid = 0
+        for _ in range(1000):
+            n = rng.randrange(4, 201)
+            s = _random_instance(rng, n)
+            for p, a in factorize(n).factors:
+                for level in range(1, a):
+                    expected = brute_coset_condition(s, p, level)
+                    assert coset_condition(s, p, level) == expected, (s, p, level)
+                    valid += expected
+        assert valid > 100
 
 
 class TestDecompose:
@@ -275,6 +305,45 @@ class TestTranslationCheck:
                     assert coset_condition(bigger, p, level) is True
                     grown += 1
         assert grown > 50
+
+
+@st.composite
+def _instances(draw, max_n, max_size):
+    """Connection sets at n a product of small primes up to max_n.
+
+    S is a union of cosets of a small subgroup of Z_n around random bases, so
+    that valid levels occur; |S| <= max_size.
+    """
+    n = 1
+    for p in draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=40)):
+        if n * p > max_n:
+            break
+        n *= p
+    q = draw(st.sampled_from([q for q in (1, 2, 3, 4, 8) if n % q == 0 and q <= max_size]))
+    bases = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max_size // q))
+    return ConnectionSet.of(n, {(x + k * (n // q)) % n for x in bases for k in range(q)})
+
+
+def _unit(n, k):
+    """The first unit of Z_n at or after k, cyclically."""
+    return next(c for c in chain(range(k % n, n), range(n)) if gcd(c, n) == 1)
+
+
+class TestInvariance:
+    """decompose depends only on the digraph up to isomorphism, at any n."""
+
+    @given(_instances(2**40, 8), st.integers(1, 2**40))
+    def test_unit_multiple(self, s, k):
+        assert decompose(s.scaled(_unit(s.n, k))).per_prime == decompose(s).per_prime
+
+    @given(_instances(2**40, 8))
+    def test_negation(self, s):
+        assert decompose(s.scaled(-1)).per_prime == decompose(s).per_prime
+
+    @given(_instances(64, 64))
+    def test_complement(self, s):
+        complement = ConnectionSet(s.n, frozenset(range(s.n)) - s.members)
+        assert decompose(complement).per_prime == decompose(s).per_prime
 
 
 class TestReport:

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +258,39 @@ class TestParser:
         code, out, _ = run_cli(capsys, "verify", "n=8;S=4", "--format", "json")
         verified = json.loads(out)["predicted"]
         assert analyzed == verified
+
+
+def _cap_address_space():
+    limit = 300 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_capped(*argv):
+    """The CLI in a child process whose address space is capped at 300 MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys; from circulant.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, preexec_fn=_cap_address_space, timeout=120,
+    )
+
+
+class TestMemoryBound:
+    """Inputs far past the oracle's reach run in memory that does not grow with n."""
+
+    def test_analyze_at_two_to_the_forty(self):
+        result = run_capped("analyze", f"n={2**40};S=1,3,5,7", "--format", "json")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["minimal_group"] == f"Z{2**40}"
+
+    def test_analyze_elementary_abelian_at_two_to_the_forty(self):
+        members = ",".join(str(k * 2**38) for k in range(4))
+        result = run_capped("analyze", f"n={2**40};S={members}", "--format", "json")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["minimal_group"] == "Z2^40"
+
+    def test_generate_thirty_layers(self):
+        result = run_capped("generate", "--p", "2", "--layers", "30")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "n=1073741824; S=1"
