@@ -6,51 +6,68 @@ the color of the ordered pair (u, v) and the diagonal holds vertex colors
 iterated neighborhood signatures, searches backtrack over refined classes,
 and every choice point iterates in sorted order so results are deterministic.
 
+Signature pass: each refinement call first codes every ordered pair (v, u)
+by its two colors m[v][u] and m[u][v] as one int, once per structure.  A
+round then gives vertex v its color and the sorted multiset of
+(color of u, code of (v, u)) over all u, each pair folded into one int, so the
+counting and sorting run at C level.  The pair u = v is counted too; that is
+harmless because its entry depends on v's own color alone, as long as the
+colors refine the diagonal, which every caller's colors do.
+
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
+When the shift v -> v+1 preserves the whole matrix (every circulant in its
+natural labeling), it is taken as the first generator and level 0 needs no
+refinement and no search: its orbit is every vertex.
 """
 
 from collections import Counter
+from operator import add
 
 
-def _signatures(m, colors):
-    n = len(colors)
-    sigs = []
-    for v in range(n):
-        row = m[v]
-        cnt = Counter()
-        for u in range(n):
-            if u != v:
-                cnt[(row[u], m[u][v], colors[u])] += 1
-        sigs.append((colors[v], tuple(sorted(cnt.items()))))
-    return sigs
+def _pair_codes(structures):
+    """Per structure, row v codes each pair (v, u) by (m[v][u], m[u][v]).
+
+    With k the span of the colors, the code a*k + b is one to one and all
+    codes lie in a window of k*k consecutive ints, the second value returned.
+    The coding is shared by all the structures.
+    """
+    lo = min(min(map(min, m), default=0) for m in structures)
+    k = max(max(map(max, m), default=0) for m in structures) - lo + 1
+    codes = [[[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))] for m in structures]
+    return codes, k * k
+
+
+def _signatures(codes, width, colors):
+    shifted = [c * width for c in colors]
+    return [(c, tuple(sorted(map(add, row, shifted)))) for row, c in zip(codes, colors)]
+
+
+def _refine_joint(structures, colorings):
+    """Refine structures side by side with one shared color table.
+
+    Returns the stable colorings, or None as soon as two structures' color
+    classes differ in size.  The colorings must refine the diagonals.
+    """
+    codes, width = _pair_codes(structures)
+    colorings = [list(c) for c in colorings]
+    while True:
+        sigs = [_signatures(c, width, colors) for c, colors in zip(codes, colorings)]
+        table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
+        new = [[table[s] for s in ss] for ss in sigs]
+        if any(Counter(other) != Counter(new[0]) for other in new[1:]):
+            return None
+        if len(table) == len(set(colorings[0])):
+            return new
+        colorings = new
 
 
 def refine(m, colors):
-    """Iterate signature refinement on one structure until the partition is stable."""
-    colors = list(colors)
-    while True:
-        sigs = _signatures(m, colors)
-        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [table[s] for s in sigs]
-        if len(table) == len(set(colors)):
-            return new
-        colors = new
+    """Iterate signature refinement on one structure until the partition is stable.
 
-
-def _refine_pair(ma, ca, mb, cb):
-    """Refine two structures with a shared color table; None if classes mismatch."""
-    while True:
-        sa = _signatures(ma, ca)
-        sb = _signatures(mb, cb)
-        table = {s: i for i, s in enumerate(sorted(set(sa) | set(sb)))}
-        na = [table[s] for s in sa]
-        nb = [table[s] for s in sb]
-        if Counter(na) != Counter(nb):
-            return None
-        if len(set(na)) == len(set(ca)):
-            return na, nb
-        ca, cb = na, nb
+    ``colors`` must refine the diagonal: equal colors, equal m[v][v].
+    """
+    return _refine_joint((m,), (colors,))[0]
 
 
 def _diagonal_colors(ma, mb):
@@ -86,7 +103,7 @@ def iso_search(ma, mb, forced=None, lex=True):
         ca[a] = next_color
         cb[b] = next_color
         next_color += 1
-    refined = _refine_pair(ma, ca, mb, cb)
+    refined = _refine_joint((ma, mb), (ca, cb))
     if refined is None:
         return None
     ca, cb = refined
@@ -151,12 +168,22 @@ def automorphisms(m):
     stabilizer of the previously fixed vertices is measured by one membership
     search per unresolved candidate, and the group order is the product of
     the orbit sizes.  Found witnesses generate the full group.
+
+    Shift seeding: if the shift v -> v+1 preserves m, diagonal included (n
+    row comparisons), level 0 is resolved without refinement or search.  The
+    shift is the first generator, vertex 0 the first base point, and its
+    orbit is every vertex; this is the level the search would have reached,
+    since a transitive group leaves one cell and 0 is its first vertex.
     """
     n = len(m)
     ca, _, next_color = _diagonal_colors(m, m)
     base = []
     gens = []
     order = 1
+    if n > 1 and all(m[(u + 1) % n] == m[u][-1:] + m[u][:-1] for u in range(n)):
+        gens.append(tuple(range(1, n)) + (0,))
+        base.append(0)
+        order = n
     while True:
         seeded = list(ca)
         for i, b in enumerate(base):

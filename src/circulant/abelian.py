@@ -152,14 +152,21 @@ def enumerate_abelian(n: int) -> list[AbelianType]:
     """All abelian groups of order n, once each, lexicographic by prime then partition."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    factors = factorize(n).factors
+    return _groups_of_exponents(factorize(n).factors)
+
+
+def _groups_of_exponents(factors) -> list[AbelianType]:
     per_prime = [[PPartition(p, parts) for parts in partitions(a)] for p, a in factors]
     return [AbelianType(combo) for combo in product(*per_prime)]
 
 
 def up_set(h: AbelianType) -> list[AbelianType]:
-    """All groups of the same order that are >= h in the partial order, h included."""
-    return [k for k in enumerate_abelian(h.order) if preceq(h, k)]
+    """All groups of the same order that are >= h in the partial order, h included.
+
+    The order's factorization is read off h, so nothing is factorized.
+    """
+    groups = _groups_of_exponents((s.p, s.exponent_sum) for s in h.sylow)
+    return [k for k in groups if preceq(h, k)]
 
 
 def hasse_edges(n: int) -> list[tuple[AbelianType, AbelianType]]:

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from .abelian import AbelianType, PPartition, up_set
-from .arith import arithmetic_condition, factorize
+from .arith import arithmetic_condition, big_omega, factorize
 from .digraph import Digraph, cayley_digraph, tower_digraph
 
 
@@ -130,10 +130,14 @@ class LayerDecomposition:
 
 
 def _prime_exponent(n: int, p: int) -> int:
-    for q, a in factorize(n).factors:
-        if q == p:
-            return a
-    raise ValueError(f"{p} does not divide {n}")
+    """The exponent of the prime p in n, counted by division; n is not factorized."""
+    if p < 2 or n % p != 0 or big_omega(p) != 1:
+        raise ValueError(f"{p} does not divide {n}")
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    return a
 
 
 def coset_condition(s: ConnectionSet, p: int, level: int) -> bool:

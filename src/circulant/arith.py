@@ -67,5 +67,5 @@ def arithmetic_condition(n: int) -> bool:
     """
     if n < 2:
         raise ValueError(f"condition is defined for n >= 2, got {n}")
-    k = factorize(n).radical
-    return gcd(k, euler_phi(k)) == 1
+    f = factorize(n)
+    return gcd(f.radical, prod(p - 1 for p in f.primes)) == 1  # phi(k) = prod(p - 1)

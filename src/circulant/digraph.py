@@ -13,6 +13,7 @@ from .arith import big_omega
 from .errors import CapacityError
 
 DEFAULT_VERTEX_CAP = 64
+DEFAULT_ELEMENT_CAP = 10**6  # caps enumerated group elements and tower digraph arcs
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,19 @@ def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
     Each factor is the directed cycle of length p^k, except that order-2
     factors alternate between the digon and the arcless pair so consecutive
     Sym(2) factors cannot merge into a larger symmetric group.
+
+    The arc count is computed first, from arcs(G wr F) = arcs(G)|F|^2 +
+    |G| arcs(F), and a tower with more than DEFAULT_ELEMENT_CAP arcs raises
+    CapacityError before anything is built.
     """
-    factors = [cayley_digraph(q, a) for q, a in _tower_factors(p, tuple(layers))]
-    result = factors[0]
-    for f in factors[1:]:
+    factors = _tower_factors(p, tuple(layers))
+    vertices, arcs = 1, 0
+    for q, a in factors:
+        arcs, vertices = arcs * q * q + vertices * q * len(a), vertices * q
+    if arcs > DEFAULT_ELEMENT_CAP:
+        raise CapacityError(f"tower digraph would have {arcs} arcs", DEFAULT_ELEMENT_CAP)
+    result, *inner = [cayley_digraph(q, a) for q, a in factors]
+    for f in inner:
         result = wreath(result, f)
     return result
 

@@ -9,13 +9,12 @@ the returned group.
 
 import math
 from dataclasses import dataclass, field
+from operator import eq, ne
 from typing import Iterable, Optional, Union
 
 from . import _refine
-from .digraph import DEFAULT_VERTEX_CAP, Digraph
+from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, Digraph
 from .errors import CapacityError
-
-DEFAULT_ELEMENT_CAP = 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -66,10 +65,10 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return not any(map(ne, self.images, range(len(self.images))))
 
     def has_fixed_point(self) -> bool:
-        return any(i == j for i, j in enumerate(self.images))
+        return any(map(eq, self.images, range(len(self.images))))
 
     def cycle_lengths(self) -> list[int]:
         seen = [False] * len(self.images)

@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
-pair-orbit preservation directly from the definition, and the coset
-condition on the explicit subgroups of Z_n.
+pair-orbit preservation directly from the definition, the coset condition
+on the explicit subgroups of Z_n, and color refinement by a plain loop over
+every ordered pair.
 """
 
+from collections import Counter
 from itertools import permutations, product
 
 from circulant.analyzer import subgroup_of_order
@@ -39,6 +41,25 @@ def brute_coset_condition(s, p, level):
         if any((x + t) % n not in members for t in subgroup):
             return False
     return True
+
+
+def brute_refine(m, colors):
+    """Signature refinement to a stable partition, one Python loop over all pairs."""
+    n = len(colors)
+    colors = list(colors)
+    while True:
+        sigs = []
+        for v in range(n):
+            cnt = Counter()
+            for u in range(n):
+                if u != v:
+                    cnt[(m[v][u], m[u][v], colors[u])] += 1
+            sigs.append((colors[v], tuple(sorted(cnt.items()))))
+        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [table[s] for s in sigs]
+        if len(table) == len(set(colors)):
+            return new
+        colors = new
 
 
 def brute_automorphisms(digraph):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brute import brute_coset_condition
+from circulant import abelian, analyzer, arith
 from circulant.abelian import AbelianType, preceq
 from circulant.analyzer import (
     ConnectionSet,
@@ -97,6 +98,11 @@ class TestCosetCondition:
             coset_condition(EXAMPLE_9, 3, 0)
         with pytest.raises(ValueError):
             coset_condition(EXAMPLE_45, 5, 1)  # a=1 admits no levels
+
+    @pytest.mark.parametrize("n,p", [(16, 4), (15, 2), (16, 1), (16, 0), (16, -3)])
+    def test_rejects_p_that_is_not_a_prime_divisor(self, n, p):
+        with pytest.raises(ValueError, match=f"{p} does not divide {n}"):
+            coset_condition(ConnectionSet.of(n, [1]), p, 1)
 
     def test_full_coset_union_satisfies(self):
         # S = (1 + <5>) in Z_25 is one full coset of the order-5 subgroup
@@ -359,6 +365,23 @@ class TestReport:
         assert report["exact"] is True
         assert report["per_prime"][0] == {"p": 3, "a": 2, "valid_levels": [], "layers": [2]}
         json.dumps(report)  # serializable
+
+    @pytest.mark.parametrize(
+        "text", ["n=1048576; S=1", "n=1048576; S=0", "n=999999999989; S=1", "n=45; S=0,1,15,30"]
+    )
+    def test_factorizes_n_twice_whatever_the_levels(self, text, monkeypatch):
+        # once in decompose, once in arithmetic_condition; up_set reads the primes off the group
+        s = parse_connection_set(text)
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return factorize(m)
+
+        for module in (analyzer, arith, abelian):
+            monkeypatch.setattr(module, "factorize", counted)
+        analysis_report(s)
+        assert calls.count(s.n) == 2
 
 
 def _random_instance(rng, n):

@@ -277,7 +277,15 @@ def run_capped(*argv):
 
 
 class TestMemoryBound:
-    """Inputs far past the oracle's reach run in memory that does not grow with n."""
+    """Inputs far past the oracle's reach run in memory that does not grow with
+    n, or fail loudly before they could exhaust it."""
+
+    def test_witness_past_the_arc_cap(self):
+        # one layer of 24: the tower is the directed 2^24-cycle
+        result = run_capped("witness", "n=16777216;S=1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("capacity: tower digraph would have 16777216 arcs"), result.stderr
+        assert result.stdout == ""
 
     def test_analyze_at_two_to_the_forty(self):
         result = run_capped("analyze", f"n={2**40};S=1,3,5,7", "--format", "json")

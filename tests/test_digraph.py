@@ -3,6 +3,7 @@ import random
 import pytest
 
 from brute import brute_automorphisms
+from circulant import digraph
 from circulant.digraph import (
     Digraph,
     are_isomorphic,
@@ -137,6 +138,19 @@ class TestTower:
             tower_digraph(2, ())
         with pytest.raises(ValueError):
             tower_digraph(2, (0,))
+
+    def test_arc_cap_is_checked_before_building(self, monkeypatch):
+        # the arithmetic arc count is exact: a cap of arcs builds, arcs - 1 refuses
+        towers = [(2, (1,)), (2, (1, 1, 1)), (2, (2, 1)), (3, (1, 2)), (5, (1, 1))]
+        counts = [len(tower_digraph(p, layers).arcs) for p, layers in towers]
+        for (p, layers), arcs in zip(towers, counts):
+            monkeypatch.setattr(digraph, "DEFAULT_ELEMENT_CAP", arcs)
+            assert len(tower_digraph(p, layers).arcs) == arcs
+            monkeypatch.setattr(digraph, "DEFAULT_ELEMENT_CAP", arcs - 1)
+            with pytest.raises(CapacityError):
+                tower_digraph(p, layers)
+        with pytest.raises(CapacityError, match="16777216 arcs"):
+            tower_digraph(2, (24,))
 
     @pytest.mark.parametrize("p,max_total", [(2, 4), (3, 3)])
     def test_automorphism_order_matches_wreath_formula(self, p, max_total):

@@ -46,6 +46,14 @@ class TestPermutation:
         assert p.cycle_lengths() == [1, 2, 3]
         assert p.order() == 6
 
+    @pytest.mark.parametrize(
+        "images,identity,fixed",
+        [((0, 1, 2), True, True), ((1, 0, 2), False, True), ((1, 2, 0), False, False), ((), True, False)],
+    )
+    def test_identity_and_fixed_points(self, images, identity, fixed):
+        assert Permutation(images).is_identity is identity
+        assert Permutation(images).has_fixed_point() is fixed
+
     def test_from_cycles(self):
         assert Permutation.from_cycles(3, [(0, 1, 2)]).images == (1, 2, 0)
 
