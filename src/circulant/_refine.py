@@ -78,13 +78,12 @@ def _diagonal_colors(ma, mb):
     return ca, cb, len(values)
 
 
-def iso_search(ma, mb, forced=None, lex=True):
+def iso_search(ma, mb, forced=None):
     """Color-preserving bijection from structure ma onto mb, or None.
 
-    ``forced`` prescribes images for some vertices.  With ``lex`` the search
-    maps vertices 0..n-1 in order trying images in ascending order, so the
-    returned witness is the lexicographically least isomorphism; otherwise
-    vertex order is chosen by candidate count for pruning.
+    ``forced`` prescribes images for some vertices.  Vertices are mapped in
+    order of their candidate count (ties by index), each trying its images in
+    ascending order, so the witness returned is deterministic.
     """
     n = len(ma)
     if len(mb) != n:
@@ -112,7 +111,7 @@ def iso_search(ma, mb, forced=None, lex=True):
     for u in range(n):
         by_color.setdefault(cb[u], []).append(u)
     cands = [by_color[c] for c in ca]
-    order = list(range(n)) if lex else sorted(range(n), key=lambda v: (len(cands[v]), v))
+    order = sorted(range(n), key=lambda v: (len(cands[v]), v))
 
     mapping = [-1] * n
     used = [False] * n
@@ -208,7 +207,7 @@ def automorphisms(m):
         for y in target[1:]:
             if y in orbit:
                 continue
-            witness = iso_search(m, m, forced={**forced_base, x: y}, lex=False)
+            witness = iso_search(m, m, forced={**forced_base, x: y})
             if witness is not None:
                 witness = tuple(witness)
                 gens.append(witness)

@@ -151,12 +151,13 @@ def tower_connection_set(p: int, layers: Iterable[int]) -> tuple[int, frozenset[
 def are_isomorphic(
     a: Digraph, b: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> Optional[list[int]]:
-    """Lexicographically least arc-preserving bijection from a onto b, or None."""
+    """An arc-preserving bijection from a onto b, or None; the witness is
+    deterministic (see ``iso_search``)."""
     if max(a.vertex_count, b.vertex_count) > vertex_cap:
         raise CapacityError("digraph too large for isomorphism search", vertex_cap)
     if a.vertex_count != b.vertex_count or a.arc_count != b.arc_count:
         return None
-    return iso_search(a.adjacency_matrix(), b.adjacency_matrix(), lex=True)
+    return iso_search(a.adjacency_matrix(), b.adjacency_matrix())
 
 
 def edge_list_text(d: Digraph) -> str:

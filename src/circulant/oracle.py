@@ -44,24 +44,30 @@ class ValidationReport:
         }
 
 
-def _uniform_length(images: tuple[int, ...]) -> Optional[int]:
+def _uniform_cycles(images) -> tuple[Optional[int], list[int]]:
+    """Common cycle length of a permutation of range(len(images)) (None when
+    the lengths differ), and the number of each point's cycle, counting cycles
+    in the order of their least points.  The numbers are complete only when
+    the length is not None."""
     n = len(images)
-    seen = bytearray(n)
+    cycle_of = [-1] * n
     common = None
+    count = 0
     for start in range(n):
-        if seen[start]:
+        if cycle_of[start] >= 0:
             continue
         length = 0
         x = start
-        while not seen[x]:
-            seen[x] = 1
+        while cycle_of[x] < 0:
+            cycle_of[x] = count
             x = images[x]
             length += 1
         if common is None:
             common = length
         elif length != common:
-            return None
-    return common
+            return None, cycle_of
+        count += 1
+    return common, cycle_of
 
 
 def _uniform_pools(elements: tuple[Permutation, ...], n: int) -> dict[int, list[Permutation]]:
@@ -72,34 +78,27 @@ def _uniform_pools(elements: tuple[Permutation, ...], n: int) -> dict[int, list[
     """
     pools: dict[int, list[Permutation]] = {}
     for g in elements:
-        length = _uniform_length(g.images)
+        length = _uniform_cycles(g.images)[0]
         if length is not None and length > 1 and n % length == 0:
             pools.setdefault(length, []).append(g)
     return pools
 
 
-def _abelian_extension(
-    subgroup: set[Permutation], g: Permutation, order: int
-) -> Optional[set[Permutation]]:
-    """Elements of <subgroup, g> for g of the given order commuting with all of
-    subgroup; None unless the order grows by the full factor."""
-    powers = [Permutation.identity(g.degree)]
-    for _ in range(order - 1):
-        powers.append(powers[-1] * g)
-    extended = {a * q for a in subgroup for q in powers}
-    if len(extended) != len(subgroup) * order:
-        return None
-    return extended
-
-
-def _is_semiregular(elements: set[Permutation]) -> bool:
-    return all(g.is_identity or not g.has_fixed_point() for g in elements)
-
-
 def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
-    """Backtrack over commuting tuples matching the invariant-factor orders."""
+    """Backtrack over commuting tuples matching the invariant-factor orders.
 
-    def extend(i: int, chosen: list[Permutation], subgroup: set[Permutation], start: int) -> bool:
+    The chosen elements generate a semiregular abelian group H, kept only as
+    its orbits: ``orbit_of[x]`` numbers the orbit of x.  A pool element g of
+    order d that commutes with them permutes these orbits, and <H, g> is
+    semiregular of order |H|*d iff the induced permutation has every cycle of
+    length exactly d; its cycles, merged, are the orbits of <H, g>.  If: when
+    h*g^j fixes x, g^j fixes the orbit Hx, so d | j, g^j = 1 and h = 1 (and
+    likewise the h*g^j are distinct).  Only if: when g^j fixes an orbit Hx
+    for some 0 < j < d, some h^-1*g^j fixes x, so g^j is in H and the order
+    falls short.  A g inside H induces the identity and is rejected too.
+    """
+
+    def extend(i: int, chosen: list[Permutation], orbit_of: list[int], start: int) -> bool:
         if i == len(factors):
             return True  # order n and semiregular, hence regular
         d = factors[i]
@@ -108,19 +107,18 @@ def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
         begin = start if i > 0 and factors[i - 1] == d else 0
         for j in range(begin, len(pool)):
             g = pool[j]
-            if g in subgroup:
-                continue
             if any(g * c != c * g for c in chosen):
                 continue
-            extended = _abelian_extension(subgroup, g, d)
-            if extended is None or not _is_semiregular(extended):
+            # g sends the orbit of x to the orbit of g(x)
+            induced = dict(zip(orbit_of, map(orbit_of.__getitem__, g.images)))
+            length, cycle_of = _uniform_cycles(induced)
+            if length != d:
                 continue
-            if extend(i + 1, chosen + [g], extended, j + 1):
+            if extend(i + 1, chosen + [g], [cycle_of[o] for o in orbit_of], j + 1):
                 return True
         return False
 
-    identity = Permutation.identity(degree)
-    return extend(0, [], {identity}, 0)
+    return extend(0, [], list(range(degree)), 0)
 
 
 def regular_abelian_types(
@@ -136,8 +134,6 @@ def regular_abelian_types(
     if group.degree != n:
         raise ValueError(f"group degree {group.degree} != {n}")
     elements = group.elements(cap)
-    if n == 1:
-        return list(enumerate_abelian(1))
     pools = _uniform_pools(elements, n)
     found = []
     for candidate in enumerate_abelian(n):

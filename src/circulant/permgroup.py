@@ -115,15 +115,6 @@ class PermGroup:
                 raise ValueError(f"generator degree {g.degree} != group degree {self.degree}")
 
     @classmethod
-    def from_generators(cls, gens: Iterable[Permutation], degree: Optional[int] = None) -> "PermGroup":
-        gens = tuple(gens)
-        if degree is None:
-            if not gens:
-                raise ValueError("degree required for a generator-free group")
-            degree = gens[0].degree
-        return cls(degree, gens)
-
-    @classmethod
     def trivial(cls, n: int) -> "PermGroup":
         return cls(n, (), cached_order=1)
 
@@ -210,20 +201,6 @@ class PermGroup:
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
-
-    def is_regular(self, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-        """Transitive with order equal to the degree."""
-        if not self.is_transitive():
-            return False
-        if self.cached_order is not None:
-            return self.cached_order == self.degree
-        bound = self.degree + 1
-        if bound > cap:
-            raise CapacityError("regularity check needs degree+1 elements", cap)
-        try:
-            return len(self.elements(bound)) == self.degree
-        except CapacityError:
-            return False
 
 
 def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:

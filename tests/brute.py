@@ -3,14 +3,17 @@
 These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
 pair-orbit preservation directly from the definition, the coset condition
-on the explicit subgroups of Z_n, and color refinement by a plain loop over
-every ordered pair.
+on the explicit subgroups of Z_n, color refinement by a plain loop over
+every ordered pair, and regular abelian subgroups by building each candidate
+subgroup as a set of elements.
 """
 
 from collections import Counter
 from itertools import permutations, product
 
+from circulant.abelian import enumerate_abelian
 from circulant.analyzer import subgroup_of_order
+from circulant.permgroup import Permutation
 
 
 def brute_subdivision(a, b):
@@ -60,6 +63,64 @@ def brute_refine(m, colors):
         if len(table) == len(set(colors)):
             return new
         colors = new
+
+
+def abelian_extension(subgroup, g, order):
+    """Elements of <subgroup, g> for g of the given order commuting with all of
+    subgroup; None unless the order grows by the full factor."""
+    powers = [Permutation.identity(g.degree)]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * g)
+    extended = {a * q for a in subgroup for q in powers}
+    if len(extended) != len(subgroup) * order:
+        return None
+    return extended
+
+
+def is_semiregular(elements):
+    return all(g.is_identity or not g.has_fixed_point() for g in elements)
+
+
+def element_set_search(pools, factors, degree):
+    """The oracle's backtracking over commuting tuples, with each candidate
+    subgroup built as a set of elements and scanned for fixed points."""
+
+    def extend(i, chosen, subgroup, start):
+        if i == len(factors):
+            return True
+        d = factors[i]
+        pool = pools.get(d, [])
+        begin = start if i > 0 and factors[i - 1] == d else 0
+        for j in range(begin, len(pool)):
+            g = pool[j]
+            if g in subgroup:
+                continue
+            if any(g * c != c * g for c in chosen):
+                continue
+            extended = abelian_extension(subgroup, g, d)
+            if extended is None or not is_semiregular(extended):
+                continue
+            if extend(i + 1, chosen + [g], extended, j + 1):
+                return True
+        return False
+
+    return extend(0, [], {Permutation.identity(degree)}, 0)
+
+
+def element_set_types(group, n):
+    """Regular abelian types of order n in the group, by element_set_search
+    over pools of elements whose cycles all have one length d > 1 dividing n."""
+    pools = {}
+    for g in group.elements():
+        lengths = set(g.cycle_lengths())
+        d = lengths.pop()
+        if not lengths and d > 1 and n % d == 0:
+            pools.setdefault(d, []).append(g)
+    return [
+        t
+        for t in enumerate_abelian(n)
+        if element_set_search(pools, t.invariant_factors(), n)
+    ]
 
 
 def brute_automorphisms(digraph):

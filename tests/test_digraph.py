@@ -191,11 +191,6 @@ class TestIsomorphism:
     def test_k2_vs_k2bar(self):
         assert are_isomorphic(K2, K2BAR) is None
 
-    def test_witness_is_lexicographically_least(self):
-        d = cayley_digraph(5, {1})
-        witness = are_isomorphic(d, d)
-        assert witness == [0, 1, 2, 3, 4]
-
     def test_witness_maps_arcs_bijectively(self):
         rng = random.Random(17)
         for _ in range(30):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from brute import element_set_search, element_set_types
 from circulant.abelian import AbelianType, enumerate_abelian
 from circulant.analyzer import ConnectionSet, realizable_groups
 from circulant.digraph import cayley_digraph, directed_cycle
@@ -14,7 +15,8 @@ from circulant.oracle import (
     ORACLE_CAPPED,
     SOUND_SUBSET,
     ValidationReport,
-    _uniform_length,
+    _search_type,
+    _uniform_cycles,
     cross_validate,
     regular_abelian_types,
 )
@@ -79,9 +81,61 @@ def _mulclose(gens, identity):
 
 class TestRegularAbelianTypes:
     def test_uniform_length(self):
-        assert _uniform_length(Permutation.from_cycles(6, [(0, 1, 2), (3, 4)]).images) is None
-        assert _uniform_length(rotation(6).images) == 6
-        assert _uniform_length(Permutation.from_cycles(6, [(0, 1), (2, 3), (4, 5)]).images) == 2
+        assert _uniform_cycles(Permutation.from_cycles(6, [(0, 1, 2), (3, 4)]).images)[0] is None
+        assert _uniform_cycles(rotation(6).images) == (6, [0] * 6)
+        assert _uniform_cycles(Permutation.from_cycles(6, [(0, 3), (1, 4), (2, 5)]).images) == (
+            2,
+            [0, 1, 2, 0, 1, 2],
+        )
+        # a permutation of orbit numbers, given as a dict as the search builds it
+        assert _uniform_cycles({0: 2, 1: 3, 2: 0, 3: 1}) == (2, [0, 1, 0, 1])
+        assert _uniform_cycles({0: 1, 1: 0, 2: 2, 3: 3})[0] is None
+
+    def test_rejects_commuting_pair_that_is_not_semiregular(self):
+        # h and g commute and have uniform cycles of length 2, but h*g fixes
+        # four points, so <h, g> is not semiregular; the second g puts the
+        # short cycle of the induced permutation after a long one
+        h = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        for g in (
+            Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 6), (5, 7)]),
+            Permutation.from_cycles(8, [(0, 2), (1, 3), (4, 5), (6, 7)]),
+        ):
+            assert g * h == h * g and (h * g).has_fixed_point()
+            for pool in ([h, g], [g, h]):
+                assert not _search_type({2: pool}, (2, 2), 8)
+                assert not element_set_search({2: pool}, (2, 2), 8)
+            group = PermGroup(8, (h, g))
+            assert regular_abelian_types(group, 8) == element_set_types(group, 8) == []
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_element_set_search_exhaustively(self, n):
+        for mask in range(2**n):
+            s = {x for x in range(n) if mask >> x & 1}
+            aut = automorphism_group(cayley_digraph(n, s))
+            assert regular_abelian_types(aut, n) == element_set_types(aut, n), (n, s)
+
+    def test_matches_element_set_search_random(self):
+        # half the draws are unions of cosets of a subgroup H outside H, which
+        # give wreath-like groups with several types; the rest are plain
+        rng = random.Random(113)
+        checked = several = 0
+        for _ in range(60):
+            n = rng.randrange(9, 17)
+            if rng.random() < 0.5:
+                s = set(rng.sample(range(1, n), rng.randrange(1, n - 1)))
+            else:
+                step = rng.choice([e for e in range(1, n) if n % e == 0])
+                h = range(0, n, step)
+                s = {x for x in h if x and rng.random() < 0.5}
+                s |= {x + t for x in range(1, step) if rng.random() < 0.5 for t in h}
+            aut = automorphism_group(cayley_digraph(n, s))
+            if aut.cached_order > 10**6:
+                continue  # past the element cap
+            found = regular_abelian_types(aut, n)
+            assert found == element_set_types(aut, n), (n, s)
+            checked += 1
+            several += len(found) > 1
+        assert checked > 50 and several > 5
 
     def test_directed_nine_cycle(self):
         aut = automorphism_group(directed_cycle(9))
@@ -106,6 +160,7 @@ class TestRegularAbelianTypes:
             if aut.cached_order > 10**6:
                 continue
             assert AbelianType.cyclic(n) in regular_abelian_types(aut, n)
+        assert regular_abelian_types(PermGroup.trivial(1), 1) == [AbelianType.cyclic(1)]
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):

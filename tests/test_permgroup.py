@@ -11,7 +11,8 @@ from circulant.digraph import (
     wreath,
 )
 from circulant.errors import CapacityError
-from circulant.oracle import _is_semiregular
+from circulant.abelian import AbelianType
+from circulant.oracle import regular_abelian_types
 from circulant.permgroup import (
     ArcColoring,
     PermGroup,
@@ -60,7 +61,7 @@ class TestPermutation:
 
 class TestOrbitsAndRegularity:
     def test_orbits_three_cycle_on_five_points(self):
-        g = PermGroup.from_generators([Permutation.from_cycles(5, [(0, 1, 2)])])
+        g = PermGroup(5, [Permutation.from_cycles(5, [(0, 1, 2)])])
         assert g.orbits() == [(0, 1, 2), (3,), (4,)]
 
     def test_trivial_group_orbits(self):
@@ -70,25 +71,28 @@ class TestOrbitsAndRegularity:
         assert PermGroup.cyclic(7).orbits() == [tuple(range(7))]
 
     def test_rotations_regular(self):
-        assert PermGroup.cyclic(12).is_regular()
+        assert regular_abelian_types(PermGroup.cyclic(12), 12) == [AbelianType.cyclic(12)]
 
     def test_sym3_not_regular(self):
-        assert not PermGroup.symmetric(3).is_regular()
+        # transitive, but of order 6 on 3 points; its regular subgroup is A_3
+        g = PermGroup.symmetric(3)
+        assert g.is_transitive() and g.order() == 6
+        assert regular_abelian_types(g, 3) == [AbelianType.cyclic(3)]
 
     def test_klein_regular(self):
-        g = PermGroup.from_generators(
+        g = PermGroup(
+            4,
             [
                 Permutation.from_cycles(4, [(0, 1), (2, 3)]),
                 Permutation.from_cycles(4, [(0, 2), (1, 3)]),
-            ]
+            ],
         )
-        assert g.is_regular()
-        assert _is_semiregular(set(g.elements()))
+        assert [t.text() for t in regular_abelian_types(g, 4)] == ["Z2^2"]
 
 
 class TestElements:
     def test_two_element_group(self):
-        g = PermGroup.from_generators([Permutation.from_cycles(2, [(0, 1)])])
+        g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
         assert len(g.elements()) == 2
 
     def test_sym4(self):
@@ -133,7 +137,7 @@ class TestGroupProducts:
         g = direct_product(PermGroup.cyclic(4), PermGroup.cyclic(3))
         assert g.degree == 12
         assert g.order() == 12
-        assert g.is_regular()
+        assert g.is_transitive()
 
     def test_wreath_product_order(self):
         g = wreath_product(PermGroup.cyclic(2), PermGroup.cyclic(2))
@@ -143,7 +147,7 @@ class TestGroupProducts:
         assert g2.order() == 3 * 3**3
 
     def test_wreath_needs_transitive_outer(self):
-        intransitive = PermGroup.from_generators([Permutation.from_cycles(4, [(0, 1)])])
+        intransitive = PermGroup(4, [Permutation.from_cycles(4, [(0, 1)])])
         with pytest.raises(ValueError):
             wreath_product(intransitive, PermGroup.cyclic(2))
 
@@ -262,7 +266,7 @@ class TestTwoClosure:
         for _ in range(10):
             n = rng.randrange(2, 9)
             gens = [_random_permutation(rng, n) for _ in range(rng.randrange(1, 3))]
-            g = PermGroup.from_generators(gens, degree=n)
+            g = PermGroup(n, gens)
             closed = two_closure(g)
             closed_set = {p.images for p in closed.elements(10**6)}
             assert all(gen.images in closed_set for gen in gens)
@@ -272,7 +276,7 @@ class TestTwoClosure:
         for _ in range(8):
             n = rng.randrange(2, 9)
             gens = [_random_permutation(rng, n) for _ in range(rng.randrange(1, 3))]
-            once = two_closure(PermGroup.from_generators(gens, degree=n))
+            once = two_closure(PermGroup(n, gens))
             twice = two_closure(once)
             assert twice.cached_order == once.cached_order
             assert {p.images for p in twice.elements(10**6)} == {
@@ -284,7 +288,7 @@ class TestTwoClosure:
         for _ in range(10):
             n = rng.randrange(2, 6)
             gens = [_random_permutation(rng, n) for _ in range(rng.randrange(1, 3))]
-            g = PermGroup.from_generators(gens, degree=n)
+            g = PermGroup(n, gens)
             closed = two_closure(g)
             brute = brute_pair_orbit_preservers([list(r) for r in orbital_coloring(g).colors])
             assert closed.cached_order == len(brute)
