@@ -31,7 +31,6 @@ from .analyzer import (
 from .arith import Factorization, arithmetic_condition, big_omega, euler_phi, factorize
 from .digraph import (
     Digraph,
-    are_isomorphic,
     cayley_digraph,
     complete_digraph,
     directed_cycle,
@@ -69,7 +68,6 @@ __all__ = [
     "PrimeLayers",
     "ValidationReport",
     "analysis_report",
-    "are_isomorphic",
     "arithmetic_condition",
     "automorphism_group",
     "big_omega",

@@ -1,4 +1,4 @@
-"""Search engine for arc-colored digraphs: refinement, isomorphism, automorphisms.
+"""Search engine for arc-colored digraphs: refinement and automorphisms.
 
 A structure is an n x n matrix of small integer arc colors; entry [u][v] is
 the color of the ordered pair (u, v) and the diagonal holds vertex colors
@@ -7,12 +7,14 @@ iterated neighborhood signatures, searches backtrack over refined classes,
 and every choice point iterates in sorted order so results are deterministic.
 
 Signature pass: each refinement call first codes every ordered pair (v, u)
-by its two colors m[v][u] and m[u][v] as one int, once per structure.  A
-round then gives vertex v its color and the sorted multiset of
-(color of u, code of (v, u)) over all u, each pair folded into one int, so the
-counting and sorting run at C level.  The pair u = v is counted too; that is
-harmless because its entry depends on v's own color alone, as long as the
-colors refine the diagonal, which every caller's colors do.
+by its two colors m[v][u] and m[u][v] as one int, once.  A round then gives
+vertex v its color and the sorted multiset of (color of u, code of (v, u))
+over all u, each pair folded into one int, so the counting and sorting run
+at C level.  The pair u = v is counted too; that is harmless because its
+entry depends on v's own color alone, as long as the colors refine the
+diagonal, which every caller's colors do.  A search for an automorphism
+extending a partial map refines two colorings of one structure side by side
+with one shared color table.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
@@ -25,17 +27,15 @@ from collections import Counter
 from operator import add
 
 
-def _pair_codes(structures):
-    """Per structure, row v codes each pair (v, u) by (m[v][u], m[u][v]).
+def _pair_codes(m):
+    """Row v codes each pair (v, u) by (m[v][u], m[u][v]).
 
     With k the span of the colors, the code a*k + b is one to one and all
     codes lie in a window of k*k consecutive ints, the second value returned.
-    The coding is shared by all the structures.
     """
-    lo = min(min(map(min, m), default=0) for m in structures)
-    k = max(max(map(max, m), default=0) for m in structures) - lo + 1
-    codes = [[[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))] for m in structures]
-    return codes, k * k
+    lo = min(map(min, m), default=0)
+    k = max(map(max, m), default=0) - lo + 1
+    return [[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))], k * k
 
 
 def _signatures(codes, width, colors):
@@ -43,16 +43,17 @@ def _signatures(codes, width, colors):
     return [(c, tuple(sorted(map(add, row, shifted)))) for row, c in zip(codes, colors)]
 
 
-def _refine_joint(structures, colorings):
-    """Refine structures side by side with one shared color table.
+def _refine_joint(m, colorings):
+    """Refine several colorings of one structure side by side with one shared
+    color table.
 
-    Returns the stable colorings, or None as soon as two structures' color
-    classes differ in size.  The colorings must refine the diagonals.
+    Returns the stable colorings, or None as soon as two colorings' color
+    classes differ in size.  The colorings must refine the diagonal.
     """
-    codes, width = _pair_codes(structures)
+    codes, width = _pair_codes(m)
     colorings = [list(c) for c in colorings]
     while True:
-        sigs = [_signatures(c, width, colors) for c, colors in zip(codes, colorings)]
+        sigs = [_signatures(codes, width, colors) for colors in colorings]
         table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
         new = [[table[s] for s in ss] for ss in sigs]
         if any(Counter(other) != Counter(new[0]) for other in new[1:]):
@@ -67,42 +68,38 @@ def refine(m, colors):
 
     ``colors`` must refine the diagonal: equal colors, equal m[v][v].
     """
-    return _refine_joint((m,), (colors,))[0]
+    return _refine_joint(m, (colors,))[0]
 
 
-def _diagonal_colors(ma, mb):
-    values = sorted({ma[v][v] for v in range(len(ma))} | {mb[v][v] for v in range(len(mb))})
-    rank = {d: i for i, d in enumerate(values)}
-    ca = [rank[ma[v][v]] for v in range(len(ma))]
-    cb = [rank[mb[v][v]] for v in range(len(mb))]
-    return ca, cb, len(values)
+def _diagonal_colors(m):
+    """Each vertex's rank among the distinct diagonal values, and their count."""
+    rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(len(m))}))}
+    return [rank[m[v][v]] for v in range(len(m))], len(rank)
 
 
-def iso_search(ma, mb, forced=None):
-    """Color-preserving bijection from structure ma onto mb, or None.
+def iso_search(m, forced):
+    """An automorphism of m extending the partial map ``forced``, or None.
 
-    ``forced`` prescribes images for some vertices.  Vertices are mapped in
-    order of their candidate count (ties by index), each trying its images in
-    ascending order, so the witness returned is deterministic.
+    Vertices are mapped in order of their candidate count (ties by index),
+    each trying its images in ascending order, so the witness returned is
+    deterministic.
     """
-    n = len(ma)
-    if len(mb) != n:
-        return None
-    forced = dict(forced) if forced else {}
+    n = len(m)
     items = sorted(forced.items())
     if len({b for _, b in items}) != len(items):
         return None
     for a1, b1 in items:
         for a2, b2 in items:
-            if ma[a1][a2] != mb[b1][b2]:
+            if m[a1][a2] != m[b1][b2]:
                 return None
 
-    ca, cb, next_color = _diagonal_colors(ma, mb)
+    ca, next_color = _diagonal_colors(m)
+    cb = list(ca)
     for a, b in items:
         ca[a] = next_color
         cb[b] = next_color
         next_color += 1
-    refined = _refine_joint((ma, mb), (ca, cb))
+    refined = _refine_joint(m, (ca, cb))
     if refined is None:
         return None
     ca, cb = refined
@@ -121,15 +118,15 @@ def iso_search(ma, mb, forced=None):
             return True
         v = order[idx]
         prefix = order[:idx]
-        row_a = ma[v]
+        row_a = m[v]
         for u in cands[v]:
             if used[u]:
                 continue
-            row_b = mb[u]
+            row_b = m[u]
             ok = True
             for w in prefix:
                 x = mapping[w]
-                if row_a[w] != row_b[x] or ma[w][v] != mb[x][u]:
+                if row_a[w] != row_b[x] or m[w][v] != m[x][u]:
                     ok = False
                     break
             if ok:
@@ -175,7 +172,7 @@ def automorphisms(m):
     since a transitive group leaves one cell and 0 is its first vertex.
     """
     n = len(m)
-    ca, _, next_color = _diagonal_colors(m, m)
+    ca, next_color = _diagonal_colors(m)
     base = []
     gens = []
     order = 1
@@ -207,7 +204,7 @@ def automorphisms(m):
         for y in target[1:]:
             if y in orbit:
                 continue
-            witness = iso_search(m, m, forced={**forced_base, x: y})
+            witness = iso_search(m, {**forced_base, x: y})
             if witness is not None:
                 witness = tuple(witness)
                 gens.append(witness)

@@ -38,14 +38,8 @@ class ConnectionSet:
         body = ",".join(str(x) for x in sorted(self.members))
         return f"n={self.n}; S={body}"
 
-    def without_loops(self) -> "ConnectionSet":
-        return ConnectionSet(self.n, self.members - {0})
-
     def digraph(self) -> Digraph:
         return cayley_digraph(self.n, self.members)
-
-    def scaled(self, c: int) -> "ConnectionSet":
-        return ConnectionSet(self.n, frozenset((c * x) % self.n for x in self.members))
 
 
 def parse_connection_set(text: str) -> ConnectionSet:

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("instance", nargs=nargs, help='connection set literal, e.g. "n=45;S=0,1,15,30"')
         p.add_argument("--format", dest="fmt", choices=["text", other_format], default="text")
-        p.add_argument("--strip-loops", action="store_true", help="drop 0 from S before building digraphs")
         return p
 
     instance_command("analyze", "levels, minimal group, realizable groups", "json")
@@ -74,17 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective(args) -> ConnectionSet:
-    s = args.instance
-    return s.without_loops() if args.strip_loops else s
-
-
 def _prime_line(entry: dict) -> str:
     return f"p = {entry['p']}^{entry['a']}: valid levels {entry['valid_levels']}, layers {entry['layers']}"
 
 
 def _run_analyze(args) -> int:
-    report = analysis_report(_effective(args))
+    report = analysis_report(args.instance)
     if args.fmt == "json":
         print(_json_dumps(report))
         return EXIT_OK
@@ -100,7 +94,7 @@ def _run_analyze(args) -> int:
 
 
 def _run_decompose(args) -> int:
-    decomposition = decompose(_effective(args))
+    decomposition = decompose(args.instance)
     entries = [
         layers.to_json_dict() for layers in decomposition.per_prime
         if args.prime is None or layers.p == args.prime
@@ -117,9 +111,8 @@ def _run_decompose(args) -> int:
 
 
 def _run_witness(args) -> int:
-    s = _effective(args)
-    towers = product_type_witness(s)
-    primes = [layers.p for layers in decompose(s).per_prime]
+    towers = product_type_witness(args.instance)
+    primes = [layers.p for layers in decompose(args.instance).per_prime]
     for p, tower in zip(primes, towers):
         if args.fmt == "dot":
             print(dot_text(tower, name=f"tower_p{p}"))
@@ -183,8 +176,7 @@ def _run_verify(args) -> int:
         instances.append(args.instance)
     verdicts = []
     for instance in instances:
-        effective = instance.without_loops() if args.strip_loops else instance
-        report = cross_validate(effective, cap=args.cap, vertex_cap=args.vertex_cap)
+        report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
         verdicts.append(report.verdict)
         print(_report_line(report, args.fmt))
     return _verdict_exit(verdicts, args.strict)

@@ -6,14 +6,13 @@ the tower construction's case split needs.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from ._refine import iso_search
 from .arith import big_omega
 from .errors import CapacityError
 
 DEFAULT_VERTEX_CAP = 64
-DEFAULT_ELEMENT_CAP = 10**6  # caps enumerated group elements and tower digraph arcs
+DEFAULT_ELEMENT_CAP = 10**6  # caps enumerated group elements, tower arcs and tower connection sets
 
 
 @dataclass(frozen=True)
@@ -29,18 +28,11 @@ class Digraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for {n} vertices")
 
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
-
     def adjacency_matrix(self) -> list[list[int]]:
         m = [[0] * self.vertex_count for _ in range(self.vertex_count)]
         for u, v in self.arcs:
             m[u][v] = 1
         return m
-
-    def reverse(self) -> "Digraph":
-        return Digraph(self.vertex_count, frozenset((v, u) for u, v in self.arcs))
 
 
 def digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
@@ -109,6 +101,19 @@ def _tower_factors(p: int, layers: tuple[int, ...]) -> list[tuple[int, frozenset
     return factors
 
 
+def _tower_size(factors: list[tuple[int, frozenset[int]]]) -> tuple[int, int]:
+    """(n, |S|) of the tower's circulant presentation Cay(Z_n, S), by arithmetic.
+
+    Wrapping an outer factor Cay(Z_q, A) around Cay(Z_m, S) adds |A| * m
+    elements to S and multiplies the order by q (see tower_connection_set).
+    """
+    n, size = 1, 0
+    for q, a in reversed(factors):
+        size += len(a) * n
+        n *= q
+    return n, size
+
+
 def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
     """Canonical digraph whose automorphism group is the iterated wreath product
     of cyclic groups of orders p^k over the given layers (outermost first).
@@ -117,14 +122,14 @@ def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
     factors alternate between the digon and the arcless pair so consecutive
     Sym(2) factors cannot merge into a larger symmetric group.
 
-    The arc count is computed first, from arcs(G wr F) = arcs(G)|F|^2 +
-    |G| arcs(F), and a tower with more than DEFAULT_ELEMENT_CAP arcs raises
-    CapacityError before anything is built.
+    The tower is Cay(Z_n, S) for (n, S) = tower_connection_set(p, layers), so
+    it has n * |S| arcs.  That count is computed first, and a tower with more
+    than DEFAULT_ELEMENT_CAP arcs raises CapacityError before anything is
+    built.
     """
     factors = _tower_factors(p, tuple(layers))
-    vertices, arcs = 1, 0
-    for q, a in factors:
-        arcs, vertices = arcs * q * q + vertices * q * len(a), vertices * q
+    n, size = _tower_size(factors)
+    arcs = n * size
     if arcs > DEFAULT_ELEMENT_CAP:
         raise CapacityError(f"tower digraph would have {arcs} arcs", DEFAULT_ELEMENT_CAP)
     result, *inner = [cayley_digraph(q, a) for q, a in factors]
@@ -139,25 +144,19 @@ def tower_connection_set(p: int, layers: Iterable[int]) -> tuple[int, frozenset[
     Each factor is itself a circulant Cay(Z_q, A); wrapping an outer factor
     around Cay(Z_m, S) keeps q*S and adds the full residue class a + qZ_m for
     every a in A, which is the coset structure the wreath product demands.
+    A set of more than DEFAULT_ELEMENT_CAP elements raises CapacityError
+    before anything is built.
     """
+    factors = _tower_factors(p, tuple(layers))
+    _, size = _tower_size(factors)
+    if size > DEFAULT_ELEMENT_CAP:
+        raise CapacityError(f"tower connection set would have {size} elements", DEFAULT_ELEMENT_CAP)
     n = 1
     s: set[int] = set()
-    for q, a in reversed(_tower_factors(p, tuple(layers))):
+    for q, a in reversed(factors):
         s = {q * x for x in s} | {e + q * t for e in a for t in range(n)}
         n *= q
     return n, frozenset(s)
-
-
-def are_isomorphic(
-    a: Digraph, b: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> Optional[list[int]]:
-    """An arc-preserving bijection from a onto b, or None; the witness is
-    deterministic (see ``iso_search``)."""
-    if max(a.vertex_count, b.vertex_count) > vertex_cap:
-        raise CapacityError("digraph too large for isomorphism search", vertex_cap)
-    if a.vertex_count != b.vertex_count or a.arc_count != b.arc_count:
-        return None
-    return iso_search(a.adjacency_matrix(), b.adjacency_matrix())
 
 
 def edge_list_text(d: Digraph) -> str:

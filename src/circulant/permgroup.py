@@ -70,24 +70,6 @@ class Permutation:
     def has_fixed_point(self) -> bool:
         return any(map(eq, self.images, range(len(self.images))))
 
-    def cycle_lengths(self) -> list[int]:
-        seen = [False] * len(self.images)
-        lengths = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.images[x]
-                length += 1
-            lengths.append(length)
-        return sorted(lengths)
-
-    def order(self) -> int:
-        return math.lcm(*self.cycle_lengths())
-
 
 def rotation(n: int, k: int = 1) -> Permutation:
     """The translation x -> x + k on Z_n."""

@@ -10,10 +10,11 @@ subgroup as a set of elements.
 
 from collections import Counter
 from itertools import permutations, product
+from math import lcm
 
 from circulant.abelian import enumerate_abelian
 from circulant.analyzer import subgroup_of_order
-from circulant.permgroup import Permutation
+from circulant.permgroup import PermGroup, Permutation
 
 
 def brute_subdivision(a, b):
@@ -65,6 +66,15 @@ def brute_refine(m, colors):
         colors = new
 
 
+def cycle_lengths(g):
+    """Cycle lengths of g, sorted: the orbit sizes of the cyclic group <g>."""
+    return sorted(len(orbit) for orbit in PermGroup(g.degree, (g,)).orbits())
+
+
+def element_order(g):
+    return lcm(*cycle_lengths(g))
+
+
 def abelian_extension(subgroup, g, order):
     """Elements of <subgroup, g> for g of the given order commuting with all of
     subgroup; None unless the order grows by the full factor."""
@@ -112,7 +122,7 @@ def element_set_types(group, n):
     over pools of elements whose cycles all have one length d > 1 dividing n."""
     pools = {}
     for g in group.elements():
-        lengths = set(g.cycle_lengths())
+        lengths = set(cycle_lengths(g))
         d = lengths.pop()
         if not lengths and d > 1 and n % d == 0:
             pools.setdefault(d, []).append(g)

@@ -58,9 +58,11 @@ class TestAnalyze:
         assert "expected 'n=...; S=...'" in err
 
     def test_strip_loops(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", "n=45;S=0,1,15,30", "--strip-loops", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["S"] == [1, 15, 30]
+        # the flag is gone: a loop at every vertex leaves Aut and every verdict unchanged
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "n=45;S=0,1,15,30", "--strip-loops", "--format", "json"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --strip-loops" in capsys.readouterr().err
 
 
 class TestDecompose:
@@ -222,14 +224,18 @@ REMOVED_FLAGS = [
     ("generate", "--p", "2", "--layers", "1", "--format", "dot"),
     ("verify", "n=8;S=1", "--seed", "1"),
     ("verify", "n=8;S=1", "--format", "dot"),
-]
-
-KEPT_FLAGS = [
     ("analyze", "n=8;S=0,1", "--format", "json", "--strip-loops"),
     ("decompose", "n=8;S=0,1", "--format", "json", "--strip-loops", "--prime", "2"),
     ("witness", "n=8;S=0,1", "--format", "dot", "--strip-loops"),
-    ("generate", "--p", "2", "--layers", "1", "--format", "json"),
     ("verify", "n=8;S=0,1", "--cap", "500", "--vertex-cap", "8", "--format", "json", "--strip-loops", "--strict"),
+]
+
+KEPT_FLAGS = [
+    ("analyze", "n=8;S=0,1", "--format", "json"),
+    ("decompose", "n=8;S=0,1", "--format", "json", "--prime", "2"),
+    ("witness", "n=8;S=0,1", "--format", "dot"),
+    ("generate", "--p", "2", "--layers", "1", "--format", "json"),
+    ("verify", "n=8;S=0,1", "--cap", "500", "--vertex-cap", "8", "--format", "json", "--strict"),
     ("poset", "8", "--format", "dot"),
 ]
 
@@ -297,6 +303,13 @@ class TestMemoryBound:
         result = run_capped("analyze", f"n={2**40};S={members}", "--format", "json")
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["minimal_group"] == "Z2^40"
+
+    def test_generate_past_the_element_cap(self):
+        # 21 layers of 1 give |S| = 1,398,101; 20 layers (699,050) still print
+        result = run_capped("generate", "--p", "2", "--layers", ",".join(["1"] * 21))
+        assert result.returncode == 1
+        assert result.stderr.startswith("capacity: tower connection set would have 1398101 elements"), result.stderr
+        assert result.stdout == ""
 
     def test_generate_thirty_layers(self):
         result = run_capped("generate", "--p", "2", "--layers", "30")

@@ -42,11 +42,6 @@ class TestPermutation:
         assert (p * p.inverse()).is_identity
         assert (p.inverse() * p).is_identity
 
-    def test_cycle_lengths_and_order(self):
-        p = Permutation.from_cycles(6, [(0, 1, 2), (3, 4)])
-        assert p.cycle_lengths() == [1, 2, 3]
-        assert p.order() == 6
-
     @pytest.mark.parametrize(
         "images,identity,fixed",
         [((0, 1, 2), True, True), ((1, 0, 2), False, True), ((1, 2, 0), False, False), ((), True, False)],

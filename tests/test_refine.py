@@ -25,7 +25,7 @@ def cells(colors):
 
 def seeded(m, individualized):
     """Diagonal colors with the given vertices individualized, as the searches seed them."""
-    colors, _, next_color = _refine._diagonal_colors(m, m)
+    colors, next_color = _refine._diagonal_colors(m)
     for i, v in enumerate(individualized):
         colors[v] = next_color + i
     return colors
@@ -76,19 +76,47 @@ class TestRefine:
                 assert cells(_refine.refine(m, colors)) == cells(brute_refine(m, colors)), (m, colors)
 
     def test_pair_refinement_matches_reference_on_isomorphic_pairs(self):
-        # a shared color table: the second structure's classes are the first's, moved
+        # two colorings of one circulant, x and x+1 individualized: the shift
+        # maps one onto the other, so with a shared color table the second
+        # coloring's classes are the first's, shifted
         rng = random.Random(89)
         for _ in range(60):
-            m = random_structure(rng)
-            n = len(m)
-            perm = rng.sample(range(n), n)
-            colors = seeded(m, rng.sample(range(n), min(rng.randrange(3), n)))
-            moved = [0] * n
-            for v in range(n):
-                moved[perm[v]] = colors[v]
-            ca, cb = _refine._refine_joint((m, relabel(m, perm)), (colors, moved))
-            assert cells(ca) == cells(brute_refine(m, colors))
-            assert all(cb[perm[v]] == ca[v] for v in range(n))
+            n = rng.randint(1, 40)
+            m = cayley_digraph(n, {x for x in range(n) if rng.random() < 0.4}).adjacency_matrix()
+            x = rng.randrange(n)
+            ca, cb = _refine._refine_joint(m, (seeded(m, [x]), seeded(m, [(x + 1) % n])))
+            assert cells(ca) == cells(brute_refine(m, seeded(m, [x])))
+            assert all(cb[(v + 1) % n] == ca[v] for v in range(n))
+
+    def test_pair_refinement_rejects_mismatched_class_sizes(self):
+        path = Digraph(3, frozenset({(0, 1), (1, 2)})).adjacency_matrix()
+        # the ends of a directed path are told apart by refinement alone
+        assert _refine._refine_joint(path, (seeded(path, [0]), seeded(path, [2]))) is None
+        # and colorings whose classes differ in size from the start
+        empty = Digraph(3, frozenset()).adjacency_matrix()
+        assert _refine._refine_joint(empty, ([1, 0, 0], [1, 1, 0])) is None
+
+
+class TestIsoSearch:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extends_exactly_when_brute_force_does(self, seed):
+        # random digraphs and arc colorings on at most 6 vertices, every pair x, y
+        rng = random.Random(seed)
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            if rng.random() < 0.5:
+                d = Digraph(n, frozenset((u, v) for u in range(n) for v in range(n) if rng.random() < 0.4))
+                m, group = d.adjacency_matrix(), brute_automorphisms(d)
+            else:
+                m = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
+                group = brute_pair_orbit_preservers(m)
+            for x in range(n):
+                for y in range(n):
+                    witness = _refine.iso_search(m, {x: y})
+                    assert (witness is not None) == any(g[x] == y for g in group), (m, x, y)
+                    if witness is not None:
+                        assert witness[x] == y and sorted(witness) == list(range(n))
+                        assert preserves(witness, m)
 
 
 class TestAutomorphismPaths:
