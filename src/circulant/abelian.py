@@ -4,6 +4,13 @@ An abelian p-group is an integer partition of the exponent; an abelian group
 of order n is one partition per prime.  The order ``preceq_p`` compares
 p-groups by chains with cyclic quotients (equivalently, dominance of the
 exponent partitions), and ``preceq`` is the prime-by-prime product order.
+
+Up-sets and Hasse diagrams are walked by covers, never filtered from all
+partitions.  In dominance order a partition's covers move one box up from
+row j to a row i < j, where j = i + 1 or rows i and j have equal length
+(T. Brylawski, "The lattice of integer partitions", Discrete Math. 6, 1973).
+Lists of groups are counted before they are built and capped at
+GROUP_LIST_CAP.
 """
 
 from dataclasses import dataclass
@@ -12,6 +19,11 @@ from itertools import groupby, product
 from math import prod
 
 from .arith import factorize
+from .errors import CapacityError
+
+# A listed group costs about 400 bytes as objects, so a list of this many stays
+# near 40 MB, and the poset with its cover pairs under 250 MB.
+GROUP_LIST_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -148,36 +160,125 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def _dominating_count(parts: tuple[int, ...]) -> int:
+    """The number of partitions of sum(parts) that dominate parts; p(a) at 1^a.
+
+    Rows are placed largest first.  A prefix of k rows with sum s and last
+    row m dominates while s >= parts[0] + ... + parts[k-1].  Once the mass
+    left, a - s, is at most the number of rows of parts still to match, every
+    completion keeps dominating (each row adds at least one box, and a
+    dominating partition has no more rows than parts), so the prefix counts
+    as q(a - s, m), the partitions of a - s into rows of at most m, and is
+    dropped.  Memory is O(a^2) whatever the answer.
+    """
+    a, rows = sum(parts), len(parts)
+    # q[m][r]: partitions of r <= rows into rows of at most m
+    q = [[1] + [0] * rows]
+    for m in range(1, rows + 1):
+        ways = q[-1][:]
+        for r in range(m, rows + 1):
+            ways[r] += ways[r - m]
+        q.append(ways)
+    count = 0
+    prefixes = {(0, a): 1}  # (sum, last row) -> number of dominating prefixes of k rows
+    bound = 0
+    for k in range(rows):
+        bound += parts[k]
+        longer: dict[tuple[int, int], int] = {}
+        for (s, m), c in prefixes.items():
+            if a - s <= rows - k:
+                count += c * q[min(m, a - s)][a - s]
+                continue
+            for x in range(max(1, bound - s), min(m, a - s) + 1):
+                longer[s + x, x] = longer.get((s + x, x), 0) + c
+        prefixes = longer
+    return count + sum(prefixes.values())  # prefixes with a row for each of parts sum to a
+
+
+def _cap_group_list(count: int, what: str) -> None:
+    if count > GROUP_LIST_CAP:
+        raise CapacityError(f"{what} would have {count} groups", GROUP_LIST_CAP)
+
+
 def enumerate_abelian(n: int) -> list[AbelianType]:
-    """All abelian groups of order n, once each, lexicographic by prime then partition."""
+    """All abelian groups of order n, once each, lexicographic by prime then partition.
+
+    More than GROUP_LIST_CAP groups, prod p(a) over the prime powers
+    p^a || n, raise CapacityError before anything is built.
+    """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    return _groups_of_exponents(factorize(n).factors)
-
-
-def _groups_of_exponents(factors) -> list[AbelianType]:
+    factors = factorize(n).factors
+    _cap_group_list(prod(_dominating_count((1,) * a) for _, a in factors), f"order {n}")
     per_prime = [[PPartition(p, parts) for parts in partitions(a)] for p, a in factors]
     return [AbelianType(combo) for combo in product(*per_prime)]
+
+
+def _covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The partitions covering parts in dominance order (Brylawski 1973).
+
+    Each moves one box up from row j to a row i < j, where j = i + 1 or rows
+    i and j have equal length, and leaves a partition: row i is the first of
+    its length and row j the last of its length.
+    """
+    padded = parts + (0,)
+    covers = []
+    for i in range(len(parts) - 1):
+        if i and parts[i - 1] == parts[i]:
+            continue  # row i cannot gain a box
+        j = i + 1
+        while padded[j] == parts[i] and padded[j + 1] == parts[i]:
+            j += 1
+        if padded[j] == padded[j + 1]:
+            continue  # row j cannot lose a box
+        moved = list(parts)
+        moved[i] += 1
+        moved[j] -= 1
+        covers.append(tuple(moved) if moved[-1] else tuple(moved[:-1]))
+    return covers
+
+
+def _up_closure(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The partitions dominating parts, in ascending lexicographic order."""
+    seen = {parts}
+    frontier = [parts]
+    while frontier:
+        frontier = {c for x in frontier for c in _covers(x)} - seen
+        seen |= frontier
+    return sorted(seen)
 
 
 def up_set(h: AbelianType) -> list[AbelianType]:
     """All groups of the same order that are >= h in the partial order, h included.
 
-    The order's factorization is read off h, so nothing is factorized.
+    Per prime, the partitions dominating h's are walked cover by cover from
+    it (see _covers), so the cost follows the answer, not the number of
+    partitions.  The up-set is counted first, and more than GROUP_LIST_CAP
+    groups raise CapacityError before anything is built.  The order's
+    factorization is read off h, so nothing is factorized.
     """
-    groups = _groups_of_exponents((s.p, s.exponent_sum) for s in h.sylow)
-    return [k for k in groups if preceq(h, k)]
+    _cap_group_list(prod(_dominating_count(s.parts) for s in h.sylow), f"up-set of {h.text()}")
+    per_prime = [[PPartition(s.p, parts) for parts in _up_closure(s.parts)] for s in h.sylow]
+    return [AbelianType(combo) for combo in product(*per_prime)]
 
 
 def hasse_edges(n: int) -> list[tuple[AbelianType, AbelianType]]:
-    """Cover pairs (g, h) of the partial order on abelian groups of order n."""
+    """Cover pairs (g, h) of the partial order on abelian groups of order n.
+
+    In the product order, h covers g exactly when they differ at one prime,
+    where h's partition covers g's in dominance order (see _covers).  Pairs
+    are listed by g, then h, in enumeration order.
+    """
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
     groups = enumerate_abelian(n)
-    below = {g: [h for h in groups if h != g and preceq(g, h)] for g in groups}
+    index = {g: i for i, g in enumerate(groups)}
     edges = []
     for g in groups:
-        for h in below[g]:
-            if not any(preceq(k, h) for k in below[g] if k != h):
-                edges.append((g, h))
+        above = []
+        for k, s in enumerate(g.sylow):
+            for parts in _covers(s.parts):
+                sylow = g.sylow[:k] + (PPartition(s.p, parts),) + g.sylow[k + 1:]
+                above.append(AbelianType(sylow))
+        edges.extend((g, h) for h in sorted(above, key=index.__getitem__))
     return edges

@@ -28,11 +28,20 @@ ORACLE_CAPPED = "oracle-capped"
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """One verdict and its evidence.
+
+    ``aut_order`` is the engine's exact |Aut|, None when the vertex cap
+    tripped before the search; ``capped_by`` names the cap that tripped,
+    ``{"cap": "vertex_cap" | "element_cap", "value": N}``, or is None.
+    """
+
     n: int
     s: tuple[int, ...]
     predicted: tuple[AbelianType, ...]
     actual: Optional[tuple[AbelianType, ...]]
     verdict: str
+    aut_order: Optional[int] = None
+    capped_by: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -41,6 +50,8 @@ class ValidationReport:
             "predicted": [g.text() for g in self.predicted],
             "actual": None if self.actual is None else [g.text() for g in self.actual],
             "verdict": self.verdict,
+            "aut_order": self.aut_order,
+            "capped_by": self.capped_by,
         }
 
 
@@ -151,11 +162,20 @@ def cross_validate(
     """Compare the analyzer's prediction against the brute-force oracle."""
     predicted, exact = realizable_groups(s)
     predicted = tuple(predicted)
+    members = tuple(sorted(s.members))
     try:
         aut = automorphism_group(s.digraph(), vertex_cap=vertex_cap)
+    except CapacityError as exc:
+        capped_by = {"cap": "vertex_cap", "value": exc.cap}
+        return ValidationReport(s.n, members, predicted, None, ORACLE_CAPPED, capped_by=capped_by)
+    aut_order = aut.order()
+    try:
         actual = tuple(regular_abelian_types(aut, s.n, cap))
-    except CapacityError:
-        return ValidationReport(s.n, tuple(sorted(s.members)), predicted, None, ORACLE_CAPPED)
+    except CapacityError as exc:
+        capped_by = {"cap": "element_cap", "value": exc.cap}
+        return ValidationReport(
+            s.n, members, predicted, None, ORACLE_CAPPED, aut_order=aut_order, capped_by=capped_by
+        )
     if set(predicted) <= set(actual):
         if set(predicted) == set(actual):
             verdict = EXACT_MATCH
@@ -165,4 +185,4 @@ def cross_validate(
             verdict = SOUND_SUBSET
     else:
         verdict = MISMATCH  # soundness violated
-    return ValidationReport(s.n, tuple(sorted(s.members)), predicted, actual, verdict)
+    return ValidationReport(s.n, members, predicted, actual, verdict, aut_order=aut_order)

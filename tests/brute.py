@@ -4,15 +4,16 @@ These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
 pair-orbit preservation directly from the definition, the coset condition
 on the explicit subgroups of Z_n, color refinement by a plain loop over
-every ordered pair, and regular abelian subgroups by building each candidate
-subgroup as a set of elements.
+every ordered pair, regular abelian subgroups by building each candidate
+subgroup as a set of elements, and up-sets and cover pairs of the partial order
+on abelian groups by testing every group, or every pair, with ``preceq``.
 """
 
 from collections import Counter
 from itertools import permutations, product
 from math import lcm
 
-from circulant.abelian import enumerate_abelian
+from circulant.abelian import enumerate_abelian, preceq
 from circulant.analyzer import subgroup_of_order
 from circulant.permgroup import PermGroup, Permutation
 
@@ -28,6 +29,23 @@ def brute_subdivision(a, b):
         if sums == list(b):
             return True
     return False
+
+
+def brute_up_set(h):
+    """Every abelian group of h's order that is >= h, in enumeration order."""
+    return [k for k in enumerate_abelian(h.order) if preceq(h, k)]
+
+
+def brute_hasse_edges(n):
+    """Cover pairs (g, h): h > g with no group strictly between them."""
+    groups = enumerate_abelian(n)
+    above = {g: [h for h in groups if h != g and preceq(g, h)] for g in groups}
+    return [
+        (g, h)
+        for g in groups
+        for h in above[g]
+        if not any(preceq(k, h) for k in above[g] if k != h)
+    ]
 
 
 def brute_coset_condition(s, p, level):

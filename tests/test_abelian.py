@@ -2,10 +2,13 @@ from itertools import product
 
 import pytest
 
-from brute import brute_subdivision
+from brute import brute_hasse_edges, brute_subdivision, brute_up_set
+from circulant import abelian
 from circulant.abelian import (
     AbelianType,
     PPartition,
+    _covers,
+    _dominating_count,
     enumerate_abelian,
     hasse_edges,
     partitions,
@@ -13,6 +16,15 @@ from circulant.abelian import (
     preceq_p,
     up_set,
 )
+from circulant.errors import CapacityError
+
+# orders past 400 with many groups: 231, 30 and 42 * 11 of them
+LARGE_ORDERS = [2**16, 3**9, 2**10 * 3**6]
+
+
+def dominates(mu, lam):
+    return preceq_p(PPartition(2, lam), PPartition(2, mu))
+
 
 # frozen via the strip-peeling and subgroup-chain oracles in tests/brute.py:
 # the realizability order is total on partitions of 5, so the diagram is a chain
@@ -180,9 +192,63 @@ class TestUpSet:
         assert got == {"Z3^2xZ5", "Z9xZ5"}
 
     def test_matches_definition(self):
-        for n in (16, 24, 36, 45):
+        for n in range(2, 401):
             for h in enumerate_abelian(n):
-                assert up_set(h) == [k for k in enumerate_abelian(n) if preceq(h, k)]
+                assert up_set(h) == brute_up_set(h), h
+
+    @pytest.mark.parametrize("n", LARGE_ORDERS)
+    def test_matches_definition_at_large_orders(self, n):
+        for h in enumerate_abelian(n):
+            assert up_set(h) == brute_up_set(h), h
+
+    def test_walks_covers_without_listing_partitions(self, monkeypatch):
+        groups = [
+            AbelianType.cyclic(2**50),
+            AbelianType.from_parts({2: (19, 1, 1, 1)}),
+            AbelianType.from_parts({3: (1, 1), 5: (1,)}),
+        ]
+        expected = [[groups[0]]] + [brute_up_set(h) for h in groups[1:]]
+
+        def no_listing(k):
+            raise AssertionError("up_set listed the partitions of the exponent")
+
+        monkeypatch.setattr(abelian, "partitions", no_listing)
+        assert [up_set(h) for h in groups] == expected
+
+    def test_cap_counts_the_answer_not_the_partitions(self):
+        # p(61) is past the cap, but the cyclic group is the top element
+        assert up_set(AbelianType.cyclic(2**61)) == [AbelianType.cyclic(2**61)]
+        with pytest.raises(CapacityError, match="would have 966467 groups"):
+            up_set(AbelianType.from_parts({2: (1,) * 60}))
+        with pytest.raises(CapacityError, match="would have 1394126244 groups"):
+            up_set(AbelianType.from_parts({2: (1,) * 40, 3: (1,) * 40}))
+
+
+class TestDominanceWalk:
+    def test_covers_match_brute_force(self):
+        for k in range(1, 16):
+            parts = partitions(k)
+            for lam in parts:
+                above = [mu for mu in parts if mu != lam and dominates(mu, lam)]
+                covers = [mu for mu in above if not any(nu != mu and dominates(mu, nu) for nu in above)]
+                assert sorted(_covers(lam)) == covers, lam
+
+    def test_dominating_count_matches_brute_force(self):
+        for k in range(1, 13):
+            parts = partitions(k)
+            for lam in parts:
+                assert _dominating_count(lam) == sum(dominates(mu, lam) for mu in parts), lam
+
+    def test_partition_numbers(self):
+        assert _dominating_count((1,) * 40) == 37338
+        assert _dominating_count((1,) * 60) == 966467
+        assert _dominating_count((1,) * 80) == 15796476
+
+    def test_enumerate_past_the_cap(self):
+        with pytest.raises(CapacityError, match="would have 105558 groups"):
+            enumerate_abelian(2**46)
+        with pytest.raises(CapacityError):
+            hasse_edges(2**80)
 
 
 class TestHasse:
@@ -227,6 +293,10 @@ class TestHasse:
             ((4, 2), (5, 1)),
             ((5, 1), (6,)),
         }
+
+    def test_matches_brute_cover_check(self):
+        for n in list(range(2, 401)) + LARGE_ORDERS[:2]:
+            assert hasse_edges(n) == brute_hasse_edges(n), n
 
     def test_transitive_closure_matches_strict_order(self):
         for k in range(2, 7):

@@ -311,6 +311,30 @@ class TestMemoryBound:
         assert result.stderr.startswith("capacity: tower connection set would have 1398101 elements"), result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "argv,count",
+        [
+            (("verify", "n=1208925819614629174706176;S="), 15796476),  # 2^80
+            (("poset", "1208925819614629174706176"), 15796476),
+            (("analyze", "n=13367494538843734067838845976576;S="), 1394126244),  # 2^40 * 3^40
+            (("analyze", "n=1152921504606846976;S="), 966467),  # 2^60
+        ],
+        ids=["verify-2^80", "poset-2^80", "analyze-2^40*3^40", "analyze-2^60"],
+    )
+    def test_group_lists_past_the_cap(self, argv, count):
+        # with S empty every level is valid, so the up-set is every group of order n
+        result = run_capped(*argv)
+        assert result.returncode == 1
+        assert result.stderr.startswith("capacity: "), result.stderr
+        assert f"would have {count} groups" in result.stderr
+        assert result.stdout == ""
+
+    def test_analyze_cyclic_past_the_partition_count(self):
+        # p(61) groups of order 2^61, but the up-set of the cyclic group is itself
+        result = run_capped("analyze", "n=2305843009213693952;S=1", "--format", "json")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["realizable"] == [f"Z{2**61}"]
+
     def test_generate_thirty_layers(self):
         result = run_capped("generate", "--p", "2", "--layers", "30")
         assert result.returncode == 0, result.stderr

@@ -315,8 +315,26 @@ class TestValidationReport:
             "predicted": ["Z3^2", "Z9"],
             "actual": ["Z3^2", "Z9"],
             "verdict": "exact-match",
+            "aut_order": 1296,  # three disjoint triangles: S_3 wr S_3, of order 6^3 * 3!
+            "capped_by": None,
         }
         json.dumps(payload)
+
+    def test_element_capped_names_cap_and_order(self):
+        # Aut of the arcless digraph on 12 vertices is S_12, past the 10^6 element cap
+        report = cross_validate(ConnectionSet.of(12, []))
+        assert report.verdict == ORACLE_CAPPED
+        assert report.aut_order == 479001600
+        assert report.capped_by == {"cap": "element_cap", "value": 10**6}
+
+    def test_vertex_capped_has_no_order(self):
+        report = cross_validate(ConnectionSet.of(65, [1]))
+        assert report.verdict == ORACLE_CAPPED
+        assert report.aut_order is None
+        assert report.capped_by == {"cap": "vertex_cap", "value": 64}
+        payload = report.to_json_dict()
+        assert payload["aut_order"] is None
+        assert payload["capped_by"] == {"cap": "vertex_cap", "value": 64}
 
     def test_capped_json_actual_null(self):
         report = ValidationReport(16, (), (AbelianType.cyclic(16),), None, ORACLE_CAPPED)
