@@ -1,16 +1,21 @@
 """Brute-force ground truth and cross-validation of the analyzer.
 
-The oracle enumerates the automorphism group of the digraph (under a cap) and
-searches it for regular abelian subgroups of every candidate isomorphism
-type.  Agreement with the analyzer must be exact when the arithmetic
-condition holds and a sound superset otherwise; anything else is a MISMATCH.
+The oracle computes the exact order of the automorphism group of the
+digraph and decides its regular abelian subgroups from that order when it
+can; otherwise it enumerates the group (or a Sylow subgroup of it, under a
+cap) and searches it for regular abelian subgroups of every candidate
+isomorphism type.  Agreement with the analyzer must be exact when the
+arithmetic condition holds and a sound superset otherwise; anything else is
+a MISMATCH.
 """
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional
 
 from .abelian import AbelianType, enumerate_abelian
 from .analyzer import ConnectionSet, realizable_groups
+from .arith import factorize
 from .digraph import DEFAULT_VERTEX_CAP
 from .errors import CapacityError
 from .permgroup import (
@@ -18,12 +23,19 @@ from .permgroup import (
     PermGroup,
     Permutation,
     automorphism_group,
+    circulant_coloring,
 )
 
 EXACT_MATCH = "exact-match"
 SOUND_SUBSET = "sound-subset"
 MISMATCH = "MISMATCH"
 ORACLE_CAPPED = "oracle-capped"
+
+# The oracle's paths, in the order cross_validate tries them.
+REGULAR = "regular"
+SYMMETRIC = "symmetric"
+SYLOW = "sylow"
+ENUMERATE = "enumerate"
 
 
 @dataclass(frozen=True)
@@ -32,7 +44,9 @@ class ValidationReport:
 
     ``aut_order`` is the engine's exact |Aut|, None when the vertex cap
     tripped before the search; ``capped_by`` names the cap that tripped,
-    ``{"cap": "vertex_cap" | "element_cap", "value": N}``, or is None.
+    ``{"cap": "vertex_cap" | "element_cap", "value": N}``, or is None;
+    ``path`` names the oracle path that decided (or was capped), None when
+    the vertex cap tripped.
     """
 
     n: int
@@ -42,6 +56,7 @@ class ValidationReport:
     verdict: str
     aut_order: Optional[int] = None
     capped_by: Optional[dict] = None
+    path: Optional[str] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -52,6 +67,7 @@ class ValidationReport:
             "verdict": self.verdict,
             "aut_order": self.aut_order,
             "capped_by": self.capped_by,
+            "path": self.path,
         }
 
 
@@ -154,28 +170,95 @@ def regular_abelian_types(
     return found
 
 
+def _tower_row(p: int, a: int) -> list[int]:
+    """First row of the tower coloring of Z_{p^a}.
+
+    x = p^j * y with y prime to p gets color j*p + y % p, and 0 gets a*p, so
+    c(u, v) = row[v - u] names the smallest block of the coset chain
+    Z_n > pZ_n > ... > 0 holding u and v, and which of its p sub-blocks,
+    counted cyclically from u's, holds v.  Its automorphism group is the
+    iterated wreath product Z_p wr ... wr Z_p on that chain, of order
+    p^((p^a - 1)/(p - 1)): a Sylow p-subgroup of Sym(p^a) containing the
+    rotations.
+    """
+    n = p**a
+    row = [a * p] * n
+    for j in range(a):
+        step = p**j
+        for x in range(step, n, step):
+            row[x] = j * p + x // step % p  # multiples of p^(j+1) are recolored later
+    return row
+
+
+def _sylow_subgroup(aut_order: int, adjacency: list[int], vertex_cap: int) -> Optional[PermGroup]:
+    """Aut(Γ) ∩ W for n = p^a, a >= 2, W the tower coloring's group, when its
+    index in Aut(Γ) is prime to p; otherwise None.
+
+    W is a p-group, so an intersection of index prime to p is a Sylow
+    p-subgroup of Aut(Γ).  Every regular abelian subgroup, of order p^a, lies
+    in a Sylow p-subgroup, and those are conjugate in Aut(Γ), so it is
+    conjugate to a regular subgroup of the intersection of the same type.
+    The intersection is the automorphism group of the tower coloring paired
+    with the adjacency row, found by one more engine call.
+    """
+    factors = factorize(len(adjacency)).factors
+    if len(factors) != 1 or factors[0][1] < 2:
+        return None
+    ((p, a),) = factors
+    paired = (2 * c + x for c, x in zip(_tower_row(p, a), adjacency))
+    sylow = automorphism_group(circulant_coloring(paired), vertex_cap=vertex_cap)
+    if aut_order // sylow.order() % p == 0:
+        return None
+    return sylow
+
+
 def cross_validate(
     s: ConnectionSet,
     cap: int = DEFAULT_ELEMENT_CAP,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> ValidationReport:
-    """Compare the analyzer's prediction against the brute-force oracle."""
+    """Compare the analyzer's prediction against the oracle.
+
+    n past ``vertex_cap`` is capped before anything is built.  Otherwise the
+    engine gives |Aut| for the circulant matrix, and the first path that
+    applies decides the regular abelian types:
+
+    - regular: |Aut| = n, so Aut is the rotation group and only Z_n occurs;
+    - symmetric: |Aut| = n!, so every abelian group of order n occurs, each
+      regular on itself (Cayley's theorem);
+    - sylow: n = p^a, a >= 2, and Aut ∩ W is a Sylow p-subgroup (see
+      ``_sylow_subgroup``), searched in place of Aut;
+    - enumerate: Aut itself is searched.
+
+    The last two enumerate a group under ``cap`` elements.
+    """
     predicted, exact = realizable_groups(s)
     predicted = tuple(predicted)
+    n = s.n
     members = tuple(sorted(s.members))
-    try:
-        aut = automorphism_group(s.digraph(), vertex_cap=vertex_cap)
-    except CapacityError as exc:
-        capped_by = {"cap": "vertex_cap", "value": exc.cap}
-        return ValidationReport(s.n, members, predicted, None, ORACLE_CAPPED, capped_by=capped_by)
+    if n > vertex_cap:
+        capped_by = {"cap": "vertex_cap", "value": vertex_cap}
+        return ValidationReport(n, members, predicted, None, ORACLE_CAPPED, capped_by=capped_by)
+    adjacency = [int(x in s.members) for x in range(n)]
+    aut = automorphism_group(circulant_coloring(adjacency), vertex_cap=vertex_cap)
     aut_order = aut.order()
-    try:
-        actual = tuple(regular_abelian_types(aut, s.n, cap))
-    except CapacityError as exc:
-        capped_by = {"cap": "element_cap", "value": exc.cap}
-        return ValidationReport(
-            s.n, members, predicted, None, ORACLE_CAPPED, aut_order=aut_order, capped_by=capped_by
-        )
+    if aut_order == n:
+        path, actual = REGULAR, (AbelianType.cyclic(n),)
+    elif aut_order == factorial(n):
+        path, actual = SYMMETRIC, tuple(enumerate_abelian(n))
+    else:
+        path, group = ENUMERATE, aut
+        sylow = _sylow_subgroup(aut_order, adjacency, vertex_cap)
+        if sylow is not None:
+            path, group = SYLOW, sylow
+        try:
+            actual = tuple(regular_abelian_types(group, n, cap))
+        except CapacityError as exc:
+            capped_by = {"cap": "element_cap", "value": exc.cap}
+            return ValidationReport(
+                n, members, predicted, None, ORACLE_CAPPED,
+                aut_order=aut_order, capped_by=capped_by, path=path,
+            )
     if set(predicted) <= set(actual):
         if set(predicted) == set(actual):
             verdict = EXACT_MATCH
@@ -185,4 +268,4 @@ def cross_validate(
             verdict = SOUND_SUBSET
     else:
         verdict = MISMATCH  # soundness violated
-    return ValidationReport(s.n, members, predicted, actual, verdict, aut_order=aut_order)
+    return ValidationReport(n, members, predicted, actual, verdict, aut_order=aut_order, path=path)

@@ -238,6 +238,17 @@ class ArcColoring:
         return [list(row) for row in self.colors]
 
 
+def circulant_coloring(row: Iterable[int]) -> ArcColoring:
+    """The circulant arc coloring with first row ``row``: [u][v] = row[(v - u) % n].
+
+    Row u is row 0 rotated right by u.  With row[x] = 1 for x in S and 0
+    otherwise it is the adjacency matrix of Cay(Z_n, S).
+    """
+    row = tuple(row)
+    n = len(row)
+    return ArcColoring(tuple(row[n - u:] + row[:n - u] for u in range(n)))
+
+
 def orbital_coloring(group: PermGroup) -> ArcColoring:
     """Color ordered pairs by their orbit under the group (diagonal included)."""
     n = group.degree

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import circulant.cli as cli
 from circulant import oracle
 from circulant.abelian import AbelianType
+from circulant.analyzer import ConnectionSet
 from circulant.cli import main
 from circulant.oracle import ValidationReport
 
@@ -136,14 +138,22 @@ class TestVerify:
         assert payload["verdict"] == "exact-match"
         assert cli._json_dumps(payload) == line
 
+    # Aut(Cay(Z_12, {6})) = Z_2 wr S_6 has 46,080 elements, and 12 is no prime
+    # power, so the oracle enumerates it and trips a cap of 100
     def test_capped_not_strict_exit_0(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "n=16;S=", "--cap", "100")
+        code, out, _ = run_cli(capsys, "verify", "n=12;S=6", "--cap", "100")
         assert code == 0
         assert "oracle-capped" in out
 
     def test_capped_strict_exit_3(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "n=16;S=", "--cap", "100", "--strict")
+        code, _, _ = run_cli(capsys, "verify", "n=12;S=6", "--cap", "100", "--strict")
         assert code == 3
+
+    def test_json_names_the_path_and_text_does_not(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "n=8;S=", "--format", "json")
+        assert json.loads(out)["path"] == "symmetric"
+        _, out, _ = run_cli(capsys, "verify", "n=8;S=")
+        assert out == "n=8 S=[] predicted=[Z2^3, Z4xZ2, Z8] actual=[Z2^3, Z4xZ2, Z8] verdict=exact-match\n"
 
     def test_mismatch_exit_2(self, capsys, monkeypatch):
         fake = ValidationReport(4, (1,), (AbelianType.cyclic(4),), (), oracle.MISMATCH)
@@ -292,6 +302,19 @@ class TestMemoryBound:
         assert result.returncode == 1
         assert result.stderr.startswith("capacity: tower digraph would have 16777216 arcs"), result.stderr
         assert result.stdout == ""
+
+    def test_verify_caps_vertices_before_building(self):
+        # a 2^24-vertex matrix would exhaust the address space; the cap trips first
+        result = run_capped("verify", "n=16777216;S=1", "--format", "json")
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["verdict"] == "oracle-capped"
+        assert payload["capped_by"] == {"cap": "vertex_cap", "value": 64}
+        assert payload["aut_order"] is None and payload["path"] is None
+        start = time.perf_counter()
+        report = oracle.cross_validate(ConnectionSet.of(16777216, [1]))
+        assert time.perf_counter() - start < 0.1
+        assert report.capped_by == payload["capped_by"]
 
     def test_analyze_at_two_to_the_forty(self):
         result = run_capped("analyze", f"n={2**40};S=1,3,5,7", "--format", "json")

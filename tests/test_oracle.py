@@ -1,14 +1,16 @@
 import json
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from brute import element_order, element_set_search, element_set_types
+from circulant import oracle
 from circulant.abelian import AbelianType, enumerate_abelian
 from circulant.arith import factorize
 from circulant.analyzer import ConnectionSet, realizable_groups
-from circulant.digraph import cayley_digraph, directed_cycle
+from circulant.digraph import Digraph, cayley_digraph, directed_cycle
 from circulant.errors import CapacityError
 from circulant.oracle import (
     EXACT_MATCH,
@@ -17,11 +19,20 @@ from circulant.oracle import (
     SOUND_SUBSET,
     ValidationReport,
     _search_type,
+    _sylow_subgroup,
+    _tower_row,
     _uniform_cycles,
     cross_validate,
     regular_abelian_types,
 )
-from circulant.permgroup import PermGroup, Permutation, automorphism_group, direct_product, rotation
+from circulant.permgroup import (
+    PermGroup,
+    Permutation,
+    automorphism_group,
+    circulant_coloring,
+    direct_product,
+    rotation,
+)
 
 
 def reference_regular_representation(abelian_type):
@@ -238,10 +249,13 @@ class TestCrossValidate:
                 assert set(report.predicted) <= set(report.actual)
 
     def test_capacity_degrades_to_capped_verdict(self):
-        report = cross_validate(ConnectionSet.of(16, []), cap=10**4)
+        # Aut = Z_2 wr S_8; its Sylow 2-subgroup has 2^15 elements, past this cap
+        report = cross_validate(ConnectionSet.of(16, [8]), cap=10**4)
         assert report.verdict == ORACLE_CAPPED
         assert report.actual is None
         assert report.predicted  # prediction still present
+        assert report.path == "sylow"
+        assert report.capped_by == {"cap": "element_cap", "value": 10**4}
 
     def test_verdict_invariant(self):
         rng = random.Random(79)
@@ -317,15 +331,18 @@ class TestValidationReport:
             "verdict": "exact-match",
             "aut_order": 1296,  # three disjoint triangles: S_3 wr S_3, of order 6^3 * 3!
             "capped_by": None,
+            "path": "sylow",
         }
         json.dumps(payload)
 
     def test_element_capped_names_cap_and_order(self):
-        # Aut of the arcless digraph on 12 vertices is S_12, past the 10^6 element cap
-        report = cross_validate(ConnectionSet.of(12, []))
+        # Aut of the perfect matching on 18 vertices is Z_2 wr S_9, of order
+        # 2^9 * 9!, past the 10^6 element cap; 18 is no prime power
+        report = cross_validate(ConnectionSet.of(18, [9]))
         assert report.verdict == ORACLE_CAPPED
-        assert report.aut_order == 479001600
+        assert report.aut_order == 185794560
         assert report.capped_by == {"cap": "element_cap", "value": 10**6}
+        assert report.path == "enumerate"
 
     def test_vertex_capped_has_no_order(self):
         report = cross_validate(ConnectionSet.of(65, [1]))
@@ -335,7 +352,111 @@ class TestValidationReport:
         payload = report.to_json_dict()
         assert payload["aut_order"] is None
         assert payload["capped_by"] == {"cap": "vertex_cap", "value": 64}
+        assert payload["path"] is None
 
     def test_capped_json_actual_null(self):
         report = ValidationReport(16, (), (AbelianType.cyclic(16),), None, ORACLE_CAPPED)
         assert report.to_json_dict()["actual"] is None
+
+
+class TestPaths:
+    @pytest.mark.parametrize(
+        "n,s,path,aut_order",
+        [
+            (45, [0, 1, 15, 30], "regular", 45),
+            (8, [], "symmetric", 40320),
+            (9, [3, 6], "sylow", 1296),  # the Sylow subgroup has index 16
+            (12, [6], "enumerate", 46080),
+            (65, [1], None, None),  # past the vertex cap
+        ],
+    )
+    def test_one_instance_per_path(self, n, s, path, aut_order):
+        report = cross_validate(ConnectionSet.of(n, s))
+        assert report.path == path
+        assert report.aut_order == aut_order
+        assert report.verdict == (ORACLE_CAPPED if path is None else EXACT_MATCH)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_plain_enumeration(self, n):
+        # every S at n <= 10 and every S up to units at n = 11, 12, wherever
+        # the plain enumeration of Aut stays under the element cap.  S and its
+        # complement, with or without 0, have one automorphism group, so each
+        # such class is enumerated once.
+        units = [c for c in range(1, n) if gcd(c, n) == 1]
+        reference = {}
+        seen = set()
+        compared = 0
+        for mask in range(2**n):
+            s = frozenset(x for x in range(n) if mask >> x & 1)
+            if n > 10:
+                labeled = min(tuple(sorted(c * x % n for x in s)) for c in units)
+                if labeled in seen:
+                    continue
+                seen.add(labeled)
+            nonzero = s - {0}
+            key = min(tuple(sorted(nonzero)), tuple(sorted(set(range(1, n)) - nonzero)))
+            if key not in reference:
+                try:
+                    reference[key] = tuple(regular_abelian_types(automorphism_group(cayley_digraph(n, s)), n))
+                except CapacityError:
+                    reference[key] = None
+            report = cross_validate(ConnectionSet(n, s))
+            assert report.verdict != MISMATCH, (n, sorted(s))
+            if reference[key] is not None:
+                assert report.actual == reference[key], (n, sorted(s), report.path)
+                compared += 1
+        assert compared > 0.9 * (len(seen) if n > 10 else 2**n)
+
+    @pytest.mark.parametrize(
+        "p,a,order",
+        [(2, 2, 8), (2, 3, 128), (3, 2, 81), (2, 4, 32768), (5, 2, 15625), (3, 3, 1594323)],
+    )
+    def test_tower_coloring_is_a_sylow_subgroup_of_the_symmetric_group(self, p, a, order):
+        # |Sym(p^a)|_p = p^((p^a - 1)/(p - 1))
+        assert order == p ** ((p**a - 1) // (p - 1))
+        assert automorphism_group(circulant_coloring(_tower_row(p, a))).order() == order
+
+    @pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (3, 2)])
+    def test_sylow_subgroup_is_aut_meet_tower_group(self, p, a):
+        # every S whose automorphism group has at most 10^4 elements
+        n = p**a
+        tower = _tower_row(p, a)
+        checked = 0
+        for mask in range(2**n):
+            adjacency = [mask >> x & 1 for x in range(n)]
+            aut = automorphism_group(circulant_coloring(adjacency))
+            if aut.order() > 10**4:
+                continue
+            preserved = {
+                g.images for g in aut.elements()
+                if all(tower[(g(v) - g(u)) % n] == tower[(v - u) % n] for u in range(n) for v in range(n))
+            }
+            sylow = _sylow_subgroup(aut.order(), adjacency, 64)
+            assert sylow is not None  # the index is prime to p
+            assert {g.images for g in sylow.elements()} == preserved, adjacency
+            checked += 1
+        assert checked > 2**n // 2
+
+    def test_tower_row_names_valuation_and_digit(self):
+        # x = 3^j * y, y prime to 3: color 3j + y % 3; 0 alone gets 3a
+        assert _tower_row(3, 2) == [6, 1, 2, 4, 1, 2, 5, 1, 2]
+
+    def test_regular_path_enumerates_nothing(self, monkeypatch):
+        calls = {"elements": 0, "_search_type": 0, "digraph": 0, "adjacency_matrix": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(PermGroup, "elements")
+        counted(oracle, "_search_type")
+        counted(ConnectionSet, "digraph")
+        counted(Digraph, "adjacency_matrix")
+        report = cross_validate(ConnectionSet.of(40, [1, 2, 5, 17]))
+        assert (report.path, report.aut_order, report.verdict) == ("regular", 40, EXACT_MATCH)
+        assert calls == {"elements": 0, "_search_type": 0, "digraph": 0, "adjacency_matrix": 0}

@@ -18,6 +18,7 @@ from circulant.permgroup import (
     PermGroup,
     Permutation,
     automorphism_group,
+    circulant_coloring,
     direct_product,
     is_nilpotent,
     orbital_coloring,
@@ -239,6 +240,20 @@ class TestAutomorphismGroup:
         colors[1][2] = colors[3][0] = 2
         group = automorphism_group(ArcColoring(tuple(tuple(r) for r in colors)))
         assert group.cached_order == 2
+
+
+class TestCirculantColoring:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_cayley_adjacency_exhaustively(self, n):
+        for mask in range(2**n):
+            s = {x for x in range(n) if mask >> x & 1}
+            row = [int(x in s) for x in range(n)]
+            assert circulant_coloring(row).matrix() == cayley_digraph(n, s).adjacency_matrix(), s
+
+    def test_entries_follow_the_difference(self):
+        row = (5, 0, 3, 0, 7, 2, 1)
+        colors = circulant_coloring(row).colors
+        assert all(colors[u][v] == row[(v - u) % 7] for u in range(7) for v in range(7))
 
 
 class TestTwoClosure:
