@@ -6,20 +6,25 @@ the color of the ordered pair (u, v) and the diagonal holds vertex colors
 iterated neighborhood signatures, searches backtrack over refined classes,
 and every choice point iterates in sorted order so results are deterministic.
 
-Signature pass: each refinement call first codes every ordered pair (v, u)
-by its two colors m[v][u] and m[u][v] as one int, once.  A round then gives
-vertex v its color and the sorted multiset of (color of u, code of (v, u))
-over all u, each pair folded into one int, so the counting and sorting run
-at C level.  The pair u = v is counted too; that is harmless because its
-entry depends on v's own color alone, as long as the colors refine the
-diagonal, which every caller's colors do.  A search for an automorphism
-extending a partial map refines two colorings of one structure side by side
-with one shared color table.
+Signature pass: every ordered pair (v, u) is coded by its two colors
+m[v][u] and m[u][v] as one int, once per automorphism search (for a circulant
+each row of codes is a rotation of row 0).  A round then gives vertex v its
+color and the sorted multiset of (color of u, code of (v, u)) over all u,
+each pair folded into one int, so the counting and sorting run at C level.
+The pair u = v is counted too; that is harmless because its entry depends on
+v's own color alone, as long as the colors refine the diagonal, which every
+caller's colors do.  Refinement stops as soon as the partition is discrete,
+and a single coloring's round does not sort the rows of vertices whose class
+is a singleton.  A search for an automorphism extending a partial map
+refines two colorings of one structure side by side with one shared color
+table.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
-When the shift v -> v+1 preserves the whole matrix (every circulant in its
-natural labeling), it is taken as the first generator and level 0 needs no
+Each level starts from the previous level's stable coloring, and its first
+round is one pass over the codes to the new base point.  When the shift
+v -> v+1 preserves the whole matrix (every circulant in its natural
+labeling), it is taken as the first generator and level 0 needs no
 refinement and no search: its orbit is every vertex.
 """
 
@@ -27,48 +32,87 @@ from collections import Counter
 from operator import add
 
 
-def _pair_codes(m):
+def _pair_codes(m, circulant=False):
     """Row v codes each pair (v, u) by (m[v][u], m[u][v]).
 
     With k the span of the colors, the code a*k + b is one to one and all
     codes lie in a window of k*k consecutive ints, the second value returned.
+    When m is circulant (the shift v -> v+1 preserves it), so are the codes:
+    row 0 is built from row and column 0 of m, and row v is row 0 rotated
+    right by v.
     """
-    lo = min(map(min, m), default=0)
-    k = max(map(max, m), default=0) - lo + 1
+    rows = m[:1] if circulant else m
+    lo = min(map(min, rows), default=0)
+    k = max(map(max, rows), default=0) - lo + 1
+    if circulant:
+        n = len(m)
+        first = [a * k + b for a, b in zip(m[0], m[0][:1] + m[0][:0:-1])]
+        return [first[n - v :] + first[: n - v] for v in range(n)], k * k
     return [[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))], k * k
 
 
-def _signatures(codes, width, colors):
+def _signatures(codes, width, colors, singletons=frozenset()):
+    """Each vertex's color and the sorted multiset of (color of u, code of
+    (v, u)), one int each; a vertex whose color is in ``singletons`` gets an
+    empty multiset, since its class cannot split."""
     shifted = [c * width for c in colors]
-    return [(c, tuple(sorted(map(add, row, shifted)))) for row, c in zip(codes, colors)]
+    return [
+        (c, () if c in singletons else tuple(sorted(map(add, row, shifted))))
+        for row, c in zip(codes, colors)
+    ]
 
 
-def _refine_joint(m, colorings):
+def _refine_joint(m, colorings, codes=None):
     """Refine several colorings of one structure side by side with one shared
     color table.
 
     Returns the stable colorings, or None as soon as two colorings' color
-    classes differ in size.  The colorings must refine the diagonal.
+    classes differ in size.  The colorings must refine the diagonal.  A
+    round that leaves the partition discrete ends the refinement, since a
+    discrete partition is stable.  ``codes`` is ``_pair_codes(m)``, built
+    here when not given.
     """
-    codes, width = _pair_codes(m)
+    codes, width = codes or _pair_codes(m)
     colorings = [list(c) for c in colorings]
+    n = len(m)
+    classes = len(set(colorings[0]))
     while True:
-        sigs = [_signatures(codes, width, colors) for colors in colorings]
+        singletons = frozenset()
+        if len(colorings) == 1:
+            singletons = {c for c, size in Counter(colorings[0]).items() if size == 1}
+        sigs = [_signatures(codes, width, colors, singletons) for colors in colorings]
         table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
         new = [[table[s] for s in ss] for ss in sigs]
         if any(Counter(other) != Counter(new[0]) for other in new[1:]):
             return None
-        if len(table) == len(set(colorings[0])):
+        if len(table) in (classes, n):
             return new
-        colorings = new
+        colorings, classes = new, len(table)
 
 
-def refine(m, colors):
+def refine(m, colors, *, codes=None):
     """Iterate signature refinement on one structure until the partition is stable.
 
-    ``colors`` must refine the diagonal: equal colors, equal m[v][v].
+    ``colors`` must refine the diagonal: equal colors, equal m[v][v].  A
+    discrete coloring is returned as it is, with no round.
     """
-    return _refine_joint(m, (colors,))[0]
+    if len(set(colors)) == len(colors):
+        return list(colors)
+    return _refine_joint(m, (colors,), codes)[0]
+
+
+def _individualize(codes, width, colors, x):
+    """The stable coloring ``colors`` with x individualized, after one round.
+
+    In a stable coloring a vertex's multiset of (color of u, code of (v, u))
+    depends on its color alone, so giving x a color of its own changes v's
+    signature only through the pair (v, x): the round splits each class by
+    the code of (v, x), and x is alone.  Returned as ranks.
+    """
+    keys = [c * width + row[x] for row, c in zip(codes, colors)]
+    keys[x] = min(keys) - 1
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
 
 
 def _diagonal_colors(m):
@@ -77,12 +121,12 @@ def _diagonal_colors(m):
     return [rank[m[v][v]] for v in range(len(m))], len(rank)
 
 
-def iso_search(m, forced):
+def iso_search(m, forced, *, codes=None):
     """An automorphism of m extending the partial map ``forced``, or None.
 
     Vertices are mapped in order of their candidate count (ties by index),
     each trying its images in ascending order, so the witness returned is
-    deterministic.
+    deterministic.  ``codes`` is ``_pair_codes(m)``, built when not given.
     """
     n = len(m)
     items = sorted(forced.items())
@@ -99,7 +143,7 @@ def iso_search(m, forced):
         ca[a] = next_color
         cb[b] = next_color
         next_color += 1
-    refined = _refine_joint(m, (ca, cb))
+    refined = _refine_joint(m, (ca, cb), codes)
     if refined is None:
         return None
     ca, cb = refined
@@ -165,26 +209,37 @@ def automorphisms(m):
     search per unresolved candidate, and the group order is the product of
     the orbit sizes.  Found witnesses generate the full group.
 
+    Pair codes are built once per call and shared by every refinement and
+    search.  Level 0 refines the diagonal coloring; each later level starts
+    from the previous level's stable coloring with its base point
+    individualized, whose first round splits each class by the code to that
+    point (``_individualize``).  Both reach the stable partition that
+    refining the diagonal with every base point individualized reaches:
+    refinement gives the coarsest equitable partition finer than its seed,
+    and the two seeds have the same one.
+
     Shift seeding: if the shift v -> v+1 preserves m, diagonal included (n
     row comparisons), level 0 is resolved without refinement or search.  The
     shift is the first generator, vertex 0 the first base point, and its
     orbit is every vertex; this is the level the search would have reached,
-    since a transitive group leaves one cell and 0 is its first vertex.
+    since a transitive group leaves one cell and 0 is its first vertex.  The
+    pair codes are then rotations of their row 0, and level 1 starts from
+    the diagonal, stable under a transitive group, split by vertex 0.
     """
     n = len(m)
-    ca, next_color = _diagonal_colors(m)
+    colors, _ = _diagonal_colors(m)
+    shift = n > 1 and all(m[(u + 1) % n] == m[u][-1:] + m[u][:-1] for u in range(n))
+    codes = _pair_codes(m, shift)
     base = []
     gens = []
     order = 1
-    if n > 1 and all(m[(u + 1) % n] == m[u][-1:] + m[u][:-1] for u in range(n)):
+    if shift:
         gens.append(tuple(range(1, n)) + (0,))
         base.append(0)
         order = n
+        colors = _individualize(*codes, colors, 0)
     while True:
-        seeded = list(ca)
-        for i, b in enumerate(base):
-            seeded[b] = next_color + i
-        colors = refine(m, seeded)
+        colors = refine(m, colors, codes=codes)
 
         cells = {}
         for v in range(n):
@@ -204,7 +259,7 @@ def automorphisms(m):
         for y in target[1:]:
             if y in orbit:
                 continue
-            witness = iso_search(m, {**forced_base, x: y})
+            witness = iso_search(m, {**forced_base, x: y}, codes=codes)
             if witness is not None:
                 witness = tuple(witness)
                 gens.append(witness)
@@ -212,3 +267,4 @@ def automorphisms(m):
                 orbit = _close_orbit(orbit, level_gens)
         order *= len(orbit)
         base.append(x)
+        colors = _individualize(*codes, colors, x)

@@ -125,7 +125,7 @@ def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
     falls short.  A g inside H induces the identity and is rejected too.
     """
 
-    def extend(i: int, chosen: list[Permutation], orbit_of: list[int], start: int) -> bool:
+    def extend(i: int, chosen: list[tuple[int, ...]], orbit_of: list[int], start: int) -> bool:
         if i == len(factors):
             return True  # order n and semiregular, hence regular
         d = factors[i]
@@ -133,11 +133,12 @@ def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
         # generators of equal order are interchangeable: scan forward only
         begin = start if i > 0 and factors[i - 1] == d else 0
         for j in range(begin, len(pool)):
-            g = pool[j]
-            if any(g * c != c * g for c in chosen):
+            g = pool[j].images
+            # g commutes with c iff g(c(x)) = c(g(x)) for every x
+            if any(tuple(map(g.__getitem__, c)) != tuple(map(c.__getitem__, g)) for c in chosen):
                 continue
             # g sends the orbit of x to the orbit of g(x)
-            induced = dict(zip(orbit_of, map(orbit_of.__getitem__, g.images)))
+            induced = dict(zip(orbit_of, map(orbit_of.__getitem__, g)))
             length, cycle_of = _uniform_cycles(induced)
             if length != d:
                 continue

@@ -4,9 +4,11 @@ These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
 pair-orbit preservation directly from the definition, the coset condition
 on the explicit subgroups of Z_n, color refinement by a plain loop over
-every ordered pair, regular abelian subgroups by building each candidate
-subgroup as a set of elements, and up-sets and cover pairs of the partial order
-on abelian groups by testing every group, or every pair, with ``preceq``.
+every ordered pair, the automorphism search by refining every level afresh
+and backtracking over plain pair checks, regular abelian subgroups by
+building each candidate subgroup as a set of elements, and up-sets and cover
+pairs of the partial order on abelian groups by testing every group, or
+every pair, with ``preceq``.
 """
 
 from collections import Counter
@@ -82,6 +84,87 @@ def brute_refine(m, colors):
         if len(table) == len(set(colors)):
             return new
         colors = new
+
+
+def brute_iso_search(m, forced):
+    """The first automorphism of m extending ``forced`` in the engine's order,
+    by plain backtracking, or None.
+
+    Two copies of m, joined by arcs of a color m does not use, are refined as
+    one structure with each forced pair given a color of its own, so a vertex's
+    candidates are the second copy's vertices in its class.  Vertices are
+    mapped in order of their candidate count (ties by index), each trying its
+    candidates in ascending order, and every pair is checked.
+    """
+    n = len(m)
+    cross = min(map(min, m)) - 1
+    union = [[m[i % n][j % n] if (i < n) == (j < n) else cross for j in range(2 * n)] for i in range(2 * n)]
+    rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(n)}))}
+    seed = [rank[m[v % n][v % n]] for v in range(2 * n)]
+    for i, (a, b) in enumerate(sorted(forced.items())):
+        seed[a] = seed[n + b] = len(rank) + i
+    colors = brute_refine(union, seed)
+    cands = [[u for u in range(n) if colors[n + u] == colors[v]] for v in range(n)]
+    order = sorted(range(n), key=lambda v: (len(cands[v]), v))
+    mapping = {}
+
+    def dfs(idx):
+        if idx == n:
+            return True
+        v = order[idx]
+        for u in cands[v]:
+            if u in mapping.values():
+                continue
+            mapping[v] = u
+            if all(m[w][v] == m[mapping[w]][u] and m[v][w] == m[u][mapping[w]] for w in mapping):
+                if dfs(idx + 1):
+                    return True
+            del mapping[v]
+        return False
+
+    return tuple(mapping[v] for v in range(n)) if dfs(0) else None
+
+
+def reference_automorphisms(m):
+    """Generators and order of Aut(m) as the engine's search finds them, with
+    every level refined afresh from the diagonal.
+
+    Each level refines the diagonal colors with every base point so far
+    individualized, takes the first vertex of the first class with more than
+    one vertex as its base point, and measures its orbit by one
+    ``brute_iso_search`` per candidate not yet in it.  When the shift
+    v -> v+1 preserves m, it is the first generator, 0 the first base point
+    and its orbit every vertex.
+    """
+    n = len(m)
+    rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(n)}))}
+    base, gens, order = [], [], 1
+    if n > 1 and all(m[(u + 1) % n][(v + 1) % n] == m[u][v] for u in range(n) for v in range(n)):
+        gens.append(tuple((v + 1) % n for v in range(n)))
+        base.append(0)
+        order = n
+    while True:
+        seed = [rank[m[v][v]] for v in range(n)]
+        for i, b in enumerate(base):
+            seed[b] = len(rank) + i
+        colors = brute_refine(m, seed)
+        classes = [[u for u in range(n) if colors[u] == colors[v]] for v in range(n)]
+        target = next((c for c in classes if len(c) > 1), None)
+        if target is None:
+            return gens, order
+        x = target[0]
+        orbit, level = {x}, []
+        for y in target[1:]:
+            if y in orbit:
+                continue
+            witness = brute_iso_search(m, {**{b: b for b in base}, x: y})
+            if witness is not None:
+                gens.append(witness)
+                level.append(witness)
+                while len(grown := orbit | {g[v] for g in level for v in orbit}) > len(orbit):
+                    orbit = grown
+        order *= len(orbit)
+        base.append(x)
 
 
 def cycle_lengths(g):

@@ -10,7 +10,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from brute import brute_automorphisms, brute_pair_orbit_preservers, brute_refine
+from brute import brute_automorphisms, brute_pair_orbit_preservers, brute_refine, reference_automorphisms
 from circulant import _refine
 from circulant.digraph import Digraph, cayley_digraph, directed_cycle
 from circulant.permgroup import ArcColoring, automorphism_group
@@ -74,6 +74,31 @@ class TestRefine:
             for k in (0, 1, 2):
                 colors = seeded(m, rng.sample(range(n), min(k, n)))
                 assert cells(_refine.refine(m, colors)) == cells(brute_refine(m, colors)), (m, colors)
+
+    def test_levels_start_from_the_last_stable_partition(self):
+        # the search's seeding: diagonal, then each stable coloring with the
+        # next base point individualized by one split on its pair codes
+        rng = random.Random(101)
+        for _ in range(150):
+            m = random_structure(rng)
+            n = len(m)
+            codes = _refine._pair_codes(m)
+            colors = _refine.refine(m, seeded(m, []), codes=codes)
+            assert cells(colors) == cells(brute_refine(m, seeded(m, []))), m
+            base = rng.sample(range(n), min(n, rng.randint(1, 4)))
+            for k, x in enumerate(base, 1):
+                colors = _refine.refine(m, _refine._individualize(*codes, colors, x), codes=codes)
+                assert cells(colors) == cells(brute_refine(m, seeded(m, base[:k]))), (m, base[:k])
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_circulant_pair_codes_are_rotations(self, n):
+        rng = random.Random(n)
+        rows = [[int(x in members) for x in range(n)] for k in range(n + 1) for members in combinations(range(n), k)]
+        rows += [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(20)]
+        for row in rows:
+            m = [row[n - u :] + row[: n - u] for u in range(n)]
+            assert shift_invariant(m)
+            assert _refine._pair_codes(m, circulant=True) == _refine._pair_codes(m), row
 
     def test_pair_refinement_matches_reference_on_isomorphic_pairs(self):
         # two colorings of one circulant, x and x+1 individualized: the shift
@@ -159,6 +184,44 @@ class TestAutomorphismPaths:
             monkeypatch.setattr(_refine, name, counted)
         assert automorphism_group(d).cached_order == d.vertex_count
         assert calls == {"refine": 1, "iso_search": 0}
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_circulant_matches_the_reference_search(self, n):
+        # same generators and order as refining every level from the diagonal
+        for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
+            m = cayley_digraph(n, members).adjacency_matrix()
+            assert _refine.automorphisms(m) == reference_automorphisms(m), members
+
+    def test_relabeled_and_random_structures_match_the_reference_search(self):
+        rng = random.Random(103)
+        for _ in range(60):
+            n = rng.randint(2, 24)
+            m = cayley_digraph(n, {x for x in range(n) if rng.random() < 0.4}).adjacency_matrix()
+            relabeled = relabel(m, rng.sample(range(n), n))
+            assert _refine.automorphisms(relabeled) == reference_automorphisms(relabeled), relabeled
+        for _ in range(100):
+            m = random_structure(rng)
+            assert _refine.automorphisms(m) == reference_automorphisms(m), m
+
+    def test_signature_rounds(self, monkeypatch):
+        rounds = []
+        real = _refine._signatures
+
+        def counted(*args):
+            rounds.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(_refine, "_signatures", counted)
+        m = cayley_digraph(40, {1, 2, 5, 17}).adjacency_matrix()
+        # an already discrete coloring costs at most one round
+        assert _refine.refine(m, list(range(40))) == list(range(40))
+        assert len(rounds) <= 1
+        # Z_40: level 1 splits by the codes to 0, two rounds make it
+        # discrete, and no round confirms it (the diagonal re-seeded each
+        # level took four)
+        rounds.clear()
+        assert _refine.automorphisms(m)[1] == 40
+        assert len(rounds) == 2
 
     def test_shift_must_preserve_the_diagonal(self):
         # the shift preserves every arc of the 6-cycle but not the loop at 0
