@@ -217,8 +217,7 @@ class TestAutomorphismPaths:
         assert _refine.refine(m, list(range(40))) == list(range(40))
         assert len(rounds) <= 1
         # Z_40: level 1 splits by the codes to 0, two rounds make it
-        # discrete, and no round confirms it (the diagonal re-seeded each
-        # level took four)
+        # discrete, and no round confirms it
         rounds.clear()
         assert _refine.automorphisms(m)[1] == 40
         assert len(rounds) == 2
