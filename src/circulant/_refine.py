@@ -19,6 +19,15 @@ is a singleton.  A search for an automorphism extending a partial map
 refines two colorings of one structure side by side with one shared color
 table.
 
+Convolution rounds: when the shift v -> v+1 preserves the matrix and
+n < 256, a round sorts no rows.  The multiset above is the same as the
+counts, per class i and code rank j, of the vertices u of class i whose code
+to v has rank j, and for a circulant those counts are cyclic correlations:
+a few int products per class give them for every v at once
+(``_convolution``, ``_code_counts``).  The signature becomes the color and
+the counts, which gives the same partition.  Other structures, and
+circulants with n >= 256, sort rows.
+
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
 Each level starts from the previous level's stable coloring, and its first
@@ -46,12 +55,34 @@ def _pair_codes(m, circulant=False):
     k = max(map(max, rows), default=0) - lo + 1
     if circulant:
         n = len(m)
-        first = [a * k + b for a, b in zip(m[0], m[0][:1] + m[0][:0:-1])]
-        return [first[n - v :] + first[: n - v] for v in range(n)], k * k
+        first = [a * k + b for a, b in zip(m[0], m[0][:1] + m[0][:0:-1])] * 2
+        return [first[n - v : 2 * n - v] for v in range(n)], k * k
     return [[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))], k * k
 
 
-def _signatures(codes, width, colors, singletons=frozenset()):
+def _convolution(rows):
+    """The convolution kernel of a circulant's pair codes ``rows``, n < 256.
+
+    Code (v, u) has rank r[(v - u) mod n] among the codes, where r[e] is the
+    rank of code (e, 0); r is returned as bytes.  With it, for each rank
+    j > 0, the int whose byte e is 1 where r[e] = j (Kronecker substitution):
+    for X the indicator bytes of a class, doubled, bytes n..2n-1 of X times
+    that int count, for each v, the members u with code (v, u) of rank j.
+    Every count is at most n < 256, so no byte carries.  Rank 0 is left out:
+    its count is the class size less the others'.
+    """
+    column = rows[0][:1] + rows[0][:0:-1]  # code (e, 0) = code (0, -e)
+    rank = {c: j for j, c in enumerate(sorted(set(column)))}
+    r = bytes(map(rank.__getitem__, column))
+    return r, [int.from_bytes(r.translate(_indicator(j)), "little") for j in range(1, len(rank))]
+
+
+def _indicator(j):
+    """A ``bytes.translate`` table taking byte j to 1 and every other to 0."""
+    return bytes(j) + b"\1" + bytes(255 - j)
+
+
+def _sorted_rows(codes, width, colors, singletons):
     """Each vertex's color and the sorted multiset of (color of u, code of
     (v, u)), one int each; a vertex whose color is in ``singletons`` gets an
     empty multiset, since its class cannot split."""
@@ -62,43 +93,97 @@ def _signatures(codes, width, colors, singletons=frozenset()):
     ]
 
 
-def _refine_joint(m, colorings, codes=None):
+def _code_counts(kernel, colors):
+    """Each vertex v's signature as bytes: its color, then class by class
+    the number of u in the class with code (v, u) of each rank, by
+    ``_convolution``'s products.
+
+    The counts fix the multiset ``_sorted_rows`` sorts and are fixed by it,
+    so the two give the same partition.  Colors must be in 0..255, so they
+    fit in a byte.  A singleton class {u} needs
+    no product: its column is r rotated right by u, the rank of the code to
+    u itself.  The largest class (ties: the highest color) is left out,
+    since its counts are the code totals, the same for every vertex, less
+    the other classes'.  Two colorings with equal class sizes therefore get
+    comparable signatures.
+    """
+    r, products = kernel
+    n = len(colors)
+    members = bytes(colors)
+    sizes = Counter(members)
+    skip = max((size, c) for c, size in sizes.items())[1]
+    columns = [members]
+    for c in sorted(sizes):
+        if c == skip:
+            continue
+        if sizes[c] == 1:
+            u = members.index(c)
+            columns.append(r[n - u :] + r[: n - u])
+            continue
+        x = members.translate(_indicator(c))
+        x = int.from_bytes(x + x, "little")
+        columns.extend((x * y).to_bytes(3 * n, "little")[n : 2 * n] for y in products)
+    joined = b"".join(columns)
+    return [joined[v::n] for v in range(n)]
+
+
+def _signatures(codes, width, colors, singletons=frozenset(), kernel=None):
+    """One round's signature of each vertex: by ``_code_counts`` when a
+    convolution ``kernel`` is given, else by ``_sorted_rows``."""
+    if kernel is not None:
+        return _code_counts(kernel, colors)
+    return _sorted_rows(codes, width, colors, singletons)
+
+
+def _refine_joint(m, colorings, codes=None, kernel=None):
     """Refine several colorings of one structure side by side with one shared
     color table.
 
     Returns the stable colorings, or None as soon as two colorings' color
-    classes differ in size.  The colorings must refine the diagonal.  A
-    round that leaves the partition discrete ends the refinement, since a
-    discrete partition is stable.  ``codes`` is ``_pair_codes(m)``, built
-    here when not given.
+    classes differ in size; sizes are compared before every round, so the
+    colorings of a round can share ``_code_counts``' choice of class to
+    leave out.  The colorings must refine the diagonal.  A round that leaves
+    the partition discrete ends the refinement, since a discrete partition
+    is stable.  ``codes`` is ``_pair_codes(m)`` and ``kernel`` its
+    ``_convolution`` or None; when codes are not given, both are built here
+    (``_search_codes``), so a circulant with n < 256 gets the kernel.  With
+    a kernel, colorings holding a color outside 0..255 are first ranked
+    jointly; rounds give ranks, so every later color is below n.
     """
-    codes, width = codes or _pair_codes(m)
-    colorings = [list(c) for c in colorings]
+    if codes is None:
+        _, codes, kernel = _search_codes(m)
+    codes, width = codes
+    if kernel is not None and not 0 <= min(map(min, colorings)) <= max(map(max, colorings)) < 256:
+        rank = {c: i for i, c in enumerate(sorted(set().union(*colorings)))}
+        colorings = [[rank[c] for c in colors] for colors in colorings]
     n = len(m)
-    classes = len(set(colorings[0]))
+    sizes = Counter(colorings[0])
+    done = False
     while True:
-        singletons = frozenset()
-        if len(colorings) == 1:
-            singletons = {c for c, size in Counter(colorings[0]).items() if size == 1}
-        sigs = [_signatures(codes, width, colors, singletons) for colors in colorings]
-        table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
-        new = [[table[s] for s in ss] for ss in sigs]
-        if any(Counter(other) != Counter(new[0]) for other in new[1:]):
+        if any(Counter(other) != sizes for other in colorings[1:]):
             return None
-        if len(table) in (classes, n):
-            return new
-        colorings, classes = new, len(table)
+        if done:
+            return colorings
+        singletons = frozenset()
+        if len(colorings) == 1 and kernel is None:
+            singletons = {c for c, size in sizes.items() if size == 1}
+        sigs = [_signatures(codes, width, colors, singletons, kernel) for colors in colorings]
+        table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
+        done = len(table) in (len(sizes), n)
+        colorings = [[table[s] for s in ss] for ss in sigs]
+        sizes = Counter(colorings[0])
 
 
-def refine(m, colors, *, codes=None):
+def refine(m, colors, *, codes=None, kernel=None):
     """Iterate signature refinement on one structure until the partition is stable.
 
     ``colors`` must refine the diagonal: equal colors, equal m[v][v].  A
-    discrete coloring is returned as it is, with no round.
+    discrete coloring is returned as it is, with no round.  ``codes`` and
+    ``kernel`` are as for ``_refine_joint``.
     """
     if len(set(colors)) == len(colors):
         return list(colors)
-    return _refine_joint(m, (colors,), codes)[0]
+    return _refine_joint(m, (colors,), codes, kernel)[0]
 
 
 def _individualize(codes, width, colors, x):
@@ -121,12 +206,12 @@ def _diagonal_colors(m):
     return [rank[m[v][v]] for v in range(len(m))], len(rank)
 
 
-def iso_search(m, forced, *, codes=None):
+def iso_search(m, forced, *, codes=None, kernel=None):
     """An automorphism of m extending the partial map ``forced``, or None.
 
     Vertices are mapped in order of their candidate count (ties by index),
     each trying its images in ascending order, so the witness returned is
-    deterministic.  ``codes`` is ``_pair_codes(m)``, built when not given.
+    deterministic.  ``codes`` and ``kernel`` are as for ``_refine_joint``.
     """
     n = len(m)
     items = sorted(forced.items())
@@ -143,7 +228,7 @@ def iso_search(m, forced, *, codes=None):
         ca[a] = next_color
         cb[b] = next_color
         next_color += 1
-    refined = _refine_joint(m, (ca, cb), codes)
+    refined = _refine_joint(m, (ca, cb), codes, kernel)
     if refined is None:
         return None
     ca, cb = refined
@@ -187,6 +272,17 @@ def iso_search(m, forced, *, codes=None):
     return None
 
 
+def _search_codes(m):
+    """Whether the shift v -> v+1 preserves m, diagonal included (n row
+    comparisons); m's pair codes; and their ``_convolution`` when it does
+    and n < 256, else None."""
+    n = len(m)
+    first = m[0] * 2 if n > 1 else None
+    shift = n > 1 and all(m[u] == first[n - u : 2 * n - u] for u in range(1, n))
+    codes = _pair_codes(m, shift)
+    return shift, codes, _convolution(codes[0]) if shift and n < 256 else None
+
+
 def _close_orbit(orbit, gens):
     orb = set(orbit)
     frontier = list(orb)
@@ -209,14 +305,16 @@ def automorphisms(m):
     search per unresolved candidate, and the group order is the product of
     the orbit sizes.  Found witnesses generate the full group.
 
-    Pair codes are built once per call and shared by every refinement and
-    search.  Level 0 refines the diagonal coloring; each later level starts
-    from the previous level's stable coloring with its base point
-    individualized, whose first round splits each class by the code to that
-    point (``_individualize``).  Both reach the stable partition that
-    refining the diagonal with every base point individualized reaches:
-    refinement gives the coarsest equitable partition finer than its seed,
-    and the two seeds have the same one.
+    Pair codes, and for a circulant with n < 256 their convolution kernel,
+    are built once per call and shared by every refinement and search.  A
+    level whose refined partition is discrete ends the search.  Level 0
+    refines the diagonal coloring; each later level starts from the previous
+    level's stable coloring with its base point individualized, whose first
+    round splits each class by the code to that point (``_individualize``).
+    Both reach the stable partition that refining the diagonal with every
+    base point individualized reaches: refinement gives the coarsest
+    equitable partition finer than its seed, and the two seeds have the same
+    one.
 
     Shift seeding: if the shift v -> v+1 preserves m, diagonal included (n
     row comparisons), level 0 is resolved without refinement or search.  The
@@ -228,8 +326,7 @@ def automorphisms(m):
     """
     n = len(m)
     colors, _ = _diagonal_colors(m)
-    shift = n > 1 and all(m[(u + 1) % n] == m[u][-1:] + m[u][:-1] for u in range(n))
-    codes = _pair_codes(m, shift)
+    shift, codes, kernel = _search_codes(m)
     base = []
     gens = []
     order = 1
@@ -239,19 +336,14 @@ def automorphisms(m):
         order = n
         colors = _individualize(*codes, colors, 0)
     while True:
-        colors = refine(m, colors, codes=codes)
+        colors = refine(m, colors, codes=codes, kernel=kernel)
+        if len(set(colors)) == n:
+            return gens, order
 
         cells = {}
         for v in range(n):
             cells.setdefault(colors[v], []).append(v)
-        target = None
-        for v in range(n):
-            if len(cells[colors[v]]) > 1:
-                target = cells[colors[v]]
-                break
-        if target is None:
-            return gens, order
-
+        target = next(cells[c] for c in colors if len(cells[c]) > 1)
         x = target[0]
         forced_base = {b: b for b in base}
         orbit = {x}
@@ -259,7 +351,7 @@ def automorphisms(m):
         for y in target[1:]:
             if y in orbit:
                 continue
-            witness = iso_search(m, {**forced_base, x: y}, codes=codes)
+            witness = iso_search(m, {**forced_base, x: y}, codes=codes, kernel=kernel)
             if witness is not None:
                 witness = tuple(witness)
                 gens.append(witness)

@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for caps: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -64,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
     v = instance_command("verify", "cross-validate the analyzer against the oracle", "json", nargs="?")
     v.add_argument("--batch", default=None, help="corpus file in place of the instance, one instance per line, # comments")
-    v.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP, help="element enumeration cap")
-    v.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP, help="digraph size cap for searches")
+    v.add_argument("--cap", type=_positive_int, default=DEFAULT_ELEMENT_CAP, help="element enumeration cap, at least 1")
+    v.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_VERTEX_CAP, help="digraph size cap, at least 1")
     v.add_argument("--strict", action="store_true", help="exit 3 on capacity errors")
     p = sub.add_parser("poset", help="abelian groups of order n with Hasse cover pairs")
     p.add_argument("n", type=int)

@@ -276,14 +276,11 @@ def automorphism_group(
     structure: Union[Digraph, ArcColoring], vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> PermGroup:
     """Full automorphism group of a digraph or arc coloring, with exact order cached."""
-    if isinstance(structure, Digraph):
-        n = structure.vertex_count
-        matrix = structure.adjacency_matrix()
-    else:
-        n = structure.vertex_count
-        matrix = structure.matrix()
+    n = structure.vertex_count
     if n > vertex_cap:
         raise CapacityError("structure too large for automorphism search", vertex_cap)
+    # the engine only reads the matrix, so an arc coloring's rows go in as they are
+    matrix = structure.adjacency_matrix() if isinstance(structure, Digraph) else structure.colors
     gens, order = _refine.automorphisms(matrix)
     return PermGroup(n, tuple(Permutation(g) for g in gens), cached_order=order)
 

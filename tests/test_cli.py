@@ -149,6 +149,16 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "n=12;S=6", "--cap", "100", "--strict")
         assert code == 3
 
+    # a cap below 1 is a usage error, not a report that names it
+    @pytest.mark.parametrize("flag,value", [("--cap", "-1"), ("--vertex-cap", "-5"), ("--cap", "0")])
+    def test_cap_below_one_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "n=16;S=8", flag, value, "--format", "json"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least 1, got {value}" in captured.err
+
     def test_json_names_the_path_and_text_does_not(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "n=8;S=", "--format", "json")
         assert json.loads(out)["path"] == "symmetric"

@@ -11,7 +11,7 @@ from itertools import chain, combinations
 import pytest
 
 from brute import brute_automorphisms, brute_pair_orbit_preservers, brute_refine, reference_automorphisms
-from circulant import _refine
+from circulant import _refine, oracle
 from circulant.digraph import Digraph, cayley_digraph, directed_cycle
 from circulant.permgroup import ArcColoring, automorphism_group
 
@@ -38,6 +38,11 @@ def relabel(m, perm):
         for v in range(n):
             out[perm[u]][perm[v]] = m[u][v]
     return out
+
+
+def circulant(row):
+    n = len(row)
+    return [row[n - u :] + row[: n - u] for u in range(n)]
 
 
 def shift_invariant(m):
@@ -96,7 +101,7 @@ class TestRefine:
         rows = [[int(x in members) for x in range(n)] for k in range(n + 1) for members in combinations(range(n), k)]
         rows += [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(20)]
         for row in rows:
-            m = [row[n - u :] + row[: n - u] for u in range(n)]
+            m = circulant(row)
             assert shift_invariant(m)
             assert _refine._pair_codes(m, circulant=True) == _refine._pair_codes(m), row
 
@@ -120,6 +125,106 @@ class TestRefine:
         # and colorings whose classes differ in size from the start
         empty = Digraph(3, frozenset()).adjacency_matrix()
         assert _refine._refine_joint(empty, ([1, 0, 0], [1, 1, 0])) is None
+
+
+def both_paths(m, colors):
+    """The stable coloring by the convolution kernel and by row sorts."""
+    shift, codes, kernel = _refine._search_codes(m)
+    assert shift and kernel is not None
+    return _refine.refine(m, colors, codes=codes, kernel=kernel), _refine.refine(m, colors, codes=codes)
+
+
+def same_classes(one, other):
+    """Whether two lists of colorings have the same classes under one shared renumbering."""
+    flat_one, flat_other = sum(one, []), sum(other, [])
+    pairs = set(zip(flat_one, flat_other))
+    return len(pairs) == len(set(flat_one)) == len(set(flat_other))
+
+
+class TestConvolution:
+    """Signature rounds by the circulant kernel against row sorts and brute force."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_circulant(self, n):
+        rng = random.Random(n)
+        for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
+            m = circulant([int(x in members) for x in range(n)])
+            # a second base only up to n = 10, and brute force up to n = 8, for time
+            for base in ([0], [0, rng.randrange(1, n)])[: 2 if n <= 10 else 1]:
+                by_kernel, by_rows = both_paths(m, seeded(m, base))
+                assert cells(by_kernel) == cells(by_rows), (members, base)
+                if n <= 8:
+                    assert cells(by_kernel) == cells(brute_refine(m, seeded(m, base))), (members, base)
+
+    def test_arc_colored_rows(self):
+        # negative colors, and code spans above 255: the Sylow search pairs
+        # the tower coloring of Z_27 (colors up to 9) with the adjacency row
+        rng = random.Random(107)
+        rows = [[rng.randrange(-300, 300) for _ in range(rng.randint(2, 30))] for _ in range(40)]
+        rows += [[rng.randrange(-2, 3) for _ in range(rng.randint(2, 30))] for _ in range(40)]
+        rows += [[2 * c + (rng.random() < 0.4) for c in oracle._tower_row(3, 3)] for _ in range(20)]
+        for row in rows:
+            m = circulant(row)
+            n = len(row)
+            for k in (1, 2, 3):
+                colors = seeded(m, rng.sample(range(n), min(k, n)))
+                by_kernel, by_rows = both_paths(m, colors)
+                assert cells(by_kernel) == cells(by_rows) == cells(brute_refine(m, colors)), (row, colors)
+
+    def test_joint_refinement(self):
+        # forced pairs x -> y, whether or not an automorphism maps x to y:
+        # both paths give None, or the same classes under one renumbering;
+        # forced colors from 300 up are ranked below 256 for the kernel
+        rng = random.Random(109)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(2, 30)
+            if rng.random() < 0.5:
+                row = [int(rng.random() < 0.4) for _ in range(n)]
+            else:
+                row = [rng.randrange(-3, 4) for _ in range(n)]
+            m = circulant(row)
+            _, codes, kernel = _refine._search_codes(m)
+            forced = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))]
+            ca, cb = seeded(m, []), seeded(m, [])
+            first = rng.choice((n, 300))
+            for i, (a, b) in enumerate(forced):
+                ca[a] = cb[b] = first + i
+            by_kernel = _refine._refine_joint(m, (ca, cb), codes, kernel)
+            by_rows = _refine._refine_joint(m, (ca, cb), codes)
+            outcomes.add(by_rows is None)
+            assert (by_kernel is None) == (by_rows is None), (row, forced)
+            if by_rows is not None:
+                assert same_classes(by_kernel, by_rows), (row, forced)
+        assert outcomes == {True, False}
+
+    def test_counts_up_to_254_do_not_carry(self):
+        # Z_255 with every non-zero difference an arc: rank 1 (an arc both
+        # ways) has 254 entries, so one class of every vertex counts 254 at each v
+        n = 255
+        r, products = _refine._convolution(circulant([0] + [1] * (n - 1)))
+        assert r == bytes([0] + [1] * (n - 1)) and len(products) == 1
+        x = int.from_bytes(b"\1" * 2 * n, "little")
+        assert (x * products[0]).to_bytes(3 * n, "little")[n : 2 * n] == bytes([254]) * n
+
+    def test_ranks_up_to_254(self):
+        # every difference its own color: 255 code ranks, so the column of
+        # the singleton class {0} holds bytes up to 254
+        row = random.Random(113).sample(range(1000), 255)
+        m = circulant(row)
+        colors = seeded(m, [0])
+        by_kernel, by_rows = both_paths(m, colors)
+        assert max(_refine._search_codes(m)[2][0]) == 254
+        assert cells(by_kernel) == cells(by_rows) == cells(brute_refine(m, colors))
+        assert cells(by_kernel) == [[v] for v in range(255)]
+
+    @pytest.mark.parametrize("n,kernel", [(255, True), (256, False)])
+    def test_kernel_boundary(self, n, kernel):
+        # the kernel needs n < 256; a dense S, with |Aut| = n
+        rng = random.Random(n)
+        m = circulant([int(rng.random() < 0.8) for _ in range(n)])
+        assert (_refine._search_codes(m)[2] is not None) is kernel
+        assert _refine.automorphisms(m) == reference_automorphisms(m)
 
 
 class TestIsoSearch:
@@ -204,23 +309,43 @@ class TestAutomorphismPaths:
             assert _refine.automorphisms(m) == reference_automorphisms(m), m
 
     def test_signature_rounds(self, monkeypatch):
-        rounds = []
-        real = _refine._signatures
+        rounds, kernel_rounds, rows_sorted = [], [], []
+        real, real_counts, real_rows = _refine._signatures, _refine._code_counts, _refine._sorted_rows
 
         def counted(*args):
             rounds.append(1)
             return real(*args)
 
+        def counted_counts(kernel, colors):
+            kernel_rounds.append(1)
+            return real_counts(kernel, colors)
+
+        def counted_rows(codes, width, colors, singletons):
+            rows_sorted.append(sum(c not in singletons for c in colors))
+            return real_rows(codes, width, colors, singletons)
+
         monkeypatch.setattr(_refine, "_signatures", counted)
+        monkeypatch.setattr(_refine, "_code_counts", counted_counts)
+        monkeypatch.setattr(_refine, "_sorted_rows", counted_rows)
         m = cayley_digraph(40, {1, 2, 5, 17}).adjacency_matrix()
         # an already discrete coloring costs at most one round
         assert _refine.refine(m, list(range(40))) == list(range(40))
         assert len(rounds) <= 1
         # Z_40: level 1 splits by the codes to 0, two rounds make it
-        # discrete, and no round confirms it
-        rounds.clear()
+        # discrete, and no round confirms it; both are kernel rounds, and no
+        # row is sorted
+        for calls in (rounds, kernel_rounds, rows_sorted):
+            calls.clear()
         assert _refine.automorphisms(m)[1] == 40
         assert len(rounds) == 2
+        assert len(kernel_rounds) == 2 and sum(rows_sorted) == 0
+        # a relabeled copy the shift does not preserve sorts rows instead
+        relabeled = relabel(m, random.Random(127).sample(range(40), 40))
+        assert not shift_invariant(relabeled)
+        for calls in (rounds, kernel_rounds, rows_sorted):
+            calls.clear()
+        assert _refine.automorphisms(relabeled)[1] == 40
+        assert kernel_rounds == [] and sum(rows_sorted) > 0 and len(rows_sorted) == len(rounds)
 
     def test_shift_must_preserve_the_diagonal(self):
         # the shift preserves every arc of the 6-cycle but not the loop at 0
