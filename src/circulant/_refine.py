@@ -20,13 +20,14 @@ refines two colorings of one structure side by side with one shared color
 table.
 
 Convolution rounds: when the shift v -> v+1 preserves the matrix and
-n < 256, a round sorts no rows.  The multiset above is the same as the
-counts, per class i and code rank j, of the vertices u of class i whose code
-to v has rank j, and for a circulant those counts are cyclic correlations:
-a few int products per class give them for every v at once
-(``_convolution``, ``_code_counts``).  The signature becomes the color and
-the counts, which gives the same partition.  Other structures, and
-circulants with n >= 256, sort rows.
+16 <= n < 256 (``_KERNEL_SIZES``), a round sorts no rows.  The multiset
+above is the same as the counts, per class i and code rank j, of the
+vertices u of class i whose code to v has rank j, and for a circulant those
+counts are cyclic correlations: a few int products per class give them for
+every v at once (``_convolution``, ``_code_counts``).  The signature becomes
+the color and the counts, which gives the same partition.  Other
+structures, and circulants of other sizes, sort rows: below 16 a round's
+products are not reliably faster than sorting n short rows.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
@@ -100,12 +101,14 @@ def _code_counts(kernel, colors):
 
     The counts fix the multiset ``_sorted_rows`` sorts and are fixed by it,
     so the two give the same partition.  Colors must be in 0..255, so they
-    fit in a byte.  A singleton class {u} needs
-    no product: its column is r rotated right by u, the rank of the code to
-    u itself.  The largest class (ties: the highest color) is left out,
-    since its counts are the code totals, the same for every vertex, less
-    the other classes'.  Two colorings with equal class sizes therefore get
-    comparable signatures.
+    fit in a byte (``bytes`` raises otherwise).  The search's are: rounds
+    give ranks below n, and ``iso_search``'s forced colors run from 1 to at
+    most n, since a matrix the shift preserves has one diagonal value.  A
+    singleton class {u} needs no product: its column is r rotated right by
+    u, the rank of the code to u itself.  The largest class (ties: the
+    highest color) is left out, since its counts are the code totals, the
+    same for every vertex, less the other classes'.  Two colorings with
+    equal class sizes therefore get comparable signatures.
     """
     r, products = kernel
     n = len(colors)
@@ -127,15 +130,16 @@ def _code_counts(kernel, colors):
     return [joined[v::n] for v in range(n)]
 
 
-def _signatures(codes, width, colors, singletons=frozenset(), kernel=None):
-    """One round's signature of each vertex: by ``_code_counts`` when a
-    convolution ``kernel`` is given, else by ``_sorted_rows``."""
+def _signatures(codes, colors, singletons=frozenset()):
+    """One round's signature of each vertex: by ``_code_counts`` when
+    ``codes`` carry a convolution kernel, else by ``_sorted_rows``."""
+    rows, width, kernel = codes
     if kernel is not None:
         return _code_counts(kernel, colors)
-    return _sorted_rows(codes, width, colors, singletons)
+    return _sorted_rows(rows, width, colors, singletons)
 
 
-def _refine_joint(m, colorings, codes=None, kernel=None):
+def _refine_joint(m, colorings, codes=None):
     """Refine several colorings of one structure side by side with one shared
     color table.
 
@@ -144,18 +148,11 @@ def _refine_joint(m, colorings, codes=None, kernel=None):
     colorings of a round can share ``_code_counts``' choice of class to
     leave out.  The colorings must refine the diagonal.  A round that leaves
     the partition discrete ends the refinement, since a discrete partition
-    is stable.  ``codes`` is ``_pair_codes(m)`` and ``kernel`` its
-    ``_convolution`` or None; when codes are not given, both are built here
-    (``_search_codes``), so a circulant with n < 256 gets the kernel.  With
-    a kernel, colorings holding a color outside 0..255 are first ranked
-    jointly; rounds give ranks, so every later color is below n.
+    is stable.  ``codes`` is ``_pair_codes(m)`` and a convolution kernel or
+    None, as ``_search_codes`` builds them; when not given, the rounds sort
+    rows.  With a kernel, colors must be below 256.
     """
-    if codes is None:
-        _, codes, kernel = _search_codes(m)
-    codes, width = codes
-    if kernel is not None and not 0 <= min(map(min, colorings)) <= max(map(max, colorings)) < 256:
-        rank = {c: i for i, c in enumerate(sorted(set().union(*colorings)))}
-        colorings = [[rank[c] for c in colors] for colors in colorings]
+    codes = codes or (*_pair_codes(m), None)
     n = len(m)
     sizes = Counter(colorings[0])
     done = False
@@ -165,28 +162,28 @@ def _refine_joint(m, colorings, codes=None, kernel=None):
         if done:
             return colorings
         singletons = frozenset()
-        if len(colorings) == 1 and kernel is None:
+        if len(colorings) == 1 and codes[2] is None:
             singletons = {c for c, size in sizes.items() if size == 1}
-        sigs = [_signatures(codes, width, colors, singletons, kernel) for colors in colorings]
+        sigs = [_signatures(codes, colors, singletons) for colors in colorings]
         table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
         done = len(table) in (len(sizes), n)
         colorings = [[table[s] for s in ss] for ss in sigs]
         sizes = Counter(colorings[0])
 
 
-def refine(m, colors, *, codes=None, kernel=None):
+def refine(m, colors, *, codes=None):
     """Iterate signature refinement on one structure until the partition is stable.
 
     ``colors`` must refine the diagonal: equal colors, equal m[v][v].  A
-    discrete coloring is returned as it is, with no round.  ``codes`` and
-    ``kernel`` are as for ``_refine_joint``.
+    discrete coloring is returned as it is, with no round.  ``codes`` are as
+    for ``_refine_joint``.
     """
     if len(set(colors)) == len(colors):
         return list(colors)
-    return _refine_joint(m, (colors,), codes, kernel)[0]
+    return _refine_joint(m, (colors,), codes)[0]
 
 
-def _individualize(codes, width, colors, x):
+def _individualize(codes, colors, x):
     """The stable coloring ``colors`` with x individualized, after one round.
 
     In a stable coloring a vertex's multiset of (color of u, code of (v, u))
@@ -194,7 +191,8 @@ def _individualize(codes, width, colors, x):
     signature only through the pair (v, x): the round splits each class by
     the code of (v, x), and x is alone.  Returned as ranks.
     """
-    keys = [c * width + row[x] for row, c in zip(codes, colors)]
+    rows, width, _ = codes
+    keys = [c * width + row[x] for row, c in zip(rows, colors)]
     keys[x] = min(keys) - 1
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
     return [rank[k] for k in keys]
@@ -206,12 +204,12 @@ def _diagonal_colors(m):
     return [rank[m[v][v]] for v in range(len(m))], len(rank)
 
 
-def iso_search(m, forced, *, codes=None, kernel=None):
+def iso_search(m, forced, *, codes=None):
     """An automorphism of m extending the partial map ``forced``, or None.
 
     Vertices are mapped in order of their candidate count (ties by index),
     each trying its images in ascending order, so the witness returned is
-    deterministic.  ``codes`` and ``kernel`` are as for ``_refine_joint``.
+    deterministic.  ``codes`` are as for ``_refine_joint``.
     """
     n = len(m)
     items = sorted(forced.items())
@@ -228,7 +226,7 @@ def iso_search(m, forced, *, codes=None, kernel=None):
         ca[a] = next_color
         cb[b] = next_color
         next_color += 1
-    refined = _refine_joint(m, (ca, cb), codes, kernel)
+    refined = _refine_joint(m, (ca, cb), codes)
     if refined is None:
         return None
     ca, cb = refined
@@ -272,15 +270,22 @@ def iso_search(m, forced, *, codes=None, kernel=None):
     return None
 
 
+# n at which convolution rounds are used on a circulant: below 16 a round's
+# per-class products are not reliably faster than sorting n short rows, and
+# from 256 on a count could carry into the next byte
+_KERNEL_SIZES = range(16, 256)
+
+
 def _search_codes(m):
     """Whether the shift v -> v+1 preserves m, diagonal included (n row
-    comparisons); m's pair codes; and their ``_convolution`` when it does
-    and n < 256, else None."""
+    comparisons); and m's pair codes, with their ``_convolution`` when it
+    does and n is in ``_KERNEL_SIZES``, else None."""
     n = len(m)
     first = m[0] * 2 if n > 1 else None
     shift = n > 1 and all(m[u] == first[n - u : 2 * n - u] for u in range(1, n))
-    codes = _pair_codes(m, shift)
-    return shift, codes, _convolution(codes[0]) if shift and n < 256 else None
+    rows, width = _pair_codes(m, shift)
+    kernel = _convolution(rows) if shift and n in _KERNEL_SIZES else None
+    return shift, (rows, width, kernel)
 
 
 def _close_orbit(orbit, gens):
@@ -305,12 +310,13 @@ def automorphisms(m):
     search per unresolved candidate, and the group order is the product of
     the orbit sizes.  Found witnesses generate the full group.
 
-    Pair codes, and for a circulant with n < 256 their convolution kernel,
-    are built once per call and shared by every refinement and search.  A
-    level whose refined partition is discrete ends the search.  Level 0
-    refines the diagonal coloring; each later level starts from the previous
-    level's stable coloring with its base point individualized, whose first
-    round splits each class by the code to that point (``_individualize``).
+    Pair codes, and for a circulant in ``_KERNEL_SIZES`` their convolution
+    kernel, are built once per call and shared by every refinement and
+    search.  A level whose refined partition is discrete ends the search.
+    Level 0 refines the diagonal coloring; each later level starts from the
+    previous level's stable coloring with its base point individualized,
+    whose first round splits each class by the code to that point
+    (``_individualize``).
     Both reach the stable partition that refining the diagonal with every
     base point individualized reaches: refinement gives the coarsest
     equitable partition finer than its seed, and the two seeds have the same
@@ -326,7 +332,7 @@ def automorphisms(m):
     """
     n = len(m)
     colors, _ = _diagonal_colors(m)
-    shift, codes, kernel = _search_codes(m)
+    shift, codes = _search_codes(m)
     base = []
     gens = []
     order = 1
@@ -334,9 +340,9 @@ def automorphisms(m):
         gens.append(tuple(range(1, n)) + (0,))
         base.append(0)
         order = n
-        colors = _individualize(*codes, colors, 0)
+        colors = _individualize(codes, colors, 0)
     while True:
-        colors = refine(m, colors, codes=codes, kernel=kernel)
+        colors = refine(m, colors, codes=codes)
         if len(set(colors)) == n:
             return gens, order
 
@@ -351,7 +357,7 @@ def automorphisms(m):
         for y in target[1:]:
             if y in orbit:
                 continue
-            witness = iso_search(m, {**forced_base, x: y}, codes=codes, kernel=kernel)
+            witness = iso_search(m, {**forced_base, x: y}, codes=codes)
             if witness is not None:
                 witness = tuple(witness)
                 gens.append(witness)
@@ -359,4 +365,4 @@ def automorphisms(m):
                 orbit = _close_orbit(orbit, level_gens)
         order *= len(orbit)
         base.append(x)
-        colors = _individualize(*codes, colors, x)
+        colors = _individualize(codes, colors, x)

@@ -87,12 +87,12 @@ class TestRefine:
         for _ in range(150):
             m = random_structure(rng)
             n = len(m)
-            codes = _refine._pair_codes(m)
+            codes = (*_refine._pair_codes(m), None)
             colors = _refine.refine(m, seeded(m, []), codes=codes)
             assert cells(colors) == cells(brute_refine(m, seeded(m, []))), m
             base = rng.sample(range(n), min(n, rng.randint(1, 4)))
             for k, x in enumerate(base, 1):
-                colors = _refine.refine(m, _refine._individualize(*codes, colors, x), codes=codes)
+                colors = _refine.refine(m, _refine._individualize(codes, colors, x), codes=codes)
                 assert cells(colors) == cells(brute_refine(m, seeded(m, base[:k]))), (m, base[:k])
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -127,11 +127,15 @@ class TestRefine:
         assert _refine._refine_joint(empty, ([1, 0, 0], [1, 1, 0])) is None
 
 
+def kernel_codes(m):
+    """A circulant's pair codes with their convolution kernel, at any n < 256."""
+    rows, width = _refine._pair_codes(m, circulant=True)
+    return rows, width, _refine._convolution(rows)
+
+
 def both_paths(m, colors):
     """The stable coloring by the convolution kernel and by row sorts."""
-    shift, codes, kernel = _refine._search_codes(m)
-    assert shift and kernel is not None
-    return _refine.refine(m, colors, codes=codes, kernel=kernel), _refine.refine(m, colors, codes=codes)
+    return _refine.refine(m, colors, codes=kernel_codes(m)), _refine.refine(m, colors)
 
 
 def same_classes(one, other):
@@ -173,8 +177,7 @@ class TestConvolution:
 
     def test_joint_refinement(self):
         # forced pairs x -> y, whether or not an automorphism maps x to y:
-        # both paths give None, or the same classes under one renumbering;
-        # forced colors from 300 up are ranked below 256 for the kernel
+        # both paths give None, or the same classes under one renumbering
         rng = random.Random(109)
         outcomes = set()
         for _ in range(200):
@@ -184,14 +187,12 @@ class TestConvolution:
             else:
                 row = [rng.randrange(-3, 4) for _ in range(n)]
             m = circulant(row)
-            _, codes, kernel = _refine._search_codes(m)
             forced = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))]
             ca, cb = seeded(m, []), seeded(m, [])
-            first = rng.choice((n, 300))
             for i, (a, b) in enumerate(forced):
-                ca[a] = cb[b] = first + i
-            by_kernel = _refine._refine_joint(m, (ca, cb), codes, kernel)
-            by_rows = _refine._refine_joint(m, (ca, cb), codes)
+                ca[a] = cb[b] = n + i
+            by_kernel = _refine._refine_joint(m, (ca, cb), kernel_codes(m))
+            by_rows = _refine._refine_joint(m, (ca, cb))
             outcomes.add(by_rows is None)
             assert (by_kernel is None) == (by_rows is None), (row, forced)
             if by_rows is not None:
@@ -214,17 +215,34 @@ class TestConvolution:
         m = circulant(row)
         colors = seeded(m, [0])
         by_kernel, by_rows = both_paths(m, colors)
-        assert max(_refine._search_codes(m)[2][0]) == 254
+        assert max(kernel_codes(m)[2][0]) == 254
         assert cells(by_kernel) == cells(by_rows) == cells(brute_refine(m, colors))
         assert cells(by_kernel) == [[v] for v in range(255)]
 
-    @pytest.mark.parametrize("n,kernel", [(255, True), (256, False)])
+    @pytest.mark.parametrize("n,kernel", [(15, False), (16, True), (255, True), (256, False)])
     def test_kernel_boundary(self, n, kernel):
-        # the kernel needs n < 256; a dense S, with |Aut| = n
+        # the search uses the kernel for 16 <= n < 256; a dense S, with |Aut| = n
         rng = random.Random(n)
         m = circulant([int(rng.random() < 0.8) for _ in range(n)])
-        assert (_refine._search_codes(m)[2] is not None) is kernel
+        shift, (_, _, by_kernel) = _refine._search_codes(m)
+        assert shift and (by_kernel is not None) is kernel
         assert _refine.automorphisms(m) == reference_automorphisms(m)
+
+    def test_searches_match_the_reference_search(self, monkeypatch):
+        # circulants and 3-color arc colorings at 16 <= n <= 32 take the
+        # kernel path; so does every circulant with n <= 8 with the kernel on
+        # at every n
+        rng = random.Random(131)
+        for _ in range(60):
+            n, colors = rng.randint(16, 32), rng.choice((2, 3))
+            m = circulant([rng.randrange(colors) for _ in range(n)])
+            assert _refine._search_codes(m)[1][2] is not None
+            assert _refine.automorphisms(m) == reference_automorphisms(m), m
+        monkeypatch.setattr(_refine, "_KERNEL_SIZES", range(1, 256))
+        for n in range(2, 9):
+            for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
+                m = circulant([int(x in members) for x in range(n)])
+                assert _refine.automorphisms(m) == reference_automorphisms(m), members
 
 
 class TestIsoSearch:
