@@ -146,6 +146,12 @@ def coset_condition(s: ConnectionSet, p: int, level: int) -> bool:
     a = _prime_exponent(n, p)
     if not (1 <= level <= a - 1):
         raise ValueError(f"level {level} outside 1..{a - 1} for p={p}, n={n}")
+    return _holds(s, p, a, level)
+
+
+def _holds(s: ConnectionSet, p: int, a: int, level: int) -> bool:
+    """The coset condition for p^a || n and 1 <= level <= a-1, taken as given."""
+    n = s.n
     envelope_step = p ** (a - level)
     subgroup_step = n // p**level
     members = s.members
@@ -168,7 +174,7 @@ def decompose(s: ConnectionSet) -> LayerDecomposition:
         raise ValueError(f"decomposition needs n >= 2, got {s.n}")
     per_prime = []
     for p, a in factorize(s.n).factors:
-        valid = tuple(l for l in range(1, a) if coset_condition(s, p, l))
+        valid = tuple(l for l in range(1, a) if _holds(s, p, a, l))
         bounds = (0,) + valid + (a,)
         sizes = tuple(b - c for b, c in zip(bounds[1:], bounds))
         per_prime.append(PrimeLayers(p, a, valid, sizes))

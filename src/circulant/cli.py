@@ -1,6 +1,7 @@
 """Command-line front end: analyze, decompose, witness, generate, verify, poset."""
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -55,7 +56,13 @@ def _parse_instance(text: str) -> tuple[ConnectionSet, list[str]]:
     return instance, caught
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built on the first call and reused.
+
+    `parse_args` returns a fresh namespace each time and no default is
+    mutable, so nothing carries over from one call of `main` to the next.
+    """
     parser = _Parser(prog="circulant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -111,7 +118,11 @@ def _run_decompose(args) -> int:
         if args.prime is None or layers.p == args.prime
     ]
     if args.prime is not None and not entries:
-        print(f"error: {args.prime} does not divide {decomposition.n}", file=sys.stderr)
+        n = decomposition.n
+        if args.prime > 0 and n % args.prime == 0:
+            print(f"error: {args.prime} is not a prime dividing {n}", file=sys.stderr)
+        else:
+            print(f"error: {args.prime} does not divide {n}", file=sys.stderr)
         return EXIT_ERROR
     if args.fmt == "json":
         print(_json_dumps({"n": decomposition.n, "per_prime": entries}))

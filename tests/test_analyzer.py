@@ -174,6 +174,37 @@ class TestDecompose:
             c = rng.choice(units)
             assert decompose(s) == decompose(ConnectionSet.of(n, {c * x % n for x in s.members}))
 
+    @staticmethod
+    def _assert_levels_match_brute_force(s):
+        for layers in decompose(s).per_prime:
+            expected = tuple(l for l in range(1, layers.a) if brute_coset_condition(s, layers.p, l))
+            assert layers.valid_levels == expected, (s, layers.p)
+
+    @pytest.mark.parametrize("n", [4, 8, 9, 12])
+    def test_levels_match_brute_force_exhaustively(self, n):
+        for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
+            self._assert_levels_match_brute_force(ConnectionSet.of(n, members))
+
+    @pytest.mark.parametrize("n", [16, 27, 32, 48, 64, 81])
+    def test_levels_match_brute_force_random(self, n):
+        rng = random.Random(n)
+        for _ in range(200):
+            self._assert_levels_match_brute_force(_random_instance(rng, n))
+
+    def test_reads_each_exponent_off_the_factorization(self, monkeypatch):
+        # decompose reads each a off factorize(n); only coset_condition re-derives it
+        calls = []
+        exponent = analyzer._prime_exponent
+
+        def counted(n, p):
+            calls.append((n, p))
+            return exponent(n, p)
+
+        monkeypatch.setattr(analyzer, "_prime_exponent", counted)
+        for s in (EXAMPLE_45, EXAMPLE_9, EXAMPLE_8, ConnectionSet.of(1048576, [1, 3, 5, 7])):
+            decompose(s)
+        assert calls == []
+
 
 class TestMinimalAndRealizable:
     def test_worked_example_minimal_cyclic(self):

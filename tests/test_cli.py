@@ -79,6 +79,12 @@ class TestDecompose:
         assert code == 1
         assert "does not divide" in err
 
+    def test_prime_that_divides_but_is_not_prime(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "n=8;S=1", "--prime", "4")
+        assert code == 1
+        assert out == ""
+        assert "error: 4 is not a prime dividing 8" in err
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "n=8;S=4", "--format", "json")
         payload = json.loads(out)
@@ -284,6 +290,48 @@ class TestParser:
         code, out, _ = run_cli(capsys, "verify", "n=8;S=4", "--format", "json")
         verified = json.loads(out)["predicted"]
         assert analyzed == verified
+
+    # main builds its parser once per process; these calls reuse it
+
+    def test_prime_filter_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose", "n=45;S=0,1,15,30", "--prime", "3")
+        assert code == 0
+        assert "5^1" not in out
+        code, out, _ = run_cli(capsys, "decompose", "n=45;S=0,1,15,30")
+        assert code == 0
+        assert "p = 3^2" in out
+        assert "p = 5^1" in out
+
+    def test_strict_does_not_carry_over(self, capsys):
+        code, _, _ = run_cli(capsys, "verify", "n=12;S=6", "--cap", "100", "--strict")
+        assert code == 3
+        code, out, _ = run_cli(capsys, "verify", "n=12;S=6", "--cap", "100")
+        assert code == 0
+        assert "oracle-capped" in out
+
+    def test_valid_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "n=8;S=4", "--format", "dot"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "analyze", "n=8;S=4", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n"] == 8
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        run_cli(capsys, "analyze", "n=8;S=4")
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        run_cli(capsys, "analyze", "n=45;S=0,1,15,30")
+        run_cli(capsys, "decompose", "n=8;S=4")
+        run_cli(capsys, "verify", "n=8;S=4")
+        assert built == []
 
 
 def _cap_address_space():
