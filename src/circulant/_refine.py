@@ -29,6 +29,17 @@ the color and the counts, which gives the same partition.  Other
 structures, and circulants of other sizes, sort rows: below 16 a round's
 products are not reliably faster than sorting n short rows.
 
+Circulant input: a circulant comes in as its row 0, wrapped in the
+read-only view ``Circulant``: entry [u][v] is row[(v - u) mod n], and row u
+is built only when it is indexed.  The shift v -> v+1 preserves such a
+matrix by construction, so it is not tested row by row, and the diagonal is
+the constant row[0].  The pair codes are the view of their row 0, each
+individualization reads the codes to x by index arithmetic on that row, and
+convolution rounds read row 0 alone.  Rows are built only where they are
+read: the codes' rows before row-sort rounds, and the matrix's rows before
+the first search for an automorphism, whose backtracking indexes plain
+tuples.
+
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
 Each level starts from the previous level's stable coloring, and its first
@@ -42,22 +53,58 @@ from collections import Counter
 from operator import add
 
 
+class Circulant:
+    """The read-only n x n matrix [u][v] = row[(v - u) mod n] of its row 0.
+
+    Row u, row 0 rotated right by u, is built when it is first indexed and
+    kept; iterating builds every row.  The engine reads a circulant's shift,
+    diagonal, pair codes and convolution kernel from ``row`` alone.
+    """
+
+    __slots__ = ("row", "_rows")
+
+    def __init__(self, row):
+        self.row = tuple(row)
+        self._rows = [None] * len(self.row)
+
+    def __len__(self):
+        return len(self.row)
+
+    def __getitem__(self, u):
+        built = self._rows[u]
+        if built is None:
+            n = len(self.row)
+            u %= n
+            built = self._rows[u] = self.row[n - u :] + self.row[: n - u]
+        return built
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.row)))
+
+    # equal first rows, equal matrices: ArcColorings compare by value
+    def __eq__(self, other):
+        return self.row == other.row if isinstance(other, Circulant) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.row)
+
+
 def _pair_codes(m, circulant=False):
     """Row v codes each pair (v, u) by (m[v][u], m[u][v]).
 
     With k the span of the colors, the code a*k + b is one to one and all
     codes lie in a window of k*k consecutive ints, the second value returned.
     When m is circulant (the shift v -> v+1 preserves it), so are the codes:
-    row 0 is built from row and column 0 of m, and row v is row 0 rotated
-    right by v.
+    they are returned as the ``Circulant`` of their row 0, which is built
+    from row and column 0 of m alone.
     """
-    rows = m[:1] if circulant else m
-    lo = min(map(min, rows), default=0)
-    k = max(map(max, rows), default=0) - lo + 1
     if circulant:
-        n = len(m)
-        first = [a * k + b for a, b in zip(m[0], m[0][:1] + m[0][:0:-1])] * 2
-        return [first[n - v : 2 * n - v] for v in range(n)], k * k
+        first = m[0]
+        k = max(first) - min(first) + 1
+        # code (0, u) = first[u] * k + m[u][0], and m[u][0] = first[-u]
+        return Circulant(map(add, map(k.__mul__, first), first[:1] + first[:0:-1])), k * k
+    lo = min(map(min, m), default=0)
+    k = max(map(max, m), default=0) - lo + 1
     return [[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))], k * k
 
 
@@ -148,9 +195,11 @@ def _refine_joint(m, colorings, codes=None):
     colorings of a round can share ``_code_counts``' choice of class to
     leave out.  The colorings must refine the diagonal.  A round that leaves
     the partition discrete ends the refinement, since a discrete partition
-    is stable.  ``codes`` is ``_pair_codes(m)`` and a convolution kernel or
-    None, as ``_search_codes`` builds them; when not given, the rounds sort
-    rows.  With a kernel, colors must be below 256.
+    is stable: a single coloring is returned right after that round, and
+    several have their class sizes compared once more.  ``codes`` is
+    ``_pair_codes(m)`` and a convolution kernel or None, as
+    ``_search_codes`` builds them; when not given, the rounds sort rows.
+    With a kernel, colors must be below 256.
     """
     codes = codes or (*_pair_codes(m), None)
     n = len(m)
@@ -168,6 +217,8 @@ def _refine_joint(m, colorings, codes=None):
         table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
         done = len(table) in (len(sizes), n)
         colorings = [[table[s] for s in ss] for ss in sigs]
+        if done and len(colorings) == 1:
+            return colorings
         sizes = Counter(colorings[0])
 
 
@@ -189,17 +240,29 @@ def _individualize(codes, colors, x):
     In a stable coloring a vertex's multiset of (color of u, code of (v, u))
     depends on its color alone, so giving x a color of its own changes v's
     signature only through the pair (v, x): the round splits each class by
-    the code of (v, x), and x is alone.  Returned as ranks.
+    the code of (v, x), and x is alone.  Returned as ranks.  For codes held
+    as a ``Circulant``, code (v, x) is row[(x - v) mod n], so the column is a
+    reversed slice of the doubled row 0.
     """
     rows, width, _ = codes
-    keys = [c * width + row[x] for row, c in zip(rows, colors)]
+    if isinstance(rows, Circulant):
+        n = len(rows)
+        column = (rows.row * 2)[x + n : x : -1]
+    else:
+        column = [row[x] for row in rows]
+    keys = [c * width + e for c, e in zip(colors, column)]
     keys[x] = min(keys) - 1
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
     return [rank[k] for k in keys]
 
 
 def _diagonal_colors(m):
-    """Each vertex's rank among the distinct diagonal values, and their count."""
+    """Each vertex's rank among the distinct diagonal values, and their count.
+
+    A ``Circulant``'s diagonal is the constant row[0].
+    """
+    if isinstance(m, Circulant):
+        return [0] * len(m), 1
     rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(len(m))}))}
     return [rank[m[v][v]] for v in range(len(m))], len(rank)
 
@@ -277,14 +340,26 @@ _KERNEL_SIZES = range(16, 256)
 
 
 def _search_codes(m):
-    """Whether the shift v -> v+1 preserves m, diagonal included (n row
-    comparisons); and m's pair codes, with their ``_convolution`` when it
-    does and n is in ``_KERNEL_SIZES``, else None."""
+    """Whether the shift v -> v+1 preserves m, diagonal included; and m's
+    pair codes, with their ``_convolution`` when it does and n is in
+    ``_KERNEL_SIZES``, else None.
+
+    A ``Circulant`` is preserved by definition; any other matrix is tested
+    by n row comparisons.  Circulant codes without a kernel are built row
+    by row here, once, since every row-sort round reads every row.
+    """
     n = len(m)
-    first = m[0] * 2 if n > 1 else None
-    shift = n > 1 and all(m[u] == first[n - u : 2 * n - u] for u in range(1, n))
+    if isinstance(m, Circulant):
+        shift = n > 1
+    else:
+        first = m[0] * 2 if n > 1 else None
+        shift = n > 1 and all(m[u] == first[n - u : 2 * n - u] for u in range(1, n))
     rows, width = _pair_codes(m, shift)
-    kernel = _convolution(rows) if shift and n in _KERNEL_SIZES else None
+    kernel = None
+    if shift and n in _KERNEL_SIZES:
+        kernel = _convolution(rows)
+    elif shift:
+        rows = tuple(rows)
     return shift, (rows, width, kernel)
 
 
@@ -322,13 +397,20 @@ def automorphisms(m):
     equitable partition finer than its seed, and the two seeds have the same
     one.
 
-    Shift seeding: if the shift v -> v+1 preserves m, diagonal included (n
-    row comparisons), level 0 is resolved without refinement or search.  The
-    shift is the first generator, vertex 0 the first base point, and its
-    orbit is every vertex; this is the level the search would have reached,
-    since a transitive group leaves one cell and 0 is its first vertex.  The
-    pair codes are then rotations of their row 0, and level 1 starts from
-    the diagonal, stable under a transitive group, split by vertex 0.
+    Shift seeding: if the shift v -> v+1 preserves m, diagonal included,
+    level 0 is resolved without refinement or search.  A ``Circulant`` is
+    preserved by definition; any other matrix is tested by n row
+    comparisons.  The shift is the first generator, vertex 0 the first base
+    point, and its orbit is every vertex; this is the level the search would
+    have reached, since a transitive group leaves one cell and 0 is its
+    first vertex.  The pair codes are then rotations of their row 0, and
+    level 1 starts from the diagonal, stable under a transitive group, split
+    by vertex 0.
+
+    m may be a ``Circulant``: its rows are then built only if a level needs
+    a search, once, before the first ``iso_search``.  A circulant whose
+    refinement with vertex 0 individualized is discrete, so that |Aut| = n,
+    costs row 0 of the matrix and of its codes.
     """
     n = len(m)
     colors, _ = _diagonal_colors(m)
@@ -351,6 +433,8 @@ def automorphisms(m):
             cells.setdefault(colors[v], []).append(v)
         target = next(cells[c] for c in colors if len(cells[c]) > 1)
         x = target[0]
+        if isinstance(m, Circulant):
+            m = tuple(m)  # the search's backtracking indexes plain tuples
         forced_base = {b: b for b in base}
         orbit = {x}
         level_gens = []

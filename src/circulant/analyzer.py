@@ -195,8 +195,9 @@ def realizable_groups(s: ConnectionSet) -> tuple[list[AbelianType], bool]:
     return up_set(minimal_group(s)), arithmetic_condition(s.n)
 
 
-def product_type_witness(s: ConnectionSet) -> list[Digraph]:
-    """Per prime, the canonical tower digraph over that prime's layers.
+def product_type_witness(s: ConnectionSet) -> list[tuple[int, Digraph]]:
+    """Per prime p, in increasing order, p and the canonical tower digraph
+    over p's layers.
 
     Layers feed the tower top-down (reversed), so the outermost wreath factor
     corresponds to the topmost layer, matching how block-local translations
@@ -204,7 +205,7 @@ def product_type_witness(s: ConnectionSet) -> list[Digraph]:
     """
     decomposition = decompose(s)
     return [
-        tower_digraph(layers.p, tuple(reversed(layers.layer_sizes)))
+        (layers.p, tower_digraph(layers.p, tuple(reversed(layers.layer_sizes))))
         for layers in decomposition.per_prime
     ]
 

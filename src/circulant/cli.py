@@ -133,9 +133,7 @@ def _run_decompose(args) -> int:
 
 
 def _run_witness(args) -> int:
-    towers = product_type_witness(args.instance)
-    primes = [layers.p for layers in decompose(args.instance).per_prime]
-    for p, tower in zip(primes, towers):
+    for p, tower in product_type_witness(args.instance):
         if args.fmt == "dot":
             print(dot_text(tower, name=f"tower_p{p}"))
         else:
@@ -152,6 +150,12 @@ def _run_generate(args) -> int:
     else:
         print(s.text())
     return EXIT_OK
+
+
+def _capacity_exit(exc: CapacityError, strict: bool, where: str = "") -> int:
+    """Report a tripped cap, prefixed by ``where`` (a batch line), and its exit code."""
+    print(f"capacity: {where}{exc}", file=sys.stderr)
+    return EXIT_CAPACITY if strict else EXIT_ERROR
 
 
 def _verdict_exit(verdicts: list[str], strict: bool) -> int:
@@ -174,7 +178,7 @@ def _run_verify(args) -> int:
     if (args.instance is None) == (args.batch is None):
         print("error: verify needs exactly one of an instance literal or --batch", file=sys.stderr)
         return EXIT_ERROR
-    instances = []
+    instances = []  # (where, instance): where names the batch line, "FILE:LINE: "
     if args.batch is not None:
         try:
             with open(args.batch, encoding="utf-8") as handle:
@@ -193,12 +197,15 @@ def _run_verify(args) -> int:
                 return EXIT_ERROR
             for w in warns:
                 print(f"warning: {args.batch}:{lineno}: {w}", file=sys.stderr)
-            instances.append(instance)
+            instances.append((f"{args.batch}:{lineno}: ", instance))
     else:
-        instances.append(args.instance)
+        instances.append(("", args.instance))
     verdicts = []
-    for instance in instances:
-        report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
+    for where, instance in instances:
+        try:
+            report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
+        except CapacityError as exc:
+            return _capacity_exit(exc, args.strict, where)
         verdicts.append(report.verdict)
         print(_report_line(report, args.fmt))
     return _verdict_exit(verdicts, args.strict)
@@ -252,8 +259,7 @@ def main(argv=None) -> int:
                 print(f"warning: {message}", file=sys.stderr)
         return _COMMANDS[args.command](args)
     except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY if getattr(args, "strict", False) else EXIT_ERROR
+        return _capacity_exit(exc, getattr(args, "strict", False))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -240,7 +240,9 @@ def cross_validate(
     if n > vertex_cap:
         capped_by = {"cap": "vertex_cap", "value": vertex_cap}
         return ValidationReport(n, members, predicted, None, ORACLE_CAPPED, capped_by=capped_by)
-    adjacency = [int(x in s.members) for x in range(n)]
+    adjacency = [0] * n
+    for x in s.members:
+        adjacency[x] = 1
     aut = automorphism_group(circulant_coloring(adjacency), vertex_cap=vertex_cap)
     aut_order = aut.order()
     if aut_order == n:

@@ -10,7 +10,7 @@ the returned group.
 import math
 from dataclasses import dataclass, field
 from operator import eq, ne
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import _refine
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, Digraph
@@ -221,11 +221,17 @@ def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
 
 @dataclass(frozen=True)
 class ArcColoring:
-    """Complete arc coloring of ordered pairs; the diagonal colors vertices."""
+    """Complete arc coloring of ordered pairs; the diagonal colors vertices.
 
-    colors: tuple[tuple[int, ...], ...]
+    ``colors`` is a square matrix of rows, or the engine's read-only
+    ``_refine.Circulant`` view of a first row, square by construction.
+    """
+
+    colors: Sequence[Sequence[int]]
 
     def __post_init__(self):
+        if isinstance(self.colors, _refine.Circulant):
+            return
         n = len(self.colors)
         if any(len(row) != n for row in self.colors):
             raise ValueError("color matrix must be square")
@@ -242,11 +248,12 @@ def circulant_coloring(row: Iterable[int]) -> ArcColoring:
     """The circulant arc coloring with first row ``row``: [u][v] = row[(v - u) % n].
 
     Row u is row 0 rotated right by u.  With row[x] = 1 for x in S and 0
-    otherwise it is the adjacency matrix of Cay(Z_n, S).
+    otherwise it is the adjacency matrix of Cay(Z_n, S).  The coloring holds
+    the engine's ``_refine.Circulant`` view of the row, which builds row u
+    only when it is indexed, so the engine reads the circulant from its row
+    0 and builds no n x n matrix unless its search needs one.
     """
-    row = tuple(row)
-    n = len(row)
-    return ArcColoring(tuple(row[n - u:] + row[:n - u] for u in range(n)))
+    return ArcColoring(_refine.Circulant(row))
 
 
 def orbital_coloring(group: PermGroup) -> ArcColoring:
@@ -279,7 +286,8 @@ def automorphism_group(
     n = structure.vertex_count
     if n > vertex_cap:
         raise CapacityError("structure too large for automorphism search", vertex_cap)
-    # the engine only reads the matrix, so an arc coloring's rows go in as they are
+    # the engine only reads the matrix, so an arc coloring's rows, or its
+    # circulant view, go in as they are
     matrix = structure.adjacency_matrix() if isinstance(structure, Digraph) else structure.colors
     gens, order = _refine.automorphisms(matrix)
     return PermGroup(n, tuple(Permutation(g) for g in gens), cached_order=order)

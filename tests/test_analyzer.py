@@ -257,16 +257,15 @@ class TestMinimalAndRealizable:
 
 class TestWitness:
     def test_block_example_tower(self):
-        (tower,) = product_type_witness(EXAMPLE_9)
+        ((p, tower),) = product_type_witness(EXAMPLE_9)
+        assert p == 3
         assert tower == tower_digraph(3, (1, 1))
 
     def test_worked_example_directed_cycles(self):
-        towers = product_type_witness(EXAMPLE_45)
-        assert towers[0] == directed_cycle(9)
-        assert towers[1] == directed_cycle(5)
+        assert product_type_witness(EXAMPLE_45) == [(3, directed_cycle(9)), (5, directed_cycle(5))]
 
     def test_digon_stack_tower(self):
-        (tower,) = product_type_witness(EXAMPLE_8)
+        ((_, tower),) = product_type_witness(EXAMPLE_8)
         assert tower == tower_digraph(2, (1, 1, 1))
 
     def test_witness_tower_matches_wreathed_four_cycles(self):
@@ -274,7 +273,7 @@ class TestWitness:
         # presentation (isomorphic to the tower, see test_digraph), and the
         # tower's automorphism order matches the digraph's exactly
         s = ConnectionSet.of(16, [1, 4, 5, 9, 13])
-        (tower,) = product_type_witness(s)
+        ((_, tower),) = product_type_witness(s)
         assert tower == tower_digraph(2, (2, 2))
         assert tower_connection_set(2, (2, 2)) == (s.n, s.members)
         assert automorphism_group(tower).cached_order == 1024
@@ -287,7 +286,7 @@ class TestWitness:
         layers = decompose(s).for_prime(2)
         assert layers.valid_levels == (1,)
         assert layers.layer_sizes == (1, 2)
-        (tower,) = product_type_witness(s)
+        ((_, tower),) = product_type_witness(s)
         assert tower == tower_digraph(2, (2, 1))
         # the swapped tower is not isomorphic: its automorphism group is smaller
         assert automorphism_group(tower).cached_order == 64

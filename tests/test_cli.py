@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import circulant.cli as cli
-from circulant import oracle
+from circulant import analyzer, oracle
 from circulant.abelian import AbelianType
 from circulant.analyzer import ConnectionSet
 from circulant.cli import main
@@ -102,6 +102,21 @@ class TestWitness:
         code, out, _ = run_cli(capsys, "witness", "n=9;S=3,6", "--format", "dot")
         assert code == 0
         assert "digraph tower_p3" in out
+
+    def test_decomposes_once(self, capsys, monkeypatch):
+        calls = []
+        real = analyzer.decompose
+
+        def counted(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(analyzer, "decompose", counted)
+        monkeypatch.setattr(cli, "decompose", counted)
+        code, out, _ = run_cli(capsys, "witness", "n=45;S=0,1,15,30")
+        assert code == 0
+        assert out.index("# p=3") < out.index("# p=5")
+        assert len(calls) == 1
 
 
 class TestGenerate:
@@ -205,6 +220,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--batch", str(corpus))
         assert code == 1
         assert ":2:" in err
+
+    # with S empty every group of order 2^50 is realizable, past the group cap
+    @pytest.mark.parametrize("flags,exit_code", [((), 1), (("--strict",), 3)])
+    def test_batch_capacity_error_names_line(self, capsys, tmp_path, flags, exit_code):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("n=8;S=1\nn=1125899906842624;S=\nn=9;S=1,2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), *flags)
+        assert code == exit_code
+        assert out == "n=8 S=[1] predicted=[Z8] actual=[Z8] verdict=exact-match\n"
+        assert err == f"capacity: {corpus}:2: up-set of Z2^50 would have 204226 groups (cap=100000)\n"
 
     def test_needs_instance_or_batch(self, capsys):
         code, _, err = run_cli(capsys, "verify")

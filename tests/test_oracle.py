@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from brute import element_order, element_set_search, element_set_types
-from circulant import oracle
+from circulant import _refine, oracle
 from circulant.abelian import AbelianType, enumerate_abelian
 from circulant.arith import factorize
 from circulant.analyzer import ConnectionSet, realizable_groups
@@ -460,3 +460,27 @@ class TestPaths:
         report = cross_validate(ConnectionSet.of(40, [1, 2, 5, 17]))
         assert (report.path, report.aut_order, report.verdict) == ("regular", 40, EXACT_MATCH)
         assert calls == {"elements": 0, "_search_type": 0, "digraph": 0, "adjacency_matrix": 0}
+
+    def test_regular_path_builds_only_row_zero(self, monkeypatch):
+        # connected, co-connected circulants at n = 40..64 with |Aut| = n:
+        # the engine reads the matrix and its pair codes from row 0 alone
+        indexed = []
+        real = _refine.Circulant.__getitem__
+
+        def recording(view, u):
+            indexed.append(u)
+            return real(view, u)
+
+        monkeypatch.setattr(_refine.Circulant, "__getitem__", recording)
+        rng = random.Random(151)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(40, 64)
+            s = {x for x in range(1, n) if rng.random() < 0.5}
+            if gcd(n, *s) != 1 or gcd(n, *(set(range(1, n)) - s)) != 1:
+                continue
+            indexed.clear()
+            report = cross_validate(ConnectionSet.of(n, s))
+            assert (report.path, report.aut_order) == ("regular", n), (n, sorted(s))
+            assert set(indexed) == {0}, (n, sorted(s))
+            checked += 1

@@ -255,6 +255,12 @@ class TestCirculantColoring:
         colors = circulant_coloring(row).colors
         assert all(colors[u][v] == row[(v - u) % 7] for u in range(7) for v in range(7))
 
+    def test_colorings_compare_by_first_row(self):
+        coloring = circulant_coloring([1, 0, 1, 1])
+        assert coloring == circulant_coloring((1, 0, 1, 1))
+        assert hash(coloring) == hash(circulant_coloring(iter([1, 0, 1, 1])))
+        assert coloring != circulant_coloring([1, 1, 0, 1])
+
 
 class TestTwoClosure:
     def test_trivial_group(self):

@@ -6,6 +6,7 @@ two exercises both paths.
 """
 
 import random
+from collections import Counter
 from itertools import chain, combinations
 
 import pytest
@@ -97,13 +98,17 @@ class TestRefine:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_circulant_pair_codes_are_rotations(self, n):
+        # a circulant's codes come as the view of their row 0; its rows,
+        # built, are the codes of the whole matrix
         rng = random.Random(n)
         rows = [[int(x in members) for x in range(n)] for k in range(n + 1) for members in combinations(range(n), k)]
         rows += [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(20)]
         for row in rows:
             m = circulant(row)
             assert shift_invariant(m)
-            assert _refine._pair_codes(m, circulant=True) == _refine._pair_codes(m), row
+            view, width = _refine._pair_codes(m, circulant=True)
+            codes, full_width = _refine._pair_codes(m)
+            assert ([list(r) for r in view], width) == (codes, full_width), row
 
     def test_pair_refinement_matches_reference_on_isomorphic_pairs(self):
         # two colorings of one circulant, x and x+1 individualized: the shift
@@ -243,6 +248,80 @@ class TestConvolution:
             for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
                 m = circulant([int(x in members) for x in range(n)])
                 assert _refine.automorphisms(m) == reference_automorphisms(m), members
+
+
+def dense(row):
+    """The circulant with first row ``row`` as tuple rows, entry by entry."""
+    n = len(row)
+    return tuple(tuple(row[(v - u) % n] for v in range(n)) for u in range(n))
+
+
+class TestCirculantView:
+    """A circulant given as its ``Circulant`` view against the same matrix as
+    tuple rows, on which the engine tests the shift row by row."""
+
+    def test_entries_follow_the_difference(self):
+        rng = random.Random(137)
+        for n in range(1, 20):
+            row = [rng.randrange(-2, 3) for _ in range(n)]
+            view = _refine.Circulant(row)
+            assert len(view) == n and list(view) == list(dense(row)), row
+            # a row indexed out of order is built once and kept
+            u = rng.randrange(n)
+            assert view[u] is view[u]
+            assert view[u - n] == dense(row)[u]
+
+    def assert_same_search(self, row):
+        m = dense(row)
+        assert _refine._search_codes(m)[0] is (len(row) > 1)
+        assert _refine.automorphisms(_refine.Circulant(row)) == _refine.automorphisms(m), row
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_adjacency_row(self, n):
+        for mask in range(2**n):
+            self.assert_same_search([mask >> x & 1 for x in range(n)])
+
+    @pytest.mark.parametrize("n", [16, 25, 27, 40, 64])
+    def test_arc_colored_rows(self, n):
+        rng = random.Random(n)
+        for _ in range(100):
+            self.assert_same_search([rng.randrange(-2, 3) for _ in range(n)])
+
+    @pytest.mark.parametrize("p,a", [(2, 4), (3, 3), (5, 2)])
+    def test_tower_rows_paired_with_adjacency(self, p, a):
+        # the Sylow search's colorings: the tower row paired with an adjacency row
+        rng = random.Random(p**a)
+        for _ in range(40):
+            self.assert_same_search([2 * c + (rng.random() < 0.4) for c in oracle._tower_row(p, a)])
+
+    def test_a_tuple_matrix_is_tested_for_the_shift(self):
+        # the 6-cycle with a loop at 0 alone is not circulant; its tuple rows
+        # get no shift, however close to circulant they are
+        m = [list(r) for r in dense([0, 1, 0, 0, 0, 0])]
+        m[0][0] = 1
+        m = tuple(map(tuple, m))
+        assert _refine._search_codes(m)[0] is False
+        assert _refine.automorphisms(m) == ([], 1)
+
+
+class TestJointRefinement:
+    def test_returned_colorings_have_equal_class_sizes(self):
+        # a round may leave one coloring discrete and not the other; only a
+        # single coloring returns right after its discrete round, two are
+        # compared once more
+        rng = random.Random(139)
+        outcomes = Counter()
+        for _ in range(400):
+            m = random_structure(rng)
+            n = len(m)
+            ca, cb = seeded(m, []), seeded(m, [])
+            for i in range(rng.randint(1, 2)):
+                ca[rng.randrange(n)] = cb[rng.randrange(n)] = n + i
+            refined = _refine._refine_joint(m, (ca, cb))
+            outcomes[refined is None] += 1
+            if refined is not None:
+                assert Counter(refined[0]) == Counter(refined[1]), (m, ca, cb)
+        assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 class TestIsoSearch:
