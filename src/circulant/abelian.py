@@ -10,12 +10,15 @@ partitions.  In dominance order a partition's covers move one box up from
 row j to a row i < j, where j = i + 1 or rows i and j have equal length
 (T. Brylawski, "The lattice of integer partitions", Discrete Math. 6, 1973).
 Lists of groups are counted before they are built and capped at
-GROUP_LIST_CAP.
+GROUP_LIST_CAP; a count grows as it goes, so it stops once past the cap.
+One helper (_up_closures) counts and walks an up-set prime by prime:
+up_set builds groups from it, and the analyzer's report writes each
+partition straight to text with PPartition.text_of.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from math import prod
 
 from .arith import factorize
@@ -51,6 +54,18 @@ class PPartition:
     @property
     def order(self) -> int:
         return self.p ** self.exponent_sum
+
+    @staticmethod
+    def text_of(p: int, parts: tuple[int, ...]) -> str:
+        """Canonical text of the p-group with these parts, e.g. "Z9", "Z3^2", "Z8xZ2^2".
+
+        A static method, so that callers holding only (p, parts) build no object.
+        """
+        pieces = []
+        for e in dict.fromkeys(parts):  # the distinct parts, largest first
+            count = parts.count(e)
+            pieces.append(f"Z{p**e}" if count == 1 else f"Z{p**e}^{count}")
+        return "x".join(pieces)
 
 
 @dataclass(frozen=True)
@@ -93,15 +108,7 @@ class AbelianType:
 
     def text(self) -> str:
         """Canonical text form: prime powers joined by "x", e.g. "Z9xZ5", "Z3^2xZ5"."""
-        if not self.sylow:
-            return "Z1"
-        pieces = []
-        for s in self.sylow:
-            for e, run in groupby(s.parts):
-                count = len(list(run))
-                q = s.p ** e
-                pieces.append(f"Z{q}" if count == 1 else f"Z{q}^{count}")
-        return "x".join(pieces)
+        return "x".join([PPartition.text_of(s.p, s.parts) for s in self.sylow]) or "Z1"
 
     def __str__(self) -> str:
         return self.text()
@@ -160,7 +167,7 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def _dominating_count(parts: tuple[int, ...]) -> int:
+def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int | None:
     """The number of partitions of sum(parts) that dominate parts; p(a) at 1^a.
 
     Rows are placed largest first.  A prefix of k rows with sum s and last
@@ -170,6 +177,12 @@ def _dominating_count(parts: tuple[int, ...]) -> int:
     dominating partition has no more rows than parts), so the prefix counts
     as q(a - s, m), the partitions of a - s into rows of at most m, and is
     dropped.  Memory is O(a^2) whatever the answer.
+
+    The count never decreases, so once it passes cap on a row of more than
+    one prefix the walk stops and returns None: the answer is more than
+    cap.  Each row is extended largest row first, so the next row meets the
+    prefixes that are counted, not extended, first.  p(a) at 1^a, counted
+    on the first row's only prefix, is exact whatever its size.
     """
     a, rows = sum(parts), len(parts)
     # q[m][r]: partitions of r <= rows into rows of at most m
@@ -188,14 +201,20 @@ def _dominating_count(parts: tuple[int, ...]) -> int:
         for (s, m), c in prefixes.items():
             if a - s <= rows - k:
                 count += c * q[min(m, a - s)][a - s]
+                if count > cap and len(prefixes) > 1:
+                    return None
                 continue
-            for x in range(max(1, bound - s), min(m, a - s) + 1):
+            for x in range(min(m, a - s), max(1, bound - s) - 1, -1):
                 longer[s + x, x] = longer.get((s + x, x), 0) + c
         prefixes = longer
     return count + sum(prefixes.values())  # prefixes with a row for each of parts sum to a
 
 
-def _cap_group_list(count: int, what: str) -> None:
+def _cap_group_list(counts: list[int | None], what: str) -> None:
+    """Refuse a list whose per-prime counts (see _dominating_count) multiply past GROUP_LIST_CAP."""
+    if None in counts:
+        raise CapacityError(f"{what} would have more than {GROUP_LIST_CAP} groups", GROUP_LIST_CAP)
+    count = prod(counts)
     if count > GROUP_LIST_CAP:
         raise CapacityError(f"{what} would have {count} groups", GROUP_LIST_CAP)
 
@@ -209,7 +228,7 @@ def enumerate_abelian(n: int) -> list[AbelianType]:
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     factors = factorize(n).factors
-    _cap_group_list(prod(_dominating_count((1,) * a) for _, a in factors), f"order {n}")
+    _cap_group_list([_dominating_count((1,) * a) for _, a in factors], f"order {n}")
     per_prime = [[PPartition(p, parts) for parts in partitions(a)] for p, a in factors]
     return [AbelianType(combo) for combo in product(*per_prime)]
 
@@ -248,6 +267,16 @@ def _up_closure(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
+def _up_closures(sylow: list[tuple[int, tuple[int, ...]]], text: str) -> list[list[tuple[int, ...]]]:
+    """Per prime (p, parts) of a group written `text`, the partitions dominating parts.
+
+    The up-set is their product.  It is counted first, and more than
+    GROUP_LIST_CAP groups raise CapacityError before anything is built.
+    """
+    _cap_group_list([_dominating_count(parts) for _, parts in sylow], f"up-set of {text}")
+    return [_up_closure(parts) for _, parts in sylow]
+
+
 def up_set(h: AbelianType) -> list[AbelianType]:
     """All groups of the same order that are >= h in the partial order, h included.
 
@@ -257,8 +286,8 @@ def up_set(h: AbelianType) -> list[AbelianType]:
     groups raise CapacityError before anything is built.  The order's
     factorization is read off h, so nothing is factorized.
     """
-    _cap_group_list(prod(_dominating_count(s.parts) for s in h.sylow), f"up-set of {h.text()}")
-    per_prime = [[PPartition(s.p, parts) for parts in _up_closure(s.parts)] for s in h.sylow]
+    closures = _up_closures([(s.p, s.parts) for s in h.sylow], h.text())
+    per_prime = [[PPartition(s.p, parts) for parts in closure] for s, closure in zip(h.sylow, closures)]
     return [AbelianType(combo) for combo in product(*per_prime)]
 
 

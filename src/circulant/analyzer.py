@@ -6,13 +6,24 @@ outside the unique subgroup of order p^l * n/p^a.  The valid levels cut the
 exponent a into layers; the layer partitions assemble the minimal abelian
 group realizing the digraph, and its up-set is the realizable list (complete
 exactly when gcd(k, phi(k)) = 1 for k the radical of n).
+
+Each prime takes one pass.  Write P_l = <n/p^l> and W_l = <p^(a-l)>.  Level
+l holds iff every x in S outside W_l has x + n/p^l in S: P_l lies in W_l, so
+x + t stays outside W_l for every t in P_l, and S outside W_l closed under
+the generator of P_l is a union of P_l-cosets.  Let low be the least p-adic
+valuation of a nonzero member of S (a if there is none), the valuation of
+gcd(n, S).  Every nonzero x then lies in W_l once a - l <= low, so the levels
+l >= a - low hold outright, and only the levels below them are tested, each
+stopping at its first failing x.
 """
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
+from math import gcd
 
-from .abelian import AbelianType, PPartition, up_set
-from .arith import arithmetic_condition, big_omega, factorize
+from .abelian import AbelianType, PPartition, _up_closures, up_set
+from .arith import _radical_condition, big_omega, factorize
 from .digraph import Digraph, cayley_digraph, tower_digraph
 
 
@@ -96,8 +107,13 @@ class PrimeLayers:
     layer_sizes: tuple[int, ...]
 
     @property
+    def minimal_parts(self) -> tuple[int, ...]:
+        """The layer sizes, largest first: the partition of the minimal Sylow p-subgroup."""
+        return tuple(sorted(self.layer_sizes, reverse=True))
+
+    @property
     def minimal_sylow(self) -> PPartition:
-        return PPartition(self.p, tuple(sorted(self.layer_sizes, reverse=True)))
+        return PPartition(self.p, self.minimal_parts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,6 +138,10 @@ class LayerDecomposition:
     def minimal_group(self) -> AbelianType:
         return AbelianType(tuple(layers.minimal_sylow for layers in self.per_prime))
 
+    def arithmetic_condition(self) -> bool:
+        """gcd(k, phi(k)) = 1 for k the radical of n, read off the factorization."""
+        return _radical_condition([layers.p for layers in self.per_prime])
+
 
 def _prime_exponent(n: int, p: int) -> int:
     """The exponent of the prime p in n, counted by division; n is not factorized."""
@@ -139,28 +159,44 @@ def coset_condition(s: ConnectionSet, p: int, level: int) -> bool:
 
     P = <n/p^level> is the subgroup of order p^level and W = <p^(a-level)>
     the subgroup of order p^level * n/p^a, i.e. P extended by the full Hall
-    p'-part.  Membership in W is divisibility and P is scanned lazily, so
-    nothing grows with n.
+    p'-part.  The test is decompose's (see _valid_levels), so nothing grows
+    with n.
     """
     n = s.n
     a = _prime_exponent(n, p)
     if not (1 <= level <= a - 1):
         raise ValueError(f"level {level} outside 1..{a - 1} for p={p}, n={n}")
-    return _holds(s, p, a, level)
+    return level in _valid_levels(s, p, a)
 
 
-def _holds(s: ConnectionSet, p: int, a: int, level: int) -> bool:
-    """The coset condition for p^a || n and 1 <= level <= a-1, taken as given."""
-    n = s.n
-    envelope_step = p ** (a - level)
-    subgroup_step = n // p**level
-    members = s.members
-    for x in members:
-        if x % envelope_step == 0:
-            continue
-        if any((x + t) % n not in members for t in range(subgroup_step, n, subgroup_step)):
-            return False
-    return True
+def _valid_levels(s: ConnectionSet, p: int, a: int) -> tuple[int, ...]:
+    """The levels 1 <= l <= a-1 at which the coset condition holds, for p^a || n.
+
+    Membership in W_l is divisibility by p^(a-l), and only the generator
+    n/p^l of P_l is added to each x (see the module docstring).  The levels
+    from a - low up, low the valuation of gcd(n, S) at p, hold untested.  A
+    member x0 of valuation low lies outside every W_l tested, so it is
+    tried first, and most failing levels cost one lookup.
+    """
+    if a == 1:
+        return ()
+    n, members = s.n, s.members
+    g, low = gcd(n, *members), 0
+    while g % p == 0:  # g divides n, so low ends at most a
+        g //= p
+        low += 1
+    valid = []
+    if low < a - 1:
+        x0 = next(x for x in members if x % p ** (low + 1))
+        envelope, step = p ** (a - 1), n // p
+        for level in range(1, a - low):
+            if (x0 + step) % n in members and all(
+                x % envelope == 0 or (x + step) % n in members for x in members
+            ):
+                valid.append(level)
+            envelope //= p
+            step //= p
+    return (*valid, *range(max(1, a - low), a))
 
 
 def decompose(s: ConnectionSet) -> LayerDecomposition:
@@ -174,8 +210,8 @@ def decompose(s: ConnectionSet) -> LayerDecomposition:
         raise ValueError(f"decomposition needs n >= 2, got {s.n}")
     per_prime = []
     for p, a in factorize(s.n).factors:
-        valid = tuple(l for l in range(1, a) if _holds(s, p, a, l))
-        bounds = (0,) + valid + (a,)
+        valid = _valid_levels(s, p, a)
+        bounds = (0, *valid, a)
         sizes = tuple(b - c for b, c in zip(bounds[1:], bounds))
         per_prime.append(PrimeLayers(p, a, valid, sizes))
     return LayerDecomposition(s.n, tuple(per_prime))
@@ -192,7 +228,8 @@ def realizable_groups(s: ConnectionSet) -> tuple[list[AbelianType], bool]:
     The list (the up-set of the minimal group) is always sound; it is
     complete exactly when the arithmetic condition on n holds.
     """
-    return up_set(minimal_group(s)), arithmetic_condition(s.n)
+    decomposition = decompose(s)
+    return up_set(decomposition.minimal_group()), decomposition.arithmetic_condition()
 
 
 def product_type_witness(s: ConnectionSet) -> list[tuple[int, Digraph]]:
@@ -216,39 +253,43 @@ def translation_check(s: ConnectionSet, p: int, level: int) -> bool:
     For W the envelope subgroup and P the level subgroup, the permutation
     "add t on one coset of W, fix everything else" must preserve the arc set
     for every coset and every t in P.  This is the structural consequence of
-    the coset condition, checked on arcs rather than via the condition.
+    the coset condition, checked on arcs rather than via the condition: u -> v
+    is an arc exactly when v - u lies in S, so no digraph is built.
     """
-    n = s.n
+    n, members = s.n, s.members
     a = _prime_exponent(n, p)
-    decomposition = decompose(s)
-    if level not in decomposition.for_prime(p).valid_levels:
+    if level not in _valid_levels(s, p, a):
         raise ValueError(f"level {level} is not a valid level for p={p}")
-    arcs = s.digraph().arcs
-    subgroup = sorted(subgroup_of_order(n, p**level))
-    envelope = subgroup_of_order(n, p**level * (n // p**a))
-    coset_count = n // len(envelope)
-    for rep in range(coset_count):
-        coset = {(rep + w) % n for w in envelope}
-        for t in subgroup:
-            if t == 0:
-                continue
-            image = [(x + t) % n if x in coset else x for x in range(n)]
-            if any((image[u], image[v]) not in arcs for u, v in arcs):
+    generator = n // p**level
+    envelope = p ** (a - level)  # W is the multiples of p^(a-level); its cosets are the residues mod it
+    for rep in range(envelope):
+        for t in range(generator, n, generator):
+            image = [(x + t) % n if x % envelope == rep else x for x in range(n)]
+            if any((image[(u + x) % n] - image[u]) % n not in members for u in range(n) for x in members):
                 return False
     return True
 
 
 def analysis_report(s: ConnectionSet) -> dict:
-    """JSON-ready report of the full analysis."""
+    """JSON-ready report of the full analysis.
+
+    Groups are written as text straight from their per-prime partitions,
+    without building group objects; the lists match up_set's, in its order.
+    """
     decomposition = decompose(s)
-    minimal = decomposition.minimal_group()
-    realizable, exact = up_set(minimal), arithmetic_condition(s.n)
+    sylow = [(layers.p, layers.minimal_parts) for layers in decomposition.per_prime]
+    minimal = "x".join(PPartition.text_of(p, parts) for p, parts in sylow)
+    per_prime = [
+        [PPartition.text_of(p, parts) for parts in closure]
+        for (p, _), closure in zip(sylow, _up_closures(sylow, minimal))
+    ]
+    exact = decomposition.arithmetic_condition()
     return {
         "n": s.n,
         "S": sorted(s.members),
         "arithmetic_condition": exact,
         "per_prime": [layers.to_json_dict() for layers in decomposition.per_prime],
-        "minimal_group": minimal.text(),
-        "realizable": [g.text() for g in realizable],
+        "minimal_group": minimal,
+        "realizable": ["x".join(texts) for texts in product(*per_prime)],
         "exact": exact,
     }

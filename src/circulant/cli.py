@@ -158,9 +158,12 @@ def _capacity_exit(exc: CapacityError, strict: bool, where: str = "") -> int:
     return EXIT_CAPACITY if strict else EXIT_ERROR
 
 
-def _verdict_exit(verdicts: list[str], strict: bool) -> int:
+def _verdict_exit(verdicts: list[str], strict: bool, capacity_exit: int) -> int:
+    """The exit code of a verify run: a mismatch first, then a tripped cap, then capped verdicts."""
     if any(v == MISMATCH for v in verdicts):
         return EXIT_MISMATCH
+    if capacity_exit != EXIT_OK:
+        return capacity_exit
     if strict and any(v == ORACLE_CAPPED for v in verdicts):
         return EXIT_CAPACITY
     return EXIT_OK
@@ -201,14 +204,16 @@ def _run_verify(args) -> int:
     else:
         instances.append(("", args.instance))
     verdicts = []
+    capacity_exit = EXIT_OK  # a line that trips a cap is reported, and the lines after it still run
     for where, instance in instances:
         try:
             report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
         except CapacityError as exc:
-            return _capacity_exit(exc, args.strict, where)
+            capacity_exit = _capacity_exit(exc, args.strict, where)
+            continue
         verdicts.append(report.verdict)
         print(_report_line(report, args.fmt))
-    return _verdict_exit(verdicts, args.strict)
+    return _verdict_exit(verdicts, args.strict, capacity_exit)
 
 
 def _run_poset(args) -> int:

@@ -3,12 +3,12 @@
 These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
 pair-orbit preservation directly from the definition, the coset condition
-on the explicit subgroups of Z_n, color refinement by a plain loop over
-every ordered pair, the automorphism search by refining every level afresh
-and backtracking over plain pair checks, regular abelian subgroups by
-building each candidate subgroup as a set of elements, and up-sets and cover
-pairs of the partial order on abelian groups by testing every group, or
-every pair, with ``preceq``.
+on the explicit subgroups of Z_n (or, at large n, on every translate), color
+refinement by a plain loop over every ordered pair, the automorphism search
+by refining every level afresh and backtracking over plain pair checks,
+regular abelian subgroups by building each candidate subgroup as a set of
+elements, and up-sets and cover pairs of the partial order on abelian groups
+by testing every group, or every pair, with ``preceq``.
 """
 
 from collections import Counter
@@ -65,6 +65,23 @@ def brute_coset_condition(s, p, level):
         if any((x + t) % n not in members for t in subgroup):
             return False
     return True
+
+
+def scan_coset_condition(s, p, level):
+    """The coset condition with every translate in P tried and W tested by divisibility.
+
+    For n too large to build P and W as sets: x lies in W exactly when
+    p^(a - level) divides it, and P is the multiples of n / p^level.
+    """
+    n = s.n
+    a = 0
+    while n % p ** (a + 1) == 0:
+        a += 1
+    step, envelope = n // p**level, p ** (a - level)
+    members = s.members
+    return all(
+        x % envelope == 0 or all((x + t) % n in members for t in range(step, n, step)) for x in members
+    )
 
 
 def brute_refine(m, colors):

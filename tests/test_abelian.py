@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from circulant.abelian import (
     PPartition,
     _covers,
     _dominating_count,
+    _up_closure,
     enumerate_abelian,
     hasse_edges,
     partitions,
@@ -238,6 +240,26 @@ class TestDominanceWalk:
             parts = partitions(k)
             for lam in parts:
                 assert _dominating_count(lam) == sum(dominates(mu, lam) for mu in parts), lam
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 10, 30, 100])
+    def test_dominating_count_at_or_below_the_cap_is_exact(self, cap):
+        for k in range(1, 13):
+            for lam in partitions(k):
+                size = len(_up_closure(lam))
+                got = _dominating_count(lam, cap)
+                if size <= cap:
+                    assert got == size, lam
+                else:
+                    assert got is None or got == size, lam
+
+    @pytest.mark.parametrize("lam", [(2,) * 500, (3,) * 300], ids=["2^500", "3^300"])
+    def test_refuses_flat_partitions_quickly(self, lam):
+        # a full count of either takes seconds; the walk passes the cap on its second row
+        start = time.perf_counter()
+        assert _dominating_count(lam) is None
+        with pytest.raises(CapacityError, match="would have more than 100000 groups"):
+            up_set(AbelianType.from_parts({2: lam}))
+        assert time.perf_counter() - start < 0.5
 
     def test_partition_numbers(self):
         assert _dominating_count((1,) * 40) == 37338

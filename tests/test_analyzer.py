@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute import brute_coset_condition
+from brute import brute_coset_condition, scan_coset_condition
 from circulant import abelian, analyzer, arith
-from circulant.abelian import AbelianType, preceq
+from circulant.abelian import AbelianType, partitions, preceq, up_set
 from circulant.analyzer import (
     ConnectionSet,
     analysis_report,
@@ -25,6 +25,9 @@ from circulant.analyzer import (
 from circulant.arith import factorize
 from circulant.digraph import directed_cycle, tower_connection_set, tower_digraph
 from circulant.permgroup import automorphism_group
+
+# the n of perfbench's analyze_large workload
+LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5**4]
 
 EXAMPLE_45 = ConnectionSet.of(45, [0, 1, 15, 30])
 EXAMPLE_9 = ConnectionSet.of(9, [3, 6])
@@ -180,7 +183,7 @@ class TestDecompose:
             expected = tuple(l for l in range(1, layers.a) if brute_coset_condition(s, layers.p, l))
             assert layers.valid_levels == expected, (s, layers.p)
 
-    @pytest.mark.parametrize("n", [4, 8, 9, 12])
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_levels_match_brute_force_exhaustively(self, n):
         for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
             self._assert_levels_match_brute_force(ConnectionSet.of(n, members))
@@ -190,6 +193,20 @@ class TestDecompose:
         rng = random.Random(n)
         for _ in range(200):
             self._assert_levels_match_brute_force(_random_instance(rng, n))
+
+    @pytest.mark.parametrize("n", LARGE_NS)
+    def test_levels_match_translate_scan_at_large_n(self, n):
+        # sparse coset unions whose members have random valuations, so that
+        # levels hold by coset, by valuation, or not at all
+        rng = random.Random(n)
+        valid = 0
+        for _ in range(40):
+            s = _sparse_coset_union(rng, n)
+            for layers in decompose(s).per_prime:
+                expected = tuple(l for l in range(1, layers.a) if scan_coset_condition(s, layers.p, l))
+                assert layers.valid_levels == expected, (s, layers.p)
+                valid += len(expected)
+        assert valid > 40
 
     def test_reads_each_exponent_off_the_factorization(self, monkeypatch):
         # decompose reads each a off factorize(n); only coset_condition re-derives it
@@ -305,6 +322,13 @@ class TestTranslationCheck:
         with pytest.raises(ValueError):
             translation_check(EXAMPLE_45, 3, 1)
 
+    def test_checks_arcs_by_difference(self, monkeypatch):
+        def no_digraph(self):
+            raise AssertionError("translation_check built the digraph")
+
+        monkeypatch.setattr(ConnectionSet, "digraph", no_digraph)
+        assert translation_check(ConnectionSet.of(16, [1, 4, 5, 9, 13]), 2, 2) is True
+
     def test_soundness_link_random(self):
         # every valid level found by decompose admits the block-local
         # translations as honest digraph automorphisms
@@ -396,11 +420,27 @@ class TestReport:
         assert report["per_prime"][0] == {"p": 3, "a": 2, "valid_levels": [], "layers": [2]}
         json.dumps(report)  # serializable
 
+    @pytest.mark.parametrize("p,q,max_a,max_b", [(2, None, 10, 0), (3, None, 10, 0), (2, 3, 5, 3), (2, 5, 4, 2)])
+    def test_realizable_is_the_up_set_in_its_order(self, p, q, max_a, max_b):
+        # every minimal partition of a <= max_a at p, times every one of b <= max_b at q
+        others = [None] if q is None else [
+            tower_connection_set(q, mu) for b in range(1, max_b + 1) for mu in partitions(b)
+        ]
+        for a in range(1, max_a + 1):
+            for lam in partitions(a):
+                for other in others:
+                    s = _tower_product(tower_connection_set(p, lam), other)
+                    report = analysis_report(s)
+                    minimal = minimal_group(s)
+                    assert minimal.sylow_for(p).parts == tuple(sorted(lam, reverse=True))
+                    assert report["minimal_group"] == minimal.text()
+                    assert report["realizable"] == [g.text() for g in up_set(minimal)], s
+
     @pytest.mark.parametrize(
         "text", ["n=1048576; S=1", "n=1048576; S=0", "n=999999999989; S=1", "n=45; S=0,1,15,30"]
     )
-    def test_factorizes_n_twice_whatever_the_levels(self, text, monkeypatch):
-        # once in decompose, once in arithmetic_condition; up_set reads the primes off the group
+    def test_factorizes_n_once_whatever_the_levels(self, text, monkeypatch):
+        # in decompose; the gcd condition and the up-set read the primes off its factorization
         s = parse_connection_set(text)
         calls = []
 
@@ -411,7 +451,7 @@ class TestReport:
         for module in (analyzer, arith, abelian):
             monkeypatch.setattr(module, "factorize", counted)
         analysis_report(s)
-        assert calls.count(s.n) == 2
+        assert calls == [s.n]
 
 
 def _random_instance(rng, n):
@@ -430,3 +470,28 @@ def _random_instance(rng, n):
         base = rng.randrange(n)
         members |= {(base + t) % n for t in subgroup}
     return ConnectionSet.of(n, members)
+
+
+def _sparse_coset_union(rng, n):
+    """At most 8 members: the cosets of a small subgroup around multiples of a random divisor of n."""
+    q = rng.choice([q for q in (1, 2, 3, 4, 5, 8) if n % q == 0])
+    scale = gcd(n, 2 ** rng.randrange(23) * 3 ** rng.randrange(14) * 5 ** rng.randrange(10))
+    starts = [scale * rng.randrange(n // scale) for _ in range(rng.randint(1, 8 // q))]
+    return ConnectionSet.of(n, {(x + k * (n // q)) % n for x in starts for k in range(q)})
+
+
+def _tower_product(first, second):
+    """Cay(Z_m, A) x Cay(Z_k, B) as one circulant on Z_mk by the Chinese remainder theorem
+    (gcd(m, k) = 1), or Cay(Z_m, A) alone when second is None.
+
+    A member's residue mod m is in A and mod k in B, so the coset condition
+    at each prime of m is A's and at each prime of k is B's.
+    """
+    m, a = first
+    if second is None:
+        return ConnectionSet(m, a)
+    k, b = second
+    n = m * k
+    e = k * pow(k, -1, m)  # 1 mod m, 0 mod k
+    f = m * pow(m, -1, k)  # 0 mod m, 1 mod k
+    return ConnectionSet.of(n, {(x * e + y * f) % n for x in a for y in b})

@@ -221,15 +221,30 @@ class TestVerify:
         assert code == 1
         assert ":2:" in err
 
-    # with S empty every group of order 2^50 is realizable, past the group cap
+    # with S empty every group of order 2^50 is realizable, past the group cap;
+    # the lines after it are still answered
     @pytest.mark.parametrize("flags,exit_code", [((), 1), (("--strict",), 3)])
     def test_batch_capacity_error_names_line(self, capsys, tmp_path, flags, exit_code):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("n=8;S=1\nn=1125899906842624;S=\nn=9;S=1,2\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), *flags)
         assert code == exit_code
-        assert out == "n=8 S=[1] predicted=[Z8] actual=[Z8] verdict=exact-match\n"
+        assert out == (
+            "n=8 S=[1] predicted=[Z8] actual=[Z8] verdict=exact-match\n"
+            "n=9 S=[1, 2] predicted=[Z9] actual=[Z9] verdict=exact-match\n"
+        )
         assert err == f"capacity: {corpus}:2: up-set of Z2^50 would have 204226 groups (cap=100000)\n"
+
+    def test_batch_mismatch_outranks_a_capacity_error(self, capsys, tmp_path, monkeypatch):
+        real = cli.cross_validate
+        fake = ValidationReport(4, (1,), (AbelianType.cyclic(4),), (), oracle.MISMATCH)
+        monkeypatch.setattr(cli, "cross_validate", lambda s, **k: fake if s.n == 4 else real(s, **k))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("n=1125899906842624;S=\nn=4;S=1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), "--strict")
+        assert code == 2
+        assert "MISMATCH" in out
+        assert err.startswith(f"capacity: {corpus}:1: ")
 
     def test_needs_instance_or_batch(self, capsys):
         code, _, err = run_cli(capsys, "verify")

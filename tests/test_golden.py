@@ -1,0 +1,109 @@
+"""Replay of `analyze` and `decompose` against reports recorded from an earlier build.
+
+tests/data/analyze_golden.jsonl holds one record per call: the argument
+list, the exit code, and standard output and error as printed.  Each call
+is replayed through `circulant.cli.main` and must print the same bytes, so
+a change that speeds up the analyzer cannot change its answers unnoticed.
+
+To record the file again from a checkout whose output is trusted:
+
+    PYTHONPATH=src python tests/test_golden.py tests/data/analyze_golden.jsonl
+"""
+
+import json
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from circulant.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
+SEED = 20261018
+LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5**4]
+
+
+def _literal(n, members):
+    return f"n={n}; S={','.join(map(str, sorted(members)))}"
+
+
+def _coset_union(rng, n, size):
+    """Cosets of a random small subgroup around multiples of a random divisor of n."""
+    q = rng.choice([q for q in range(1, 9) if n % q == 0])
+    scale = gcd(n, rng.choice([1, 1, 2, 3, 4, 5, 8, 9, 16, 25, 27, 64, 81, 125, 256, 729, 1024]))
+    starts = [scale * rng.randrange(n // scale) for _ in range(max(1, size // q))]
+    return {(x + k * (n // q)) % n for x in starts for k in range(q)}
+
+
+def _instances():
+    """About 300 fixed literals: small and mixed n, the analyze_large n, and edge cases."""
+    rng = random.Random(SEED)
+    literals = []
+    for _ in range(100):  # small mixed n, plain random sets and coset unions
+        n = rng.randrange(2, 201)
+        size = rng.randrange(0, min(n, 12) + 1)
+        members = set(rng.sample(range(n), size)) if rng.random() < 0.4 else _coset_union(rng, n, size)
+        literals.append(_literal(n, members))
+    for n in LARGE_NS:  # the analyze_large n, up to 2^22
+        for _ in range(12):
+            literals.append(_literal(n, _coset_union(rng, n, rng.randrange(1, 9))))
+    for _ in range(50):  # mixed n up to about 2^22 from the primes 2, 3, 5, 7, 11
+        n = 1
+        while n < 2 or rng.random() < 0.85:
+            p = rng.choice((2, 2, 2, 3, 3, 5, 7, 11))
+            if n * p > 2**22:
+                break
+            n *= p
+        literals.append(_literal(n, _coset_union(rng, n, rng.randrange(0, 9))))
+    literals += [
+        "n=45; S=0,1,15,30",
+        "n=9; S=3,6",
+        "n=16; S=1,4,5,9,13",
+        "n=8; S=",
+        "n=2; S=0,1",
+        "n=12; S=13,-1",  # reduced mod n, with a warning
+        f"n={2**40}; S=1,3,5,7",
+        f"n={2**50}; S=",  # past the group cap
+        "n=1; S=",  # no decomposition at n = 1
+    ]
+    return literals
+
+
+def _run(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _calls():
+    for literal in _instances():
+        yield ["analyze", literal, "--format", "json"]
+        yield ["decompose", literal, "--format", "json"]
+
+
+def _records():
+    with GOLDEN.open(encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def test_golden_file_covers_every_call():
+    assert [r["argv"] for r in _records()] == list(_calls())
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_replays_byte_for_byte(chunk):
+    records = _records()[chunk::4]
+    assert records
+    for record in records:
+        assert _run(record["argv"]) == record, record["argv"]
+
+
+if __name__ == "__main__":
+    with open(sys.argv[1], "w", encoding="utf-8") as handle:
+        for argv in _calls():
+            handle.write(json.dumps(_run(argv), sort_keys=True) + "\n")
