@@ -10,8 +10,6 @@ from .abelian import (
     PPartition,
     enumerate_abelian,
     hasse_edges,
-    preceq,
-    preceq_p,
     up_set,
 )
 from .analyzer import (
@@ -28,13 +26,10 @@ from .analyzer import (
     subgroup_of_order,
     translation_check,
 )
-from .arith import Factorization, arithmetic_condition, big_omega, euler_phi, factorize
+from .arith import arithmetic_condition, big_omega, factorize
 from .digraph import (
     Digraph,
     cayley_digraph,
-    complete_digraph,
-    directed_cycle,
-    empty_digraph,
     tower_connection_set,
     tower_digraph,
     wreath,
@@ -60,7 +55,6 @@ __all__ = [
     "CapacityError",
     "ConnectionSet",
     "Digraph",
-    "Factorization",
     "LayerDecomposition",
     "PPartition",
     "PermGroup",
@@ -72,23 +66,17 @@ __all__ = [
     "automorphism_group",
     "big_omega",
     "cayley_digraph",
-    "complete_digraph",
     "coset_condition",
     "cross_validate",
     "decompose",
     "direct_product",
-    "directed_cycle",
-    "empty_digraph",
     "enumerate_abelian",
-    "euler_phi",
     "factorize",
     "hasse_edges",
     "is_nilpotent",
     "minimal_group",
     "orbital_coloring",
     "parse_connection_set",
-    "preceq",
-    "preceq_p",
     "product_type_witness",
     "realizable_groups",
     "regular_abelian_types",

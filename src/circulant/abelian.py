@@ -1,9 +1,10 @@
 """Abelian groups of order n and the realizability partial orders on them.
 
 An abelian p-group is an integer partition of the exponent; an abelian group
-of order n is one partition per prime.  The order ``preceq_p`` compares
-p-groups by chains with cyclic quotients (equivalently, dominance of the
-exponent partitions), and ``preceq`` is the prime-by-prime product order.
+of order n is one partition per prime.  The realizability order compares
+p-groups by chains with cyclic quotients (dominance of the exponent
+partitions) and groups of order n prime by prime; its test on one pair of
+groups is the dominance reference in tests/brute.py.
 
 Up-sets and Hasse diagrams are walked by covers, never filtered from all
 partitions.  In dominance order a partition's covers move one box up from
@@ -112,41 +113,6 @@ class AbelianType:
 
     def __str__(self) -> str:
         return self.text()
-
-
-def preceq_p(g: PPartition, h: PPartition) -> bool:
-    """The realizability order on abelian p-groups.
-
-    g precedes h when g is isomorphic to the product of the cyclic quotients
-    of some chain of subgroups of h.  Factoring out one cyclic subgroup
-    removes a horizontal strip from the exponent partition (no two boxes in a
-    column), so chains peel h's partition strip by strip and the achievable
-    products are exactly the partitions dominated by h's: every leading
-    partial sum of g's exponents is at most the corresponding sum of h's.
-
-    Note this is strictly coarser than multiset-grouping subdivision: a
-    diagonal subgroup can split exponents across factors, e.g. the quotient
-    of Z_{p^3} x Z_p by a diagonal Z_{p^2} is cyclic, so (2,2) precedes (3,1)
-    although {2,2} cannot be grouped into sums {3,1}.
-    """
-    if g.p != h.p:
-        raise ValueError(f"mismatched primes: {g.p} vs {h.p}")
-    if g.exponent_sum != h.exponent_sum:
-        return False
-    sum_g = sum_h = 0
-    for i in range(max(g.rank, h.rank)):
-        sum_g += g.parts[i] if i < g.rank else 0
-        sum_h += h.parts[i] if i < h.rank else 0
-        if sum_g > sum_h:
-            return False
-    return True
-
-
-def preceq(g: AbelianType, h: AbelianType) -> bool:
-    """Product order: compare Sylow subgroups prime by prime."""
-    if g.order != h.order:
-        raise ValueError(f"orders differ: {g.order} vs {h.order}")
-    return all(preceq_p(s, h.sylow_for(s.p)) for s in g.sylow)
 
 
 @lru_cache(maxsize=None)

@@ -46,14 +46,6 @@ def big_omega(n: int) -> int:
     return sum(a for _, a in factorize(n).factors)
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient."""
-    result = n
-    for p, _ in factorize(n).factors:
-        result = result // p * (p - 1)
-    return result
-
-
 def arithmetic_condition(n: int) -> bool:
     """Whether gcd(k, phi(k)) = 1 for k the radical of n.
 

@@ -14,10 +14,9 @@ from .analyzer import (
     parse_connection_set,
     product_type_witness,
 )
-from .digraph import DEFAULT_VERTEX_CAP, dot_text, edge_list_text, tower_connection_set
+from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, dot_text, edge_list_text, tower_connection_set
 from .errors import CapacityError
 from .oracle import MISMATCH, ORACLE_CAPPED, cross_validate
-from .permgroup import DEFAULT_ELEMENT_CAP
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,6 +40,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _layer_list(text: str) -> tuple[int, ...]:
+    """An argparse type for --layers: comma-separated integers."""
+    layers = []
+    for token in text.split(","):
+        try:
+            layers.append(int(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid layer exponent {token!r} in {text!r}") from None
+    return tuple(layers)
 
 
 def _json_dumps(obj) -> str:
@@ -78,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance_command("witness", "product-type tower digraphs as edge lists", "dot")
     g = sub.add_parser("generate", help="emit the circulant connection set of a tower")
     g.add_argument("--p", type=int, required=True, help="prime")
-    g.add_argument("--layers", required=True, help="comma-separated layer exponents, outermost first")
+    g.add_argument("--layers", type=_layer_list, required=True, help="comma-separated layer exponents, outermost first")
     g.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
     v = instance_command("verify", "cross-validate the analyzer against the oracle", "json", nargs="?")
     v.add_argument("--batch", default=None, help="corpus file in place of the instance, one instance per line, # comments")
@@ -143,7 +153,7 @@ def _run_witness(args) -> int:
 
 
 def _run_generate(args) -> int:
-    n, members = tower_connection_set(args.p, tuple(int(x) for x in args.layers.split(",")))
+    n, members = tower_connection_set(args.p, args.layers)
     s = ConnectionSet(n, members)
     if args.fmt == "json":
         print(_json_dumps({"n": n, "S": sorted(members)}))

@@ -35,24 +35,6 @@ class Digraph:
         return m
 
 
-def digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    return Digraph(n, frozenset(arcs))
-
-
-def empty_digraph(n: int) -> Digraph:
-    return Digraph(n, frozenset())
-
-
-def complete_digraph(n: int) -> Digraph:
-    """Loopless complete digraph (both orientations of every edge)."""
-    return Digraph(n, frozenset((u, v) for u in range(n) for v in range(n) if u != v))
-
-
-def directed_cycle(n: int) -> Digraph:
-    """Directed n-cycle; n = 2 is the digon and n = 1 a single loop."""
-    return Digraph(n, frozenset((v, (v + 1) % n) for v in range(n)))
-
-
 def cayley_digraph(n: int, members: Iterable[int]) -> Digraph:
     """Cayley digraph of Z_n: arcs g -> g+s for each s in the connection set."""
     s = set(members)
@@ -164,18 +146,6 @@ def edge_list_text(d: Digraph) -> str:
     lines = [f"n={d.vertex_count}"]
     lines.extend(f"{u} {v}" for u, v in sorted(d.arcs))
     return "\n".join(lines)
-
-
-def parse_edge_list(text: str) -> Digraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError('edge list must start with "n=<count>"')
-    n = int(lines[0][2:])
-    arcs = set()
-    for ln in lines[1:]:
-        u, v = ln.split()
-        arcs.add((int(u), int(v)))
-    return Digraph(n, frozenset(arcs))
 
 
 def dot_text(d: Digraph, name: str = "G") -> str:

@@ -16,10 +16,9 @@ from typing import Optional
 from .abelian import AbelianType, enumerate_abelian
 from .analyzer import ConnectionSet, realizable_groups
 from .arith import factorize
-from .digraph import DEFAULT_VERTEX_CAP
+from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP
 from .errors import CapacityError
 from .permgroup import (
-    DEFAULT_ELEMENT_CAP,
     PermGroup,
     Permutation,
     automorphism_group,

@@ -7,9 +7,8 @@ refinement search engine, which also reports the exact group order, cached on
 the returned group.
 """
 
-import math
 from dataclasses import dataclass, field
-from operator import eq, ne
+from operator import ne
 from typing import Iterable, Optional, Sequence, Union
 
 from . import _refine
@@ -38,15 +37,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls._make(tuple(range(n)))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
-        images = list(range(n))
-        for cycle in cycles:
-            cycle = list(cycle)
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-        return cls(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -67,13 +57,10 @@ class Permutation:
     def is_identity(self) -> bool:
         return not any(map(ne, self.images, range(len(self.images))))
 
-    def has_fixed_point(self) -> bool:
-        return any(map(eq, self.images, range(len(self.images))))
 
-
-def rotation(n: int, k: int = 1) -> Permutation:
-    """The translation x -> x + k on Z_n."""
-    return Permutation(tuple((x + k) % n for x in range(n)))
+def rotation(n: int) -> Permutation:
+    """The translation x -> x + 1 on Z_n."""
+    return Permutation(tuple((x + 1) % n for x in range(n)))
 
 
 @dataclass
@@ -97,22 +84,9 @@ class PermGroup:
                 raise ValueError(f"generator degree {g.degree} != group degree {self.degree}")
 
     @classmethod
-    def trivial(cls, n: int) -> "PermGroup":
-        return cls(n, (), cached_order=1)
-
-    @classmethod
     def cyclic(cls, n: int) -> "PermGroup":
         """The rotation group of Z_n in its regular action."""
-        return cls(n, (rotation(n, 1),), cached_order=n)
-
-    @classmethod
-    def symmetric(cls, n: int) -> "PermGroup":
-        if n == 1:
-            return cls.trivial(1)
-        gens = [Permutation.from_cycles(n, [(0, 1)])]
-        if n > 2:
-            gens.append(Permutation.from_cycles(n, [tuple(range(n))]))
-        return cls(n, tuple(gens), cached_order=math.factorial(n))
+        return cls(n, (rotation(n),), cached_order=n)
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
         """All elements, sorted, by BFS closure; CapacityError past the cap."""
@@ -165,10 +139,10 @@ class PermGroup:
                     queue.append(compose(r, t))
         return tuple(Permutation._make(tuple(b)) for b in sorted(els_set))
 
-    def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
+    def order(self) -> int:
         if self.cached_order is not None:
             return self.cached_order
-        return len(self.elements(cap))
+        return len(self.elements())
 
     def orbits(self) -> list[tuple[int, ...]]:
         gens = [g.images for g in self.generators]
@@ -185,13 +159,18 @@ class PermGroup:
         return len(self.orbits()) == 1
 
 
-def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
-    """G x H in the product action on pairs (x, y) -> x * h.degree + y."""
-    k = h.degree
-    gens = [
+def _outer_generators(g: PermGroup, k: int) -> list[Permutation]:
+    """G's generators moving the first coordinate of pairs (x, y) -> x * k + y."""
+    return [
         Permutation(tuple(gp(x) * k + y for x in range(g.degree) for y in range(k)))
         for gp in g.generators
     ]
+
+
+def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
+    """G x H in the product action on pairs (x, y) -> x * h.degree + y."""
+    k = h.degree
+    gens = _outer_generators(g, k)
     gens += [
         Permutation(tuple(x * k + hp(y) for x in range(g.degree) for y in range(k)))
         for hp in h.generators
@@ -207,10 +186,7 @@ def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
     if not g.is_transitive():
         raise ValueError("wreath_product needs a transitive outer group")
     k = h.degree
-    gens = [
-        Permutation(tuple(gp(x) * k + y for x in range(g.degree) for y in range(k)))
-        for gp in g.generators
-    ]
+    gens = _outer_generators(g, k)
     for hp in h.generators:
         images = list(range(g.degree * k))
         for y in range(k):
@@ -239,9 +215,6 @@ class ArcColoring:
     @property
     def vertex_count(self) -> int:
         return len(self.colors)
-
-    def matrix(self) -> list[list[int]]:
-        return [list(row) for row in self.colors]
 
 
 def circulant_coloring(row: Iterable[int]) -> ArcColoring:
@@ -293,15 +266,15 @@ def automorphism_group(
     return PermGroup(n, tuple(Permutation(g) for g in gens), cached_order=order)
 
 
-def two_closure(group: PermGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermGroup:
+def two_closure(group: PermGroup) -> PermGroup:
     """Largest group with the same orbits on ordered pairs: the automorphism
     group of the orbital coloring."""
-    return automorphism_group(orbital_coloring(group), vertex_cap=vertex_cap)
+    return automorphism_group(orbital_coloring(group))
 
 
-def is_nilpotent(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
+def is_nilpotent(group: PermGroup) -> bool:
     """Whether the lower central series reaches the trivial group."""
-    els = group.elements(cap)
+    els = group.elements()
     current = set(els)
     while True:
         commutators = set()
@@ -313,7 +286,7 @@ def is_nilpotent(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
                     commutators.add(c)
         if not commutators:
             return True
-        nxt = set(PermGroup(group.degree, tuple(commutators)).elements(cap))
+        nxt = set(PermGroup(group.degree, tuple(commutators)).elements())
         if len(nxt) == len(current):
             return False
         current = nxt

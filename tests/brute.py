@@ -8,14 +8,15 @@ refinement by a plain loop over every ordered pair, the automorphism search
 by refining every level afresh and backtracking over plain pair checks,
 regular abelian subgroups by building each candidate subgroup as a set of
 elements, and up-sets and cover pairs of the partial order on abelian groups
-by testing every group, or every pair, with ``preceq``.
+by testing every group, or every pair, with ``preceq``, the dominance test
+that is itself checked against strip peeling and subgroup chains.
 """
 
 from collections import Counter
 from itertools import permutations, product
 from math import lcm
 
-from circulant.abelian import enumerate_abelian, preceq
+from circulant.abelian import enumerate_abelian
 from circulant.analyzer import subgroup_of_order
 from circulant.permgroup import PermGroup, Permutation
 
@@ -31,6 +32,41 @@ def brute_subdivision(a, b):
         if sums == list(b):
             return True
     return False
+
+
+def preceq_p(g, h):
+    """The realizability order on abelian p-groups.
+
+    g precedes h when g is isomorphic to the product of the cyclic quotients
+    of some chain of subgroups of h.  Factoring out one cyclic subgroup
+    removes a horizontal strip from the exponent partition (no two boxes in a
+    column), so chains peel h's partition strip by strip and the achievable
+    products are exactly the partitions dominated by h's: every leading
+    partial sum of g's exponents is at most the corresponding sum of h's.
+
+    Note this is strictly coarser than multiset-grouping subdivision: a
+    diagonal subgroup can split exponents across factors, e.g. the quotient
+    of Z_{p^3} x Z_p by a diagonal Z_{p^2} is cyclic, so (2,2) precedes (3,1)
+    although {2,2} cannot be grouped into sums {3,1}.
+    """
+    if g.p != h.p:
+        raise ValueError(f"mismatched primes: {g.p} vs {h.p}")
+    if g.exponent_sum != h.exponent_sum:
+        return False
+    sum_g = sum_h = 0
+    for i in range(max(g.rank, h.rank)):
+        sum_g += g.parts[i] if i < g.rank else 0
+        sum_h += h.parts[i] if i < h.rank else 0
+        if sum_g > sum_h:
+            return False
+    return True
+
+
+def preceq(g, h):
+    """Product order: compare Sylow subgroups prime by prime."""
+    if g.order != h.order:
+        raise ValueError(f"orders differ: {g.order} vs {h.order}")
+    return all(preceq_p(s, h.sylow_for(s.p)) for s in g.sylow)
 
 
 def brute_up_set(h):
@@ -205,8 +241,21 @@ def abelian_extension(subgroup, g, order):
     return extended
 
 
+def from_cycles(n, cycles):
+    """The permutation of {0..n-1} with these cycles, e.g. [(0, 1, 2), (3, 4)]."""
+    images = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return Permutation(tuple(images))
+
+
+def has_fixed_point(g):
+    return any(g(x) == x for x in range(g.degree))
+
+
 def is_semiregular(elements):
-    return all(g.is_identity or not g.has_fixed_point() for g in elements)
+    return all(g.is_identity or not has_fixed_point(g) for g in elements)
 
 
 def element_set_search(pools, factors, degree):

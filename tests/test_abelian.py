@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from brute import brute_hasse_edges, brute_subdivision, brute_up_set
+from brute import brute_hasse_edges, brute_subdivision, brute_up_set, preceq, preceq_p
 from circulant import abelian
 from circulant.abelian import (
     AbelianType,
@@ -14,8 +14,6 @@ from circulant.abelian import (
     enumerate_abelian,
     hasse_edges,
     partitions,
-    preceq,
-    preceq_p,
     up_set,
 )
 from circulant.errors import CapacityError

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute import brute_coset_condition, scan_coset_condition
+from brute import brute_coset_condition, preceq, scan_coset_condition
 from circulant import abelian, analyzer, arith
-from circulant.abelian import AbelianType, partitions, preceq, up_set
+from circulant.abelian import AbelianType, partitions, up_set
 from circulant.analyzer import (
     ConnectionSet,
     analysis_report,
@@ -23,7 +23,7 @@ from circulant.analyzer import (
     translation_check,
 )
 from circulant.arith import factorize
-from circulant.digraph import directed_cycle, tower_connection_set, tower_digraph
+from circulant.digraph import cayley_digraph, tower_connection_set, tower_digraph
 from circulant.permgroup import automorphism_group
 
 # the n of perfbench's analyze_large workload
@@ -279,7 +279,7 @@ class TestWitness:
         assert tower == tower_digraph(3, (1, 1))
 
     def test_worked_example_directed_cycles(self):
-        assert product_type_witness(EXAMPLE_45) == [(3, directed_cycle(9)), (5, directed_cycle(5))]
+        assert product_type_witness(EXAMPLE_45) == [(3, cayley_digraph(9, {1})), (5, cayley_digraph(5, {1}))]
 
     def test_digon_stack_tower(self):
         ((_, tower),) = product_type_witness(EXAMPLE_8)

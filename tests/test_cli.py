@@ -145,6 +145,15 @@ class TestGenerate:
         assert out == ""
         assert f"p must be prime, got {p}" in err
 
+    @pytest.mark.parametrize("layers,token", [("1,,2", "''"), ("1,x", "'x'")])
+    def test_bad_layer_is_a_usage_error(self, capsys, layers, token):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--p", "2", "--layers", layers])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --layers: invalid layer exponent {token} in '{layers}'" in captured.err
+
 
 class TestVerify:
     def test_exact_match_exit_0(self, capsys):
