@@ -37,7 +37,6 @@ from .digraph import (
 from .errors import CapacityError
 from .oracle import ValidationReport, cross_validate, regular_abelian_types
 from .permgroup import (
-    ArcColoring,
     PermGroup,
     Permutation,
     automorphism_group,
@@ -51,7 +50,6 @@ from .permgroup import (
 
 __all__ = [
     "AbelianType",
-    "ArcColoring",
     "CapacityError",
     "ConnectionSet",
     "Digraph",

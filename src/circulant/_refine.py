@@ -81,13 +81,6 @@ class Circulant:
     def __iter__(self):
         return map(self.__getitem__, range(len(self.row)))
 
-    # equal first rows, equal matrices: ArcColorings compare by value
-    def __eq__(self, other):
-        return self.row == other.row if isinstance(other, Circulant) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.row)
-
 
 def _pair_codes(m, circulant=False):
     """Row v codes each pair (v, u) by (m[v][u], m[u][v]).

@@ -111,9 +111,6 @@ class AbelianType:
         """Canonical text form: prime powers joined by "x", e.g. "Z9xZ5", "Z3^2xZ5"."""
         return "x".join([PPartition.text_of(s.p, s.parts) for s in self.sylow]) or "Z1"
 
-    def __str__(self) -> str:
-        return self.text()
-
 
 @lru_cache(maxsize=None)
 def partitions(k: int) -> tuple[tuple[int, ...], ...]:

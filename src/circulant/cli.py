@@ -168,15 +168,14 @@ def _capacity_exit(exc: CapacityError, strict: bool, where: str = "") -> int:
     return EXIT_CAPACITY if strict else EXIT_ERROR
 
 
-def _verdict_exit(verdicts: list[str], strict: bool, capacity_exit: int) -> int:
-    """The exit code of a verify run: a mismatch first, then a tripped cap, then capped verdicts."""
+def _verdict_exit(verdicts: list[str], strict: bool, failure_exit: int) -> int:
+    """The exit code of a verify run: a mismatch first, then a capped verdict
+    under --strict, then the worst exit of a line that failed."""
     if any(v == MISMATCH for v in verdicts):
         return EXIT_MISMATCH
-    if capacity_exit != EXIT_OK:
-        return capacity_exit
     if strict and any(v == ORACLE_CAPPED for v in verdicts):
         return EXIT_CAPACITY
-    return EXIT_OK
+    return failure_exit
 
 
 def _report_line(report, fmt: str) -> str:
@@ -214,16 +213,22 @@ def _run_verify(args) -> int:
     else:
         instances.append(("", args.instance))
     verdicts = []
-    capacity_exit = EXIT_OK  # a line that trips a cap is reported, and the lines after it still run
+    # a line that trips a cap or cannot be decided is reported, and the lines
+    # after it still run; a cap under --strict (3) outranks an error (1)
+    failure_exit = EXIT_OK
     for where, instance in instances:
         try:
             report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
         except CapacityError as exc:
-            capacity_exit = _capacity_exit(exc, args.strict, where)
+            failure_exit = max(failure_exit, _capacity_exit(exc, args.strict, where))
+            continue
+        except ValueError as exc:
+            print(f"error: {where}{exc}", file=sys.stderr)
+            failure_exit = max(failure_exit, EXIT_ERROR)
             continue
         verdicts.append(report.verdict)
         print(_report_line(report, args.fmt))
-    return _verdict_exit(verdicts, args.strict, capacity_exit)
+    return _verdict_exit(verdicts, args.strict, failure_exit)
 
 
 def _run_poset(args) -> int:

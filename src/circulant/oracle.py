@@ -1,29 +1,27 @@
 """Brute-force ground truth and cross-validation of the analyzer.
 
-The oracle computes the exact order of the automorphism group of the
-digraph and decides its regular abelian subgroups from that order when it
-can; otherwise it enumerates the group (or a Sylow subgroup of it, under a
-cap) and searches it for regular abelian subgroups of every candidate
-isomorphism type.  Agreement with the analyzer must be exact when the
-arithmetic condition holds and a sound superset otherwise; anything else is
-a MISMATCH.
+The oracle hands the automorphism engine the circulant as its first row, in
+the engine's ``_refine.Circulant`` view, and gets the exact order of its
+automorphism group.  It decides the regular abelian subgroups from that
+order when it can; otherwise it enumerates the group (or, for n = p^a, its
+meet with the automorphism group of the tower circulant when that is a
+Sylow subgroup), under a cap, and searches it for regular abelian subgroups
+of every candidate isomorphism type.  Agreement with the analyzer must be
+exact when the arithmetic condition holds and a sound superset otherwise;
+anything else is a MISMATCH.
 """
 
 from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
+from ._refine import Circulant
 from .abelian import AbelianType, enumerate_abelian
 from .analyzer import ConnectionSet, realizable_groups
 from .arith import factorize
-from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP
+from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, tower_connection_set
 from .errors import CapacityError
-from .permgroup import (
-    PermGroup,
-    Permutation,
-    automorphism_group,
-    circulant_coloring,
-)
+from .permgroup import PermGroup, Permutation, automorphism_group
 
 EXACT_MATCH = "exact-match"
 SOUND_SUBSET = "sound-subset"
@@ -148,18 +146,15 @@ def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
     return extend(0, [], list(range(degree)), 0)
 
 
-def regular_abelian_types(
-    group: PermGroup, n: int, cap: int = DEFAULT_ELEMENT_CAP
-) -> list[AbelianType]:
-    """All abelian types of order n occurring as regular subgroups of the group.
+def regular_abelian_types(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> list[AbelianType]:
+    """All abelian types of order n, the group's degree, among its regular subgroups.
 
     A commuting tuple with the type's invariant-factor orders generating a
     semiregular subgroup of full order n is automatically regular, and its
     abstract type is forced by the orders, so existence of such a tuple is
     exactly containment of the type.
     """
-    if group.degree != n:
-        raise ValueError(f"group degree {group.degree} != {n}")
+    n = group.degree
     elements = group.elements(cap)
     pools = _uniform_pools(elements, n)
     found = []
@@ -170,43 +165,28 @@ def regular_abelian_types(
     return found
 
 
-def _tower_row(p: int, a: int) -> list[int]:
-    """First row of the tower coloring of Z_{p^a}.
-
-    x = p^j * y with y prime to p gets color j*p + y % p, and 0 gets a*p, so
-    c(u, v) = row[v - u] names the smallest block of the coset chain
-    Z_n > pZ_n > ... > 0 holding u and v, and which of its p sub-blocks,
-    counted cyclically from u's, holds v.  Its automorphism group is the
-    iterated wreath product Z_p wr ... wr Z_p on that chain, of order
-    p^((p^a - 1)/(p - 1)): a Sylow p-subgroup of Sym(p^a) containing the
-    rotations.
-    """
-    n = p**a
-    row = [a * p] * n
-    for j in range(a):
-        step = p**j
-        for x in range(step, n, step):
-            row[x] = j * p + x // step % p  # multiples of p^(j+1) are recolored later
-    return row
-
-
 def _sylow_subgroup(aut_order: int, adjacency: list[int], vertex_cap: int) -> Optional[PermGroup]:
-    """Aut(Γ) ∩ W for n = p^a, a >= 2, W the tower coloring's group, when its
-    index in Aut(Γ) is prime to p; otherwise None.
+    """Aut(Γ) ∩ W for n = p^a, a >= 2, when its index in Aut(Γ) is prime to
+    p; otherwise None.
 
-    W is a p-group, so an intersection of index prime to p is a Sylow
-    p-subgroup of Aut(Γ).  Every regular abelian subgroup, of order p^a, lies
-    in a Sylow p-subgroup, and those are conjugate in Aut(Γ), so it is
-    conjugate to a regular subgroup of the intersection of the same type.
-    The intersection is the automorphism group of the tower coloring paired
+    W is the automorphism group of the tower circulant
+    ``tower_connection_set(p, (1,) * a)``: the iterated wreath product
+    Z_p wr ... wr Z_p on the coset chain Z_n > pZ_n > ... > 0, of order
+    p^((p^a - 1)/(p - 1)), a Sylow p-subgroup of Sym(p^a) containing the
+    rotations.  W is a p-group, so an intersection of index prime to p is a
+    Sylow p-subgroup of Aut(Γ).  Every regular abelian subgroup, of order
+    p^a, lies in a Sylow p-subgroup, and those are conjugate in Aut(Γ), so it
+    is conjugate to a regular subgroup of the intersection of the same type.
+    The intersection is the automorphism group of the tower's 0/1 row paired
     with the adjacency row, found by one more engine call.
     """
     factors = factorize(len(adjacency)).factors
     if len(factors) != 1 or factors[0][1] < 2:
         return None
     ((p, a),) = factors
-    paired = (2 * c + x for c, x in zip(_tower_row(p, a), adjacency))
-    sylow = automorphism_group(circulant_coloring(paired), vertex_cap=vertex_cap)
+    _, tower = tower_connection_set(p, (1,) * a)
+    paired = (2 * (x in tower) + adjacent for x, adjacent in enumerate(adjacency))
+    sylow = automorphism_group(Circulant(paired), vertex_cap=vertex_cap)
     if aut_order // sylow.order() % p == 0:
         return None
     return sylow
@@ -242,7 +222,7 @@ def cross_validate(
     adjacency = [0] * n
     for x in s.members:
         adjacency[x] = 1
-    aut = automorphism_group(circulant_coloring(adjacency), vertex_cap=vertex_cap)
+    aut = automorphism_group(Circulant(adjacency), vertex_cap=vertex_cap)
     aut_order = aut.order()
     if aut_order == n:
         path, actual = REGULAR, (AbelianType.cyclic(n),)
@@ -254,7 +234,7 @@ def cross_validate(
         if sylow is not None:
             path, group = SYLOW, sylow
         try:
-            actual = tuple(regular_abelian_types(group, n, cap))
+            actual = tuple(regular_abelian_types(group, cap))
         except CapacityError as exc:
             capped_by = {"cap": "element_cap", "value": exc.cap}
             return ValidationReport(

@@ -2,14 +2,15 @@
 
 Groups are given by generators.  Element enumeration is a Dimino-style
 closure under a configurable cap (default 10^6); there is deliberately no
-stabilizer chain machinery.  Automorphism groups of (colored) digraphs come from the
-refinement search engine, which also reports the exact group order, cached on
-the returned group.
+stabilizer chain machinery.  Automorphism groups come from the refinement
+search engine, which reads a digraph's adjacency matrix or any square matrix
+of arc colors (a circulant as the engine's view of its first row) and also
+reports the exact group order, cached on the returned group.
 """
 
 from dataclasses import dataclass, field
 from operator import ne
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import _refine
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, Digraph
@@ -195,41 +196,7 @@ def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
     return PermGroup(g.degree * k, tuple(gens))
 
 
-@dataclass(frozen=True)
-class ArcColoring:
-    """Complete arc coloring of ordered pairs; the diagonal colors vertices.
-
-    ``colors`` is a square matrix of rows, or the engine's read-only
-    ``_refine.Circulant`` view of a first row, square by construction.
-    """
-
-    colors: Sequence[Sequence[int]]
-
-    def __post_init__(self):
-        if isinstance(self.colors, _refine.Circulant):
-            return
-        n = len(self.colors)
-        if any(len(row) != n for row in self.colors):
-            raise ValueError("color matrix must be square")
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.colors)
-
-
-def circulant_coloring(row: Iterable[int]) -> ArcColoring:
-    """The circulant arc coloring with first row ``row``: [u][v] = row[(v - u) % n].
-
-    Row u is row 0 rotated right by u.  With row[x] = 1 for x in S and 0
-    otherwise it is the adjacency matrix of Cay(Z_n, S).  The coloring holds
-    the engine's ``_refine.Circulant`` view of the row, which builds row u
-    only when it is indexed, so the engine reads the circulant from its row
-    0 and builds no n x n matrix unless its search needs one.
-    """
-    return ArcColoring(_refine.Circulant(row))
-
-
-def orbital_coloring(group: PermGroup) -> ArcColoring:
+def orbital_coloring(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     """Color ordered pairs by their orbit under the group (diagonal included)."""
     n = group.degree
     gens = [g.images for g in group.generators]
@@ -249,20 +216,29 @@ def orbital_coloring(group: PermGroup) -> ArcColoring:
                         ids[gu][gv] = next_id
                         frontier.append((gu, gv))
             next_id += 1
-    return ArcColoring(tuple(tuple(row) for row in ids))
+    return tuple(tuple(row) for row in ids)
 
 
 def automorphism_group(
-    structure: Union[Digraph, ArcColoring], vertex_cap: int = DEFAULT_VERTEX_CAP
+    structure: Union[Digraph, Sequence[Sequence[int]]], vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> PermGroup:
-    """Full automorphism group of a digraph or arc coloring, with exact order cached."""
-    n = structure.vertex_count
+    """Full automorphism group of a digraph, or of a square matrix of arc
+    colors, with exact order cached.
+
+    Entry [u][v] colors the ordered pair (u, v), and the diagonal colors the
+    vertices.  The matrix may be the engine's ``_refine.Circulant`` view of a
+    first row, which builds row u only when it is indexed.
+    """
+    digraph = isinstance(structure, Digraph)
+    n = structure.vertex_count if digraph else len(structure)
     if n > vertex_cap:
         raise CapacityError("structure too large for automorphism search", vertex_cap)
-    # the engine only reads the matrix, so an arc coloring's rows, or its
-    # circulant view, go in as they are
-    matrix = structure.adjacency_matrix() if isinstance(structure, Digraph) else structure.colors
-    gens, order = _refine.automorphisms(matrix)
+    if digraph:
+        structure = structure.adjacency_matrix()
+    elif not isinstance(structure, _refine.Circulant) and any(len(row) != n for row in structure):
+        raise ValueError("color matrix must be square")
+    # the engine only reads the matrix, so a color matrix goes in as it is
+    gens, order = _refine.automorphisms(structure)
     return PermGroup(n, tuple(Permutation(g) for g in gens), cached_order=order)
 
 

@@ -7,7 +7,8 @@ on the explicit subgroups of Z_n (or, at large n, on every translate), color
 refinement by a plain loop over every ordered pair, the automorphism search
 by refining every level afresh and backtracking over plain pair checks,
 regular abelian subgroups by building each candidate subgroup as a set of
-elements, and up-sets and cover pairs of the partial order on abelian groups
+elements, the tower group W by its coloring of valuations and digits, and
+up-sets and cover pairs of the partial order on abelian groups
 by testing every group, or every pair, with ``preceq``, the dominance test
 that is itself checked against strip peeling and subgroup chains.
 """
@@ -318,6 +319,27 @@ def brute_pair_orbit_preservers(colors):
         if all(colors[p[x]][p[y]] == colors[x][y] for x in range(n) for y in range(n)):
             found.append(p)
     return found
+
+
+def tower_row(p, a):
+    """First row of the tower coloring of Z_{p^a}, the reference for the
+    group W that the oracle's Sylow path takes from the tower circulant.
+
+    x = p^j * y with y prime to p gets color j*p + y % p, and 0 gets a*p, so
+    c(u, v) = row[v - u] names the smallest block of the coset chain
+    Z_n > pZ_n > ... > 0 holding u and v, and which of its p sub-blocks,
+    counted cyclically from u's, holds v.  Its automorphism group is the
+    iterated wreath product Z_p wr ... wr Z_p on that chain, of order
+    p^((p^a - 1)/(p - 1)): a Sylow p-subgroup of Sym(p^a) containing the
+    rotations.
+    """
+    n = p**a
+    row = [a * p] * n
+    for j in range(a):
+        step = p**j
+        for x in range(step, n, step):
+            row[x] = j * p + x // step % p  # multiples of p^(j+1) are recolored later
+    return row
 
 
 def _horizontal_strip_results(lam, c):

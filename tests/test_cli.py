@@ -244,6 +244,37 @@ class TestVerify:
         )
         assert err == f"capacity: {corpus}:2: up-set of Z2^50 would have 204226 groups (cap=100000)\n"
 
+    # n = 1 parses but has no decomposition: the line gets its error, the
+    # lines after it are still answered, and a strict cap keeps its exit 3
+    @pytest.mark.parametrize("flags,capped,exit_code", [
+        ((), False, 1), (("--strict",), False, 1), ((), True, 1), (("--strict",), True, 3),
+    ])
+    def test_batch_line_without_decomposition(self, capsys, tmp_path, flags, capped, exit_code):
+        corpus = tmp_path / "corpus.txt"
+        lines = ["n=4; S=1", "n=1; S=", "n=5; S=1"] + ["n=1125899906842624;S="] * capped
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), *flags)
+        assert code == exit_code
+        assert out == (
+            "n=4 S=[1] predicted=[Z4] actual=[Z4] verdict=exact-match\n"
+            "n=5 S=[1] predicted=[Z5] actual=[Z5] verdict=exact-match\n"
+        )
+        expected = f"error: {corpus}:2: decomposition needs n >= 2, got 1\n"
+        if capped:
+            expected += f"capacity: {corpus}:4: up-set of Z2^50 would have 204226 groups (cap=100000)\n"
+        assert err == expected
+
+    def test_batch_mismatch_outranks_a_line_without_decomposition(self, capsys, tmp_path, monkeypatch):
+        real = cli.cross_validate
+        fake = ValidationReport(4, (1,), (AbelianType.cyclic(4),), (), oracle.MISMATCH)
+        monkeypatch.setattr(cli, "cross_validate", lambda s, **k: fake if s.n == 4 else real(s, **k))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("n=1;S=\nn=4;S=1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus))
+        assert code == 2
+        assert "MISMATCH" in out
+        assert err == f"error: {corpus}:1: decomposition needs n >= 2, got 1\n"
+
     def test_batch_mismatch_outranks_a_capacity_error(self, capsys, tmp_path, monkeypatch):
         real = cli.cross_validate
         fake = ValidationReport(4, (1,), (AbelianType.cyclic(4),), (), oracle.MISMATCH)

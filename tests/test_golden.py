@@ -1,13 +1,18 @@
-"""Replay of `analyze` and `decompose` against reports recorded from an earlier build.
+"""Replay of `analyze`, `decompose` and `verify` against reports recorded from
+an earlier build.
 
-tests/data/analyze_golden.jsonl holds one record per call: the argument
-list, the exit code, and standard output and error as printed.  Each call
-is replayed through `circulant.cli.main` and must print the same bytes, so
-a change that speeds up the analyzer cannot change its answers unnoticed.
+tests/data/analyze_golden.jsonl and tests/data/verify_golden.jsonl hold one
+record per call: the argument list, the exit code, and standard output and
+error as printed.  Each call is replayed through `circulant.cli.main` and
+must print the same bytes, so a change that speeds up the analyzer or the
+oracle cannot change their answers unnoticed.  The verify calls are every S
+with 2 <= n <= 9, which take the regular, symmetric, sylow and enumerate
+paths.
 
-To record the file again from a checkout whose output is trusted:
+To record a file again from a checkout whose output is trusted:
 
     PYTHONPATH=src python tests/test_golden.py tests/data/analyze_golden.jsonl
+    PYTHONPATH=src python tests/test_golden.py tests/data/verify_golden.jsonl
 """
 
 import json
@@ -23,6 +28,7 @@ import pytest
 from circulant.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.jsonl"
 SEED = 20261018
 LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5**4]
 
@@ -86,8 +92,14 @@ def _calls():
         yield ["decompose", literal, "--format", "json"]
 
 
-def _records():
-    with GOLDEN.open(encoding="utf-8") as handle:
+def _verify_calls():
+    for n in range(2, 10):
+        for mask in range(2**n):
+            yield ["verify", _literal(n, [x for x in range(n) if mask >> x & 1]), "--format", "json"]
+
+
+def _records(path=GOLDEN):
+    with path.open(encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
 
 
@@ -103,7 +115,20 @@ def test_replays_byte_for_byte(chunk):
         assert _run(record["argv"]) == record, record["argv"]
 
 
+def test_verify_golden_covers_every_call():
+    assert [r["argv"] for r in _records(VERIFY_GOLDEN)] == list(_verify_calls())
+
+
+def test_verify_replays_byte_for_byte():
+    records = _records(VERIFY_GOLDEN)
+    paths = {json.loads(r["stdout"])["path"] for r in records}
+    assert paths == {"regular", "symmetric", "sylow", "enumerate"}
+    for record in records:
+        assert _run(record["argv"]) == record, record["argv"]
+
+
 if __name__ == "__main__":
+    calls = {GOLDEN.name: _calls, VERIFY_GOLDEN.name: _verify_calls}[Path(sys.argv[1]).name]
     with open(sys.argv[1], "w", encoding="utf-8") as handle:
-        for argv in _calls():
+        for argv in calls():
             handle.write(json.dumps(_run(argv), sort_keys=True) + "\n")

@@ -5,12 +5,12 @@ from math import gcd
 
 import pytest
 
-from brute import element_order, element_set_search, element_set_types, from_cycles, has_fixed_point
+from brute import element_order, element_set_search, element_set_types, from_cycles, has_fixed_point, tower_row
 from circulant import _refine, oracle
 from circulant.abelian import AbelianType, enumerate_abelian
 from circulant.arith import factorize
 from circulant.analyzer import ConnectionSet, realizable_groups
-from circulant.digraph import Digraph, cayley_digraph
+from circulant.digraph import Digraph, cayley_digraph, tower_connection_set
 from circulant.errors import CapacityError
 from circulant.oracle import (
     EXACT_MATCH,
@@ -20,7 +20,6 @@ from circulant.oracle import (
     ValidationReport,
     _search_type,
     _sylow_subgroup,
-    _tower_row,
     _uniform_cycles,
     cross_validate,
     regular_abelian_types,
@@ -29,7 +28,6 @@ from circulant.permgroup import (
     PermGroup,
     Permutation,
     automorphism_group,
-    circulant_coloring,
     direct_product,
     rotation,
 )
@@ -120,14 +118,14 @@ class TestRegularAbelianTypes:
                 assert not _search_type({2: pool}, (2, 2), 8)
                 assert not element_set_search({2: pool}, (2, 2), 8)
             group = PermGroup(8, (h, g))
-            assert regular_abelian_types(group, 8) == element_set_types(group, 8) == []
+            assert regular_abelian_types(group) == element_set_types(group, 8) == []
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_element_set_search_exhaustively(self, n):
         for mask in range(2**n):
             s = {x for x in range(n) if mask >> x & 1}
             aut = automorphism_group(cayley_digraph(n, s))
-            assert regular_abelian_types(aut, n) == element_set_types(aut, n), (n, s)
+            assert regular_abelian_types(aut) == element_set_types(aut, n), (n, s)
 
     def test_matches_element_set_search_random(self):
         # half the draws are unions of cosets of a subgroup H outside H, which
@@ -146,7 +144,7 @@ class TestRegularAbelianTypes:
             aut = automorphism_group(cayley_digraph(n, s))
             if aut.cached_order > 10**6:
                 continue  # past the element cap
-            found = regular_abelian_types(aut, n)
+            found = regular_abelian_types(aut)
             assert found == element_set_types(aut, n), (n, s)
             checked += 1
             several += len(found) > 1
@@ -154,16 +152,16 @@ class TestRegularAbelianTypes:
 
     def test_directed_nine_cycle(self):
         aut = automorphism_group(cayley_digraph(9, {1}))
-        assert [g.text() for g in regular_abelian_types(aut, 9)] == ["Z9"]
+        assert [g.text() for g in regular_abelian_types(aut)] == ["Z9"]
 
     def test_block_example_both_groups(self):
         aut = automorphism_group(cayley_digraph(9, {3, 6}))
-        got = {g.text() for g in regular_abelian_types(aut, 9)}
+        got = {g.text() for g in regular_abelian_types(aut)}
         assert got == {"Z3^2", "Z9"}
 
     def test_worked_example_only_cyclic(self):
         aut = automorphism_group(cayley_digraph(45, {0, 1, 15, 30}))
-        got = regular_abelian_types(aut, 45)
+        got = regular_abelian_types(aut)
         assert got == [AbelianType.cyclic(45)]
 
     def test_contains_zn_when_rotations_present(self):
@@ -174,17 +172,13 @@ class TestRegularAbelianTypes:
             aut = automorphism_group(cayley_digraph(n, s))
             if aut.cached_order > 10**6:
                 continue
-            assert AbelianType.cyclic(n) in regular_abelian_types(aut, n)
-        assert regular_abelian_types(PermGroup(1, ()), 1) == [AbelianType.cyclic(1)]
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            regular_abelian_types(PermGroup.cyclic(4), 8)
+            assert AbelianType.cyclic(n) in regular_abelian_types(aut)
+        assert regular_abelian_types(PermGroup(1, ())) == [AbelianType.cyclic(1)]
 
     def test_capacity_propagates(self):
         aut = automorphism_group(cayley_digraph(10, set()))  # Sym(10)
         with pytest.raises(CapacityError):
-            regular_abelian_types(aut, 10, cap=10**6)
+            regular_abelian_types(aut, cap=10**6)
 
     @pytest.mark.parametrize(
         "n,s",
@@ -205,7 +199,7 @@ class TestRegularAbelianTypes:
         aut = automorphism_group(cayley_digraph(n, s))
         assert aut.cached_order <= 50  # keep the subset scan honest and fast
         expected = [t.text() for t in brute_regular_abelian_types(aut, n)]
-        got = sorted(t.text() for t in regular_abelian_types(aut, n))
+        got = sorted(t.text() for t in regular_abelian_types(aut))
         assert got == expected
 
     def test_wreathed_eight_vertex_types(self):
@@ -213,13 +207,13 @@ class TestRegularAbelianTypes:
         # Z_2^3 is correctly absent: this digraph has only one valid level
         aut = automorphism_group(cayley_digraph(8, {1, 5}))
         assert aut.cached_order == 64
-        got = sorted(t.text() for t in regular_abelian_types(aut, 8))
+        got = sorted(t.text() for t in regular_abelian_types(aut))
         assert got == ["Z4xZ2", "Z8"]
 
     def test_subset_brute_force_on_kbar4(self):
         aut = automorphism_group(cayley_digraph(4, set()))  # Sym(4)
         expected = [t.text() for t in brute_regular_abelian_types(aut, 4)]
-        got = sorted(t.text() for t in regular_abelian_types(aut, 4))
+        got = sorted(t.text() for t in regular_abelian_types(aut))
         assert got == expected == ["Z2^2", "Z4"]
 
 
@@ -397,7 +391,7 @@ class TestPaths:
             key = min(tuple(sorted(nonzero)), tuple(sorted(set(range(1, n)) - nonzero)))
             if key not in reference:
                 try:
-                    reference[key] = tuple(regular_abelian_types(automorphism_group(cayley_digraph(n, s)), n))
+                    reference[key] = tuple(regular_abelian_types(automorphism_group(cayley_digraph(n, s))))
                 except CapacityError:
                     reference[key] = None
             report = cross_validate(ConnectionSet(n, s))
@@ -409,22 +403,41 @@ class TestPaths:
 
     @pytest.mark.parametrize(
         "p,a,order",
-        [(2, 2, 8), (2, 3, 128), (3, 2, 81), (2, 4, 32768), (5, 2, 15625), (3, 3, 1594323)],
+        [
+            (2, 2, 8), (2, 3, 128), (2, 4, 32768), (2, 5, 2**31), (2, 6, 2**63),
+            (3, 2, 81), (3, 3, 1594323), (5, 2, 15625), (7, 2, 7**8),
+        ],
     )
     def test_tower_coloring_is_a_sylow_subgroup_of_the_symmetric_group(self, p, a, order):
-        # |Sym(p^a)|_p = p^((p^a - 1)/(p - 1))
+        # every p^a <= 64 with a >= 2: W, the automorphism group of the tower
+        # circulant, has order |Sym(p^a)|_p = p^((p^a - 1)/(p - 1)), and is
+        # the group of the reference coloring, each group's generators
+        # preserving the other's structure
         assert order == p ** ((p**a - 1) // (p - 1))
-        assert automorphism_group(circulant_coloring(_tower_row(p, a))).order() == order
+        n, members = tower_connection_set(p, (1,) * a)
+        assert n == p**a
+        tower = [int(x in members) for x in range(n)]
+        reference = tower_row(p, a)
+        aut = automorphism_group(_refine.Circulant(tower))
+        w = automorphism_group(_refine.Circulant(reference))
+        assert aut.order() == w.order() == order
+
+        def preserves(g, row):
+            return all(row[(g(v) - g(u)) % n] == row[(v - u) % n] for u in range(n) for v in range(n))
+
+        assert all(preserves(g, reference) for g in aut.generators)
+        assert all(preserves(g, tower) for g in w.generators)
 
     @pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (3, 2)])
     def test_sylow_subgroup_is_aut_meet_tower_group(self, p, a):
-        # every S whose automorphism group has at most 10^4 elements
+        # every S whose automorphism group has at most 10^4 elements, against
+        # the reference coloring of W
         n = p**a
-        tower = _tower_row(p, a)
+        tower = tower_row(p, a)
         checked = 0
         for mask in range(2**n):
             adjacency = [mask >> x & 1 for x in range(n)]
-            aut = automorphism_group(circulant_coloring(adjacency))
+            aut = automorphism_group(_refine.Circulant(adjacency))
             if aut.order() > 10**4:
                 continue
             preserved = {
@@ -439,7 +452,7 @@ class TestPaths:
 
     def test_tower_row_names_valuation_and_digit(self):
         # x = 3^j * y, y prime to 3: color 3j + y % 3; 0 alone gets 3a
-        assert _tower_row(3, 2) == [6, 1, 2, 4, 1, 2, 5, 1, 2]
+        assert tower_row(3, 2) == [6, 1, 2, 4, 1, 2, 5, 1, 2]
 
     def test_regular_path_enumerates_nothing(self, monkeypatch):
         calls = {"elements": 0, "_search_type": 0, "digraph": 0, "adjacency_matrix": 0}

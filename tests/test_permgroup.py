@@ -3,16 +3,15 @@ import random
 import pytest
 
 from brute import brute_automorphisms, brute_pair_orbit_preservers, from_cycles, has_fixed_point
+from circulant import _refine
 from circulant.digraph import Digraph, cayley_digraph, tower_digraph, wreath
 from circulant.errors import CapacityError
 from circulant.abelian import AbelianType
 from circulant.oracle import regular_abelian_types
 from circulant.permgroup import (
-    ArcColoring,
     PermGroup,
     Permutation,
     automorphism_group,
-    circulant_coloring,
     direct_product,
     is_nilpotent,
     orbital_coloring,
@@ -66,13 +65,13 @@ class TestOrbitsAndRegularity:
         assert PermGroup.cyclic(7).orbits() == [tuple(range(7))]
 
     def test_rotations_regular(self):
-        assert regular_abelian_types(PermGroup.cyclic(12), 12) == [AbelianType.cyclic(12)]
+        assert regular_abelian_types(PermGroup.cyclic(12)) == [AbelianType.cyclic(12)]
 
     def test_sym3_not_regular(self):
         # transitive, but of order 6 on 3 points; its regular subgroup is A_3
         g = symmetric(3)
         assert g.is_transitive() and g.order() == 6
-        assert regular_abelian_types(g, 3) == [AbelianType.cyclic(3)]
+        assert regular_abelian_types(g) == [AbelianType.cyclic(3)]
 
     def test_klein_regular(self):
         g = PermGroup(
@@ -82,7 +81,7 @@ class TestOrbitsAndRegularity:
                 from_cycles(4, [(0, 2), (1, 3)]),
             ],
         )
-        assert [t.text() for t in regular_abelian_types(g, 4)] == ["Z2^2"]
+        assert [t.text() for t in regular_abelian_types(g)] == ["Z2^2"]
 
 
 class TestElements:
@@ -228,34 +227,45 @@ class TestAutomorphismGroup:
         with pytest.raises(CapacityError):
             automorphism_group(Digraph(65, frozenset()))
 
+    def test_capacity_error_before_the_matrix_is_built(self, monkeypatch):
+        def refuse(digraph):
+            raise AssertionError("adjacency matrix built past the vertex cap")
+
+        monkeypatch.setattr(Digraph, "adjacency_matrix", refuse)
+        with pytest.raises(CapacityError):
+            automorphism_group(cayley_digraph(65, {1}))
+        with pytest.raises(CapacityError):
+            automorphism_group(cayley_digraph(9, {1}), vertex_cap=8)
+
     def test_colored_structure(self):
         # two arc colors break the 4-cycle symmetry down to rotations of even step
         colors = [[0] * 4 for _ in range(4)]
         colors[0][1] = colors[2][3] = 1
         colors[1][2] = colors[3][0] = 2
-        group = automorphism_group(ArcColoring(tuple(tuple(r) for r in colors)))
-        assert group.cached_order == 2
+        assert automorphism_group(colors).cached_order == 2
+
+    @pytest.mark.parametrize("colors", [[[0, 1], [1]], [[0, 1, 2], [1, 0, 2]], [[0], [1, 0]]])
+    def test_color_matrix_must_be_square(self, colors):
+        with pytest.raises(ValueError, match="square"):
+            automorphism_group(colors)
 
 
 class TestCirculantColoring:
+    """The engine's ``Circulant`` view of a first row, as the oracle hands it
+    to ``automorphism_group``."""
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_cayley_adjacency_exhaustively(self, n):
         for mask in range(2**n):
             s = {x for x in range(n) if mask >> x & 1}
             row = [int(x in s) for x in range(n)]
-            matrix = [list(r) for r in circulant_coloring(row).colors]
+            matrix = [list(r) for r in _refine.Circulant(row)]
             assert matrix == cayley_digraph(n, s).adjacency_matrix(), s
 
     def test_entries_follow_the_difference(self):
         row = (5, 0, 3, 0, 7, 2, 1)
-        colors = circulant_coloring(row).colors
+        colors = _refine.Circulant(row)
         assert all(colors[u][v] == row[(v - u) % 7] for u in range(7) for v in range(7))
-
-    def test_colorings_compare_by_first_row(self):
-        coloring = circulant_coloring([1, 0, 1, 1])
-        assert coloring == circulant_coloring((1, 0, 1, 1))
-        assert hash(coloring) == hash(circulant_coloring(iter([1, 0, 1, 1])))
-        assert coloring != circulant_coloring([1, 1, 0, 1])
 
 
 class TestTwoClosure:
@@ -269,7 +279,7 @@ class TestTwoClosure:
     def test_regular_z4_closed_matches_brute(self):
         g = PermGroup.cyclic(4)
         closed = two_closure(g)
-        brute = brute_pair_orbit_preservers([list(r) for r in orbital_coloring(g).colors])
+        brute = brute_pair_orbit_preservers(orbital_coloring(g))
         assert closed.cached_order == len(brute) == 4
         assert {p.images for p in closed.elements()} == set(brute)
 
@@ -302,7 +312,7 @@ class TestTwoClosure:
             gens = [_random_permutation(rng, n) for _ in range(rng.randrange(1, 3))]
             g = PermGroup(n, gens)
             closed = two_closure(g)
-            brute = brute_pair_orbit_preservers([list(r) for r in orbital_coloring(g).colors])
+            brute = brute_pair_orbit_preservers(orbital_coloring(g))
             assert closed.cached_order == len(brute)
             assert {p.images for p in closed.elements()} == set(brute)
 

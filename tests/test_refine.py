@@ -11,10 +11,10 @@ from itertools import chain, combinations
 
 import pytest
 
-from brute import brute_automorphisms, brute_pair_orbit_preservers, brute_refine, reference_automorphisms
-from circulant import _refine, oracle
+from brute import brute_automorphisms, brute_pair_orbit_preservers, brute_refine, reference_automorphisms, tower_row
+from circulant import _refine
 from circulant.digraph import Digraph, cayley_digraph
-from circulant.permgroup import ArcColoring, automorphism_group
+from circulant.permgroup import automorphism_group
 
 
 def cells(colors):
@@ -171,7 +171,7 @@ class TestConvolution:
         rng = random.Random(107)
         rows = [[rng.randrange(-300, 300) for _ in range(rng.randint(2, 30))] for _ in range(40)]
         rows += [[rng.randrange(-2, 3) for _ in range(rng.randint(2, 30))] for _ in range(40)]
-        rows += [[2 * c + (rng.random() < 0.4) for c in oracle._tower_row(3, 3)] for _ in range(20)]
+        rows += [[2 * c + (rng.random() < 0.4) for c in tower_row(3, 3)] for _ in range(20)]
         for row in rows:
             m = circulant(row)
             n = len(row)
@@ -292,7 +292,7 @@ class TestCirculantView:
         # the Sylow search's colorings: the tower row paired with an adjacency row
         rng = random.Random(p**a)
         for _ in range(40):
-            self.assert_same_search([2 * c + (rng.random() < 0.4) for c in oracle._tower_row(p, a)])
+            self.assert_same_search([2 * c + (rng.random() < 0.4) for c in tower_row(p, a)])
 
     def test_a_tuple_matrix_is_tested_for_the_shift(self):
         # the 6-cycle with a loop at 0 alone is not circulant; its tuple rows
@@ -452,5 +452,5 @@ class TestAutomorphismPaths:
         # a vertex color at 0 alone, over a circulant arc coloring
         colors = [[(v - u) % 6 // 3 for v in range(6)] for u in range(6)]
         colors[0][0] = 2
-        group = automorphism_group(ArcColoring(tuple(map(tuple, colors))))
+        group = automorphism_group(colors)
         assert group.cached_order == len(brute_pair_orbit_preservers(colors))

@@ -6,9 +6,11 @@ import inspect
 import pytest
 
 import circulant
-from circulant.permgroup import ArcColoring, PermGroup, Permutation, is_nilpotent, rotation, two_closure
+from circulant.abelian import AbelianType
+from circulant.oracle import regular_abelian_types
+from circulant.permgroup import PermGroup, Permutation, is_nilpotent, rotation, two_closure
 
-# Functions with no caller in the analyzer, the oracle or the CLI, by defining module.
+# Names with no caller in the analyzer, the oracle or the CLI, by defining module.
 REMOVED_FUNCTIONS = [
     ("abelian", "preceq"),
     ("abelian", "preceq_p"),
@@ -18,6 +20,9 @@ REMOVED_FUNCTIONS = [
     ("digraph", "complete_digraph"),
     ("digraph", "directed_cycle"),
     ("digraph", "parse_edge_list"),
+    ("permgroup", "ArcColoring"),
+    ("permgroup", "circulant_coloring"),
+    ("oracle", "_tower_row"),
 ]
 
 REMOVED_METHODS = [
@@ -25,7 +30,6 @@ REMOVED_METHODS = [
     (Permutation, "has_fixed_point"),
     (PermGroup, "symmetric"),
     (PermGroup, "trivial"),
-    (ArcColoring, "matrix"),
 ]
 
 
@@ -48,6 +52,11 @@ def test_removed_method_is_gone(owner, name):
     assert not hasattr(owner, name)
 
 
+def test_abelian_type_has_no_str_of_its_own():
+    # every caller prints a type with .text(); object's __str__ is always there
+    assert "__str__" not in AbelianType.__dict__
+
+
 def test_factorization_is_not_exported():
     # factorize still returns one, but the class is no export of its own
     assert "Factorization" not in circulant.__all__
@@ -59,6 +68,7 @@ def test_factorization_is_not_exported():
     (is_nilpotent, ["group"]),
     (PermGroup.order, ["self"]),
     (rotation, ["n"]),
+    (regular_abelian_types, ["group", "cap"]),  # n is the group's degree
 ])
 def test_options_no_caller_sets_are_gone(function, params):
     assert list(inspect.signature(function).parameters) == params
