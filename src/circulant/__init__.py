@@ -17,22 +17,19 @@ from .analyzer import (
     LayerDecomposition,
     PrimeLayers,
     analysis_report,
-    coset_condition,
     decompose,
-    minimal_group,
     parse_connection_set,
     product_type_witness,
     realizable_groups,
     subgroup_of_order,
     translation_check,
 )
-from .arith import arithmetic_condition, big_omega, factorize
+from .arith import big_omega, factorize
 from .digraph import (
     Digraph,
     cayley_digraph,
     tower_connection_set,
     tower_digraph,
-    wreath,
 )
 from .errors import CapacityError
 from .oracle import ValidationReport, cross_validate, regular_abelian_types
@@ -60,11 +57,9 @@ __all__ = [
     "PrimeLayers",
     "ValidationReport",
     "analysis_report",
-    "arithmetic_condition",
     "automorphism_group",
     "big_omega",
     "cayley_digraph",
-    "coset_condition",
     "cross_validate",
     "decompose",
     "direct_product",
@@ -72,7 +67,6 @@ __all__ = [
     "factorize",
     "hasse_edges",
     "is_nilpotent",
-    "minimal_group",
     "orbital_coloring",
     "parse_connection_set",
     "product_type_witness",
@@ -85,6 +79,5 @@ __all__ = [
     "translation_check",
     "two_closure",
     "up_set",
-    "wreath",
     "wreath_product",
 ]

@@ -13,11 +13,9 @@ color and the sorted multiset of (color of u, code of (v, u)) over all u,
 each pair folded into one int, so the counting and sorting run at C level.
 The pair u = v is counted too; that is harmless because its entry depends on
 v's own color alone, as long as the colors refine the diagonal, which every
-caller's colors do.  Refinement stops as soon as the partition is discrete,
-and a single coloring's round does not sort the rows of vertices whose class
-is a singleton.  A search for an automorphism extending a partial map
-refines two colorings of one structure side by side with one shared color
-table.
+caller's colors do.  Refinement stops as soon as the partition is discrete.
+A search for an automorphism extending a partial map refines two colorings
+of one structure side by side with one shared color table.
 
 Convolution rounds: when the shift v -> v+1 preserves the matrix and
 16 <= n < 256 (``_KERNEL_SIZES``), a round sorts no rows.  The multiset
@@ -123,15 +121,11 @@ def _indicator(j):
     return bytes(j) + b"\1" + bytes(255 - j)
 
 
-def _sorted_rows(codes, width, colors, singletons):
+def _sorted_rows(codes, width, colors):
     """Each vertex's color and the sorted multiset of (color of u, code of
-    (v, u)), one int each; a vertex whose color is in ``singletons`` gets an
-    empty multiset, since its class cannot split."""
+    (v, u)), one int each."""
     shifted = [c * width for c in colors]
-    return [
-        (c, () if c in singletons else tuple(sorted(map(add, row, shifted))))
-        for row, c in zip(codes, colors)
-    ]
+    return [(c, tuple(sorted(map(add, row, shifted)))) for row, c in zip(codes, colors)]
 
 
 def _code_counts(kernel, colors):
@@ -170,13 +164,13 @@ def _code_counts(kernel, colors):
     return [joined[v::n] for v in range(n)]
 
 
-def _signatures(codes, colors, singletons=frozenset()):
+def _signatures(codes, colors):
     """One round's signature of each vertex: by ``_code_counts`` when
     ``codes`` carry a convolution kernel, else by ``_sorted_rows``."""
     rows, width, kernel = codes
     if kernel is not None:
         return _code_counts(kernel, colors)
-    return _sorted_rows(rows, width, colors, singletons)
+    return _sorted_rows(rows, width, colors)
 
 
 def _refine_joint(m, colorings, codes=None):
@@ -203,10 +197,7 @@ def _refine_joint(m, colorings, codes=None):
             return None
         if done:
             return colorings
-        singletons = frozenset()
-        if len(colorings) == 1 and codes[2] is None:
-            singletons = {c for c, size in sizes.items() if size == 1}
-        sigs = [_signatures(codes, colors, singletons) for colors in colorings]
+        sigs = [_signatures(codes, colors) for colors in colorings]
         table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
         done = len(table) in (len(sizes), n)
         colorings = [[table[s] for s in ss] for ss in sigs]

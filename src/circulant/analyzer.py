@@ -154,21 +154,6 @@ def _prime_exponent(n: int, p: int) -> int:
     return a
 
 
-def coset_condition(s: ConnectionSet, p: int, level: int) -> bool:
-    """Whether S outside W is a union of cosets of P.
-
-    P = <n/p^level> is the subgroup of order p^level and W = <p^(a-level)>
-    the subgroup of order p^level * n/p^a, i.e. P extended by the full Hall
-    p'-part.  The test is decompose's (see _valid_levels), so nothing grows
-    with n.
-    """
-    n = s.n
-    a = _prime_exponent(n, p)
-    if not (1 <= level <= a - 1):
-        raise ValueError(f"level {level} outside 1..{a - 1} for p={p}, n={n}")
-    return level in _valid_levels(s, p, a)
-
-
 def _valid_levels(s: ConnectionSet, p: int, a: int) -> tuple[int, ...]:
     """The levels 1 <= l <= a-1 at which the coset condition holds, for p^a || n.
 
@@ -215,11 +200,6 @@ def decompose(s: ConnectionSet) -> LayerDecomposition:
         sizes = tuple(b - c for b, c in zip(bounds[1:], bounds))
         per_prime.append(PrimeLayers(p, a, valid, sizes))
     return LayerDecomposition(s.n, tuple(per_prime))
-
-
-def minimal_group(s: ConnectionSet) -> AbelianType:
-    """The minimal abelian group (under the product order) realizing Cay(Z_n, S)."""
-    return decompose(s).minimal_group()
 
 
 def realizable_groups(s: ConnectionSet) -> tuple[list[AbelianType], bool]:

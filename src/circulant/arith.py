@@ -16,10 +16,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def factorize(n: int) -> Factorization:
     """Factor a positive integer; n = 1 yields an empty factor list."""
@@ -44,17 +40,6 @@ def factorize(n: int) -> Factorization:
 def big_omega(n: int) -> int:
     """Number of prime factors of n counted with multiplicity."""
     return sum(a for _, a in factorize(n).factors)
-
-
-def arithmetic_condition(n: int) -> bool:
-    """Whether gcd(k, phi(k)) = 1 for k the radical of n.
-
-    This is the condition under which the analyzer's realizable-group list
-    is complete rather than merely sound.
-    """
-    if n < 2:
-        raise ValueError(f"condition is defined for n >= 2, got {n}")
-    return _radical_condition(factorize(n).primes)
 
 
 def _radical_condition(primes) -> bool:

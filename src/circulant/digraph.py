@@ -1,4 +1,4 @@
-"""Digraph values: Cayley construction, wreath products, canonical towers.
+"""Digraph values: Cayley construction and canonical towers.
 
 Loops are ordinary arcs (v, v); K_2 means the digon carrying both arcs and
 K_2-bar the arcless graph on two vertices, which is exactly the distinction
@@ -44,23 +44,6 @@ def cayley_digraph(n: int, members: Iterable[int]) -> Digraph:
     return Digraph(n, frozenset((g, (g + x) % n) for g in range(n) for x in s))
 
 
-def wreath(outer: Digraph, inner: Digraph) -> Digraph:
-    """Wreath product: inner copied in each fiber, complete bundles along outer arcs.
-
-    Vertex (u, v) is u * inner.vertex_count + v.
-    """
-    k = inner.vertex_count
-    arcs = set()
-    for u in range(outer.vertex_count):
-        for v, w in inner.arcs:
-            arcs.add((u * k + v, u * k + w))
-    for u, u2 in outer.arcs:
-        for v in range(k):
-            for w in range(k):
-                arcs.add((u * k + v, u2 * k + w))
-    return Digraph(outer.vertex_count * inner.vertex_count, frozenset(arcs))
-
-
 def _tower_factors(p: int, layers: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
     """Each factor as its connection set (q, A), so that it is Cay(Z_q, A)."""
     if p < 2 or big_omega(p) != 1:
@@ -104,20 +87,24 @@ def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
     factors alternate between the digon and the arcless pair so consecutive
     Sym(2) factors cannot merge into a larger symmetric group.
 
-    The tower is Cay(Z_n, S) for (n, S) = tower_connection_set(p, layers), so
-    it has n * |S| arcs.  That count is computed first, and a tower with more
-    than DEFAULT_ELEMENT_CAP arcs raises CapacityError before anything is
-    built.
+    The tower is Cay(Z_n, S) for (n, S) = tower_connection_set(p, layers),
+    relabeled so that each factor's copies are blocks of consecutive
+    vertices: x = d_1 + q_1 * (d_2 + q_2 * (...)) becomes the vertex whose
+    mixed-radix digits, outermost first, are (d_1, d_2, ...).  It has
+    n * |S| arcs.  That count is computed first, and a tower with more than
+    DEFAULT_ELEMENT_CAP arcs raises CapacityError before anything is built.
     """
-    factors = _tower_factors(p, tuple(layers))
+    layers = tuple(layers)
+    factors = _tower_factors(p, layers)
     n, size = _tower_size(factors)
     arcs = n * size
     if arcs > DEFAULT_ELEMENT_CAP:
         raise CapacityError(f"tower digraph would have {arcs} arcs", DEFAULT_ELEMENT_CAP)
-    result, *inner = [cayley_digraph(q, a) for q, a in factors]
-    for f in inner:
-        result = wreath(result, f)
-    return result
+    label = [0]
+    for q, _ in reversed(factors):
+        label = [d * len(label) + v for v in label for d in range(q)]
+    _, members = tower_connection_set(p, layers)
+    return Digraph(n, frozenset((label[g], label[(g + x) % n]) for g in range(n) for x in members))
 
 
 def tower_connection_set(p: int, layers: Iterable[int]) -> tuple[int, frozenset[int]]:

@@ -1,4 +1,4 @@
-"""Desk-scale permutation groups: orbits, 2-closure, digraph automorphisms.
+"""Desk-scale permutation groups: element closure, 2-closure, digraph automorphisms.
 
 Groups are given by generators.  Element enumeration is a Dimino-style
 closure under a configurable cap (default 10^6); there is deliberately no
@@ -8,7 +8,7 @@ of arc colors (a circulant as the engine's view of its first row) and also
 reports the exact group order, cached on the returned group.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import ne
 from typing import Optional, Sequence, Union
 
@@ -33,10 +33,6 @@ class Permutation:
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
         return p
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls._make(tuple(range(n)))
 
     @property
     def degree(self) -> int:
@@ -76,7 +72,6 @@ class PermGroup:
     degree: int
     generators: tuple[Permutation, ...]
     cached_order: Optional[int] = None
-    _elements: Optional[tuple[Permutation, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -91,14 +86,9 @@ class PermGroup:
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
         """All elements, sorted, by BFS closure; CapacityError past the cap."""
-        if self._elements is not None:
-            if len(self._elements) > cap:
-                raise CapacityError("group order exceeds element cap", cap)
-            return self._elements
         if self.cached_order is not None and self.cached_order > cap:
             raise CapacityError("group order exceeds element cap", cap)
         els = self._closure(cap)
-        self._elements = els
         if self.cached_order is not None and self.cached_order != len(els):
             raise RuntimeError(f"cached order {self.cached_order} != enumerated {len(els)}")
         return els
@@ -145,19 +135,8 @@ class PermGroup:
             return self.cached_order
         return len(self.elements())
 
-    def orbits(self) -> list[tuple[int, ...]]:
-        gens = [g.images for g in self.generators]
-        seen: set[int] = set()
-        out = []
-        for start in range(self.degree):
-            if start not in seen:
-                orbit = _refine._close_orbit({start}, gens)
-                seen |= orbit
-                out.append(tuple(sorted(orbit)))
-        return out
-
     def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
+        return len(_refine._close_orbit({0}, [g.images for g in self.generators])) == self.degree
 
 
 def _outer_generators(g: PermGroup, k: int) -> list[Permutation]:

@@ -7,10 +7,11 @@ on the explicit subgroups of Z_n (or, at large n, on every translate), color
 refinement by a plain loop over every ordered pair, the automorphism search
 by refining every level afresh and backtracking over plain pair checks,
 regular abelian subgroups by building each candidate subgroup as a set of
-elements, the tower group W by its coloring of valuations and digits, and
-up-sets and cover pairs of the partial order on abelian groups
-by testing every group, or every pair, with ``preceq``, the dominance test
-that is itself checked against strip peeling and subgroup chains.
+elements, the tower group W by its coloring of valuations and digits, the
+tower digraph by wreathing its factors one by one, and up-sets and cover
+pairs of the partial order on abelian groups by testing every group, or
+every pair, with ``preceq``, the dominance test that is itself checked
+against strip peeling and subgroup chains.
 """
 
 from collections import Counter
@@ -19,7 +20,8 @@ from math import lcm
 
 from circulant.abelian import enumerate_abelian
 from circulant.analyzer import subgroup_of_order
-from circulant.permgroup import PermGroup, Permutation
+from circulant.digraph import Digraph, _tower_factors, cayley_digraph
+from circulant.permgroup import Permutation
 
 
 def brute_subdivision(a, b):
@@ -223,7 +225,16 @@ def reference_automorphisms(m):
 
 def cycle_lengths(g):
     """Cycle lengths of g, sorted: the orbit sizes of the cyclic group <g>."""
-    return sorted(len(orbit) for orbit in PermGroup(g.degree, (g,)).orbits())
+    seen, lengths = set(), []
+    for start in range(g.degree):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x = g(x)
+            length += 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths)
 
 
 def element_order(g):
@@ -233,7 +244,7 @@ def element_order(g):
 def abelian_extension(subgroup, g, order):
     """Elements of <subgroup, g> for g of the given order commuting with all of
     subgroup; None unless the order grows by the full factor."""
-    powers = [Permutation.identity(g.degree)]
+    powers = [Permutation(tuple(range(g.degree)))]
     for _ in range(order - 1):
         powers.append(powers[-1] * g)
     extended = {a * q for a in subgroup for q in powers}
@@ -282,7 +293,7 @@ def element_set_search(pools, factors, degree):
                 return True
         return False
 
-    return extend(0, [], {Permutation.identity(degree)}, 0)
+    return extend(0, [], {Permutation(tuple(range(degree)))}, 0)
 
 
 def element_set_types(group, n):
@@ -340,6 +351,32 @@ def tower_row(p, a):
         for x in range(step, n, step):
             row[x] = j * p + x // step % p  # multiples of p^(j+1) are recolored later
     return row
+
+
+def wreath(outer, inner):
+    """Wreath product: inner copied in each fiber, complete bundles along outer arcs.
+
+    Vertex (u, v) is u * inner.vertex_count + v.
+    """
+    k = inner.vertex_count
+    arcs = set()
+    for u in range(outer.vertex_count):
+        for v, w in inner.arcs:
+            arcs.add((u * k + v, u * k + w))
+    for u, u2 in outer.arcs:
+        for v in range(k):
+            for w in range(k):
+                arcs.add((u * k + v, u2 * k + w))
+    return Digraph(outer.vertex_count * inner.vertex_count, frozenset(arcs))
+
+
+def wreath_tower(p, layers):
+    """The tower digraph built factor by factor, outermost first, by wreath:
+    the reference for the circulant build of ``tower_digraph``."""
+    result, *inner = [cayley_digraph(q, a) for q, a in _tower_factors(p, tuple(layers))]
+    for f in inner:
+        result = wreath(result, f)
+    return result
 
 
 def _horizontal_strip_results(lam, c):

@@ -13,9 +13,7 @@ from circulant.abelian import AbelianType, partitions, up_set
 from circulant.analyzer import (
     ConnectionSet,
     analysis_report,
-    coset_condition,
     decompose,
-    minimal_group,
     parse_connection_set,
     product_type_witness,
     realizable_groups,
@@ -32,6 +30,11 @@ LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5
 EXAMPLE_45 = ConnectionSet.of(45, [0, 1, 15, 30])
 EXAMPLE_9 = ConnectionSet.of(9, [3, 6])
 EXAMPLE_8 = ConnectionSet.of(8, [4])
+
+
+def holds(s, p, level):
+    """Whether the coset condition holds for p at this level, as decompose finds it."""
+    return level in decompose(s).for_prime(p).valid_levels
 
 
 class TestConnectionSet:
@@ -84,31 +87,32 @@ class TestSubgroupOfOrder:
 class TestCosetCondition:
     def test_worked_example_fails_at_level_1(self):
         # 1 is outside W = <3> and 1 + {0,15,30} is not inside S
-        assert coset_condition(EXAMPLE_45, 3, 1) is False
+        assert holds(EXAMPLE_45, 3, 1) is False
 
     def test_block_example_vacuously_true(self):
-        assert coset_condition(EXAMPLE_9, 3, 1) is True
+        assert holds(EXAMPLE_9, 3, 1) is True
 
     def test_directed_nine_cycle_fails(self):
-        assert coset_condition(ConnectionSet.of(9, [1]), 3, 1) is False
+        assert holds(ConnectionSet.of(9, [1]), 3, 1) is False
 
     def test_invalid_level(self):
+        # a level outside 1..a-1 is never valid, so translation_check refuses it
         with pytest.raises(ValueError):
-            coset_condition(EXAMPLE_9, 3, 2)
+            translation_check(EXAMPLE_9, 3, 2)
         with pytest.raises(ValueError):
-            coset_condition(EXAMPLE_9, 3, 0)
+            translation_check(EXAMPLE_9, 3, 0)
         with pytest.raises(ValueError):
-            coset_condition(EXAMPLE_45, 5, 1)  # a=1 admits no levels
+            translation_check(EXAMPLE_45, 5, 1)  # a=1 admits no levels
 
     @pytest.mark.parametrize("n,p", [(16, 4), (15, 2), (16, 1), (16, 0), (16, -3)])
     def test_rejects_p_that_is_not_a_prime_divisor(self, n, p):
         with pytest.raises(ValueError, match=f"{p} does not divide {n}"):
-            coset_condition(ConnectionSet.of(n, [1]), p, 1)
+            translation_check(ConnectionSet.of(n, [1]), p, 1)
 
     def test_full_coset_union_satisfies(self):
         # S = (1 + <5>) in Z_25 is one full coset of the order-5 subgroup
         s = ConnectionSet.of(25, {(1 + 5 * k) % 25 for k in range(5)})
-        assert coset_condition(s, 5, 1) is True
+        assert holds(s, 5, 1) is True
 
     @pytest.mark.parametrize("n", [8, 9, 12, 16])
     def test_matches_brute_force_exhaustively(self, n):
@@ -118,22 +122,9 @@ class TestCosetCondition:
             s = ConnectionSet.of(n, members)
             for p, a in factorize(n).factors:
                 for level in range(1, a):
-                    assert coset_condition(s, p, level) == brute_coset_condition(s, p, level), (s, p, level)
+                    assert holds(s, p, level) == brute_coset_condition(s, p, level), (s, p, level)
                     checked += 1
         assert checked >= 2**n
-
-    def test_matches_brute_force_random(self):
-        rng = random.Random(71)
-        valid = 0
-        for _ in range(1000):
-            n = rng.randrange(4, 201)
-            s = _random_instance(rng, n)
-            for p, a in factorize(n).factors:
-                for level in range(1, a):
-                    expected = brute_coset_condition(s, p, level)
-                    assert coset_condition(s, p, level) == expected, (s, p, level)
-                    valid += expected
-        assert valid > 100
 
 
 class TestDecompose:
@@ -179,9 +170,14 @@ class TestDecompose:
 
     @staticmethod
     def _assert_levels_match_brute_force(s):
+        """Check every prime's levels against the brute-force condition; the
+        number of valid levels."""
+        valid = 0
         for layers in decompose(s).per_prime:
             expected = tuple(l for l in range(1, layers.a) if brute_coset_condition(s, layers.p, l))
             assert layers.valid_levels == expected, (s, layers.p)
+            valid += len(expected)
+        return valid
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_levels_match_brute_force_exhaustively(self, n):
@@ -193,6 +189,13 @@ class TestDecompose:
         rng = random.Random(n)
         for _ in range(200):
             self._assert_levels_match_brute_force(_random_instance(rng, n))
+
+    def test_levels_match_brute_force_random_up_to_200(self):
+        rng = random.Random(71)
+        valid = 0
+        for _ in range(1000):
+            valid += self._assert_levels_match_brute_force(_random_instance(rng, rng.randrange(4, 201)))
+        assert valid > 100
 
     @pytest.mark.parametrize("n", LARGE_NS)
     def test_levels_match_translate_scan_at_large_n(self, n):
@@ -209,7 +212,7 @@ class TestDecompose:
         assert valid > 40
 
     def test_reads_each_exponent_off_the_factorization(self, monkeypatch):
-        # decompose reads each a off factorize(n); only coset_condition re-derives it
+        # decompose reads each a off factorize(n); only translation_check re-derives it
         calls = []
         exponent = analyzer._prime_exponent
 
@@ -225,13 +228,13 @@ class TestDecompose:
 
 class TestMinimalAndRealizable:
     def test_worked_example_minimal_cyclic(self):
-        assert minimal_group(EXAMPLE_45) == AbelianType.cyclic(45)
+        assert decompose(EXAMPLE_45).minimal_group() == AbelianType.cyclic(45)
 
     def test_block_example_elementary(self):
-        assert minimal_group(EXAMPLE_9) == AbelianType.from_parts({3: (1, 1)})
+        assert decompose(EXAMPLE_9).minimal_group() == AbelianType.from_parts({3: (1, 1)})
 
     def test_digon_stack_elementary(self):
-        assert minimal_group(EXAMPLE_8) == AbelianType.from_parts({2: (1, 1, 1)})
+        assert decompose(EXAMPLE_8).minimal_group() == AbelianType.from_parts({2: (1, 1, 1)})
 
     def test_realizable_sets(self):
         groups, exact = realizable_groups(EXAMPLE_9)
@@ -253,7 +256,7 @@ class TestMinimalAndRealizable:
         s = ConnectionSet.of(16, [1, 4, 5, 9, 13])
         layers = decompose(s).for_prime(2)
         assert layers.valid_levels == (2,)
-        assert minimal_group(s) == AbelianType.from_parts({2: (2, 2)})
+        assert decompose(s).minimal_group() == AbelianType.from_parts({2: (2, 2)})
         groups, exact = realizable_groups(s)
         assert {g.text() for g in groups} == {"Z4^2", "Z8xZ2", "Z16"}
         assert exact is True
@@ -267,7 +270,7 @@ class TestMinimalAndRealizable:
         for _ in range(80):
             n = rng.randrange(2, 101)
             s = ConnectionSet.of(n, {rng.randrange(n) for _ in range(rng.randrange(0, 8))})
-            h = minimal_group(s)
+            h = decompose(s).minimal_group()
             groups, _ = realizable_groups(s)
             assert all(preceq(h, k) for k in groups)
 
@@ -361,7 +364,7 @@ class TestTranslationCheck:
                         continue
                     extra = rng.choice(outside)
                     bigger = ConnectionSet.of(n, set(s.members) | {(extra + t) % n for t in subgroup})
-                    assert coset_condition(bigger, p, level) is True
+                    assert holds(bigger, p, level) is True
                     grown += 1
         assert grown > 50
 
@@ -431,7 +434,7 @@ class TestReport:
                 for other in others:
                     s = _tower_product(tower_connection_set(p, lam), other)
                     report = analysis_report(s)
-                    minimal = minimal_group(s)
+                    minimal = decompose(s).minimal_group()
                     assert minimal.sylow_for(p).parts == tuple(sorted(lam, reverse=True))
                     assert report["minimal_group"] == minimal.text()
                     assert report["realizable"] == [g.text() for g in up_set(minimal)], s

@@ -3,7 +3,13 @@ from math import gcd, prod
 
 import pytest
 
-from circulant.arith import arithmetic_condition, big_omega, factorize
+from circulant.analyzer import ConnectionSet, decompose
+from circulant.arith import big_omega, factorize
+
+
+def arithmetic_condition(n):
+    """The gcd condition on n, as the analyzer reads it off its decomposition."""
+    return decompose(ConnectionSet.of(n, ())).arithmetic_condition()
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute import brute_automorphisms
+from brute import brute_automorphisms, wreath, wreath_tower
 from circulant import digraph
 from circulant.digraph import (
     Digraph,
@@ -11,7 +11,6 @@ from circulant.digraph import (
     dot_text,
     tower_connection_set,
     tower_digraph,
-    wreath,
 )
 from circulant.errors import CapacityError
 from circulant.permgroup import automorphism_group
@@ -99,6 +98,8 @@ class TestCayley:
 
 
 class TestWreath:
+    """The reference wreath product that ``brute.wreath_tower`` builds towers with."""
+
     def test_arc_count_formula_examples(self):
         d3 = cayley_digraph(3, {1})
         assert len(wreath(d3, d3).arcs) == 3 * 3 + 3 * 9
@@ -162,6 +163,15 @@ class TestTower:
 
     def test_p2_11_automorphism_count_brute(self):
         assert len(brute_automorphisms(tower_digraph(2, (1, 1)))) == 8
+
+    @pytest.mark.parametrize("p,max_total", [(2, 7), (3, 4), (5, 3)])
+    def test_matches_the_wreath_build(self, p, max_total):
+        # every tower on at most 128, 81 and 125 vertices: the relabeled
+        # circulant has the arcs of the factor-by-factor wreath build, also
+        # when the layers come as a one-shot iterator
+        for total in range(1, max_total + 1):
+            for layers in _compositions(total):
+                assert tower_digraph(p, iter(layers)) == wreath_tower(p, layers), (p, layers)
 
     def test_rejects_bad_layers(self):
         with pytest.raises(ValueError):

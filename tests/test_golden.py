@@ -1,5 +1,5 @@
-"""Replay of `analyze`, `decompose` and `verify` against reports recorded from
-an earlier build.
+"""Replay of `analyze`, `decompose`, `verify` and `witness` against reports
+recorded from an earlier build.
 
 tests/data/analyze_golden.jsonl and tests/data/verify_golden.jsonl hold one
 record per call: the argument list, the exit code, and standard output and
@@ -7,14 +7,17 @@ error as printed.  Each call is replayed through `circulant.cli.main` and
 must print the same bytes, so a change that speeds up the analyzer or the
 oracle cannot change their answers unnoticed.  The verify calls are every S
 with 2 <= n <= 9, which take the regular, symmetric, sylow and enumerate
-paths.
+paths.  tests/data/witness_golden.jsonl keeps the sha256 of standard output
+in place of the text, since a tower prints one line per arc.
 
 To record a file again from a checkout whose output is trusted:
 
     PYTHONPATH=src python tests/test_golden.py tests/data/analyze_golden.jsonl
     PYTHONPATH=src python tests/test_golden.py tests/data/verify_golden.jsonl
+    PYTHONPATH=src python tests/test_golden.py tests/data/witness_golden.jsonl
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -29,6 +32,7 @@ from circulant.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.jsonl"
+WITNESS_GOLDEN = Path(__file__).parent / "data" / "witness_golden.jsonl"
 SEED = 20261018
 LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5**4]
 
@@ -98,6 +102,43 @@ def _verify_calls():
             yield ["verify", _literal(n, [x for x in range(n) if mask >> x & 1]), "--format", "json"]
 
 
+def _witness_literals():
+    """README literals, towers of many layers, and a seeded sample with n <= 128."""
+    rng = random.Random(SEED + 1)
+    literals = [
+        "n=45;S=0,1,15,30",
+        "n=8;S=4",
+        "n=9;S=3,6",
+        "n=16;S=1,4,5,9,13",
+        "n=64;S=",
+        "n=243;S=81,162",
+        "n=128;S=",
+        "n=81;S=",
+        "n=125;S=25,50,75,100",
+        "n=72;S=",
+        f"n={2**20};S=",  # past the arc cap
+        "n=1;S=",  # no decomposition at n = 1
+    ]
+    for _ in range(145):
+        n = rng.randrange(2, 129)
+        size = rng.randrange(0, min(n, 10) + 1)
+        members = set(rng.sample(range(n), size)) if rng.random() < 0.4 else _coset_union(rng, n, size)
+        literals.append(_literal(n, members))
+    return literals
+
+
+def _witness_calls():
+    for literal in _witness_literals():
+        for fmt in ("text", "dot"):
+            yield ["witness", literal, "--format", fmt]
+
+
+def _hashed_run(argv):
+    record = _run(argv)
+    record["stdout_sha256"] = hashlib.sha256(record.pop("stdout").encode()).hexdigest()
+    return record
+
+
 def _records(path=GOLDEN):
     with path.open(encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
@@ -127,8 +168,21 @@ def test_verify_replays_byte_for_byte():
         assert _run(record["argv"]) == record, record["argv"]
 
 
+def test_witness_golden_covers_every_call():
+    assert [r["argv"] for r in _records(WITNESS_GOLDEN)] == list(_witness_calls())
+
+
+def test_witness_replays_byte_for_byte():
+    records = _records(WITNESS_GOLDEN)
+    assert {r["code"] for r in records} == {0, 1}
+    for record in records:
+        assert _hashed_run(record["argv"]) == record, record["argv"]
+
+
 if __name__ == "__main__":
-    calls = {GOLDEN.name: _calls, VERIFY_GOLDEN.name: _verify_calls}[Path(sys.argv[1]).name]
+    name = Path(sys.argv[1]).name
+    calls = {GOLDEN.name: _calls, VERIFY_GOLDEN.name: _verify_calls, WITNESS_GOLDEN.name: _witness_calls}[name]
+    run = _hashed_run if name == WITNESS_GOLDEN.name else _run
     with open(sys.argv[1], "w", encoding="utf-8") as handle:
         for argv in calls():
-            handle.write(json.dumps(_run(argv), sort_keys=True) + "\n")
+            handle.write(json.dumps(run(argv), sort_keys=True) + "\n")

@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from brute import brute_automorphisms, brute_pair_orbit_preservers, from_cycles, has_fixed_point
+from brute import (
+    brute_automorphisms,
+    brute_pair_orbit_preservers,
+    cycle_lengths,
+    from_cycles,
+    has_fixed_point,
+    wreath,
+)
 from circulant import _refine
-from circulant.digraph import Digraph, cayley_digraph, tower_digraph, wreath
+from circulant.digraph import Digraph, cayley_digraph, tower_digraph
 from circulant.errors import CapacityError
 from circulant.abelian import AbelianType
 from circulant.oracle import regular_abelian_types
@@ -55,14 +62,19 @@ class TestPermutation:
 
 class TestOrbitsAndRegularity:
     def test_orbits_three_cycle_on_five_points(self):
-        g = PermGroup(5, [from_cycles(5, [(0, 1, 2)])])
-        assert g.orbits() == [(0, 1, 2), (3,), (4,)]
+        g = from_cycles(5, [(0, 1, 2)])
+        assert cycle_lengths(g) == [1, 1, 3]
+        assert not PermGroup(5, [g]).is_transitive()
+        assert PermGroup(3, [from_cycles(3, [(0, 1, 2)])]).is_transitive()
 
     def test_trivial_group_orbits(self):
-        assert PermGroup(4, ()).orbits() == [(0,), (1,), (2,), (3,)]
+        assert cycle_lengths(Permutation((0, 1, 2, 3))) == [1, 1, 1, 1]
+        assert not PermGroup(4, ()).is_transitive()
+        assert PermGroup(1, ()).is_transitive()
 
     def test_rotation_single_orbit(self):
-        assert PermGroup.cyclic(7).orbits() == [tuple(range(7))]
+        assert cycle_lengths(rotation(7)) == [7]
+        assert PermGroup.cyclic(7).is_transitive()
 
     def test_rotations_regular(self):
         assert regular_abelian_types(PermGroup.cyclic(12)) == [AbelianType.cyclic(12)]

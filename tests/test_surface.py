@@ -7,6 +7,7 @@ import pytest
 
 import circulant
 from circulant.abelian import AbelianType
+from circulant.arith import Factorization
 from circulant.oracle import regular_abelian_types
 from circulant.permgroup import PermGroup, Permutation, is_nilpotent, rotation, two_closure
 
@@ -14,12 +15,16 @@ from circulant.permgroup import PermGroup, Permutation, is_nilpotent, rotation, 
 REMOVED_FUNCTIONS = [
     ("abelian", "preceq"),
     ("abelian", "preceq_p"),
+    ("analyzer", "coset_condition"),  # level in decompose(s).for_prime(p).valid_levels
+    ("analyzer", "minimal_group"),  # decompose(s).minimal_group()
     ("arith", "euler_phi"),
+    ("arith", "arithmetic_condition"),  # LayerDecomposition.arithmetic_condition()
     ("digraph", "digraph"),
     ("digraph", "empty_digraph"),
     ("digraph", "complete_digraph"),
     ("digraph", "directed_cycle"),
     ("digraph", "parse_edge_list"),
+    ("digraph", "wreath"),  # tower_digraph relabels the tower circulant; brute.wreath is the reference
     ("permgroup", "ArcColoring"),
     ("permgroup", "circulant_coloring"),
     ("oracle", "_tower_row"),
@@ -30,6 +35,10 @@ REMOVED_METHODS = [
     (Permutation, "has_fixed_point"),
     (PermGroup, "symmetric"),
     (PermGroup, "trivial"),
+    (PermGroup, "orbits"),  # is_transitive reads the orbit of 0
+    (PermGroup, "_elements"),  # elements() is not memoized
+    (Permutation, "identity"),
+    (Factorization, "primes"),  # its one caller was arith.arithmetic_condition
 ]
 
 
