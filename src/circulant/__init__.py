@@ -40,7 +40,6 @@ from .permgroup import (
     direct_product,
     is_nilpotent,
     orbital_coloring,
-    rotation,
     two_closure,
     wreath_product,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "product_type_witness",
     "realizable_groups",
     "regular_abelian_types",
-    "rotation",
     "subgroup_of_order",
     "tower_connection_set",
     "tower_digraph",

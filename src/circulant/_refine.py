@@ -14,8 +14,9 @@ each pair folded into one int, so the counting and sorting run at C level.
 The pair u = v is counted too; that is harmless because its entry depends on
 v's own color alone, as long as the colors refine the diagonal, which every
 caller's colors do.  Refinement stops as soon as the partition is discrete.
-A search for an automorphism extending a partial map refines two colorings
-of one structure side by side with one shared color table.
+A search for an automorphism mapping x to y refines the level's stable
+coloring with x and with y individualized side by side, one shared color
+table for both; ``_individualize`` alone gives vertices colors of their own.
 
 Convolution rounds: when the shift v -> v+1 preserves the matrix and
 16 <= n < 256 (``_KERNEL_SIZES``), a round sorts no rows.  The multiset
@@ -135,9 +136,9 @@ def _code_counts(kernel, colors):
 
     The counts fix the multiset ``_sorted_rows`` sorts and are fixed by it,
     so the two give the same partition.  Colors must be in 0..255, so they
-    fit in a byte (``bytes`` raises otherwise).  The search's are: rounds
-    give ranks below n, and ``iso_search``'s forced colors run from 1 to at
-    most n, since a matrix the shift preserves has one diagonal value.  A
+    fit in a byte (``bytes`` raises otherwise).  The search's are: every
+    coloring is a table of ranks, and colorings refined side by side have
+    equal color counts before each round, so they share at most n colors.  A
     singleton class {u} needs no product: its column is r rotated right by
     u, the rank of the code to u itself.  The largest class (ties: the
     highest color) is left out, since its counts are the code totals, the
@@ -173,7 +174,7 @@ def _signatures(codes, colors):
     return _sorted_rows(rows, width, colors)
 
 
-def _refine_joint(m, colorings, codes=None):
+def _refine_joint(m, colorings, codes):
     """Refine several colorings of one structure side by side with one shared
     color table.
 
@@ -185,10 +186,8 @@ def _refine_joint(m, colorings, codes=None):
     is stable: a single coloring is returned right after that round, and
     several have their class sizes compared once more.  ``codes`` is
     ``_pair_codes(m)`` and a convolution kernel or None, as
-    ``_search_codes`` builds them; when not given, the rounds sort rows.
-    With a kernel, colors must be below 256.
+    ``_search_codes`` builds them.  With a kernel, colors must be below 256.
     """
-    codes = codes or (*_pair_codes(m), None)
     n = len(m)
     sizes = Counter(colorings[0])
     done = False
@@ -206,7 +205,7 @@ def _refine_joint(m, colorings, codes=None):
         sizes = Counter(colorings[0])
 
 
-def refine(m, colors, *, codes=None):
+def refine(m, colors, *, codes):
     """Iterate signature refinement on one structure until the partition is stable.
 
     ``colors`` must refine the diagonal: equal colors, equal m[v][v].  A
@@ -218,62 +217,56 @@ def refine(m, colors, *, codes=None):
     return _refine_joint(m, (colors,), codes)[0]
 
 
-def _individualize(codes, colors, x):
-    """The stable coloring ``colors`` with x individualized, after one round.
+def _individualize(codes, colors, *points):
+    """The stable coloring ``colors`` with each of ``points`` individualized
+    in turn, after one round: one coloring per point.
 
     In a stable coloring a vertex's multiset of (color of u, code of (v, u))
     depends on its color alone, so giving x a color of its own changes v's
     signature only through the pair (v, x): the round splits each class by
-    the code of (v, x), and x is alone.  Returned as ranks.  For codes held
-    as a ``Circulant``, code (v, x) is row[(x - v) mod n], so the column is a
+    the code of (v, x), and x is alone.  Every point's coloring is ranked on
+    one shared table, and every point gets the same color, below all
+    others, so the colorings can be refined side by side.  For codes held as
+    a ``Circulant``, code (v, x) is row[(x - v) mod n], so the column is a
     reversed slice of the doubled row 0.
     """
     rows, width, _ = codes
     if isinstance(rows, Circulant):
-        n = len(rows)
-        column = (rows.row * 2)[x + n : x : -1]
+        doubled, n = rows.row * 2, len(rows)
+        columns = [doubled[x + n : x : -1] for x in points]
     else:
-        column = [row[x] for row in rows]
-    keys = [c * width + e for c, e in zip(colors, column)]
-    keys[x] = min(keys) - 1
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
+        columns = [[row[x] for row in rows] for x in points]
+    keyed = [[c * width + e for c, e in zip(colors, column)] for column in columns]
+    sentinel = min(map(min, keyed)) - 1
+    for x, keys in zip(points, keyed):
+        keys[x] = sentinel
+    rank = {k: i for i, k in enumerate(sorted(set().union(*keyed)))}
+    return [[rank[k] for k in keys] for keys in keyed]
 
 
 def _diagonal_colors(m):
-    """Each vertex's rank among the distinct diagonal values, and their count.
+    """Each vertex's rank among the distinct diagonal values.
 
     A ``Circulant``'s diagonal is the constant row[0].
     """
     if isinstance(m, Circulant):
-        return [0] * len(m), 1
+        return [0] * len(m)
     rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(len(m))}))}
-    return [rank[m[v][v]] for v in range(len(m))], len(rank)
+    return [rank[m[v][v]] for v in range(len(m))]
 
 
-def iso_search(m, forced, *, codes=None):
-    """An automorphism of m extending the partial map ``forced``, or None.
+def iso_search(m, colors, x, y, *, codes):
+    """An automorphism of m that preserves the stable coloring ``colors``
+    and maps x to y, or None.
 
-    Vertices are mapped in order of their candidate count (ties by index),
-    each trying its images in ascending order, so the witness returned is
+    ``colors`` with x and with y individualized are refined side by side,
+    and a vertex's candidate images are its class in the second.  Vertices
+    are mapped in order of their candidate count (ties by index), each
+    trying its images in ascending order, so the witness returned is
     deterministic.  ``codes`` are as for ``_refine_joint``.
     """
     n = len(m)
-    items = sorted(forced.items())
-    if len({b for _, b in items}) != len(items):
-        return None
-    for a1, b1 in items:
-        for a2, b2 in items:
-            if m[a1][a2] != m[b1][b2]:
-                return None
-
-    ca, next_color = _diagonal_colors(m)
-    cb = list(ca)
-    for a, b in items:
-        ca[a] = next_color
-        cb[b] = next_color
-        next_color += 1
-    refined = _refine_joint(m, (ca, cb), codes)
+    refined = _refine_joint(m, _individualize(codes, colors, x, y), codes)
     if refined is None:
         return None
     ca, cb = refined
@@ -367,7 +360,10 @@ def automorphisms(m):
     non-singleton refined cell is individualized; its orbit under the point
     stabilizer of the previously fixed vertices is measured by one membership
     search per unresolved candidate, and the group order is the product of
-    the orbit sizes.  Found witnesses generate the full group.
+    the orbit sizes.  Found witnesses generate the full group.  The search
+    for one mapping the base point x to a candidate y starts from the
+    level's stable coloring, which every automorphism fixing the earlier
+    base points preserves, so it repeats none of the level's rounds.
 
     Pair codes, and for a circulant in ``_KERNEL_SIZES`` their convolution
     kernel, are built once per call and shared by every refinement and
@@ -397,16 +393,14 @@ def automorphisms(m):
     costs row 0 of the matrix and of its codes.
     """
     n = len(m)
-    colors, _ = _diagonal_colors(m)
+    colors = _diagonal_colors(m)
     shift, codes = _search_codes(m)
-    base = []
     gens = []
     order = 1
     if shift:
         gens.append(tuple(range(1, n)) + (0,))
-        base.append(0)
         order = n
-        colors = _individualize(codes, colors, 0)
+        (colors,) = _individualize(codes, colors, 0)
     while True:
         colors = refine(m, colors, codes=codes)
         if len(set(colors)) == n:
@@ -419,18 +413,16 @@ def automorphisms(m):
         x = target[0]
         if isinstance(m, Circulant):
             m = tuple(m)  # the search's backtracking indexes plain tuples
-        forced_base = {b: b for b in base}
         orbit = {x}
         level_gens = []
         for y in target[1:]:
             if y in orbit:
                 continue
-            witness = iso_search(m, {**forced_base, x: y}, codes=codes)
+            witness = iso_search(m, colors, x, y, codes=codes)
             if witness is not None:
                 witness = tuple(witness)
                 gens.append(witness)
                 level_gens.append(witness)
                 orbit = _close_orbit(orbit, level_gens)
         order *= len(orbit)
-        base.append(x)
-        colors = _individualize(codes, colors, x)
+        (colors,) = _individualize(codes, colors, x)

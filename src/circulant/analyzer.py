@@ -21,10 +21,11 @@ import warnings
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from typing import Iterator
 
 from .abelian import AbelianType, PPartition, _up_closures, up_set
 from .arith import _radical_condition, big_omega, factorize
-from .digraph import Digraph, cayley_digraph, tower_digraph
+from .digraph import Digraph, cayley_digraph, tower_arcs
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,6 @@ class PrimeLayers:
         """The layer sizes, largest first: the partition of the minimal Sylow p-subgroup."""
         return tuple(sorted(self.layer_sizes, reverse=True))
 
-    @property
-    def minimal_sylow(self) -> PPartition:
-        return PPartition(self.p, self.minimal_parts)
-
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
@@ -136,7 +133,7 @@ class LayerDecomposition:
         raise KeyError(f"{p} does not divide {self.n}")
 
     def minimal_group(self) -> AbelianType:
-        return AbelianType(tuple(layers.minimal_sylow for layers in self.per_prime))
+        return AbelianType(tuple(PPartition(layers.p, layers.minimal_parts) for layers in self.per_prime))
 
     def arithmetic_condition(self) -> bool:
         """gcd(k, phi(k)) = 1 for k the radical of n, read off the factorization."""
@@ -212,18 +209,18 @@ def realizable_groups(s: ConnectionSet) -> tuple[list[AbelianType], bool]:
     return up_set(decomposition.minimal_group()), decomposition.arithmetic_condition()
 
 
-def product_type_witness(s: ConnectionSet) -> list[tuple[int, Digraph]]:
+def product_type_witness(s: ConnectionSet) -> list[tuple[int, int, Iterator[tuple[int, int]]]]:
     """Per prime p, in increasing order, p and the canonical tower digraph
-    over p's layers.
+    over p's layers as ``tower_arcs`` gives it: its vertex count and its arcs
+    in sorted order.  Every tower's arc cap is checked before this returns.
 
     Layers feed the tower top-down (reversed), so the outermost wreath factor
     corresponds to the topmost layer, matching how block-local translations
     sit inside quotient actions.
     """
-    decomposition = decompose(s)
     return [
-        (layers.p, tower_digraph(layers.p, tuple(reversed(layers.layer_sizes))))
-        for layers in decomposition.per_prime
+        (layers.p, *tower_arcs(layers.p, tuple(reversed(layers.layer_sizes))))
+        for layers in decompose(s).per_prime
     ]
 
 

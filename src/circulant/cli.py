@@ -14,7 +14,7 @@ from .analyzer import (
     parse_connection_set,
     product_type_witness,
 )
-from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, dot_text, edge_list_text, tower_connection_set
+from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, dot_lines, edge_list_lines, tower_connection_set
 from .errors import CapacityError
 from .oracle import MISMATCH, ORACLE_CAPPED, cross_validate
 
@@ -143,12 +143,13 @@ def _run_decompose(args) -> int:
 
 
 def _run_witness(args) -> int:
-    for p, tower in product_type_witness(args.instance):
+    for p, n, arcs in product_type_witness(args.instance):
         if args.fmt == "dot":
-            print(dot_text(tower, name=f"tower_p{p}"))
+            lines = dot_lines(n, arcs, name=f"tower_p{p}")
         else:
             print(f"# p={p}")
-            print(edge_list_text(tower))
+            lines = edge_list_lines(n, arcs)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return EXIT_OK
 
 
@@ -190,44 +191,34 @@ def _run_verify(args) -> int:
     if (args.instance is None) == (args.batch is None):
         print("error: verify needs exactly one of an instance literal or --batch", file=sys.stderr)
         return EXIT_ERROR
-    instances = []  # (where, instance): where names the batch line, "FILE:LINE: "
+    instances = [("", args.instance)]  # (where, instance); a batch line's instance is its text
     if args.batch is not None:
         try:
             with open(args.batch, encoding="utf-8") as handle:
-                lines = handle.readlines()
+                lines = list(enumerate(map(str.strip, handle), start=1))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                instance, warns = _parse_instance(stripped)
-            except ValueError as exc:
-                print(f"error: {args.batch}:{lineno}: {exc}", file=sys.stderr)
-                return EXIT_ERROR
-            for w in warns:
-                print(f"warning: {args.batch}:{lineno}: {w}", file=sys.stderr)
-            instances.append((f"{args.batch}:{lineno}: ", instance))
-    else:
-        instances.append(("", args.instance))
+        instances = [(f"{args.batch}:{k}: ", text) for k, text in lines if text and not text.startswith("#")]
     verdicts = []
-    # a line that trips a cap or cannot be decided is reported, and the lines
-    # after it still run; a cap under --strict (3) outranks an error (1)
+    # a line that is malformed, trips a cap or cannot be decided is reported,
+    # and the lines after it still run; a cap under --strict (3) outranks an error (1)
     failure_exit = EXIT_OK
     for where, instance in instances:
         try:
+            if isinstance(instance, str):
+                instance, warns = _parse_instance(instance)
+                for w in warns:
+                    print(f"warning: {where}{w}", file=sys.stderr)
             report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
         except CapacityError as exc:
             failure_exit = max(failure_exit, _capacity_exit(exc, args.strict, where))
-            continue
         except ValueError as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             failure_exit = max(failure_exit, EXIT_ERROR)
-            continue
-        verdicts.append(report.verdict)
-        print(_report_line(report, args.fmt))
+        else:
+            verdicts.append(report.verdict)
+            print(_report_line(report, args.fmt))
     return _verdict_exit(verdicts, args.strict, failure_exit)
 
 

@@ -6,7 +6,7 @@ the tower construction's case split needs.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .arith import big_omega
 from .errors import CapacityError
@@ -85,7 +85,15 @@ def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
 
     Each factor is the directed cycle of length p^k, except that order-2
     factors alternate between the digon and the arcless pair so consecutive
-    Sym(2) factors cannot merge into a larger symmetric group.
+    Sym(2) factors cannot merge into a larger symmetric group.  Its arcs are
+    those of ``tower_arcs``.
+    """
+    n, arcs = tower_arcs(p, layers)
+    return Digraph(n, frozenset(arcs))
+
+
+def tower_arcs(p: int, layers: Iterable[int]) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The tower digraph's vertex count n and its arcs, generated in sorted order.
 
     The tower is Cay(Z_n, S) for (n, S) = tower_connection_set(p, layers),
     relabeled so that each factor's copies are blocks of consecutive
@@ -93,6 +101,8 @@ def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
     mixed-radix digits, outermost first, are (d_1, d_2, ...).  It has
     n * |S| arcs.  That count is computed first, and a tower with more than
     DEFAULT_ELEMENT_CAP arcs raises CapacityError before anything is built.
+    The arcs are not held: each vertex's are made from the label table, its
+    inverse and S when the generator reaches it.
     """
     layers = tuple(layers)
     factors = _tower_factors(p, layers)
@@ -103,8 +113,9 @@ def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
     label = [0]
     for q, _ in reversed(factors):
         label = [d * len(label) + v for v in label for d in range(q)]
+    position = sorted(range(n), key=label.__getitem__)  # label[position[u]] == u
     _, members = tower_connection_set(p, layers)
-    return Digraph(n, frozenset((label[g], label[(g + x) % n]) for g in range(n) for x in members))
+    return n, ((u, v) for u in range(n) for v in sorted(label[(position[u] + x) % n] for x in members))
 
 
 def tower_connection_set(p: int, layers: Iterable[int]) -> tuple[int, frozenset[int]]:
@@ -128,16 +139,18 @@ def tower_connection_set(p: int, layers: Iterable[int]) -> tuple[int, frozenset[
     return n, frozenset(s)
 
 
-def edge_list_text(d: Digraph) -> str:
-    """Edge-list format: "n=<count>" then one "u v" line per arc."""
-    lines = [f"n={d.vertex_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(d.arcs))
-    return "\n".join(lines)
+def edge_list_lines(n: int, arcs: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """Edge-list format, line by line: "n=<count>" then "u v" for each arc, in the order given."""
+    yield f"n={n}"
+    for u, v in arcs:
+        yield f"{u} {v}"
 
 
-def dot_text(d: Digraph, name: str = "G") -> str:
-    lines = [f"digraph {name} {{"]
-    lines.extend(f"  {v};" for v in range(d.vertex_count))
-    lines.extend(f"  {u} -> {v};" for u, v in sorted(d.arcs))
-    lines.append("}")
-    return "\n".join(lines)
+def dot_lines(n: int, arcs: Iterable[tuple[int, int]], name: str = "G") -> Iterator[str]:
+    """Graphviz format, line by line: every vertex, then each arc in the order given."""
+    yield f"digraph {name} {{"
+    for v in range(n):
+        yield f"  {v};"
+    for u, v in arcs:
+        yield f"  {u} -> {v};"
+    yield "}"

@@ -55,11 +55,6 @@ class Permutation:
         return not any(map(ne, self.images, range(len(self.images))))
 
 
-def rotation(n: int) -> Permutation:
-    """The translation x -> x + 1 on Z_n."""
-    return Permutation(tuple((x + 1) % n for x in range(n)))
-
-
 @dataclass
 class PermGroup:
     """Permutation group of fixed degree given by generators.
@@ -81,8 +76,8 @@ class PermGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "PermGroup":
-        """The rotation group of Z_n in its regular action."""
-        return cls(n, (rotation(n),), cached_order=n)
+        """The rotation group of Z_n in its regular action, generated by x -> x + 1."""
+        return cls(n, (Permutation(tuple((x + 1) % n for x in range(n))),), cached_order=n)
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
         """All elements, sorted, by BFS closure; CapacityError past the cap."""

@@ -21,7 +21,7 @@ from circulant.analyzer import (
     translation_check,
 )
 from circulant.arith import factorize
-from circulant.digraph import cayley_digraph, tower_connection_set, tower_digraph
+from circulant.digraph import Digraph, cayley_digraph, tower_connection_set, tower_digraph
 from circulant.permgroup import automorphism_group
 
 # the n of perfbench's analyze_large workload
@@ -133,14 +133,14 @@ class TestDecompose:
         p3 = d.for_prime(3)
         assert p3.valid_levels == ()
         assert p3.layer_sizes == (2,)
-        assert p3.minimal_sylow.parts == (2,)
-        assert d.for_prime(5).minimal_sylow.parts == (1,)
+        assert p3.minimal_parts == (2,)
+        assert d.for_prime(5).minimal_parts == (1,)
 
     def test_block_example(self):
         p3 = decompose(EXAMPLE_9).for_prime(3)
         assert p3.valid_levels == (1,)
         assert p3.layer_sizes == (1, 1)
-        assert p3.minimal_sylow.parts == (1, 1)
+        assert p3.minimal_parts == (1, 1)
 
     def test_digon_stack(self):
         p2 = decompose(EXAMPLE_8).for_prime(2)
@@ -275,17 +275,22 @@ class TestMinimalAndRealizable:
             assert all(preceq(h, k) for k in groups)
 
 
+def witness_towers(s):
+    """``product_type_witness`` with each tower's arcs collected into a ``Digraph``."""
+    return [(p, Digraph(n, frozenset(arcs))) for p, n, arcs in product_type_witness(s)]
+
+
 class TestWitness:
     def test_block_example_tower(self):
-        ((p, tower),) = product_type_witness(EXAMPLE_9)
+        ((p, tower),) = witness_towers(EXAMPLE_9)
         assert p == 3
         assert tower == tower_digraph(3, (1, 1))
 
     def test_worked_example_directed_cycles(self):
-        assert product_type_witness(EXAMPLE_45) == [(3, cayley_digraph(9, {1})), (5, cayley_digraph(5, {1}))]
+        assert witness_towers(EXAMPLE_45) == [(3, cayley_digraph(9, {1})), (5, cayley_digraph(5, {1}))]
 
     def test_digon_stack_tower(self):
-        ((_, tower),) = product_type_witness(EXAMPLE_8)
+        ((_, tower),) = witness_towers(EXAMPLE_8)
         assert tower == tower_digraph(2, (1, 1, 1))
 
     def test_witness_tower_matches_wreathed_four_cycles(self):
@@ -293,7 +298,7 @@ class TestWitness:
         # presentation (isomorphic to the tower, see test_digraph), and the
         # tower's automorphism order matches the digraph's exactly
         s = ConnectionSet.of(16, [1, 4, 5, 9, 13])
-        ((_, tower),) = product_type_witness(s)
+        ((_, tower),) = witness_towers(s)
         assert tower == tower_digraph(2, (2, 2))
         assert tower_connection_set(2, (2, 2)) == (s.n, s.members)
         assert automorphism_group(tower).cached_order == 1024
@@ -306,7 +311,7 @@ class TestWitness:
         layers = decompose(s).for_prime(2)
         assert layers.valid_levels == (1,)
         assert layers.layer_sizes == (1, 2)
-        ((_, tower),) = product_type_witness(s)
+        ((_, tower),) = witness_towers(s)
         assert tower == tower_digraph(2, (2, 1))
         # the swapped tower is not isomorphic: its automorphism group is smaller
         assert automorphism_group(tower).cached_order == 64

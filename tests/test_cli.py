@@ -13,6 +13,7 @@ from circulant import analyzer, oracle
 from circulant.abelian import AbelianType
 from circulant.analyzer import ConnectionSet
 from circulant.cli import main
+from circulant.digraph import tower_connection_set
 from circulant.oracle import ValidationReport
 
 
@@ -224,11 +225,20 @@ class TestVerify:
             assert json.loads(line)["verdict"] == "exact-match"
 
     def test_batch_parse_error_names_line(self, capsys, tmp_path):
+        # the malformed line gets its error, and the lines before and after
+        # it are still answered, each in its turn
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("n=9; S=3,6\nn=9; S=oops\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "verify", "--batch", str(corpus))
+        corpus.write_text("n=9; S=3,6\nn=9; S=oops\nn=12; S=13,1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus))
         assert code == 1
-        assert ":2:" in err
+        assert out == (
+            "n=9 S=[3, 6] predicted=[Z3^2, Z9] actual=[Z3^2, Z9] verdict=exact-match\n"
+            "n=12 S=[1] predicted=[Z4xZ3] actual=[Z4xZ3] verdict=exact-match\n"
+        )
+        assert err == (
+            f"error: {corpus}:2: bad element 'oops' at index 0 in 'n=9; S=oops'\n"
+            f"warning: {corpus}:3: element 13 reduced mod 12\n"
+        )
 
     # with S empty every group of order 2^50 is realizable, past the group cap;
     # the lines after it are still answered
@@ -414,19 +424,20 @@ class TestParser:
         assert built == []
 
 
-def _cap_address_space():
-    limit = 300 * 2**20
+def _cap_address_space(megabytes):
+    limit = megabytes * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_capped(*argv):
-    """The CLI in a child process whose address space is capped at 300 MB."""
+def run_capped(*argv, megabytes=300):
+    """The CLI in a child process whose address space is capped, at 300 MB
+    unless ``megabytes`` says otherwise."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     script = "import sys; from circulant.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
-        env=env, capture_output=True, text=True, preexec_fn=_cap_address_space, timeout=120,
+        env=env, capture_output=True, text=True, preexec_fn=lambda: _cap_address_space(megabytes), timeout=120,
     )
 
 
@@ -440,6 +451,16 @@ class TestMemoryBound:
         assert result.returncode == 1
         assert result.stderr.startswith("capacity: tower digraph would have 16777216 arcs"), result.stderr
         assert result.stdout == ""
+
+    def test_witness_streams(self):
+        # the n = 2048 tower, 897,024 arcs, just under the arc cap: printed arc
+        # by arc it fits in 100 MB, where holding every arc peaked near 180 MB
+        literal = ConnectionSet(*tower_connection_set(2, (3, 1, 2, 1, 2, 1, 1))).text()
+        result = run_capped("witness", literal, megabytes=100)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[:2] == ["# p=2", "n=2048"]
+        assert len(lines) == 2 + 897024
 
     def test_verify_caps_vertices_before_building(self):
         # a 2^24-vertex matrix would exhaust the address space; the cap trips first

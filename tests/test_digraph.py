@@ -7,8 +7,9 @@ from circulant import digraph
 from circulant.digraph import (
     Digraph,
     cayley_digraph,
-    edge_list_text,
-    dot_text,
+    dot_lines,
+    edge_list_lines,
+    tower_arcs,
     tower_connection_set,
     tower_digraph,
 )
@@ -173,6 +174,15 @@ class TestTower:
             for layers in _compositions(total):
                 assert tower_digraph(p, iter(layers)) == wreath_tower(p, layers), (p, layers)
 
+    @pytest.mark.parametrize("p,max_total", [(2, 7), (3, 4), (5, 3)])
+    def test_arcs_come_in_sorted_order(self, p, max_total):
+        # tower_arcs generates the arcs of the wreath build, each once, in sorted order
+        for total in range(1, max_total + 1):
+            for layers in _compositions(total):
+                n, arcs = tower_arcs(p, iter(layers))
+                assert n == p**total
+                assert list(arcs) == sorted(wreath_tower(p, layers).arcs), (p, layers)
+
     def test_rejects_bad_layers(self):
         with pytest.raises(ValueError):
             tower_digraph(2, ())
@@ -236,18 +246,18 @@ class TestTowerConnectionSet:
 
 class TestFormats:
     def test_edge_list_text(self):
-        text = edge_list_text(cayley_digraph(5, {1, 2}))
-        assert text == "n=5\n0 1\n0 2\n1 2\n1 3\n2 3\n2 4\n3 0\n3 4\n4 0\n4 1"
+        lines = edge_list_lines(5, sorted(cayley_digraph(5, {1, 2}).arcs))
+        assert "\n".join(lines) == "n=5\n0 1\n0 2\n1 2\n1 3\n2 3\n2 4\n3 0\n3 4\n4 0\n4 1"
 
     def test_edge_list_header(self):
-        text = edge_list_text(cayley_digraph(3, {1}))
-        assert text.splitlines()[0] == "n=3"
-        assert "0 1" in text.splitlines()
+        lines = list(edge_list_lines(3, sorted(cayley_digraph(3, {1}).arcs)))
+        assert lines[0] == "n=3"
+        assert "0 1" in lines
 
     def test_dot_contains_arcs(self):
-        text = dot_text(cayley_digraph(3, {1}), name="c3")
-        assert text.startswith("digraph c3 {")
-        assert "  0 -> 1;" in text
+        lines = list(dot_lines(3, sorted(cayley_digraph(3, {1}).arcs), name="c3"))
+        assert lines[0] == "digraph c3 {" and lines[-1] == "}"
+        assert "  0 -> 1;" in lines
 
 
 def _random_digraph(rng, n, loops=True):

@@ -29,7 +29,6 @@ from circulant.permgroup import (
     Permutation,
     automorphism_group,
     direct_product,
-    rotation,
 )
 
 
@@ -95,7 +94,7 @@ def _mulclose(gens, identity):
 class TestRegularAbelianTypes:
     def test_uniform_length(self):
         assert _uniform_cycles(from_cycles(6, [(0, 1, 2), (3, 4)]).images)[0] is None
-        assert _uniform_cycles(rotation(6).images) == (6, [0] * 6)
+        assert _uniform_cycles(PermGroup.cyclic(6).generators[0].images) == (6, [0] * 6)
         assert _uniform_cycles(from_cycles(6, [(0, 3), (1, 4), (2, 5)]).images) == (
             2,
             [0, 1, 2, 0, 1, 2],

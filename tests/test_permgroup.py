@@ -22,7 +22,6 @@ from circulant.permgroup import (
     direct_product,
     is_nilpotent,
     orbital_coloring,
-    rotation,
     two_closure,
     wreath_product,
 )
@@ -73,7 +72,7 @@ class TestOrbitsAndRegularity:
         assert PermGroup(1, ()).is_transitive()
 
     def test_rotation_single_orbit(self):
-        assert cycle_lengths(rotation(7)) == [7]
+        assert cycle_lengths(PermGroup.cyclic(7).generators[0]) == [7]
         assert PermGroup.cyclic(7).is_transitive()
 
     def test_rotations_regular(self):
@@ -216,7 +215,7 @@ class TestAutomorphismGroup:
             group = automorphism_group(cayley_digraph(n, s))
             imgs = {g.images for g in group.elements(10**6)} if group.cached_order <= 10**6 else None
             if imgs is not None:
-                assert rotation(n).images in imgs
+                assert PermGroup.cyclic(n).generators[0].images in imgs
             else:
                 # order too large to enumerate: rotation must still preserve arcs
                 d = cayley_digraph(n, s)

@@ -11,7 +11,14 @@ from itertools import chain, combinations
 
 import pytest
 
-from brute import brute_automorphisms, brute_pair_orbit_preservers, brute_refine, reference_automorphisms, tower_row
+from brute import (
+    brute_automorphisms,
+    brute_iso_search,
+    brute_pair_orbit_preservers,
+    brute_refine,
+    reference_automorphisms,
+    tower_row,
+)
 from circulant import _refine
 from circulant.digraph import Digraph, cayley_digraph
 from circulant.permgroup import automorphism_group
@@ -25,11 +32,17 @@ def cells(colors):
 
 
 def seeded(m, individualized):
-    """Diagonal colors with the given vertices individualized, as the searches seed them."""
-    colors, next_color = _refine._diagonal_colors(m)
+    """Diagonal colors with the given vertices individualized, each a color of its own."""
+    colors = _refine._diagonal_colors(m)
+    next_color = max(colors) + 1
     for i, v in enumerate(individualized):
         colors[v] = next_color + i
     return colors
+
+
+def row_codes(m):
+    """m's pair codes with no convolution kernel: every round sorts rows."""
+    return (*_refine._pair_codes(m), None)
 
 
 def relabel(m, perm):
@@ -79,7 +92,7 @@ class TestRefine:
             n = len(m)
             for k in (0, 1, 2):
                 colors = seeded(m, rng.sample(range(n), min(k, n)))
-                assert cells(_refine.refine(m, colors)) == cells(brute_refine(m, colors)), (m, colors)
+                assert cells(_refine.refine(m, colors, codes=row_codes(m))) == cells(brute_refine(m, colors)), (m, colors)
 
     def test_levels_start_from_the_last_stable_partition(self):
         # the search's seeding: diagonal, then each stable coloring with the
@@ -88,12 +101,13 @@ class TestRefine:
         for _ in range(150):
             m = random_structure(rng)
             n = len(m)
-            codes = (*_refine._pair_codes(m), None)
+            codes = row_codes(m)
             colors = _refine.refine(m, seeded(m, []), codes=codes)
             assert cells(colors) == cells(brute_refine(m, seeded(m, []))), m
             base = rng.sample(range(n), min(n, rng.randint(1, 4)))
             for k, x in enumerate(base, 1):
-                colors = _refine.refine(m, _refine._individualize(codes, colors, x), codes=codes)
+                (colors,) = _refine._individualize(codes, colors, x)
+                colors = _refine.refine(m, colors, codes=codes)
                 assert cells(colors) == cells(brute_refine(m, seeded(m, base[:k]))), (m, base[:k])
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -119,17 +133,17 @@ class TestRefine:
             n = rng.randint(1, 40)
             m = cayley_digraph(n, {x for x in range(n) if rng.random() < 0.4}).adjacency_matrix()
             x = rng.randrange(n)
-            ca, cb = _refine._refine_joint(m, (seeded(m, [x]), seeded(m, [(x + 1) % n])))
+            ca, cb = _refine._refine_joint(m, (seeded(m, [x]), seeded(m, [(x + 1) % n])), row_codes(m))
             assert cells(ca) == cells(brute_refine(m, seeded(m, [x])))
             assert all(cb[(v + 1) % n] == ca[v] for v in range(n))
 
     def test_pair_refinement_rejects_mismatched_class_sizes(self):
         path = Digraph(3, frozenset({(0, 1), (1, 2)})).adjacency_matrix()
         # the ends of a directed path are told apart by refinement alone
-        assert _refine._refine_joint(path, (seeded(path, [0]), seeded(path, [2]))) is None
+        assert _refine._refine_joint(path, (seeded(path, [0]), seeded(path, [2])), row_codes(path)) is None
         # and colorings whose classes differ in size from the start
         empty = Digraph(3, frozenset()).adjacency_matrix()
-        assert _refine._refine_joint(empty, ([1, 0, 0], [1, 1, 0])) is None
+        assert _refine._refine_joint(empty, ([1, 0, 0], [1, 1, 0]), row_codes(empty)) is None
 
 
 def kernel_codes(m):
@@ -140,7 +154,7 @@ def kernel_codes(m):
 
 def both_paths(m, colors):
     """The stable coloring by the convolution kernel and by row sorts."""
-    return _refine.refine(m, colors, codes=kernel_codes(m)), _refine.refine(m, colors)
+    return _refine.refine(m, colors, codes=kernel_codes(m)), _refine.refine(m, colors, codes=row_codes(m))
 
 
 def same_classes(one, other):
@@ -197,7 +211,7 @@ class TestConvolution:
             for i, (a, b) in enumerate(forced):
                 ca[a] = cb[b] = n + i
             by_kernel = _refine._refine_joint(m, (ca, cb), kernel_codes(m))
-            by_rows = _refine._refine_joint(m, (ca, cb))
+            by_rows = _refine._refine_joint(m, (ca, cb), row_codes(m))
             outcomes.add(by_rows is None)
             assert (by_kernel is None) == (by_rows is None), (row, forced)
             if by_rows is not None:
@@ -317,7 +331,7 @@ class TestJointRefinement:
             ca, cb = seeded(m, []), seeded(m, [])
             for i in range(rng.randint(1, 2)):
                 ca[rng.randrange(n)] = cb[rng.randrange(n)] = n + i
-            refined = _refine._refine_joint(m, (ca, cb))
+            refined = _refine._refine_joint(m, (ca, cb), row_codes(m))
             outcomes[refined is None] += 1
             if refined is not None:
                 assert Counter(refined[0]) == Counter(refined[1]), (m, ca, cb)
@@ -327,8 +341,11 @@ class TestJointRefinement:
 class TestIsoSearch:
     @pytest.mark.parametrize("seed", range(4))
     def test_extends_exactly_when_brute_force_does(self, seed):
-        # random digraphs and arc colorings on at most 6 vertices, every pair x, y
+        # random digraphs and arc colorings on at most 6 vertices: the stable
+        # coloring of a random base, then every pair x, y off the base; the
+        # witness is brute force's first one fixing the base and mapping x to y
         rng = random.Random(seed)
+        outcomes = Counter()
         for _ in range(25):
             n = rng.randint(1, 6)
             if rng.random() < 0.5:
@@ -337,13 +354,43 @@ class TestIsoSearch:
             else:
                 m = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
                 group = brute_pair_orbit_preservers(m)
-            for x in range(n):
-                for y in range(n):
-                    witness = _refine.iso_search(m, {x: y})
-                    assert (witness is not None) == any(g[x] == y for g in group), (m, x, y)
+            base = rng.sample(range(n), rng.randint(0, min(2, n - 1)))
+            codes = row_codes(m)
+            colors = _refine.refine(m, seeded(m, base), codes=codes)
+            fixing = [g for g in group if all(g[b] == b for b in base)]
+            for x in set(range(n)) - set(base):
+                for y in set(range(n)) - set(base):
+                    witness = _refine.iso_search(m, colors, x, y, codes=codes)
+                    expected = brute_iso_search(m, {**{b: b for b in base}, x: y})
+                    assert witness == (None if expected is None else list(expected)), (m, base, x, y)
+                    assert (witness is not None) == any(g[x] == y for g in fixing), (m, base, x, y)
                     if witness is not None:
-                        assert witness[x] == y and sorted(witness) == list(range(n))
                         assert preserves(witness, m)
+                    outcomes[witness is None] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+class TestIndividualize:
+    def test_points_share_one_rank_table_and_one_color(self):
+        # the colorings of x and of y: v in the first and u in the second get
+        # one color exactly when both are the point, or neither is and their
+        # stable colors and codes to the point agree
+        rng = random.Random(149)
+        for _ in range(200):
+            m = random_structure(rng)
+            n = len(m)
+            _, codes = _refine._search_codes(m)
+            colors = _refine.refine(m, seeded(m, []), codes=codes)
+            x, y = rng.randrange(n), rng.randrange(n)
+            cx, cy = _refine._individualize(codes, colors, x, y)
+            rows = codes[0]
+
+            def key(v, point):
+                return None if v == point else (colors[v], rows[v][point])
+
+            for v in range(n):
+                for u in range(n):
+                    assert (cx[v] == cy[u]) == (key(v, x) == key(u, y)), (m, x, y, v, u)
 
 
 class TestAutomorphismPaths:
@@ -426,7 +473,7 @@ class TestAutomorphismPaths:
         monkeypatch.setattr(_refine, "_sorted_rows", counted_rows)
         m = cayley_digraph(40, {1, 2, 5, 17}).adjacency_matrix()
         # an already discrete coloring costs at most one round
-        assert _refine.refine(m, list(range(40))) == list(range(40))
+        assert _refine.refine(m, list(range(40)), codes=row_codes(m)) == list(range(40))
         assert len(rounds) <= 1
         # Z_40: level 1 splits by the codes to 0, two rounds make it
         # discrete, and no round confirms it; both are kernel rounds, and no

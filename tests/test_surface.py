@@ -9,7 +9,8 @@ import circulant
 from circulant.abelian import AbelianType
 from circulant.arith import Factorization
 from circulant.oracle import regular_abelian_types
-from circulant.permgroup import PermGroup, Permutation, is_nilpotent, rotation, two_closure
+from circulant.analyzer import PrimeLayers
+from circulant.permgroup import PermGroup, Permutation, is_nilpotent, two_closure
 
 # Names with no caller in the analyzer, the oracle or the CLI, by defining module.
 REMOVED_FUNCTIONS = [
@@ -27,6 +28,7 @@ REMOVED_FUNCTIONS = [
     ("digraph", "wreath"),  # tower_digraph relabels the tower circulant; brute.wreath is the reference
     ("permgroup", "ArcColoring"),
     ("permgroup", "circulant_coloring"),
+    ("permgroup", "rotation"),  # PermGroup.cyclic(n).generators[0]
     ("oracle", "_tower_row"),
 ]
 
@@ -39,6 +41,7 @@ REMOVED_METHODS = [
     (PermGroup, "_elements"),  # elements() is not memoized
     (Permutation, "identity"),
     (Factorization, "primes"),  # its one caller was arith.arithmetic_condition
+    (PrimeLayers, "minimal_sylow"),  # its one caller was LayerDecomposition.minimal_group
 ]
 
 
@@ -76,7 +79,7 @@ def test_factorization_is_not_exported():
     (two_closure, ["group"]),
     (is_nilpotent, ["group"]),
     (PermGroup.order, ["self"]),
-    (rotation, ["n"]),
+    (PermGroup.cyclic, ["n"]),  # folds in what was permgroup.rotation
     (regular_abelian_types, ["group", "cap"]),  # n is the group's degree
 ])
 def test_options_no_caller_sets_are_gone(function, params):
