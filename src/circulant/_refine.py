@@ -3,8 +3,13 @@
 A structure is an n x n matrix of small integer arc colors; entry [u][v] is
 the color of the ordered pair (u, v) and the diagonal holds vertex colors
 (for a plain digraph: 1 = arc/loop, 0 = none).  Vertex classes are refined by
-iterated neighborhood signatures, searches backtrack over refined classes,
-and every choice point iterates in sorted order so results are deterministic.
+iterated neighborhood signatures and searches backtrack over refined classes.
+Each round numbers its colors in order of first appearance on one shared
+table, not in sorted order: refinement needs the partition, not an order on
+the colors, since no canonical labeling is computed (McKay and Piperno,
+"Practical graph isomorphism, II", 2014).  Every choice the search makes
+reads cells in vertex order, never color values, so results are
+deterministic and independent of how colors are numbered.
 
 Signature pass: every ordered pair (v, u) is coded by its two colors
 m[v][u] and m[u][v] as one int, once per automorphism search (for a circulant
@@ -129,29 +134,29 @@ def _sorted_rows(codes, width, colors):
     return [(c, tuple(sorted(map(add, row, shifted)))) for row, c in zip(codes, colors)]
 
 
-def _code_counts(kernel, colors):
+def _code_counts(kernel, colors, sizes):
     """Each vertex v's signature as bytes: its color, then class by class
     the number of u in the class with code (v, u) of each rank, by
     ``_convolution``'s products.
 
-    The counts fix the multiset ``_sorted_rows`` sorts and are fixed by it,
-    so the two give the same partition.  Colors must be in 0..255, so they
-    fit in a byte (``bytes`` raises otherwise).  The search's are: every
-    coloring is a table of ranks, and colorings refined side by side have
-    equal color counts before each round, so they share at most n colors.  A
-    singleton class {u} needs no product: its column is r rotated right by
-    u, the rank of the code to u itself.  The largest class (ties: the
-    highest color) is left out, since its counts are the code totals, the
-    same for every vertex, less the other classes'.  Two colorings with
-    equal class sizes therefore get comparable signatures.
+    ``sizes`` maps each color to its class size; classes are taken in its
+    order.  The counts fix the multiset ``_sorted_rows`` sorts and are fixed
+    by it, so the two give the same partition.  Colors must be in 0..255, so
+    they fit in a byte (``bytes`` raises otherwise).  The search's are:
+    every coloring is numbered 0, 1, ... on a table, and colorings refined
+    side by side have equal class sizes before each round, so they share at
+    most n colors.  A singleton class {u} needs no product: its column is r
+    rotated right by u, the rank of the code to u itself.  The first largest
+    class in ``sizes`` is left out, since its counts are the code totals,
+    the same for every vertex, less the other classes'.  Colorings given the
+    same ``sizes`` therefore get comparable signatures.
     """
     r, products = kernel
     n = len(colors)
     members = bytes(colors)
-    sizes = Counter(members)
-    skip = max((size, c) for c, size in sizes.items())[1]
+    skip = max(sizes, key=sizes.__getitem__)
     columns = [members]
-    for c in sorted(sizes):
+    for c in sizes:
         if c == skip:
             continue
         if sizes[c] == 1:
@@ -165,12 +170,13 @@ def _code_counts(kernel, colors):
     return [joined[v::n] for v in range(n)]
 
 
-def _signatures(codes, colors):
+def _signatures(codes, colors, sizes):
     """One round's signature of each vertex: by ``_code_counts`` when
-    ``codes`` carry a convolution kernel, else by ``_sorted_rows``."""
+    ``codes`` carry a convolution kernel, else by ``_sorted_rows``.
+    ``sizes`` are the class sizes of ``colors``."""
     rows, width, kernel = codes
     if kernel is not None:
-        return _code_counts(kernel, colors)
+        return _code_counts(kernel, colors, sizes)
     return _sorted_rows(rows, width, colors)
 
 
@@ -179,12 +185,14 @@ def _refine_joint(m, colorings, codes):
     color table.
 
     Returns the stable colorings, or None as soon as two colorings' color
-    classes differ in size; sizes are compared before every round, so the
-    colorings of a round can share ``_code_counts``' choice of class to
-    leave out.  The colorings must refine the diagonal.  A round that leaves
-    the partition discrete ends the refinement, since a discrete partition
-    is stable: a single coloring is returned right after that round, and
-    several have their class sizes compared once more.  ``codes`` is
+    classes differ in size; sizes are counted once a round and compared
+    before it, so the colorings of a round share them and ``_code_counts``'
+    choice of class to leave out.  Colors are numbered in order of first
+    appearance, first coloring first.  The colorings must refine the
+    diagonal.  A round that leaves the partition discrete ends the
+    refinement, since a discrete partition is stable: a single coloring is
+    returned right after that round, and several have their class sizes
+    compared once more.  ``codes`` is
     ``_pair_codes(m)`` and a convolution kernel or None, as
     ``_search_codes`` builds them.  With a kernel, colors must be below 256.
     """
@@ -196,10 +204,10 @@ def _refine_joint(m, colorings, codes):
             return None
         if done:
             return colorings
-        sigs = [_signatures(codes, colors) for colors in colorings]
-        table = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
+        sigs = [_signatures(codes, colors, sizes) for colors in colorings]
+        table = {}
+        colorings = [[table.setdefault(s, len(table)) for s in ss] for ss in sigs]
         done = len(table) in (len(sizes), n)
-        colorings = [[table[s] for s in ss] for ss in sigs]
         if done and len(colorings) == 1:
             return colorings
         sizes = Counter(colorings[0])
@@ -224,9 +232,10 @@ def _individualize(codes, colors, *points):
     In a stable coloring a vertex's multiset of (color of u, code of (v, u))
     depends on its color alone, so giving x a color of its own changes v's
     signature only through the pair (v, x): the round splits each class by
-    the code of (v, x), and x is alone.  Every point's coloring is ranked on
-    one shared table, and every point gets the same color, below all
-    others, so the colorings can be refined side by side.  For codes held as
+    the code of (v, x), and x is alone.  Every point's coloring is numbered
+    on one shared table in order of first appearance, and every point gets
+    color 0, the sentinel key None's, which no real key equals, so the
+    colorings can be refined side by side.  For codes held as
     a ``Circulant``, code (v, x) is row[(x - v) mod n], so the column is a
     reversed slice of the doubled row 0.
     """
@@ -237,11 +246,10 @@ def _individualize(codes, colors, *points):
     else:
         columns = [[row[x] for row in rows] for x in points]
     keyed = [[c * width + e for c, e in zip(colors, column)] for column in columns]
-    sentinel = min(map(min, keyed)) - 1
     for x, keys in zip(points, keyed):
-        keys[x] = sentinel
-    rank = {k: i for i, k in enumerate(sorted(set().union(*keyed)))}
-    return [[rank[k] for k in keys] for keys in keyed]
+        keys[x] = None
+    table = {None: 0}
+    return [[table.setdefault(k, len(table)) for k in keys] for keys in keyed]
 
 
 def _diagonal_colors(m):

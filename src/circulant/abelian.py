@@ -247,8 +247,12 @@ def up_set(h: AbelianType) -> list[AbelianType]:
     it (see _covers), so the cost follows the answer, not the number of
     partitions.  The up-set is counted first, and more than GROUP_LIST_CAP
     groups raise CapacityError before anything is built.  The order's
-    factorization is read off h, so nothing is factorized.
+    factorization is read off h, so nothing is factorized.  A cyclic h,
+    one part per prime, dominates every group of its order, so its up-set
+    is [h] and nothing is walked.
     """
+    if all(len(s.parts) == 1 for s in h.sylow):
+        return [h]
     closures = _up_closures([(s.p, s.parts) for s in h.sylow], h.text())
     per_prime = [[PPartition(s.p, parts) for parts in closure] for s, closure in zip(h.sylow, closures)]
     return [AbelianType(combo) for combo in product(*per_prime)]

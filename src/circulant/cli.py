@@ -53,8 +53,8 @@ def _layer_list(text: str) -> tuple[int, ...]:
     return tuple(layers)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every report: json.dumps with these options builds a new one per call
+_json_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _parse_instance(text: str) -> tuple[ConnectionSet, list[str]]:

@@ -241,13 +241,11 @@ def cross_validate(
                 n, members, predicted, None, ORACLE_CAPPED,
                 aut_order=aut_order, capped_by=capped_by, path=path,
             )
-    if set(predicted) <= set(actual):
-        if set(predicted) == set(actual):
-            verdict = EXACT_MATCH
-        elif exact:
-            verdict = MISMATCH  # completeness was promised
-        else:
-            verdict = SOUND_SUBSET
+    predicted_set, actual_set = set(predicted), set(actual)
+    if predicted_set == actual_set:
+        verdict = EXACT_MATCH
+    elif predicted_set < actual_set:
+        verdict = MISMATCH if exact else SOUND_SUBSET  # completeness was promised
     else:
         verdict = MISMATCH  # soundness violated
     return ValidationReport(n, members, predicted, actual, verdict, aut_order=aut_order, path=path)

@@ -215,6 +215,21 @@ class TestUpSet:
         monkeypatch.setattr(abelian, "partitions", no_listing)
         assert [up_set(h) for h in groups] == expected
 
+    def test_cyclic_group_is_its_own_up_set_without_a_walk(self, monkeypatch):
+        # one part per prime: h dominates every group of its order, so
+        # up_set returns [h] with no count and no walk
+        small = [AbelianType.cyclic(n) for n in range(2, 65)]
+        expected = [brute_up_set(h) for h in small]
+
+        def no_walk(sylow, text):
+            raise AssertionError(f"up_set walked the up-set of cyclic {text}")
+
+        monkeypatch.setattr(abelian, "_up_closures", no_walk)
+        assert [up_set(h) for h in small] == expected
+        for n in (2**61, 3**38, 2**30 * 3**18, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 1_000_000_007):
+            h = AbelianType.cyclic(n)
+            assert h.order <= 2**61 and up_set(h) == [h], n
+
     def test_cap_counts_the_answer_not_the_partitions(self):
         # p(61) is past the cap, but the cyclic group is the top element
         assert up_set(AbelianType.cyclic(2**61)) == [AbelianType.cyclic(2**61)]

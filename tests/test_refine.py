@@ -393,6 +393,67 @@ class TestIndividualize:
                     assert (cx[v] == cy[u]) == (key(v, x) == key(u, y)), (m, x, y, v, u)
 
 
+def relabel_values(values, rng, low, high):
+    """``values`` with each distinct value sent to its own random int in [low, high)."""
+    distinct = sorted(set(values))
+    image = dict(zip(distinct, rng.sample(range(low, high), len(distinct))))
+    return [image[v] for v in values]
+
+
+class TestLabelIndependence:
+    """Colors are numbered by first appearance, so the engine's partitions,
+    base points and generators depend on which values are equal, never on the
+    values themselves or their order."""
+
+    def test_refinement_ignores_seed_color_values(self):
+        # row sorts take any ints, negative and past 255 included; the
+        # kernel takes bytes, so there the seed colors are relabeled in 0..255
+        rng = random.Random(151)
+        for _ in range(200):
+            m = random_structure(rng)
+            n = len(m)
+            colors = seeded(m, rng.sample(range(n), min(n, rng.randint(0, 2))))
+            expected = cells(brute_refine(m, colors))
+            paths = [(row_codes(m), -1000, 1000)]
+            if shift_invariant(m):
+                paths.append((kernel_codes(m), 0, 256))
+            for codes, low, high in paths:
+                relabeled = relabel_values(colors, rng, low, high)
+                assert cells(_refine.refine(m, relabeled, codes=codes)) == expected, (m, relabeled)
+                (joint,) = _refine._refine_joint(m, (relabeled,), codes)
+                assert cells(joint) == expected, (m, relabeled)
+
+    def test_joint_refinement_ignores_seed_color_values(self):
+        # two colorings relabeled by one map: the same outcome, and the same
+        # classes under one renumbering
+        rng = random.Random(157)
+        for _ in range(200):
+            m = random_structure(rng)
+            n = len(m)
+            ca, cb = seeded(m, []), seeded(m, [])
+            for i in range(rng.randint(1, 2)):
+                ca[rng.randrange(n)] = cb[rng.randrange(n)] = n + i
+            expected = _refine._refine_joint(m, (ca, cb), row_codes(m))
+            relabeled = relabel_values(ca + cb, rng, -1000, 1000)
+            refined = _refine._refine_joint(m, (relabeled[:n], relabeled[n:]), row_codes(m))
+            assert (refined is None) == (expected is None), (m, ca, cb)
+            if refined is not None:
+                assert same_classes(refined, expected), (m, ca, cb)
+
+    def test_automorphisms_ignore_arc_color_values(self):
+        # every entry of the matrix relabeled by one injective map, negative
+        # and past 255 included: circulants at 16 <= n < 256 take the kernel,
+        # the rest sort rows, and both give the reference's generators
+        rng = random.Random(163)
+        structures = [random_structure(rng) for _ in range(60)]
+        structures += [circulant([rng.randrange(3) for _ in range(rng.randint(16, 40))]) for _ in range(40)]
+        for m in structures:
+            n = len(m)
+            flat = relabel_values([e for row in m for e in row], rng, -1000, 1000)
+            relabeled = [flat[u * n : (u + 1) * n] for u in range(n)]
+            assert _refine.automorphisms(relabeled) == reference_automorphisms(m), m
+
+
 class TestAutomorphismPaths:
     def test_relabeled_circulants_keep_their_order(self):
         rng = random.Random(97)
@@ -460,9 +521,9 @@ class TestAutomorphismPaths:
             rounds.append(1)
             return real(*args)
 
-        def counted_counts(kernel, colors):
+        def counted_counts(kernel, colors, sizes):
             kernel_rounds.append(1)
-            return real_counts(kernel, colors)
+            return real_counts(kernel, colors, sizes)
 
         def counted_rows(codes, width, colors):
             rows_sorted.append(len(colors))
