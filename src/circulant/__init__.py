@@ -35,7 +35,6 @@ from .errors import CapacityError
 from .oracle import ValidationReport, cross_validate, regular_abelian_types
 from .permgroup import (
     PermGroup,
-    Permutation,
     automorphism_group,
     direct_product,
     is_nilpotent,
@@ -52,7 +51,6 @@ __all__ = [
     "LayerDecomposition",
     "PPartition",
     "PermGroup",
-    "Permutation",
     "PrimeLayers",
     "ValidationReport",
     "analysis_report",

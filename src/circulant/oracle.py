@@ -21,7 +21,7 @@ from .analyzer import ConnectionSet, realizable_groups
 from .arith import factorize
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, tower_connection_set
 from .errors import CapacityError
-from .permgroup import PermGroup, Permutation, automorphism_group
+from .permgroup import PermGroup, automorphism_group
 
 EXACT_MATCH = "exact-match"
 SOUND_SUBSET = "sound-subset"
@@ -94,15 +94,15 @@ def _uniform_cycles(images) -> tuple[Optional[int], list[int]]:
     return common, cycle_of
 
 
-def _uniform_pools(elements: tuple[Permutation, ...], n: int) -> dict[int, list[Permutation]]:
+def _uniform_pools(elements: tuple[tuple[int, ...], ...], n: int) -> dict[int, list[tuple[int, ...]]]:
     """Group size-d candidates: elements whose cycles all have length exactly d.
 
     Any member of a semiregular subgroup has uniform cycle length equal to
     its order, so everything else is discarded up front.
     """
-    pools: dict[int, list[Permutation]] = {}
+    pools: dict[int, list[tuple[int, ...]]] = {}
     for g in elements:
-        length = _uniform_cycles(g.images)[0]
+        length = _uniform_cycles(g)[0]
         if length is not None and length > 1 and n % length == 0:
             pools.setdefault(length, []).append(g)
     return pools
@@ -130,7 +130,7 @@ def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
         # generators of equal order are interchangeable: scan forward only
         begin = start if i > 0 and factors[i - 1] == d else 0
         for j in range(begin, len(pool)):
-            g = pool[j].images
+            g = pool[j]
             # g commutes with c iff g(c(x)) = c(g(x)) for every x
             if any(tuple(map(g.__getitem__, c)) != tuple(map(c.__getitem__, g)) for c in chosen):
                 continue
@@ -225,7 +225,7 @@ def cross_validate(
     aut = automorphism_group(Circulant(adjacency), vertex_cap=vertex_cap)
     aut_order = aut.order()
     if aut_order == n:
-        path, actual = REGULAR, (AbelianType.cyclic(n),)
+        path, actual = REGULAR, predicted[-1:]  # Z_n, last in every up-set
     elif aut_order == factorial(n):
         path, actual = SYMMETRIC, tuple(enumerate_abelian(n))
     else:

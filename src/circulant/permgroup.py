@@ -1,63 +1,27 @@
 """Desk-scale permutation groups: element closure, 2-closure, digraph automorphisms.
 
-Groups are given by generators.  Element enumeration is a Dimino-style
-closure under a configurable cap (default 10^6); there is deliberately no
-stabilizer chain machinery.  Automorphism groups come from the refinement
-search engine, which reads a digraph's adjacency matrix or any square matrix
-of arc colors (a circulant as the engine's view of its first row) and also
-reports the exact group order, cached on the returned group.
+A permutation is its image tuple, and groups are given by generators.
+Element enumeration is a Dimino-style closure under a configurable cap
+(default 10^6); there is deliberately no stabilizer chain machinery, and
+nilpotency is read off Sylow counts.  Automorphism groups come from the
+refinement search engine, which reads a digraph's adjacency matrix or any
+square matrix of arc colors (a circulant as the engine's view of its first
+row) and also reports the exact group order, cached on the returned group.
 """
 
 from dataclasses import dataclass
-from operator import ne
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import _refine
+from .arith import factorize
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, Digraph
 from .errors import CapacityError
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """Bijection on {0..n-1} in image form; (p * q)(x) = p(q(x))."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
-
-    @classmethod
-    def _make(cls, images: tuple[int, ...]) -> "Permutation":
-        # internal fast path: skips bijection validation (closed operations preserve it)
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        return p
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation._make(tuple(map(self.images.__getitem__, other.images)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._make(tuple(inv))
-
-    @property
-    def is_identity(self) -> bool:
-        return not any(map(ne, self.images, range(len(self.images))))
-
-
 @dataclass
 class PermGroup:
-    """Permutation group of fixed degree given by generators.
+    """Permutation group of fixed degree given by generators, image tuples.
 
     ``cached_order``, when present, is trusted as the exact order (the
     automorphism engine sets it); otherwise the order comes from capped
@@ -65,21 +29,21 @@ class PermGroup:
     """
 
     degree: int
-    generators: tuple[Permutation, ...]
+    generators: tuple[tuple[int, ...], ...]
     cached_order: Optional[int] = None
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
         for g in self.generators:
-            if g.degree != self.degree:
-                raise ValueError(f"generator degree {g.degree} != group degree {self.degree}")
+            if sorted(g) != list(range(self.degree)):
+                raise ValueError(f"not a permutation of 0..{self.degree - 1}: {g}")
 
     @classmethod
     def cyclic(cls, n: int) -> "PermGroup":
         """The rotation group of Z_n in its regular action, generated by x -> x + 1."""
-        return cls(n, (Permutation(tuple((x + 1) % n for x in range(n))),), cached_order=n)
+        return cls(n, (tuple((x + 1) % n for x in range(n)),), cached_order=n)
 
-    def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
+    def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[tuple[int, ...], ...]:
         """All elements, sorted, by BFS closure; CapacityError past the cap."""
         if self.cached_order is not None and self.cached_order > cap:
             raise CapacityError("group order exceeds element cap", cap)
@@ -88,7 +52,7 @@ class PermGroup:
             raise RuntimeError(f"cached order {self.cached_order} != enumerated {len(els)}")
         return els
 
-    def _closure(self, cap: int) -> tuple[Permutation, ...]:
+    def _closure(self, cap: int) -> tuple[tuple[int, ...], ...]:
         # Dimino-style incremental closure.  compose(e, table(r)) has images
         # x -> r[e[x]]: below degree 256 images are bytes and composing is one
         # C-level translate, from 256 on they are tuples.
@@ -97,7 +61,7 @@ class PermGroup:
             encode, table, compose = bytes, lambda r: r + pad, bytes.translate
         else:
             encode, table, compose = tuple, lambda r: r.__getitem__, lambda e, t: tuple(map(t, e))
-        gens = [encode(g.images) for g in self.generators]
+        gens = [encode(g) for g in self.generators]
         identity = encode(range(self.degree))
         els_list = [identity]
         els_set = {identity}
@@ -123,7 +87,7 @@ class PermGroup:
                             raise CapacityError("group order exceeds element cap", cap)
                 for t in step_tables:
                     queue.append(compose(r, t))
-        return tuple(Permutation._make(tuple(b)) for b in sorted(els_set))
+        return tuple(map(tuple, sorted(els_set)))
 
     def order(self) -> int:
         if self.cached_order is not None:
@@ -131,25 +95,19 @@ class PermGroup:
         return len(self.elements())
 
     def is_transitive(self) -> bool:
-        return len(_refine._close_orbit({0}, [g.images for g in self.generators])) == self.degree
+        return len(_refine._close_orbit({0}, self.generators)) == self.degree
 
 
-def _outer_generators(g: PermGroup, k: int) -> list[Permutation]:
+def _outer_generators(g: PermGroup, k: int) -> list[tuple[int, ...]]:
     """G's generators moving the first coordinate of pairs (x, y) -> x * k + y."""
-    return [
-        Permutation(tuple(gp(x) * k + y for x in range(g.degree) for y in range(k)))
-        for gp in g.generators
-    ]
+    return [tuple(gp[x] * k + y for x in range(g.degree) for y in range(k)) for gp in g.generators]
 
 
 def direct_product(g: PermGroup, h: PermGroup) -> PermGroup:
     """G x H in the product action on pairs (x, y) -> x * h.degree + y."""
     k = h.degree
     gens = _outer_generators(g, k)
-    gens += [
-        Permutation(tuple(x * k + hp(y) for x in range(g.degree) for y in range(k)))
-        for hp in h.generators
-    ]
+    gens += [tuple(x * k + hp[y] for x in range(g.degree) for y in range(k)) for hp in h.generators]
     return PermGroup(g.degree * k, tuple(gens))
 
 
@@ -165,15 +123,14 @@ def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
     for hp in h.generators:
         images = list(range(g.degree * k))
         for y in range(k):
-            images[y] = hp(y)
-        gens.append(Permutation(tuple(images)))
+            images[y] = hp[y]
+        gens.append(tuple(images))
     return PermGroup(g.degree * k, tuple(gens))
 
 
 def orbital_coloring(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     """Color ordered pairs by their orbit under the group (diagonal included)."""
     n = group.degree
-    gens = [g.images for g in group.generators]
     ids = [[-1] * n for _ in range(n)]
     next_id = 0
     for x in range(n):
@@ -184,7 +141,7 @@ def orbital_coloring(group: PermGroup) -> tuple[tuple[int, ...], ...]:
             frontier = [(x, y)]
             while frontier:
                 u, v = frontier.pop()
-                for g in gens:
+                for g in group.generators:
                     gu, gv = g[u], g[v]
                     if ids[gu][gv] == -1:
                         ids[gu][gv] = next_id
@@ -213,31 +170,35 @@ def automorphism_group(
         raise ValueError("color matrix must be square")
     # the engine only reads the matrix, so a color matrix goes in as it is
     gens, order = _refine.automorphisms(structure)
-    return PermGroup(n, tuple(Permutation(g) for g in gens), cached_order=order)
+    return PermGroup(n, gens, cached_order=order)
 
 
 def two_closure(group: PermGroup) -> PermGroup:
     """Largest group with the same orbits on ordered pairs: the automorphism
-    group of the orbital coloring."""
+    group of the orbital coloring, refused past the vertex cap before the
+    n x n coloring is built."""
+    if group.degree > DEFAULT_VERTEX_CAP:
+        raise CapacityError("structure too large for automorphism search", DEFAULT_VERTEX_CAP)
     return automorphism_group(orbital_coloring(group))
 
 
 def is_nilpotent(group: PermGroup) -> bool:
-    """Whether the lower central series reaches the trivial group."""
-    els = group.elements()
-    current = set(els)
-    while True:
-        commutators = set()
-        for x in current:
-            x_inv = x.inverse()
-            for g in els:
-                c = x_inv * g.inverse() * x * g
-                if not c.is_identity:
-                    commutators.add(c)
-        if not commutators:
-            return True
-        nxt = set(PermGroup(group.degree, tuple(commutators)).elements())
-        if len(nxt) == len(current):
-            return False
-        current = nxt
+    """Whether every Sylow subgroup is normal (D. J. S. Robinson, *A Course in
+    the Theory of Groups*, 5.2.4).  A Sylow p-subgroup is normal iff it holds
+    every p-element, so iff the elements whose order divides the p-part p^a
+    of |G| number exactly p^a."""
+    orders = [_element_order(g) for g in group.elements()]
+    return all(sum(p**a % order == 0 for order in orders) == p**a for p, a in factorize(len(orders)).factors)
 
+
+def _element_order(g: tuple[int, ...]) -> int:
+    """The lcm of g's cycle lengths."""
+    order, seen = 1, set()
+    for x in g:
+        if x not in seen:
+            y, length = g[x], 1
+            while y != x:
+                seen.add(y)
+                y, length = g[y], length + 1
+            order = lcm(order, length)
+    return order

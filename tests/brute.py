@@ -11,7 +11,8 @@ elements, the tower group W by its coloring of valuations and digits, the
 tower digraph by wreathing its factors one by one, and up-sets and cover
 pairs of the partial order on abelian groups by testing every group, or
 every pair, with ``preceq``, the dominance test that is itself checked
-against strip peeling and subgroup chains.
+against strip peeling and subgroup chains, and nilpotency by the lower
+central series.  Permutations are image tuples, composed by ``compose``.
 """
 
 from collections import Counter
@@ -21,7 +22,7 @@ from math import lcm
 from circulant.abelian import enumerate_abelian
 from circulant.analyzer import subgroup_of_order
 from circulant.digraph import Digraph, _tower_factors, cayley_digraph
-from circulant.permgroup import Permutation
+from circulant.permgroup import PermGroup
 
 
 def brute_subdivision(a, b):
@@ -223,14 +224,30 @@ def reference_automorphisms(m):
         base.append(x)
 
 
+def compose(p, q):
+    """The image tuple of p after q: x -> p[q[x]]."""
+    return tuple(p[x] for x in q)
+
+
+def inverse(g):
+    inv = [0] * len(g)
+    for x, y in enumerate(g):
+        inv[y] = x
+    return tuple(inv)
+
+
+def is_identity(g):
+    return g == tuple(range(len(g)))
+
+
 def cycle_lengths(g):
     """Cycle lengths of g, sorted: the orbit sizes of the cyclic group <g>."""
     seen, lengths = set(), []
-    for start in range(g.degree):
+    for start in range(len(g)):
         x, length = start, 0
         while x not in seen:
             seen.add(x)
-            x = g(x)
+            x = g[x]
             length += 1
         if length:
             lengths.append(length)
@@ -244,10 +261,10 @@ def element_order(g):
 def abelian_extension(subgroup, g, order):
     """Elements of <subgroup, g> for g of the given order commuting with all of
     subgroup; None unless the order grows by the full factor."""
-    powers = [Permutation(tuple(range(g.degree)))]
+    powers = [tuple(range(len(g)))]
     for _ in range(order - 1):
-        powers.append(powers[-1] * g)
-    extended = {a * q for a in subgroup for q in powers}
+        powers.append(compose(powers[-1], g))
+    extended = {compose(a, q) for a in subgroup for q in powers}
     if len(extended) != len(subgroup) * order:
         return None
     return extended
@@ -259,15 +276,15 @@ def from_cycles(n, cycles):
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             images[a] = b
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def has_fixed_point(g):
-    return any(g(x) == x for x in range(g.degree))
+    return any(g[x] == x for x in range(len(g)))
 
 
 def is_semiregular(elements):
-    return all(g.is_identity or not has_fixed_point(g) for g in elements)
+    return all(is_identity(g) or not has_fixed_point(g) for g in elements)
 
 
 def element_set_search(pools, factors, degree):
@@ -284,7 +301,7 @@ def element_set_search(pools, factors, degree):
             g = pool[j]
             if g in subgroup:
                 continue
-            if any(g * c != c * g for c in chosen):
+            if any(compose(g, c) != compose(c, g) for c in chosen):
                 continue
             extended = abelian_extension(subgroup, g, d)
             if extended is None or not is_semiregular(extended):
@@ -293,7 +310,7 @@ def element_set_search(pools, factors, degree):
                 return True
         return False
 
-    return extend(0, [], {Permutation(tuple(range(degree)))}, 0)
+    return extend(0, [], {tuple(range(degree))}, 0)
 
 
 def element_set_types(group, n):
@@ -310,6 +327,28 @@ def element_set_types(group, n):
         for t in enumerate_abelian(n)
         if element_set_search(pools, t.invariant_factors(), n)
     ]
+
+
+def lower_central_nilpotent(group):
+    """Whether the lower central series G >= [G, G] >= [[G, G], G] >= ...
+    reaches the trivial group, each term closed from every commutator
+    x^-1 g^-1 x g of its predecessor's elements x with G's elements g."""
+    els = group.elements()
+    inv = {g: inverse(g) for g in els}
+    current = set(els)
+    while True:
+        commutators = set()
+        for x in current:
+            for g in els:
+                c = compose(compose(inv[x], inv[g]), compose(x, g))
+                if not is_identity(c):
+                    commutators.add(c)
+        if not commutators:
+            return True
+        nxt = set(PermGroup(group.degree, tuple(commutators)).elements())
+        if len(nxt) == len(current):
+            return False
+        current = nxt
 
 
 def brute_automorphisms(digraph):

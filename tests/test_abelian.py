@@ -196,6 +196,13 @@ class TestUpSet:
             for h in enumerate_abelian(n):
                 assert up_set(h) == brute_up_set(h), h
 
+    def test_cyclic_group_comes_last(self):
+        # every up-set holds Z_n, the top element, and lists it last: the
+        # oracle's regular path reads Z_n off the end of the prediction
+        for n in range(2, 401):
+            for h in enumerate_abelian(n):
+                assert up_set(h)[-1] == AbelianType.cyclic(n), h
+
     @pytest.mark.parametrize("n", LARGE_ORDERS)
     def test_matches_definition_at_large_orders(self, n):
         for h in enumerate_abelian(n):

@@ -250,5 +250,5 @@ def test_criterion_9_nilpotent_two_closures():
             assert is_nilpotent(group)
             closed = two_closure(group)
             assert is_nilpotent(closed)
-            closed_els = {g.images for g in closed.elements(10**6)}
-            assert all(g.images in closed_els for g in group.generators)
+            closed_els = {g for g in closed.elements(10**6)}
+            assert all(g in closed_els for g in group.generators)

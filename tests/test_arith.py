@@ -4,7 +4,9 @@ from math import gcd, prod
 import pytest
 
 from circulant.analyzer import ConnectionSet, decompose
-from circulant.arith import big_omega, factorize
+from circulant import arith
+from circulant.arith import TRIAL_DIVISION_BOUND, big_omega, factorize
+from circulant.errors import CapacityError
 
 
 def arithmetic_condition(n):
@@ -30,6 +32,27 @@ def test_factorize(n, expected):
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_exact_below_the_square_of_the_trial_division_bound():
+    assert TRIAL_DIVISION_BOUND**2 == 10**14
+    assert factorize(999999999989).factors == ((999999999989, 1),)
+    # the largest product of two primes below the bound, walked to its end
+    assert factorize(9999973 * 9999991).factors == ((9999973, 1), (9999991, 1))
+    assert factorize(2**80 * 9999991).factors == ((2, 80), (9999991, 1))
+
+
+def test_factorize_refuses_a_cofactor_past_the_bound(monkeypatch):
+    # a cofactor whose least prime factor is past the bound: the square of a
+    # prime, and a product of two primes; a prime cofactor below bound^2
+    # passes (the 10^24 + 7 literal at the real bound is in test_cli.py)
+    monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 100)
+    assert factorize(97 * 101).factors == ((97, 1), (101, 1))
+    assert factorize(2 * 9973).factors == ((2, 1), (9973, 1))
+    for n in (101**2, 101 * 103, 4 * 101 * 103):
+        with pytest.raises(CapacityError, match="no prime factor up to the bound") as err:
+            factorize(n)
+        assert err.value.cap == 100
 
 
 def test_factorize_roundtrip_exhaustive_small():

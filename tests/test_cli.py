@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import circulant.cli as cli
-from circulant import analyzer, oracle
+from circulant import analyzer, arith, oracle
 from circulant.abelian import AbelianType
 from circulant.analyzer import ConnectionSet
 from circulant.cli import main
@@ -300,6 +300,33 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 1
         assert "exactly one" in err
+
+
+class TestUnfactorable:
+    """n with a cofactor past the trial-division bound fails loudly."""
+
+    def test_analyze_literal(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "n=1000000000000000000000007;S=1")
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        assert out == ""
+        assert err == "capacity: cannot factor: a cofactor has no prime factor up to the bound (cap=10000000)\n"
+
+    # every command that factorizes n, or p, under a lowered bound
+    @pytest.mark.parametrize("argv", [
+        ("verify", "n=10403;S=1"),
+        ("decompose", "n=10403;S=1"),
+        ("witness", "n=10403;S=1"),
+        ("poset", "10403"),
+        ("generate", "--p", "10403", "--layers", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_every_command(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 100)  # 10403 = 101 * 103
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("capacity: cannot factor") and err.endswith("(cap=100)\n"), err
 
 
 class TestPoset:

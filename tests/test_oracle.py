@@ -5,7 +5,16 @@ from math import gcd
 
 import pytest
 
-from brute import element_order, element_set_search, element_set_types, from_cycles, has_fixed_point, tower_row
+from brute import (
+    compose,
+    element_order,
+    element_set_search,
+    element_set_types,
+    from_cycles,
+    has_fixed_point,
+    is_identity,
+    tower_row,
+)
 from circulant import _refine, oracle
 from circulant.abelian import AbelianType, enumerate_abelian
 from circulant.arith import factorize
@@ -26,7 +35,6 @@ from circulant.oracle import (
 )
 from circulant.permgroup import (
     PermGroup,
-    Permutation,
     automorphism_group,
     direct_product,
 )
@@ -63,12 +71,12 @@ def brute_regular_abelian_types(group, n):
     found = {}
     for r in range(1, max_gens + 1):
         for combo in combinations(els, r):
-            sub = _mulclose(combo, Permutation(tuple(range(group.degree))))
+            sub = _mulclose(combo, tuple(range(group.degree)))
             if len(sub) != n:
                 continue
-            if any(a * b != b * a for a in combo for b in combo):
+            if any(compose(a, b) != compose(b, a) for a in combo for b in combo):
                 continue
-            if any((not g.is_identity) and has_fixed_point(g) for g in sub):
+            if any(not is_identity(g) and has_fixed_point(g) for g in sub):
                 continue
             # semiregular with |sub| = degree: regular
             profile = order_profile(sub)
@@ -83,7 +91,7 @@ def _mulclose(gens, identity):
         new = []
         for p in frontier:
             for g in gens:
-                q = p * g
+                q = compose(p, g)
                 if q not in els:
                     els.add(q)
                     new.append(q)
@@ -93,9 +101,9 @@ def _mulclose(gens, identity):
 
 class TestRegularAbelianTypes:
     def test_uniform_length(self):
-        assert _uniform_cycles(from_cycles(6, [(0, 1, 2), (3, 4)]).images)[0] is None
-        assert _uniform_cycles(PermGroup.cyclic(6).generators[0].images) == (6, [0] * 6)
-        assert _uniform_cycles(from_cycles(6, [(0, 3), (1, 4), (2, 5)]).images) == (
+        assert _uniform_cycles(from_cycles(6, [(0, 1, 2), (3, 4)]))[0] is None
+        assert _uniform_cycles(PermGroup.cyclic(6).generators[0]) == (6, [0] * 6)
+        assert _uniform_cycles(from_cycles(6, [(0, 3), (1, 4), (2, 5)])) == (
             2,
             [0, 1, 2, 0, 1, 2],
         )
@@ -112,7 +120,7 @@ class TestRegularAbelianTypes:
             from_cycles(8, [(0, 1), (2, 3), (4, 6), (5, 7)]),
             from_cycles(8, [(0, 2), (1, 3), (4, 5), (6, 7)]),
         ):
-            assert g * h == h * g and has_fixed_point(h * g)
+            assert compose(g, h) == compose(h, g) and has_fixed_point(compose(h, g))
             for pool in ([h, g], [g, h]):
                 assert not _search_type({2: pool}, (2, 2), 8)
                 assert not element_set_search({2: pool}, (2, 2), 8)
@@ -420,7 +428,7 @@ class TestPaths:
         assert aut.order() == w.order() == order
 
         def preserves(g, row):
-            return all(row[(g(v) - g(u)) % n] == row[(v - u) % n] for u in range(n) for v in range(n))
+            return all(row[(g[v] - g[u]) % n] == row[(v - u) % n] for u in range(n) for v in range(n))
 
         assert all(preserves(g, reference) for g in aut.generators)
         assert all(preserves(g, tower) for g in w.generators)
@@ -438,12 +446,12 @@ class TestPaths:
             if aut.order() > 10**4:
                 continue
             preserved = {
-                g.images for g in aut.elements()
-                if all(tower[(g(v) - g(u)) % n] == tower[(v - u) % n] for u in range(n) for v in range(n))
+                g for g in aut.elements()
+                if all(tower[(g[v] - g[u]) % n] == tower[(v - u) % n] for u in range(n) for v in range(n))
             }
             sylow = _sylow_subgroup(aut.order(), adjacency, 64)
             assert sylow is not None  # the index is prime to p
-            assert {g.images for g in sylow.elements()} == preserved, adjacency
+            assert set(sylow.elements()) == preserved, adjacency
             checked += 1
         assert checked > 2**n // 2
 
@@ -470,6 +478,14 @@ class TestPaths:
         report = cross_validate(ConnectionSet.of(40, [1, 2, 5, 17]))
         assert (report.path, report.aut_order, report.verdict) == ("regular", 40, EXACT_MATCH)
         assert calls == {"elements": 0, "_search_type": 0, "digraph": 0, "adjacency_matrix": 0}
+
+    def test_regular_path_reads_the_cyclic_group_off_the_prediction(self, monkeypatch):
+        # every up-set lists Z_n last (TestUpSet::test_cyclic_group_comes_last),
+        # so an unsound prediction on a regular circulant still meets actual Z_n
+        z4, z2_2 = AbelianType.cyclic(4), AbelianType.from_parts({2: (1, 1)})
+        monkeypatch.setattr(oracle, "realizable_groups", lambda s: ([z2_2, z4], True))
+        report = cross_validate(ConnectionSet.of(4, [1]))
+        assert (report.path, report.actual, report.verdict) == ("regular", (z4,), MISMATCH)
 
     def test_regular_path_builds_only_row_zero(self, monkeypatch):
         # connected, co-connected circulants at n = 40..64 with |Aut| = n:

@@ -479,7 +479,7 @@ class TestAutomorphismPaths:
             group = automorphism_group(d)
             brute = set(brute_automorphisms(d))
             assert group.cached_order == len(brute), members
-            assert {g.images for g in group.elements()} == brute, members
+            assert set(group.elements()) == brute, members
 
     @pytest.mark.parametrize("d", [cayley_digraph(3, {1}), cayley_digraph(12, {1}), cayley_digraph(40, {1, 2, 5, 17})])
     def test_cyclic_automorphism_group_needs_no_search(self, d, monkeypatch):
