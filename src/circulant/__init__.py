@@ -25,12 +25,7 @@ from .analyzer import (
     translation_check,
 )
 from .arith import big_omega, factorize
-from .digraph import (
-    Digraph,
-    cayley_digraph,
-    tower_connection_set,
-    tower_digraph,
-)
+from .digraph import cayley_digraph, tower_connection_set, tower_digraph
 from .errors import CapacityError
 from .oracle import ValidationReport, cross_validate, regular_abelian_types
 from .permgroup import (
@@ -47,7 +42,6 @@ __all__ = [
     "AbelianType",
     "CapacityError",
     "ConnectionSet",
-    "Digraph",
     "LayerDecomposition",
     "PPartition",
     "PermGroup",

@@ -24,8 +24,9 @@ from math import gcd
 from typing import Iterator
 
 from .abelian import AbelianType, PPartition, _up_closures, up_set
-from .arith import _radical_condition, big_omega, factorize
-from .digraph import Digraph, cayley_digraph, tower_arcs
+from ._refine import Circulant
+from .arith import _radical_condition, factorize
+from .digraph import cayley_digraph, tower_arcs
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class ConnectionSet:
         body = ",".join(str(x) for x in sorted(self.members))
         return f"n={self.n}; S={body}"
 
-    def digraph(self) -> Digraph:
+    def digraph(self) -> Circulant:
         return cayley_digraph(self.n, self.members)
 
 
@@ -130,7 +131,7 @@ class LayerDecomposition:
         for layers in self.per_prime:
             if layers.p == p:
                 return layers
-        raise KeyError(f"{p} does not divide {self.n}")
+        raise ValueError(f"{p} does not divide {self.n}")
 
     def minimal_group(self) -> AbelianType:
         return AbelianType(tuple(PPartition(layers.p, layers.minimal_parts) for layers in self.per_prime))
@@ -138,17 +139,6 @@ class LayerDecomposition:
     def arithmetic_condition(self) -> bool:
         """gcd(k, phi(k)) = 1 for k the radical of n, read off the factorization."""
         return _radical_condition([layers.p for layers in self.per_prime])
-
-
-def _prime_exponent(n: int, p: int) -> int:
-    """The exponent of the prime p in n, counted by division; n is not factorized."""
-    if p < 2 or n % p != 0 or big_omega(p) != 1:
-        raise ValueError(f"{p} does not divide {n}")
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a
 
 
 def _valid_levels(s: ConnectionSet, p: int, a: int) -> tuple[int, ...]:
@@ -234,11 +224,11 @@ def translation_check(s: ConnectionSet, p: int, level: int) -> bool:
     is an arc exactly when v - u lies in S, so no digraph is built.
     """
     n, members = s.n, s.members
-    a = _prime_exponent(n, p)
-    if level not in _valid_levels(s, p, a):
+    layers = decompose(s).for_prime(p)
+    if level not in layers.valid_levels:
         raise ValueError(f"level {level} is not a valid level for p={p}")
     generator = n // p**level
-    envelope = p ** (a - level)  # W is the multiples of p^(a-level); its cosets are the residues mod it
+    envelope = p ** (layers.a - level)  # W is the multiples of p^(a-level); its cosets are the residues mod it
     for rep in range(envelope):
         for t in range(generator, n, generator):
             image = [(x + t) % n if x % envelope == rep else x for x in range(n)]

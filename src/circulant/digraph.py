@@ -1,47 +1,30 @@
-"""Digraph values: Cayley construction and canonical towers.
+"""Digraphs as adjacency matrices: Cayley construction and canonical towers.
 
+A digraph is the 0/1 matrix the automorphism engine reads: a Cayley digraph
+the ``Circulant`` view of its adjacency row, a tower a dense list of rows.
 Loops are ordinary arcs (v, v); K_2 means the digon carrying both arcs and
 K_2-bar the arcless graph on two vertices, which is exactly the distinction
 the tower construction's case split needs.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._refine import Circulant
 from .arith import big_omega
 from .errors import CapacityError
 
 DEFAULT_VERTEX_CAP = 64
-DEFAULT_ELEMENT_CAP = 10**6  # caps enumerated group elements, tower arcs and tower connection sets
+DEFAULT_ELEMENT_CAP = 10**6  # caps group elements, tower arcs, tower matrix entries and tower connection sets
 
 
-@dataclass(frozen=True)
-class Digraph:
-    vertex_count: int
-    arcs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        n = self.vertex_count
-        if n < 1:
-            raise ValueError(f"vertex_count must be positive, got {n}")
-        for u, v in self.arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for {n} vertices")
-
-    def adjacency_matrix(self) -> list[list[int]]:
-        m = [[0] * self.vertex_count for _ in range(self.vertex_count)]
-        for u, v in self.arcs:
-            m[u][v] = 1
-        return m
-
-
-def cayley_digraph(n: int, members: Iterable[int]) -> Digraph:
-    """Cayley digraph of Z_n: arcs g -> g+s for each s in the connection set."""
-    s = set(members)
-    for x in s:
+def cayley_digraph(n: int, members: Iterable[int]) -> Circulant:
+    """Cay(Z_n, S), arcs g -> g+s for each s in S, as the ``Circulant`` of its adjacency row."""
+    row = [0] * n
+    for x in members:
         if not (0 <= x < n):
             raise ValueError(f"connection set element {x} out of range for Z_{n}")
-    return Digraph(n, frozenset((g, (g + x) % n) for g in range(n) for x in s))
+        row[x] = 1
+    return Circulant(row)
 
 
 def _tower_factors(p: int, layers: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
@@ -79,17 +62,24 @@ def _tower_size(factors: list[tuple[int, frozenset[int]]]) -> tuple[int, int]:
     return n, size
 
 
-def tower_digraph(p: int, layers: Iterable[int]) -> Digraph:
+def tower_digraph(p: int, layers: Iterable[int]) -> list[list[int]]:
     """Canonical digraph whose automorphism group is the iterated wreath product
     of cyclic groups of orders p^k over the given layers (outermost first).
 
     Each factor is the directed cycle of length p^k, except that order-2
     factors alternate between the digon and the arcless pair so consecutive
-    Sym(2) factors cannot merge into a larger symmetric group.  Its arcs are
-    those of ``tower_arcs``.
+    Sym(2) factors cannot merge into a larger symmetric group.  Its arcs, those
+    of ``tower_arcs``, fill a dense matrix, refused before it is built when its
+    n^2 entries pass DEFAULT_ELEMENT_CAP.
     """
-    n, arcs = tower_arcs(p, layers)
-    return Digraph(n, frozenset(arcs))
+    layers = tuple(layers)
+    n, _ = _tower_size(_tower_factors(p, layers))
+    if n * n > DEFAULT_ELEMENT_CAP:
+        raise CapacityError(f"tower digraph would have {n * n} matrix entries", DEFAULT_ELEMENT_CAP)
+    matrix = [[0] * n for _ in range(n)]
+    for u, v in tower_arcs(p, layers)[1]:
+        matrix[u][v] = 1
+    return matrix
 
 
 def tower_arcs(p: int, layers: Iterable[int]) -> tuple[int, Iterator[tuple[int, int]]]:

@@ -19,7 +19,7 @@ from ._refine import Circulant
 from .abelian import AbelianType, enumerate_abelian
 from .analyzer import ConnectionSet, realizable_groups
 from .arith import factorize
-from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, tower_connection_set
+from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, cayley_digraph, tower_connection_set
 from .errors import CapacityError
 from .permgroup import PermGroup, automorphism_group
 
@@ -165,7 +165,7 @@ def regular_abelian_types(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> l
     return found
 
 
-def _sylow_subgroup(aut_order: int, adjacency: list[int], vertex_cap: int) -> Optional[PermGroup]:
+def _sylow_subgroup(aut_order: int, adjacency: tuple[int, ...], vertex_cap: int) -> Optional[PermGroup]:
     """Aut(Γ) ∩ W for n = p^a, a >= 2, when its index in Aut(Γ) is prime to
     p; otherwise None.
 
@@ -219,10 +219,8 @@ def cross_validate(
     if n > vertex_cap:
         capped_by = {"cap": "vertex_cap", "value": vertex_cap}
         return ValidationReport(n, members, predicted, None, ORACLE_CAPPED, capped_by=capped_by)
-    adjacency = [0] * n
-    for x in s.members:
-        adjacency[x] = 1
-    aut = automorphism_group(Circulant(adjacency), vertex_cap=vertex_cap)
+    digraph = cayley_digraph(n, s.members)
+    aut = automorphism_group(digraph, vertex_cap=vertex_cap)
     aut_order = aut.order()
     if aut_order == n:
         path, actual = REGULAR, predicted[-1:]  # Z_n, last in every up-set
@@ -230,7 +228,7 @@ def cross_validate(
         path, actual = SYMMETRIC, tuple(enumerate_abelian(n))
     else:
         path, group = ENUMERATE, aut
-        sylow = _sylow_subgroup(aut_order, adjacency, vertex_cap)
+        sylow = _sylow_subgroup(aut_order, digraph.row, vertex_cap)
         if sylow is not None:
             path, group = SYLOW, sylow
         try:

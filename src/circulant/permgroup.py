@@ -3,19 +3,20 @@
 A permutation is its image tuple, and groups are given by generators.
 Element enumeration is a Dimino-style closure under a configurable cap
 (default 10^6); there is deliberately no stabilizer chain machinery, and
-nilpotency is read off Sylow counts.  Automorphism groups come from the
-refinement search engine, which reads a digraph's adjacency matrix or any
-square matrix of arc colors (a circulant as the engine's view of its first
-row) and also reports the exact group order, cached on the returned group.
+nilpotency is read off a certified prime-power order or Sylow counts.
+Automorphism groups come from the refinement search engine, which reads a
+square matrix of arc colors (a digraph is its 0/1 adjacency matrix, and a
+circulant the engine's view of its first row) and also reports the exact
+group order, cached on the returned group.
 """
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import _refine
 from .arith import factorize
-from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, Digraph
+from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP
 from .errors import CapacityError
 
 
@@ -150,26 +151,21 @@ def orbital_coloring(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in ids)
 
 
-def automorphism_group(
-    structure: Union[Digraph, Sequence[Sequence[int]]], vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> PermGroup:
-    """Full automorphism group of a digraph, or of a square matrix of arc
-    colors, with exact order cached.
+def automorphism_group(matrix: Sequence[Sequence[int]], vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermGroup:
+    """Full automorphism group of a square matrix of arc colors, with exact
+    order cached.
 
     Entry [u][v] colors the ordered pair (u, v), and the diagonal colors the
-    vertices.  The matrix may be the engine's ``_refine.Circulant`` view of a
-    first row, which builds row u only when it is indexed.
+    vertices; a digraph is its 0/1 adjacency matrix.  The matrix may be the
+    engine's ``_refine.Circulant`` view of a first row, which builds row u
+    only when it is indexed.
     """
-    digraph = isinstance(structure, Digraph)
-    n = structure.vertex_count if digraph else len(structure)
+    n = len(matrix)
     if n > vertex_cap:
         raise CapacityError("structure too large for automorphism search", vertex_cap)
-    if digraph:
-        structure = structure.adjacency_matrix()
-    elif not isinstance(structure, _refine.Circulant) and any(len(row) != n for row in structure):
+    if not isinstance(matrix, _refine.Circulant) and any(len(row) != n for row in matrix):
         raise ValueError("color matrix must be square")
-    # the engine only reads the matrix, so a color matrix goes in as it is
-    gens, order = _refine.automorphisms(structure)
+    gens, order = _refine.automorphisms(matrix)
     return PermGroup(n, gens, cached_order=order)
 
 
@@ -184,9 +180,11 @@ def two_closure(group: PermGroup) -> PermGroup:
 
 def is_nilpotent(group: PermGroup) -> bool:
     """Whether every Sylow subgroup is normal (D. J. S. Robinson, *A Course in
-    the Theory of Groups*, 5.2.4).  A Sylow p-subgroup is normal iff it holds
-    every p-element, so iff the elements whose order divides the p-part p^a
-    of |G| number exactly p^a."""
+    the Theory of Groups*, 5.2.4), true at once for a cached prime-power order.
+    A Sylow p-subgroup is normal iff it holds every p-element, so iff the
+    elements whose order divides the p-part p^a of |G| number exactly p^a."""
+    if group.cached_order is not None and len(factorize(group.cached_order).factors) <= 1:
+        return True
     orders = [_element_order(g) for g in group.elements()]
     return all(sum(p**a % order == 0 for order in orders) == p**a for p, a in factorize(len(orders)).factors)
 

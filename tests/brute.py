@@ -21,7 +21,7 @@ from math import lcm
 
 from circulant.abelian import enumerate_abelian
 from circulant.analyzer import subgroup_of_order
-from circulant.digraph import Digraph, _tower_factors, cayley_digraph
+from circulant.digraph import _tower_factors, cayley_digraph
 from circulant.permgroup import PermGroup
 
 
@@ -351,11 +351,24 @@ def lower_central_nilpotent(group):
         current = nxt
 
 
-def brute_automorphisms(digraph):
-    """Every arc-preserving permutation, by scanning all of Sym(n)."""
-    arcs = digraph.arcs
+def arc_set(m):
+    """The arcs (u, v) of an adjacency matrix, m[u][v] nonzero."""
+    return frozenset((u, v) for u, row in enumerate(m) for v, entry in enumerate(row) if entry)
+
+
+def matrix(n, arcs):
+    """The n x n 0/1 adjacency matrix of an arc set."""
+    m = [[0] * n for _ in range(n)]
+    for u, v in arcs:
+        m[u][v] = 1
+    return m
+
+
+def brute_automorphisms(m):
+    """Every arc-preserving permutation of an adjacency matrix, by scanning all of Sym(n)."""
+    arcs = arc_set(m)
     found = []
-    for p in permutations(range(digraph.vertex_count)):
+    for p in permutations(range(len(m))):
         if all((p[u], p[v]) in arcs for u, v in arcs):
             found.append(p)
     return found
@@ -393,26 +406,27 @@ def tower_row(p, a):
 
 
 def wreath(outer, inner):
-    """Wreath product: inner copied in each fiber, complete bundles along outer arcs.
+    """Wreath product of adjacency matrices: inner copied in each fiber,
+    complete bundles along outer arcs.
 
-    Vertex (u, v) is u * inner.vertex_count + v.
+    Vertex (u, v) is u * len(inner) + v.
     """
-    k = inner.vertex_count
+    k = len(inner)
     arcs = set()
-    for u in range(outer.vertex_count):
-        for v, w in inner.arcs:
+    for u in range(len(outer)):
+        for v, w in arc_set(inner):
             arcs.add((u * k + v, u * k + w))
-    for u, u2 in outer.arcs:
+    for u, u2 in arc_set(outer):
         for v in range(k):
             for w in range(k):
                 arcs.add((u * k + v, u2 * k + w))
-    return Digraph(outer.vertex_count * inner.vertex_count, frozenset(arcs))
+    return matrix(len(outer) * k, arcs)
 
 
 def wreath_tower(p, layers):
-    """The tower digraph built factor by factor, outermost first, by wreath:
-    the reference for the circulant build of ``tower_digraph``."""
-    result, *inner = [cayley_digraph(q, a) for q, a in _tower_factors(p, tuple(layers))]
+    """The tower digraph's adjacency matrix built factor by factor, outermost
+    first, by wreath: the reference for the circulant build of ``tower_digraph``."""
+    result, *inner = [[list(r) for r in cayley_digraph(q, a)] for q, a in _tower_factors(p, tuple(layers))]
     for f in inner:
         result = wreath(result, f)
     return result

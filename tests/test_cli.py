@@ -456,12 +456,14 @@ def _cap_address_space(megabytes):
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_capped(*argv, megabytes=300):
-    """The CLI in a child process whose address space is capped, at 300 MB
-    unless ``megabytes`` says otherwise."""
+CLI_SCRIPT = "import sys; from circulant.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_capped(*argv, megabytes=300, script=CLI_SCRIPT):
+    """The CLI, or another script, in a child process whose address space is
+    capped, at 300 MB unless ``megabytes`` says otherwise."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    script = "import sys; from circulant.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, preexec_fn=lambda: _cap_address_space(megabytes), timeout=120,
@@ -501,6 +503,23 @@ class TestMemoryBound:
         report = oracle.cross_validate(ConnectionSet.of(16777216, [1]))
         assert time.perf_counter() - start < 0.1
         assert report.capped_by == payload["capped_by"]
+
+    def test_cayley_digraph_past_the_vertex_cap(self):
+        # the 400,000-vertex circulant is held as its adjacency row, and the
+        # vertex cap refuses it before any other row is built
+        script = (
+            "from circulant.analyzer import ConnectionSet\n"
+            "from circulant.errors import CapacityError\n"
+            "from circulant.permgroup import automorphism_group\n"
+            "digraph = ConnectionSet.of(400000, range(1, 11)).digraph()\n"
+            "try:\n"
+            "    automorphism_group(digraph)\n"
+            "except CapacityError as exc:\n"
+            "    print(exc.cap)\n"
+        )
+        result = run_capped(megabytes=100, script=script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "64\n"
 
     def test_analyze_at_two_to_the_forty(self):
         result = run_capped("analyze", f"n={2**40};S=1,3,5,7", "--format", "json")

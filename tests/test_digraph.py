@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from brute import brute_automorphisms, wreath, wreath_tower
+from brute import arc_set, brute_automorphisms, matrix, wreath, wreath_tower
 from circulant import digraph
 from circulant.digraph import (
-    Digraph,
     cayley_digraph,
     dot_lines,
     edge_list_lines,
@@ -17,7 +16,7 @@ from circulant.errors import CapacityError
 from circulant.permgroup import automorphism_group
 
 K2 = cayley_digraph(2, {1})  # the digon
-K2BAR = Digraph(2, frozenset())
+K2BAR = matrix(2, ())
 
 
 def _compositions(total):
@@ -66,16 +65,17 @@ def tower_order_formula(p, layers):
 
 class TestCayley:
     def test_directed_triangle(self):
-        assert cayley_digraph(3, {1}).arcs == frozenset({(0, 1), (1, 2), (2, 0)})
+        assert arc_set(cayley_digraph(3, {1})) == frozenset({(0, 1), (1, 2), (2, 0)})
 
     def test_bidirected_square(self):
-        d = cayley_digraph(4, {1, 3})
-        assert len(d.arcs) == 8
-        assert all((v, u) in d.arcs for u, v in d.arcs)
+        arcs = arc_set(cayley_digraph(4, {1, 3}))
+        assert len(arcs) == 8
+        assert all((v, u) in arcs for u, v in arcs)
 
     def test_out_of_range_element(self):
-        with pytest.raises(ValueError):
-            cayley_digraph(4, {4})
+        for x in (4, -1):
+            with pytest.raises(ValueError, match=f"element {x} out of range for Z_4"):
+                cayley_digraph(4, {1, x})
 
     def test_worked_example_n45(self):
         # the same set in Z_9 x Z_5 coordinates is {(3k, 0) : k in Z_3} plus
@@ -85,17 +85,18 @@ class TestCayley:
 
         s = {crt((3 * k) % 9, 0) for k in range(3)} | {crt(1, 1)}
         assert s == {0, 1, 15, 30}
-        d = cayley_digraph(45, s)
-        assert len(d.arcs) == 180
-        assert sum(1 for u, v in d.arcs if u == v) == 45
+        arcs = arc_set(cayley_digraph(45, s))
+        assert len(arcs) == 180
+        assert sum(1 for u, v in arcs if u == v) == 45
 
     def test_rotation_is_automorphism(self):
         rng = random.Random(3)
         for _ in range(25):
             n = rng.randrange(2, 201)
             s = {rng.randrange(n) for _ in range(rng.randrange(0, 6))}
-            d = cayley_digraph(n, s)
-            assert all(((u + 1) % n, (v + 1) % n) in d.arcs for u, v in d.arcs)
+            arcs = arc_set(cayley_digraph(n, s))
+            assert arcs == {(g, (g + x) % n) for g in range(n) for x in s}
+            assert all(((u + 1) % n, (v + 1) % n) in arcs for u, v in arcs)
 
 
 class TestWreath:
@@ -103,7 +104,7 @@ class TestWreath:
 
     def test_arc_count_formula_examples(self):
         d3 = cayley_digraph(3, {1})
-        assert len(wreath(d3, d3).arcs) == 3 * 3 + 3 * 9
+        assert len(arc_set(wreath(d3, d3))) == 3 * 3 + 3 * 9
 
     def test_arc_count_formula_random(self):
         # exact for loopless outer digraphs; inner loops are fine
@@ -112,10 +113,8 @@ class TestWreath:
             a = _random_digraph(rng, rng.randrange(1, 9), loops=False)
             b = _random_digraph(rng, rng.randrange(1, 9))
             w = wreath(a, b)
-            assert w.vertex_count == a.vertex_count * b.vertex_count
-            assert len(w.arcs) == (
-                a.vertex_count * len(b.arcs) + len(a.arcs) * b.vertex_count**2
-            )
+            assert len(w) == len(a) * len(b)
+            assert len(arc_set(w)) == len(a) * len(arc_set(b)) + len(arc_set(a)) * len(b) ** 2
 
     def test_arc_count_with_outer_loops(self):
         # an outer loop's complete bundle absorbs that fiber's inner copy
@@ -124,23 +123,21 @@ class TestWreath:
             a = _random_digraph(rng, rng.randrange(1, 9))
             b = _random_digraph(rng, rng.randrange(1, 9))
             w = wreath(a, b)
-            outer_loops = sum(1 for u, v in a.arcs if u == v)
-            assert len(w.arcs) == (
-                a.vertex_count * len(b.arcs)
-                + len(a.arcs) * b.vertex_count**2
-                - outer_loops * len(b.arcs)
+            outer_loops = sum(1 for u, v in arc_set(a) if u == v)
+            assert len(arc_set(w)) == (
+                len(a) * len(arc_set(b)) + len(arc_set(a)) * len(b) ** 2 - outer_loops * len(arc_set(b))
             )
 
     def test_kbar3_wr_k3_is_cay_9_36(self):
         # g -> (g % 3) * 3 + g // 3 carries Cay(Z_9, {3,6}) onto the wreath:
         # the cosets of <3> are the fibers
-        w = wreath(Digraph(3, frozenset()), cayley_digraph(3, range(1, 3)))
-        image = {((u % 3) * 3 + u // 3, (v % 3) * 3 + v // 3) for u, v in cayley_digraph(9, {3, 6}).arcs}
-        assert image == w.arcs
+        w = wreath(matrix(3, ()), cayley_digraph(3, range(1, 3)))
+        image = {((u % 3) * 3 + u // 3, (v % 3) * 3 + v // 3) for u, v in arc_set(cayley_digraph(9, {3, 6}))}
+        assert image == arc_set(w)
 
     def test_identity_factor(self):
         d = cayley_digraph(5, {1, 2})
-        assert wreath(d, Digraph(1, frozenset())) == d
+        assert arc_set(wreath(d, matrix(1, ()))) == arc_set(d)
 
     def test_associative_up_to_isomorphism(self):
         # the vertex numbering is mixed radix either way, so the two are equal
@@ -152,8 +149,8 @@ class TestWreath:
 
 class TestTower:
     def test_single_layer_is_directed_cycle(self):
-        assert tower_digraph(3, (1,)) == cayley_digraph(3, {1})
-        assert tower_digraph(5, (1,)) == cayley_digraph(5, {1})
+        assert tower_digraph(3, (1,)) == [list(r) for r in cayley_digraph(3, {1})]
+        assert tower_digraph(5, (1,)) == [list(r) for r in cayley_digraph(5, {1})]
 
     def test_p2_digon_alternation(self):
         t = tower_digraph(2, (1, 1))
@@ -181,7 +178,7 @@ class TestTower:
             for layers in _compositions(total):
                 n, arcs = tower_arcs(p, iter(layers))
                 assert n == p**total
-                assert list(arcs) == sorted(wreath_tower(p, layers).arcs), (p, layers)
+                assert list(arcs) == sorted(arc_set(wreath_tower(p, layers))), (p, layers)
 
     def test_rejects_bad_layers(self):
         with pytest.raises(ValueError):
@@ -192,15 +189,34 @@ class TestTower:
     def test_arc_cap_is_checked_before_building(self, monkeypatch):
         # the arithmetic arc count is exact: a cap of arcs builds, arcs - 1 refuses
         towers = [(2, (1,)), (2, (1, 1, 1)), (2, (2, 1)), (3, (1, 2)), (5, (1, 1))]
-        counts = [len(tower_digraph(p, layers).arcs) for p, layers in towers]
+        counts = [len(list(tower_arcs(p, layers)[1])) for p, layers in towers]
         for (p, layers), arcs in zip(towers, counts):
             monkeypatch.setattr(digraph, "DEFAULT_ELEMENT_CAP", arcs)
-            assert len(tower_digraph(p, layers).arcs) == arcs
+            assert len(list(tower_arcs(p, layers)[1])) == arcs
             monkeypatch.setattr(digraph, "DEFAULT_ELEMENT_CAP", arcs - 1)
             with pytest.raises(CapacityError):
-                tower_digraph(p, layers)
+                tower_arcs(p, layers)
         with pytest.raises(CapacityError, match="16777216 arcs"):
-            tower_digraph(2, (24,))
+            tower_arcs(2, (24,))
+
+    def test_matrix_cap_is_checked_before_building(self, monkeypatch):
+        # the 2,048-vertex tower has 897,024 arcs, under the arc cap, but its
+        # matrix would hold 2048^2 entries: refused before an arc is made
+        def refuse(p, layers):
+            raise AssertionError("tower arcs generated past the matrix cap")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(digraph, "tower_arcs", refuse)
+            with pytest.raises(CapacityError, match="would have 4194304 matrix entries"):
+                tower_digraph(2, (3, 1, 2, 1, 2, 1, 1))
+        # the entry count n^2 is exact: a cap of n^2 builds, n^2 - 1 refuses
+        for p, layers in [(2, (1,)), (2, (2, 1)), (3, (1, 2)), (2, (3, 1, 2, 1))]:
+            n = p ** sum(layers)
+            monkeypatch.setattr(digraph, "DEFAULT_ELEMENT_CAP", n * n)
+            assert tower_digraph(p, layers) == wreath_tower(p, layers)
+            monkeypatch.setattr(digraph, "DEFAULT_ELEMENT_CAP", n * n - 1)
+            with pytest.raises(CapacityError, match=f"would have {n * n} matrix entries"):
+                tower_digraph(p, layers)
 
     @pytest.mark.parametrize("p,max_total", [(2, 4), (3, 3)])
     def test_automorphism_order_matches_wreath_formula(self, p, max_total):
@@ -218,8 +234,8 @@ class TestTowerConnectionSet:
         # tower_vertex is a bijection carrying the presentation's arcs onto the tower's
         n, s = tower_connection_set(p, layers)
         assert sorted(tower_vertex(p, layers, g) for g in range(n)) == list(range(n))
-        image = {(tower_vertex(p, layers, u), tower_vertex(p, layers, v)) for u, v in cayley_digraph(n, s).arcs}
-        assert image == tower_digraph(p, layers).arcs
+        image = {(tower_vertex(p, layers, u), tower_vertex(p, layers, v)) for u, v in arc_set(cayley_digraph(n, s))}
+        assert image == arc_set(tower_digraph(p, layers))
 
     def test_element_cap_is_checked_before_building(self, monkeypatch):
         # the arithmetic size is exact: a cap of |S| builds, |S| - 1 refuses
@@ -246,16 +262,16 @@ class TestTowerConnectionSet:
 
 class TestFormats:
     def test_edge_list_text(self):
-        lines = edge_list_lines(5, sorted(cayley_digraph(5, {1, 2}).arcs))
+        lines = edge_list_lines(5, sorted(arc_set(cayley_digraph(5, {1, 2}))))
         assert "\n".join(lines) == "n=5\n0 1\n0 2\n1 2\n1 3\n2 3\n2 4\n3 0\n3 4\n4 0\n4 1"
 
     def test_edge_list_header(self):
-        lines = list(edge_list_lines(3, sorted(cayley_digraph(3, {1}).arcs)))
+        lines = list(edge_list_lines(3, sorted(arc_set(cayley_digraph(3, {1})))))
         assert lines[0] == "n=3"
         assert "0 1" in lines
 
     def test_dot_contains_arcs(self):
-        lines = list(dot_lines(3, sorted(cayley_digraph(3, {1}).arcs), name="c3"))
+        lines = list(dot_lines(3, sorted(arc_set(cayley_digraph(3, {1}))), name="c3"))
         assert lines[0] == "digraph c3 {" and lines[-1] == "}"
         assert "  0 -> 1;" in lines
 
@@ -267,4 +283,4 @@ def _random_digraph(rng, n, loops=True):
         for v in range(n)
         if (loops or u != v) and rng.random() < 0.3
     }
-    return Digraph(n, frozenset(arcs))
+    return matrix(n, arcs)

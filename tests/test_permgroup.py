@@ -6,15 +6,17 @@ import pytest
 from brute import (
     brute_automorphisms,
     brute_pair_orbit_preservers,
+    arc_set,
     cycle_lengths,
     from_cycles,
     has_fixed_point,
     is_identity,
     lower_central_nilpotent,
+    matrix,
     wreath,
 )
 from circulant import _refine, permgroup
-from circulant.digraph import Digraph, cayley_digraph, tower_digraph
+from circulant.digraph import cayley_digraph, tower_digraph
 from circulant.errors import CapacityError
 from circulant.abelian import AbelianType
 from circulant.oracle import regular_abelian_types
@@ -31,7 +33,7 @@ from circulant.permgroup import (
 
 def symmetric(n):
     """Sym(n), as the automorphism group of the arcless digraph, with its order n!."""
-    return automorphism_group(Digraph(n, frozenset()))
+    return automorphism_group(matrix(n, ()))
 
 
 class TestPermutation:
@@ -107,7 +109,7 @@ class TestElements:
         assert err.value.cap == 10**6
 
     def test_cached_order_validated_by_enumeration(self):
-        for d in (cayley_digraph(5, {1}), tower_digraph(2, (1, 1)), Digraph(4, frozenset())):
+        for d in (cayley_digraph(5, {1}), tower_digraph(2, (1, 1)), matrix(4, ())):
             g = automorphism_group(d)
             assert g.cached_order == len(g.elements())
 
@@ -196,6 +198,34 @@ class TestNilpotent:
         assert verdicts == [lower_central_nilpotent(g) for g in groups.values()]
         assert len(verdicts) >= 200 and verdicts.count(False) >= 50
 
+    def test_certified_prime_power_order_needs_no_enumeration(self):
+        # |Aut| = 3^13 is past the element cap, but the engine certified it
+        group = automorphism_group(tower_digraph(3, (1, 1, 1)))
+        assert group.cached_order == 3**13 > permgroup.DEFAULT_ELEMENT_CAP
+        assert is_nilpotent(group)
+
+    def test_enumerates_unless_the_order_is_a_certified_prime_power(self, monkeypatch):
+        enumerated = []
+        real = PermGroup.elements
+
+        def counted(group, *args):
+            enumerated.append(group.cached_order)
+            return real(group, *args)
+
+        monkeypatch.setattr(PermGroup, "elements", counted)
+        z2_wr_z2 = wreath_product(PermGroup.cyclic(2), PermGroup.cyclic(2)).generators
+        cases = [
+            (PermGroup(4, z2_wr_z2), True, [None]),  # no cached order
+            (PermGroup(4, z2_wr_z2, cached_order=8), True, []),
+            (PermGroup(3, (), cached_order=1), True, []),
+            (symmetric(3), False, [6]),  # 6 is no prime power
+            (PermGroup.cyclic(6), True, [6]),
+        ]
+        for group, nilpotent, orders in cases:
+            enumerated.clear()
+            assert is_nilpotent(group) is nilpotent
+            assert enumerated == orders
+
     def test_order_two_to_the_fifteen_tower_group(self):
         group = automorphism_group(tower_digraph(2, (1, 1, 1, 1)))
         assert group.order() == 2**15
@@ -210,7 +240,7 @@ class TestAutomorphismGroup:
         assert automorphism_group(cayley_digraph(k, {1})).cached_order == k
 
     def test_empty_graph_full_symmetric(self):
-        assert automorphism_group(Digraph(4, frozenset())).cached_order == 24
+        assert automorphism_group(matrix(4, ())).cached_order == 24
 
     def test_tower_2_11(self):
         assert automorphism_group(tower_digraph(2, (1, 1))).cached_order == 8
@@ -220,7 +250,7 @@ class TestAutomorphismGroup:
         for _ in range(15):
             n = rng.randrange(2, 6)
             arcs = {(u, v) for u in range(n) for v in range(n) if rng.random() < 0.35}
-            d = Digraph(n, frozenset(arcs))
+            d = matrix(n, arcs)
             group = automorphism_group(d)
             brute = set(brute_automorphisms(d))
             assert group.cached_order == len(brute)
@@ -246,31 +276,31 @@ class TestAutomorphismGroup:
                 assert PermGroup.cyclic(n).generators[0] in imgs
             else:
                 # order too large to enumerate: rotation must still preserve arcs
-                d = cayley_digraph(n, s)
-                assert all(((u + 1) % n, (v + 1) % n) in d.arcs for u, v in d.arcs)
+                arcs = arc_set(cayley_digraph(n, s))
+                assert all(((u + 1) % n, (v + 1) % n) in arcs for u, v in arcs)
 
     def test_wreath_embedding_lower_bound(self):
         rng = random.Random(41)
         for _ in range(10):
             n1, n2 = rng.randrange(1, 5), rng.randrange(1, 5)
-            a = Digraph(n1, frozenset({(u, v) for u in range(n1) for v in range(n1) if rng.random() < 0.3}))
-            b = Digraph(n2, frozenset({(u, v) for u in range(n2) for v in range(n2) if rng.random() < 0.3}))
+            a = matrix(n1, {(u, v) for u in range(n1) for v in range(n1) if rng.random() < 0.3})
+            b = matrix(n2, {(u, v) for u in range(n2) for v in range(n2) if rng.random() < 0.3})
             big = automorphism_group(wreath(a, b)).cached_order
             small = (
                 automorphism_group(a).cached_order
-                * automorphism_group(b).cached_order ** a.vertex_count
+                * automorphism_group(b).cached_order ** len(a)
             )
             assert big >= small
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            automorphism_group(Digraph(65, frozenset()))
+            automorphism_group(matrix(65, ()))
 
     def test_capacity_error_before_the_matrix_is_built(self, monkeypatch):
-        def refuse(digraph):
-            raise AssertionError("adjacency matrix built past the vertex cap")
+        def refuse(circulant, u):
+            raise AssertionError("adjacency row built past the vertex cap")
 
-        monkeypatch.setattr(Digraph, "adjacency_matrix", refuse)
+        monkeypatch.setattr(_refine.Circulant, "__getitem__", refuse)
         with pytest.raises(CapacityError):
             automorphism_group(cayley_digraph(65, {1}))
         with pytest.raises(CapacityError):
@@ -295,11 +325,11 @@ class TestCirculantColoring:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_cayley_adjacency_exhaustively(self, n):
+        # cayley_digraph's view, built row by row, is the adjacency matrix of the arcs g -> g + s
         for mask in range(2**n):
             s = {x for x in range(n) if mask >> x & 1}
-            row = [int(x in s) for x in range(n)]
-            matrix = [list(r) for r in _refine.Circulant(row)]
-            assert matrix == cayley_digraph(n, s).adjacency_matrix(), s
+            built = [list(r) for r in cayley_digraph(n, s)]
+            assert built == matrix(n, {(g, (g + x) % n) for g in range(n) for x in s}), s
 
     def test_entries_follow_the_difference(self):
         row = (5, 0, 3, 0, 7, 2, 1)
