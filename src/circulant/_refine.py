@@ -18,38 +18,46 @@ color and the sorted multiset of (color of u, code of (v, u)) over all u,
 each pair folded into one int, so the counting and sorting run at C level.
 The pair u = v is counted too; that is harmless because its entry depends on
 v's own color alone, as long as the colors refine the diagonal, which every
-caller's colors do.  Refinement stops as soon as the partition is discrete.
-A search for an automorphism mapping x to y refines the level's stable
-coloring with x and with y individualized side by side, one shared color
-table for both; ``_individualize`` alone gives vertices colors of their own.
+caller's colors do.  Only open vertices, those in classes of two or more,
+are signed: a class of one cannot split, so its vertex keeps its color as
+its key, and a round costs in proportion to the open vertices.  Refinement
+stops as soon as the partition is discrete.  A search for an automorphism
+mapping x to y refines the level's stable coloring with x and with y
+individualized side by side, one shared color table for both, by the same
+rounds; ``_individualize`` alone gives vertices colors of their own.
 
 Convolution rounds: when the shift v -> v+1 preserves the matrix and
-16 <= n < 256 (``_KERNEL_SIZES``), a round sorts no rows.  The multiset
+16 <= n < 256 (``_KERNEL_SIZES``), a round need sort no rows.  The multiset
 above is the same as the counts, per class i and code rank j, of the
 vertices u of class i whose code to v has rank j, and for a circulant those
 counts are cyclic correlations: a few int products per class give them for
 every v at once (``_convolution``, ``_code_counts``).  The signature becomes
-the color and the counts, which gives the same partition.  Other
-structures, and circulants of other sizes, sort rows: below 16 a round's
-products are not reliably faster than sorting n short rows.
+the color and the counts, which gives the same partition.  The products
+cost one column per class and the sorts one row per open vertex, so a
+round takes the products when open vertices are no fewer than classes and
+sorts rows otherwise.  Other structures, and circulants of other sizes,
+sort rows: below 16 a round's products are not reliably faster than sorting
+n short rows.  Level 1 of a circulant, its uniform diagonal with vertex 0
+individualized and one round, comes from the kernel at once: about R^2/2
+products for R code ranks (``_first_level``).
 
 Circulant input: a circulant comes in as its row 0, wrapped in the
 read-only view ``Circulant``: entry [u][v] is row[(v - u) mod n], and row u
 is built only when it is indexed.  The shift v -> v+1 preserves such a
 matrix by construction, so it is not tested row by row, and the diagonal is
-the constant row[0].  The pair codes are the view of their row 0, each
-individualization reads the codes to x by index arithmetic on that row, and
-convolution rounds read row 0 alone.  Rows are built only where they are
-read: the codes' rows before row-sort rounds, and the matrix's rows before
-the first search for an automorphism, whose backtracking indexes plain
-tuples.
+the constant row[0].  The pair codes are the view of their row 0 (in the
+kernel's range, their ranks, built with the kernel in one pass over row 0),
+and individualizations and row sorts read the codes of a vertex by index
+arithmetic on that row, so no row of the codes is built.  The matrix's rows
+are built before the first search for an automorphism, whose backtracking
+indexes plain tuples.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
 Each level starts from the previous level's stable coloring, and its first
-round is one pass over the codes to the new base point.  When the shift
-v -> v+1 preserves the whole matrix (every circulant in its natural
-labeling), it is taken as the first generator and level 0 needs no
+round, inside ``refine``, is one pass over the codes to the new base point.
+When the shift v -> v+1 preserves the whole matrix (every circulant in its
+natural labeling), it is taken as the first generator and level 0 needs no
 refinement and no search: its orbit is every vertex.
 """
 
@@ -105,39 +113,74 @@ def _pair_codes(m, circulant=False):
     return [[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))], k * k
 
 
-def _convolution(rows):
-    """The convolution kernel of a circulant's pair codes ``rows``, n < 256.
+# bytes.translate tables: byte b to 16*b mod 256, and byte j to 1, every other to 0
+_TIMES_16 = bytes(16 * b & 255 for b in range(256))
+_INDICATORS = [bytes(j) + b"\1" + bytes(255 - j) for j in range(256)]
 
-    Code (v, u) has rank r[(v - u) mod n] among the codes, where r[e] is the
-    rank of code (e, 0); r is returned as bytes.  With it, for each rank
-    j > 0, the int whose byte e is 1 where r[e] = j (Kronecker substitution):
-    for X the indicator bytes of a class, doubled, bytes n..2n-1 of X times
-    that int count, for each v, the members u with code (v, u) of rank j.
-    Every count is at most n < 256, so no byte carries.  Rank 0 is left out:
-    its count is the class size less the others'.
+
+def _convolution(first):
+    """A circulant's pair codes as code ranks, and their convolution
+    kernel, from its row 0 ``first``, n < 256.
+
+    Code (v, u), the pair (m[v][u], m[u][v]), has rank r[(v - u) mod n],
+    where r[e] is the rank of code (e, 0) among the codes; r is returned as
+    bytes.  Ranks replace the codes everywhere: the first value returned is
+    the ``Circulant`` of row 0 of the ranks, r[-u] at u, and the second
+    their span.  When every entry is in 0..15, code (e, 0) is the byte
+    16 m[e][0] + m[0][e], built for all e by two int conversions, and a
+    ``bytes.translate`` table ranks it; other entries are ranked as pairs.
+
+    The kernel is r and, for each rank j > 0, the int whose byte e is 1
+    where r[e] = j (Kronecker substitution): for X the indicator bytes of a
+    class, doubled, bytes n..2n-1 of X times that int count, for each v, the
+    members u with code (v, u) of rank j.  Every count is at most n < 256,
+    so no byte carries.  Rank 0 is left out: its count is the class size
+    less the others'.
     """
-    column = rows[0][:1] + rows[0][:0:-1]  # code (e, 0) = code (0, -e)
-    rank = {c: j for j, c in enumerate(sorted(set(column)))}
-    r = bytes(map(rank.__getitem__, column))
-    return r, [int.from_bytes(r.translate(_indicator(j)), "little") for j in range(1, len(rank))]
+    n = len(first)
+    column = first[:1] + first[:0:-1]  # m[e][0] = first[-e]
+    if min(first) >= 0 and max(first) < 16:
+        high = int.from_bytes(bytes(column).translate(_TIMES_16), "little")
+        codes = (high + int.from_bytes(bytes(first), "little")).to_bytes(n, "little")
+        table = bytearray(256)
+        for j, code in enumerate(sorted(set(codes))):
+            table[code] = j
+        r = codes.translate(table)
+    else:
+        pairs = list(zip(column, first))
+        rank = {code: j for j, code in enumerate(sorted(set(pairs)))}
+        r = bytes(map(rank.__getitem__, pairs))
+    products = [int.from_bytes(r.translate(_INDICATORS[j]), "little") for j in range(1, max(r) + 1)]
+    return Circulant(r[:1] + r[:0:-1]), len(products) + 1, (r, products)
 
 
-def _indicator(j):
-    """A ``bytes.translate`` table taking byte j to 1 and every other to 0."""
-    return bytes(j) + b"\1" + bytes(255 - j)
+def _product_counts(x, ys, n):
+    """For the indicator bytes x of a class, the bytes whose byte v counts
+    the members u with code (v, u) of rank j, for each kernel int y of ``ys``."""
+    x = int.from_bytes(x + x, "little")
+    return [(x * y).to_bytes(3 * n, "little")[n : 2 * n] for y in ys]
 
 
-def _sorted_rows(codes, width, colors):
-    """Each vertex's color and the sorted multiset of (color of u, code of
-    (v, u)), one int each."""
+def _sorted_rows(codes, width, colors, opened):
+    """The color of each vertex in ``opened`` and the sorted multiset of
+    (color of u, code of (v, u)), one int each.
+
+    Codes held as a ``Circulant`` are read by index arithmetic on row 0:
+    row v is row 0 rotated right by v.
+    """
     shifted = [c * width for c in colors]
-    return [(c, tuple(sorted(map(add, row, shifted)))) for row, c in zip(codes, colors)]
+    if isinstance(codes, Circulant):
+        n, doubled = len(colors), codes.row * 2
+        rows = (doubled[n - v : 2 * n - v] for v in opened)
+    else:
+        rows = map(codes.__getitem__, opened)
+    return [(colors[v], tuple(sorted(map(add, row, shifted)))) for v, row in zip(opened, rows)]
 
 
-def _code_counts(kernel, colors, sizes):
-    """Each vertex v's signature as bytes: its color, then class by class
-    the number of u in the class with code (v, u) of each rank, by
-    ``_convolution``'s products.
+def _code_counts(kernel, colors, sizes, opened):
+    """The signature of each vertex v in ``opened``, a tuple: its color, then
+    class by class the number of u in the class with code (v, u) of each
+    rank, by ``_convolution``'s products.
 
     ``sizes`` maps each color to its class size; classes are taken in its
     order.  The counts fix the multiset ``_sorted_rows`` sorts and are fixed
@@ -162,22 +205,32 @@ def _code_counts(kernel, colors, sizes):
         if sizes[c] == 1:
             u = members.index(c)
             columns.append(r[n - u :] + r[: n - u])
-            continue
-        x = members.translate(_indicator(c))
-        x = int.from_bytes(x + x, "little")
-        columns.extend((x * y).to_bytes(3 * n, "little")[n : 2 * n] for y in products)
-    joined = b"".join(columns)
-    return [joined[v::n] for v in range(n)]
+        else:
+            columns += _product_counts(members.translate(_INDICATORS[c]), products, n)
+    signatures = list(zip(*columns))
+    return list(map(signatures.__getitem__, opened))
 
 
 def _signatures(codes, colors, sizes):
-    """One round's signature of each vertex: by ``_code_counts`` when
-    ``codes`` carry a convolution kernel, else by ``_sorted_rows``.
-    ``sizes`` are the class sizes of ``colors``."""
+    """One round's key of each vertex.
+
+    A vertex alone in its class keeps its color as its key: a singleton
+    cannot split, and an int equals no signature.  The others, the open
+    vertices, are signed by ``_code_counts`` when ``codes`` carry a
+    convolution kernel and there are no fewer open vertices than classes,
+    since its columns cost one per class; else by ``_sorted_rows``, one row
+    per open vertex.  ``sizes`` are the class sizes of ``colors``.
+    """
     rows, width, kernel = codes
-    if kernel is not None:
-        return _code_counts(kernel, colors, sizes)
-    return _sorted_rows(rows, width, colors)
+    keys = list(colors)
+    opened = [v for v, c in enumerate(colors) if sizes[c] > 1]
+    if kernel is not None and len(opened) >= len(sizes):
+        signed = _code_counts(kernel, colors, sizes, opened)
+    else:
+        signed = _sorted_rows(rows, width, colors, opened)
+    for v, key in zip(opened, signed):
+        keys[v] = key
+    return keys
 
 
 def _refine_joint(m, colorings, codes):
@@ -186,14 +239,13 @@ def _refine_joint(m, colorings, codes):
 
     Returns the stable colorings, or None as soon as two colorings' color
     classes differ in size; sizes are counted once a round and compared
-    before it, so the colorings of a round share them and ``_code_counts``'
-    choice of class to leave out.  Colors are numbered in order of first
-    appearance, first coloring first.  The colorings must refine the
-    diagonal.  A round that leaves the partition discrete ends the
-    refinement, since a discrete partition is stable: a single coloring is
-    returned right after that round, and several have their class sizes
-    compared once more.  ``codes`` is
-    ``_pair_codes(m)`` and a convolution kernel or None, as
+    before it, so the colorings of a round share them and ``_signatures``'
+    choices.  Colors are numbered in order of first appearance, first
+    coloring first.  The colorings must refine the diagonal.  A round that
+    leaves the partition discrete ends the refinement, since a discrete
+    partition is stable: a single coloring is returned right after that
+    round, and several have their class sizes compared once more.  ``codes``
+    are pair codes, their span and a convolution kernel or None, as
     ``_search_codes`` builds them.  With a kernel, colors must be below 256.
     """
     n = len(m)
@@ -204,22 +256,57 @@ def _refine_joint(m, colorings, codes):
             return None
         if done:
             return colorings
-        sigs = [_signatures(codes, colors, sizes) for colors in colorings]
+        keys = [_signatures(codes, colors, sizes) for colors in colorings]
         table = {}
-        colorings = [[table.setdefault(s, len(table)) for s in ss] for ss in sigs]
+        colorings = [[table.setdefault(k, len(table)) for k in ks] for ks in keys]
         done = len(table) in (len(sizes), n)
         if done and len(colorings) == 1:
             return colorings
         sizes = Counter(colorings[0])
 
 
-def refine(m, colors, *, codes):
+def _first_level(kernel):
+    """The uniform coloring of a circulant with vertex 0 individualized,
+    after one round, from its convolution kernel; and whether it is stable,
+    since the round split no class or left every vertex alone.
+
+    Vertex 0 is kept apart, and v != 0 starts in class r[v], the rank of
+    code (v, 0).  In the round, v's count of u with r[u] = i and code (v, u)
+    of rank j is N_ij(v) = #{u : r[u] = i, r[v - u] = j}, less one when
+    u = 0 is such a u, which depends on r[v] alone.  A count with i = 0 or
+    j = 0 is a class size or a code total less the others, and N_ij = N_ji
+    (put u -> v - u), so r[v] and N_ij(v) for 1 <= i <= j < R give the
+    round's partition: R(R-1)/2 products for R ranks.
+    """
+    r, products = kernel
+    n = len(r)
+    columns = [r]
+    for i in range(len(products)):
+        columns += _product_counts(r.translate(_INDICATORS[i + 1]), products[i:], n)
+    signatures = zip(*columns)
+    next(signatures)  # vertex 0's, kept apart
+    table = {None: 0}
+    colors = [0] + [table.setdefault(s, len(table)) for s in signatures]
+    return colors, len(table) in (len(set(r[1:])) + 1, n)
+
+
+def refine(m, colors, *, codes, point=None):
     """Iterate signature refinement on one structure until the partition is stable.
 
-    ``colors`` must refine the diagonal: equal colors, equal m[v][v].  A
+    ``colors`` must refine the diagonal: equal colors, equal m[v][v].  With
+    ``point``, ``colors`` must be stable, and the point is individualized
+    first (``_individualize``); when the colors are uniform, the point is 0
+    and ``codes`` carry a convolution kernel, the individualized coloring
+    and its first round come from the kernel at once (``_first_level``).  A
     discrete coloring is returned as it is, with no round.  ``codes`` are as
     for ``_refine_joint``.
     """
+    if point == 0 and codes[2] is not None and len(set(colors)) == 1:
+        colors, stable = _first_level(codes[2])
+        if stable:
+            return colors
+    elif point is not None:
+        (colors,) = _individualize(codes, colors, point)
     if len(set(colors)) == len(colors):
         return list(colors)
     return _refine_joint(m, (colors,), codes)[0]
@@ -326,12 +413,12 @@ _KERNEL_SIZES = range(16, 256)
 
 def _search_codes(m):
     """Whether the shift v -> v+1 preserves m, diagonal included; and m's
-    pair codes, with their ``_convolution`` when it does and n is in
-    ``_KERNEL_SIZES``, else None.
+    pair codes, their span and a convolution kernel or None.
 
     A ``Circulant`` is preserved by definition; any other matrix is tested
-    by n row comparisons.  Circulant codes without a kernel are built row
-    by row here, once, since every row-sort round reads every row.
+    by n row comparisons.  When the shift preserves m and n is in
+    ``_KERNEL_SIZES``, codes and kernel come from row 0 in one pass
+    (``_convolution``), else the kernel is None.
     """
     n = len(m)
     if isinstance(m, Circulant):
@@ -339,13 +426,9 @@ def _search_codes(m):
     else:
         first = m[0] * 2 if n > 1 else None
         shift = n > 1 and all(m[u] == first[n - u : 2 * n - u] for u in range(1, n))
-    rows, width = _pair_codes(m, shift)
-    kernel = None
     if shift and n in _KERNEL_SIZES:
-        kernel = _convolution(rows)
-    elif shift:
-        rows = tuple(rows)
-    return shift, (rows, width, kernel)
+        return shift, _convolution(m[0])
+    return shift, (*_pair_codes(m, shift), None)
 
 
 def _close_orbit(orbit, gens):
@@ -376,14 +459,13 @@ def automorphisms(m):
     Pair codes, and for a circulant in ``_KERNEL_SIZES`` their convolution
     kernel, are built once per call and shared by every refinement and
     search.  A level whose refined partition is discrete ends the search.
-    Level 0 refines the diagonal coloring; each later level starts from the
-    previous level's stable coloring with its base point individualized,
-    whose first round splits each class by the code to that point
-    (``_individualize``).
-    Both reach the stable partition that refining the diagonal with every
-    base point individualized reaches: refinement gives the coarsest
-    equitable partition finer than its seed, and the two seeds have the same
-    one.
+    Level 0 refines the diagonal coloring; each later level refines the
+    previous level's stable coloring with its base point individualized
+    (``refine``'s ``point``), whose first round splits each class by the
+    code to that point.  Both reach the stable partition that refining the
+    diagonal with every base point individualized reaches: refinement gives
+    the coarsest equitable partition finer than its seed, and the two seeds
+    have the same one.
 
     Shift seeding: if the shift v -> v+1 preserves m, diagonal included,
     level 0 is resolved without refinement or search.  A ``Circulant`` is
@@ -393,7 +475,8 @@ def automorphisms(m):
     have reached, since a transitive group leaves one cell and 0 is its
     first vertex.  The pair codes are then rotations of their row 0, and
     level 1 starts from the diagonal, stable under a transitive group, split
-    by vertex 0.
+    by vertex 0; with a kernel, it and its first round come from the kernel
+    (``_first_level``).
 
     m may be a ``Circulant``: its rows are then built only if a level needs
     a search, once, before the first ``iso_search``.  A circulant whose
@@ -405,12 +488,13 @@ def automorphisms(m):
     shift, codes = _search_codes(m)
     gens = []
     order = 1
+    point = None
     if shift:
         gens.append(tuple(range(1, n)) + (0,))
         order = n
-        (colors,) = _individualize(codes, colors, 0)
+        point = 0
     while True:
-        colors = refine(m, colors, codes=codes)
+        colors = refine(m, colors, codes=codes, point=point)
         if len(set(colors)) == n:
             return gens, order
 
@@ -433,4 +517,4 @@ def automorphisms(m):
                 level_gens.append(witness)
                 orbit = _close_orbit(orbit, level_gens)
         order *= len(orbit)
-        (colors,) = _individualize(codes, colors, x)
+        point = x

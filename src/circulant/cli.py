@@ -129,7 +129,7 @@ def _run_decompose(args) -> int:
     ]
     if args.prime is not None and not entries:
         n = decomposition.n
-        if args.prime > 0 and n % args.prime == 0:
+        if args.prime != 0 and n % args.prime == 0:
             print(f"error: {args.prime} is not a prime dividing {n}", file=sys.stderr)
         else:
             print(f"error: {args.prime} does not divide {n}", file=sys.stderr)

@@ -4,7 +4,8 @@ These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
 pair-orbit preservation directly from the definition, the coset condition
 on the explicit subgroups of Z_n (or, at large n, on every translate), color
-refinement by a plain loop over every ordered pair, the automorphism search
+refinement by a plain loop over every ordered pair (of one coloring, or of
+several side by side, every vertex signed every round), the automorphism search
 by refining every level afresh and backtracking over plain pair checks,
 regular abelian subgroups by building each candidate subgroup as a set of
 elements, the tower group W by its coloring of valuations and digits, the
@@ -141,6 +142,43 @@ def brute_refine(m, colors):
         if len(table) == len(set(colors)):
             return new
         colors = new
+
+
+def full_refine(m, colorings, rounds=None):
+    """Refine colorings of m side by side on one shared color table, every
+    vertex signed in every round, the engine's rule before it skipped
+    singleton classes.
+
+    A vertex's signature is its color and the sorted multiset of (color of
+    u, m[v][u], m[u][v]) over every u.  Colors are numbered in order of first
+    appearance, first coloring first.  Class sizes are compared before each
+    round, and None is returned as soon as they differ.  Refinement stops
+    after ``rounds`` rounds, if given, or once a round splits no class or
+    leaves the partition discrete; a single coloring is then returned at
+    once, several after one more comparison.
+    """
+    n = len(m)
+    colorings = [list(c) for c in colorings]
+    sizes = Counter(colorings[0])
+    done = False
+    while True:
+        if any(Counter(c) != sizes for c in colorings[1:]):
+            return None
+        if done or rounds == 0:
+            return colorings
+        table = {}
+        colorings = [
+            [
+                table.setdefault((c[v], tuple(sorted((c[u], m[v][u], m[u][v]) for u in range(n)))), len(table))
+                for v in range(n)
+            ]
+            for c in colorings
+        ]
+        done = len(table) in (len(sizes), n)
+        if done and len(colorings) == 1:
+            return colorings
+        sizes = Counter(colorings[0])
+        rounds = None if rounds is None else rounds - 1
 
 
 def brute_iso_search(m, forced):

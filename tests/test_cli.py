@@ -86,6 +86,16 @@ class TestDecompose:
         assert out == ""
         assert "error: 4 is not a prime dividing 8" in err
 
+    @pytest.mark.parametrize("prime,message", [
+        (-2, "error: -2 is not a prime dividing 12\n"),
+        (-5, "error: -5 does not divide 12\n"),
+        (0, "error: 0 does not divide 12\n"),
+    ])
+    def test_negative_and_zero_primes(self, capsys, prime, message):
+        # -2 divides 12 but is no prime; 0 divides nothing
+        code, out, err = run_cli(capsys, "decompose", "n=12; S=1", "--prime", str(prime))
+        assert (code, out, err) == (1, "", message)
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "n=8;S=4", "--format", "json")
         payload = json.loads(out)

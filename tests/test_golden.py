@@ -7,13 +7,18 @@ error as printed.  Each call is replayed through `circulant.cli.main` and
 must print the same bytes, so a change that speeds up the analyzer or the
 oracle cannot change their answers unnoticed.  The verify calls are every S
 with 2 <= n <= 9, which take the regular, symmetric, sylow and enumerate
-paths.  tests/data/witness_golden.jsonl keeps the sha256 of standard output
+paths.  tests/data/verify_kernel_golden.jsonl holds seeded verify calls at
+16 <= n <= 64, where the engine refines circulants by convolution rounds:
+random S (the regular path), empty and complete S (symmetric), and S = -S
+at n = 16, 25, 27 and 32 and unions of multiplier orbits at n = 25 (sylow).
+tests/data/witness_golden.jsonl keeps the sha256 of standard output
 in place of the text, since a tower prints one line per arc.
 
 To record a file again from a checkout whose output is trusted:
 
     PYTHONPATH=src python tests/test_golden.py tests/data/analyze_golden.jsonl
     PYTHONPATH=src python tests/test_golden.py tests/data/verify_golden.jsonl
+    PYTHONPATH=src python tests/test_golden.py tests/data/verify_kernel_golden.jsonl
     PYTHONPATH=src python tests/test_golden.py tests/data/witness_golden.jsonl
 """
 
@@ -32,6 +37,7 @@ from circulant.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.jsonl"
+KERNEL_GOLDEN = Path(__file__).parent / "data" / "verify_kernel_golden.jsonl"
 WITNESS_GOLDEN = Path(__file__).parent / "data" / "witness_golden.jsonl"
 SEED = 20261018
 LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5**4]
@@ -102,6 +108,26 @@ def _verify_calls():
             yield ["verify", _literal(n, [x for x in range(n) if mask >> x & 1]), "--format", "json"]
 
 
+def _kernel_verify_calls():
+    """About 80 seeded calls at 16 <= n <= 64, the convolution kernel's range."""
+    rng = random.Random(SEED + 3)
+    literals = []
+    for _ in range(48):
+        n = rng.randint(16, 64)
+        literals.append(_literal(n, rng.sample(range(n), rng.randrange(1, n))))
+    for n in (16, 21):
+        literals += [_literal(n, ()), _literal(n, (0,)), _literal(n, range(1, n))]
+    for n in (16, 25, 27, 32):  # S = -S: the dihedral group, a 2-group at n = 16, 32
+        for _ in range(7):
+            picked = [x for x in range(n) if rng.random() < 0.3]
+            literals.append(_literal(n, {y for x in picked for y in (x, -x % n)}))
+    for _ in range(4):  # orbits of x -> 6x, of order 5 on Z_25
+        picked = [x for x in range(25) if rng.random() < 0.3]
+        literals.append(_literal(25, {x * 6**k % 25 for x in picked for k in range(5)}))
+    for literal in literals:
+        yield ["verify", literal, "--format", "json"]
+
+
 def _witness_literals():
     """README literals, towers of many layers, and a seeded sample with n <= 128."""
     rng = random.Random(SEED + 1)
@@ -168,6 +194,17 @@ def test_verify_replays_byte_for_byte():
         assert _run(record["argv"]) == record, record["argv"]
 
 
+def test_kernel_golden_covers_every_call():
+    assert [r["argv"] for r in _records(KERNEL_GOLDEN)] == list(_kernel_verify_calls())
+
+
+def test_kernel_replays_byte_for_byte():
+    records = _records(KERNEL_GOLDEN)
+    assert {json.loads(r["stdout"])["path"] for r in records} == {"regular", "symmetric", "sylow"}
+    for record in records:
+        assert _run(record["argv"]) == record, record["argv"]
+
+
 def test_witness_golden_covers_every_call():
     assert [r["argv"] for r in _records(WITNESS_GOLDEN)] == list(_witness_calls())
 
@@ -181,7 +218,12 @@ def test_witness_replays_byte_for_byte():
 
 if __name__ == "__main__":
     name = Path(sys.argv[1]).name
-    calls = {GOLDEN.name: _calls, VERIFY_GOLDEN.name: _verify_calls, WITNESS_GOLDEN.name: _witness_calls}[name]
+    calls = {
+        GOLDEN.name: _calls,
+        VERIFY_GOLDEN.name: _verify_calls,
+        KERNEL_GOLDEN.name: _kernel_verify_calls,
+        WITNESS_GOLDEN.name: _witness_calls,
+    }[name]
     run = _hashed_run if name == WITNESS_GOLDEN.name else _run
     with open(sys.argv[1], "w", encoding="utf-8") as handle:
         for argv in calls():

@@ -13,6 +13,7 @@ import pytest
 
 from brute import (
     brute_automorphisms,
+    full_refine,
     matrix,
     brute_iso_search,
     brute_pair_orbit_preservers,
@@ -21,7 +22,9 @@ from brute import (
     tower_row,
 )
 from circulant import _refine
-from circulant.digraph import cayley_digraph
+from circulant.analyzer import ConnectionSet
+from circulant.digraph import cayley_digraph, tower_connection_set
+from circulant.oracle import cross_validate
 from circulant.permgroup import automorphism_group
 
 
@@ -148,9 +151,8 @@ class TestRefine:
 
 
 def kernel_codes(m):
-    """A circulant's pair codes with their convolution kernel, at any n < 256."""
-    rows, width = _refine._pair_codes(m, circulant=True)
-    return rows, width, _refine._convolution(rows)
+    """A circulant's code ranks with their convolution kernel, at any n < 256."""
+    return _refine._convolution(m[0])
 
 
 def both_paths(m, colors):
@@ -223,7 +225,7 @@ class TestConvolution:
         # Z_255 with every non-zero difference an arc: rank 1 (an arc both
         # ways) has 254 entries, so one class of every vertex counts 254 at each v
         n = 255
-        r, products = _refine._convolution(circulant([0] + [1] * (n - 1)))
+        _, _, (r, products) = _refine._convolution([0] + [1] * (n - 1))
         assert r == bytes([0] + [1] * (n - 1)) and len(products) == 1
         x = int.from_bytes(b"\1" * 2 * n, "little")
         assert (x * products[0]).to_bytes(3 * n, "little")[n : 2 * n] == bytes([254]) * n
@@ -515,43 +517,51 @@ class TestAutomorphismPaths:
             assert _refine.automorphisms(m) == reference_automorphisms(m), m
 
     def test_signature_rounds(self, monkeypatch):
-        rounds, kernel_rounds, rows_sorted = [], [], []
-        real, real_counts, real_rows = _refine._signatures, _refine._code_counts, _refine._sorted_rows
+        rounds, first_levels, kernel_rounds, rows_sorted = [], [], [], []
+        real, real_first = _refine._signatures, _refine._first_level
+        real_counts, real_rows = _refine._code_counts, _refine._sorted_rows
 
         def counted(*args):
             rounds.append(1)
             return real(*args)
 
-        def counted_counts(kernel, colors, sizes):
-            kernel_rounds.append(1)
-            return real_counts(kernel, colors, sizes)
+        def counted_first(kernel):
+            first_levels.append(1)
+            return real_first(kernel)
 
-        def counted_rows(codes, width, colors):
-            rows_sorted.append(len(colors))
-            return real_rows(codes, width, colors)
+        def counted_counts(kernel, colors, sizes, opened):
+            kernel_rounds.append(len(opened))
+            return real_counts(kernel, colors, sizes, opened)
+
+        def counted_rows(codes, width, colors, opened):
+            rows_sorted.append(len(opened))
+            return real_rows(codes, width, colors, opened)
 
         monkeypatch.setattr(_refine, "_signatures", counted)
+        monkeypatch.setattr(_refine, "_first_level", counted_first)
         monkeypatch.setattr(_refine, "_code_counts", counted_counts)
         monkeypatch.setattr(_refine, "_sorted_rows", counted_rows)
         m = [list(r) for r in cayley_digraph(40, {1, 2, 5, 17})]
         # an already discrete coloring costs at most one round
         assert _refine.refine(m, list(range(40)), codes=row_codes(m)) == list(range(40))
         assert len(rounds) <= 1
-        # Z_40: level 1 splits by the codes to 0, two rounds make it
-        # discrete, and no round confirms it; both are kernel rounds, and no
-        # row is sorted
-        for calls in (rounds, kernel_rounds, rows_sorted):
+        # Z_40: level 1 is 0 individualized and one round, from the kernel;
+        # one more kernel round, over the 27 vertices not yet alone in their
+        # class, makes it discrete, and no round confirms it; no row is sorted
+        for calls in (rounds, first_levels, kernel_rounds, rows_sorted):
             calls.clear()
         assert _refine.automorphisms(m)[1] == 40
-        assert len(rounds) == 2
-        assert len(kernel_rounds) == 2 and sum(rows_sorted) == 0
-        # a relabeled copy the shift does not preserve sorts rows instead
+        assert len(first_levels) == 1 and len(rounds) == 1
+        assert kernel_rounds == [27] and rows_sorted == []
+        # a relabeled copy the shift does not preserve sorts rows instead,
+        # and only the rows of vertices not alone in their class
         relabeled = relabel(m, random.Random(127).sample(range(40), 40))
         assert not shift_invariant(relabeled)
-        for calls in (rounds, kernel_rounds, rows_sorted):
+        for calls in (rounds, first_levels, kernel_rounds, rows_sorted):
             calls.clear()
         assert _refine.automorphisms(relabeled)[1] == 40
-        assert kernel_rounds == [] and sum(rows_sorted) > 0 and len(rows_sorted) == len(rounds)
+        assert first_levels == [] and kernel_rounds == []
+        assert len(rows_sorted) == len(rounds) and rows_sorted == [40, 39, 39, 27, 27, 39, 27]
 
     def test_shift_must_preserve_the_diagonal(self):
         # the shift preserves every arc of the 6-cycle but not the loop at 0
@@ -563,3 +573,145 @@ class TestAutomorphismPaths:
         colors[0][0] = 2
         group = automorphism_group(colors)
         assert group.cached_order == len(brute_pair_orbit_preservers(colors))
+
+
+def reference_rows(rng, ns):
+    """Circulant rows at each n of ``ns``: a 0/1 row, a 3-color row, and at
+    a prime power the 4-color row ``_sylow_subgroup`` builds, its tower's
+    0/1 row paired with an adjacency row."""
+    rows = []
+    for n in ns:
+        rows.append([int(rng.random() < 0.4) for _ in range(n)])
+        rows.append([rng.randrange(3) for _ in range(n)])
+        p = next(q for q in range(2, n + 1) if n % q == 0)
+        a = next(a for a in range(1, n) if p**a >= n)
+        if p**a == n and a > 1:
+            _, tower = tower_connection_set(p, (1,) * a)
+            rows.append([2 * (x in tower) + (rng.random() < 0.4) for x in range(n)])
+    return rows
+
+
+class TestOpenCellRounds:
+    """Rounds that sign only vertices in classes of two or more, and level 1
+    of a circulant from its convolution kernel, against ``full_refine``,
+    which signs every vertex every round."""
+
+    def test_refine_reaches_the_full_rounds_partition(self):
+        # circulant rows at 2 <= n <= 80 with the engine's own codes (code
+        # ranks and kernel from n = 16), two levels each; and random
+        # structures with row codes and up to two vertices individualized
+        rng = random.Random(167)
+        for row in reference_rows(rng, range(2, 81)):
+            m = _refine.Circulant(row)
+            n = len(row)
+            _, codes = _refine._search_codes(m)
+            colors = _refine.refine(m, [0] * n, codes=codes, point=0)
+            assert cells(colors) == cells(full_refine(m, [seeded(m, [0])])[0]), row
+            x = rng.randrange(1, n)
+            colors = _refine.refine(m, colors, codes=codes, point=x)
+            assert cells(colors) == cells(full_refine(m, [seeded(m, [0, x])])[0]), (row, x)
+        for _ in range(100):
+            m = random_structure(rng)
+            colors = seeded(m, rng.sample(range(len(m)), min(len(m), rng.randint(0, 2))))
+            assert cells(_refine.refine(m, colors, codes=row_codes(m))) == cells(full_refine(m, [colors])[0]), m
+
+    def test_every_level_of_automorphisms(self, monkeypatch):
+        # each level's stable partition is the full rounds' partition of the
+        # diagonal with every base point so far individualized
+        levels = []
+        real = _refine.refine
+
+        def recording(m, colors, *, codes, point=None):
+            refined = real(m, colors, codes=codes, point=point)
+            levels.append((point, refined))
+            return refined
+
+        monkeypatch.setattr(_refine, "refine", recording)
+        rng = random.Random(173)
+        structures = [_refine.Circulant(row) for row in reference_rows(rng, range(2, 81, 3))]
+        structures += [random_structure(rng) for _ in range(60)]
+        for m in structures:
+            levels.clear()
+            assert _refine.automorphisms(m) == reference_automorphisms(m), m
+            base = []
+            for point, refined in levels:
+                base += [] if point is None else [point]
+                assert cells(refined) == cells(full_refine(m, [seeded(m, base)])[0]), (m, base)
+
+    def test_joint_refinement_of_iso_search(self):
+        # the stable coloring of a random base with x and with y
+        # individualized: where the full rounds keep equal class sizes, the
+        # same classes under one renumbering; where they refute x -> y, so
+        # does the search
+        rng = random.Random(179)
+        structures = [circulant(row) for row in reference_rows(rng, range(2, 81, 2))]
+        structures += [random_structure(rng) for _ in range(150)]
+        outcomes = Counter()
+        for m in structures:
+            n = len(m)
+            _, codes = _refine._search_codes(m)
+            colors = _refine.refine(m, _refine._diagonal_colors(m), codes=codes)
+            for x in rng.sample(range(n), min(n, rng.randint(0, 2))):
+                colors = _refine.refine(m, colors, codes=codes, point=x)
+            x, y = rng.randrange(n), rng.randrange(n)
+            seeds = _refine._individualize(codes, colors, x, y)
+            expected = full_refine(m, seeds)
+            refined = _refine._refine_joint(m, seeds, codes)
+            outcomes[expected is None] += 1
+            if expected is None:
+                assert refined is None or _refine.iso_search(m, colors, x, y, codes=codes) is None, (m, x, y)
+            else:
+                assert refined is not None and same_classes(refined, expected), (m, x, y)
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
+    @pytest.mark.parametrize("n", range(16, 65))
+    def test_first_level_is_one_full_round(self, n):
+        # vertex 0 individualized in the uniform diagonal, then one round
+        # signing every vertex; stable exactly when a further round splits
+        # nothing
+        rng = random.Random(n)
+        for row in reference_rows(rng, [n]) + reference_rows(rng, [n]):
+            m = _refine.Circulant(row)
+            _, codes = _refine._search_codes(m)
+            colors, stable = _refine._first_level(codes[2])
+            (individualized,) = _refine._individualize(codes, [0] * n, 0)
+            (expected,) = full_refine(m, [individualized], rounds=1)
+            assert cells(colors) == cells(expected), row
+            (further,) = full_refine(m, [expected], rounds=1)
+            assert stable == (len(set(further)) == len(set(expected))), row
+
+    def test_rounds_run_inside_refine_and_iso_search(self, monkeypatch):
+        # perfbench times refinement as the spans of refine and iso_search:
+        # every signature round, level 1 from the kernel and every
+        # individualization must run inside one of them
+        depth, outside = [0], []
+
+        def span(real):
+            def wrapped(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return wrapped
+
+        def round_of(name, real):
+            def wrapped(*args, **kwargs):
+                if not depth[0]:
+                    outside.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("refine", "iso_search"):
+            monkeypatch.setattr(_refine, name, span(getattr(_refine, name)))
+        for name in ("_signatures", "_first_level", "_individualize"):
+            monkeypatch.setattr(_refine, name, round_of(name, getattr(_refine, name)))
+        rng = random.Random(181)
+        paths = Counter()
+        instances = [(n, {x for x in range(n) if rng.random() < 0.4}) for n in (6, 9, 12, 16, 25, 27, 40, 64)]
+        instances += [(16, {1, 4, 5, 9, 13}), (12, {1, 4, 7, 10}), (40, set())]
+        for n, s in instances:
+            paths[cross_validate(ConnectionSet.of(n, s)).path] += 1
+        assert outside == [] and set(paths) == {"regular", "symmetric", "sylow", "enumerate"}, paths
