@@ -33,13 +33,14 @@ vertices u of class i whose code to v has rank j, and for a circulant those
 counts are cyclic correlations: a few int products per class give them for
 every v at once (``_convolution``, ``_code_counts``).  The signature becomes
 the color and the counts, which gives the same partition.  The products
-cost one column per class and the sorts one row per open vertex, so a
-round takes the products when open vertices are no fewer than classes and
-sorts rows otherwise.  Other structures, and circulants of other sizes,
-sort rows: below 16 a round's products are not reliably faster than sorting
-n short rows.  Level 1 of a circulant, its uniform diagonal with vertex 0
-individualized and one round, comes from the kernel at once: about R^2/2
-products for R code ranks (``_first_level``).
+cost about one pass over n per class and a sorted row about log2 n passes
+per open vertex, so a round takes the products when the open vertices
+times log2 n are no fewer than the classes and sorts rows otherwise.
+Other structures, and circulants of other sizes, sort rows: below 16 a
+round's products are not reliably faster than sorting n short rows.  Level
+1 of a circulant, its uniform diagonal with vertex 0 individualized and one
+round, comes from the kernel at once: about R^2/2 products for R code ranks
+(``_first_level``).
 
 Circulant input: a circulant comes in as its row 0, wrapped in the
 read-only view ``Circulant``: entry [u][v] is row[(v - u) mod n], and row u
@@ -113,8 +114,7 @@ def _pair_codes(m, circulant=False):
     return [[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))], k * k
 
 
-# bytes.translate tables: byte b to 16*b mod 256, and byte j to 1, every other to 0
-_TIMES_16 = bytes(16 * b & 255 for b in range(256))
+# bytes.translate tables: byte j to 1, every other to 0
 _INDICATORS = [bytes(j) + b"\1" + bytes(255 - j) for j in range(256)]
 
 
@@ -126,9 +126,7 @@ def _convolution(first):
     where r[e] is the rank of code (e, 0) among the codes; r is returned as
     bytes.  Ranks replace the codes everywhere: the first value returned is
     the ``Circulant`` of row 0 of the ranks, r[-u] at u, and the second
-    their span.  When every entry is in 0..15, code (e, 0) is the byte
-    16 m[e][0] + m[0][e], built for all e by two int conversions, and a
-    ``bytes.translate`` table ranks it; other entries are ranked as pairs.
+    their span.
 
     The kernel is r and, for each rank j > 0, the int whose byte e is 1
     where r[e] = j (Kronecker substitution): for X the indicator bytes of a
@@ -137,19 +135,9 @@ def _convolution(first):
     so no byte carries.  Rank 0 is left out: its count is the class size
     less the others'.
     """
-    n = len(first)
-    column = first[:1] + first[:0:-1]  # m[e][0] = first[-e]
-    if min(first) >= 0 and max(first) < 16:
-        high = int.from_bytes(bytes(column).translate(_TIMES_16), "little")
-        codes = (high + int.from_bytes(bytes(first), "little")).to_bytes(n, "little")
-        table = bytearray(256)
-        for j, code in enumerate(sorted(set(codes))):
-            table[code] = j
-        r = codes.translate(table)
-    else:
-        pairs = list(zip(column, first))
-        rank = {code: j for j, code in enumerate(sorted(set(pairs)))}
-        r = bytes(map(rank.__getitem__, pairs))
+    pairs = list(zip(first[:1] + first[:0:-1], first))  # m[e][0] = first[-e]
+    rank = {code: j for j, code in enumerate(sorted(set(pairs)))}
+    r = bytes(map(rank.__getitem__, pairs))
     products = [int.from_bytes(r.translate(_INDICATORS[j]), "little") for j in range(1, max(r) + 1)]
     return Circulant(r[:1] + r[:0:-1]), len(products) + 1, (r, products)
 
@@ -217,14 +205,16 @@ def _signatures(codes, colors, sizes):
     A vertex alone in its class keeps its color as its key: a singleton
     cannot split, and an int equals no signature.  The others, the open
     vertices, are signed by ``_code_counts`` when ``codes`` carry a
-    convolution kernel and there are no fewer open vertices than classes,
-    since its columns cost one per class; else by ``_sorted_rows``, one row
-    per open vertex.  ``sizes`` are the class sizes of ``colors``.
+    convolution kernel and the open vertices times log2 n are no fewer than
+    the classes; else by ``_sorted_rows``.  The products cost about one
+    pass over n per class, a sorted row about log2 n passes per open vertex
+    (its comparisons).  ``sizes`` are the class sizes of ``colors``; they
+    alone decide the path, so colorings refined side by side take the same.
     """
     rows, width, kernel = codes
     keys = list(colors)
     opened = [v for v, c in enumerate(colors) if sizes[c] > 1]
-    if kernel is not None and len(opened) >= len(sizes):
+    if kernel is not None and len(opened) * len(colors).bit_length() >= len(sizes):
         signed = _code_counts(kernel, colors, sizes, opened)
     else:
         signed = _sorted_rows(rows, width, colors, opened)
