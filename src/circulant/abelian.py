@@ -12,6 +12,8 @@ row j to a row i < j, where j = i + 1 or rows i and j have equal length
 (T. Brylawski, "The lattice of integer partitions", Discrete Math. 6, 1973).
 Lists of groups are counted before they are built and capped at
 GROUP_LIST_CAP; a count grows as it goes, so it stops once past the cap.
+An up-set of a partition of a has at most p(a) members, so one whose
+product of p(a) is within the cap is not counted.
 One helper (_up_closures) counts and walks an up-set prime by prime:
 up_set builds groups from it, and the analyzer's report writes each
 partition straight to text with PPartition.text_of.
@@ -173,6 +175,19 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
     return count + sum(prefixes.values())  # prefixes with a row for each of parts sum to a
 
 
+@lru_cache(maxsize=None)
+def _partition_count(a: int) -> int | None:
+    """p(a), the number of partitions of a, or None when it is past GROUP_LIST_CAP.
+
+    _dominating_count is exact at 1^a but takes O(a^2) steps, and p grows
+    with a, so no a past the first exponent over the cap is counted.
+    """
+    if any(_partition_count(b) is None for b in range(1, a)):
+        return None
+    count = _dominating_count((1,) * a)
+    return count if count <= GROUP_LIST_CAP else None
+
+
 def _cap_group_list(counts: list[int | None], what: str) -> None:
     """Refuse a list whose per-prime counts (see _dominating_count) multiply past GROUP_LIST_CAP."""
     if None in counts:
@@ -233,10 +248,14 @@ def _up_closure(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _up_closures(sylow: list[tuple[int, tuple[int, ...]]], text: str) -> list[list[tuple[int, ...]]]:
     """Per prime (p, parts) of a group written `text`, the partitions dominating parts.
 
-    The up-set is their product.  It is counted first, and more than
-    GROUP_LIST_CAP groups raise CapacityError before anything is built.
+    The up-set is their product, at most the product of p(a) over the
+    exponents a.  Only when that bound passes GROUP_LIST_CAP is the up-set
+    counted first, and more than GROUP_LIST_CAP groups raise CapacityError
+    before anything is built.
     """
-    _cap_group_list([_dominating_count(parts) for _, parts in sylow], f"up-set of {text}")
+    bounds = [_partition_count(sum(parts)) for _, parts in sylow]
+    if None in bounds or prod(bounds) > GROUP_LIST_CAP:
+        _cap_group_list([_dominating_count(parts) for _, parts in sylow], f"up-set of {text}")
     return [_up_closure(parts) for _, parts in sylow]
 
 

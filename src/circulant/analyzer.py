@@ -39,9 +39,9 @@ class ConnectionSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"modulus must be positive, got {self.n}")
-        for x in self.members:
-            if not (0 <= x < self.n):
-                raise ValueError(f"element {x} out of range for Z_{self.n}")
+        if self.members and (min(self.members) < 0 or max(self.members) >= self.n):
+            x = next(x for x in self.members if not 0 <= x < self.n)
+            raise ValueError(f"element {x} out of range for Z_{self.n}")
 
     @classmethod
     def of(cls, n: int, members) -> "ConnectionSet":
@@ -61,6 +61,21 @@ def parse_connection_set(text: str) -> ConnectionSet:
     Elements outside [0, n) are reduced mod n with a warning; a malformed
     literal raises ValueError naming the offending position.
     """
+    s, messages = _parse_literal(text)
+    for message in messages:
+        warnings.warn(message, stacklevel=2)
+    return s
+
+
+def _parse_literal(text: str) -> tuple[ConnectionSet, list[str]]:
+    """The connection set a literal names, and the message of each element
+    reduced mod n, one per element in the order written.
+
+    The elements are read by one ``map(int, ...)``, which ignores the
+    whitespace around a token.  Only when that raises are the tokens
+    stripped and read one by one: that names the first bad token, and reads
+    a token that ``strip`` clears and ``int`` does not (U+001C to U+001F).
+    """
     parts = text.split(";")
     if len(parts) != 2:
         raise ValueError(f"expected 'n=...; S=...' with one ';' in {text!r}")
@@ -76,19 +91,22 @@ def parse_connection_set(text: str) -> ConnectionSet:
     if n < 1:
         raise ValueError(f"modulus must be positive in {text!r}")
     body = right[2:].strip()
-    members = set()
-    if body:
-        for i, token in enumerate(body.split(",")):
+    tokens = body.split(",") if body else []
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        values = []
+        for i, token in enumerate(tokens):
             token = token.strip()
             try:
-                value = int(token)
+                values.append(int(token))
             except ValueError:
                 raise ValueError(f"bad element {token!r} at index {i} in {text!r}") from None
-            if not (0 <= value < n):
-                warnings.warn(f"element {value} reduced mod {n}", stacklevel=2)
-                value %= n
-            members.add(value)
-    return ConnectionSet(n, frozenset(members))
+    messages = []
+    if values and (min(values) < 0 or max(values) >= n):
+        messages = [f"element {x} reduced mod {n}" for x in values if not 0 <= x < n]
+        values = [x % n for x in values]
+    return ConnectionSet(n, frozenset(values)), messages
 
 
 def subgroup_of_order(n: int, d: int) -> frozenset[int]:

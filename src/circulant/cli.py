@@ -4,14 +4,13 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 
 from .abelian import enumerate_abelian, hasse_edges
 from .analyzer import (
     ConnectionSet,
+    _parse_literal,
     analysis_report,
     decompose,
-    parse_connection_set,
     product_type_witness,
 )
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, dot_lines, edge_list_lines, tower_connection_set
@@ -57,27 +56,24 @@ def _layer_list(text: str) -> tuple[int, ...]:
 _json_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _parse_instance(text: str) -> tuple[ConnectionSet, list[str]]:
-    caught: list[str] = []
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
-        instance = parse_connection_set(text)
-    caught.extend(str(r.message) for r in records)
-    return instance, caught
-
-
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser for every subcommand, built on the first call and reused.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser for every subcommand and each subcommand's own parser by
+    name, built on the first call and reused.
 
-    `parse_args` returns a fresh namespace each time and no default is
-    mutable, so nothing carries over from one call of `main` to the next.
+    Parsing returns a fresh namespace each time and no default is mutable,
+    so nothing carries over from one call of `main` to the next.
     """
     parser = _Parser(prog="circulant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def command(name, help):
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
 
     def instance_command(name, help, other_format, nargs=None):
-        p = sub.add_parser(name, help=help)
+        p = command(name, help)
         p.add_argument("instance", nargs=nargs, help='connection set literal, e.g. "n=45;S=0,1,15,30"')
         p.add_argument("--format", dest="fmt", choices=["text", other_format], default="text")
         return p
@@ -86,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = instance_command("decompose", "per-prime valid levels and layers", "json")
     d.add_argument("--prime", type=int, default=None, help="restrict output to one prime")
     instance_command("witness", "product-type tower digraphs as edge lists", "dot")
-    g = sub.add_parser("generate", help="emit the circulant connection set of a tower")
+    g = command("generate", "emit the circulant connection set of a tower")
     g.add_argument("--p", type=int, required=True, help="prime")
     g.add_argument("--layers", type=_layer_list, required=True, help="comma-separated layer exponents, outermost first")
     g.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
@@ -95,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cap", type=_positive_int, default=DEFAULT_ELEMENT_CAP, help="element enumeration cap, at least 1")
     v.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_VERTEX_CAP, help="digraph size cap, at least 1")
     v.add_argument("--strict", action="store_true", help="exit 3 on capacity errors")
-    p = sub.add_parser("poset", help="abelian groups of order n with Hasse cover pairs")
+    p = command("poset", "abelian groups of order n with Hasse cover pairs")
     p.add_argument("n", type=int)
     p.add_argument("--format", dest="fmt", choices=["text", "json", "dot"], default="text")
-    return parser
+    return parser, commands
 
 
 def _prime_line(entry: dict) -> str:
@@ -207,9 +203,9 @@ def _run_verify(args) -> int:
     for where, instance in instances:
         try:
             if isinstance(instance, str):
-                instance, warns = _parse_instance(instance)
-                for w in warns:
-                    print(f"warning: {where}{w}", file=sys.stderr)
+                instance, messages = _parse_literal(instance)
+                for message in messages:
+                    print(f"warning: {where}{message}", file=sys.stderr)
             report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
         except CapacityError as exc:
             failure_exit = max(failure_exit, _capacity_exit(exc, args.strict, where))
@@ -262,11 +258,22 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A call that names a subcommand is parsed by that subcommand's parser,
+    # as the full parser would hand it on.  Every other call, and one that
+    # leaves an argument over, goes to the full parser, which answers it (or
+    # reports the leftover) exactly as it always has.
+    name = argv[0] if argv else None
+    if name in commands:
+        args, leftover = commands[name].parse_known_args(argv[1:])
+        args.command = name
+    if name not in commands or leftover:
+        args = parser.parse_args(argv)
     try:
         if getattr(args, "instance", None) is not None:
-            args.instance, parse_warnings = _parse_instance(args.instance)
-            for message in parse_warnings:
+            args.instance, messages = _parse_literal(args.instance)
+            for message in messages:
                 print(f"warning: {message}", file=sys.stderr)
         return _COMMANDS[args.command](args)
     except CapacityError as exc:

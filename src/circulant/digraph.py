@@ -7,7 +7,7 @@ K_2-bar the arcless graph on two vertices, which is exactly the distinction
 the tower construction's case split needs.
 """
 
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from ._refine import Circulant
 from .arith import big_omega
@@ -17,12 +17,13 @@ DEFAULT_VERTEX_CAP = 64
 DEFAULT_ELEMENT_CAP = 10**6  # caps group elements, tower arcs, tower matrix entries and tower connection sets
 
 
-def cayley_digraph(n: int, members: Iterable[int]) -> Circulant:
+def cayley_digraph(n: int, members: Collection[int]) -> Circulant:
     """Cay(Z_n, S), arcs g -> g+s for each s in S, as the ``Circulant`` of its adjacency row."""
+    if members and (min(members) < 0 or max(members) >= n):
+        x = next(x for x in members if not 0 <= x < n)
+        raise ValueError(f"connection set element {x} out of range for Z_{n}")
     row = [0] * n
     for x in members:
-        if not (0 <= x < n):
-            raise ValueError(f"connection set element {x} out of range for Z_{n}")
         row[x] = 1
     return Circulant(row)
 

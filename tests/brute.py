@@ -14,6 +14,8 @@ pairs of the partial order on abelian groups by testing every group, or
 every pair, with ``preceq``, the dominance test that is itself checked
 against strip peeling and subgroup chains, and nilpotency by the lower
 central series.  Permutations are image tuples, composed by ``compose``.
+The connection-set literal is read token by token, each stripped, read and
+range-checked in turn (``parse_literal_loop``).
 """
 
 from collections import Counter
@@ -21,9 +23,42 @@ from itertools import permutations, product
 from math import lcm
 
 from circulant.abelian import enumerate_abelian
-from circulant.analyzer import subgroup_of_order
+from circulant.analyzer import ConnectionSet, subgroup_of_order
 from circulant.digraph import _tower_factors, cayley_digraph
 from circulant.permgroup import PermGroup
+
+
+def parse_literal_loop(text):
+    """A literal "n=45; S=0,1,15,30" read token by token: the connection set and
+    the message of each element reduced mod n, in the order written."""
+    parts = text.split(";")
+    if len(parts) != 2:
+        raise ValueError(f"expected 'n=...; S=...' with one ';' in {text!r}")
+    left, right = parts[0].strip(), parts[1].strip()
+    if not left.startswith("n="):
+        raise ValueError(f"expected 'n=<int>' at position 0 of {text!r}")
+    if not right.startswith("S="):
+        raise ValueError(f"expected 'S=<list>' after ';' in {text!r}")
+    try:
+        n = int(left[2:].strip())
+    except ValueError:
+        raise ValueError(f"bad modulus {left[2:]!r} in {text!r}") from None
+    if n < 1:
+        raise ValueError(f"modulus must be positive in {text!r}")
+    body = right[2:].strip()
+    members, messages = set(), []
+    if body:
+        for i, token in enumerate(body.split(",")):
+            token = token.strip()
+            try:
+                value = int(token)
+            except ValueError:
+                raise ValueError(f"bad element {token!r} at index {i} in {text!r}") from None
+            if not (0 <= value < n):
+                messages.append(f"element {value} reduced mod {n}")
+                value %= n
+            members.add(value)
+    return ConnectionSet(n, frozenset(members)), messages
 
 
 def brute_subdivision(a, b):

@@ -10,6 +10,7 @@ from circulant.abelian import (
     PPartition,
     _covers,
     _dominating_count,
+    _partition_count,
     _up_closure,
     enumerate_abelian,
     hasse_edges,
@@ -242,8 +243,32 @@ class TestUpSet:
         assert up_set(AbelianType.cyclic(2**61)) == [AbelianType.cyclic(2**61)]
         with pytest.raises(CapacityError, match="would have 966467 groups"):
             up_set(AbelianType.from_parts({2: (1,) * 60}))
+        # at most p(a) partitions of a dominate one, so an up-set is counted
+        # when the product of p(a) passes the cap: p(45) = 89,134 is within
+        # it, and so are p(20) = 627 and p(16) = 231, but not their product
+        with pytest.raises(CapacityError, match="would have 105558 groups"):
+            up_set(AbelianType.from_parts({2: (1,) * 46}))
+        with pytest.raises(CapacityError, match="would have 144837 groups"):
+            up_set(AbelianType.from_parts({2: (1,) * 20, 3: (1,) * 16}))
         with pytest.raises(CapacityError, match="would have 1394126244 groups"):
             up_set(AbelianType.from_parts({2: (1,) * 40, 3: (1,) * 40}))
+
+    def test_no_count_within_the_bound(self, monkeypatch):
+        # bounds p(22) = 1,002 and p(10) * p(6) = 462: no count, the same lists;
+        # the first pass fills the cache of p(a)
+        groups = [
+            AbelianType.from_parts({2: (1,) * 22}),
+            AbelianType.from_parts({2: (4, 3, 1, 1, 1), 3: (2, 2, 1, 1)}),
+            AbelianType.from_parts({2: (1,) * 10, 3: (1,) * 6}),
+        ]
+        expected = [brute_up_set(h) for h in groups]
+        assert [up_set(h) for h in groups] == expected
+
+        def no_count(parts, cap=None):
+            raise AssertionError(f"counted the up-set of {parts} within the bound")
+
+        monkeypatch.setattr(abelian, "_dominating_count", no_count)
+        assert [up_set(h) for h in groups] == expected
 
 
 class TestDominanceWalk:
@@ -285,6 +310,15 @@ class TestDominanceWalk:
         assert _dominating_count((1,) * 40) == 37338
         assert _dominating_count((1,) * 60) == 966467
         assert _dominating_count((1,) * 80) == 15796476
+
+    def test_partition_count_stops_at_the_first_exponent_past_the_cap(self, monkeypatch):
+        exact = [_dominating_count((1,) * a) for a in range(1, 47)]
+        assert exact[44:] == [89134, 105558]
+        assert [_partition_count(a) for a in range(1, 47)] == exact[:45] + [None]
+        counted = []
+        monkeypatch.setattr(abelian, "_dominating_count", lambda parts, cap=None: counted.append(len(parts)))
+        assert _partition_count.__wrapped__(1000) is None  # 1^1000 is never counted
+        assert counted == []
 
     def test_enumerate_past_the_cap(self):
         with pytest.raises(CapacityError, match="would have 105558 groups"):

@@ -1,13 +1,14 @@
 import json
 import random
+import warnings
 from itertools import chain, combinations
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_coset_condition, matrix, preceq, scan_coset_condition
+from brute import brute_coset_condition, matrix, parse_literal_loop, preceq, scan_coset_condition
 from circulant import abelian, analyzer, arith
 from circulant.abelian import AbelianType, partitions, up_set
 from circulant.analyzer import (
@@ -32,6 +33,45 @@ EXAMPLE_9 = ConnectionSet.of(9, [3, 6])
 EXAMPLE_8 = ConnectionSet.of(8, [4])
 
 
+# whitespace that int() and strip() both clear, and U+001C, which only strip() clears
+_SPACES = st.sampled_from(["", "", " ", "  ", "\t", "\xa0", "\u2003", "\x1c"])
+_HUGE = "1" + "0" * 4300  # 4,301 digits: past int()'s default limit on conversions
+
+
+@st.composite
+def _tokens(draw, n):
+    """An element as written: in or out of range, signed, with underscores or
+    spaces, or not a number at all."""
+    kind = draw(st.sampled_from(["in", "in", "out", "out", "negative", "sign", "underscore", "empty", "junk", "huge"]))
+    if kind == "in":
+        text = str(draw(st.integers(0, max(0, n - 1))))
+    elif kind == "out":
+        text = str(draw(st.integers(n, 3 * n + 5)))
+    elif kind == "negative":
+        text = str(draw(st.integers(-3 * n - 5, -1)))
+    elif kind == "sign":
+        text = "+" + str(draw(st.integers(0, 2 * n)))
+    elif kind == "underscore":
+        digits = str(draw(st.integers(10, 10**4)))
+        text = digits[:1] + "_" + digits[1:]
+    else:
+        text = {"empty": "", "junk": draw(st.sampled_from(["x", "1.5", "--1", "1__0", "0x1f", "1 2"])), "huge": _HUGE}[kind]
+    return draw(_SPACES) + text + draw(_SPACES)
+
+
+@st.composite
+def _literals(draw):
+    """Literal texts around the form "n=45; S=0,1,15,30", mostly well formed."""
+    n = draw(st.sampled_from([1, 1, 2, 7, 12, 45, 2**20, 10**30]))
+    modulus = draw(st.sampled_from([str(n)] * 6 + ["0", "-4", "x", "", _HUGE, f"+{n}", f" {n} "]))
+    tokens = draw(st.lists(_tokens(n), max_size=6))
+    if tokens and draw(st.booleans()):
+        tokens.append(draw(st.sampled_from(tokens)))  # a duplicate
+    body = ",".join(tokens)
+    shape = draw(st.sampled_from(["{sp}n={m}{sp};{sp}S={b}{sp}"] * 6 + ["n={m}", "n={m}; S={b}; S=", "S={b}; n={m}"]))
+    return shape.format(sp=draw(_SPACES), m=modulus, b=body)
+
+
 def holds(s, p, level):
     """Whether the coset condition holds for p at this level, as decompose finds it."""
     return level in decompose(s).for_prime(p).valid_levels
@@ -39,8 +79,9 @@ def holds(s, p, level):
 
 class TestConnectionSet:
     def test_validates_range(self):
-        with pytest.raises(ValueError):
-            ConnectionSet.of(5, [5])
+        for x in (5, -1):
+            with pytest.raises(ValueError, match=f"element {x} out of range for Z_5"):
+                ConnectionSet.of(5, [1, x])
 
     def test_text_form(self):
         assert EXAMPLE_45.text() == "n=45; S=0,1,15,30"
@@ -64,6 +105,26 @@ class TestConnectionSet:
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_connection_set(bad)
+
+    @settings(max_examples=300)
+    @given(_literals())
+    def test_parse_matches_the_token_loop(self, text):
+        # the same set, the same messages in the same order, or the same error
+        try:
+            expected = parse_literal_loop(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                analyzer._parse_literal(text)
+            assert str(raised.value) == str(exc)
+            with pytest.raises(ValueError) as raised:
+                parse_connection_set(text)
+            assert str(raised.value) == str(exc)
+            return
+        assert analyzer._parse_literal(text) == expected
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            s = parse_connection_set(text)
+        assert (s, [str(r.message) for r in records]) == expected
 
 
 class TestSubgroupOfOrder:

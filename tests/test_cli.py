@@ -60,6 +60,12 @@ class TestAnalyze:
         assert code == 1
         assert "expected 'n=...; S=...'" in err
 
+    def test_one_warning_per_element_reduced(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "n=9; S=10,10,-1")
+        assert code == 0
+        assert out.startswith("n = 9\nS = {1,8}\n")
+        assert err == "warning: element 10 reduced mod 9\n" * 2 + "warning: element -1 reduced mod 9\n"
+
     def test_strip_loops(self, capsys):
         # the flag is gone: a loop at every vertex leaves Aut and every verdict unchanged
         with pytest.raises(SystemExit) as exc:
@@ -445,6 +451,30 @@ class TestParser:
         assert code == 0
         assert json.loads(out)["n"] == 8
 
+    def test_full_parser_only_for_what_it_reports(self, capsys, monkeypatch):
+        # a well-formed call is parsed by its subcommand's parser alone; a
+        # leftover argument and an unknown command go to the full parser
+        parser, _ = cli.build_parser()
+        calls = []
+        real = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or real(argv))
+        run_cli(capsys, "analyze", "n=8;S=4", "--format", "json")
+        run_cli(capsys, "decompose", "n=8;S=4", "--prime", "2")
+        run_cli(capsys, "verify", "n=8;S=4")
+        assert calls == []
+        for argv in (["analyze", "n=8;S=4", "--strip-loops"], ["frobnicate"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+        assert calls == [["analyze", "n=8;S=4", "--strip-loops"], ["frobnicate"]]
+        assert capsys.readouterr().err.count("usage: circulant [-h]") == 2
+
+    def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
+        # the console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["circulant", "analyze", "n=9;S=3,6", "--format", "json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["minimal_group"] == "Z3^2"
+
     def test_parser_is_built_once(self, capsys, monkeypatch):
         run_cli(capsys, "analyze", "n=8;S=4")
         built = []
@@ -556,8 +586,12 @@ class TestMemoryBound:
             (("poset", "1208925819614629174706176"), 15796476),
             (("analyze", "n=13367494538843734067838845976576;S="), 1394126244),  # 2^40 * 3^40
             (("analyze", "n=1152921504606846976;S="), 966467),  # 2^60
+            # p(45) = 89,134 is within the cap, p(46) is not
+            (("analyze", "n=70368744177664;S="), 105558),  # 2^46
+            # p(20) = 627 and p(16) = 231 are each within the cap, their product is not
+            (("analyze", "n=45137758519296;S="), 144837),  # 2^20 * 3^16
         ],
-        ids=["verify-2^80", "poset-2^80", "analyze-2^40*3^40", "analyze-2^60"],
+        ids=["verify-2^80", "poset-2^80", "analyze-2^40*3^40", "analyze-2^60", "analyze-2^46", "analyze-2^20*3^16"],
     )
     def test_group_lists_past_the_cap(self, argv, count):
         # with S empty every level is valid, so the up-set is every group of order n

@@ -13,6 +13,10 @@ random S (the regular path), empty and complete S (symmetric), and S = -S
 at n = 16, 25, 27 and 32 and unions of multiplier orbits at n = 25 (sylow).
 tests/data/witness_golden.jsonl keeps the sha256 of standard output
 in place of the text, since a tower prints one line per arc.
+tests/data/usage_golden.jsonl holds the calls that argparse answers: help,
+usage errors and leftover arguments.  They end in SystemExit, so a record
+keeps its exit code under "exit" (and "code" is null); help text is laid
+out for 80 columns.
 
 To record a file again from a checkout whose output is trusted:
 
@@ -20,16 +24,19 @@ To record a file again from a checkout whose output is trusted:
     PYTHONPATH=src python tests/test_golden.py tests/data/verify_golden.jsonl
     PYTHONPATH=src python tests/test_golden.py tests/data/verify_kernel_golden.jsonl
     PYTHONPATH=src python tests/test_golden.py tests/data/witness_golden.jsonl
+    PYTHONPATH=src python tests/test_golden.py tests/data/usage_golden.jsonl
 """
 
 import hashlib
 import json
+import os
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -39,6 +46,7 @@ GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.jsonl"
 KERNEL_GOLDEN = Path(__file__).parent / "data" / "verify_kernel_golden.jsonl"
 WITNESS_GOLDEN = Path(__file__).parent / "data" / "witness_golden.jsonl"
+USAGE_GOLDEN = Path(__file__).parent / "data" / "usage_golden.jsonl"
 SEED = 20261018
 LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5**4]
 
@@ -165,6 +173,37 @@ def _hashed_run(argv):
     return record
 
 
+def _usage_calls():
+    """Help on every parser, usage errors, leftovers and an abbreviated flag."""
+    literal = "n=8;S=1"
+    yield []
+    yield ["--help"]
+    for command in ("analyze", "decompose", "witness", "generate", "verify", "poset"):
+        yield [command, "-h"]
+    yield ["frobnicate"]
+    yield ["analyze"]
+    yield ["analyze", literal, "--format", "dot"]
+    yield ["analyze", literal, "--strip-loops"]
+    yield ["analyze", literal, "extra"]
+    yield ["analyze", literal, "--form", "json"]
+    yield ["decompose", literal, "--prime"]
+    yield ["verify", literal, "--cap", "0"]
+    yield ["generate", "--p", "2", "--layers", "1,x"]
+    yield ["poset"]
+
+
+def _usage_run(argv):
+    """A call's record, with the code of the SystemExit that ended it under "exit"."""
+    out, err = StringIO(), StringIO()
+    code = exit_code = None
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code
+    return {"argv": argv, "code": code, "exit": exit_code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def _records(path=GOLDEN):
     with path.open(encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
@@ -216,6 +255,17 @@ def test_witness_replays_byte_for_byte():
         assert _hashed_run(record["argv"]) == record, record["argv"]
 
 
+def test_usage_golden_covers_every_call():
+    assert [r["argv"] for r in _records(USAGE_GOLDEN)] == list(_usage_calls())
+
+
+def test_usage_replays_byte_for_byte():
+    records = _records(USAGE_GOLDEN)
+    assert {r["exit"] for r in records} == {None, 0, 1}
+    for record in records:
+        assert _usage_run(record["argv"]) == record, record["argv"]
+
+
 if __name__ == "__main__":
     name = Path(sys.argv[1]).name
     calls = {
@@ -223,8 +273,9 @@ if __name__ == "__main__":
         VERIFY_GOLDEN.name: _verify_calls,
         KERNEL_GOLDEN.name: _kernel_verify_calls,
         WITNESS_GOLDEN.name: _witness_calls,
+        USAGE_GOLDEN.name: _usage_calls,
     }[name]
-    run = _hashed_run if name == WITNESS_GOLDEN.name else _run
+    run = {WITNESS_GOLDEN.name: _hashed_run, USAGE_GOLDEN.name: _usage_run}.get(name, _run)
     with open(sys.argv[1], "w", encoding="utf-8") as handle:
         for argv in calls():
             handle.write(json.dumps(run(argv), sort_keys=True) + "\n")
