@@ -372,6 +372,20 @@ class TestIsoSearch:
                     outcomes[witness is None] += 1
         assert outcomes[True] > 0 and outcomes[False] > 0
 
+    def test_backtracks_on_relabeled_shrikhande(self):
+        # the Shrikhande graph, Cay(Z4 x Z4, {±(0,1), ±(1,0), ±(1,1)}), is
+        # strongly regular, so refinement leaves classes the search must
+        # backtrack over: a first candidate that extends a long way and fails
+        points = [(a, b) for a in range(4) for b in range(4)]
+        steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+        m = [[int(((c - a) % 4, (d - b) % 4) in steps) for c, d in points] for a, b in points]
+        rng = random.Random(3)
+        for _ in range(20):
+            relabeled = relabel(m, rng.sample(range(16), 16))
+            gens, order = _refine.automorphisms(relabeled)
+            assert (gens, order) == reference_automorphisms(relabeled), relabeled
+            assert order == 192
+
 
 class TestIndividualize:
     def test_points_share_one_rank_table_and_one_color(self):
