@@ -49,9 +49,12 @@ matrix by construction, so it is not tested row by row, and the diagonal is
 the constant row[0].  The pair codes are the view of their row 0 (in the
 kernel's range, their ranks, built with the kernel in one pass over row 0),
 and individualizations and row sorts read the codes of a vertex by index
-arithmetic on that row, so no row of the codes is built.  The matrix's rows
-are built before the first search for an automorphism, whose backtracking
-indexes plain tuples.
+arithmetic on that row, so no row of the codes is built for them.
+
+Refinement and search read the pair codes alone; only ``_search_codes`` and
+``_diagonal_colors`` read the matrix.  The search compares code rows, read
+through the ``Circulant`` view, which builds a row when first indexed, and
+backtracks in a loop, so Python's recursion limit does not bound its depth.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
@@ -223,7 +226,7 @@ def _signatures(codes, colors, sizes):
     return keys
 
 
-def _refine_joint(m, colorings, codes):
+def _refine_joint(colorings, codes):
     """Refine several colorings of one structure side by side with one shared
     color table.
 
@@ -238,7 +241,7 @@ def _refine_joint(m, colorings, codes):
     are pair codes, their span and a convolution kernel or None, as
     ``_search_codes`` builds them.  With a kernel, colors must be below 256.
     """
-    n = len(m)
+    n = len(colorings[0])
     sizes = Counter(colorings[0])
     done = False
     while True:
@@ -280,16 +283,16 @@ def _first_level(kernel):
     return colors, len(table) in (len(set(r[1:])) + 1, n)
 
 
-def refine(m, colors, *, codes, point=None):
+def refine(colors, *, codes, point=None):
     """Iterate signature refinement on one structure until the partition is stable.
 
-    ``colors`` must refine the diagonal: equal colors, equal m[v][v].  With
-    ``point``, ``colors`` must be stable, and the point is individualized
-    first (``_individualize``); when the colors are uniform, the point is 0
-    and ``codes`` carry a convolution kernel, the individualized coloring
-    and its first round come from the kernel at once (``_first_level``).  A
-    discrete coloring is returned as it is, with no round.  ``codes`` are as
-    for ``_refine_joint``.
+    ``colors`` must refine the diagonal: equal colors, equal diagonal
+    entries.  With ``point``, ``colors`` must be stable, and the point is
+    individualized first (``_individualize``); when the colors are uniform,
+    the point is 0 and ``codes`` carry a convolution kernel, the
+    individualized coloring and its first round come from the kernel at
+    once (``_first_level``).  A discrete coloring is returned as it is, with
+    no round.  ``codes`` are as for ``_refine_joint``.
     """
     if point == 0 and codes[2] is not None and len(set(colors)) == 1:
         colors, stable = _first_level(codes[2])
@@ -299,7 +302,7 @@ def refine(m, colors, *, codes, point=None):
         (colors,) = _individualize(codes, colors, point)
     if len(set(colors)) == len(colors):
         return list(colors)
-    return _refine_joint(m, (colors,), codes)[0]
+    return _refine_joint((colors,), codes)[0]
 
 
 def _individualize(codes, colors, *points):
@@ -340,18 +343,22 @@ def _diagonal_colors(m):
     return [rank[m[v][v]] for v in range(len(m))]
 
 
-def iso_search(m, colors, x, y, *, codes):
-    """An automorphism of m that preserves the stable coloring ``colors``
-    and maps x to y, or None.
+def iso_search(colors, x, y, *, codes):
+    """An automorphism that preserves the stable coloring ``colors`` and
+    maps x to y, or None.
 
     ``colors`` with x and with y individualized are refined side by side,
     and a vertex's candidate images are its class in the second.  Vertices
     are mapped in order of their candidate count (ties by index), each
     trying its images in ascending order, so the witness returned is
-    deterministic.  ``codes`` are as for ``_refine_joint``.
+    deterministic.  v -> u extends the mapping when code (v, w) equals code
+    (u, mapping[w]) for every w mapped before v; a code holds both colors
+    of its pair.  Backtracking is a loop over a stack of candidate
+    iterators.  ``codes`` are as for ``_refine_joint``.
     """
-    n = len(m)
-    refined = _refine_joint(m, _individualize(codes, colors, x, y), codes)
+    rows = codes[0]
+    n = len(colors)
+    refined = _refine_joint(_individualize(codes, colors, x, y), codes)
     if refined is None:
         return None
     ca, cb = refined
@@ -364,34 +371,28 @@ def iso_search(m, colors, x, y, *, codes):
 
     mapping = [-1] * n
     used = [False] * n
-
-    def dfs(idx):
-        if idx == n:
-            return True
-        v = order[idx]
-        prefix = order[:idx]
-        row_a = m[v]
-        for u in cands[v]:
-            if used[u]:
-                continue
-            row_b = m[u]
-            ok = True
-            for w in prefix:
-                x = mapping[w]
-                if row_a[w] != row_b[x] or m[w][v] != m[x][u]:
-                    ok = False
+    trials = [iter(cands[order[0]])]  # trials[i]: the images order[i] has left to try
+    while trials:
+        depth = len(trials) - 1
+        v = order[depth]
+        if mapping[v] >= 0:  # back from its image's failed subtree
+            used[mapping[v]] = False
+            mapping[v] = -1
+        row = rows[v]
+        mapped = order[:depth]
+        for u in trials[-1]:
+            if not used[u]:
+                image = rows[u]
+                if all(row[w] == image[mapping[w]] for w in mapped):
                     break
-            if ok:
-                mapping[v] = u
-                used[u] = True
-                if dfs(idx + 1):
-                    return True
-                mapping[v] = -1
-                used[u] = False
-        return False
-
-    if dfs(0):
-        return list(mapping)
+        else:
+            trials.pop()
+            continue
+        mapping[v] = u
+        used[u] = True
+        if depth + 1 == n:
+            return mapping
+        trials.append(iter(cands[order[depth + 1]]))
     return None
 
 
@@ -468,10 +469,10 @@ def automorphisms(m):
     by vertex 0; with a kernel, it and its first round come from the kernel
     (``_first_level``).
 
-    m may be a ``Circulant``: its rows are then built only if a level needs
-    a search, once, before the first ``iso_search``.  A circulant whose
-    refinement with vertex 0 individualized is discrete, so that |Aut| = n,
-    costs row 0 of the matrix and of its codes.
+    m may be a ``Circulant``: the engine reads its row 0 alone, and a level
+    that needs a search builds the code rows the search reads.  A circulant
+    whose refinement with vertex 0 individualized is discrete, so that
+    |Aut| = n, costs row 0 of the matrix and of its codes.
     """
     n = len(m)
     colors = _diagonal_colors(m)
@@ -484,7 +485,7 @@ def automorphisms(m):
         order = n
         point = 0
     while True:
-        colors = refine(m, colors, codes=codes, point=point)
+        colors = refine(colors, codes=codes, point=point)
         if len(set(colors)) == n:
             return gens, order
 
@@ -493,14 +494,12 @@ def automorphisms(m):
             cells.setdefault(colors[v], []).append(v)
         target = next(cells[c] for c in colors if len(cells[c]) > 1)
         x = target[0]
-        if isinstance(m, Circulant):
-            m = tuple(m)  # the search's backtracking indexes plain tuples
         orbit = {x}
         level_gens = []
         for y in target[1:]:
             if y in orbit:
                 continue
-            witness = iso_search(m, colors, x, y, codes=codes)
+            witness = iso_search(colors, x, y, codes=codes)
             if witness is not None:
                 witness = tuple(witness)
                 gens.append(witness)

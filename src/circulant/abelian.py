@@ -141,15 +141,27 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
     completion keeps dominating (each row adds at least one box, and a
     dominating partition has no more rows than parts), so the prefix counts
     as q(a - s, m), the partitions of a - s into rows of at most m, and is
-    dropped.  Memory is O(a^2) whatever the answer.
+    dropped.  The walk takes O(a^2) memory whatever the answer.
 
     The count never decreases, so once it passes cap on a row of more than
     one prefix the walk stops and returns None: the answer is more than
     cap.  Each row is extended largest row first, so the next row meets the
-    prefixes that are counted, not extended, first.  p(a) at 1^a, counted
-    on the first row's only prefix, is exact whatever its size.
+    prefixes that are counted, not extended, first.  p(a) at 1^a is exact
+    whatever its size, and takes no walk: Euler's pentagonal recurrence,
+    p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
+    gives it in O(a) ints.
     """
     a, rows = sum(parts), len(parts)
+    if parts[0] == 1:
+        p = [1]
+        for k in range(1, a + 1):
+            total, j = 0, 1
+            while (g := j * (3 * j - 1) // 2) <= k:
+                term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+                total += term if j % 2 else -term
+                j += 1
+            p.append(total)
+        return p[a]
     # q[m][r]: partitions of r <= rows into rows of at most m
     q = [[1] + [0] * rows]
     for m in range(1, rows + 1):

@@ -227,6 +227,14 @@ class TestVerify:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert [entry["n"] for entry in lines] == [9, 4]
 
+    def test_batch_corpus_with_byte_order_mark(self, capsys, tmp_path):
+        # a UTF-8 byte order mark before line 1 is not part of the line
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\ufeffn=9; S=3,6\nn=4; S=1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), "--format", "json")
+        assert code == 0 and err == ""
+        assert [json.loads(line)["n"] for line in out.strip().splitlines()] == [9, 4]
+
     def test_generate_batch_verify_round_trip(self, capsys, tmp_path):
         lines = []
         for p, layers in (("2", "1,1"), ("2", "2,1"), ("3", "1,1")):
@@ -599,6 +607,16 @@ class TestMemoryBound:
         assert result.returncode == 1
         assert result.stderr.startswith("capacity: "), result.stderr
         assert f"would have {count} groups" in result.stderr
+        assert result.stdout == ""
+
+    def test_partition_count_in_linear_memory(self):
+        # p(2000) exactly, from the pentagonal recurrence: the (a+1)^2 table
+        # of the dominance walk peaked near 140 MB here
+        result = run_capped("analyze", f"n={2**2000};S=", megabytes=100)
+        assert result.returncode == 1
+        assert result.stderr == (
+            "capacity: up-set of Z2^2000 would have 4720819175619413888601432406799959512200344166 groups (cap=100000)\n"
+        )
         assert result.stdout == ""
 
     def test_analyze_cyclic_past_the_partition_count(self):

@@ -6,6 +6,7 @@ two exercises both paths.
 """
 
 import random
+import time
 from collections import Counter
 from itertools import chain, combinations
 
@@ -96,7 +97,7 @@ class TestRefine:
             n = len(m)
             for k in (0, 1, 2):
                 colors = seeded(m, rng.sample(range(n), min(k, n)))
-                assert cells(_refine.refine(m, colors, codes=row_codes(m))) == cells(brute_refine(m, colors)), (m, colors)
+                assert cells(_refine.refine(colors, codes=row_codes(m))) == cells(brute_refine(m, colors)), (m, colors)
 
     def test_levels_start_from_the_last_stable_partition(self):
         # the search's seeding: diagonal, then each stable coloring with the
@@ -106,12 +107,12 @@ class TestRefine:
             m = random_structure(rng)
             n = len(m)
             codes = row_codes(m)
-            colors = _refine.refine(m, seeded(m, []), codes=codes)
+            colors = _refine.refine(seeded(m, []), codes=codes)
             assert cells(colors) == cells(brute_refine(m, seeded(m, []))), m
             base = rng.sample(range(n), min(n, rng.randint(1, 4)))
             for k, x in enumerate(base, 1):
                 (colors,) = _refine._individualize(codes, colors, x)
-                colors = _refine.refine(m, colors, codes=codes)
+                colors = _refine.refine(colors, codes=codes)
                 assert cells(colors) == cells(brute_refine(m, seeded(m, base[:k]))), (m, base[:k])
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -137,17 +138,17 @@ class TestRefine:
             n = rng.randint(1, 40)
             m = [list(r) for r in cayley_digraph(n, {x for x in range(n) if rng.random() < 0.4})]
             x = rng.randrange(n)
-            ca, cb = _refine._refine_joint(m, (seeded(m, [x]), seeded(m, [(x + 1) % n])), row_codes(m))
+            ca, cb = _refine._refine_joint((seeded(m, [x]), seeded(m, [(x + 1) % n])), row_codes(m))
             assert cells(ca) == cells(brute_refine(m, seeded(m, [x])))
             assert all(cb[(v + 1) % n] == ca[v] for v in range(n))
 
     def test_pair_refinement_rejects_mismatched_class_sizes(self):
         path = matrix(3, {(0, 1), (1, 2)})
         # the ends of a directed path are told apart by refinement alone
-        assert _refine._refine_joint(path, (seeded(path, [0]), seeded(path, [2])), row_codes(path)) is None
+        assert _refine._refine_joint((seeded(path, [0]), seeded(path, [2])), row_codes(path)) is None
         # and colorings whose classes differ in size from the start
         empty = matrix(3, ())
-        assert _refine._refine_joint(empty, ([1, 0, 0], [1, 1, 0]), row_codes(empty)) is None
+        assert _refine._refine_joint(([1, 0, 0], [1, 1, 0]), row_codes(empty)) is None
 
 
 def kernel_codes(m):
@@ -157,7 +158,7 @@ def kernel_codes(m):
 
 def both_paths(m, colors):
     """The stable coloring by the convolution kernel and by row sorts."""
-    return _refine.refine(m, colors, codes=kernel_codes(m)), _refine.refine(m, colors, codes=row_codes(m))
+    return _refine.refine(colors, codes=kernel_codes(m)), _refine.refine(colors, codes=row_codes(m))
 
 
 def same_classes(one, other):
@@ -213,8 +214,8 @@ class TestConvolution:
             ca, cb = seeded(m, []), seeded(m, [])
             for i, (a, b) in enumerate(forced):
                 ca[a] = cb[b] = n + i
-            by_kernel = _refine._refine_joint(m, (ca, cb), kernel_codes(m))
-            by_rows = _refine._refine_joint(m, (ca, cb), row_codes(m))
+            by_kernel = _refine._refine_joint((ca, cb), kernel_codes(m))
+            by_rows = _refine._refine_joint((ca, cb), row_codes(m))
             outcomes.add(by_rows is None)
             assert (by_kernel is None) == (by_rows is None), (row, forced)
             if by_rows is not None:
@@ -334,7 +335,7 @@ class TestJointRefinement:
             ca, cb = seeded(m, []), seeded(m, [])
             for i in range(rng.randint(1, 2)):
                 ca[rng.randrange(n)] = cb[rng.randrange(n)] = n + i
-            refined = _refine._refine_joint(m, (ca, cb), row_codes(m))
+            refined = _refine._refine_joint((ca, cb), row_codes(m))
             outcomes[refined is None] += 1
             if refined is not None:
                 assert Counter(refined[0]) == Counter(refined[1]), (m, ca, cb)
@@ -359,11 +360,11 @@ class TestIsoSearch:
                 group = brute_pair_orbit_preservers(m)
             base = rng.sample(range(n), rng.randint(0, min(2, n - 1)))
             codes = row_codes(m)
-            colors = _refine.refine(m, seeded(m, base), codes=codes)
+            colors = _refine.refine(seeded(m, base), codes=codes)
             fixing = [g for g in group if all(g[b] == b for b in base)]
             for x in set(range(n)) - set(base):
                 for y in set(range(n)) - set(base):
-                    witness = _refine.iso_search(m, colors, x, y, codes=codes)
+                    witness = _refine.iso_search(colors, x, y, codes=codes)
                     expected = brute_iso_search(m, {**{b: b for b in base}, x: y})
                     assert witness == (None if expected is None else list(expected)), (m, base, x, y)
                     assert (witness is not None) == any(g[x] == y for g in fixing), (m, base, x, y)
@@ -386,6 +387,16 @@ class TestIsoSearch:
             assert (gens, order) == reference_automorphisms(relabeled), relabeled
             assert order == 192
 
+    def test_depth_past_the_recursion_limit(self):
+        # a dihedral circulant on 1000 vertices: its one search maps 1000
+        # vertices, more levels than Python's default recursion limit
+        n = 1000
+        s = {y for x in range(1, n // 2) if bin(x).count("1") % 2 for y in (x, n - x)}
+        start = time.perf_counter()
+        group = automorphism_group(cayley_digraph(n, s), vertex_cap=n)
+        assert group.cached_order == 2 * n
+        assert time.perf_counter() - start < 5
+
 
 class TestIndividualize:
     def test_points_share_one_rank_table_and_one_color(self):
@@ -397,7 +408,7 @@ class TestIndividualize:
             m = random_structure(rng)
             n = len(m)
             _, codes = _refine._search_codes(m)
-            colors = _refine.refine(m, seeded(m, []), codes=codes)
+            colors = _refine.refine(seeded(m, []), codes=codes)
             x, y = rng.randrange(n), rng.randrange(n)
             cx, cy = _refine._individualize(codes, colors, x, y)
             rows = codes[0]
@@ -436,8 +447,8 @@ class TestLabelIndependence:
                 paths.append((kernel_codes(m), 0, 256))
             for codes, low, high in paths:
                 relabeled = relabel_values(colors, rng, low, high)
-                assert cells(_refine.refine(m, relabeled, codes=codes)) == expected, (m, relabeled)
-                (joint,) = _refine._refine_joint(m, (relabeled,), codes)
+                assert cells(_refine.refine(relabeled, codes=codes)) == expected, (m, relabeled)
+                (joint,) = _refine._refine_joint((relabeled,), codes)
                 assert cells(joint) == expected, (m, relabeled)
 
     def test_joint_refinement_ignores_seed_color_values(self):
@@ -450,9 +461,9 @@ class TestLabelIndependence:
             ca, cb = seeded(m, []), seeded(m, [])
             for i in range(rng.randint(1, 2)):
                 ca[rng.randrange(n)] = cb[rng.randrange(n)] = n + i
-            expected = _refine._refine_joint(m, (ca, cb), row_codes(m))
+            expected = _refine._refine_joint((ca, cb), row_codes(m))
             relabeled = relabel_values(ca + cb, rng, -1000, 1000)
-            refined = _refine._refine_joint(m, (relabeled[:n], relabeled[n:]), row_codes(m))
+            refined = _refine._refine_joint((relabeled[:n], relabeled[n:]), row_codes(m))
             assert (refined is None) == (expected is None), (m, ca, cb)
             if refined is not None:
                 assert same_classes(refined, expected), (m, ca, cb)
@@ -557,7 +568,7 @@ class TestAutomorphismPaths:
         monkeypatch.setattr(_refine, "_sorted_rows", counted_rows)
         m = [list(r) for r in cayley_digraph(40, {1, 2, 5, 17})]
         # an already discrete coloring costs at most one round
-        assert _refine.refine(m, list(range(40)), codes=row_codes(m)) == list(range(40))
+        assert _refine.refine(list(range(40)), codes=row_codes(m)) == list(range(40))
         assert len(rounds) <= 1
         # Z_40: level 1 is 0 individualized and one round, from the kernel;
         # one more kernel round, over the 27 vertices not yet alone in their
@@ -619,15 +630,15 @@ class TestOpenCellRounds:
             m = _refine.Circulant(row)
             n = len(row)
             _, codes = _refine._search_codes(m)
-            colors = _refine.refine(m, [0] * n, codes=codes, point=0)
+            colors = _refine.refine([0] * n, codes=codes, point=0)
             assert cells(colors) == cells(full_refine(m, [seeded(m, [0])])[0]), row
             x = rng.randrange(1, n)
-            colors = _refine.refine(m, colors, codes=codes, point=x)
+            colors = _refine.refine(colors, codes=codes, point=x)
             assert cells(colors) == cells(full_refine(m, [seeded(m, [0, x])])[0]), (row, x)
         for _ in range(100):
             m = random_structure(rng)
             colors = seeded(m, rng.sample(range(len(m)), min(len(m), rng.randint(0, 2))))
-            assert cells(_refine.refine(m, colors, codes=row_codes(m))) == cells(full_refine(m, [colors])[0]), m
+            assert cells(_refine.refine(colors, codes=row_codes(m))) == cells(full_refine(m, [colors])[0]), m
 
     def test_every_level_of_automorphisms(self, monkeypatch):
         # each level's stable partition is the full rounds' partition of the
@@ -635,8 +646,8 @@ class TestOpenCellRounds:
         levels = []
         real = _refine.refine
 
-        def recording(m, colors, *, codes, point=None):
-            refined = real(m, colors, codes=codes, point=point)
+        def recording(colors, *, codes, point=None):
+            refined = real(colors, codes=codes, point=point)
             levels.append((point, refined))
             return refined
 
@@ -664,16 +675,16 @@ class TestOpenCellRounds:
         for m in structures:
             n = len(m)
             _, codes = _refine._search_codes(m)
-            colors = _refine.refine(m, _refine._diagonal_colors(m), codes=codes)
+            colors = _refine.refine(_refine._diagonal_colors(m), codes=codes)
             for x in rng.sample(range(n), min(n, rng.randint(0, 2))):
-                colors = _refine.refine(m, colors, codes=codes, point=x)
+                colors = _refine.refine(colors, codes=codes, point=x)
             x, y = rng.randrange(n), rng.randrange(n)
             seeds = _refine._individualize(codes, colors, x, y)
             expected = full_refine(m, seeds)
-            refined = _refine._refine_joint(m, seeds, codes)
+            refined = _refine._refine_joint(seeds, codes)
             outcomes[expected is None] += 1
             if expected is None:
-                assert refined is None or _refine.iso_search(m, colors, x, y, codes=codes) is None, (m, x, y)
+                assert refined is None or _refine.iso_search(colors, x, y, codes=codes) is None, (m, x, y)
             else:
                 assert refined is not None and same_classes(refined, expected), (m, x, y)
         assert outcomes[True] > 0 and outcomes[False] > 0

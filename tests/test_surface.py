@@ -115,6 +115,9 @@ def test_factorization_is_not_exported():
     (PermGroup.order, ["self"]),
     (PermGroup.cyclic, ["n"]),  # folds in what was permgroup.rotation
     (regular_abelian_types, ["group", "cap"]),  # n is the group's degree
+    (_refine.refine, ["colors", "codes", "point"]),  # refinement and search read the pair codes alone
+    (_refine._refine_joint, ["colorings", "codes"]),
+    (_refine.iso_search, ["colors", "x", "y", "codes"]),
 ])
 def test_options_no_caller_sets_are_gone(function, params):
     assert list(inspect.signature(function).parameters) == params
