@@ -18,7 +18,6 @@ from .analyzer import (
     PrimeLayers,
     analysis_report,
     decompose,
-    parse_connection_set,
     product_type_witness,
     realizable_groups,
     subgroup_of_order,
@@ -59,7 +58,6 @@ __all__ = [
     "hasse_edges",
     "is_nilpotent",
     "orbital_coloring",
-    "parse_connection_set",
     "product_type_witness",
     "realizable_groups",
     "regular_abelian_types",

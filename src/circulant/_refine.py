@@ -27,29 +27,29 @@ individualized side by side, one shared color table for both, by the same
 rounds; ``_individualize`` alone gives vertices colors of their own.
 
 Convolution rounds: when the shift v -> v+1 preserves the matrix and
-16 <= n < 256 (``_KERNEL_SIZES``), a round need sort no rows.  The multiset
-above is the same as the counts, per class i and code rank j, of the
-vertices u of class i whose code to v has rank j, and for a circulant those
-counts are cyclic correlations: a few int products per class give them for
-every v at once (``_convolution``, ``_code_counts``).  The signature becomes
+n < 256, a round need sort no rows.  The multiset above is the same as the
+counts, per class i and code rank j, of the vertices u of class i whose
+code to v has rank j, and for a circulant those counts are cyclic
+correlations: a few int products per class give them for every v at once
+(``_convolution``, ``_code_counts``).  The signature becomes
 the color and the counts, which gives the same partition.  The products
 cost about one pass over n per class and a sorted row about log2 n passes
 per open vertex, so a round takes the products when the open vertices
 times log2 n are no fewer than the classes and sorts rows otherwise.
-Other structures, and circulants of other sizes, sort rows: below 16 a
-round's products are not reliably faster than sorting n short rows.  Level
-1 of a circulant, its uniform diagonal with vertex 0 individualized and one
-round, comes from the kernel at once: about R^2/2 products for R code ranks
-(``_first_level``).
+Other structures, and circulants from n = 256 on, where a count could carry
+into the next byte, sort rows.  Level 1 of a circulant, its uniform
+diagonal with vertex 0 individualized and one round, comes from the kernel
+at once: about R^2/2 products for R code ranks (``_first_level``).
 
 Circulant input: a circulant comes in as its row 0, wrapped in the
 read-only view ``Circulant``: entry [u][v] is row[(v - u) mod n], and row u
 is built only when it is indexed.  The shift v -> v+1 preserves such a
 matrix by construction, so it is not tested row by row, and the diagonal is
-the constant row[0].  The pair codes are the view of their row 0 (in the
-kernel's range, their ranks, built with the kernel in one pass over row 0),
-and individualizations and row sorts read the codes of a vertex by index
-arithmetic on that row, so no row of the codes is built for them.
+the constant row[0].  The pair codes are their ranks, held as the view of
+their row 0 and built with the kernel in one pass over row 0
+(``_convolution``), and individualizations and row sorts read the codes of
+a vertex by index arithmetic on that row, so no row of the codes is built
+for them.
 
 Refinement and search read the pair codes alone; only ``_search_codes`` and
 ``_diagonal_colors`` read the matrix.  The search compares code rows, read
@@ -98,20 +98,13 @@ class Circulant:
         return map(self.__getitem__, range(len(self.row)))
 
 
-def _pair_codes(m, circulant=False):
+def _pair_codes(m):
     """Row v codes each pair (v, u) by (m[v][u], m[u][v]).
 
     With k the span of the colors, the code a*k + b is one to one and all
     codes lie in a window of k*k consecutive ints, the second value returned.
-    When m is circulant (the shift v -> v+1 preserves it), so are the codes:
-    they are returned as the ``Circulant`` of their row 0, which is built
-    from row and column 0 of m alone.
+    A circulant's codes come from ``_convolution`` instead.
     """
-    if circulant:
-        first = m[0]
-        k = max(first) - min(first) + 1
-        # code (0, u) = first[u] * k + m[u][0], and m[u][0] = first[-u]
-        return Circulant(map(add, map(k.__mul__, first), first[:1] + first[:0:-1])), k * k
     lo = min(map(min, m), default=0)
     k = max(map(max, m), default=0) - lo + 1
     return [[a * k + b for a, b in zip(row, col)] for row, col in zip(m, zip(*m))], k * k
@@ -122,27 +115,30 @@ _INDICATORS = [bytes(j) + b"\1" + bytes(255 - j) for j in range(256)]
 
 
 def _convolution(first):
-    """A circulant's pair codes as code ranks, and their convolution
-    kernel, from its row 0 ``first``, n < 256.
+    """A circulant's pair codes as code ranks, from its row 0 ``first``,
+    and their convolution kernel, or None from n = 256 on.
 
     Code (v, u), the pair (m[v][u], m[u][v]), has rank r[(v - u) mod n],
-    where r[e] is the rank of code (e, 0) among the codes; r is returned as
-    bytes.  Ranks replace the codes everywhere: the first value returned is
-    the ``Circulant`` of row 0 of the ranks, r[-u] at u, and the second
-    their span.
+    where r[e] is the rank of code (e, 0) among the codes.  Ranks replace
+    the codes everywhere: the first value returned is the ``Circulant`` of
+    row 0 of the ranks, r[-u] at u, and the second their span.
 
-    The kernel is r and, for each rank j > 0, the int whose byte e is 1
-    where r[e] = j (Kronecker substitution): for X the indicator bytes of a
-    class, doubled, bytes n..2n-1 of X times that int count, for each v, the
-    members u with code (v, u) of rank j.  Every count is at most n < 256,
-    so no byte carries.  Rank 0 is left out: its count is the class size
-    less the others'.
+    The kernel is r as bytes and, for each rank j > 0, the int whose byte e
+    is 1 where r[e] = j (Kronecker substitution): for X the indicator bytes
+    of a class, doubled, bytes n..2n-1 of X times that int count, for each
+    v, the members u with code (v, u) of rank j.  Rank 0 is left out: its
+    count is the class size less the others'.  A count is at most n, so
+    from n = 256 on one could carry into the next byte, and there is no
+    kernel.
     """
     pairs = list(zip(first[:1] + first[:0:-1], first))  # m[e][0] = first[-e]
     rank = {code: j for j, code in enumerate(sorted(set(pairs)))}
-    r = bytes(map(rank.__getitem__, pairs))
-    products = [int.from_bytes(r.translate(_INDICATORS[j]), "little") for j in range(1, max(r) + 1)]
-    return Circulant(r[:1] + r[:0:-1]), len(products) + 1, (r, products)
+    r = list(map(rank.__getitem__, pairs))
+    kernel = None
+    if len(r) < 256:
+        r = bytes(r)
+        kernel = r, [int.from_bytes(r.translate(_INDICATORS[j]), "little") for j in range(1, len(rank))]
+    return Circulant(r[:1] + r[:0:-1]), len(rank), kernel
 
 
 def _product_counts(x, ys, n):
@@ -333,12 +329,7 @@ def _individualize(codes, colors, *points):
 
 
 def _diagonal_colors(m):
-    """Each vertex's rank among the distinct diagonal values.
-
-    A ``Circulant``'s diagonal is the constant row[0].
-    """
-    if isinstance(m, Circulant):
-        return [0] * len(m)
+    """Each vertex's rank among the distinct diagonal values."""
     rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(len(m))}))}
     return [rank[m[v][v]] for v in range(len(m))]
 
@@ -396,20 +387,14 @@ def iso_search(colors, x, y, *, codes):
     return None
 
 
-# n at which convolution rounds are used on a circulant: below 16 a round's
-# per-class products are not reliably faster than sorting n short rows, and
-# from 256 on a count could carry into the next byte
-_KERNEL_SIZES = range(16, 256)
-
-
 def _search_codes(m):
     """Whether the shift v -> v+1 preserves m, diagonal included; and m's
     pair codes, their span and a convolution kernel or None.
 
     A ``Circulant`` is preserved by definition; any other matrix is tested
-    by n row comparisons.  When the shift preserves m and n is in
-    ``_KERNEL_SIZES``, codes and kernel come from row 0 in one pass
-    (``_convolution``), else the kernel is None.
+    by n row comparisons.  When the shift preserves m, codes and kernel come
+    from row 0 in one pass (``_convolution``); else the codes are dense and
+    the kernel is None.
     """
     n = len(m)
     if isinstance(m, Circulant):
@@ -417,9 +402,9 @@ def _search_codes(m):
     else:
         first = m[0] * 2 if n > 1 else None
         shift = n > 1 and all(m[u] == first[n - u : 2 * n - u] for u in range(1, n))
-    if shift and n in _KERNEL_SIZES:
+    if shift:
         return shift, _convolution(m[0])
-    return shift, (*_pair_codes(m, shift), None)
+    return shift, (*_pair_codes(m), None)
 
 
 def _close_orbit(orbit, gens):
@@ -447,7 +432,7 @@ def automorphisms(m):
     level's stable coloring, which every automorphism fixing the earlier
     base points preserves, so it repeats none of the level's rounds.
 
-    Pair codes, and for a circulant in ``_KERNEL_SIZES`` their convolution
+    Pair codes, and for a circulant below 256 vertices their convolution
     kernel, are built once per call and shared by every refinement and
     search.  A level whose refined partition is discrete ends the search.
     Level 0 refines the diagonal coloring; each later level refines the
@@ -464,10 +449,10 @@ def automorphisms(m):
     comparisons.  The shift is the first generator, vertex 0 the first base
     point, and its orbit is every vertex; this is the level the search would
     have reached, since a transitive group leaves one cell and 0 is its
-    first vertex.  The pair codes are then rotations of their row 0, and
-    level 1 starts from the diagonal, stable under a transitive group, split
-    by vertex 0; with a kernel, it and its first round come from the kernel
-    (``_first_level``).
+    first vertex.  The diagonal is then uniform and the pair codes are
+    rotations of their row 0, and level 1 starts from the diagonal, stable
+    under a transitive group, split by vertex 0; with a kernel, it and its
+    first round come from the kernel (``_first_level``).
 
     m may be a ``Circulant``: the engine reads its row 0 alone, and a level
     that needs a search builds the code rows the search reads.  A circulant
@@ -475,8 +460,8 @@ def automorphisms(m):
     |Aut| = n, costs row 0 of the matrix and of its codes.
     """
     n = len(m)
-    colors = _diagonal_colors(m)
     shift, codes = _search_codes(m)
+    colors = [0] * n if shift else _diagonal_colors(m)
     gens = []
     order = 1
     point = None

@@ -17,7 +17,6 @@ l >= a - low hold outright, and only the levels below them are tested, each
 stopping at its first failing x.
 """
 
-import warnings
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
@@ -53,18 +52,6 @@ class ConnectionSet:
 
     def digraph(self) -> Circulant:
         return cayley_digraph(self.n, self.members)
-
-
-def parse_connection_set(text: str) -> ConnectionSet:
-    """Parse the literal form "n=45; S=0,1,15,30".
-
-    Elements outside [0, n) are reduced mod n with a warning; a malformed
-    literal raises ValueError naming the offending position.
-    """
-    s, messages = _parse_literal(text)
-    for message in messages:
-        warnings.warn(message, stacklevel=2)
-    return s
 
 
 def _parse_literal(text: str) -> tuple[ConnectionSet, list[str]]:

@@ -190,7 +190,7 @@ def _run_verify(args) -> int:
     instances = [("", args.instance)]  # (where, instance); a batch line's instance is its text
     if args.batch is not None:
         try:
-            with open(args.batch, encoding="utf-8-sig") as handle:
+            with open(args.batch, encoding="utf-8-sig", errors="replace") as handle:
                 lines = list(enumerate(map(str.strip, handle), start=1))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

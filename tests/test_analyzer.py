@@ -1,6 +1,5 @@
 import json
 import random
-import warnings
 from itertools import chain, combinations
 from math import gcd
 
@@ -15,7 +14,6 @@ from circulant.analyzer import (
     ConnectionSet,
     analysis_report,
     decompose,
-    parse_connection_set,
     product_type_witness,
     realizable_groups,
     subgroup_of_order,
@@ -89,22 +87,22 @@ class TestConnectionSet:
 
     def test_parse_round_trip(self):
         for s in (EXAMPLE_45, EXAMPLE_9, ConnectionSet.of(6, [])):
-            assert parse_connection_set(s.text()) == s
+            assert analyzer._parse_literal(s.text()) == (s, [])
 
     def test_parse_tolerates_spacing(self):
-        assert parse_connection_set(" n=9 ;S= 3 , 6 ") == EXAMPLE_9
+        assert analyzer._parse_literal(" n=9 ;S= 3 , 6 ") == (EXAMPLE_9, [])
 
     def test_parse_reduces_mod_n_with_warning(self):
-        with pytest.warns(UserWarning, match="reduced mod"):
-            s = parse_connection_set("n=9; S=10,-1")
+        s, messages = analyzer._parse_literal("n=9; S=10,-1")
         assert s == ConnectionSet.of(9, [1, 8])
+        assert messages == ["element 10 reduced mod 9", "element -1 reduced mod 9"]
 
     @pytest.mark.parametrize(
         "bad", ["n=9", "S=1,2", "n=9; S=1; S=2", "n=x; S=1", "n=9; S=1,y", "n=0; S="]
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
-            parse_connection_set(bad)
+            analyzer._parse_literal(bad)
 
     @settings(max_examples=300)
     @given(_literals())
@@ -116,15 +114,8 @@ class TestConnectionSet:
             with pytest.raises(ValueError) as raised:
                 analyzer._parse_literal(text)
             assert str(raised.value) == str(exc)
-            with pytest.raises(ValueError) as raised:
-                parse_connection_set(text)
-            assert str(raised.value) == str(exc)
             return
         assert analyzer._parse_literal(text) == expected
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            s = parse_connection_set(text)
-        assert (s, [str(r.message) for r in records]) == expected
 
 
 class TestSubgroupOfOrder:
@@ -499,7 +490,7 @@ class TestReport:
     )
     def test_factorizes_n_once_whatever_the_levels(self, text, monkeypatch):
         # in decompose; the gcd condition and the up-set read the primes off its factorization
-        s = parse_connection_set(text)
+        s, _ = analyzer._parse_literal(text)
         calls = []
 
         def counted(m):

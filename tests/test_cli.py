@@ -235,6 +235,14 @@ class TestVerify:
         assert code == 0 and err == ""
         assert [json.loads(line)["n"] for line in out.strip().splitlines()] == [9, 4]
 
+    def test_batch_line_that_is_not_utf8(self, capsys, tmp_path):
+        # a byte that is not UTF-8 fails its own line; the lines around it are answered
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"n=9; S=3,6\n\xff\xfe bad\nn=4; S=1\n")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), "--format", "json")
+        assert code == 1 and err.startswith(f"error: {corpus}:2: ") and err.count("\n") == 1
+        assert [json.loads(line)["n"] for line in out.strip().splitlines()] == [9, 4]
+
     def test_generate_batch_verify_round_trip(self, capsys, tmp_path):
         lines = []
         for p, layers in (("2", "1,1"), ("2", "2,1"), ("3", "1,1")):

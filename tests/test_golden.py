@@ -117,7 +117,7 @@ def _verify_calls():
 
 
 def _kernel_verify_calls():
-    """About 80 seeded calls at 16 <= n <= 64, the convolution kernel's range."""
+    """About 80 seeded calls at 16 <= n <= 64, inside the convolution kernel's range."""
     rng = random.Random(SEED + 3)
     literals = []
     for _ in range(48):

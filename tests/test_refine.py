@@ -117,17 +117,19 @@ class TestRefine:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_circulant_pair_codes_are_rotations(self, n):
-        # a circulant's codes come as the view of their row 0; its rows,
-        # built, are the codes of the whole matrix
+        # a circulant's codes come as the view of the ranks of their row 0;
+        # its rows, built, rank the codes of the whole matrix
         rng = random.Random(n)
         rows = [[int(x in members) for x in range(n)] for k in range(n + 1) for members in combinations(range(n), k)]
         rows += [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(20)]
         for row in rows:
             m = circulant(row)
             assert shift_invariant(m)
-            view, width = _refine._pair_codes(m, circulant=True)
-            codes, full_width = _refine._pair_codes(m)
-            assert ([list(r) for r in view], width) == (codes, full_width), row
+            view, width, _ = _refine._convolution(m[0])
+            codes, _ = _refine._pair_codes(m)
+            rank = {code: j for j, code in enumerate(sorted(set(chain.from_iterable(codes))))}
+            assert [list(r) for r in view] == [list(map(rank.__getitem__, r)) for r in codes], row
+            assert width == len(rank), row
 
     def test_pair_refinement_matches_reference_on_isomorphic_pairs(self):
         # two colorings of one circulant, x and x+1 individualized: the shift
@@ -242,26 +244,25 @@ class TestConvolution:
         assert cells(by_kernel) == cells(by_rows) == cells(brute_refine(m, colors))
         assert cells(by_kernel) == [[v] for v in range(255)]
 
-    @pytest.mark.parametrize("n,kernel", [(15, False), (16, True), (255, True), (256, False)])
+    @pytest.mark.parametrize("n,kernel", [(1, False), (2, True), (255, True), (256, False)])
     def test_kernel_boundary(self, n, kernel):
-        # the search uses the kernel for 16 <= n < 256; a dense S, with |Aut| = n
+        # the search uses the kernel on every circulant with 2 <= n < 256; n = 1
+        # takes no shift, so no kernel; a dense S, with |Aut| = n
         rng = random.Random(n)
         m = circulant([int(rng.random() < 0.8) for _ in range(n)])
         shift, (_, _, by_kernel) = _refine._search_codes(m)
-        assert shift and (by_kernel is not None) is kernel
+        assert shift is (n > 1) and (by_kernel is not None) is kernel
         assert _refine.automorphisms(m) == reference_automorphisms(m)
 
-    def test_searches_match_the_reference_search(self, monkeypatch):
-        # circulants and 3-color arc colorings at 16 <= n <= 32 take the
-        # kernel path; so does every circulant with n <= 8 with the kernel on
-        # at every n
+    def test_searches_match_the_reference_search(self):
+        # circulants and 3-color arc colorings at 16 <= n <= 32, and every
+        # circulant with n <= 8, take the kernel path
         rng = random.Random(131)
         for _ in range(60):
             n, colors = rng.randint(16, 32), rng.choice((2, 3))
             m = circulant([rng.randrange(colors) for _ in range(n)])
             assert _refine._search_codes(m)[1][2] is not None
             assert _refine.automorphisms(m) == reference_automorphisms(m), m
-        monkeypatch.setattr(_refine, "_KERNEL_SIZES", range(1, 256))
         for n in range(2, 9):
             for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
                 m = circulant([int(x in members) for x in range(n)])
@@ -470,8 +471,8 @@ class TestLabelIndependence:
 
     def test_automorphisms_ignore_arc_color_values(self):
         # every entry of the matrix relabeled by one injective map, negative
-        # and past 255 included: circulants at 16 <= n < 256 take the kernel,
-        # the rest sort rows, and both give the reference's generators
+        # and past 255 included: circulants at n < 256 take the kernel, the
+        # rest sort rows, and both give the reference's generators
         rng = random.Random(163)
         structures = [random_structure(rng) for _ in range(60)]
         structures += [circulant([rng.randrange(3) for _ in range(rng.randint(16, 40))]) for _ in range(40)]
@@ -623,7 +624,7 @@ class TestOpenCellRounds:
 
     def test_refine_reaches_the_full_rounds_partition(self):
         # circulant rows at 2 <= n <= 80 with the engine's own codes (code
-        # ranks and kernel from n = 16), two levels each; and random
+        # ranks and kernel), two levels each; and random
         # structures with row codes and up to two vertices individualized
         rng = random.Random(167)
         for row in reference_rows(rng, range(2, 81)):

@@ -22,6 +22,7 @@ REMOVED_FUNCTIONS = [
     ("analyzer", "coset_condition"),  # level in decompose(s).for_prime(p).valid_levels
     ("analyzer", "minimal_group"),  # decompose(s).minimal_group()
     ("analyzer", "_prime_exponent"),  # translation_check reads a off decompose(s).for_prime(p)
+    ("analyzer", "parse_connection_set"),  # the CLI reads literals with _parse_literal
     ("arith", "euler_phi"),
     ("arith", "arithmetic_condition"),  # LayerDecomposition.arithmetic_condition()
     ("digraph", "digraph"),
@@ -118,6 +119,7 @@ def test_factorization_is_not_exported():
     (_refine.refine, ["colors", "codes", "point"]),  # refinement and search read the pair codes alone
     (_refine._refine_joint, ["colorings", "codes"]),
     (_refine.iso_search, ["colors", "x", "y", "codes"]),
+    (_refine._pair_codes, ["m"]),  # a circulant's codes come from _convolution
 ])
 def test_options_no_caller_sets_are_gone(function, params):
     assert list(inspect.signature(function).parameters) == params
