@@ -37,24 +37,31 @@ cost about one pass over n per class and a sorted row about log2 n passes
 per open vertex, so a round takes the products when the open vertices
 times log2 n are no fewer than the classes and sorts rows otherwise.
 Other structures, and circulants from n = 256 on, where a count could carry
-into the next byte, sort rows.  Level 1 of a circulant, its uniform
-diagonal with vertex 0 individualized and one round, comes from the kernel
-at once: about R^2/2 products for R code ranks (``_first_level``).
+into the next byte, sort rows.
+
+Regular certificate: most circulants have Aut = Z_n, and one product of row
+0 can prove it before any code is built (``_fixes_every_vertex``).  With x
+the arcs of the row's top color, the 2-paths 0 -> u -> v of that color and
+the arcs 0 -> v and v -> 0 key each v, and every automorphism fixing 0
+keeps each key, so it fixes each vertex alone in its key.  Conjugating by
+the shift, the points it fixes are closed under adding each such offset;
+when those offsets and n have gcd 1, the stabilizer of 0 is trivial.
 
 Circulant input: a circulant comes in as its row 0, wrapped in the
 read-only view ``Circulant``: entry [u][v] is row[(v - u) mod n], and row u
 is built only when it is indexed.  The shift v -> v+1 preserves such a
-matrix by construction, so it is not tested row by row, and the diagonal is
-the constant row[0].  The pair codes are their ranks, held as the view of
-their row 0 and built with the kernel in one pass over row 0
-(``_convolution``), and individualizations and row sorts read the codes of
-a vertex by index arithmetic on that row, so no row of the codes is built
-for them.
+matrix by construction, so it is not tested row by row, its row 0 is read
+as it is held, and the diagonal is the constant row[0].  The pair codes are
+their ranks, held as the view of their row 0 and built with the kernel in
+one pass over row 0 (``_convolution``), and individualizations and row
+sorts read the codes of a vertex by index arithmetic on that row, so no row
+of the codes is built for them.
 
-Refinement and search read the pair codes alone; only ``_search_codes`` and
-``_diagonal_colors`` read the matrix.  The search compares code rows, read
-through the ``Circulant`` view, which builds a row when first indexed, and
-backtracks in a loop, so Python's recursion limit does not bound its depth.
+Refinement and search read the pair codes alone; only ``_shift_row``,
+``_search_codes`` and ``_diagonal_colors`` read the matrix.  The search
+compares code rows, read through the ``Circulant`` view, which builds a row
+when first indexed, and backtracks in a loop, so Python's recursion limit
+does not bound its depth.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
@@ -66,6 +73,7 @@ refinement and no search: its orbit is every vertex.
 """
 
 from collections import Counter
+from math import gcd
 from operator import add
 
 
@@ -113,6 +121,10 @@ def _pair_codes(m):
 # bytes.translate tables: byte j to 1, every other to 0
 _INDICATORS = [bytes(j) + b"\1" + bytes(255 - j) for j in range(256)]
 
+# A product of indicator bytes counts vertices, at most n in each byte, so
+# below this n no byte carries into the next.
+_KERNEL_LIMIT = 256
+
 
 def _convolution(first):
     """A circulant's pair codes as code ranks, from its row 0 ``first``,
@@ -127,15 +139,14 @@ def _convolution(first):
     is 1 where r[e] = j (Kronecker substitution): for X the indicator bytes
     of a class, doubled, bytes n..2n-1 of X times that int count, for each
     v, the members u with code (v, u) of rank j.  Rank 0 is left out: its
-    count is the class size less the others'.  A count is at most n, so
-    from n = 256 on one could carry into the next byte, and there is no
-    kernel.
+    count is the class size less the others'.  From n = ``_KERNEL_LIMIT``
+    on a count could carry into the next byte, and there is no kernel.
     """
     pairs = list(zip(first[:1] + first[:0:-1], first))  # m[e][0] = first[-e]
     rank = {code: j for j, code in enumerate(sorted(set(pairs)))}
     r = list(map(rank.__getitem__, pairs))
     kernel = None
-    if len(r) < 256:
+    if len(r) < _KERNEL_LIMIT:
         r = bytes(r)
         kernel = r, [int.from_bytes(r.translate(_INDICATORS[j]), "little") for j in range(1, len(rank))]
     return Circulant(r[:1] + r[:0:-1]), len(rank), kernel
@@ -146,6 +157,35 @@ def _product_counts(x, ys, n):
     the members u with code (v, u) of rank j, for each kernel int y of ``ys``."""
     x = int.from_bytes(x + x, "little")
     return [(x * y).to_bytes(3 * n, "little")[n : 2 * n] for y in ys]
+
+
+def _fixes_every_vertex(first):
+    """Whether one product proves that every automorphism fixing 0 of the
+    shift-preserved matrix with row 0 ``first`` fixes every vertex.
+
+    x holds the bytes of "entry e of ``first`` is its top value": x[v] and
+    x[-v] are the arcs 0 -> v and v -> 0 of the top color, and one product,
+    as ``_product_counts`` takes it, counts the 2-paths 0 -> u -> v of that
+    color.  An automorphism fixing 0 keeps each key (x[v], x[-v], paths[v]),
+    so it fixes v when v is alone in its key; conjugating by the shift, one
+    fixing t then fixes t + v.  The points Aut_0 fixes thus contain 0 and
+    are closed under adding each singled-out offset, so when those offsets
+    and n have gcd 1, Aut_0 = 1; the scan stops once their gcd is 1.  n
+    must be below ``_KERNEL_LIMIT``.
+    """
+    n = len(first)
+    top = max(first)
+    x = bytes(map(top.__eq__, first))
+    (paths,) = _product_counts(x, [int.from_bytes(x, "little")], n)
+    keys = list(zip(x, x[:1] + x[:0:-1], paths))
+    sizes = Counter(keys)
+    g = n
+    for v, key in enumerate(keys):
+        if sizes[key] == 1:
+            g = gcd(g, v)
+            if g == 1:
+                return True
+    return False
 
 
 def _sorted_rows(codes, width, colors, opened):
@@ -254,47 +294,16 @@ def _refine_joint(colorings, codes):
         sizes = Counter(colorings[0])
 
 
-def _first_level(kernel):
-    """The uniform coloring of a circulant with vertex 0 individualized,
-    after one round, from its convolution kernel; and whether it is stable,
-    since the round split no class or left every vertex alone.
-
-    Vertex 0 is kept apart, and v != 0 starts in class r[v], the rank of
-    code (v, 0).  In the round, v's count of u with r[u] = i and code (v, u)
-    of rank j is N_ij(v) = #{u : r[u] = i, r[v - u] = j}, less one when
-    u = 0 is such a u, which depends on r[v] alone.  A count with i = 0 or
-    j = 0 is a class size or a code total less the others, and N_ij = N_ji
-    (put u -> v - u), so r[v] and N_ij(v) for 1 <= i <= j < R give the
-    round's partition: R(R-1)/2 products for R ranks.
-    """
-    r, products = kernel
-    n = len(r)
-    columns = [r]
-    for i in range(len(products)):
-        columns += _product_counts(r.translate(_INDICATORS[i + 1]), products[i:], n)
-    signatures = zip(*columns)
-    next(signatures)  # vertex 0's, kept apart
-    table = {None: 0}
-    colors = [0] + [table.setdefault(s, len(table)) for s in signatures]
-    return colors, len(table) in (len(set(r[1:])) + 1, n)
-
-
 def refine(colors, *, codes, point=None):
     """Iterate signature refinement on one structure until the partition is stable.
 
     ``colors`` must refine the diagonal: equal colors, equal diagonal
     entries.  With ``point``, ``colors`` must be stable, and the point is
-    individualized first (``_individualize``); when the colors are uniform,
-    the point is 0 and ``codes`` carry a convolution kernel, the
-    individualized coloring and its first round come from the kernel at
-    once (``_first_level``).  A discrete coloring is returned as it is, with
-    no round.  ``codes`` are as for ``_refine_joint``.
+    individualized first (``_individualize``).  A discrete coloring is
+    returned as it is, with no round.  ``codes`` are as for
+    ``_refine_joint``.
     """
-    if point == 0 and codes[2] is not None and len(set(colors)) == 1:
-        colors, stable = _first_level(codes[2])
-        if stable:
-            return colors
-    elif point is not None:
+    if point is not None:
         (colors,) = _individualize(codes, colors, point)
     if len(set(colors)) == len(colors):
         return list(colors)
@@ -387,24 +396,33 @@ def iso_search(colors, x, y, *, codes):
     return None
 
 
-def _search_codes(m):
-    """Whether the shift v -> v+1 preserves m, diagonal included; and m's
-    pair codes, their span and a convolution kernel or None.
+def _shift_row(m):
+    """Row 0 of m if the shift v -> v+1 preserves m, diagonal included;
+    else None.
 
-    A ``Circulant`` is preserved by definition; any other matrix is tested
-    by n row comparisons.  When the shift preserves m, codes and kernel come
-    from row 0 in one pass (``_convolution``); else the codes are dense and
-    the kernel is None.
+    A ``Circulant`` is preserved by definition, and its row 0 is its
+    ``row``, so no row of the view is built; any other matrix is tested by
+    n row comparisons.
     """
     n = len(m)
+    if n < 2:
+        return None
     if isinstance(m, Circulant):
-        shift = n > 1
-    else:
-        first = m[0] * 2 if n > 1 else None
-        shift = n > 1 and all(m[u] == first[n - u : 2 * n - u] for u in range(1, n))
-    if shift:
-        return shift, _convolution(m[0])
-    return shift, (*_pair_codes(m), None)
+        return m.row
+    doubled = m[0] * 2
+    return m[0] if all(m[u] == doubled[n - u : 2 * n - u] for u in range(1, n)) else None
+
+
+def _search_codes(m, first):
+    """m's pair codes, their span and a convolution kernel or None, given
+    its ``_shift_row`` ``first``.
+
+    With a row 0, codes and kernel come from it in one pass
+    (``_convolution``); else the codes are dense and the kernel is None.
+    """
+    if first is not None:
+        return _convolution(first)
+    return (*_pair_codes(m), None)
 
 
 def _close_orbit(orbit, gens):
@@ -443,32 +461,43 @@ def automorphisms(m):
     the coarsest equitable partition finer than its seed, and the two seeds
     have the same one.
 
-    Shift seeding: if the shift v -> v+1 preserves m, diagonal included,
-    level 0 is resolved without refinement or search.  A ``Circulant`` is
-    preserved by definition; any other matrix is tested by n row
-    comparisons.  The shift is the first generator, vertex 0 the first base
-    point, and its orbit is every vertex; this is the level the search would
-    have reached, since a transitive group leaves one cell and 0 is its
-    first vertex.  The diagonal is then uniform and the pair codes are
-    rotations of their row 0, and level 1 starts from the diagonal, stable
-    under a transitive group, split by vertex 0; with a kernel, it and its
-    first round come from the kernel (``_first_level``).
+    Shift seeding: if the shift v -> v+1 preserves m, diagonal included
+    (``_shift_row``), level 0 is resolved without refinement or search.
+    The shift is the first generator, vertex 0 the first base point, and
+    its orbit is every vertex; this is the level the search would have
+    reached, since a transitive group leaves one cell and 0 is its first
+    vertex.  The diagonal is then uniform and the pair codes are rotations
+    of their row 0, and level 1 starts from the diagonal, stable under a
+    transitive group, split by vertex 0.
+
+    Regular certificate: below 256 vertices, ``_fixes_every_vertex`` first
+    tries to prove from row 0 that Aut_0 = 1: an automorphism fixing 0
+    keeps each vertex's 2-paths from 0 and arcs to and from 0 in the row's
+    top color, so it fixes a vertex alone in that key, and, by the shift,
+    the points it fixes are closed under adding such a vertex.  When the
+    proof holds, (the shift, n) is returned before any code is built;
+    refinement would return the same, since no search finds a witness in a
+    trivial stabilizer.
 
     m may be a ``Circulant``: the engine reads its row 0 alone, and a level
     that needs a search builds the code rows the search reads.  A circulant
-    whose refinement with vertex 0 individualized is discrete, so that
-    |Aut| = n, costs row 0 of the matrix and of its codes.
+    with |Aut| = n that the certificate settles, or whose refinement with
+    vertex 0 individualized is discrete, builds no row of the matrix or of
+    its codes.
     """
     n = len(m)
-    shift, codes = _search_codes(m)
-    colors = [0] * n if shift else _diagonal_colors(m)
+    first = _shift_row(m)
     gens = []
     order = 1
     point = None
-    if shift:
+    if first is not None:
         gens.append(tuple(range(1, n)) + (0,))
         order = n
         point = 0
+        if n < _KERNEL_LIMIT and _fixes_every_vertex(first):
+            return gens, order
+    codes = _search_codes(m, first)
+    colors = [0] * n if first is not None else _diagonal_colors(m)
     while True:
         colors = refine(colors, codes=codes, point=point)
         if len(set(colors)) == n:

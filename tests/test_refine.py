@@ -45,6 +45,12 @@ def seeded(m, individualized):
     return colors
 
 
+def search_codes(m):
+    """Whether the shift preserves m, and the codes ``automorphisms`` builds for m."""
+    first = _refine._shift_row(m)
+    return first is not None, _refine._search_codes(m, first)
+
+
 def row_codes(m):
     """m's pair codes with no convolution kernel: every round sorts rows."""
     return (*_refine._pair_codes(m), None)
@@ -250,7 +256,7 @@ class TestConvolution:
         # takes no shift, so no kernel; a dense S, with |Aut| = n
         rng = random.Random(n)
         m = circulant([int(rng.random() < 0.8) for _ in range(n)])
-        shift, (_, _, by_kernel) = _refine._search_codes(m)
+        shift, (_, _, by_kernel) = search_codes(m)
         assert shift is (n > 1) and (by_kernel is not None) is kernel
         assert _refine.automorphisms(m) == reference_automorphisms(m)
 
@@ -261,7 +267,7 @@ class TestConvolution:
         for _ in range(60):
             n, colors = rng.randint(16, 32), rng.choice((2, 3))
             m = circulant([rng.randrange(colors) for _ in range(n)])
-            assert _refine._search_codes(m)[1][2] is not None
+            assert search_codes(m)[1][2] is not None
             assert _refine.automorphisms(m) == reference_automorphisms(m), m
         for n in range(2, 9):
             for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
@@ -292,7 +298,7 @@ class TestCirculantView:
 
     def assert_same_search(self, row):
         m = dense(row)
-        assert _refine._search_codes(m)[0] is (len(row) > 1)
+        assert search_codes(m)[0] is (len(row) > 1)
         assert _refine.automorphisms(_refine.Circulant(row)) == _refine.automorphisms(m), row
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -319,8 +325,59 @@ class TestCirculantView:
         m = [list(r) for r in dense([0, 1, 0, 0, 0, 0])]
         m[0][0] = 1
         m = tuple(map(tuple, m))
-        assert _refine._search_codes(m)[0] is False
+        assert search_codes(m)[0] is False
         assert _refine.automorphisms(m) == ([], 1)
+
+
+class TestRegularCertificate:
+    """``_fixes_every_vertex``, which lets ``automorphisms`` return the shift
+    and order n before any code is built: wherever it holds, the reference
+    search must give order n and the same generators."""
+
+    def assert_sound(self, rows):
+        fired = 0
+        for row in rows:
+            if _refine._fixes_every_vertex(row):
+                fired += 1
+                expected = reference_automorphisms(_refine.Circulant(row))
+                assert expected[1] == len(row), row
+                assert _refine.automorphisms(_refine.Circulant(row)) == expected, row
+        return fired
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_adjacency_row(self, n):
+        assert self.assert_sound([[mask >> x & 1 for x in range(n)] for mask in range(2**n)]) > 0
+
+    def test_arc_colored_rows(self):
+        # negative colors, colors over 255, and the Sylow search's tower rows
+        # paired with adjacency rows
+        rng = random.Random(191)
+        rows = [[rng.randrange(-3, 3) for _ in range(rng.randint(2, 40))] for _ in range(150)]
+        rows += [[rng.randrange(-300, 700) for _ in range(rng.randint(2, 40))] for _ in range(100)]
+        for p, a in [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
+            rows += [[2 * c + (rng.random() < 0.4) for c in tower_row(p, a)] for _ in range(30)]
+        assert self.assert_sound(rows) > 30
+
+    def test_a_singled_out_offset_must_generate_z_n(self):
+        # Cay(Z_4, {2}): offset 2 is alone in its key, so Aut_0 fixes 0 and
+        # 2, but not 1 and 3; |Aut| = 8
+        row = [0, 0, 1, 0]
+        assert not _refine._fixes_every_vertex(row)
+        d = cayley_digraph(4, {2})
+        assert _refine.automorphisms(d)[1] == len(brute_automorphisms(d)) == 8
+
+    def test_an_undecided_regular_circulant_is_refined(self):
+        # |Aut| = 40, which the certificate does not see; refinement does
+        d = cayley_digraph(40, {1, 2, 5, 17})
+        assert not _refine._fixes_every_vertex(d.row)
+        assert _refine.automorphisms(d) == ([tuple(range(1, 40)) + (0,)], 40)
+
+    def test_dense_shift_invariant_rows_are_certified(self, monkeypatch):
+        # the certificate reads row 0 wherever the shift holds, not only of
+        # a Circulant view; no code is built
+        monkeypatch.setattr(_refine, "_search_codes", None)
+        m = dense([0, 1, 1, 1, 0, 0, 0])
+        assert _refine.automorphisms(m) == ([(1, 2, 3, 4, 5, 6, 0)], 7)
 
 
 class TestJointRefinement:
@@ -408,7 +465,7 @@ class TestIndividualize:
         for _ in range(200):
             m = random_structure(rng)
             n = len(m)
-            _, codes = _refine._search_codes(m)
+            _, codes = search_codes(m)
             colors = _refine.refine(seeded(m, []), codes=codes)
             x, y = rng.randrange(n), rng.randrange(n)
             cx, cy = _refine._individualize(codes, colors, x, y)
@@ -522,7 +579,9 @@ class TestAutomorphismPaths:
 
             monkeypatch.setattr(_refine, name, counted)
         assert automorphism_group(d).cached_order == len(d)
-        assert calls == {"refine": 1, "iso_search": 0}
+        # Z_3 and Z_12 are certified by one product; Z_40 is not, and is
+        # finished by one refinement call
+        assert calls == {"refine": int(len(d) == 40), "iso_search": 0}
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_circulant_matches_the_reference_search(self, n):
@@ -543,17 +602,13 @@ class TestAutomorphismPaths:
             assert _refine.automorphisms(m) == reference_automorphisms(m), m
 
     def test_signature_rounds(self, monkeypatch):
-        rounds, first_levels, kernel_rounds, rows_sorted = [], [], [], []
-        real, real_first = _refine._signatures, _refine._first_level
+        rounds, kernel_rounds, rows_sorted = [], [], []
+        real = _refine._signatures
         real_counts, real_rows = _refine._code_counts, _refine._sorted_rows
 
         def counted(*args):
             rounds.append(1)
             return real(*args)
-
-        def counted_first(kernel):
-            first_levels.append(1)
-            return real_first(kernel)
 
         def counted_counts(kernel, colors, sizes, opened):
             kernel_rounds.append(len(opened))
@@ -564,29 +619,28 @@ class TestAutomorphismPaths:
             return real_rows(codes, width, colors, opened)
 
         monkeypatch.setattr(_refine, "_signatures", counted)
-        monkeypatch.setattr(_refine, "_first_level", counted_first)
         monkeypatch.setattr(_refine, "_code_counts", counted_counts)
         monkeypatch.setattr(_refine, "_sorted_rows", counted_rows)
         m = [list(r) for r in cayley_digraph(40, {1, 2, 5, 17})]
         # an already discrete coloring costs at most one round
         assert _refine.refine(list(range(40)), codes=row_codes(m)) == list(range(40))
         assert len(rounds) <= 1
-        # Z_40: level 1 is 0 individualized and one round, from the kernel;
-        # one more kernel round, over the 27 vertices not yet alone in their
-        # class, makes it discrete, and no round confirms it; no row is sorted
-        for calls in (rounds, first_levels, kernel_rounds, rows_sorted):
+        # Z_40: level 1 is 0 individualized, then a kernel round over the 39
+        # other vertices and one over the 27 not yet alone in their class,
+        # which makes it discrete, and no round confirms it; no row is sorted
+        for calls in (rounds, kernel_rounds, rows_sorted):
             calls.clear()
         assert _refine.automorphisms(m)[1] == 40
-        assert len(first_levels) == 1 and len(rounds) == 1
-        assert kernel_rounds == [27] and rows_sorted == []
+        assert len(rounds) == 2
+        assert kernel_rounds == [39, 27] and rows_sorted == []
         # a relabeled copy the shift does not preserve sorts rows instead,
         # and only the rows of vertices not alone in their class
         relabeled = relabel(m, random.Random(127).sample(range(40), 40))
         assert not shift_invariant(relabeled)
-        for calls in (rounds, first_levels, kernel_rounds, rows_sorted):
+        for calls in (rounds, kernel_rounds, rows_sorted):
             calls.clear()
         assert _refine.automorphisms(relabeled)[1] == 40
-        assert first_levels == [] and kernel_rounds == []
+        assert kernel_rounds == []
         assert len(rows_sorted) == len(rounds) and rows_sorted == [40, 39, 39, 27, 27, 39, 27]
 
     def test_shift_must_preserve_the_diagonal(self):
@@ -630,7 +684,7 @@ class TestOpenCellRounds:
         for row in reference_rows(rng, range(2, 81)):
             m = _refine.Circulant(row)
             n = len(row)
-            _, codes = _refine._search_codes(m)
+            _, codes = search_codes(m)
             colors = _refine.refine([0] * n, codes=codes, point=0)
             assert cells(colors) == cells(full_refine(m, [seeded(m, [0])])[0]), row
             x = rng.randrange(1, n)
@@ -675,7 +729,7 @@ class TestOpenCellRounds:
         outcomes = Counter()
         for m in structures:
             n = len(m)
-            _, codes = _refine._search_codes(m)
+            _, codes = search_codes(m)
             colors = _refine.refine(_refine._diagonal_colors(m), codes=codes)
             for x in rng.sample(range(n), min(n, rng.randint(0, 2))):
                 colors = _refine.refine(colors, codes=codes, point=x)
@@ -692,24 +746,23 @@ class TestOpenCellRounds:
 
     @pytest.mark.parametrize("n", range(16, 65))
     def test_first_level_is_one_full_round(self, n):
-        # vertex 0 individualized in the uniform diagonal, then one round
-        # signing every vertex; stable exactly when a further round splits
-        # nothing
+        # level 1 of a circulant: vertex 0 individualized in the uniform
+        # diagonal, then one round of the engine, which signs the open
+        # vertices alone, by the kernel or by sorted rows; the partition of
+        # one round signing every vertex
         rng = random.Random(n)
         for row in reference_rows(rng, [n]) + reference_rows(rng, [n]):
             m = _refine.Circulant(row)
-            _, codes = _refine._search_codes(m)
-            colors, stable = _refine._first_level(codes[2])
+            _, codes = search_codes(m)
             (individualized,) = _refine._individualize(codes, [0] * n, 0)
+            keys = _refine._signatures(codes, individualized, Counter(individualized))
             (expected,) = full_refine(m, [individualized], rounds=1)
-            assert cells(colors) == cells(expected), row
-            (further,) = full_refine(m, [expected], rounds=1)
-            assert stable == (len(set(further)) == len(set(expected))), row
+            assert cells(keys) == cells(expected), row
 
     def test_rounds_run_inside_refine_and_iso_search(self, monkeypatch):
         # perfbench times refinement as the spans of refine and iso_search:
-        # every signature round, level 1 from the kernel and every
-        # individualization must run inside one of them
+        # every signature round and every individualization must run
+        # inside one of them
         depth, outside = [0], []
 
         def span(real):
@@ -732,7 +785,7 @@ class TestOpenCellRounds:
 
         for name in ("refine", "iso_search"):
             monkeypatch.setattr(_refine, name, span(getattr(_refine, name)))
-        for name in ("_signatures", "_first_level", "_individualize"):
+        for name in ("_signatures", "_individualize"):
             monkeypatch.setattr(_refine, name, round_of(name, getattr(_refine, name)))
         rng = random.Random(181)
         paths = Counter()
