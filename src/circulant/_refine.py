@@ -166,18 +166,31 @@ def _fixes_every_vertex(first):
     x holds the bytes of "entry e of ``first`` is its top value": x[v] and
     x[-v] are the arcs 0 -> v and v -> 0 of the top color, and one product,
     as ``_product_counts`` takes it, counts the 2-paths 0 -> u -> v of that
-    color.  An automorphism fixing 0 keeps each key (x[v], x[-v], paths[v]),
+    color.  An automorphism fixing 0 keeps each key (paths[v], x[v], x[-v]),
     so it fixes v when v is alone in its key; conjugating by the shift, one
     fixing t then fixes t + v.  The points Aut_0 fixes thus contain 0 and
     are closed under adding each singled-out offset, so when those offsets
     and n have gcd 1, Aut_0 = 1; the scan stops once their gcd is 1.  n
     must be below ``_KERNEL_LIMIT``.
+
+    x is read by one ``bytes.translate``, and by a comparison per entry only
+    when some entry lies outside 0..255.  Each key is one int, the 16-bit
+    lane whose two bytes are paths[v] and 2 x[v] + x[-v], each under 256,
+    so equal ints are equal keys and equal keys equal ints.
     """
     n = len(first)
     top = max(first)
-    x = bytes(map(top.__eq__, first))
-    (paths,) = _product_counts(x, [int.from_bytes(x, "little")], n)
-    keys = list(zip(x, x[:1] + x[:0:-1], paths))
+    try:
+        x = bytes(first).translate(_INDICATORS[top])
+    except ValueError:
+        x = bytes(map(top.__eq__, first))
+    arcs_out = int.from_bytes(x, "little")
+    (paths,) = _product_counts(x, [arcs_out], n)
+    arcs = 2 * arcs_out + int.from_bytes(x[:1] + x[:0:-1], "little")
+    lanes = bytearray(2 * n)
+    lanes[::2] = paths
+    lanes[1::2] = arcs.to_bytes(n, "little")
+    keys = memoryview(lanes).cast("H").tolist()
     sizes = Counter(keys)
     g = n
     for v, key in enumerate(keys):

@@ -15,8 +15,9 @@ GROUP_LIST_CAP; a count grows as it goes, so it stops once past the cap.
 An up-set of a partition of a has at most p(a) members, so one whose
 product of p(a) is within the cap is not counted.
 One helper (_up_closures) counts and walks an up-set prime by prime:
-up_set builds groups from it, and the analyzer's report writes each
-partition straight to text with PPartition.text_of.
+up_set builds groups from it, and the analyzer writes each partition
+straight to text with PPartition.text_of, for its report and for the
+oracle's prediction alike.
 """
 
 from dataclasses import dataclass
@@ -64,6 +65,8 @@ class PPartition:
 
         A static method, so that callers holding only (p, parts) build no object.
         """
+        if len(parts) == 1:
+            return f"Z{p**parts[0]}"
         pieces = []
         for e in dict.fromkeys(parts):  # the distinct parts, largest first
             count = parts.count(e)

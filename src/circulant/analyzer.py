@@ -20,8 +20,11 @@ stopping at its first failing x.
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from operator import sub
 from typing import Iterator
 
+# up_set has no caller here: it stays as the patch point of perfbench's
+# abelian.up_set span, as ConnectionSet.digraph stays for digraph.digraph.
 from .abelian import AbelianType, PPartition, _up_closures, up_set
 from ._refine import Circulant
 from .arith import _radical_condition, factorize
@@ -167,10 +170,12 @@ def _valid_levels(s: ConnectionSet, p: int, a: int) -> tuple[int, ...]:
         x0 = next(x for x in members if x % p ** (low + 1))
         envelope, step = p ** (a - 1), n // p
         for level in range(1, a - low):
-            if (x0 + step) % n in members and all(
-                x % envelope == 0 or (x + step) % n in members for x in members
-            ):
-                valid.append(level)
+            if (x0 + step) % n in members:
+                for x in members:
+                    if x % envelope and (x + step) % n not in members:
+                        break
+                else:
+                    valid.append(level)
             envelope //= p
             step //= p
     return (*valid, *range(max(1, a - low), a))
@@ -188,20 +193,40 @@ def decompose(s: ConnectionSet) -> LayerDecomposition:
     per_prime = []
     for p, a in factorize(s.n).factors:
         valid = _valid_levels(s, p, a)
-        bounds = (0, *valid, a)
-        sizes = tuple(b - c for b, c in zip(bounds[1:], bounds))
+        sizes = tuple(map(sub, (*valid, a), (0, *valid)))
         per_prime.append(PrimeLayers(p, a, valid, sizes))
     return LayerDecomposition(s.n, tuple(per_prime))
 
 
-def realizable_groups(s: ConnectionSet) -> tuple[list[AbelianType], bool]:
-    """Groups realizing the digraph plus an exactness flag.
+def _up_set_texts(decomposition: LayerDecomposition) -> tuple[str, list[str]]:
+    """The minimal group's canonical text and its up-set's, in up_set's order.
 
-    The list (the up-set of the minimal group) is always sound; it is
-    complete exactly when the arithmetic condition on n holds.
+    Each group is written straight from its per-prime partitions with
+    PPartition.text_of, so no group object is built.  A minimal group with
+    one part per prime is cyclic, the top of its order, and is its own
+    up-set without a walk.
+    """
+    sylow = [(layers.p, layers.minimal_parts) for layers in decomposition.per_prime]
+    minimal = "x".join([PPartition.text_of(p, parts) for p, parts in sylow])
+    if all(len(parts) == 1 for _, parts in sylow):
+        return minimal, [minimal]
+    per_prime = [
+        [PPartition.text_of(p, parts) for parts in closure]
+        for (p, _), closure in zip(sylow, _up_closures(sylow, minimal))
+    ]
+    return minimal, ["x".join(texts) for texts in product(*per_prime)]
+
+
+def realizable_groups(s: ConnectionSet) -> tuple[list[str], bool]:
+    """The canonical texts of the groups realizing the digraph, plus an
+    exactness flag.
+
+    The texts are the up-set of the minimal group, in up_set's order, so
+    Z_n comes last.  The list is always sound; it is complete exactly when
+    the arithmetic condition on n holds.
     """
     decomposition = decompose(s)
-    return up_set(decomposition.minimal_group()), decomposition.arithmetic_condition()
+    return _up_set_texts(decomposition)[1], decomposition.arithmetic_condition()
 
 
 def product_type_witness(s: ConnectionSet) -> list[tuple[int, int, Iterator[tuple[int, int]]]]:
@@ -245,16 +270,11 @@ def translation_check(s: ConnectionSet, p: int, level: int) -> bool:
 def analysis_report(s: ConnectionSet) -> dict:
     """JSON-ready report of the full analysis.
 
-    Groups are written as text straight from their per-prime partitions,
-    without building group objects; the lists match up_set's, in its order.
+    Groups are written as text straight from their per-prime partitions
+    (``_up_set_texts``); the list matches up_set's, in its order.
     """
     decomposition = decompose(s)
-    sylow = [(layers.p, layers.minimal_parts) for layers in decomposition.per_prime]
-    minimal = "x".join(PPartition.text_of(p, parts) for p, parts in sylow)
-    per_prime = [
-        [PPartition.text_of(p, parts) for parts in closure]
-        for (p, _), closure in zip(sylow, _up_closures(sylow, minimal))
-    ]
+    minimal, realizable = _up_set_texts(decomposition)
     exact = decomposition.arithmetic_condition()
     return {
         "n": s.n,
@@ -262,6 +282,6 @@ def analysis_report(s: ConnectionSet) -> dict:
         "arithmetic_condition": exact,
         "per_prime": [layers.to_json_dict() for layers in decomposition.per_prime],
         "minimal_group": minimal,
-        "realizable": ["x".join(texts) for texts in product(*per_prime)],
+        "realizable": realizable,
         "exact": exact,
     }

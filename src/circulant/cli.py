@@ -178,8 +178,8 @@ def _verdict_exit(verdicts: list[str], strict: bool, failure_exit: int) -> int:
 def _report_line(report, fmt: str) -> str:
     if fmt == "json":
         return _json_dumps(report.to_json_dict())
-    actual = "-" if report.actual is None else f"[{', '.join(g.text() for g in report.actual)}]"
-    predicted = f"[{', '.join(g.text() for g in report.predicted)}]"
+    actual = "-" if report.actual is None else f"[{', '.join(report.actual)}]"
+    predicted = f"[{', '.join(report.predicted)}]"
     return f"n={report.n} S={list(report.s)} predicted={predicted} actual={actual} verdict={report.verdict}"
 
 

@@ -39,8 +39,12 @@ ENUMERATE = "enumerate"
 class ValidationReport:
     """One verdict and its evidence.
 
-    ``aut_order`` is the engine's exact |Aut|, None when the vertex cap
-    tripped before the search; ``capped_by`` names the cap that tripped,
+    ``predicted`` and ``actual`` hold groups as their canonical texts
+    (``AbelianType.text``), ``predicted`` in up_set's order; ``actual`` is
+    None when a cap tripped.  Text is one to one on types, so the verdict
+    compares sets of texts.  ``aut_order`` is the engine's exact |Aut|,
+    None when the vertex cap tripped before the search; ``capped_by`` names
+    the cap that tripped,
     ``{"cap": "vertex_cap" | "element_cap", "value": N}``, or is None;
     ``path`` names the oracle path that decided (or was capped), None when
     the vertex cap tripped.
@@ -48,8 +52,8 @@ class ValidationReport:
 
     n: int
     s: tuple[int, ...]
-    predicted: tuple[AbelianType, ...]
-    actual: Optional[tuple[AbelianType, ...]]
+    predicted: tuple[str, ...]
+    actual: Optional[tuple[str, ...]]
     verdict: str
     aut_order: Optional[int] = None
     capped_by: Optional[dict] = None
@@ -59,8 +63,8 @@ class ValidationReport:
         return {
             "n": self.n,
             "S": list(self.s),
-            "predicted": [g.text() for g in self.predicted],
-            "actual": None if self.actual is None else [g.text() for g in self.actual],
+            "predicted": list(self.predicted),
+            "actual": None if self.actual is None else list(self.actual),
             "verdict": self.verdict,
             "aut_order": self.aut_order,
             "capped_by": self.capped_by,
@@ -225,14 +229,14 @@ def cross_validate(
     if aut_order == n:
         path, actual = REGULAR, predicted[-1:]  # Z_n, last in every up-set
     elif aut_order == factorial(n):
-        path, actual = SYMMETRIC, tuple(enumerate_abelian(n))
+        path, actual = SYMMETRIC, tuple(g.text() for g in enumerate_abelian(n))
     else:
         path, group = ENUMERATE, aut
         sylow = _sylow_subgroup(aut_order, digraph.row, vertex_cap)
         if sylow is not None:
             path, group = SYLOW, sylow
         try:
-            actual = tuple(regular_abelian_types(group, cap))
+            actual = tuple(g.text() for g in regular_abelian_types(group, cap))
         except CapacityError as exc:
             capped_by = {"cap": "element_cap", "value": exc.cap}
             return ValidationReport(

@@ -8,19 +8,20 @@ refinement by a plain loop over every ordered pair (of one coloring, or of
 several side by side, every vertex signed every round), the automorphism search
 by refining every level afresh and backtracking over plain pair checks,
 regular abelian subgroups by building each candidate subgroup as a set of
-elements, the tower group W by its coloring of valuations and digits, the
-tower digraph by wreathing its factors one by one, and up-sets and cover
-pairs of the partial order on abelian groups by testing every group, or
-every pair, with ``preceq``, the dominance test that is itself checked
-against strip peeling and subgroup chains, and nilpotency by the lower
-central series.  Permutations are image tuples, composed by ``compose``.
+elements, the regular certificate by keying each vertex with a tuple and
+counting its 2-paths pair by pair, the tower group W by its coloring of
+valuations and digits, the tower digraph by wreathing its factors one by
+one, and up-sets and cover pairs of the partial order on abelian groups by
+testing every group, or every pair, with ``preceq``, the dominance test
+that is itself checked against strip peeling and subgroup chains, and
+nilpotency by the lower central series.  Permutations are image tuples, composed by ``compose``.
 The connection-set literal is read token by token, each stripped, read and
 range-checked in turn (``parse_literal_loop``).
 """
 
 from collections import Counter
 from itertools import permutations, product
-from math import lcm
+from math import gcd, lcm
 
 from circulant.abelian import enumerate_abelian
 from circulant.analyzer import ConnectionSet, subgroup_of_order
@@ -295,6 +296,26 @@ def reference_automorphisms(m):
                     orbit = grown
         order *= len(orbit)
         base.append(x)
+
+
+def tuple_key_certificate(first):
+    """The regular certificate keyed by tuples: whether the vertices alone in
+    their key (x[v], x[-v], paths[v]) have offsets of gcd 1 with n.
+
+    x[e] is 1 where entry e of the row is its top value, and paths[v], the
+    2-paths 0 -> u -> v of that color, is summed pair by pair.
+    """
+    n = len(first)
+    top = max(first)
+    x = [int(c == top) for c in first]
+    paths = [sum(x[u] * x[(v - u) % n] for u in range(n)) for v in range(n)]
+    keys = [(x[v], x[-v], paths[v]) for v in range(n)]
+    sizes = Counter(keys)
+    g = n
+    for v, key in enumerate(keys):
+        if sizes[key] == 1:
+            g = gcd(g, v)
+    return g == 1
 
 
 def compose(p, q):

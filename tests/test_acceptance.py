@@ -62,7 +62,7 @@ def test_criterion_1_worked_example_n45():
     with _criterion("1: worked example n=45 (analyze)", 1.0):
         s = ConnectionSet.of(45, [0, 1, 15, 30])
         groups, exact = realizable_groups(s)
-        assert groups == [AbelianType.cyclic(45)]
+        assert groups == [AbelianType.cyclic(45).text()] == ["Z9xZ5"]
         assert exact is True
         assert decompose(s).minimal_group() == AbelianType.cyclic(45)
     with _criterion("1: worked example n=45 (oracle verify)", 60.0):
@@ -75,7 +75,7 @@ def test_criterion_2_block_digraph_n9():
     with _criterion("2: block digraph n=9 S={3,6}", 5.0):
         s = ConnectionSet.of(9, [3, 6])
         groups, _ = realizable_groups(s)
-        assert {g.text() for g in groups} == {"Z3^2", "Z9"}
+        assert set(groups) == {"Z3^2", "Z9"}
         assert decompose(s).minimal_group() == AbelianType.from_parts({3: (1, 1)})
         aut = automorphism_group(s.digraph())
         assert aut.cached_order == 1296  # |Sym(3) wr Sym(3)|
@@ -111,7 +111,7 @@ def test_criterion_5_prime_power_oracle_equivalence():
         # diagonal chain; the grouping reading of the order misses it
         report = cross_validate(ConnectionSet.of(16, [1, 4, 5, 9, 13]), cap=10**6)
         assert report.verdict == EXACT_MATCH
-        assert {g.text() for g in report.actual} == {"Z4^2", "Z8xZ2", "Z16"}
+        assert set(report.actual) == {"Z4^2", "Z8xZ2", "Z16"}
 
         rng = random.Random(20260810)
         cache = {}

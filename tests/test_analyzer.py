@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_coset_condition, matrix, parse_literal_loop, preceq, scan_coset_condition
+from brute import brute_coset_condition, brute_up_set, matrix, parse_literal_loop, preceq, scan_coset_condition
 from circulant import abelian, analyzer, arith
-from circulant.abelian import AbelianType, partitions, up_set
+from circulant.abelian import AbelianType, enumerate_abelian, partitions, up_set
 from circulant.analyzer import (
     ConnectionSet,
     analysis_report,
@@ -278,15 +278,15 @@ class TestMinimalAndRealizable:
 
     def test_realizable_sets(self):
         groups, exact = realizable_groups(EXAMPLE_9)
-        assert {g.text() for g in groups} == {"Z3^2", "Z9"}
+        assert set(groups) == {"Z3^2", "Z9"}
         assert exact is True
 
         groups, exact = realizable_groups(EXAMPLE_45)
-        assert [g.text() for g in groups] == ["Z9xZ5"]
+        assert groups == ["Z9xZ5"]
         assert exact is True
 
         groups, exact = realizable_groups(EXAMPLE_8)
-        assert {g.text() for g in groups} == {"Z2^3", "Z4xZ2", "Z8"}
+        assert set(groups) == {"Z2^3", "Z4xZ2", "Z8"}
         assert exact is True
 
     def test_wreathed_four_cycles_realize_three_groups(self):
@@ -298,7 +298,7 @@ class TestMinimalAndRealizable:
         assert layers.valid_levels == (2,)
         assert decompose(s).minimal_group() == AbelianType.from_parts({2: (2, 2)})
         groups, exact = realizable_groups(s)
-        assert {g.text() for g in groups} == {"Z4^2", "Z8xZ2", "Z16"}
+        assert set(groups) == {"Z4^2", "Z8xZ2", "Z16"}
         assert exact is True
 
     def test_exactness_flag_tracks_condition(self):
@@ -312,7 +312,41 @@ class TestMinimalAndRealizable:
             s = ConnectionSet.of(n, {rng.randrange(n) for _ in range(rng.randrange(0, 8))})
             h = decompose(s).minimal_group()
             groups, _ = realizable_groups(s)
-            assert all(preceq(h, k) for k in groups)
+            by_text = {g.text(): g for g in enumerate_abelian(n)}
+            assert all(preceq(h, by_text[k]) for k in groups)
+
+
+class TestUpSetTexts:
+    """``_up_set_texts``, shared by the report and the oracle's prediction,
+    against the brute-force up-set written as text."""
+
+    @staticmethod
+    def assert_brute(s, cache):
+        minimal = decompose(s).minimal_group()
+        if minimal not in cache:
+            cache[minimal] = [g.text() for g in brute_up_set(minimal)]
+        assert analyzer._up_set_texts(decompose(s)) == (minimal.text(), cache[minimal]), s
+        assert realizable_groups(s)[0] == cache[minimal], s
+        return len(minimal.invariant_factors()) > 1
+
+    def test_every_set_at_small_n(self):
+        cache, walked = {}, 0
+        for n in range(2, 13):
+            for mask in range(2**n):
+                walked += self.assert_brute(ConnectionSet.of(n, [x for x in range(n) if mask >> x & 1]), cache)
+        assert walked > 500  # 600 sets have a minimal group that is not cyclic
+
+    def test_seeded_sets_up_to_2_to_the_40(self):
+        # n = 2^a 3^b 5^c q, q = 1 or a prime: every up-set stays small enough
+        # for brute_up_set; sparse coset unions make valid levels occur
+        rng = random.Random(307)
+        cache, walked = {}, 0
+        for _ in range(500):
+            n = 2 ** rng.randrange(11) * 3 ** rng.randrange(7) * 5 ** rng.randrange(4)
+            n = max(2, n * rng.choice([1, 1, 7, 11, 8191]))
+            assert n <= 2**40
+            walked += self.assert_brute(_sparse_coset_union(rng, n), cache)
+        assert walked > 400  # 478 of them walk an up-set
 
 
 def witness_towers(s):

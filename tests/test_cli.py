@@ -10,7 +10,6 @@ import pytest
 
 import circulant.cli as cli
 from circulant import analyzer, arith, oracle
-from circulant.abelian import AbelianType
 from circulant.analyzer import ConnectionSet
 from circulant.cli import main
 from circulant.digraph import tower_connection_set
@@ -213,7 +212,7 @@ class TestVerify:
         assert out == "n=8 S=[] predicted=[Z2^3, Z4xZ2, Z8] actual=[Z2^3, Z4xZ2, Z8] verdict=exact-match\n"
 
     def test_mismatch_exit_2(self, capsys, monkeypatch):
-        fake = ValidationReport(4, (1,), (AbelianType.cyclic(4),), (), oracle.MISMATCH)
+        fake = ValidationReport(4, (1,), ("Z4",), (), oracle.MISMATCH)
         monkeypatch.setattr(cli, "cross_validate", lambda *a, **k: fake)
         code, out, _ = run_cli(capsys, "verify", "n=4;S=1")
         assert code == 2
@@ -308,7 +307,7 @@ class TestVerify:
 
     def test_batch_mismatch_outranks_a_line_without_decomposition(self, capsys, tmp_path, monkeypatch):
         real = cli.cross_validate
-        fake = ValidationReport(4, (1,), (AbelianType.cyclic(4),), (), oracle.MISMATCH)
+        fake = ValidationReport(4, (1,), ("Z4",), (), oracle.MISMATCH)
         monkeypatch.setattr(cli, "cross_validate", lambda s, **k: fake if s.n == 4 else real(s, **k))
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("n=1;S=\nn=4;S=1\n", encoding="utf-8")
@@ -319,7 +318,7 @@ class TestVerify:
 
     def test_batch_mismatch_outranks_a_capacity_error(self, capsys, tmp_path, monkeypatch):
         real = cli.cross_validate
-        fake = ValidationReport(4, (1,), (AbelianType.cyclic(4),), (), oracle.MISMATCH)
+        fake = ValidationReport(4, (1,), ("Z4",), (), oracle.MISMATCH)
         monkeypatch.setattr(cli, "cross_validate", lambda s, **k: fake if s.n == 4 else real(s, **k))
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("n=1125899906842624;S=\nn=4;S=1\n", encoding="utf-8")

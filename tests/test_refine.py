@@ -21,6 +21,7 @@ from brute import (
     brute_refine,
     reference_automorphisms,
     tower_row,
+    tuple_key_certificate,
 )
 from circulant import _refine
 from circulant.analyzer import ConnectionSet
@@ -357,6 +358,27 @@ class TestRegularCertificate:
         for p, a in [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
             rows += [[2 * c + (rng.random() < 0.4) for c in tower_row(p, a)] for _ in range(30)]
         assert self.assert_sound(rows) > 30
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_lane_keys_match_tuple_keys_on_every_adjacency_row(self, n):
+        for mask in range(2**n):
+            row = [mask >> x & 1 for x in range(n)]
+            assert _refine._fixes_every_vertex(row) is tuple_key_certificate(row), row
+
+    def test_lane_keys_match_tuple_keys_on_colored_rows(self):
+        # rows with an entry outside 0..255 make bytes() raise, so x is read
+        # by the comparison per entry instead of by translate
+        rng = random.Random(199)
+        rows = [[rng.randrange(4) for _ in range(rng.randint(1, 60))] for _ in range(300)]
+        rows += [[rng.randrange(-3, 3) for _ in range(rng.randint(1, 60))] for _ in range(300)]
+        rows += [[rng.randrange(250, 262) for _ in range(rng.randint(1, 60))] for _ in range(300)]
+        rows += [[rng.randrange(-300, 700) for _ in range(rng.randint(1, 60))] for _ in range(300)]
+        outside = 0
+        for row in rows:
+            outside += min(row) < 0 or max(row) > 255
+            assert _refine._fixes_every_vertex(row) is tuple_key_certificate(row), row
+        assert outside > 600
+        assert sum(map(tuple_key_certificate, rows)) > 100
 
     def test_a_singled_out_offset_must_generate_z_n(self):
         # Cay(Z_4, {2}): offset 2 is alone in its key, so Aut_0 fixes 0 and
