@@ -47,21 +47,19 @@ keeps each key, so it fixes each vertex alone in its key.  Conjugating by
 the shift, the points it fixes are closed under adding each such offset;
 when those offsets and n have gcd 1, the stabilizer of 0 is trivial.
 
-Circulant input: a circulant comes in as its row 0, wrapped in the
-read-only view ``Circulant``: entry [u][v] is row[(v - u) mod n], and row u
-is built only when it is indexed.  The shift v -> v+1 preserves such a
-matrix by construction, so it is not tested row by row, its row 0 is read
-as it is held, and the diagonal is the constant row[0].  The pair codes are
-their ranks, held as the view of their row 0 and built with the kernel in
-one pass over row 0 (``_convolution``), and individualizations and row
-sorts read the codes of a vertex by index arithmetic on that row, so no row
-of the codes is built for them.
+Circulant input: a circulant may come in as its row 0, wrapped in the
+read-only view ``Circulant``, an input format only: entry [u][v] is
+row[(v - u) mod n], and the engine reads its ``row`` and indexes no row of
+the view.  The shift v -> v+1 preserves such a matrix by construction, so
+it is not tested row by row, and the diagonal is the constant row[0].
 
+Codes are rows: every structure's pair codes reach refinement and search as
+a list of n code rows.  A circulant's are their ranks, built with the kernel
+in one pass over row 0 (``_convolution``): row v is one slice of the
+doubled rank row, bytes below 256 vertices, a list from 256 on.
 Refinement and search read the pair codes alone; only ``_shift_row``,
 ``_search_codes`` and ``_diagonal_colors`` read the matrix.  The search
-compares code rows, read through the ``Circulant`` view, which builds a row
-when first indexed, and backtracks in a loop, so Python's recursion limit
-does not bound its depth.
+backtracks in a loop, so Python's recursion limit does not bound its depth.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
@@ -80,27 +78,23 @@ from operator import add
 class Circulant:
     """The read-only n x n matrix [u][v] = row[(v - u) mod n] of its row 0.
 
-    Row u, row 0 rotated right by u, is built when it is first indexed and
-    kept; iterating builds every row.  The engine reads a circulant's shift,
-    diagonal, pair codes and convolution kernel from ``row`` alone.
+    An input format: indexing row u slices it, row 0 rotated right by u, on
+    each call.  The engine reads a circulant's shift, diagonal, pair codes
+    and convolution kernel from ``row`` alone.
     """
 
-    __slots__ = ("row", "_rows")
+    __slots__ = ("row",)
 
     def __init__(self, row):
         self.row = tuple(row)
-        self._rows = [None] * len(self.row)
 
     def __len__(self):
         return len(self.row)
 
     def __getitem__(self, u):
-        built = self._rows[u]
-        if built is None:
-            n = len(self.row)
-            u %= n
-            built = self._rows[u] = self.row[n - u :] + self.row[: n - u]
-        return built
+        n = len(self.row)
+        u = range(n)[u]  # IndexError past either end, as for a list
+        return self.row[n - u :] + self.row[: n - u]
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.row)))
@@ -132,8 +126,10 @@ def _convolution(first):
 
     Code (v, u), the pair (m[v][u], m[u][v]), has rank r[(v - u) mod n],
     where r[e] is the rank of code (e, 0) among the codes.  Ranks replace
-    the codes everywhere: the first value returned is the ``Circulant`` of
-    row 0 of the ranks, r[-u] at u, and the second their span.
+    the codes everywhere.  The first value returned is the n code rows: row
+    0 holds r[-u] at u, and row v, row 0 rotated right by v, is one slice
+    of row 0 doubled, bytes below n = 256 and a list from 256 on.  The
+    second is their span.
 
     The kernel is r as bytes and, for each rank j > 0, the int whose byte e
     is 1 where r[e] = j (Kronecker substitution): for X the indicator bytes
@@ -149,7 +145,8 @@ def _convolution(first):
     if len(r) < _KERNEL_LIMIT:
         r = bytes(r)
         kernel = r, [int.from_bytes(r.translate(_INDICATORS[j]), "little") for j in range(1, len(rank))]
-    return Circulant(r[:1] + r[:0:-1]), len(rank), kernel
+    n, doubled = len(r), (r[:1] + r[:0:-1]) * 2
+    return [doubled[n - v : 2 * n - v] for v in range(n)], len(rank), kernel
 
 
 def _product_counts(x, ys, n):
@@ -201,20 +198,11 @@ def _fixes_every_vertex(first):
     return False
 
 
-def _sorted_rows(codes, width, colors, opened):
-    """The color of each vertex in ``opened`` and the sorted multiset of
-    (color of u, code of (v, u)), one int each.
-
-    Codes held as a ``Circulant`` are read by index arithmetic on row 0:
-    row v is row 0 rotated right by v.
-    """
+def _sorted_rows(rows, width, colors, opened):
+    """The color of each vertex v in ``opened`` and the sorted multiset of
+    (color of u, code of (v, u)), one int each, from v's code row."""
     shifted = [c * width for c in colors]
-    if isinstance(codes, Circulant):
-        n, doubled = len(colors), codes.row * 2
-        rows = (doubled[n - v : 2 * n - v] for v in opened)
-    else:
-        rows = map(codes.__getitem__, opened)
-    return [(colors[v], tuple(sorted(map(add, row, shifted)))) for v, row in zip(opened, rows)]
+    return [(colors[v], tuple(sorted(map(add, rows[v], shifted)))) for v in opened]
 
 
 def _code_counts(kernel, colors, sizes, opened):
@@ -333,17 +321,10 @@ def _individualize(codes, colors, *points):
     the code of (v, x), and x is alone.  Every point's coloring is numbered
     on one shared table in order of first appearance, and every point gets
     color 0, the sentinel key None's, which no real key equals, so the
-    colorings can be refined side by side.  For codes held as
-    a ``Circulant``, code (v, x) is row[(x - v) mod n], so the column is a
-    reversed slice of the doubled row 0.
+    colorings can be refined side by side.
     """
     rows, width, _ = codes
-    if isinstance(rows, Circulant):
-        doubled, n = rows.row * 2, len(rows)
-        columns = [doubled[x + n : x : -1] for x in points]
-    else:
-        columns = [[row[x] for row in rows] for x in points]
-    keyed = [[c * width + e for c, e in zip(colors, column)] for column in columns]
+    keyed = [[c * width + row[x] for c, row in zip(colors, rows)] for x in points]
     for x, keys in zip(points, keyed):
         keys[x] = None
     table = {None: 0}
@@ -492,11 +473,10 @@ def automorphisms(m):
     refinement would return the same, since no search finds a witness in a
     trivial stabilizer.
 
-    m may be a ``Circulant``: the engine reads its row 0 alone, and a level
-    that needs a search builds the code rows the search reads.  A circulant
-    with |Aut| = n that the certificate settles, or whose refinement with
-    vertex 0 individualized is discrete, builds no row of the matrix or of
-    its codes.
+    m may be a ``Circulant``, an input format: the engine reads its ``row``
+    alone and indexes no row of the view.  A circulant the certificate
+    settles builds no code; any other gets its code rows from that row
+    (``_convolution``).
     """
     n = len(m)
     first = _shift_row(m)

@@ -157,8 +157,8 @@ def automorphism_group(matrix: Sequence[Sequence[int]], vertex_cap: int = DEFAUL
 
     Entry [u][v] colors the ordered pair (u, v), and the diagonal colors the
     vertices; a digraph is its 0/1 adjacency matrix.  The matrix may be the
-    engine's ``_refine.Circulant`` view of a first row, which builds row u
-    only when it is indexed.
+    engine's ``_refine.Circulant`` view of a first row, an input format from
+    which the engine reads that row alone.
     """
     n = len(matrix)
     if n > vertex_cap:

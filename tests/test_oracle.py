@@ -355,8 +355,11 @@ class TestValidationReport:
         assert payload["path"] is None
 
     def test_capped_json_actual_null(self):
-        report = ValidationReport(16, (), (AbelianType.cyclic(16),), None, ORACLE_CAPPED)
-        assert report.to_json_dict()["actual"] is None
+        # a report holds texts, so its JSON round-trips with actual null
+        report = ValidationReport(16, (), ("Z16",), None, ORACLE_CAPPED)
+        payload = report.to_json_dict()
+        assert payload["actual"] is None
+        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestPaths:

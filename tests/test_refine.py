@@ -282,6 +282,36 @@ def dense(row):
     return tuple(tuple(row[(v - u) % n] for v in range(n)) for u in range(n))
 
 
+class TestCodeRows:
+    """A circulant's code rows from ``_convolution``: codes agree exactly when
+    the pairs (m[v][u], m[u][v]) they code agree, held as bytes below 256
+    vertices and as lists from 256 on."""
+
+    def assert_rows_code_the_pairs(self, row):
+        n = len(row)
+        rows, width, kernel = _refine._convolution(row)
+        assert len(rows) == n and (kernel is not None) is (n < 256)
+        assert all(type(r) is (bytes if n < 256 else list) and len(r) == n for r in rows), row
+        m = dense(row)
+        code_of, pair_of = {}, {}
+        for v in range(n):
+            for u in range(n):
+                pair, code = (m[v][u], m[u][v]), rows[v][u]
+                assert code_of.setdefault(pair, code) == code and pair_of.setdefault(code, pair) == pair, (row, v, u)
+        assert width == len(code_of), row
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_adjacency_row(self, n):
+        for mask in range(2**n):
+            self.assert_rows_code_the_pairs([mask >> x & 1 for x in range(n)])
+
+    @pytest.mark.parametrize("n", [16, 64, 255, 256])
+    def test_three_color_rows(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            self.assert_rows_code_the_pairs([rng.randrange(3) for _ in range(n)])
+
+
 class TestCirculantView:
     """A circulant given as its ``Circulant`` view against the same matrix as
     tuple rows, on which the engine tests the shift row by row."""
@@ -292,9 +322,9 @@ class TestCirculantView:
             row = [rng.randrange(-2, 3) for _ in range(n)]
             view = _refine.Circulant(row)
             assert len(view) == n and list(view) == list(dense(row)), row
-            # a row indexed out of order is built once and kept
+            # a row is sliced afresh on each call, and equal each time
             u = rng.randrange(n)
-            assert view[u] is view[u]
+            assert view[u] == view[u] == dense(row)[u]
             assert view[u - n] == dense(row)[u]
 
     def assert_same_search(self, row):
@@ -319,6 +349,40 @@ class TestCirculantView:
         rng = random.Random(p**a)
         for _ in range(40):
             self.assert_same_search([2 * c + (rng.random() < 0.4) for c in tower_row(p, a)])
+
+    def test_the_engine_reads_the_row_alone(self, monkeypatch):
+        # inputs that refine and backtrack, with every row of the view
+        # refused: the codes are rows of their own, and the engine reads the
+        # view's ``row`` alone
+        n = 64
+        s = {y for x in range(1, n // 2) if bin(x).count("1") % 2 for y in (x, n - x)}
+        rows = [[int(x in {1, 2, 5, 17}) for x in range(40)], [int(x in s) for x in range(n)]]
+        rng = random.Random(211)
+        for p, a in [(2, 4), (5, 2), (3, 3)]:
+            # the Sylow search's pairing rows, and the tower paired with S empty
+            paired = reference_rows(rng, [p**a])[2]
+            rows += [paired, [c & 2 for c in paired]]
+        expected = [reference_automorphisms(dense(row)) for row in rows]
+        assert expected[1][1] == 256 and [order for _, order in expected[3::2]] == [2**15, 5**6, 3**13]
+
+        def refuse(*args):
+            raise AssertionError("a row of the Circulant view was indexed")
+
+        searches = []
+        real_search = _refine.iso_search
+
+        def counted(*args, **kwargs):
+            searches.append(args[1:3])  # x and y
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(_refine.Circulant, "__getitem__", refuse)
+        monkeypatch.setattr(_refine.Circulant, "__iter__", refuse)
+        monkeypatch.setattr(_refine, "iso_search", counted)
+        for row, want in zip(rows, expected):
+            searches.clear()
+            assert _refine.automorphisms(_refine.Circulant(row)) == want, row
+            # the shift alone gives order n; every larger order needs witnesses
+            assert bool(searches) is (want[1] > len(row)), row
 
     def test_a_tuple_matrix_is_tested_for_the_shift(self):
         # the 6-cycle with a loop at 0 alone is not circulant; its tuple rows

@@ -50,6 +50,7 @@ REMOVED_METHODS = [
     ("Permutation", "identity"),
     (Factorization, "primes"),  # its one caller was arith.arithmetic_condition
     (PrimeLayers, "minimal_sylow"),  # its one caller was LayerDecomposition.minimal_group
+    (_refine.Circulant, "_rows"),  # the view is an input format; it caches no row
 ]
 
 
