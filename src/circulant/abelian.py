@@ -194,8 +194,8 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
 def _partition_count(a: int) -> int | None:
     """p(a), the number of partitions of a, or None when it is past GROUP_LIST_CAP.
 
-    _dominating_count is exact at 1^a but takes O(a^2) steps, and p grows
-    with a, so no a past the first exponent over the cap is counted.
+    _dominating_count's pentagonal recurrence takes O(a^1.5) steps at 1^a,
+    and p grows with a, so no a past the first exponent over the cap is counted.
     """
     if any(_partition_count(b) is None for b in range(1, a)):
         return None

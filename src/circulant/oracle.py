@@ -5,10 +5,10 @@ the engine's ``_refine.Circulant`` view, and gets the exact order of its
 automorphism group.  It decides the regular abelian subgroups from that
 order when it can; otherwise it enumerates the group (or, for n = p^a, its
 meet with the automorphism group of the tower circulant when that is a
-Sylow subgroup), under a cap, and searches it for regular abelian subgroups
-of every candidate isomorphism type.  Agreement with the analyzer must be
-exact when the arithmetic condition holds and a sound superset otherwise;
-anything else is a MISMATCH.
+Sylow subgroup), under a cap, and searches it, as its closure holds it, for
+regular abelian subgroups of every candidate isomorphism type.  Agreement
+with the analyzer must be exact when the arithmetic condition holds and a
+sound superset otherwise; anything else is a MISMATCH.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from .analyzer import ConnectionSet, realizable_groups
 from .arith import factorize
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, cayley_digraph, tower_connection_set
 from .errors import CapacityError
-from .permgroup import PermGroup, automorphism_group
+from .permgroup import PermGroup, _encoding, automorphism_group
 
 EXACT_MATCH = "exact-match"
 SOUND_SUBSET = "sound-subset"
@@ -98,20 +98,6 @@ def _uniform_cycles(images) -> tuple[Optional[int], list[int]]:
     return common, cycle_of
 
 
-def _uniform_pools(elements: tuple[tuple[int, ...], ...], n: int) -> dict[int, list[tuple[int, ...]]]:
-    """Group size-d candidates: elements whose cycles all have length exactly d.
-
-    Any member of a semiregular subgroup has uniform cycle length equal to
-    its order, so everything else is discarded up front.
-    """
-    pools: dict[int, list[tuple[int, ...]]] = {}
-    for g in elements:
-        length = _uniform_cycles(g)[0]
-        if length is not None and length > 1 and n % length == 0:
-            pools.setdefault(length, []).append(g)
-    return pools
-
-
 def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
     """Backtrack over commuting tuples matching the invariant-factor orders.
 
@@ -124,9 +110,11 @@ def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
     likewise the h*g^j are distinct).  Only if: when g^j fixes an orbit Hx
     for some 0 < j < d, some h^-1*g^j fixes x, so g^j is in H and the order
     falls short.  A g inside H induces the identity and is rejected too.
+    Pools hold elements in ``_encoding(degree)``; each chosen c keeps its table.
     """
+    _, table, compose = _encoding(degree)
 
-    def extend(i: int, chosen: list[tuple[int, ...]], orbit_of: list[int], start: int) -> bool:
+    def extend(i: int, chosen: list, orbit_of: list[int], start: int) -> bool:
         if i == len(factors):
             return True  # order n and semiregular, hence regular
         d = factors[i]
@@ -135,15 +123,15 @@ def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
         begin = start if i > 0 and factors[i - 1] == d else 0
         for j in range(begin, len(pool)):
             g = pool[j]
-            # g commutes with c iff g(c(x)) = c(g(x)) for every x
-            if any(tuple(map(g.__getitem__, c)) != tuple(map(c.__getitem__, g)) for c in chosen):
+            g_table = table(g)  # g commutes with c iff c(g(x)) = g(c(x)) for every x
+            if any(compose(g, c_table) != compose(c, g_table) for c, c_table in chosen):
                 continue
             # g sends the orbit of x to the orbit of g(x)
             induced = dict(zip(orbit_of, map(orbit_of.__getitem__, g)))
             length, cycle_of = _uniform_cycles(induced)
             if length != d:
                 continue
-            if extend(i + 1, chosen + [g], [cycle_of[o] for o in orbit_of], j + 1):
+            if extend(i + 1, chosen + [(g, g_table)], [cycle_of[o] for o in orbit_of], j + 1):
                 return True
         return False
 
@@ -156,11 +144,16 @@ def regular_abelian_types(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> l
     A commuting tuple with the type's invariant-factor orders generating a
     semiregular subgroup of full order n is automatically regular, and its
     abstract type is forced by the orders, so existence of such a tuple is
-    exactly containment of the type.
+    exactly containment of the type.  Every cycle of a member of a
+    semiregular subgroup has the length of its order, so the search pools
+    the closure's elements, unsorted, by their common cycle length d > 1.
     """
     n = group.degree
-    elements = group.elements(cap)
-    pools = _uniform_pools(elements, n)
+    pools = {}
+    for g in group._closure(cap):
+        length = _uniform_cycles(g)[0]
+        if length is not None and length > 1:
+            pools.setdefault(length, []).append(g)
     found = []
     for candidate in enumerate_abelian(n):
         factors = candidate.invariant_factors()

@@ -1,13 +1,13 @@
 """Desk-scale permutation groups: element closure, 2-closure, digraph automorphisms.
 
-A permutation is its image tuple, and groups are given by generators.
-Element enumeration is a Dimino-style closure under a configurable cap
-(default 10^6); there is deliberately no stabilizer chain machinery, and
-nilpotency is read off a certified prime-power order or Sylow counts.
-Automorphism groups come from the refinement search engine, which reads a
-square matrix of arc colors (a digraph is its 0/1 adjacency matrix, and a
-circulant the engine's view of its first row) and also reports the exact
-group order, cached on the returned group.
+A permutation is its image tuple, held and composed as ``_encoding`` says,
+and groups are given by generators.  Element enumeration is a Dimino-style
+closure under a cap (default 10^6); there is deliberately no stabilizer
+chain machinery, and nilpotency is read off a certified prime-power order
+or Sylow counts.  Automorphism groups come from the refinement search
+engine, which reads a square matrix of arc colors (a digraph is its 0/1
+adjacency matrix, and a circulant the engine's view of its first row) and
+also reports the exact group order, cached on the returned group.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,18 @@ from . import _refine
 from .arith import factorize
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP
 from .errors import CapacityError
+
+
+def _encoding(degree: int):
+    """``(encode, table, compose)`` for permutations of 0..degree-1, with
+    ``compose(e, table(r))`` holding x -> r[e[x]].  Below degree 256 one is
+    ``bytes`` and composing is one C-level ``bytes.translate``; from 256 on
+    it is an image tuple.  Both index, iterate and sort like image tuples.
+    """
+    if degree < 256:
+        pad = bytes(range(degree, 256))
+        return bytes, lambda r: r + pad, bytes.translate
+    return tuple, lambda r: r.__getitem__, lambda e, t: tuple(map(t, e))
 
 
 @dataclass
@@ -45,23 +57,16 @@ class PermGroup:
         return cls(n, (tuple((x + 1) % n for x in range(n)),), cached_order=n)
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[tuple[int, ...], ...]:
-        """All elements, sorted, by BFS closure; CapacityError past the cap."""
+        """All elements as sorted image tuples; CapacityError past the cap."""
+        return tuple(map(tuple, sorted(self._closure(cap))))
+
+    def _closure(self, cap: int) -> list:
+        """All elements in ``_encoding(degree)``, unsorted, by Dimino-style
+        closure.  CapacityError past the cap, at once when the cached order
+        is; RuntimeError when the count disagrees with the cached order."""
         if self.cached_order is not None and self.cached_order > cap:
             raise CapacityError("group order exceeds element cap", cap)
-        els = self._closure(cap)
-        if self.cached_order is not None and self.cached_order != len(els):
-            raise RuntimeError(f"cached order {self.cached_order} != enumerated {len(els)}")
-        return els
-
-    def _closure(self, cap: int) -> tuple[tuple[int, ...], ...]:
-        # Dimino-style incremental closure.  compose(e, table(r)) has images
-        # x -> r[e[x]]: below degree 256 images are bytes and composing is one
-        # C-level translate, from 256 on they are tuples.
-        if self.degree < 256:
-            pad = bytes(range(self.degree, 256))
-            encode, table, compose = bytes, lambda r: r + pad, bytes.translate
-        else:
-            encode, table, compose = tuple, lambda r: r.__getitem__, lambda e, t: tuple(map(t, e))
+        encode, table, compose = _encoding(self.degree)
         gens = [encode(g) for g in self.generators]
         identity = encode(range(self.degree))
         els_list = [identity]
@@ -88,7 +93,9 @@ class PermGroup:
                             raise CapacityError("group order exceeds element cap", cap)
                 for t in step_tables:
                     queue.append(compose(r, t))
-        return tuple(map(tuple, sorted(els_set)))
+        if self.cached_order is not None and self.cached_order != len(els_list):
+            raise RuntimeError(f"cached order {self.cached_order} != enumerated {len(els_list)}")
+        return els_list
 
     def order(self) -> int:
         if self.cached_order is not None:

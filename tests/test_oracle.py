@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import combinations
 from math import gcd
 
@@ -15,7 +16,7 @@ from brute import (
     is_identity,
     tower_row,
 )
-from circulant import _refine, oracle
+from circulant import _refine, oracle, permgroup
 from circulant.abelian import AbelianType, enumerate_abelian, up_set
 from circulant.arith import factorize
 from circulant.analyzer import ConnectionSet, decompose, realizable_groups
@@ -122,7 +123,8 @@ class TestRegularAbelianTypes:
         ):
             assert compose(g, h) == compose(h, g) and has_fixed_point(compose(h, g))
             for pool in ([h, g], [g, h]):
-                assert not _search_type({2: pool}, (2, 2), 8)
+                # the search takes pools in the closure's encoding, bytes below degree 256
+                assert not _search_type({2: list(map(bytes, pool))}, (2, 2), 8)
                 assert not element_set_search({2: pool}, (2, 2), 8)
             group = PermGroup(8, (h, g))
             assert regular_abelian_types(group) == element_set_types(group, 8) == []
@@ -186,6 +188,35 @@ class TestRegularAbelianTypes:
         aut = automorphism_group(cayley_digraph(10, set()))  # Sym(10)
         with pytest.raises(CapacityError):
             regular_abelian_types(aut, cap=10**6)
+
+    def test_cached_order_past_the_cap_builds_no_element(self, monkeypatch):
+        # Z_4 has 4 <= cap elements, so only the cached order can refuse it
+        def unbuilt(degree):
+            raise AssertionError("an element was built")
+
+        monkeypatch.setattr(permgroup, "_encoding", unbuilt)
+        group = PermGroup(4, PermGroup.cyclic(4).generators, cached_order=5)
+        with pytest.raises(CapacityError) as err:
+            regular_abelian_types(group, cap=4)
+        assert err.value.cap == 4
+
+    @pytest.mark.parametrize("wrong", [3, 5])
+    def test_wrong_cached_order_raises(self, wrong):
+        group = PermGroup(4, PermGroup.cyclic(4).generators, cached_order=wrong)
+        with pytest.raises(RuntimeError, match=f"cached order {wrong} != enumerated 4"):
+            regular_abelian_types(group)
+
+    def test_tuple_search_past_byte_degree(self):
+        # D_260 has degree 260 >= 256, so the closure and the search hold
+        # tuples; a commutation test that always passed would also find
+        # Z2^2xZ5xZ13 among its reflections and rotations
+        aut = automorphism_group(cayley_digraph(260, {1, 259}), vertex_cap=260)
+        assert aut.cached_order == 520
+        start = time.perf_counter()
+        found = regular_abelian_types(aut)
+        assert time.perf_counter() - start < 2
+        assert found == element_set_types(aut, 260)
+        assert [t.text() for t in found] == ["Z4xZ5xZ13"]
 
     @pytest.mark.parametrize(
         "n,s",
@@ -464,8 +495,26 @@ class TestPaths:
         # x = 3^j * y, y prime to 3: color 3j + y % 3; 0 alone gets 3a
         assert tower_row(3, 2) == [6, 1, 2, 4, 1, 2, 5, 1, 2]
 
+    @pytest.mark.parametrize(
+        "n,s,expected",
+        [
+            (9, [3, 6], {"predicted": ["Z3^2", "Z9"], "actual": ["Z3^2", "Z9"], "aut_order": 1296, "path": "sylow"}),
+            (12, [6], {"predicted": ["Z2^2xZ3", "Z4xZ3"], "actual": ["Z2^2xZ3", "Z4xZ3"], "aut_order": 46080,
+                       "path": "enumerate"}),
+        ],
+    )
+    def test_search_makes_no_sorted_tuple_copy(self, n, s, expected, monkeypatch):
+        # the oracle searches the closure as it holds it; elements() is the
+        # sorted public view and is never built on the way
+        def refused(self, *args):
+            raise AssertionError("the oracle built elements()")
+
+        monkeypatch.setattr(PermGroup, "elements", refused)
+        report = cross_validate(ConnectionSet.of(n, s)).to_json_dict()
+        assert report == {"n": n, "S": s, "verdict": EXACT_MATCH, "capped_by": None, **expected}
+
     def test_regular_path_enumerates_nothing(self, monkeypatch):
-        calls = {"elements": 0, "_search_type": 0, "digraph": 0, "__iter__": 0}
+        calls = {"elements": 0, "_closure": 0, "_search_type": 0, "digraph": 0, "__iter__": 0}
 
         def counted(owner, name):
             real = getattr(owner, name)
@@ -477,12 +526,13 @@ class TestPaths:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(PermGroup, "elements")
+        counted(PermGroup, "_closure")
         counted(oracle, "_search_type")
         counted(ConnectionSet, "digraph")
         counted(_refine.Circulant, "__iter__")
         report = cross_validate(ConnectionSet.of(40, [1, 2, 5, 17]))
         assert (report.path, report.aut_order, report.verdict) == ("regular", 40, EXACT_MATCH)
-        assert calls == {"elements": 0, "_search_type": 0, "digraph": 0, "__iter__": 0}
+        assert calls == {"elements": 0, "_closure": 0, "_search_type": 0, "digraph": 0, "__iter__": 0}
 
     def test_regular_path_reads_the_cyclic_group_off_the_prediction(self, monkeypatch):
         # every up-set lists Z_n last (TestUpSet::test_cyclic_group_comes_last),

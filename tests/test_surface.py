@@ -37,6 +37,7 @@ REMOVED_FUNCTIONS = [
     ("permgroup", "rotation"),  # PermGroup.cyclic(n).generators[0]
     ("permgroup", "Permutation"),  # a permutation is its image tuple
     ("oracle", "_tower_row"),
+    ("oracle", "_uniform_pools"),  # regular_abelian_types pools the closure inline
 ]
 
 # An owner given by name is a class deleted from circulant.permgroup; its methods stay gone with it.
