@@ -7,7 +7,6 @@ the automorphism group at desk scale.
 
 from .abelian import (
     AbelianType,
-    PPartition,
     enumerate_abelian,
     hasse_edges,
     up_set,
@@ -42,7 +41,6 @@ __all__ = [
     "CapacityError",
     "ConnectionSet",
     "LayerDecomposition",
-    "PPartition",
     "PermGroup",
     "PrimeLayers",
     "ValidationReport",

@@ -1,7 +1,7 @@
 """Abelian groups of order n and the realizability partial orders on them.
 
 An abelian p-group is an integer partition of the exponent; an abelian group
-of order n is one partition per prime.  The realizability order compares
+of order n is one (p, parts) pair per prime.  The realizability order compares
 p-groups by chains with cyclic quotients (dominance of the exponent
 partitions) and groups of order n prime by prime; its test on one pair of
 groups is the dominance reference in tests/brute.py.
@@ -16,105 +16,74 @@ An up-set of a partition of a has at most p(a) members, so one whose
 product of p(a) is within the cap is not counted.
 One helper (_up_closures) counts and walks an up-set prime by prime:
 up_set builds groups from it, and the analyzer writes each partition
-straight to text with PPartition.text_of, for its report and for the
-oracle's prediction alike.
+straight to text with text_of, for its report and for the oracle's
+prediction alike.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
+from typing import Sequence
 
 from .arith import factorize
 from .errors import CapacityError
 
-# A listed group costs about 400 bytes as objects, so a list of this many stays
-# near 40 MB, and the poset with its cover pairs under 250 MB.
+# A listed group costs about 200 bytes as objects, so a list of this many stays
+# near 20 MB; `poset` at 2^45 (89,134 groups, 329,433 cover pairs) peaks near
+# 100 MB of RSS in text and 220 MB in json.
 GROUP_LIST_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class PPartition:
-    """Abelian p-group Z_{p^i_1} x ... x Z_{p^i_m} as the partition (i_1 >= ... >= i_m)."""
-
-    p: int
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.parts or any(x < 1 for x in self.parts):
-            raise ValueError(f"parts must be positive and nonempty: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be non-increasing: {self.parts}")
-
-    @property
-    def exponent_sum(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def rank(self) -> int:
-        """Size of any irredundant generating set (the number of parts)."""
-        return len(self.parts)
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.exponent_sum
-
-    @staticmethod
-    def text_of(p: int, parts: tuple[int, ...]) -> str:
-        """Canonical text of the p-group with these parts, e.g. "Z9", "Z3^2", "Z8xZ2^2".
-
-        A static method, so that callers holding only (p, parts) build no object.
-        """
-        if len(parts) == 1:
-            return f"Z{p**parts[0]}"
-        pieces = []
-        for e in dict.fromkeys(parts):  # the distinct parts, largest first
-            count = parts.count(e)
-            pieces.append(f"Z{p**e}" if count == 1 else f"Z{p**e}^{count}")
-        return "x".join(pieces)
+def text_of(p: int, parts: tuple[int, ...]) -> str:
+    """Canonical text of the p-group with these parts, e.g. "Z9", "Z3^2", "Z8xZ2^2"."""
+    if len(parts) == 1:
+        return f"Z{p**parts[0]}"
+    pieces = []
+    for e in dict.fromkeys(parts):  # the distinct parts, largest first
+        count = parts.count(e)
+        pieces.append(f"Z{p**e}" if count == 1 else f"Z{p**e}^{count}")
+    return "x".join(pieces)
 
 
 @dataclass(frozen=True)
 class AbelianType:
-    """Isomorphism type of an abelian group: one PPartition per prime divisor."""
+    """Isomorphism type of an abelian group: one (p, parts) pair per prime
+    divisor p, primes increasing, where parts (i_1 >= ... >= i_m) is the
+    partition of the Sylow p-subgroup Z_{p^i_1} x ... x Z_{p^i_m}."""
 
-    sylow: tuple[PPartition, ...]
+    sylow: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        primes = [s.p for s in self.sylow]
+        primes = [p for p, _ in self.sylow]
         if primes != sorted(set(primes)):
             raise ValueError(f"sylow parts must be sorted by distinct primes: {primes}")
+        for _, parts in self.sylow:
+            if not parts or min(parts) < 1:
+                raise ValueError(f"parts must be positive and nonempty: {parts}")
+            if list(parts) != sorted(parts, reverse=True):
+                raise ValueError(f"parts must be non-increasing: {parts}")
 
     @classmethod
     def from_parts(cls, parts_by_prime: dict[int, tuple[int, ...]]) -> "AbelianType":
-        return cls(tuple(PPartition(p, tuple(parts)) for p, parts in sorted(parts_by_prime.items())))
+        return cls(tuple((p, tuple(parts)) for p, parts in sorted(parts_by_prime.items())))
 
     @classmethod
     def cyclic(cls, n: int) -> "AbelianType":
-        return cls(tuple(PPartition(p, (a,)) for p, a in factorize(n).factors))
+        return cls(tuple((p, (a,)) for p, a in factorize(n).factors))
 
     @property
     def order(self) -> int:
-        return prod(s.order for s in self.sylow)
-
-    def sylow_for(self, p: int) -> PPartition:
-        for s in self.sylow:
-            if s.p == p:
-                return s
-        raise KeyError(f"no Sylow {p}-subgroup in a group of order {self.order}")
+        return prod(p ** sum(parts) for p, parts in self.sylow)
 
     def invariant_factors(self) -> tuple[int, ...]:
         """Cyclic factor orders d_1 >= d_2 >= ..., each dividing the previous."""
-        width = max((s.rank for s in self.sylow), default=0)
-        factors = []
-        for j in range(width):
-            d = prod(s.p ** s.parts[j] for s in self.sylow if j < s.rank)
-            factors.append(d)
-        return tuple(factors)
+        width = max((len(parts) for _, parts in self.sylow), default=0)
+        return tuple(prod(p ** parts[j] for p, parts in self.sylow if j < len(parts)) for j in range(width))
 
     def text(self) -> str:
         """Canonical text form: prime powers joined by "x", e.g. "Z9xZ5", "Z3^2xZ5"."""
-        return "x".join([PPartition.text_of(s.p, s.parts) for s in self.sylow]) or "Z1"
+        return "x".join([text_of(p, parts) for p, parts in self.sylow]) or "Z1"
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +104,23 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def _partition_numbers(p: list[int], a: int) -> list[int]:
+    """p extended in place through p(a), the number of partitions of a.
+
+    Euler's pentagonal recurrence,
+    p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
+    gives each p(k) from the earlier ones in O(k^0.5) steps.
+    """
+    for k in range(len(p), a + 1):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+    return p
+
+
 def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int | None:
     """The number of partitions of sum(parts) that dominate parts; p(a) at 1^a.
 
@@ -143,35 +129,34 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
     left, a - s, is at most the number of rows of parts still to match, every
     completion keeps dominating (each row adds at least one box, and a
     dominating partition has no more rows than parts), so the prefix counts
-    as q(a - s, m), the partitions of a - s into rows of at most m, and is
-    dropped.  The walk takes O(a^2) memory whatever the answer.
+    as q(m, a - s), the partitions of a - s into rows of at most m, and is
+    dropped.  q(m, r) is p(r) when m >= r; below that the columns q(m, .)
+    are built one m at a time, up to the largest m the walk reads.  A walk
+    that reads only p(r), as a near-flat partition's does until it passes
+    the cap, takes O(a) ints.
 
     The count never decreases, so once it passes cap on a row of more than
     one prefix the walk stops and returns None: the answer is more than
     cap.  Each row is extended largest row first, so the next row meets the
     prefixes that are counted, not extended, first.  p(a) at 1^a is exact
-    whatever its size, and takes no walk: Euler's pentagonal recurrence,
-    p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
-    gives it in O(a) ints.
+    whatever its size, and takes no walk.
     """
     a, rows = sum(parts), len(parts)
     if parts[0] == 1:
-        p = [1]
-        for k in range(1, a + 1):
-            total, j = 0, 1
-            while (g := j * (3 * j - 1) // 2) <= k:
-                term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
-                total += term if j % 2 else -term
-                j += 1
-            p.append(total)
-        return p[a]
-    # q[m][r]: partitions of r <= rows into rows of at most m
-    q = [[1] + [0] * rows]
-    for m in range(1, rows + 1):
-        ways = q[-1][:]
-        for r in range(m, rows + 1):
-            ways[r] += ways[r - m]
-        q.append(ways)
+        return _partition_numbers([1], a)[a]
+    p = [1]
+    columns = [[1] + [0] * rows]  # columns[m][r]: partitions of r <= rows into rows of at most m
+
+    def q(m: int, r: int) -> int:
+        if m >= r:
+            return _partition_numbers(p, r)[r]
+        for size in range(len(columns), m + 1):
+            ways = columns[-1][:]
+            for t in range(size, rows + 1):
+                ways[t] += ways[t - size]
+            columns.append(ways)
+        return columns[m][r]
+
     count = 0
     prefixes = {(0, a): 1}  # (sum, last row) -> number of dominating prefixes of k rows
     bound = 0
@@ -180,7 +165,7 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
         longer: dict[tuple[int, int], int] = {}
         for (s, m), c in prefixes.items():
             if a - s <= rows - k:
-                count += c * q[min(m, a - s)][a - s]
+                count += c * q(m, a - s)
                 if count > cap and len(prefixes) > 1:
                     return None
                 continue
@@ -222,7 +207,7 @@ def enumerate_abelian(n: int) -> list[AbelianType]:
         raise ValueError(f"expected a positive integer, got {n}")
     factors = factorize(n).factors
     _cap_group_list([_dominating_count((1,) * a) for _, a in factors], f"order {n}")
-    per_prime = [[PPartition(p, parts) for parts in partitions(a)] for p, a in factors]
+    per_prime = [[(p, parts) for parts in partitions(a)] for p, a in factors]
     return [AbelianType(combo) for combo in product(*per_prime)]
 
 
@@ -260,7 +245,7 @@ def _up_closure(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _up_closures(sylow: list[tuple[int, tuple[int, ...]]], text: str) -> list[list[tuple[int, ...]]]:
+def _up_closures(sylow: Sequence[tuple[int, tuple[int, ...]]], text: str) -> list[list[tuple[int, ...]]]:
     """Per prime (p, parts) of a group written `text`, the partitions dominating parts.
 
     The up-set is their product, at most the product of p(a) over the
@@ -285,10 +270,10 @@ def up_set(h: AbelianType) -> list[AbelianType]:
     one part per prime, dominates every group of its order, so its up-set
     is [h] and nothing is walked.
     """
-    if all(len(s.parts) == 1 for s in h.sylow):
+    if all(len(parts) == 1 for _, parts in h.sylow):
         return [h]
-    closures = _up_closures([(s.p, s.parts) for s in h.sylow], h.text())
-    per_prime = [[PPartition(s.p, parts) for parts in closure] for s, closure in zip(h.sylow, closures)]
+    closures = _up_closures(h.sylow, h.text())
+    per_prime = [[(p, parts) for parts in closure] for (p, _), closure in zip(h.sylow, closures)]
     return [AbelianType(combo) for combo in product(*per_prime)]
 
 
@@ -297,18 +282,19 @@ def hasse_edges(n: int) -> list[tuple[AbelianType, AbelianType]]:
 
     In the product order, h covers g exactly when they differ at one prime,
     where h's partition covers g's in dominance order (see _covers).  Pairs
-    are listed by g, then h, in enumeration order.
+    are listed by g, then h, in enumeration order.  Each h is the enumerated
+    group, found by its sylow pairs, so no group is built here.
     """
     if n < 2:
         raise ValueError(f"expected n >= 2, got {n}")
     groups = enumerate_abelian(n)
-    index = {g: i for i, g in enumerate(groups)}
+    index = {g.sylow: i for i, g in enumerate(groups)}
     edges = []
     for g in groups:
-        above = []
-        for k, s in enumerate(g.sylow):
-            for parts in _covers(s.parts):
-                sylow = g.sylow[:k] + (PPartition(s.p, parts),) + g.sylow[k + 1:]
-                above.append(AbelianType(sylow))
-        edges.extend((g, h) for h in sorted(above, key=index.__getitem__))
+        above = [
+            index[g.sylow[:k] + ((p, cover),) + g.sylow[k + 1:]]
+            for k, (p, parts) in enumerate(g.sylow)
+            for cover in _covers(parts)
+        ]
+        edges.extend((g, groups[i]) for i in sorted(above))
     return edges

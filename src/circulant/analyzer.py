@@ -25,7 +25,7 @@ from typing import Iterator
 
 # up_set has no caller here: it stays as the patch point of perfbench's
 # abelian.up_set span, as ConnectionSet.digraph stays for digraph.digraph.
-from .abelian import AbelianType, PPartition, _up_closures, up_set
+from .abelian import AbelianType, _up_closures, text_of, up_set
 from ._refine import Circulant
 from .arith import _radical_condition, factorize
 from .digraph import cayley_digraph, tower_arcs
@@ -142,7 +142,7 @@ class LayerDecomposition:
         raise ValueError(f"{p} does not divide {self.n}")
 
     def minimal_group(self) -> AbelianType:
-        return AbelianType(tuple(PPartition(layers.p, layers.minimal_parts) for layers in self.per_prime))
+        return AbelianType(tuple((layers.p, layers.minimal_parts) for layers in self.per_prime))
 
     def arithmetic_condition(self) -> bool:
         """gcd(k, phi(k)) = 1 for k the radical of n, read off the factorization."""
@@ -201,17 +201,16 @@ def decompose(s: ConnectionSet) -> LayerDecomposition:
 def _up_set_texts(decomposition: LayerDecomposition) -> tuple[str, list[str]]:
     """The minimal group's canonical text and its up-set's, in up_set's order.
 
-    Each group is written straight from its per-prime partitions with
-    PPartition.text_of, so no group object is built.  A minimal group with
-    one part per prime is cyclic, the top of its order, and is its own
-    up-set without a walk.
+    Each group is written straight from its (p, parts) pairs with text_of,
+    so no group object is built.  A minimal group with one part per prime
+    is cyclic, the top of its order, and is its own up-set without a walk.
     """
     sylow = [(layers.p, layers.minimal_parts) for layers in decomposition.per_prime]
-    minimal = "x".join([PPartition.text_of(p, parts) for p, parts in sylow])
+    minimal = "x".join([text_of(p, parts) for p, parts in sylow])
     if all(len(parts) == 1 for _, parts in sylow):
         return minimal, [minimal]
     per_prime = [
-        [PPartition.text_of(p, parts) for parts in closure]
+        [text_of(p, parts) for parts in closure]
         for (p, _), closure in zip(sylow, _up_closures(sylow, minimal))
     ]
     return minimal, ["x".join(texts) for texts in product(*per_prime)]

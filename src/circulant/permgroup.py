@@ -100,7 +100,7 @@ class PermGroup:
     def order(self) -> int:
         if self.cached_order is not None:
             return self.cached_order
-        return len(self.elements())
+        return len(self._closure(DEFAULT_ELEMENT_CAP))
 
     def is_transitive(self) -> bool:
         return len(_refine._close_orbit({0}, self.generators)) == self.degree
@@ -192,12 +192,12 @@ def is_nilpotent(group: PermGroup) -> bool:
     elements whose order divides the p-part p^a of |G| number exactly p^a."""
     if group.cached_order is not None and len(factorize(group.cached_order).factors) <= 1:
         return True
-    orders = [_element_order(g) for g in group.elements()]
+    orders = [_element_order(g) for g in group._closure(DEFAULT_ELEMENT_CAP)]
     return all(sum(p**a % order == 0 for order in orders) == p**a for p, a in factorize(len(orders)).factors)
 
 
-def _element_order(g: tuple[int, ...]) -> int:
-    """The lcm of g's cycle lengths."""
+def _element_order(g: Sequence[int]) -> int:
+    """The lcm of g's cycle lengths, g an image tuple or ``bytes``."""
     order, seen = 1, set()
     for x in g:
         if x not in seen:

@@ -76,7 +76,7 @@ def brute_subdivision(a, b):
 
 
 def preceq_p(g, h):
-    """The realizability order on abelian p-groups.
+    """The realizability order on abelian p-groups, each a (p, parts) pair.
 
     g precedes h when g is isomorphic to the product of the cyclic quotients
     of some chain of subgroups of h.  Factoring out one cyclic subgroup
@@ -90,14 +90,15 @@ def preceq_p(g, h):
     of Z_{p^3} x Z_p by a diagonal Z_{p^2} is cyclic, so (2,2) precedes (3,1)
     although {2,2} cannot be grouped into sums {3,1}.
     """
-    if g.p != h.p:
-        raise ValueError(f"mismatched primes: {g.p} vs {h.p}")
-    if g.exponent_sum != h.exponent_sum:
+    (p, g_parts), (q, h_parts) = g, h
+    if p != q:
+        raise ValueError(f"mismatched primes: {p} vs {q}")
+    if sum(g_parts) != sum(h_parts):
         return False
     sum_g = sum_h = 0
-    for i in range(max(g.rank, h.rank)):
-        sum_g += g.parts[i] if i < g.rank else 0
-        sum_h += h.parts[i] if i < h.rank else 0
+    for i in range(max(len(g_parts), len(h_parts))):
+        sum_g += g_parts[i] if i < len(g_parts) else 0
+        sum_h += h_parts[i] if i < len(h_parts) else 0
         if sum_g > sum_h:
             return False
     return True
@@ -107,7 +108,8 @@ def preceq(g, h):
     """Product order: compare Sylow subgroups prime by prime."""
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
-    return all(preceq_p(s, h.sylow_for(s.p)) for s in g.sylow)
+    h_parts = dict(h.sylow)
+    return all(preceq_p((p, parts), (p, h_parts[p])) for p, parts in g.sylow)
 
 
 def brute_up_set(h):

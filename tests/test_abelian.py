@@ -7,7 +7,6 @@ from brute import brute_hasse_edges, brute_subdivision, brute_up_set, preceq, pr
 from circulant import abelian
 from circulant.abelian import (
     AbelianType,
-    PPartition,
     _covers,
     _dominating_count,
     _partition_count,
@@ -24,7 +23,7 @@ LARGE_ORDERS = [2**16, 3**9, 2**10 * 3**6]
 
 
 def dominates(mu, lam):
-    return preceq_p(PPartition(2, lam), PPartition(2, mu))
+    return preceq_p((2, lam), (2, mu))
 
 
 # frozen via the strip-peeling and subgroup-chain oracles in tests/brute.py:
@@ -39,36 +38,41 @@ P5_COVER_PAIRS = [
 ]
 
 
-class TestPPartition:
+class TestSylowParts:
     def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            PPartition(3, (1, 2))
+        with pytest.raises(ValueError, match=r"parts must be non-increasing: \(1, 2\)"):
+            AbelianType(((3, (1, 2)),))
 
     def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            PPartition(3, ())
-        with pytest.raises(ValueError):
-            PPartition(3, (1, 0))
+        with pytest.raises(ValueError, match=r"parts must be positive and nonempty: \(\)"):
+            AbelianType(((3, ()),))
+        with pytest.raises(ValueError, match=r"parts must be positive and nonempty: \(1, 0\)"):
+            AbelianType(((2, (1,)), (3, (1, 0))))
 
-    def test_order_and_rank(self):
-        s = PPartition(3, (2, 1, 1))
-        assert s.order == 81
-        assert s.rank == 3
+    def test_rejects_unsorted_or_duplicate_primes(self):
+        with pytest.raises(ValueError, match=r"sorted by distinct primes: \[3, 2\]"):
+            AbelianType(((3, (1,)), (2, (1,))))
+        with pytest.raises(ValueError, match=r"sorted by distinct primes: \[3, 3\]"):
+            AbelianType(((3, (1,)), (3, (2,))))
+
+    def test_order(self):
+        assert AbelianType(((3, (2, 1, 1)),)).order == 81
+        assert AbelianType(((2, (1,)), (3, (2, 1, 1)))).order == 162
 
 
 class TestPreceq:
     def test_preceq_p_examples(self):
-        assert preceq_p(PPartition(3, (2, 2, 1)), PPartition(3, (3, 2)))
-        assert preceq_p(PPartition(5, (1, 1, 1, 1, 1)), PPartition(5, (5,)))
-        assert not preceq_p(PPartition(2, (3, 1)), PPartition(2, (2, 2)))
-        assert not preceq_p(PPartition(2, (2, 2)), PPartition(2, (2, 1, 1)))
+        assert preceq_p((3, (2, 2, 1)), (3, (3, 2)))
+        assert preceq_p((5, (1, 1, 1, 1, 1)), (5, (5,)))
+        assert not preceq_p((2, (3, 1)), (2, (2, 2)))
+        assert not preceq_p((2, (2, 2)), (2, (2, 1, 1)))
 
     def test_diagonal_chain_relations(self):
         # a diagonal Z_{p^2} inside Z_{p^3} x Z_p has cyclic quotient Z_{p^2},
         # so (2,2) precedes (3,1) even though no grouping of {2,2} gives {3,1};
         # confirmed by the subgroup-chain oracle and by a realizable circulant
-        assert preceq_p(PPartition(2, (2, 2)), PPartition(2, (3, 1)))
-        assert preceq_p(PPartition(2, (2, 2, 1)), PPartition(2, (3, 1, 1)))
+        assert preceq_p((2, (2, 2)), (2, (3, 1)))
+        assert preceq_p((2, (2, 2, 1)), (2, (3, 1, 1)))
         assert not brute_subdivision((2, 2), (3, 1))
 
     def test_matches_strip_peeling_oracle(self):
@@ -78,7 +82,7 @@ class TestPreceq:
             for h in partitions(k):
                 reachable = brute_strip_peelings(h)
                 for g in partitions(k):
-                    assert preceq_p(PPartition(2, g), PPartition(2, h)) is (
+                    assert preceq_p((2, g), (2, h)) is (
                         g in reachable
                     ), (g, h)
 
@@ -90,7 +94,7 @@ class TestPreceq:
                 for h in partitions(k):
                     products = brute_chain_products(h, p)
                     for g in partitions(k):
-                        assert preceq_p(PPartition(p, g), PPartition(p, h)) is (
+                        assert preceq_p((p, g), (p, h)) is (
                             g in products
                         ), (p, g, h)
 
@@ -106,7 +110,7 @@ class TestPreceq:
 
     def test_preceq_p_rejects_mismatched_primes(self):
         with pytest.raises(ValueError):
-            preceq_p(PPartition(2, (1,)), PPartition(3, (1,)))
+            preceq_p((2, (1,)), (3, (1,)))
 
     def test_preceq_examples(self):
         g = AbelianType.from_parts({3: (1, 1), 5: (1,)})
@@ -125,24 +129,24 @@ class TestPreceq:
     def test_poset_laws_exhaustive(self):
         # reflexivity, antisymmetry, transitivity over all partitions of k <= 8
         for k in range(1, 9):
-            parts = [PPartition(2, p) for p in partitions(k)]
+            parts = [(2, p) for p in partitions(k)]
             for a in parts:
                 assert preceq_p(a, a)
             for a, b in product(parts, repeat=2):
                 if a != b and preceq_p(a, b):
                     assert not preceq_p(b, a)
-            rel = {(a.parts, b.parts) for a in parts for b in parts if preceq_p(a, b)}
+            rel = {(a, b) for a in parts for b in parts if preceq_p(a, b)}
             for a, b in rel:
                 for c in parts:
-                    if (b, c.parts) in rel:
-                        assert (a, c.parts) in rel
+                    if (b, c) in rel:
+                        assert (a, c) in rel
 
     def test_min_and_max_elements(self):
         for k in range(1, 9):
-            bottom = PPartition(2, (1,) * k)
-            top = PPartition(2, (k,))
+            bottom = (2, (1,) * k)
+            top = (2, (k,))
             for p in partitions(k):
-                other = PPartition(2, p)
+                other = (2, p)
                 assert preceq_p(bottom, other)
                 assert preceq_p(other, top)
 
@@ -331,7 +335,7 @@ class TestHasse:
     def test_p5_cover_pairs(self):
         for p in (2, 3):
             edges = {
-                (a.sylow_for(p).parts, b.sylow_for(p).parts) for a, b in hasse_edges(p**5)
+                (dict(a.sylow)[p], dict(b.sylow)[p]) for a, b in hasse_edges(p**5)
             }
             assert edges == set(P5_COVER_PAIRS)
 
@@ -348,12 +352,12 @@ class TestHasse:
         # the order is total on partitions of k <= 5; at k = 6 the types
         # Z_8xZ_2^3 and Z_4^3 are incomparable (12 cover pairs, frozen from
         # the strip-peeling oracle)
-        a = PPartition(2, (3, 1, 1, 1))
-        b = PPartition(2, (2, 2, 2))
+        a = (2, (3, 1, 1, 1))
+        b = (2, (2, 2, 2))
         assert not preceq_p(a, b) and not preceq_p(b, a)
         assert len(enumerate_abelian(2**6)) == 11
         edges = {
-            (x.sylow_for(2).parts, y.sylow_for(2).parts) for x, y in hasse_edges(2**6)
+            (dict(x.sylow)[2], dict(y.sylow)[2]) for x, y in hasse_edges(2**6)
         }
         assert edges == {
             ((1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1)),
@@ -373,6 +377,24 @@ class TestHasse:
     def test_matches_brute_cover_check(self):
         for n in list(range(2, 401)) + LARGE_ORDERS[:2]:
             assert hasse_edges(n) == brute_hasse_edges(n), n
+
+    def test_builds_only_the_enumerated_groups(self, monkeypatch):
+        # each h is the enumerated group with its sylow pairs, looked up, not built
+        built = []
+        real = AbelianType.__post_init__
+
+        def counted(group):
+            built.append(group)
+            real(group)
+
+        monkeypatch.setattr(AbelianType, "__post_init__", counted)
+        for n in (2**6, 2**4 * 3**3, 360):
+            expected = brute_hasse_edges(n)
+            built.clear()
+            edges = hasse_edges(n)
+            during = built[:]
+            assert during == enumerate_abelian(n), n
+            assert edges == expected, n
 
     def test_transitive_closure_matches_strict_order(self):
         for k in range(2, 7):

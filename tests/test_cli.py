@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -625,6 +626,29 @@ class TestMemoryBound:
             "capacity: up-set of Z2^2000 would have 4720819175619413888601432406799959512200344166 groups (cap=100000)\n"
         )
         assert result.stdout == ""
+
+    def test_near_flat_up_set_count_in_linear_memory(self):
+        # Z4xZ2^1998: the dominance walk passes the cap while it reads only
+        # p(r); building the (a+1)^2 table first ran out of 100 MB here
+        result = run_capped("analyze", f"n={2**2000};S={2**1999},{2**1999 + 2**1998}", megabytes=100)
+        assert result.returncode == 1
+        assert result.stderr == (
+            "capacity: up-set of Z4xZ2^1998 would have more than 100000 groups (cap=100000)\n"
+        )
+        assert result.stdout == ""
+
+    def test_poset_pairs_the_enumerated_groups(self):
+        # 44,583 groups of order 2^41 and 156,095 cover pairs: a group built
+        # for every pair ran out of 110 MB here; pairing the enumerated
+        # groups fits in 100 MB
+        result = run_capped("poset", str(2**41), megabytes=100)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == "44583 abelian groups of order 2199023255552:"
+        assert lines[44584] == "156095 cover pairs:"
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "0c85f3c17cf7c9d85bd4f7b0816a2de2f983d5747386882bfe4410563b3a47fd"
+        )
 
     def test_analyze_cyclic_past_the_partition_count(self):
         # p(61) groups of order 2^61, but the up-set of the cyclic group is itself

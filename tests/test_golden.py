@@ -13,6 +13,8 @@ random S (the regular path), empty and complete S (symmetric), and S = -S
 at n = 16, 25, 27 and 32 and unions of multiplier orbits at n = 25 (sylow).
 tests/data/witness_golden.jsonl keeps the sha256 of standard output
 in place of the text, since a tower prints one line per arc.
+tests/data/poset_golden.jsonl keeps it the same way for `poset` in text,
+json and dot at every n <= 64, at a few prime powers and at 2^8 * 3^6.
 tests/data/usage_golden.jsonl holds the calls that argparse answers: help,
 usage errors and leftover arguments.  They end in SystemExit, so a record
 keeps its exit code under "exit" (and "code" is null); help text is laid
@@ -24,6 +26,7 @@ To record a file again from a checkout whose output is trusted:
     PYTHONPATH=src python tests/test_golden.py tests/data/verify_golden.jsonl
     PYTHONPATH=src python tests/test_golden.py tests/data/verify_kernel_golden.jsonl
     PYTHONPATH=src python tests/test_golden.py tests/data/witness_golden.jsonl
+    PYTHONPATH=src python tests/test_golden.py tests/data/poset_golden.jsonl
     PYTHONPATH=src python tests/test_golden.py tests/data/usage_golden.jsonl
 """
 
@@ -46,6 +49,7 @@ GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.jsonl"
 KERNEL_GOLDEN = Path(__file__).parent / "data" / "verify_kernel_golden.jsonl"
 WITNESS_GOLDEN = Path(__file__).parent / "data" / "witness_golden.jsonl"
+POSET_GOLDEN = Path(__file__).parent / "data" / "poset_golden.jsonl"
 USAGE_GOLDEN = Path(__file__).parent / "data" / "usage_golden.jsonl"
 SEED = 20261018
 LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5**4]
@@ -167,6 +171,13 @@ def _witness_calls():
             yield ["witness", literal, "--format", fmt]
 
 
+def _poset_calls():
+    """Every n <= 64, then prime powers with up to 5,604 groups and one order of two primes."""
+    for n in list(range(1, 65)) + [2**10, 2**16, 2**20, 2**30, 3**9, 5**7, 7**6, 2**8 * 3**6]:
+        for fmt in ("text", "json", "dot"):
+            yield ["poset", str(n), "--format", fmt]
+
+
 def _hashed_run(argv):
     record = _run(argv)
     record["stdout_sha256"] = hashlib.sha256(record.pop("stdout").encode()).hexdigest()
@@ -255,6 +266,15 @@ def test_witness_replays_byte_for_byte():
         assert _hashed_run(record["argv"]) == record, record["argv"]
 
 
+def test_poset_golden_covers_every_call():
+    assert [r["argv"] for r in _records(POSET_GOLDEN)] == list(_poset_calls())
+
+
+def test_poset_replays_byte_for_byte():
+    for record in _records(POSET_GOLDEN):
+        assert _hashed_run(record["argv"]) == record, record["argv"]
+
+
 def test_usage_golden_covers_every_call():
     assert [r["argv"] for r in _records(USAGE_GOLDEN)] == list(_usage_calls())
 
@@ -273,9 +293,10 @@ if __name__ == "__main__":
         VERIFY_GOLDEN.name: _verify_calls,
         KERNEL_GOLDEN.name: _kernel_verify_calls,
         WITNESS_GOLDEN.name: _witness_calls,
+        POSET_GOLDEN.name: _poset_calls,
         USAGE_GOLDEN.name: _usage_calls,
     }[name]
-    run = {WITNESS_GOLDEN.name: _hashed_run, USAGE_GOLDEN.name: _usage_run}.get(name, _run)
+    run = {WITNESS_GOLDEN.name: _hashed_run, POSET_GOLDEN.name: _hashed_run, USAGE_GOLDEN.name: _usage_run}.get(name, _run)
     with open(sys.argv[1], "w", encoding="utf-8") as handle:
         for argv in calls():
             handle.write(json.dumps(run(argv), sort_keys=True) + "\n")

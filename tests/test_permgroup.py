@@ -206,13 +206,13 @@ class TestNilpotent:
 
     def test_enumerates_unless_the_order_is_a_certified_prime_power(self, monkeypatch):
         enumerated = []
-        real = PermGroup.elements
+        real = PermGroup._closure
 
         def counted(group, *args):
             enumerated.append(group.cached_order)
             return real(group, *args)
 
-        monkeypatch.setattr(PermGroup, "elements", counted)
+        monkeypatch.setattr(PermGroup, "_closure", counted)
         z2_wr_z2 = wreath_product(PermGroup.cyclic(2), PermGroup.cyclic(2)).generators
         cases = [
             (PermGroup(4, z2_wr_z2), True, [None]),  # no cached order
@@ -225,6 +225,24 @@ class TestNilpotent:
             enumerated.clear()
             assert is_nilpotent(group) is nilpotent
             assert enumerated == orders
+
+    def test_order_and_nilpotence_make_no_sorted_copy(self, monkeypatch):
+        # both read the closure as it is built, bytes below degree 256 and tuples from 256 on
+        cases = [
+            (PermGroup(5, symmetric(5).generators), 120, False),
+            (direct_product(PermGroup.cyclic(4), PermGroup.cyclic(3)), 12, True),
+            (PermGroup(300, PermGroup.cyclic(300).generators), 300, True),
+            (direct_product(symmetric(3), PermGroup.cyclic(100)), 600, False),
+        ]
+
+        def no_sorted_copy(group, *args):
+            raise AssertionError("built the sorted tuple copy")
+
+        monkeypatch.setattr(PermGroup, "elements", no_sorted_copy)
+        for group, order, nilpotent in cases:
+            assert group.cached_order is None
+            assert group.order() == order
+            assert is_nilpotent(group) is nilpotent
 
     def test_order_two_to_the_fifteen_tower_group(self):
         group = automorphism_group(tower_digraph(2, (1, 1, 1, 1)))

@@ -17,6 +17,7 @@ from circulant.digraph import cayley_digraph, tower_digraph
 
 # Names with no caller in the analyzer, the oracle or the CLI, by defining module.
 REMOVED_FUNCTIONS = [
+    ("abelian", "PPartition"),  # a Sylow subgroup is AbelianType's (p, parts) pair
     ("abelian", "preceq"),
     ("abelian", "preceq_p"),
     ("analyzer", "coset_condition"),  # level in decompose(s).for_prime(p).valid_levels
@@ -52,6 +53,7 @@ REMOVED_METHODS = [
     (Factorization, "primes"),  # its one caller was arith.arithmetic_condition
     (PrimeLayers, "minimal_sylow"),  # its one caller was LayerDecomposition.minimal_group
     (_refine.Circulant, "_rows"),  # the view is an input format; it caches no row
+    (AbelianType, "sylow_for"),  # dict(g.sylow)[p]
 ]
 
 
