@@ -10,28 +10,33 @@ Up-sets and Hasse diagrams are walked by covers, never filtered from all
 partitions.  In dominance order a partition's covers move one box up from
 row j to a row i < j, where j = i + 1 or rows i and j have equal length
 (T. Brylawski, "The lattice of integer partitions", Discrete Math. 6, 1973).
+Every partition of a dominates 1^a, so the groups of order n are the up-set
+of the elementary abelian group, and enumerate_abelian walks it as up_set
+walks any other.
 Lists of groups are counted before they are built and capped at
 GROUP_LIST_CAP; a count grows as it goes, so it stops once past the cap.
 An up-set of a partition of a has at most p(a) members, so one whose
 product of p(a) is within the cap is not counted.
 One helper (_up_closures) counts and walks an up-set prime by prime:
-up_set builds groups from it, and the analyzer writes each partition
-straight to text with text_of, for its report and for the oracle's
-prediction alike.
+_up_set_groups builds groups from it for up_set and enumerate_abelian, and
+the analyzer writes each partition straight to text with text_of, for its
+report and for the oracle's prediction alike.  One cover walk
+(_cover_pairs) pairs the enumerated groups by index, for hasse_edges and
+for the CLI's poset.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arith import factorize
 from .errors import CapacityError
 
 # A listed group costs about 200 bytes as objects, so a list of this many stays
 # near 20 MB; `poset` at 2^45 (89,134 groups, 329,433 cover pairs) peaks near
-# 100 MB of RSS in text and 220 MB in json.
+# 86 MB of RSS in text, 157 MB in json and 142 MB in dot.
 GROUP_LIST_CAP = 10**5
 
 
@@ -86,24 +91,6 @@ class AbelianType:
         return "x".join([text_of(p, parts) for p, parts in self.sylow]) or "Z1"
 
 
-@lru_cache(maxsize=None)
-def partitions(k: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of k as non-increasing tuples, in ascending lexicographic order."""
-    if k == 0:
-        return ((),)
-    out = []
-
-    def extend(remaining: int, maxpart: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for x in range(min(remaining, maxpart), 0, -1):
-            extend(remaining - x, x, prefix + (x,))
-
-    extend(k, k, ())
-    return tuple(sorted(out))
-
-
 def _partition_numbers(p: list[int], a: int) -> list[int]:
     """p extended in place through p(a), the number of partitions of a.
 
@@ -122,7 +109,7 @@ def _partition_numbers(p: list[int], a: int) -> list[int]:
 
 
 def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int | None:
-    """The number of partitions of sum(parts) that dominate parts; p(a) at 1^a.
+    """The number of partitions of sum(parts) that dominate parts.
 
     Rows are placed largest first.  A prefix of k rows with sum s and last
     row m dominates while s >= parts[0] + ... + parts[k-1].  Once the mass
@@ -138,12 +125,11 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
     The count never decreases, so once it passes cap on a row of more than
     one prefix the walk stops and returns None: the answer is more than
     cap.  Each row is extended largest row first, so the next row meets the
-    prefixes that are counted, not extended, first.  p(a) at 1^a is exact
-    whatever its size, and takes no walk.
+    prefixes that are counted, not extended, first.  p(a) at 1^a is
+    counted in the walk's first row, as q(a, a), and is exact whatever its
+    size.
     """
     a, rows = sum(parts), len(parts)
-    if parts[0] == 1:
-        return _partition_numbers([1], a)[a]
     p = [1]
     columns = [[1] + [0] * rows]  # columns[m][r]: partitions of r <= rows into rows of at most m
 
@@ -179,8 +165,9 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
 def _partition_count(a: int) -> int | None:
     """p(a), the number of partitions of a, or None when it is past GROUP_LIST_CAP.
 
-    _dominating_count's pentagonal recurrence takes O(a^1.5) steps at 1^a,
-    and p grows with a, so no a past the first exponent over the cap is counted.
+    _dominating_count reads p(a) off the pentagonal recurrence in O(a^1.5)
+    steps, and p grows with a, so no a past the first exponent over the cap
+    is counted.
     """
     if any(_partition_count(b) is None for b in range(1, a)):
         return None
@@ -195,20 +182,6 @@ def _cap_group_list(counts: list[int | None], what: str) -> None:
     count = prod(counts)
     if count > GROUP_LIST_CAP:
         raise CapacityError(f"{what} would have {count} groups", GROUP_LIST_CAP)
-
-
-def enumerate_abelian(n: int) -> list[AbelianType]:
-    """All abelian groups of order n, once each, lexicographic by prime then partition.
-
-    More than GROUP_LIST_CAP groups, prod p(a) over the prime powers
-    p^a || n, raise CapacityError before anything is built.
-    """
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    factors = factorize(n).factors
-    _cap_group_list([_dominating_count((1,) * a) for _, a in factors], f"order {n}")
-    per_prime = [[(p, parts) for parts in partitions(a)] for p, a in factors]
-    return [AbelianType(combo) for combo in product(*per_prime)]
 
 
 def _covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -245,18 +218,37 @@ def _up_closure(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def _up_closures(sylow: Sequence[tuple[int, tuple[int, ...]]], text: str) -> list[list[tuple[int, ...]]]:
-    """Per prime (p, parts) of a group written `text`, the partitions dominating parts.
+def _up_closures(sylow: Sequence[tuple[int, tuple[int, ...]]], what: str) -> list[list[tuple[int, ...]]]:
+    """Per prime (p, parts) of sylow, the partitions dominating parts.
 
     The up-set is their product, at most the product of p(a) over the
     exponents a.  Only when that bound passes GROUP_LIST_CAP is the up-set
     counted first, and more than GROUP_LIST_CAP groups raise CapacityError
-    before anything is built.
+    naming `what` ("order 64", "up-set of Z4xZ2") before anything is built.
     """
     bounds = [_partition_count(sum(parts)) for _, parts in sylow]
     if None in bounds or prod(bounds) > GROUP_LIST_CAP:
-        _cap_group_list([_dominating_count(parts) for _, parts in sylow], f"up-set of {text}")
+        _cap_group_list([_dominating_count(parts) for _, parts in sylow], what)
     return [_up_closure(parts) for _, parts in sylow]
+
+
+def _up_set_groups(sylow: Sequence[tuple[int, tuple[int, ...]]], what: str) -> list[AbelianType]:
+    """The groups above sylow's, lexicographic by prime then partition (see _up_closures)."""
+    closures = _up_closures(sylow, what)
+    per_prime = [[(p, parts) for parts in closure] for (p, _), closure in zip(sylow, closures)]
+    return [AbelianType(combo) for combo in product(*per_prime)]
+
+
+def enumerate_abelian(n: int) -> list[AbelianType]:
+    """All abelian groups of order n, once each, lexicographic by prime then partition.
+
+    They are the up-set of the elementary abelian group, 1^a at each prime
+    power p^a || n, walked cover by cover.  More than GROUP_LIST_CAP groups,
+    prod p(a), raise CapacityError before anything is built.
+    """
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    return _up_set_groups([(p, (1,) * a) for p, a in factorize(n).factors], f"order {n}")
 
 
 def up_set(h: AbelianType) -> list[AbelianType]:
@@ -272,29 +264,34 @@ def up_set(h: AbelianType) -> list[AbelianType]:
     """
     if all(len(parts) == 1 for _, parts in h.sylow):
         return [h]
-    closures = _up_closures(h.sylow, h.text())
-    per_prime = [[(p, parts) for parts in closure] for (p, _), closure in zip(h.sylow, closures)]
-    return [AbelianType(combo) for combo in product(*per_prime)]
+    return _up_set_groups(h.sylow, f"up-set of {h.text()}")
 
 
-def hasse_edges(n: int) -> list[tuple[AbelianType, AbelianType]]:
-    """Cover pairs (g, h) of the partial order on abelian groups of order n.
+def _cover_pairs(groups: list[AbelianType]) -> Iterator[tuple[int, int]]:
+    """Index pairs (i, j) with groups[j] covering groups[i], by i, then j.
 
-    In the product order, h covers g exactly when they differ at one prime,
-    where h's partition covers g's in dominance order (see _covers).  Pairs
-    are listed by g, then h, in enumeration order.  Each h is the enumerated
-    group, found by its sylow pairs, so no group is built here.
+    groups is enumerate_abelian's list.  In the product order, h covers g
+    exactly when they differ at one prime, where h's partition covers g's
+    in dominance order (see _covers); h is found by its sylow pairs.
     """
-    if n < 2:
-        raise ValueError(f"expected n >= 2, got {n}")
-    groups = enumerate_abelian(n)
     index = {g.sylow: i for i, g in enumerate(groups)}
-    edges = []
-    for g in groups:
+    for i, g in enumerate(groups):
         above = [
             index[g.sylow[:k] + ((p, cover),) + g.sylow[k + 1:]]
             for k, (p, parts) in enumerate(g.sylow)
             for cover in _covers(parts)
         ]
-        edges.extend((g, groups[i]) for i in sorted(above))
-    return edges
+        for j in sorted(above):
+            yield i, j
+
+
+def hasse_edges(n: int) -> list[tuple[AbelianType, AbelianType]]:
+    """Cover pairs (g, h) of the partial order on abelian groups of order n.
+
+    Pairs are listed by g, then h, in enumeration order, and pair the
+    enumerated groups (see _cover_pairs), so no group is built here.
+    """
+    if n < 2:
+        raise ValueError(f"expected n >= 2, got {n}")
+    groups = enumerate_abelian(n)
+    return [(groups[i], groups[j]) for i, j in _cover_pairs(groups)]

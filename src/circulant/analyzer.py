@@ -211,7 +211,7 @@ def _up_set_texts(decomposition: LayerDecomposition) -> tuple[str, list[str]]:
         return minimal, [minimal]
     per_prime = [
         [text_of(p, parts) for parts in closure]
-        for (p, _), closure in zip(sylow, _up_closures(sylow, minimal))
+        for (p, _), closure in zip(sylow, _up_closures(sylow, f"up-set of {minimal}"))
     ]
     return minimal, ["x".join(texts) for texts in product(*per_prime)]
 

@@ -5,7 +5,7 @@ import functools
 import json
 import sys
 
-from .abelian import enumerate_abelian, hasse_edges
+from .abelian import _cover_pairs, enumerate_abelian
 from .analyzer import (
     ConnectionSet,
     _parse_literal,
@@ -220,30 +220,28 @@ def _run_verify(args) -> int:
 
 def _run_poset(args) -> int:
     groups = enumerate_abelian(args.n)
-    edges = hasse_edges(args.n) if args.n >= 2 else []
+    pairs = list(_cover_pairs(groups))
+    texts = [g.text() for g in groups]
     if args.fmt == "json":
         payload = {
             "n": args.n,
-            "groups": [g.text() for g in groups],
-            "cover_pairs": [[a.text(), b.text()] for a, b in edges],
+            "groups": texts,
+            "cover_pairs": [[texts[i], texts[j]] for i, j in pairs],
         }
         print(_json_dumps(payload))
     elif args.fmt == "dot":
         lines = [f"digraph poset_{args.n} {{"]
-        index = {g: i for i, g in enumerate(groups)}
-        for g in groups:
-            lines.append(f'  g{index[g]} [label="{g.text()}"];')
-        for a, b in edges:
-            lines.append(f"  g{index[a]} -> g{index[b]};")
+        lines.extend(f'  g{i} [label="{text}"];' for i, text in enumerate(texts))
+        lines.extend(f"  g{i} -> g{j};" for i, j in pairs)
         lines.append("}")
         print("\n".join(lines))
     else:
-        print(f"{len(groups)} abelian groups of order {args.n}:")
-        for g in groups:
-            print(f"  {g.text()}")
-        print(f"{len(edges)} cover pairs:")
-        for a, b in edges:
-            print(f"  {a.text()} < {b.text()}")
+        print(f"{len(texts)} abelian groups of order {args.n}:")
+        for text in texts:
+            print(f"  {text}")
+        print(f"{len(pairs)} cover pairs:")
+        for i, j in pairs:
+            print(f"  {texts[i]} < {texts[j]}")
     return EXIT_OK
 
 

@@ -11,7 +11,8 @@ regular abelian subgroups by building each candidate subgroup as a set of
 elements, the regular certificate by keying each vertex with a tuple and
 counting its 2-paths pair by pair, the tower group W by its coloring of
 valuations and digits, the tower digraph by wreathing its factors one by
-one, and up-sets and cover pairs of the partial order on abelian groups by
+one, the abelian groups of order n by listing each exponent's partitions
+recursively, up-sets and cover pairs of the partial order on them by
 testing every group, or every pair, with ``preceq``, the dominance test
 that is itself checked against strip peeling and subgroup chains, and
 nilpotency by the lower central series.  Permutations are image tuples, composed by ``compose``.
@@ -23,8 +24,9 @@ from collections import Counter
 from itertools import permutations, product
 from math import gcd, lcm
 
-from circulant.abelian import enumerate_abelian
+from circulant.abelian import AbelianType
 from circulant.analyzer import ConnectionSet, subgroup_of_order
+from circulant.arith import factorize
 from circulant.digraph import _tower_factors, cayley_digraph
 from circulant.permgroup import PermGroup
 
@@ -112,14 +114,39 @@ def preceq(g, h):
     return all(preceq_p((p, parts), (p, h_parts[p])) for p, parts in g.sylow)
 
 
+def brute_partitions(k):
+    """All partitions of k as non-increasing tuples, in ascending lexicographic
+    order, by recursion on the largest part."""
+    if k == 0:
+        return ((),)
+    out = []
+
+    def extend(remaining, maxpart, prefix):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for x in range(min(remaining, maxpart), 0, -1):
+            extend(remaining - x, x, prefix + (x,))
+
+    extend(k, k, ())
+    return tuple(sorted(out))
+
+
+def brute_enumerate_abelian(n):
+    """Every abelian group of order n, one partition of each exponent per
+    prime, lexicographic by prime then partition."""
+    per_prime = [[(p, parts) for parts in brute_partitions(a)] for p, a in factorize(n).factors]
+    return [AbelianType(combo) for combo in product(*per_prime)]
+
+
 def brute_up_set(h):
     """Every abelian group of h's order that is >= h, in enumeration order."""
-    return [k for k in enumerate_abelian(h.order) if preceq(h, k)]
+    return [k for k in brute_enumerate_abelian(h.order) if preceq(h, k)]
 
 
 def brute_hasse_edges(n):
     """Cover pairs (g, h): h > g with no group strictly between them."""
-    groups = enumerate_abelian(n)
+    groups = brute_enumerate_abelian(n)
     above = {g: [h for h in groups if h != g and preceq(g, h)] for g in groups}
     return [
         (g, h)
@@ -420,7 +447,7 @@ def element_set_types(group, n):
             pools.setdefault(d, []).append(g)
     return [
         t
-        for t in enumerate_abelian(n)
+        for t in brute_enumerate_abelian(n)
         if element_set_search(pools, t.invariant_factors(), n)
     ]
 

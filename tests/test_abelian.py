@@ -3,7 +3,15 @@ from itertools import product
 
 import pytest
 
-from brute import brute_hasse_edges, brute_subdivision, brute_up_set, preceq, preceq_p
+from brute import (
+    brute_enumerate_abelian,
+    brute_hasse_edges,
+    brute_partitions,
+    brute_subdivision,
+    brute_up_set,
+    preceq,
+    preceq_p,
+)
 from circulant import abelian
 from circulant.abelian import (
     AbelianType,
@@ -13,7 +21,6 @@ from circulant.abelian import (
     _up_closure,
     enumerate_abelian,
     hasse_edges,
-    partitions,
     up_set,
 )
 from circulant.errors import CapacityError
@@ -79,9 +86,9 @@ class TestPreceq:
         from brute import brute_strip_peelings
 
         for k in range(1, 8):
-            for h in partitions(k):
+            for h in brute_partitions(k):
                 reachable = brute_strip_peelings(h)
-                for g in partitions(k):
+                for g in brute_partitions(k):
                     assert preceq_p((2, g), (2, h)) is (
                         g in reachable
                     ), (g, h)
@@ -91,9 +98,9 @@ class TestPreceq:
 
         for p, max_k in ((2, 4), (3, 3)):
             for k in range(1, max_k + 1):
-                for h in partitions(k):
+                for h in brute_partitions(k):
                     products = brute_chain_products(h, p)
-                    for g in partitions(k):
+                    for g in brute_partitions(k):
                         assert preceq_p((p, g), (p, h)) is (
                             g in products
                         ), (p, g, h)
@@ -129,7 +136,7 @@ class TestPreceq:
     def test_poset_laws_exhaustive(self):
         # reflexivity, antisymmetry, transitivity over all partitions of k <= 8
         for k in range(1, 9):
-            parts = [(2, p) for p in partitions(k)]
+            parts = [(2, p) for p in brute_partitions(k)]
             for a in parts:
                 assert preceq_p(a, a)
             for a, b in product(parts, repeat=2):
@@ -145,7 +152,7 @@ class TestPreceq:
         for k in range(1, 9):
             bottom = (2, (1,) * k)
             top = (2, (k,))
-            for p in partitions(k):
+            for p in brute_partitions(k):
                 other = (2, p)
                 assert preceq_p(bottom, other)
                 assert preceq_p(other, top)
@@ -177,6 +184,11 @@ class TestEnumerate:
             assert g.order == 360
             inv = g.invariant_factors()
             assert all(inv[i] % inv[i + 1] == 0 for i in range(len(inv) - 1))
+
+    def test_matches_brute_listing(self):
+        # the walk up from 1^a lists what the recursive partition lister does, in its order
+        for n in list(range(1, 2001)) + LARGE_ORDERS + [2**30]:
+            assert enumerate_abelian(n) == brute_enumerate_abelian(n), n
 
     def test_invariant_factors_examples(self):
         assert AbelianType.cyclic(45).invariant_factors() == (45,)
@@ -221,10 +233,10 @@ class TestUpSet:
         ]
         expected = [[groups[0]]] + [brute_up_set(h) for h in groups[1:]]
 
-        def no_listing(k):
-            raise AssertionError("up_set listed the partitions of the exponent")
+        def no_listing(n):
+            raise AssertionError(f"up_set listed every group of order {n}")
 
-        monkeypatch.setattr(abelian, "partitions", no_listing)
+        monkeypatch.setattr(abelian, "enumerate_abelian", no_listing)
         assert [up_set(h) for h in groups] == expected
 
     def test_cyclic_group_is_its_own_up_set_without_a_walk(self, monkeypatch):
@@ -233,8 +245,8 @@ class TestUpSet:
         small = [AbelianType.cyclic(n) for n in range(2, 65)]
         expected = [brute_up_set(h) for h in small]
 
-        def no_walk(sylow, text):
-            raise AssertionError(f"up_set walked the up-set of cyclic {text}")
+        def no_walk(sylow, what):
+            raise AssertionError(f"up_set walked the {what}")
 
         monkeypatch.setattr(abelian, "_up_closures", no_walk)
         assert [up_set(h) for h in small] == expected
@@ -278,7 +290,7 @@ class TestUpSet:
 class TestDominanceWalk:
     def test_covers_match_brute_force(self):
         for k in range(1, 16):
-            parts = partitions(k)
+            parts = brute_partitions(k)
             for lam in parts:
                 above = [mu for mu in parts if mu != lam and dominates(mu, lam)]
                 covers = [mu for mu in above if not any(nu != mu and dominates(mu, nu) for nu in above)]
@@ -286,14 +298,14 @@ class TestDominanceWalk:
 
     def test_dominating_count_matches_brute_force(self):
         for k in range(1, 13):
-            parts = partitions(k)
+            parts = brute_partitions(k)
             for lam in parts:
                 assert _dominating_count(lam) == sum(dominates(mu, lam) for mu in parts), lam
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 10, 30, 100])
     def test_dominating_count_at_or_below_the_cap_is_exact(self, cap):
         for k in range(1, 13):
-            for lam in partitions(k):
+            for lam in brute_partitions(k):
                 size = len(_up_closure(lam))
                 got = _dominating_count(lam, cap)
                 if size <= cap:

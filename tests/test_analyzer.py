@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_coset_condition, brute_up_set, matrix, parse_literal_loop, preceq, scan_coset_condition
+from brute import (
+    brute_coset_condition,
+    brute_partitions,
+    brute_up_set,
+    matrix,
+    parse_literal_loop,
+    preceq,
+    scan_coset_condition,
+)
 from circulant import abelian, analyzer, arith
-from circulant.abelian import AbelianType, enumerate_abelian, partitions, up_set
+from circulant.abelian import AbelianType, enumerate_abelian, up_set
 from circulant.analyzer import (
     ConnectionSet,
     analysis_report,
@@ -507,10 +515,10 @@ class TestReport:
     def test_realizable_is_the_up_set_in_its_order(self, p, q, max_a, max_b):
         # every minimal partition of a <= max_a at p, times every one of b <= max_b at q
         others = [None] if q is None else [
-            tower_connection_set(q, mu) for b in range(1, max_b + 1) for mu in partitions(b)
+            tower_connection_set(q, mu) for b in range(1, max_b + 1) for mu in brute_partitions(b)
         ]
         for a in range(1, max_a + 1):
-            for lam in partitions(a):
+            for lam in brute_partitions(a):
                 for other in others:
                     s = _tower_product(tower_connection_set(p, lam), other)
                     report = analysis_report(s)

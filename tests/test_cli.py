@@ -11,6 +11,7 @@ import pytest
 
 import circulant.cli as cli
 from circulant import analyzer, arith, oracle
+from circulant.abelian import AbelianType
 from circulant.analyzer import ConnectionSet
 from circulant.cli import main
 from circulant.digraph import tower_connection_set
@@ -380,6 +381,21 @@ class TestPoset:
         line = out.strip()
         assert cli._json_dumps(json.loads(line)) == line
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_writes_each_group_once(self, capsys, monkeypatch, fmt):
+        # 77 groups of order 2^12, each written once however many cover pairs name it
+        written = []
+        real = AbelianType.text
+
+        def counted(group):
+            written.append(group)
+            return real(group)
+
+        monkeypatch.setattr(AbelianType, "text", counted)
+        code, _, _ = run_cli(capsys, "poset", str(2**12), "--format", fmt)
+        assert code == 0
+        assert len(written) == len(set(written)) == 77
+
 
 REMOVED_FLAGS = [
     ("poset", "8", "--seed", "1"),
@@ -648,6 +664,16 @@ class TestMemoryBound:
         assert lines[44584] == "156095 cover pairs:"
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "0c85f3c17cf7c9d85bd4f7b0816a2de2f983d5747386882bfe4410563b3a47fd"
+        )
+
+    def test_poset_json_writes_each_group_once(self):
+        # the same 44,583 groups and 156,095 cover pairs in json: a text for
+        # each group in each pair ran out of 110 MB here (it fits in 120 MB,
+        # with this output)
+        result = run_capped("poset", str(2**41), "--format", "json", megabytes=100)
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "5a2b2837e2c4c7c53d645bcb6e7f3975538e86f5419b456ce4efcfcccfaa7424"
         )
 
     def test_analyze_cyclic_past_the_partition_count(self):

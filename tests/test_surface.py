@@ -18,6 +18,7 @@ from circulant.digraph import cayley_digraph, tower_digraph
 # Names with no caller in the analyzer, the oracle or the CLI, by defining module.
 REMOVED_FUNCTIONS = [
     ("abelian", "PPartition"),  # a Sylow subgroup is AbelianType's (p, parts) pair
+    ("abelian", "partitions"),  # enumerate_abelian walks up from 1^a; brute.brute_partitions is the reference
     ("abelian", "preceq"),
     ("abelian", "preceq_p"),
     ("analyzer", "coset_condition"),  # level in decompose(s).for_prime(p).valid_levels
