@@ -22,7 +22,7 @@ from .analyzer import (
     subgroup_of_order,
     translation_check,
 )
-from .arith import big_omega, factorize
+from .arith import factorize
 from .digraph import cayley_digraph, tower_connection_set, tower_digraph
 from .errors import CapacityError
 from .oracle import ValidationReport, cross_validate, regular_abelian_types
@@ -31,7 +31,6 @@ from .permgroup import (
     automorphism_group,
     direct_product,
     is_nilpotent,
-    orbital_coloring,
     two_closure,
     wreath_product,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "ValidationReport",
     "analysis_report",
     "automorphism_group",
-    "big_omega",
     "cayley_digraph",
     "cross_validate",
     "decompose",
@@ -55,7 +53,6 @@ __all__ = [
     "factorize",
     "hasse_edges",
     "is_nilpotent",
-    "orbital_coloring",
     "product_type_witness",
     "realizable_groups",
     "regular_abelian_types",

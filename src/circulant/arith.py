@@ -46,11 +46,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def big_omega(n: int) -> int:
-    """Number of prime factors of n counted with multiplicity."""
-    return sum(a for _, a in factorize(n).factors)
-
-
 def _radical_condition(primes) -> bool:
     """gcd(k, phi(k)) = 1 for k the product of these distinct primes."""
     return gcd(prod(primes), prod(p - 1 for p in primes)) == 1  # phi(k) = prod(p - 1)

@@ -58,43 +58,44 @@ _json_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser for every subcommand and each subcommand's own parser by
-    name, built on the first call and reused.
+    """The parser for every subcommand and argparse's own table of the
+    subcommand parsers by name, built on the first call and reused.  Each
+    subcommand's parser sets its runner as the ``run`` default.
 
     Parsing returns a fresh namespace each time and no default is mutable,
     so nothing carries over from one call of `main` to the next.
     """
     parser = _Parser(prog="circulant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
-    def command(name, help):
-        commands[name] = sub.add_parser(name, help=help)
-        return commands[name]
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    def instance_command(name, help, other_format, nargs=None):
-        p = command(name, help)
+    def instance_command(name, run, help, other_format, nargs=None):
+        p = command(name, run, help)
         p.add_argument("instance", nargs=nargs, help='connection set literal, e.g. "n=45;S=0,1,15,30"')
         p.add_argument("--format", dest="fmt", choices=["text", other_format], default="text")
         return p
 
-    instance_command("analyze", "levels, minimal group, realizable groups", "json")
-    d = instance_command("decompose", "per-prime valid levels and layers", "json")
+    instance_command("analyze", _run_analyze, "levels, minimal group, realizable groups", "json")
+    d = instance_command("decompose", _run_decompose, "per-prime valid levels and layers", "json")
     d.add_argument("--prime", type=int, default=None, help="restrict output to one prime")
-    instance_command("witness", "product-type tower digraphs as edge lists", "dot")
-    g = command("generate", "emit the circulant connection set of a tower")
+    instance_command("witness", _run_witness, "product-type tower digraphs as edge lists", "dot")
+    g = command("generate", _run_generate, "emit the circulant connection set of a tower")
     g.add_argument("--p", type=int, required=True, help="prime")
     g.add_argument("--layers", type=_layer_list, required=True, help="comma-separated layer exponents, outermost first")
     g.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    v = instance_command("verify", "cross-validate the analyzer against the oracle", "json", nargs="?")
+    v = instance_command("verify", _run_verify, "cross-validate the analyzer against the oracle", "json", nargs="?")
     v.add_argument("--batch", default=None, help="corpus file in place of the instance, one instance per line, # comments")
     v.add_argument("--cap", type=_positive_int, default=DEFAULT_ELEMENT_CAP, help="element enumeration cap, at least 1")
     v.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_VERTEX_CAP, help="digraph size cap, at least 1")
     v.add_argument("--strict", action="store_true", help="exit 3 on capacity errors")
-    p = command("poset", "abelian groups of order n with Hasse cover pairs")
+    p = command("poset", _run_poset, "abelian groups of order n with Hasse cover pairs")
     p.add_argument("n", type=int)
     p.add_argument("--format", dest="fmt", choices=["text", "json", "dot"], default="text")
-    return parser, commands
+    return parser, sub.choices
 
 
 def _prime_line(entry: dict) -> str:
@@ -245,16 +246,6 @@ def _run_poset(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "analyze": _run_analyze,
-    "decompose": _run_decompose,
-    "witness": _run_witness,
-    "generate": _run_generate,
-    "verify": _run_verify,
-    "poset": _run_poset,
-}
-
-
 def main(argv=None) -> int:
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -265,7 +256,6 @@ def main(argv=None) -> int:
     name = argv[0] if argv else None
     if name in commands:
         args, leftover = commands[name].parse_known_args(argv[1:])
-        args.command = name
     if name not in commands or leftover:
         args = parser.parse_args(argv)
     try:
@@ -273,7 +263,7 @@ def main(argv=None) -> int:
             args.instance, messages = _parse_literal(args.instance)
             for message in messages:
                 print(f"warning: {message}", file=sys.stderr)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except CapacityError as exc:
         return _capacity_exit(exc, getattr(args, "strict", False))
     except ValueError as exc:

@@ -137,25 +137,21 @@ def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
 
 
 def orbital_coloring(group: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """Color ordered pairs by their orbit under the group (diagonal included)."""
+    """Color ordered pairs by their orbit under the group (diagonal included).
+
+    Pair (x, y) is the point x * n + y of the pair action, and orbits are
+    numbered 0, 1, ... in the order of their first pair, row by row.
+    """
     n = group.degree
-    ids = [[-1] * n for _ in range(n)]
+    gens = [tuple(gx * n + gy for gx in g for gy in g) for g in group.generators]
+    ids = [-1] * (n * n)
     next_id = 0
-    for x in range(n):
-        for y in range(n):
-            if ids[x][y] != -1:
-                continue
-            ids[x][y] = next_id
-            frontier = [(x, y)]
-            while frontier:
-                u, v = frontier.pop()
-                for g in group.generators:
-                    gu, gv = g[u], g[v]
-                    if ids[gu][gv] == -1:
-                        ids[gu][gv] = next_id
-                        frontier.append((gu, gv))
+    for point in range(n * n):
+        if ids[point] == -1:
+            for q in _refine._close_orbit({point}, gens):
+                ids[q] = next_id
             next_id += 1
-    return tuple(tuple(row) for row in ids)
+    return tuple(tuple(ids[x * n:(x + 1) * n]) for x in range(n))
 
 
 def automorphism_group(matrix: Sequence[Sequence[int]], vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermGroup:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
-pair-orbit preservation directly from the definition, the coset condition
-on the explicit subgroups of Z_n (or, at large n, on every translate), color
+pair-orbit preservation directly from the definition, pair orbits by a
+search over pairs, the coset condition on the explicit subgroups of Z_n (or,
+at large n, on every translate), color
 refinement by a plain loop over every ordered pair (of one coloring, or of
 several side by side, every vertex signed every round), the automorphism search
 by refining every level afresh and backtracking over plain pair checks,
@@ -495,6 +496,30 @@ def brute_automorphisms(m):
         if all((p[u], p[v]) in arcs for u, v in arcs):
             found.append(p)
     return found
+
+
+def brute_orbital_coloring(group):
+    """Ordered pairs colored by their orbit under the group, diagonal
+    included, by a search over pairs from each uncolored pair in turn, row
+    by row; orbits are numbered in that order."""
+    n = group.degree
+    ids = [[-1] * n for _ in range(n)]
+    next_id = 0
+    for x in range(n):
+        for y in range(n):
+            if ids[x][y] != -1:
+                continue
+            ids[x][y] = next_id
+            frontier = [(x, y)]
+            while frontier:
+                u, v = frontier.pop()
+                for g in group.generators:
+                    gu, gv = g[u], g[v]
+                    if ids[gu][gv] == -1:
+                        ids[gu][gv] = next_id
+                        frontier.append((gu, gv))
+            next_id += 1
+    return tuple(tuple(row) for row in ids)
 
 
 def brute_pair_orbit_preservers(colors):

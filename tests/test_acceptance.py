@@ -209,39 +209,46 @@ def test_criterion_8_generate_analyze_round_trip():
             assert sorted(got) == sorted(layers), (p, layers, got)
 
 
+def criterion_9_catalogue():
+    """The nilpotent transitive groups criterion 9 samples from, unshuffled:
+    iterated wreath products of cyclic p-groups, cyclic groups of prime
+    order, and direct products of those, all of degree at most 12."""
+
+    def tower_group(p, layers):
+        group = PermGroup.cyclic(p ** layers[0])
+        for k in layers[1:]:
+            group = wreath_product(group, PermGroup.cyclic(p**k))
+        return group
+
+    catalog = []
+    for p, max_total in ((2, 3), (3, 2)):
+        partitions = {
+            (2, 1): [(1,)],
+            (2, 2): [(2,), (1, 1)],
+            (2, 3): [(3,), (2, 1), (1, 2), (1, 1, 1)],
+            (3, 1): [(1,)],
+            (3, 2): [(2,), (1, 1)],
+        }
+        for total in range(1, max_total + 1):
+            for layers in partitions[(p, total)]:
+                catalog.append(tower_group(p, layers))
+    catalog.extend(PermGroup.cyclic(p) for p in (5, 7, 11))
+    degree_ok = [g for g in catalog if g.degree <= 12]
+    # direct products of p-groups are nilpotent for any primes; the
+    # product action is transitive when both factors are
+    products = [
+        direct_product(a, b)
+        for a in degree_ok
+        for b in degree_ok
+        if a.degree * b.degree <= 12
+    ]
+    return degree_ok + products
+
+
 def test_criterion_9_nilpotent_two_closures():
     with _criterion("9: 2-closures of 20 nilpotent transitive groups", 120.0):
         rng = random.Random(5)
-
-        def tower_group(p, layers):
-            group = PermGroup.cyclic(p ** layers[0])
-            for k in layers[1:]:
-                group = wreath_product(group, PermGroup.cyclic(p**k))
-            return group
-
-        catalog = []
-        for p, max_total in ((2, 3), (3, 2)):
-            partitions = {
-                (2, 1): [(1,)],
-                (2, 2): [(2,), (1, 1)],
-                (2, 3): [(3,), (2, 1), (1, 2), (1, 1, 1)],
-                (3, 1): [(1,)],
-                (3, 2): [(2,), (1, 1)],
-            }
-            for total in range(1, max_total + 1):
-                for layers in partitions[(p, total)]:
-                    catalog.append(tower_group(p, layers))
-        catalog.extend(PermGroup.cyclic(p) for p in (5, 7, 11))
-        degree_ok = [g for g in catalog if g.degree <= 12]
-        # direct products of p-groups are nilpotent for any primes; the
-        # product action is transitive when both factors are
-        products = [
-            direct_product(a, b)
-            for a in degree_ok
-            for b in degree_ok
-            if a.degree * b.degree <= 12
-        ]
-        pool = degree_ok + products
+        pool = criterion_9_catalogue()
         rng.shuffle(pool)
         sample = pool[:20]
         assert len(sample) == 20

@@ -5,7 +5,7 @@ import pytest
 
 from circulant.analyzer import ConnectionSet, decompose
 from circulant import arith
-from circulant.arith import TRIAL_DIVISION_BOUND, big_omega, factorize
+from circulant.arith import TRIAL_DIVISION_BOUND, factorize
 from circulant.errors import CapacityError
 
 
@@ -72,21 +72,6 @@ def test_factorize_roundtrip_sampled_large():
         assert prod(p**a for p, a in f.factors) == n
         for p, _ in f.factors:
             assert all(p % q != 0 for q in range(2, int(p**0.5) + 1))
-
-
-@pytest.mark.parametrize("n,expected", [(45, 3), (64, 6), (7, 1), (1, 0), (30, 3)])
-def test_big_omega(n, expected):
-    assert big_omega(n) == expected
-
-
-def test_big_omega_additive():
-    for m in range(1, 101):
-        for n in range(1, 101):
-            assert big_omega(m * n) == big_omega(m) + big_omega(n)
-    rng = random.Random(1)
-    for _ in range(500):
-        m, n = rng.randrange(1, 1001), rng.randrange(1, 1001)
-        assert big_omega(m * n) == big_omega(m) + big_omega(n)
 
 
 @pytest.mark.parametrize(

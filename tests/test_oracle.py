@@ -491,6 +491,25 @@ class TestPaths:
             checked += 1
         assert checked > 2**n // 2
 
+    @pytest.mark.parametrize("n,s", [(9, {3, 6}), (16, {1, 4, 5, 9, 13})])
+    def test_sylow_refused_when_p_divides_the_index(self, n, s):
+        # no instance tested reaches this branch; an order p times |Aut|
+        # puts p in the index of Aut ∩ W
+        digraph = cayley_digraph(n, s)
+        aut_order = automorphism_group(digraph).order()
+        ((p, _),) = factorize(n).factors
+        assert _sylow_subgroup(aut_order, digraph.row, 64) is not None
+        assert _sylow_subgroup(p * aut_order, digraph.row, 64) is None
+
+    @pytest.mark.parametrize("n,s", [(9, {3, 6}), (16, {1, 4, 5, 9, 13})])
+    def test_refused_sylow_falls_through_to_enumerate(self, n, s, monkeypatch):
+        sylow = cross_validate(ConnectionSet.of(n, s))
+        monkeypatch.setattr(oracle, "_sylow_subgroup", lambda *args: None)
+        enumerated = cross_validate(ConnectionSet.of(n, s))
+        assert (sylow.path, enumerated.path) == ("sylow", "enumerate")
+        assert enumerated.actual == sylow.actual
+        assert enumerated.verdict == sylow.verdict == EXACT_MATCH
+
     def test_tower_row_names_valuation_and_digit(self):
         # x = 3^j * y, y prime to 3: color 3j + y % 3; 0 alone gets 3a
         assert tower_row(3, 2) == [6, 1, 2, 4, 1, 2, 5, 1, 2]

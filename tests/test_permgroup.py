@@ -5,6 +5,7 @@ import pytest
 
 from brute import (
     brute_automorphisms,
+    brute_orbital_coloring,
     brute_pair_orbit_preservers,
     arc_set,
     cycle_lengths,
@@ -15,6 +16,7 @@ from brute import (
     matrix,
     wreath,
 )
+from test_acceptance import criterion_9_catalogue
 from circulant import _refine, permgroup
 from circulant.digraph import cayley_digraph, tower_digraph
 from circulant.errors import CapacityError
@@ -355,6 +357,40 @@ class TestCirculantColoring:
         assert all(colors[u][v] == row[(v - u) % 7] for u in range(7) for v in range(7))
 
 
+class TestOrbitalColoring:
+    """``orbital_coloring`` against the search over pairs in ``tests/brute.py``,
+    orbit numbering included."""
+
+    def test_criterion_9_catalogue(self):
+        for g in criterion_9_catalogue():
+            assert orbital_coloring(g) == brute_orbital_coloring(g)
+
+    def test_random_groups(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            n = rng.randrange(1, 13)
+            gens = [_random_permutation(rng, n) for _ in range(rng.randrange(0, 4))]
+            g = PermGroup(n, gens)
+            assert orbital_coloring(g) == brute_orbital_coloring(g), gens
+
+    def test_seeded_circulant_automorphism_groups(self):
+        # S a union of cosets of the subgroup of index m, half the time made
+        # symmetric, so Aut ranges from Z_n through wreath products
+        rng = random.Random(67)
+        beyond_rotations = set()
+        for _ in range(20):
+            n = rng.randrange(16, 65)
+            m = rng.choice([d for d in range(2, n + 1) if n % d == 0])
+            residues = {x for x in range(m) if rng.random() < 0.4}
+            s = {x for x in range(1, n) if x % m in residues}
+            if rng.random() < 0.5:
+                s |= {n - x for x in s}
+            g = automorphism_group(cayley_digraph(n, s))
+            beyond_rotations.add(g.cached_order > n)
+            assert orbital_coloring(g) == brute_orbital_coloring(g), (n, sorted(s))
+        assert beyond_rotations == {False, True}
+
+
 class TestTwoClosure:
     def test_vertex_cap_before_the_coloring_is_built(self, monkeypatch):
         def refuse(group):
@@ -375,7 +411,7 @@ class TestTwoClosure:
     def test_regular_z4_closed_matches_brute(self):
         g = PermGroup.cyclic(4)
         closed = two_closure(g)
-        brute = brute_pair_orbit_preservers(orbital_coloring(g))
+        brute = brute_pair_orbit_preservers(brute_orbital_coloring(g))
         assert closed.cached_order == len(brute) == 4
         assert set(closed.elements()) == set(brute)
 
@@ -406,7 +442,7 @@ class TestTwoClosure:
             gens = [_random_permutation(rng, n) for _ in range(rng.randrange(1, 3))]
             g = PermGroup(n, gens)
             closed = two_closure(g)
-            brute = brute_pair_orbit_preservers(orbital_coloring(g))
+            brute = brute_pair_orbit_preservers(brute_orbital_coloring(g))
             assert closed.cached_order == len(brute)
             assert set(closed.elements()) == set(brute)
 

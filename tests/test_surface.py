@@ -27,6 +27,8 @@ REMOVED_FUNCTIONS = [
     ("analyzer", "parse_connection_set"),  # the CLI reads literals with _parse_literal
     ("arith", "euler_phi"),
     ("arith", "arithmetic_condition"),  # LayerDecomposition.arithmetic_condition()
+    ("arith", "big_omega"),  # _tower_factors tests primality on factorize(p)
+    ("cli", "_COMMANDS"),  # each subcommand's parser sets its runner as the run default
     ("digraph", "digraph"),
     ("digraph", "Digraph"),  # a digraph is the adjacency matrix the engine reads
     ("digraph", "empty_digraph"),
@@ -107,6 +109,21 @@ def test_benchmark_patch_points_resolve(monkeypatch):
 def test_abelian_type_has_no_str_of_its_own():
     # every caller prints a type with .text(); object's __str__ is always there
     assert "__str__" not in AbelianType.__dict__
+
+
+def test_orbital_coloring_is_not_exported():
+    # its one caller is two_closure; tests still reach it in its module
+    assert "orbital_coloring" not in circulant.__all__
+    assert not hasattr(circulant, "orbital_coloring")
+    assert callable(importlib.import_module("circulant.permgroup").orbital_coloring)
+
+
+def test_cli_command_table_is_argparse_own():
+    cli = importlib.import_module("circulant.cli")
+    _, commands = cli.build_parser()
+    assert set(commands) == {"analyze", "decompose", "witness", "generate", "verify", "poset"}
+    for name, parser in commands.items():
+        assert parser.get_default("run") is getattr(cli, f"_run_{name}"), name
 
 
 def test_factorization_is_not_exported():
