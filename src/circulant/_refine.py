@@ -63,11 +63,18 @@ backtracks in a loop, so Python's recursion limit does not bound its depth.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
-Each level starts from the previous level's stable coloring, and its first
-round, inside ``refine``, is one pass over the codes to the new base point.
-When the shift v -> v+1 preserves the whole matrix (every circulant in its
-natural labeling), it is taken as the first generator and level 0 needs no
-refinement and no search: its orbit is every vertex.
+It first descends one path: each level starts from the previous level's
+stable coloring, and its first round, inside ``refine``, is one pass over
+the codes to the new base point.  It then resolves the levels deepest
+first, as nauty backtracks: a level's orbit starts as its base point's
+orbit under every witness found below it, and only the cell members outside
+that orbit are searched.  Each witness thus at least doubles the group
+found so far, so there are at most log2 |Aut| of them.  When the shift
+v -> v+1 preserves the whole matrix (every circulant in its natural
+labeling), it is taken as the first generator and level 0 needs no
+refinement and no search: its orbit is every vertex.  The shift closes no
+orbit, since it fixes no base point, and the generators number at most
+ceil(log2 |Aut|) + 1.
 """
 
 from collections import Counter
@@ -435,18 +442,25 @@ def _close_orbit(orbit, gens):
 def automorphisms(m):
     """Generators and exact order of the color-preserving automorphism group.
 
-    Stabilizer-chain style: at each level the first vertex of the first
-    non-singleton refined cell is individualized; its orbit under the point
-    stabilizer of the previously fixed vertices is measured by one membership
-    search per unresolved candidate, and the group order is the product of
-    the orbit sizes.  Found witnesses generate the full group.  The search
-    for one mapping the base point x to a candidate y starts from the
-    level's stable coloring, which every automorphism fixing the earlier
-    base points preserves, so it repeats none of the level's rounds.
+    Stabilizer-chain style, in two passes.  The descent individualizes, at
+    each level, the first vertex of the first non-singleton refined cell,
+    and records the level's stable coloring and that base point x_i, until
+    the partition is discrete.  The levels are then resolved deepest first:
+    x_i's orbit under the stabilizer of x_0, ..., x_{i-1} starts as its
+    orbit under every witness found so far, all of which fix those points;
+    one membership search runs per cell member outside it, and the orbit is
+    closed again under every witness after each one found.  Each orbit is
+    then whole, so the witnesses generate each stabilizer in turn and the
+    group order is the product of the orbit sizes.  A witness maps x_i
+    outside the orbit of the group found so far, so it at least doubles
+    that group: with the shift, at most ceil(log2 |Aut|) + 1 generators.
+    The search for one mapping x_i to a candidate y starts from the level's
+    stable coloring, which every automorphism fixing the earlier base
+    points preserves, so it repeats none of the level's rounds.
 
     Pair codes, and for a circulant below 256 vertices their convolution
     kernel, are built once per call and shared by every refinement and
-    search.  A level whose refined partition is discrete ends the search.
+    search.  A level whose refined partition is discrete ends the descent.
     Level 0 refines the diagonal coloring; each later level refines the
     previous level's stable coloring with its base point individualized
     (``refine``'s ``point``), whose first round splits each class by the
@@ -458,11 +472,12 @@ def automorphisms(m):
     Shift seeding: if the shift v -> v+1 preserves m, diagonal included
     (``_shift_row``), level 0 is resolved without refinement or search.
     The shift is the first generator, vertex 0 the first base point, and
-    its orbit is every vertex; this is the level the search would have
-    reached, since a transitive group leaves one cell and 0 is its first
-    vertex.  The diagonal is then uniform and the pair codes are rotations
-    of their row 0, and level 1 starts from the diagonal, stable under a
-    transitive group, split by vertex 0.
+    its orbit is every vertex; it closes no deeper orbit, since it fixes no
+    point.  This is the level the search would have reached, since a
+    transitive group leaves one cell and 0 is its first vertex.  The
+    diagonal is then uniform and the pair codes are rotations of their row
+    0, and level 1 starts from the diagonal, stable under a transitive
+    group, split by vertex 0.
 
     Regular certificate: below 256 vertices, ``_fixes_every_vertex`` first
     tries to prove from row 0 that Aut_0 = 1: an automorphism fixing 0
@@ -480,37 +495,29 @@ def automorphisms(m):
     """
     n = len(m)
     first = _shift_row(m)
-    gens = []
-    order = 1
-    point = None
+    gens, order, point = [], 1, None
     if first is not None:
-        gens.append(tuple(range(1, n)) + (0,))
-        order = n
-        point = 0
+        gens, order, point = [tuple(range(1, n)) + (0,)], n, 0
         if n < _KERNEL_LIMIT and _fixes_every_vertex(first):
             return gens, order
     codes = _search_codes(m, first)
     colors = [0] * n if first is not None else _diagonal_colors(m)
+    levels = []
     while True:
         colors = refine(colors, codes=codes, point=point)
-        if len(set(colors)) == n:
-            return gens, order
-
-        cells = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = next(cells[c] for c in colors if len(cells[c]) > 1)
-        x = target[0]
-        orbit = {x}
-        level_gens = []
-        for y in target[1:]:
-            if y in orbit:
-                continue
-            witness = iso_search(colors, x, y, codes=codes)
-            if witness is not None:
-                witness = tuple(witness)
-                gens.append(witness)
-                level_gens.append(witness)
-                orbit = _close_orbit(orbit, level_gens)
+        sizes = Counter(colors)
+        point = next((v for v in range(n) if sizes[colors[v]] > 1), None)
+        if point is None:
+            break
+        levels.append((colors, point))
+    found = []
+    for colors, x in reversed(levels):
+        orbit = _close_orbit({x}, found)
+        for y in range(x + 1, n):
+            if colors[y] == colors[x] and y not in orbit:
+                witness = iso_search(colors, x, y, codes=codes)
+                if witness is not None:
+                    found.append(tuple(witness))
+                    orbit = _close_orbit(orbit, found)
         order *= len(orbit)
-        point = x
+    return gens + found, order

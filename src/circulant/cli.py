@@ -4,6 +4,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from .abelian import _cover_pairs, enumerate_abelian
 from .analyzer import (
@@ -221,8 +222,17 @@ def _run_verify(args) -> int:
 
 def _run_poset(args) -> int:
     groups = enumerate_abelian(args.n)
-    pairs = list(_cover_pairs(groups))
     texts = [g.text() for g in groups]
+    if args.fmt == "dot":
+        lines = chain(
+            [f"digraph poset_{args.n} {{"],
+            (f'  g{i} [label="{text}"];' for i, text in enumerate(texts)),
+            (f"  g{i} -> g{j};" for i, j in _cover_pairs(groups)),
+            ["}"],
+        )
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        return EXIT_OK
+    pairs = list(_cover_pairs(groups))
     if args.fmt == "json":
         payload = {
             "n": args.n,
@@ -230,12 +240,6 @@ def _run_poset(args) -> int:
             "cover_pairs": [[texts[i], texts[j]] for i, j in pairs],
         }
         print(_json_dumps(payload))
-    elif args.fmt == "dot":
-        lines = [f"digraph poset_{args.n} {{"]
-        lines.extend(f'  g{i} [label="{text}"];' for i, text in enumerate(texts))
-        lines.extend(f"  g{i} -> g{j};" for i, j in pairs)
-        lines.append("}")
-        print("\n".join(lines))
     else:
         print(f"{len(texts)} abelian groups of order {args.n}:")
         for text in texts:

@@ -2,12 +2,13 @@
 
 A permutation is its image tuple, held and composed as ``_encoding`` says,
 and groups are given by generators.  Element enumeration is a Dimino-style
-closure under a cap (default 10^6); there is deliberately no stabilizer
-chain machinery, and nilpotency is read off a certified prime-power order
+closure under a cap (default 10^6); the closure deliberately uses no
+stabilizer chain, and nilpotency is read off a certified prime-power order
 or Sylow counts.  Automorphism groups come from the refinement search
 engine, which reads a square matrix of arc colors (a digraph is its 0/1
-adjacency matrix, and a circulant the engine's view of its first row) and
-also reports the exact group order, cached on the returned group.
+adjacency matrix, and a circulant the engine's view of its first row),
+resolves a stabilizer chain deepest level first, and reports the exact
+group order, cached on the returned group.
 """
 
 from dataclasses import dataclass

@@ -290,20 +290,24 @@ def reference_automorphisms(m):
     """Generators and order of Aut(m) as the engine's search finds them, with
     every level refined afresh from the diagonal.
 
-    Each level refines the diagonal colors with every base point so far
-    individualized, takes the first vertex of the first class with more than
-    one vertex as its base point, and measures its orbit by one
-    ``brute_iso_search`` per candidate not yet in it.  When the shift
+    The descent: each level refines the diagonal colors with every base
+    point so far individualized and takes the first vertex of the first
+    class with more than one vertex as its base point.  The levels are then
+    resolved deepest first: a level's orbit starts as its base point's orbit
+    under every witness found so far, and one ``brute_iso_search``, fixing
+    the earlier base points, runs per class member not yet in it, the orbit
+    closed again under every witness after each one found.  When the shift
     v -> v+1 preserves m, it is the first generator, 0 the first base point
-    and its orbit every vertex.
+    and its orbit every vertex; it closes no orbit.
     """
     n = len(m)
     rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(n)}))}
-    base, gens, order = [], [], 1
+    base, shift, order = [], [], 1
     if n > 1 and all(m[(u + 1) % n][(v + 1) % n] == m[u][v] for u in range(n) for v in range(n)):
-        gens.append(tuple((v + 1) % n for v in range(n)))
+        shift.append(tuple((v + 1) % n for v in range(n)))
         base.append(0)
         order = n
+    levels = []
     while True:
         seed = [rank[m[v][v]] for v in range(n)]
         for i, b in enumerate(base):
@@ -312,20 +316,27 @@ def reference_automorphisms(m):
         classes = [[u for u in range(n) if colors[u] == colors[v]] for v in range(n)]
         target = next((c for c in classes if len(c) > 1), None)
         if target is None:
-            return gens, order
-        x = target[0]
-        orbit, level = {x}, []
-        for y in target[1:]:
+            break
+        levels.append((list(base), target))
+        base.append(target[0])
+
+    def close(orbit, gens):
+        while len(grown := orbit | {g[v] for g in gens for v in orbit}) > len(orbit):
+            orbit = grown
+        return orbit
+
+    found = []
+    for fixed, (x, *others) in reversed(levels):
+        orbit = close({x}, found)
+        for y in others:
             if y in orbit:
                 continue
-            witness = brute_iso_search(m, {**{b: b for b in base}, x: y})
+            witness = brute_iso_search(m, {**{b: b for b in fixed}, x: y})
             if witness is not None:
-                gens.append(witness)
-                level.append(witness)
-                while len(grown := orbit | {g[v] for g in level for v in orbit}) > len(orbit):
-                    orbit = grown
+                found.append(witness)
+                orbit = close(orbit, found)
         order *= len(orbit)
-        base.append(x)
+    return shift + found, order
 
 
 def tuple_key_certificate(first):

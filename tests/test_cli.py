@@ -676,6 +676,16 @@ class TestMemoryBound:
             "5a2b2837e2c4c7c53d645bcb6e7f3975538e86f5419b456ce4efcfcccfaa7424"
         )
 
+    def test_poset_dot_streams(self):
+        # 89,134 groups of order 2^45 and their cover pairs, 418,569 dot
+        # lines: written line by line they fit in 100 MB; holding every line
+        # and cover pair ran out of 120 MB here (142 MB peak RSS uncapped)
+        result = run_capped("poset", str(2**45), "--format", "dot", megabytes=100)
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "e90aade52ff65e84673f489475f8f62f89c3f8b057034c9cea0f89907d078f94"
+        )
+
     def test_analyze_cyclic_past_the_partition_count(self):
         # p(61) groups of order 2^61, but the up-set of the cyclic group is itself
         result = run_capped("analyze", "n=2305843009213693952;S=1", "--format", "json")

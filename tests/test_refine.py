@@ -9,6 +9,7 @@ import random
 import time
 from collections import Counter
 from itertools import chain, combinations
+from math import factorial
 
 import pytest
 
@@ -64,6 +65,13 @@ def relabel(m, perm):
         for v in range(n):
             out[perm[u]][perm[v]] = m[u][v]
     return out
+
+
+def shrikhande():
+    """The Shrikhande graph, Cay(Z4 x Z4, {±(0,1), ±(1,0), ±(1,1)}), on 16 vertices."""
+    points = [(a, b) for a in range(4) for b in range(4)]
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return [[int(((c - a) % 4, (d - b) % 4) in steps) for c, d in points] for a, b in points]
 
 
 def circulant(row):
@@ -521,9 +529,7 @@ class TestIsoSearch:
         # the Shrikhande graph, Cay(Z4 x Z4, {±(0,1), ±(1,0), ±(1,1)}), is
         # strongly regular, so refinement leaves classes the search must
         # backtrack over: a first candidate that extends a long way and fails
-        points = [(a, b) for a in range(4) for b in range(4)]
-        steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
-        m = [[int(((c - a) % 4, (d - b) % 4) in steps) for c, d in points] for a, b in points]
+        m = shrikhande()
         rng = random.Random(3)
         for _ in range(20):
             relabeled = relabel(m, rng.sample(range(16), 16))
@@ -720,14 +726,16 @@ class TestAutomorphismPaths:
         assert len(rounds) == 2
         assert kernel_rounds == [39, 27] and rows_sorted == []
         # a relabeled copy the shift does not preserve sorts rows instead,
-        # and only the rows of vertices not alone in their class
+        # and only the rows of vertices not alone in their class: the descent
+        # refines level 0 (40) and level 1 (39, 27), then level 0 is resolved
+        # by one search, its two colorings side by side (39, 39, 27, 27)
         relabeled = relabel(m, random.Random(127).sample(range(40), 40))
         assert not shift_invariant(relabeled)
         for calls in (rounds, kernel_rounds, rows_sorted):
             calls.clear()
         assert _refine.automorphisms(relabeled)[1] == 40
         assert kernel_rounds == []
-        assert len(rows_sorted) == len(rounds) and rows_sorted == [40, 39, 39, 27, 27, 39, 27]
+        assert len(rows_sorted) == len(rounds) and rows_sorted == [40, 39, 27, 39, 39, 27, 27]
 
     def test_shift_must_preserve_the_diagonal(self):
         # the shift preserves every arc of the 6-cycle but not the loop at 0
@@ -739,6 +747,49 @@ class TestAutomorphismPaths:
         colors[0][0] = 2
         group = automorphism_group(colors)
         assert group.cached_order == len(brute_pair_orbit_preservers(colors))
+
+
+class TestGeneratorBound:
+    """Levels resolved deepest first: each witness at least doubles the group
+    found so far, so with the shift there are at most ceil(log2 |Aut|) + 1
+    generators, and large groups take few searches."""
+
+    def assert_bound(self, m):
+        gens, order = _refine.automorphisms(m)
+        assert len(gens) <= (order - 1).bit_length() + 1, (len(gens), order)
+        assert all(preserves(g, m) for g in gens)
+        return order
+
+    @pytest.mark.parametrize(
+        "n,members,order",
+        [
+            (64, range(1, 64), factorial(64)),  # K_64
+            (60, range(0, 60, 6), factorial(10) ** 6 * factorial(6)),  # six K_10 with loops
+            (64, [x for x in range(64) if x % 4], factorial(16) ** 4 * factorial(4)),  # K_{16,16,16,16}
+            (48, range(2, 48, 2), factorial(24) ** 2 * 2),  # two K_24
+            (63, range(3, 63, 3), factorial(21) ** 3 * factorial(3)),  # three K_21
+        ],
+        ids=["K_64", "6Z_60", "non-4Z_64", "even_48", "3Z_63"],
+    )
+    def test_wreath_products(self, n, members, order):
+        m = [list(r) for r in cayley_digraph(n, members)]
+        assert self.assert_bound(m) == order
+
+    def test_relabeled_shrikhande_and_reference_rows(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            assert self.assert_bound(relabel(shrikhande(), rng.sample(range(16), 16))) == 192
+        for row in reference_rows(random.Random(223), range(2, 81)):
+            self.assert_bound(circulant(row))
+
+    def test_two_complete_graphs_of_120(self):
+        # Aut = S_120 wr S_2, order 2 (120!)^2, past the default vertex cap
+        n = 240
+        start = time.perf_counter()
+        gens, order = _refine.automorphisms(cayley_digraph(n, range(2, n, 2)))
+        assert time.perf_counter() - start < 5
+        assert order == 2 * factorial(120) ** 2
+        assert len(gens) <= (order - 1).bit_length() + 1
 
 
 def reference_rows(rng, ns):
