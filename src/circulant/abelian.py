@@ -77,10 +77,6 @@ class AbelianType:
     def cyclic(cls, n: int) -> "AbelianType":
         return cls(tuple((p, (a,)) for p, a in factorize(n).factors))
 
-    @property
-    def order(self) -> int:
-        return prod(p ** sum(parts) for p, parts in self.sylow)
-
     def invariant_factors(self) -> tuple[int, ...]:
         """Cyclic factor orders d_1 >= d_2 >= ..., each dividing the previous."""
         width = max((len(parts) for _, parts in self.sylow), default=0)

@@ -3,6 +3,7 @@
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain
 
@@ -272,6 +273,10 @@ def main(argv=None) -> int:
         return _capacity_exit(exc, getattr(args, "strict", False))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes what is still buffered, so the exit flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

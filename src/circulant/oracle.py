@@ -4,8 +4,8 @@ The oracle hands the automorphism engine the circulant as its first row, in
 the engine's ``_refine.Circulant`` view, and gets the exact order of its
 automorphism group.  It decides the regular abelian subgroups from that
 order when it can; otherwise it enumerates the group (or, for n = p^a, its
-meet with the automorphism group of the tower circulant when that is a
-Sylow subgroup), under a cap, and searches it, as its closure holds it, for
+meet with the automorphism group of the tower circulant, a Sylow
+subgroup), under a cap, and searches it, as its closure holds it, for
 regular abelian subgroups of every candidate isomorphism type.  Agreement
 with the analyzer must be exact when the arithmetic condition holds and a
 sound superset otherwise; anything else is a MISMATCH.
@@ -162,20 +162,22 @@ def regular_abelian_types(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> l
     return found
 
 
-def _sylow_subgroup(aut_order: int, adjacency: tuple[int, ...], vertex_cap: int) -> Optional[PermGroup]:
-    """Aut(Γ) ∩ W for n = p^a, a >= 2, when its index in Aut(Γ) is prime to
-    p; otherwise None.
-
-    W is the automorphism group of the tower circulant
+def _sylow_subgroup(adjacency: tuple[int, ...], vertex_cap: int) -> Optional[PermGroup]:
+    """Aut(Γ) ∩ W, a Sylow p-subgroup of Aut(Γ), for n = p^a with a >= 2;
+    otherwise None.  W is the automorphism group of the tower circulant
     ``tower_connection_set(p, (1,) * a)``: the iterated wreath product
-    Z_p wr ... wr Z_p on the coset chain Z_n > pZ_n > ... > 0, of order
-    p^((p^a - 1)/(p - 1)), a Sylow p-subgroup of Sym(p^a) containing the
-    rotations.  W is a p-group, so an intersection of index prime to p is a
-    Sylow p-subgroup of Aut(Γ).  Every regular abelian subgroup, of order
-    p^a, lies in a Sylow p-subgroup, and those are conjugate in Aut(Γ), so it
-    is conjugate to a regular subgroup of the intersection of the same type.
-    The intersection is the automorphism group of the tower's 0/1 row paired
-    with the adjacency row, found by one more engine call.
+    Z_p wr ... wr Z_p on the coset chain Z_n > pZ_n > ... > 0.
+
+    Lemma: every p-group P that holds the rotations C lies in W.  By
+    induction on a: P is transitive, so it has a system of p blocks; that
+    system is C's too, so the blocks are the cosets of pZ_n, and P acts on
+    them as <c>.  The kernel K, on one block, is a p-group holding that
+    block's regular <c^p>, so it lies in the block's W_{a-1}; so P = KC <= W.
+    C lies in a Sylow p-subgroup of Aut(Γ); the lemma puts it in the
+    p-group Aut(Γ) ∩ W, so it is that group.  Sylow's theorem conjugates
+    each regular abelian subgroup, of order p^a, into it, type unchanged.
+    It is the automorphism group of the adjacency row paired with the
+    tower's 0/1 row, one more engine call.
     """
     factors = factorize(len(adjacency)).factors
     if len(factors) != 1 or factors[0][1] < 2:
@@ -183,10 +185,7 @@ def _sylow_subgroup(aut_order: int, adjacency: tuple[int, ...], vertex_cap: int)
     ((p, a),) = factors
     _, tower = tower_connection_set(p, (1,) * a)
     paired = (2 * (x in tower) + adjacent for x, adjacent in enumerate(adjacency))
-    sylow = automorphism_group(Circulant(paired), vertex_cap=vertex_cap)
-    if aut_order // sylow.order() % p == 0:
-        return None
-    return sylow
+    return automorphism_group(Circulant(paired), vertex_cap=vertex_cap)
 
 
 def cross_validate(
@@ -203,8 +202,8 @@ def cross_validate(
     - regular: |Aut| = n, so Aut is the rotation group and only Z_n occurs;
     - symmetric: |Aut| = n!, so every abelian group of order n occurs, each
       regular on itself (Cayley's theorem);
-    - sylow: n = p^a, a >= 2, and Aut ∩ W is a Sylow p-subgroup (see
-      ``_sylow_subgroup``), searched in place of Aut;
+    - sylow: n = p^a, a >= 2: Aut ∩ W, a Sylow p-subgroup (see
+      ``_sylow_subgroup``), is searched in place of Aut;
     - enumerate: Aut itself is searched.
 
     The last two enumerate a group under ``cap`` elements.
@@ -224,10 +223,8 @@ def cross_validate(
     elif aut_order == factorial(n):
         path, actual = SYMMETRIC, tuple(g.text() for g in enumerate_abelian(n))
     else:
-        path, group = ENUMERATE, aut
-        sylow = _sylow_subgroup(aut_order, digraph.row, vertex_cap)
-        if sylow is not None:
-            path, group = SYLOW, sylow
+        sylow = _sylow_subgroup(digraph.row, vertex_cap)
+        path, group = (ENUMERATE, aut) if sylow is None else (SYLOW, sylow)
         try:
             actual = tuple(g.text() for g in regular_abelian_types(group, cap))
         except CapacityError as exc:

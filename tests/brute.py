@@ -23,7 +23,7 @@ range-checked in turn (``parse_literal_loop``).
 
 from collections import Counter
 from itertools import permutations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from circulant.abelian import AbelianType
 from circulant.analyzer import ConnectionSet, subgroup_of_order
@@ -107,10 +107,15 @@ def preceq_p(g, h):
     return True
 
 
+def group_order(g):
+    """The order of an abelian type, from its (p, parts) pairs."""
+    return prod(p ** sum(parts) for p, parts in g.sylow)
+
+
 def preceq(g, h):
     """Product order: compare Sylow subgroups prime by prime."""
-    if g.order != h.order:
-        raise ValueError(f"orders differ: {g.order} vs {h.order}")
+    if group_order(g) != group_order(h):
+        raise ValueError(f"orders differ: {group_order(g)} vs {group_order(h)}")
     h_parts = dict(h.sylow)
     return all(preceq_p((p, parts), (p, h_parts[p])) for p, parts in g.sylow)
 
@@ -142,7 +147,7 @@ def brute_enumerate_abelian(n):
 
 def brute_up_set(h):
     """Every abelian group of h's order that is >= h, in enumeration order."""
-    return [k for k in brute_enumerate_abelian(h.order) if preceq(h, k)]
+    return [k for k in brute_enumerate_abelian(group_order(h)) if preceq(h, k)]
 
 
 def brute_hasse_edges(n):

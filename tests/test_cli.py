@@ -396,6 +396,19 @@ class TestPoset:
         assert code == 0
         assert len(written) == len(set(written)) == 77
 
+    def test_closed_pipe_exits_without_a_traceback(self):
+        # the reader takes one line of 5,604 groups and closes the pipe
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.Popen(
+            [sys.executable, "-c", CLI_SCRIPT, "poset", "1073741824"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert child.stdout.readline() == "5604 abelian groups of order 1073741824:\n"
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == cli.EXIT_ERROR
+        assert stderr == ""  # no traceback, and no error from the exit flush
+
 
 REMOVED_FLAGS = [
     ("poset", "8", "--seed", "1"),

@@ -485,21 +485,23 @@ class TestPaths:
                 g for g in aut.elements()
                 if all(tower[(g[v] - g[u]) % n] == tower[(v - u) % n] for u in range(n) for v in range(n))
             }
-            sylow = _sylow_subgroup(aut.order(), adjacency, 64)
-            assert sylow is not None  # the index is prime to p
+            sylow = _sylow_subgroup(adjacency, 64)
             assert set(sylow.elements()) == preserved, adjacency
             checked += 1
         assert checked > 2**n // 2
 
-    @pytest.mark.parametrize("n,s", [(9, {3, 6}), (16, {1, 4, 5, 9, 13})])
-    def test_sylow_refused_when_p_divides_the_index(self, n, s):
-        # no instance tested reaches this branch; an order p times |Aut|
-        # puts p in the index of Aut ∩ W
-        digraph = cayley_digraph(n, s)
-        aut_order = automorphism_group(digraph).order()
+    @pytest.mark.parametrize("n,count", [(4, None), (8, None), (9, None)] + [(n, 300) for n in (16, 25, 27, 32, 49, 64)])
+    def test_sylow_subgroup_has_index_prime_to_p(self, n, count):
+        # the lemma in _sylow_subgroup's docstring: Aut ∩ W is a Sylow
+        # p-subgroup of Aut, on every row at n <= 9 and on seeded rows beyond
         ((p, _),) = factorize(n).factors
-        assert _sylow_subgroup(aut_order, digraph.row, 64) is not None
-        assert _sylow_subgroup(p * aut_order, digraph.row, 64) is None
+        rng = random.Random(n)
+        masks = range(2**n) if count is None else [rng.getrandbits(n) for _ in range(count)]
+        for mask in masks:
+            row = [mask >> x & 1 for x in range(n)]
+            aut = automorphism_group(_refine.Circulant(row))
+            index, rest = divmod(aut.order(), _sylow_subgroup(row, 64).order())
+            assert rest == 0 and index % p != 0, (n, mask)
 
     @pytest.mark.parametrize("n,s", [(9, {3, 6}), (16, {1, 4, 5, 9, 13})])
     def test_refused_sylow_falls_through_to_enumerate(self, n, s, monkeypatch):

@@ -57,6 +57,7 @@ REMOVED_METHODS = [
     (PrimeLayers, "minimal_sylow"),  # its one caller was LayerDecomposition.minimal_group
     (_refine.Circulant, "_rows"),  # the view is an input format; it caches no row
     (AbelianType, "sylow_for"),  # dict(g.sylow)[p]
+    (AbelianType, "order"),  # no caller under src/; brute.group_order is the tests' reference
 ]
 
 
