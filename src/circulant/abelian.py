@@ -26,7 +26,6 @@ for the CLI's poset.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Iterator, Sequence
@@ -75,7 +74,7 @@ class AbelianType:
 
     @classmethod
     def cyclic(cls, n: int) -> "AbelianType":
-        return cls(tuple((p, (a,)) for p, a in factorize(n).factors))
+        return cls(tuple((p, (a,)) for p, a in factorize(n)))
 
     def invariant_factors(self) -> tuple[int, ...]:
         """Cyclic factor orders d_1 >= d_2 >= ..., each dividing the previous."""
@@ -157,18 +156,18 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
     return count + sum(prefixes.values())  # prefixes with a row for each of parts sum to a
 
 
-@lru_cache(maxsize=None)
+_PARTITIONS = [1]  # p(0), p(1), ..., extended by _partition_count
+
+
 def _partition_count(a: int) -> int | None:
     """p(a), the number of partitions of a, or None when it is past GROUP_LIST_CAP.
 
-    _dominating_count reads p(a) off the pentagonal recurrence in O(a^1.5)
-    steps, and p grows with a, so no a past the first exponent over the cap
-    is counted.
+    p grows with a, so _PARTITIONS is extended through a or through the
+    first value past the cap, p(46) = 105,558, whichever comes first.
     """
-    if any(_partition_count(b) is None for b in range(1, a)):
-        return None
-    count = _dominating_count((1,) * a)
-    return count if count <= GROUP_LIST_CAP else None
+    while len(_PARTITIONS) <= a and _PARTITIONS[-1] <= GROUP_LIST_CAP:
+        _partition_numbers(_PARTITIONS, len(_PARTITIONS))
+    return _PARTITIONS[a] if a < len(_PARTITIONS) and _PARTITIONS[a] <= GROUP_LIST_CAP else None
 
 
 def _cap_group_list(counts: list[int | None], what: str) -> None:
@@ -244,7 +243,7 @@ def enumerate_abelian(n: int) -> list[AbelianType]:
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    return _up_set_groups([(p, (1,) * a) for p, a in factorize(n).factors], f"order {n}")
+    return _up_set_groups([(p, (1,) * a) for p, a in factorize(n)], f"order {n}")
 
 
 def up_set(h: AbelianType) -> list[AbelianType]:

@@ -191,7 +191,7 @@ def decompose(s: ConnectionSet) -> LayerDecomposition:
     if s.n < 2:
         raise ValueError(f"decomposition needs n >= 2, got {s.n}")
     per_prime = []
-    for p, a in factorize(s.n).factors:
+    for p, a in factorize(s.n):
         valid = _valid_levels(s, p, a)
         sizes = tuple(map(sub, (*valid, a), (0, *valid)))
         per_prime.append(PrimeLayers(p, a, valid, sizes))

@@ -7,7 +7,6 @@ stop at TRIAL_DIVISION_BOUND: every n < 10^14 factors, and a larger n left
 with a cofactor that has no prime factor up to the bound is refused.
 """
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import CapacityError
@@ -15,17 +14,10 @@ from .errors import CapacityError
 TRIAL_DIVISION_BOUND = 10**7
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime-power decomposition n = p_1^a_1 * ... * p_r^a_r with p_1 < ... < p_r."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer; n = 1 yields an empty factor list.  CapacityError
-    once the divisor passes TRIAL_DIVISION_BOUND with a cofactor left."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, a) of n = p_1^a_1 * ... * p_r^a_r, p_1 < ... < p_r; n = 1
+    yields none.  CapacityError once the divisor passes TRIAL_DIVISION_BOUND
+    with a cofactor left."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     factors = []
@@ -43,7 +35,7 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def _radical_condition(primes) -> bool:

@@ -30,7 +30,7 @@ def cayley_digraph(n: int, members: Collection[int]) -> Circulant:
 
 def _tower_factors(p: int, layers: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
     """Each factor as its connection set (q, A), so that it is Cay(Z_q, A)."""
-    if p < 2 or factorize(p).factors != ((p, 1),):
+    if p < 2 or factorize(p) != ((p, 1),):
         raise ValueError(f"p must be prime, got {p}")
     if not layers or any(k < 1 for k in layers):
         raise ValueError(f"layers must be a nonempty sequence of positive integers: {layers}")

@@ -179,7 +179,7 @@ def _sylow_subgroup(adjacency: tuple[int, ...], vertex_cap: int) -> Optional[Per
     It is the automorphism group of the adjacency row paired with the
     tower's 0/1 row, one more engine call.
     """
-    factors = factorize(len(adjacency)).factors
+    factors = factorize(len(adjacency))
     if len(factors) != 1 or factors[0][1] < 2:
         return None
     ((p, a),) = factors
@@ -219,7 +219,7 @@ def cross_validate(
     aut = automorphism_group(digraph, vertex_cap=vertex_cap)
     aut_order = aut.order()
     if aut_order == n:
-        path, actual = REGULAR, predicted[-1:]  # Z_n, last in every up-set
+        path, actual = REGULAR, ("x".join(f"Z{p**a}" for p, a in factorize(n)),)  # Z_n's text
     elif aut_order == factorial(n):
         path, actual = SYMMETRIC, tuple(g.text() for g in enumerate_abelian(n))
     else:

@@ -1,10 +1,10 @@
 """Desk-scale permutation groups: element closure, 2-closure, digraph automorphisms.
 
 A permutation is its image tuple, held and composed as ``_encoding`` says,
-and groups are given by generators.  Element enumeration is a Dimino-style
-closure under a cap (default 10^6); the closure deliberately uses no
-stabilizer chain, and nilpotency is read off a certified prime-power order
-or Sylow counts.  Automorphism groups come from the refinement search
+and groups are given by generators.  Element enumeration is Dimino's
+closure, a whole coset at a time, under a cap (default 10^6); it
+deliberately uses no stabilizer chain, and nilpotency is read off a
+certified prime-power order or Sylow counts.  Automorphism groups come from the refinement search
 engine, which reads a square matrix of arc colors (a digraph is its 0/1
 adjacency matrix, and a circulant the engine's view of its first row),
 resolves a stabilizer chain deepest level first, and reports the exact
@@ -62,9 +62,13 @@ class PermGroup:
         return tuple(map(tuple, sorted(self._closure(cap))))
 
     def _closure(self, cap: int) -> list:
-        """All elements in ``_encoding(degree)``, unsorted, by Dimino-style
-        closure.  CapacityError past the cap, at once when the cached order
-        is; RuntimeError when the count disagrees with the cached order."""
+        """All elements in ``_encoding(degree)``, unsorted, by Dimino's closure
+        (G. Butler, *Fundamentals of Permutation Group Algorithms*, 1991).
+        The elements are a union of cosets r∘K of K, the subgroup before g,
+        so a coset whose r is new meets none of them and is added whole.
+        CapacityError past the cap, at once when the cached order is, else
+        before the coset that would pass it is composed; RuntimeError when
+        the count disagrees with the cached order."""
         if self.cached_order is not None and self.cached_order > cap:
             raise CapacityError("group order exceeds element cap", cap)
         encode, table, compose = _encoding(self.degree)
@@ -77,23 +81,20 @@ class PermGroup:
             if g in els_set:
                 continue
             active.append(g)
-            old = els_list[:]  # subgroup before adding g; new elements fill whole cosets of it
+            old = els_list[:]  # K
             step_tables = [table(s) for s in active]
             queue = [g]
             while queue:
                 r = queue.pop()
                 if r in els_set:
                     continue
+                if len(els_list) + len(old) > cap:
+                    raise CapacityError("group order exceeds element cap", cap)
                 r_table = table(r)
-                for e in old:
-                    x = compose(e, r_table)
-                    if x not in els_set:
-                        els_set.add(x)
-                        els_list.append(x)
-                        if len(els_set) > cap:
-                            raise CapacityError("group order exceeds element cap", cap)
-                for t in step_tables:
-                    queue.append(compose(r, t))
+                coset = [compose(e, r_table) for e in old]
+                els_list += coset
+                els_set.update(coset)
+                queue += [compose(r, t) for t in step_tables]
         if self.cached_order is not None and self.cached_order != len(els_list):
             raise RuntimeError(f"cached order {self.cached_order} != enumerated {len(els_list)}")
         return els_list
@@ -187,10 +188,10 @@ def is_nilpotent(group: PermGroup) -> bool:
     the Theory of Groups*, 5.2.4), true at once for a cached prime-power order.
     A Sylow p-subgroup is normal iff it holds every p-element, so iff the
     elements whose order divides the p-part p^a of |G| number exactly p^a."""
-    if group.cached_order is not None and len(factorize(group.cached_order).factors) <= 1:
+    if group.cached_order is not None and len(factorize(group.cached_order)) <= 1:
         return True
     orders = [_element_order(g) for g in group._closure(DEFAULT_ELEMENT_CAP)]
-    return all(sum(p**a % order == 0 for order in orders) == p**a for p, a in factorize(len(orders)).factors)
+    return all(sum(p**a % order == 0 for order in orders) == p**a for p, a in factorize(len(orders)))
 
 
 def _element_order(g: Sequence[int]) -> int:

@@ -8,6 +8,7 @@ at large n, on every translate), color
 refinement by a plain loop over every ordered pair (of one coloring, or of
 several side by side, every vertex signed every round), the automorphism search
 by refining every level afresh and backtracking over plain pair checks,
+element closure by testing every element of each new coset for membership,
 regular abelian subgroups by building each candidate subgroup as a set of
 elements, the regular certificate by keying each vertex with a tuple and
 counting its 2-paths pair by pair, the tower group W by its coloring of
@@ -29,6 +30,7 @@ from circulant.abelian import AbelianType
 from circulant.analyzer import ConnectionSet, subgroup_of_order
 from circulant.arith import factorize
 from circulant.digraph import _tower_factors, cayley_digraph
+from circulant.errors import CapacityError
 from circulant.permgroup import PermGroup
 
 
@@ -141,7 +143,7 @@ def brute_partitions(k):
 def brute_enumerate_abelian(n):
     """Every abelian group of order n, one partition of each exponent per
     prime, lexicographic by prime then partition."""
-    per_prime = [[(p, parts) for parts in brute_partitions(a)] for p, a in factorize(n).factors]
+    per_prime = [[(p, parts) for parts in brute_partitions(a)] for p, a in factorize(n)]
     return [AbelianType(combo) for combo in product(*per_prime)]
 
 
@@ -367,6 +369,36 @@ def tuple_key_certificate(first):
 def compose(p, q):
     """The image tuple of p after q: x -> p[q[x]]."""
     return tuple(p[x] for x in q)
+
+
+def brute_closure(group, cap):
+    """The elements of the group as image tuples, in Dimino's order: for each
+    generator g not yet found, each new representative r adds r∘e for every
+    e of the subgroup before g, each tested for membership one at a time,
+    and queues t∘r for every generator t so far.  CapacityError past cap."""
+    identity = tuple(range(group.degree))
+    els_list, els_set = [identity], {identity}
+    active = []
+    for g in group.generators:
+        if g in els_set:
+            continue
+        active.append(g)
+        old = els_list[:]
+        queue = [g]
+        while queue:
+            r = queue.pop()
+            if r in els_set:
+                continue
+            for e in old:
+                x = compose(r, e)
+                if x not in els_set:
+                    els_set.add(x)
+                    els_list.append(x)
+                    if len(els_set) > cap:
+                        raise CapacityError("group order exceeds element cap", cap)
+            for t in active:
+                queue.append(compose(t, r))
+    return els_list
 
 
 def inverse(g):

@@ -268,7 +268,7 @@ class TestUpSet:
 
     def test_no_count_within_the_bound(self, monkeypatch):
         # bounds p(22) = 1,002 and p(10) * p(6) = 462: no count, the same lists;
-        # the first pass fills the cache of p(a)
+        # the first pass extends the list of p(a)
         groups = [
             AbelianType.from_parts({2: (1,) * 22}),
             AbelianType.from_parts({2: (4, 3, 1, 1, 1), 3: (2, 2, 1, 1)}),
@@ -324,14 +324,12 @@ class TestDominanceWalk:
         assert _dominating_count((1,) * 60) == 966467
         assert _dominating_count((1,) * 80) == 15796476
 
-    def test_partition_count_stops_at_the_first_exponent_past_the_cap(self, monkeypatch):
+    def test_partition_count_stops_at_the_first_exponent_past_the_cap(self):
         exact = [_dominating_count((1,) * a) for a in range(1, 47)]
         assert exact[44:] == [89134, 105558]
         assert [_partition_count(a) for a in range(1, 47)] == exact[:45] + [None]
-        counted = []
-        monkeypatch.setattr(abelian, "_dominating_count", lambda parts, cap=None: counted.append(len(parts)))
-        assert _partition_count.__wrapped__(1000) is None  # 1^1000 is never counted
-        assert counted == []
+        assert _partition_count(1000) is None  # p(1000) is never computed
+        assert abelian._PARTITIONS == [1] + exact
 
     def test_enumerate_past_the_cap(self):
         with pytest.raises(CapacityError, match="would have 105558 groups"):

@@ -169,7 +169,7 @@ def test_criterion_7_coset_condition_iff_local_translations():
                 members = {rng.randrange(n) for _ in range(rng.randrange(0, 10))}
             else:
                 members = set()
-                square_full = [(p, a) for p, a in factorize(n).factors if a >= 2]
+                square_full = [(p, a) for p, a in factorize(n) if a >= 2]
                 if square_full:
                     p, a = rng.choice(square_full)
                     level = rng.randrange(1, a)

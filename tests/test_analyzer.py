@@ -180,7 +180,7 @@ class TestCosetCondition:
         checked = 0
         for members in subsets:
             s = ConnectionSet.of(n, members)
-            for p, a in factorize(n).factors:
+            for p, a in factorize(n):
                 for level in range(1, a):
                     assert holds(s, p, level) == brute_coset_condition(s, p, level), (s, p, level)
                     checked += 1
@@ -549,7 +549,7 @@ def _random_instance(rng, n):
     """Mix plain random sets with coset-built ones so valid levels occur."""
     if rng.random() < 0.5:
         return ConnectionSet.of(n, {rng.randrange(n) for _ in range(rng.randrange(0, 10))})
-    factors = [(p, a) for p, a in factorize(n).factors if a >= 2]
+    factors = [(p, a) for p, a in factorize(n) if a >= 2]
     if not factors:
         return ConnectionSet.of(n, {rng.randrange(n) for _ in range(rng.randrange(0, 10))})
     p, a = rng.choice(factors)

@@ -26,7 +26,8 @@ def arithmetic_condition(n):
     ],
 )
 def test_factorize(n, expected):
-    assert factorize(n).factors == expected
+    # plain (p, a) pairs, no wrapper
+    assert type(factorize(n)) is tuple and factorize(n) == expected
 
 
 def test_factorize_rejects_nonpositive():
@@ -36,10 +37,10 @@ def test_factorize_rejects_nonpositive():
 
 def test_factorize_exact_below_the_square_of_the_trial_division_bound():
     assert TRIAL_DIVISION_BOUND**2 == 10**14
-    assert factorize(999999999989).factors == ((999999999989, 1),)
+    assert factorize(999999999989) == ((999999999989, 1),)
     # the largest product of two primes below the bound, walked to its end
-    assert factorize(9999973 * 9999991).factors == ((9999973, 1), (9999991, 1))
-    assert factorize(2**80 * 9999991).factors == ((2, 80), (9999991, 1))
+    assert factorize(9999973 * 9999991) == ((9999973, 1), (9999991, 1))
+    assert factorize(2**80 * 9999991) == ((2, 80), (9999991, 1))
 
 
 def test_factorize_refuses_a_cofactor_past_the_bound(monkeypatch):
@@ -47,8 +48,8 @@ def test_factorize_refuses_a_cofactor_past_the_bound(monkeypatch):
     # prime, and a product of two primes; a prime cofactor below bound^2
     # passes (the 10^24 + 7 literal at the real bound is in test_cli.py)
     monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 100)
-    assert factorize(97 * 101).factors == ((97, 1), (101, 1))
-    assert factorize(2 * 9973).factors == ((2, 1), (9973, 1))
+    assert factorize(97 * 101) == ((97, 1), (101, 1))
+    assert factorize(2 * 9973) == ((2, 1), (9973, 1))
     for n in (101**2, 101 * 103, 4 * 101 * 103):
         with pytest.raises(CapacityError, match="no prime factor up to the bound") as err:
             factorize(n)
@@ -58,10 +59,10 @@ def test_factorize_refuses_a_cofactor_past_the_bound(monkeypatch):
 def test_factorize_roundtrip_exhaustive_small():
     for n in range(1, 20001):
         f = factorize(n)
-        assert prod(p**a for p, a in f.factors) == n
-        primes = [p for p, _ in f.factors]
+        assert prod(p**a for p, a in f) == n
+        primes = [p for p, _ in f]
         assert primes == sorted(primes)
-        assert all(a >= 1 for _, a in f.factors)
+        assert all(a >= 1 for _, a in f)
 
 
 def test_factorize_roundtrip_sampled_large():
@@ -69,8 +70,8 @@ def test_factorize_roundtrip_sampled_large():
     for _ in range(2000):
         n = rng.randrange(20001, 10**6)
         f = factorize(n)
-        assert prod(p**a for p, a in f.factors) == n
-        for p, _ in f.factors:
+        assert prod(p**a for p, a in f) == n
+        for p, _ in f:
             assert all(p % q != 0 for q in range(2, int(p**0.5) + 1))
 
 
@@ -105,12 +106,12 @@ def test_arithmetic_condition_rejects_small_n():
 def test_condition_depends_only_on_radical():
     for n in range(2, 10001):
         base = arithmetic_condition(n)
-        for p, _ in factorize(n).factors:
+        for p, _ in factorize(n):
             assert arithmetic_condition(n * p) is base
 
 
 def test_condition_matches_definition_directly():
     for n in range(2, 2000):
-        k = prod(p for p, _ in factorize(n).factors)
+        k = prod(p for p, _ in factorize(n))
         phi = sum(gcd(j, k) == 1 for j in range(1, k + 1))
         assert arithmetic_condition(n) is (gcd(k, phi) == 1)

@@ -63,7 +63,7 @@ def brute_regular_abelian_types(group, n):
     group of order n is generated by at most as many elements as the largest
     exponent in n's factorization, so larger subsets are not scanned.
     """
-    max_gens = max(a for _, a in factorize(n).factors)
+    max_gens = max(a for _, a in factorize(n))
     els = group.elements()
     profiles = {
         order_profile(reference_regular_representation(t).elements()): t
@@ -494,7 +494,7 @@ class TestPaths:
     def test_sylow_subgroup_has_index_prime_to_p(self, n, count):
         # the lemma in _sylow_subgroup's docstring: Aut ∩ W is a Sylow
         # p-subgroup of Aut, on every row at n <= 9 and on seeded rows beyond
-        ((p, _),) = factorize(n).factors
+        ((p, _),) = factorize(n)
         rng = random.Random(n)
         masks = range(2**n) if count is None else [rng.getrandbits(n) for _ in range(count)]
         for mask in masks:
@@ -555,12 +555,19 @@ class TestPaths:
         assert (report.path, report.aut_order, report.verdict) == ("regular", 40, EXACT_MATCH)
         assert calls == {"elements": 0, "_closure": 0, "_search_type": 0, "digraph": 0, "__iter__": 0}
 
-    def test_regular_path_reads_the_cyclic_group_off_the_prediction(self, monkeypatch):
-        # every up-set lists Z_n last (TestUpSet::test_cyclic_group_comes_last),
-        # so an unsound prediction on a regular circulant still meets actual Z_n
-        monkeypatch.setattr(oracle, "realizable_groups", lambda s: (["Z2^2", "Z4"], True))
-        report = cross_validate(ConnectionSet.of(4, [1]))
-        assert (report.path, report.actual, report.verdict) == ("regular", ("Z4",), MISMATCH)
+    @pytest.mark.parametrize(
+        "n,predicted,actual",
+        [
+            (4, ["Z2^2", "Z4"], "Z4"),  # an unsound prediction that lists Z_n
+            (8, ["Z2xZ4"], "Z8"),  # one that drops Z_n: echoing it would match
+            (45, ["Z9xZ5"], "Z9xZ5"),
+        ],
+    )
+    def test_regular_path_takes_the_cyclic_group_from_n(self, n, predicted, actual, monkeypatch):
+        monkeypatch.setattr(oracle, "realizable_groups", lambda s: (predicted, True))
+        report = cross_validate(ConnectionSet.of(n, [1]))
+        assert (report.path, report.actual) == ("regular", (actual,))
+        assert report.verdict == (EXACT_MATCH if predicted == [actual] else MISMATCH)
 
     def test_regular_path_builds_no_row(self, monkeypatch):
         # connected, co-connected circulants at n = 40..64 with |Aut| = n:

@@ -5,6 +5,7 @@ import pytest
 
 from brute import (
     brute_automorphisms,
+    brute_closure,
     brute_orbital_coloring,
     brute_pair_orbit_preservers,
     arc_set,
@@ -21,7 +22,7 @@ from circulant import _refine, permgroup
 from circulant.digraph import cayley_digraph, tower_digraph
 from circulant.errors import CapacityError
 from circulant.abelian import AbelianType
-from circulant.oracle import regular_abelian_types
+from circulant.oracle import _sylow_subgroup, regular_abelian_types
 from circulant.permgroup import (
     PermGroup,
     automorphism_group,
@@ -136,6 +137,41 @@ class TestElements:
             assert len(els) == order
             assert list(els) == sorted(els)
             assert els[0] == tuple(range(group.degree))
+
+
+def _closure_cases():
+    yield from ((f"S{k}", symmetric(k)) for k in range(4, 8))
+    yield "Z300", PermGroup.cyclic(300)
+    yield "S4xZ64", direct_product(symmetric(4), PermGroup.cyclic(64))
+    yield from ((f"criterion 9 #{i}", g) for i, g in enumerate(criterion_9_catalogue()))
+    for n, s in [(9, {3, 6}), (12, {6}), (12, {3, 9}), (16, {2, 14}), (16, {1, 8, 15}), (25, {5})]:
+        d = cayley_digraph(n, s)
+        yield f"Aut n={n} S={sorted(s)}", automorphism_group(d)
+        sylow = _sylow_subgroup(d.row, 64)
+        if sylow is not None:
+            yield f"Sylow n={n} S={sorted(s)}", sylow
+
+
+class TestClosure:
+    """``PermGroup._closure`` adds each new coset whole; ``brute_closure``
+    tests each element of it, and the two lists agree element by element."""
+
+    def test_matches_the_reference_in_order(self):
+        for name, group in _closure_cases():
+            assert [tuple(e) for e in group._closure(10**6)] == brute_closure(group, 10**6), name
+
+    @pytest.mark.parametrize("byte_images", [True, False])
+    def test_cap_at_the_order_closes_and_one_below_refuses(self, byte_images):
+        # no cached order, so the cap is met inside the closure, at its last coset
+        if byte_images:
+            group, order = PermGroup(5, symmetric(5).generators), 120
+        else:
+            group, order = direct_product(symmetric(4), PermGroup.cyclic(64)), 24 * 64
+        assert group.cached_order is None
+        assert len(group._closure(order)) == order
+        with pytest.raises(CapacityError) as err:
+            group._closure(order - 1)
+        assert err.value.cap == order - 1
 
 
 class TestGroupProducts:

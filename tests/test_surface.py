@@ -9,7 +9,6 @@ import pytest
 import circulant
 from circulant import _refine
 from circulant.abelian import AbelianType
-from circulant.arith import Factorization
 from circulant.oracle import regular_abelian_types
 from circulant.analyzer import PrimeLayers
 from circulant.permgroup import PermGroup, automorphism_group, is_nilpotent, two_closure
@@ -28,6 +27,7 @@ REMOVED_FUNCTIONS = [
     ("arith", "euler_phi"),
     ("arith", "arithmetic_condition"),  # LayerDecomposition.arithmetic_condition()
     ("arith", "big_omega"),  # _tower_factors tests primality on factorize(p)
+    ("arith", "Factorization"),  # factorize returns its (p, a) pairs
     ("cli", "_COMMANDS"),  # each subcommand's parser sets its runner as the run default
     ("digraph", "digraph"),
     ("digraph", "Digraph"),  # a digraph is the adjacency matrix the engine reads
@@ -53,7 +53,6 @@ REMOVED_METHODS = [
     (PermGroup, "orbits"),  # is_transitive reads the orbit of 0
     (PermGroup, "_elements"),  # elements() is not memoized
     ("Permutation", "identity"),
-    (Factorization, "primes"),  # its one caller was arith.arithmetic_condition
     (PrimeLayers, "minimal_sylow"),  # its one caller was LayerDecomposition.minimal_group
     (_refine.Circulant, "_rows"),  # the view is an input format; it caches no row
     (AbelianType, "sylow_for"),  # dict(g.sylow)[p]
@@ -125,12 +124,6 @@ def test_cli_command_table_is_argparse_own():
     assert set(commands) == {"analyze", "decompose", "witness", "generate", "verify", "poset"}
     for name, parser in commands.items():
         assert parser.get_default("run") is getattr(cli, f"_run_{name}"), name
-
-
-def test_factorization_is_not_exported():
-    # factorize still returns one, but the class is no export of its own
-    assert "Factorization" not in circulant.__all__
-    assert not hasattr(circulant, "Factorization")
 
 
 @pytest.mark.parametrize("function,params", [
