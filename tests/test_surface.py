@@ -44,7 +44,8 @@ REMOVED_FUNCTIONS = [
     ("oracle", "_uniform_pools"),  # regular_abelian_types pools the closure inline
 ]
 
-# An owner given by name is a class deleted from circulant.permgroup; its methods stay gone with it.
+# An owner given by name is a class deleted from the module that REMOVED_FUNCTIONS names for it;
+# its methods stay gone with it.
 REMOVED_METHODS = [
     ("Permutation", "from_cycles"),
     ("Permutation", "has_fixed_point"),
@@ -53,6 +54,7 @@ REMOVED_METHODS = [
     (PermGroup, "orbits"),  # is_transitive reads the orbit of 0
     (PermGroup, "_elements"),  # elements() is not memoized
     ("Permutation", "identity"),
+    ("Factorization", "primes"),  # its one caller was arith.arithmetic_condition
     (PrimeLayers, "minimal_sylow"),  # its one caller was LayerDecomposition.minimal_group
     (_refine.Circulant, "_rows"),  # the view is an input format; it caches no row
     (AbelianType, "sylow_for"),  # dict(g.sylow)[p]
@@ -77,7 +79,8 @@ def test_removed_function_is_gone(module, name):
 @pytest.mark.parametrize("owner,name", REMOVED_METHODS)
 def test_removed_method_is_gone(owner, name):
     if isinstance(owner, str):
-        owner = getattr(importlib.import_module("circulant.permgroup"), owner, None)
+        (module,) = [m for m, n in REMOVED_FUNCTIONS if n == owner]
+        owner = getattr(importlib.import_module(f"circulant.{module}"), owner, None)
     assert not hasattr(owner, name)
 
 
@@ -124,6 +127,12 @@ def test_cli_command_table_is_argparse_own():
     assert set(commands) == {"analyze", "decompose", "witness", "generate", "verify", "poset"}
     for name, parser in commands.items():
         assert parser.get_default("run") is getattr(cli, f"_run_{name}"), name
+
+
+def test_factorization_is_not_exported():
+    # factorize returns plain (p, a) pairs, and the deleted class is no export either
+    assert "Factorization" not in circulant.__all__
+    assert not hasattr(circulant, "Factorization")
 
 
 @pytest.mark.parametrize("function,params", [
