@@ -25,17 +25,18 @@ report and for the oracle's prediction alike.  One cover walk
 for the CLI's poset.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Iterator, Sequence
 
+from ._record import Record, set_field
 from .arith import factorize
 from .errors import CapacityError
 
-# A listed group costs about 200 bytes as objects, so a list of this many stays
-# near 20 MB; `poset` at 2^45 (89,134 groups, 329,433 cover pairs) peaks near
-# 86 MB of RSS in text, 157 MB in json and 142 MB in dot.
+# A listed group of order 2^45 costs about 300 bytes as objects, its partition
+# included, so a list of this many stays near 30 MB; `poset` at 2^45 (89,134
+# groups, 329,433 cover pairs) peaks near 66 MB of RSS in text and dot, which
+# write line by line, and 128 MB in json.
 GROUP_LIST_CAP = 10**5
 
 
@@ -50,15 +51,16 @@ def text_of(p: int, parts: tuple[int, ...]) -> str:
     return "x".join(pieces)
 
 
-@dataclass(frozen=True)
-class AbelianType:
+class AbelianType(Record):
     """Isomorphism type of an abelian group: one (p, parts) pair per prime
     divisor p, primes increasing, where parts (i_1 >= ... >= i_m) is the
     partition of the Sylow p-subgroup Z_{p^i_1} x ... x Z_{p^i_m}."""
 
+    __slots__ = ("sylow",)
     sylow: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __post_init__(self):
+    def __init__(self, sylow):
+        set_field(self, "sylow", sylow)
         primes = [p for p, _ in self.sylow]
         if primes != sorted(set(primes)):
             raise ValueError(f"sylow parts must be sorted by distinct primes: {primes}")

@@ -17,7 +17,6 @@ l >= a - low hold outright, and only the levels below them are tested, each
 stopping at its first failing x.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from operator import sub
@@ -26,19 +25,22 @@ from typing import Iterator
 # up_set has no caller here: it stays as the patch point of perfbench's
 # abelian.up_set span, as ConnectionSet.digraph stays for digraph.digraph.
 from .abelian import AbelianType, _up_closures, text_of, up_set
+from ._record import Record, set_field
 from ._refine import Circulant
 from .arith import _radical_condition, factorize
 from .digraph import cayley_digraph, tower_arcs
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
+class ConnectionSet(Record):
     """Subset of Z_n defining the circulant digraph Cay(Z_n, S)."""
 
+    __slots__ = ("n", "members")
     n: int
     members: frozenset[int]
 
-    def __post_init__(self):
+    def __init__(self, n, members):
+        set_field(self, "n", n)
+        set_field(self, "members", members)
         if self.n < 1:
             raise ValueError(f"modulus must be positive, got {self.n}")
         if self.members and (min(self.members) < 0 or max(self.members) >= self.n):
@@ -107,14 +109,20 @@ def subgroup_of_order(n: int, d: int) -> frozenset[int]:
     return frozenset(range(0, n, step))
 
 
-@dataclass(frozen=True)
-class PrimeLayers:
+class PrimeLayers(Record):
     """Valid levels and induced layers for one prime power p^a || n."""
 
+    __slots__ = ("p", "a", "valid_levels", "layer_sizes")
     p: int
     a: int
     valid_levels: tuple[int, ...]
     layer_sizes: tuple[int, ...]
+
+    def __init__(self, p, a, valid_levels, layer_sizes):
+        set_field(self, "p", p)
+        set_field(self, "a", a)
+        set_field(self, "valid_levels", valid_levels)
+        set_field(self, "layer_sizes", layer_sizes)
 
     @property
     def minimal_parts(self) -> tuple[int, ...]:
@@ -130,10 +138,14 @@ class PrimeLayers:
         }
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
+class LayerDecomposition(Record):
+    __slots__ = ("n", "per_prime")
     n: int
     per_prime: tuple[PrimeLayers, ...]
+
+    def __init__(self, n, per_prime):
+        set_field(self, "n", n)
+        set_field(self, "per_prime", per_prime)
 
     def for_prime(self, p: int) -> PrimeLayers:
         for layers in self.per_prime:

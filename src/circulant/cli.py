@@ -7,7 +7,7 @@ import os
 import sys
 from itertools import chain
 
-from .abelian import _cover_pairs, enumerate_abelian
+from .abelian import _cover_pairs, _covers, enumerate_abelian
 from .analyzer import (
     ConnectionSet,
     _parse_literal,
@@ -224,6 +224,14 @@ def _run_verify(args) -> int:
 def _run_poset(args) -> int:
     groups = enumerate_abelian(args.n)
     texts = [g.text() for g in groups]
+    if args.fmt == "json":
+        payload = {
+            "n": args.n,
+            "groups": texts,
+            "cover_pairs": [[texts[i], texts[j]] for i, j in _cover_pairs(groups)],
+        }
+        print(_json_dumps(payload))
+        return EXIT_OK
     if args.fmt == "dot":
         lines = chain(
             [f"digraph poset_{args.n} {{"],
@@ -231,23 +239,16 @@ def _run_poset(args) -> int:
             (f"  g{i} -> g{j};" for i, j in _cover_pairs(groups)),
             ["}"],
         )
-        sys.stdout.writelines(f"{line}\n" for line in lines)
-        return EXIT_OK
-    pairs = list(_cover_pairs(groups))
-    if args.fmt == "json":
-        payload = {
-            "n": args.n,
-            "groups": texts,
-            "cover_pairs": [[texts[i], texts[j]] for i, j in pairs],
-        }
-        print(_json_dumps(payload))
     else:
-        print(f"{len(texts)} abelian groups of order {args.n}:")
-        for text in texts:
-            print(f"  {text}")
-        print(f"{len(pairs)} cover pairs:")
-        for i, j in pairs:
-            print(f"  {texts[i]} < {texts[j]}")
+        # _cover_pairs pairs a group with each cover of one prime's partition, so the pairs are counted unlisted
+        count = sum(len(_covers(parts)) for g in groups for _, parts in g.sylow)
+        lines = chain(
+            [f"{len(texts)} abelian groups of order {args.n}:"],
+            (f"  {text}" for text in texts),
+            [f"{count} cover pairs:"],
+            (f"  {texts[i]} < {texts[j]}" for i, j in _cover_pairs(groups)),
+        )
+    sys.stdout.writelines(f"{line}\n" for line in lines)
     return EXIT_OK
 
 

@@ -11,10 +11,10 @@ with the analyzer must be exact when the arithmetic condition holds and a
 sound superset otherwise; anything else is a MISMATCH.
 """
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
+from ._record import Record, set_field
 from ._refine import Circulant
 from .abelian import AbelianType, enumerate_abelian
 from .analyzer import ConnectionSet, realizable_groups
@@ -35,8 +35,7 @@ SYLOW = "sylow"
 ENUMERATE = "enumerate"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """One verdict and its evidence.
 
     ``predicted`` and ``actual`` hold groups as their canonical texts
@@ -50,14 +49,25 @@ class ValidationReport:
     the vertex cap tripped.
     """
 
+    __slots__ = ("n", "s", "predicted", "actual", "verdict", "aut_order", "capped_by", "path")
     n: int
     s: tuple[int, ...]
     predicted: tuple[str, ...]
     actual: Optional[tuple[str, ...]]
     verdict: str
-    aut_order: Optional[int] = None
-    capped_by: Optional[dict] = None
-    path: Optional[str] = None
+    aut_order: Optional[int]
+    capped_by: Optional[dict]
+    path: Optional[str]
+
+    def __init__(self, n, s, predicted, actual, verdict, aut_order=None, capped_by=None, path=None):
+        set_field(self, "n", n)
+        set_field(self, "s", s)
+        set_field(self, "predicted", predicted)
+        set_field(self, "actual", actual)
+        set_field(self, "verdict", verdict)
+        set_field(self, "aut_order", aut_order)
+        set_field(self, "capped_by", capped_by)
+        set_field(self, "path", path)
 
     def to_json_dict(self) -> dict:
         return {

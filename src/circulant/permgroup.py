@@ -11,11 +11,11 @@ resolves a stabilizer chain deepest level first, and reports the exact
 group order, cached on the returned group.
 """
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
 from . import _refine
+from ._record import Record
 from .arith import factorize
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP
 from .errors import CapacityError
@@ -33,21 +33,28 @@ def _encoding(degree: int):
     return tuple, lambda r: r.__getitem__, lambda e, t: tuple(map(t, e))
 
 
-@dataclass
-class PermGroup:
+class PermGroup(Record):
     """Permutation group of fixed degree given by generators, image tuples.
 
     ``cached_order``, when present, is trusted as the exact order (the
     automorphism engine sets it); otherwise the order comes from capped
-    element enumeration.
+    element enumeration.  Unlike the frozen records, its fields can be
+    assigned, so it is unhashable.
     """
 
+    __slots__ = ("degree", "generators", "cached_order")
     degree: int
     generators: tuple[tuple[int, ...], ...]
-    cached_order: Optional[int] = None
+    cached_order: Optional[int]
 
-    def __post_init__(self):
-        self.generators = tuple(self.generators)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, degree, generators, cached_order=None):
+        self.degree = degree
+        self.generators = tuple(generators)
+        self.cached_order = cached_order
         for g in self.generators:
             if sorted(g) != list(range(self.degree)):
                 raise ValueError(f"not a permutation of 0..{self.degree - 1}: {g}")

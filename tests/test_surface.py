@@ -1,7 +1,12 @@
 """The package's public surface: every export resolves, and removed names stay removed."""
 
+import copy
 import importlib
 import inspect
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +14,8 @@ import pytest
 import circulant
 from circulant import _refine
 from circulant.abelian import AbelianType
-from circulant.oracle import regular_abelian_types
-from circulant.analyzer import PrimeLayers
+from circulant.oracle import ValidationReport, regular_abelian_types
+from circulant.analyzer import ConnectionSet, LayerDecomposition, PrimeLayers
 from circulant.permgroup import PermGroup, automorphism_group, is_nilpotent, two_closure
 from circulant.digraph import cayley_digraph, tower_digraph
 
@@ -148,3 +153,72 @@ def test_factorization_is_not_exported():
 ])
 def test_options_no_caller_sets_are_gone(function, params):
     assert list(inspect.signature(function).parameters) == params
+
+
+def test_cli_import_loads_no_dataclasses():
+    # pytest itself imports dataclasses, so a fresh interpreter imports the CLI
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, circulant.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"
+
+
+_LAYERS = PrimeLayers(2, 3, (1,), (2, 1))
+# (class, fields, repr): each record's fields as its __init__ takes them, and the repr they give
+RECORDS = [
+    (AbelianType, (((2, (2, 1)), (3, (1,))),), "AbelianType(sylow=((2, (2, 1)), (3, (1,))))"),
+    (ConnectionSet, (8, frozenset({1})), "ConnectionSet(n=8, members=frozenset({1}))"),
+    (PrimeLayers, (2, 3, (1,), (2, 1)), "PrimeLayers(p=2, a=3, valid_levels=(1,), layer_sizes=(2, 1))"),
+    (LayerDecomposition, (8, (_LAYERS,)),
+     "LayerDecomposition(n=8, per_prime=(PrimeLayers(p=2, a=3, valid_levels=(1,), layer_sizes=(2, 1)),))"),
+    (ValidationReport, (8, (1,), ("Z8",), ("Z8",), "exact-match", 8, None, "regular"),
+     "ValidationReport(n=8, s=(1,), predicted=('Z8',), actual=('Z8',), verdict='exact-match', aut_order=8,"
+     " capped_by=None, path='regular')"),
+    (PermGroup, (4, ((1, 2, 3, 0),), 4), "PermGroup(degree=4, generators=((1, 2, 3, 0),), cached_order=4)"),
+]
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_parity(cls, fields, text):
+    record = cls(*fields)
+    names = [name for name in inspect.signature(cls).parameters]
+    assert cls(**dict(zip(names, fields))) == record == cls(*fields)
+    assert not record != cls(*fields)
+    for other_cls, other_fields, _ in RECORDS:
+        if other_cls is not cls:
+            assert record != other_cls(*other_fields)
+    assert record != fields and fields != record
+    assert repr(record) == text
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    assert copy.deepcopy(record) == record
+    if cls is PermGroup:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        record.cached_order = None
+        assert record == PermGroup(4, ((1, 2, 3, 0),)) != cls(*fields)
+        return
+    assert hash(record) == hash(cls(*fields))
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(*fields)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: AbelianType(((3, (1,)), (2, (1,)))), "sylow parts must be sorted by distinct primes: [3, 2]"),
+    (lambda: AbelianType(((3, (1,)), (3, (2,)))), "sylow parts must be sorted by distinct primes: [3, 3]"),
+    (lambda: AbelianType(((2, (1,)), (3, (1, 0)))), "parts must be positive and nonempty: (1, 0)"),
+    (lambda: AbelianType(((3, ()),)), "parts must be positive and nonempty: ()"),
+    (lambda: AbelianType(((3, (1, 2)),)), "parts must be non-increasing: (1, 2)"),
+    (lambda: ConnectionSet(0, frozenset()), "modulus must be positive, got 0"),
+    (lambda: ConnectionSet(8, frozenset({3, 8})), "element 8 out of range for Z_8"),
+    (lambda: ConnectionSet(8, frozenset({-1})), "element -1 out of range for Z_8"),
+    (lambda: PermGroup(3, [(0, 1, 2), (0, 0, 1)]), "not a permutation of 0..2: (0, 0, 1)"),
+])
+def test_record_validation_messages(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
