@@ -225,14 +225,14 @@ def _run_poset(args) -> int:
     groups = enumerate_abelian(args.n)
     texts = [g.text() for g in groups]
     if args.fmt == "json":
-        payload = {
-            "n": args.n,
-            "groups": texts,
-            "cover_pairs": [[texts[i], texts[j]] for i, j in _cover_pairs(groups)],
-        }
-        print(_json_dumps(payload))
-        return EXIT_OK
-    if args.fmt == "dot":
+        # _json_dumps's bytes for the whole object, keys sorted, one cover pair at a time
+        pairs = (_json_dumps([texts[i], texts[j]]) for i, j in _cover_pairs(groups))
+        lines = chain(
+            ['{"cover_pairs":[', next(pairs, "")],
+            ("," + pair for pair in pairs),
+            [f'],"groups":{_json_dumps(texts)},"n":{_json_dumps(args.n)}}}\n'],
+        )
+    elif args.fmt == "dot":
         lines = chain(
             [f"digraph poset_{args.n} {{"],
             (f'  g{i} [label="{text}"];' for i, text in enumerate(texts)),
@@ -248,7 +248,8 @@ def _run_poset(args) -> int:
             [f"{count} cover pairs:"],
             (f"  {texts[i]} < {texts[j]}" for i, j in _cover_pairs(groups)),
         )
-    sys.stdout.writelines(f"{line}\n" for line in lines)
+    end = "" if args.fmt == "json" else "\n"
+    sys.stdout.writelines(f"{line}{end}" for line in lines)
     return EXIT_OK
 
 

@@ -54,8 +54,8 @@ def search_codes(m):
 
 
 def row_codes(m):
-    """m's pair codes with no convolution kernel: every round sorts rows."""
-    return (*_refine._pair_codes(m), None)
+    """m's dense code rows, built entry by entry, as for a structure the shift does not preserve."""
+    return _refine._pair_codes(m)
 
 
 def relabel(m, perm):
@@ -115,8 +115,9 @@ class TestRefine:
                 assert cells(_refine.refine(colors, codes=row_codes(m))) == cells(brute_refine(m, colors)), (m, colors)
 
     def test_levels_start_from_the_last_stable_partition(self):
-        # the search's seeding: diagonal, then each stable coloring with the
-        # next base point individualized by one split on its pair codes
+        # the search's seeding: diagonal, every class a splitter, then each
+        # stable coloring with the next base point individualized, that point
+        # the one splitter
         rng = random.Random(101)
         for _ in range(150):
             m = random_structure(rng)
@@ -126,25 +127,23 @@ class TestRefine:
             assert cells(colors) == cells(brute_refine(m, seeded(m, []))), m
             base = rng.sample(range(n), min(n, rng.randint(1, 4)))
             for k, x in enumerate(base, 1):
-                (colors,) = _refine._individualize(codes, colors, x)
-                colors = _refine.refine(colors, codes=codes)
+                colors = _refine.refine(colors, codes=codes, point=x)
                 assert cells(colors) == cells(brute_refine(m, seeded(m, base[:k]))), (m, base[:k])
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_circulant_pair_codes_are_rotations(self, n):
-        # a circulant's codes come as the view of the ranks of their row 0;
-        # its rows, built, rank the codes of the whole matrix
+        # a circulant's code rows are the ranks of its row 0's codes, rotated;
+        # they rank the codes of the whole matrix
         rng = random.Random(n)
         rows = [[int(x in members) for x in range(n)] for k in range(n + 1) for members in combinations(range(n), k)]
         rows += [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(20)]
         for row in rows:
             m = circulant(row)
             assert shift_invariant(m)
-            view, width, _ = _refine._convolution(m[0])
-            codes, _ = _refine._pair_codes(m)
+            view = _refine._convolution(m[0])
+            codes = _refine._pair_codes(m)
             rank = {code: j for j, code in enumerate(sorted(set(chain.from_iterable(codes))))}
             assert [list(r) for r in view] == [list(map(rank.__getitem__, r)) for r in codes], row
-            assert width == len(rank), row
 
     def test_pair_refinement_matches_reference_on_isomorphic_pairs(self):
         # two colorings of one circulant, x and x+1 individualized: the shift
@@ -159,6 +158,15 @@ class TestRefine:
             assert cells(ca) == cells(brute_refine(m, seeded(m, [x])))
             assert all(cb[(v + 1) % n] == ca[v] for v in range(n))
 
+    def test_long_cycle(self):
+        # C_1000: once 0 is individualized, the pairs {v, -v} split one
+        # distance at a time, each split by a splitter of one or two vertices
+        n = 1000
+        start = time.perf_counter()
+        group = automorphism_group(cayley_digraph(n, {1, n - 1}), vertex_cap=n)
+        assert group.cached_order == 2 * n and len(group.generators) == 2
+        assert time.perf_counter() - start < 5
+
     def test_pair_refinement_rejects_mismatched_class_sizes(self):
         path = matrix(3, {(0, 1), (1, 2)})
         # the ends of a directed path are told apart by refinement alone
@@ -168,14 +176,14 @@ class TestRefine:
         assert _refine._refine_joint(([1, 0, 0], [1, 1, 0]), row_codes(empty)) is None
 
 
-def kernel_codes(m):
-    """A circulant's code ranks with their convolution kernel, at any n < 256."""
+def rank_codes(m):
+    """A circulant's code rows as ranks, from its row 0."""
     return _refine._convolution(m[0])
 
 
-def both_paths(m, colors):
-    """The stable coloring by the convolution kernel and by row sorts."""
-    return _refine.refine(colors, codes=kernel_codes(m)), _refine.refine(colors, codes=row_codes(m))
+def both_codes(m, colors):
+    """The stable coloring from a circulant's rank codes and from its dense codes."""
+    return _refine.refine(colors, codes=rank_codes(m)), _refine.refine(colors, codes=row_codes(m))
 
 
 def same_classes(one, other):
@@ -186,7 +194,8 @@ def same_classes(one, other):
 
 
 class TestConvolution:
-    """Signature rounds by the circulant kernel against row sorts and brute force."""
+    """Refinement on a circulant's rank codes from ``_convolution`` against
+    its dense codes and brute force."""
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_every_circulant(self, n):
@@ -195,10 +204,10 @@ class TestConvolution:
             m = circulant([int(x in members) for x in range(n)])
             # a second base only up to n = 10, and brute force up to n = 8, for time
             for base in ([0], [0, rng.randrange(1, n)])[: 2 if n <= 10 else 1]:
-                by_kernel, by_rows = both_paths(m, seeded(m, base))
-                assert cells(by_kernel) == cells(by_rows), (members, base)
+                by_ranks, by_rows = both_codes(m, seeded(m, base))
+                assert cells(by_ranks) == cells(by_rows), (members, base)
                 if n <= 8:
-                    assert cells(by_kernel) == cells(brute_refine(m, seeded(m, base))), (members, base)
+                    assert cells(by_ranks) == cells(brute_refine(m, seeded(m, base))), (members, base)
 
     def test_arc_colored_rows(self):
         # negative colors, and code spans above 255: the Sylow search pairs
@@ -212,12 +221,12 @@ class TestConvolution:
             n = len(row)
             for k in (1, 2, 3):
                 colors = seeded(m, rng.sample(range(n), min(k, n)))
-                by_kernel, by_rows = both_paths(m, colors)
-                assert cells(by_kernel) == cells(by_rows) == cells(brute_refine(m, colors)), (row, colors)
+                by_ranks, by_rows = both_codes(m, colors)
+                assert cells(by_ranks) == cells(by_rows) == cells(brute_refine(m, colors)), (row, colors)
 
     def test_joint_refinement(self):
         # forced pairs x -> y, whether or not an automorphism maps x to y:
-        # both paths give None, or the same classes under one renumbering
+        # both codes give None, or the same classes under one renumbering
         rng = random.Random(109)
         outcomes = set()
         for _ in range(200):
@@ -231,52 +240,43 @@ class TestConvolution:
             ca, cb = seeded(m, []), seeded(m, [])
             for i, (a, b) in enumerate(forced):
                 ca[a] = cb[b] = n + i
-            by_kernel = _refine._refine_joint((ca, cb), kernel_codes(m))
+            by_ranks = _refine._refine_joint((ca, cb), rank_codes(m))
             by_rows = _refine._refine_joint((ca, cb), row_codes(m))
             outcomes.add(by_rows is None)
-            assert (by_kernel is None) == (by_rows is None), (row, forced)
+            assert (by_ranks is None) == (by_rows is None), (row, forced)
             if by_rows is not None:
-                assert same_classes(by_kernel, by_rows), (row, forced)
+                assert same_classes(by_ranks, by_rows), (row, forced)
         assert outcomes == {True, False}
 
-    def test_counts_up_to_254_do_not_carry(self):
-        # Z_255 with every non-zero difference an arc: rank 1 (an arc both
-        # ways) has 254 entries, so one class of every vertex counts 254 at each v
-        n = 255
-        _, _, (r, products) = _refine._convolution([0] + [1] * (n - 1))
-        assert r == bytes([0] + [1] * (n - 1)) and len(products) == 1
-        x = int.from_bytes(b"\1" * 2 * n, "little")
-        assert (x * products[0]).to_bytes(3 * n, "little")[n : 2 * n] == bytes([254]) * n
-
     def test_ranks_up_to_254(self):
-        # every difference its own color: 255 code ranks, so the column of
-        # the singleton class {0} holds bytes up to 254
+        # every difference its own color: 255 code ranks, so the code rows,
+        # bytes, hold ranks up to 254, and the code to 0 alone splits every class
         row = random.Random(113).sample(range(1000), 255)
         m = circulant(row)
         colors = seeded(m, [0])
-        by_kernel, by_rows = both_paths(m, colors)
-        assert max(kernel_codes(m)[2][0]) == 254
-        assert cells(by_kernel) == cells(by_rows) == cells(brute_refine(m, colors))
-        assert cells(by_kernel) == [[v] for v in range(255)]
+        by_ranks, by_rows = both_codes(m, colors)
+        assert type(rank_codes(m)[0]) is bytes and max(rank_codes(m)[0]) == 254
+        assert cells(by_ranks) == cells(by_rows) == cells(brute_refine(m, colors))
+        assert cells(by_ranks) == [[v] for v in range(255)]
 
-    @pytest.mark.parametrize("n,kernel", [(1, False), (2, True), (255, True), (256, False)])
-    def test_kernel_boundary(self, n, kernel):
-        # the search uses the kernel on every circulant with 2 <= n < 256; n = 1
-        # takes no shift, so no kernel; a dense S, with |Aut| = n
+    @pytest.mark.parametrize("n,distinct", [(255, False), (256, False), (256, True), (300, True)])
+    def test_searches_around_a_byte(self, n, distinct):
+        # a dense 0/1 row, at most four code ranks, keeps bytes at any n; a
+        # row with every difference its own color has n ranks, a list past 256
         rng = random.Random(n)
-        m = circulant([int(rng.random() < 0.8) for _ in range(n)])
-        shift, (_, _, by_kernel) = search_codes(m)
-        assert shift is (n > 1) and (by_kernel is not None) is kernel
+        row = rng.sample(range(10 * n), n) if distinct else [int(rng.random() < 0.8) for _ in range(n)]
+        m = circulant(row)
+        assert type(rank_codes(m)[0]) is (list if distinct and n > 256 else bytes)
         assert _refine.automorphisms(m) == reference_automorphisms(m)
 
     def test_searches_match_the_reference_search(self):
         # circulants and 3-color arc colorings at 16 <= n <= 32, and every
-        # circulant with n <= 8, take the kernel path
+        # circulant with n <= 8, take the shift and their rank codes
         rng = random.Random(131)
         for _ in range(60):
             n, colors = rng.randint(16, 32), rng.choice((2, 3))
             m = circulant([rng.randrange(colors) for _ in range(n)])
-            assert search_codes(m)[1][2] is not None
+            assert search_codes(m)[0]
             assert _refine.automorphisms(m) == reference_automorphisms(m), m
         for n in range(2, 9):
             for members in chain.from_iterable(combinations(range(n), k) for k in range(n + 1)):
@@ -292,21 +292,20 @@ def dense(row):
 
 class TestCodeRows:
     """A circulant's code rows from ``_convolution``: codes agree exactly when
-    the pairs (m[v][u], m[u][v]) they code agree, held as bytes below 256
-    vertices and as lists from 256 on."""
+    the pairs (m[v][u], m[u][v]) they code agree, held as bytes when every
+    rank fits in a byte and as lists otherwise."""
 
     def assert_rows_code_the_pairs(self, row):
         n = len(row)
-        rows, width, kernel = _refine._convolution(row)
-        assert len(rows) == n and (kernel is not None) is (n < 256)
-        assert all(type(r) is (bytes if n < 256 else list) and len(r) == n for r in rows), row
+        rows = _refine._convolution(row)
         m = dense(row)
         code_of, pair_of = {}, {}
         for v in range(n):
             for u in range(n):
                 pair, code = (m[v][u], m[u][v]), rows[v][u]
                 assert code_of.setdefault(pair, code) == code and pair_of.setdefault(code, pair) == pair, (row, v, u)
-        assert width == len(code_of), row
+        assert len(rows) == n and sorted(pair_of) == list(range(len(code_of))), row
+        assert all(type(r) is (bytes if len(code_of) <= 256 else list) and len(r) == n for r in rows), row
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_adjacency_row(self, n):
@@ -318,6 +317,11 @@ class TestCodeRows:
         rng = random.Random(n)
         for _ in range(3):
             self.assert_rows_code_the_pairs([rng.randrange(3) for _ in range(n)])
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 300])
+    def test_every_difference_its_own_color(self, n):
+        # n code ranks: bytes up to 256 of them, lists past that
+        self.assert_rows_code_the_pairs(random.Random(n).sample(range(10 * n), n))
 
 
 class TestCirculantView:
@@ -476,9 +480,9 @@ class TestRegularCertificate:
 
 class TestJointRefinement:
     def test_returned_colorings_have_equal_class_sizes(self):
-        # a round may leave one coloring discrete and not the other; only a
-        # single coloring returns right after its discrete round, two are
-        # compared once more
+        # the pieces of every split are compared across the colorings, so
+        # refinement that stops once the first coloring is discrete leaves
+        # the second discrete too
         rng = random.Random(139)
         outcomes = Counter()
         for _ in range(400):
@@ -552,7 +556,8 @@ class TestIndividualize:
     def test_points_share_one_rank_table_and_one_color(self):
         # the colorings of x and of y: v in the first and u in the second get
         # one color exactly when both are the point, or neither is and their
-        # stable colors and codes to the point agree
+        # stable colors agree; the splits by the codes to the point are
+        # refinement's
         rng = random.Random(149)
         for _ in range(200):
             m = random_structure(rng)
@@ -560,11 +565,11 @@ class TestIndividualize:
             _, codes = search_codes(m)
             colors = _refine.refine(seeded(m, []), codes=codes)
             x, y = rng.randrange(n), rng.randrange(n)
-            cx, cy = _refine._individualize(codes, colors, x, y)
-            rows = codes[0]
+            cx, cy = _refine._individualize(colors, x, y)
+            assert cx[x] == cy[y] not in colors
 
             def key(v, point):
-                return None if v == point else (colors[v], rows[v][point])
+                return None if v == point else colors[v]
 
             for v in range(n):
                 for u in range(n):
@@ -584,8 +589,8 @@ class TestLabelIndependence:
     values themselves or their order."""
 
     def test_refinement_ignores_seed_color_values(self):
-        # row sorts take any ints, negative and past 255 included; the
-        # kernel takes bytes, so there the seed colors are relabeled in 0..255
+        # seed colors are any ints, negative and past 255 included, with
+        # dense codes and with a circulant's rank codes
         rng = random.Random(151)
         for _ in range(200):
             m = random_structure(rng)
@@ -594,7 +599,7 @@ class TestLabelIndependence:
             expected = cells(brute_refine(m, colors))
             paths = [(row_codes(m), -1000, 1000)]
             if shift_invariant(m):
-                paths.append((kernel_codes(m), 0, 256))
+                paths.append((rank_codes(m), -1000, 1000))
             for codes, low, high in paths:
                 relabeled = relabel_values(colors, rng, low, high)
                 assert cells(_refine.refine(relabeled, codes=codes)) == expected, (m, relabeled)
@@ -620,8 +625,9 @@ class TestLabelIndependence:
 
     def test_automorphisms_ignore_arc_color_values(self):
         # every entry of the matrix relabeled by one injective map, negative
-        # and past 255 included: circulants at n < 256 take the kernel, the
-        # rest sort rows, and both give the reference's generators
+        # and past 255 included: circulants keep their shift and their rank
+        # codes, the rest take dense codes, and both give the reference's
+        # generators
         rng = random.Random(163)
         structures = [random_structure(rng) for _ in range(60)]
         structures += [circulant([rng.randrange(3) for _ in range(rng.randint(16, 40))]) for _ in range(40)]
@@ -693,49 +699,35 @@ class TestAutomorphismPaths:
             m = random_structure(rng)
             assert _refine.automorphisms(m) == reference_automorphisms(m), m
 
-    def test_signature_rounds(self, monkeypatch):
-        rounds, kernel_rounds, rows_sorted = [], [], []
-        real = _refine._signatures
-        real_counts, real_rows = _refine._code_counts, _refine._sorted_rows
+    def test_splitter_sizes(self, monkeypatch):
+        # each splitter popped reads its members once in every coloring
+        # refined, one itemgetter each
+        sizes = []
+        real = _refine.itemgetter
 
-        def counted(*args):
-            rounds.append(1)
-            return real(*args)
+        def recorded(*members):
+            sizes.append(len(members))
+            return real(*members)
 
-        def counted_counts(kernel, colors, sizes, opened):
-            kernel_rounds.append(len(opened))
-            return real_counts(kernel, colors, sizes, opened)
-
-        def counted_rows(codes, width, colors, opened):
-            rows_sorted.append(len(opened))
-            return real_rows(codes, width, colors, opened)
-
-        monkeypatch.setattr(_refine, "_signatures", counted)
-        monkeypatch.setattr(_refine, "_code_counts", counted_counts)
-        monkeypatch.setattr(_refine, "_sorted_rows", counted_rows)
+        monkeypatch.setattr(_refine, "itemgetter", recorded)
         m = [list(r) for r in cayley_digraph(40, {1, 2, 5, 17})]
-        # an already discrete coloring costs at most one round
+        # an already discrete coloring pops no splitter
         assert _refine.refine(list(range(40)), codes=row_codes(m)) == list(range(40))
-        assert len(rounds) <= 1
-        # Z_40: level 1 is 0 individualized, then a kernel round over the 39
-        # other vertices and one over the 27 not yet alone in their class,
-        # which makes it discrete, and no round confirms it; no row is sorted
-        for calls in (rounds, kernel_rounds, rows_sorted):
-            calls.clear()
+        assert sizes == []
+        # Z_40: level 1 is 0 individualized, the splitter {0}, then the
+        # pieces each split queues, every one but the largest of its class
         assert _refine.automorphisms(m)[1] == 40
-        assert len(rounds) == 2
-        assert kernel_rounds == [39, 27] and rows_sorted == []
-        # a relabeled copy the shift does not preserve sorts rows instead,
-        # and only the rows of vertices not alone in their class: the descent
-        # refines level 0 (40) and level 1 (39, 27), then level 0 is resolved
-        # by one search, its two colorings side by side (39, 39, 27, 27)
+        level_1 = [1, 4, 1, 2, 2, 1, 1, 1, 1, 1]
+        assert sizes == level_1
+        # a relabeled copy the shift does not preserve refines level 0 with
+        # its one class as the splitter and level 1 as above; level 0 is then
+        # resolved by one search, its two colorings side by side, each
+        # splitter read in both
         relabeled = relabel(m, random.Random(127).sample(range(40), 40))
         assert not shift_invariant(relabeled)
-        for calls in (rounds, kernel_rounds, rows_sorted):
-            calls.clear()
+        sizes.clear()
         assert _refine.automorphisms(relabeled)[1] == 40
-        assert kernel_rounds == []
-        assert len(rows_sorted) == len(rounds) and rows_sorted == [40, 39, 27, 39, 39, 27, 27]
+        assert sizes == [40] + level_1 + [size for size in level_1 for _ in range(2)]
 
     def test_shift_must_preserve_the_diagonal(self):
         # the shift preserves every arc of the 6-cycle but not the loop at 0
@@ -809,13 +801,13 @@ def reference_rows(rng, ns):
 
 
 class TestOpenCellRounds:
-    """Rounds that sign only vertices in classes of two or more, and level 1
-    of a circulant from its convolution kernel, against ``full_refine``,
+    """Splitter refinement, which splits only classes of two or more, and
+    level 1 of a circulant from its one splitter, against ``full_refine``,
     which signs every vertex every round."""
 
     def test_refine_reaches_the_full_rounds_partition(self):
         # circulant rows at 2 <= n <= 80 with the engine's own codes (code
-        # ranks and kernel), two levels each; and random
+        # ranks), two levels each; and random
         # structures with row codes and up to two vertices individualized
         rng = random.Random(167)
         for row in reference_rows(rng, range(2, 81)):
@@ -857,9 +849,10 @@ class TestOpenCellRounds:
 
     def test_joint_refinement_of_iso_search(self):
         # the stable coloring of a random base with x and with y
-        # individualized: where the full rounds keep equal class sizes, the
-        # same classes under one renumbering; where they refute x -> y, so
-        # does the search
+        # individualized, refined with every class queued and with the
+        # shared new color alone, as the search does: where the full rounds
+        # keep equal class sizes, the same classes under one renumbering;
+        # where they refute x -> y, so does the search
         rng = random.Random(179)
         structures = [circulant(row) for row in reference_rows(rng, range(2, 81, 2))]
         structures += [random_structure(rng) for _ in range(150)]
@@ -871,35 +864,36 @@ class TestOpenCellRounds:
             for x in rng.sample(range(n), min(n, rng.randint(0, 2))):
                 colors = _refine.refine(colors, codes=codes, point=x)
             x, y = rng.randrange(n), rng.randrange(n)
-            seeds = _refine._individualize(codes, colors, x, y)
+            seeds = _refine._individualize(colors, x, y)
             expected = full_refine(m, seeds)
-            refined = _refine._refine_joint(seeds, codes)
             outcomes[expected is None] += 1
-            if expected is None:
-                assert refined is None or _refine.iso_search(colors, x, y, codes=codes) is None, (m, x, y)
-            else:
-                assert refined is not None and same_classes(refined, expected), (m, x, y)
+            for refined in (_refine._refine_joint(seeds, codes), _refine._refine_joint(seeds, codes, [seeds[0][x]])):
+                if expected is None:
+                    assert refined is None or _refine.iso_search(colors, x, y, codes=codes) is None, (m, x, y)
+                else:
+                    assert refined is not None and same_classes(refined, expected), (m, x, y)
         assert outcomes[True] > 0 and outcomes[False] > 0
 
     @pytest.mark.parametrize("n", range(16, 65))
     def test_first_level_is_one_full_round(self, n):
         # level 1 of a circulant: vertex 0 individualized in the uniform
-        # diagonal, then one round of the engine, which signs the open
-        # vertices alone, by the kernel or by sorted rows; the partition of
-        # one round signing every vertex
+        # diagonal, its color the one splitter; the split by the codes to 0
+        # is one full round, signing every vertex, and the splits from there
+        # reach the full rounds' stable partition
         rng = random.Random(n)
         for row in reference_rows(rng, [n]) + reference_rows(rng, [n]):
             m = _refine.Circulant(row)
             _, codes = search_codes(m)
-            (individualized,) = _refine._individualize(codes, [0] * n, 0)
-            keys = _refine._signatures(codes, individualized, Counter(individualized))
-            (expected,) = full_refine(m, [individualized], rounds=1)
-            assert cells(keys) == cells(expected), row
+            (individualized,) = _refine._individualize([0] * n, 0)
+            (one_round,) = full_refine(m, [individualized], rounds=1)
+            assert cells([(individualized[v], codes[v][0]) for v in range(n)]) == cells(one_round), row
+            (stable,) = full_refine(m, [individualized])
+            assert cells(_refine.refine([0] * n, codes=codes, point=0)) == cells(stable), row
 
     def test_rounds_run_inside_refine_and_iso_search(self, monkeypatch):
         # perfbench times refinement as the spans of refine and iso_search:
-        # every signature round and every individualization must run
-        # inside one of them
+        # every refinement and every individualization must run inside one
+        # of them
         depth, outside = [0], []
 
         def span(real):
@@ -912,7 +906,7 @@ class TestOpenCellRounds:
 
             return wrapped
 
-        def round_of(name, real):
+        def work(name, real):
             def wrapped(*args, **kwargs):
                 if not depth[0]:
                     outside.append(name)
@@ -922,8 +916,8 @@ class TestOpenCellRounds:
 
         for name in ("refine", "iso_search"):
             monkeypatch.setattr(_refine, name, span(getattr(_refine, name)))
-        for name in ("_signatures", "_individualize"):
-            monkeypatch.setattr(_refine, name, round_of(name, getattr(_refine, name)))
+        for name in ("_refine_joint", "_individualize"):
+            monkeypatch.setattr(_refine, name, work(name, getattr(_refine, name)))
         rng = random.Random(181)
         paths = Counter()
         instances = [(n, {x for x in range(n) if rng.random() < 0.4}) for n in (6, 9, 12, 16, 25, 27, 40, 64)]

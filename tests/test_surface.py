@@ -148,7 +148,7 @@ def test_factorization_is_not_exported():
     (PermGroup.cyclic, ["n"]),  # folds in what was permgroup.rotation
     (regular_abelian_types, ["group", "cap"]),  # n is the group's degree
     (_refine.refine, ["colors", "codes", "point"]),  # refinement and search read the pair codes alone
-    (_refine._refine_joint, ["colorings", "codes"]),
+    (_refine._refine_joint, ["colorings", "codes", "splitters"]),  # every class, or the individualized color
     (_refine.iso_search, ["colors", "x", "y", "codes"]),
     (_refine._pair_codes, ["m"]),  # a circulant's codes come from _convolution
 ])
