@@ -262,8 +262,8 @@ def _individualize(colors, *points):
     coloring per point, each point given the same new color."""
     fresh = max(colors) + 1
     individualized = [list(colors) for _ in points]
-    for x, colors in zip(points, individualized):
-        colors[x] = fresh
+    for x, seed in zip(points, individualized):
+        seed[x] = fresh
     return individualized
 
 
