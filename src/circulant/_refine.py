@@ -143,8 +143,8 @@ def _fixes_every_vertex(first):
     are closed under adding each singled-out offset, so when those offsets
     and n have gcd 1, Aut_0 = 1; the scan stops once their gcd is 1.
 
-    A count is at most n - 1, so from n = 256 on it could carry into the
-    next byte, and no proof is tried.  x is read by one ``bytes.translate``,
+    A count is at most n, so from n = 256 on it could carry into the next
+    byte, and no proof is tried.  x is read by one ``bytes.translate``,
     and by a comparison per entry only when some entry lies outside
     0..255.  Each key is one int, the 16-bit lane whose two bytes are
     paths[v] and 2 x[v] + x[-v], each under 256, so equal ints are equal
