@@ -3,7 +3,7 @@
 A structure is an n x n matrix of small integer arc colors; entry [u][v] is
 the color of the ordered pair (u, v) and the diagonal holds vertex colors
 (for a plain digraph: 1 = arc/loop, 0 = none).  Vertex classes are refined
-against one splitter class at a time and searches backtrack over refined
+against one splitter class at a time and searches branch on refined
 classes.  Refinement renumbers its colors in order of first appearance on
 one shared table, not in sorted order: it needs the partition, not an order
 on the colors, since no canonical labeling is computed (McKay and Piperno,
@@ -29,8 +29,13 @@ entry depends on v's own color alone, as long as the colors refine the
 diagonal, which every caller's colors do.  A search for an automorphism
 mapping x to y refines the level's stable coloring with x and with y
 individualized side by side, one shared color table for both:
-corresponding pieces get the same color, and the search is refuted at the
-first split whose piece sizes differ between the two.
+corresponding pieces get the same color, and the pair is refuted at the
+first split whose piece sizes differ between the two.  Each refined pair is
+a node of the search's tree (individualization-refinement, after McKay and
+Piperno): the node guesses the whole mapping once, class by class, and where
+the guess fails it branches on one class, individualizing one more vertex
+and each of its candidate images in turn, each child refined from that new
+color alone.
 
 Regular certificate: most circulants have Aut = Z_n, and one product of row
 0 can prove it before any code is built (``_fixes_every_vertex``).  With x
@@ -51,8 +56,8 @@ a list of n code rows.  A circulant's are their ranks, built in one pass
 over row 0 (``_convolution``): row v is one slice of the doubled rank row,
 bytes when every rank fits in a byte, else a list.  Refinement and search
 read the pair codes alone; only ``_shift_row``, ``_search_codes`` and
-``_diagonal_colors`` read the matrix.  The search backtracks in a loop, so
-Python's recursion limit does not bound its depth.
+``_diagonal_colors`` read the matrix.  The search walks its tree in a loop,
+so Python's recursion limit does not bound its depth.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
@@ -273,56 +278,66 @@ def _diagonal_colors(m):
     return [rank[m[v][v]] for v in range(len(m))]
 
 
+def _child(ca, cb, v, u, codes):
+    """``_refine_joint`` of ca with v and cb with u individualized, their
+    shared new color the one splitter queued: a node of ``iso_search``'s
+    tree, or None."""
+    a, b = list(ca), list(cb)
+    a[v] = b[u] = max(ca) + 1
+    return _refine_joint((a, b), codes, [a[v]])
+
+
 def iso_search(colors, x, y, *, codes):
     """An automorphism that preserves the stable coloring ``colors`` and
     maps x to y, or None.
 
-    ``colors`` with x and with y individualized are refined side by side,
-    their shared new color the one splitter queued, and a vertex's candidate images are its class in the second.  Vertices
-    are mapped in order of their candidate count (ties by index), each
-    trying its images in ascending order, so the witness returned is
-    deterministic.  v -> u extends the mapping when code (v, w) equals code
-    (u, mapping[w]) for every w mapped before v; a code holds both colors
-    of its pair.  Backtracking is a loop over a stack of candidate
-    iterators.  ``codes`` are as for ``_refine_joint``.
+    A walk over a tree of coloring pairs (ca, cb), each refined side by
+    side (``_child``).  The root is ``colors`` with x and with y
+    individualized.  At a node, a vertex's candidate images are its class
+    in cb, and the vertices are mapped once, with no backtracking, in order
+    of their candidate count (ties by index): each to its first unused
+    candidate u such that code (v, w) equals code (u, mapping[w]) for every
+    w mapped before v.  A code holds both colors of its pair.  If every
+    vertex is mapped, that mapping is the witness.  Otherwise the node
+    branches on the first vertex v in that order with two or more
+    candidates: one child per candidate u, in ascending order, with v and
+    u individualized.  A child the joint refinement refutes is dropped, and
+    a node with no such v is a dead leaf.  The walk is a loop over a stack
+    of child iterators, so the witness is deterministic and Python's
+    recursion limit does not bound the depth.  ``codes`` are as for
+    ``_refine_joint``.
     """
     n = len(colors)
-    seeds = _individualize(colors, x, y)
-    refined = _refine_joint(seeds, codes, [seeds[0][x]])
-    if refined is None:
-        return None
-    ca, cb = refined
-
-    by_color = {}
-    for u in range(n):
-        by_color.setdefault(cb[u], []).append(u)
-    cands = [by_color[c] for c in ca]
-    order = sorted(range(n), key=lambda v: (len(cands[v]), v))
-
-    mapping = [-1] * n
-    used = [False] * n
-    trials = [iter(cands[order[0]])]  # trials[i]: the images order[i] has left to try
-    while trials:
-        depth = len(trials) - 1
-        v = order[depth]
-        if mapping[v] >= 0:  # back from its image's failed subtree
-            used[mapping[v]] = False
-            mapping[v] = -1
-        row = codes[v]
-        mapped = order[:depth]
-        for u in trials[-1]:
-            if not used[u]:
-                image = codes[u]
-                if all(row[w] == image[mapping[w]] for w in mapped):
-                    break
-        else:
-            trials.pop()
+    stack = [filter(None, [_child(colors, colors, x, y, codes)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
             continue
-        mapping[v] = u
-        used[u] = True
-        if depth + 1 == n:
+        ca, cb = node
+        by_color = {}
+        for u in range(n):
+            by_color.setdefault(cb[u], []).append(u)
+        cands = [by_color[c] for c in ca]
+        order = sorted(range(n), key=lambda v: (len(cands[v]), v))
+        mapping = [-1] * n
+        used = [False] * n
+        for depth, v in enumerate(order):
+            row, mapped = codes[v], order[:depth]
+            for u in cands[v]:
+                if not used[u]:
+                    image = codes[u]
+                    if all(row[w] == image[mapping[w]] for w in mapped):
+                        break
+            else:
+                break  # v has no image: the guess fails
+            mapping[v] = u
+            used[u] = True
+        else:
             return mapping
-        trials.append(iter(cands[order[depth + 1]]))
+        v = next((v for v in order if len(cands[v]) > 1), None)
+        if v is not None:
+            stack.append(filter(None, (_child(ca, cb, v, u, codes) for u in cands[v])))
     return None
 
 

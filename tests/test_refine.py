@@ -9,7 +9,7 @@ import random
 import time
 from collections import Counter
 from itertools import chain, combinations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -28,7 +28,7 @@ from circulant import _refine
 from circulant.analyzer import ConnectionSet
 from circulant.digraph import cayley_digraph, tower_connection_set
 from circulant.oracle import cross_validate
-from circulant.permgroup import automorphism_group
+from circulant.permgroup import PermGroup, automorphism_group
 
 
 def cells(colors):
@@ -532,14 +532,54 @@ class TestIsoSearch:
     def test_backtracks_on_relabeled_shrikhande(self):
         # the Shrikhande graph, Cay(Z4 x Z4, {±(0,1), ±(1,0), ±(1,1)}), is
         # strongly regular, so refinement leaves classes the search must
-        # backtrack over: a first candidate that extends a long way and fails
+        # branch on: a leaf guess that extends a long way and fails.  Where a
+        # guess fails, the witness is the first leaf of the tree that
+        # succeeds, not the plain backtrack's first, so the groups are
+        # compared, not the generator lists
         m = shrikhande()
         rng = random.Random(3)
         for _ in range(20):
             relabeled = relabel(m, rng.sample(range(16), 16))
             gens, order = _refine.automorphisms(relabeled)
-            assert (gens, order) == reference_automorphisms(relabeled), relabeled
             assert order == 192
+            assert all(preserves(g, relabeled) for g in gens)
+            reference, _ = reference_automorphisms(relabeled)
+            assert set(PermGroup(16, gens).elements()) == set(PermGroup(16, reference).elements()), relabeled
+
+    def test_relabeled_components_of_z_44(self):
+        # Cay(Z_44, {12, 24}) is four copies of Cay(Z_11, {3, 6}); under this
+        # relabeling the search that maps 0 to 1 once backtracked for minutes
+        perm = [41, 21, 14, 38, 12, 7, 13, 22, 25, 23, 20, 8, 2, 10, 5, 18, 34, 32, 30, 28, 17, 35]
+        perm += [6, 15, 24, 27, 29, 3, 1, 36, 16, 37, 33, 9, 0, 19, 4, 31, 26, 39, 42, 40, 11, 43]
+        m = relabel([list(r) for r in cayley_digraph(44, {12, 24})], perm)
+        start = time.perf_counter()
+        gens, order = _refine.automorphisms(m)
+        assert time.perf_counter() - start < 5
+        assert order == 11**4 * factorial(4) == 351384
+        assert all(preserves(g, m) for g in gens)
+
+    def test_relabeled_disconnected_circulants(self):
+        # S inside dZ_n with d >= 3 and n/d >= 3, relabeled at random: g =
+        # gcd(n, S) components, each Cay(Z_{n/g}, S/g), so |Aut| =
+        # |Aut(C)|^g g! with C's order from its natural labeling.  The first
+        # three come with the seeds of relabelings on which a vertex-by-vertex
+        # backtrack after one refinement took over 3 s each
+        rng = random.Random(191)
+        instances = [(40, {5, 20}, 1), (45, {9}, 0), (28, {7}, 3)]
+        while len(instances) < 15:
+            n = rng.randint(12, 48)
+            divisors = [d for d in range(3, n // 3 + 1) if n % d == 0]
+            if divisors:
+                d = rng.choice(divisors)
+                multiples = range(d, n, d)
+                instances.append((n, set(rng.sample(multiples, len(multiples) // 2)) or {d}, rng.random()))
+        for n, s, seed in instances:
+            g = gcd(n, *s)
+            _, component = _refine.automorphisms(cayley_digraph(n // g, {x // g for x in s}))
+            m = relabel([list(r) for r in cayley_digraph(n, s)], random.Random(seed).sample(range(n), n))
+            gens, order = _refine.automorphisms(m)
+            assert order == component**g * factorial(g), (n, s, seed)
+            assert all(preserves(gen, m) for gen in gens), (n, s, seed)
 
     def test_depth_past_the_recursion_limit(self):
         # a dihedral circulant on 1000 vertices: its one search maps 1000
