@@ -55,9 +55,11 @@ Codes are rows: every structure's pair codes reach refinement and search as
 a list of n code rows.  A circulant's are their ranks, built in one pass
 over row 0 (``_convolution``): row v is one slice of the doubled rank row,
 bytes when every rank fits in a byte, else a list.  Refinement and search
-read the pair codes alone; only ``_shift_row``, ``_search_codes`` and
-``_diagonal_colors`` read the matrix.  The search walks its tree in a loop,
-so Python's recursion limit does not bound its depth.
+read the pair codes alone, vertex colors included: a code (v, v) holds v's
+diagonal entry, so the descent starts from the ranks of the codes'
+diagonal.  Only ``_shift_row`` and ``_pair_codes`` read the matrix.  The
+search walks its tree in a loop, so Python's recursion limit does not bound
+its depth.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
@@ -108,8 +110,9 @@ class Circulant:
 def _pair_codes(m):
     """Row v codes each pair (v, u) by (m[v][u], m[u][v]).
 
-    With k the span of the colors, the code a*k + b is one to one.  A
-    circulant's codes come from ``_convolution`` instead.
+    With k the span of the colors, the code a*k + b is one to one, and code
+    (v, v), m[v][v]*(k + 1), grows with the diagonal entry.  A circulant's
+    codes come from ``_convolution`` instead.
     """
     lo = min(map(min, m), default=0)
     k = max(map(max, m), default=0) - lo + 1
@@ -180,12 +183,14 @@ def _fixes_every_vertex(first):
     return False
 
 
-def _refine_joint(colorings, codes, splitters=None):
+def _refine_joint(colorings, codes, points=None):
     """Refine several colorings of one structure side by side with one shared
     color table, against one splitter class at a time.
 
-    ``splitters`` are the colors queued first, every class when None.  Each
-    popped splitter splits every class of two or more in every coloring by
+    With ``points``, each coloring's point is individualized first, all of
+    them given one new color, max(colorings[0]) + 1, and that color is the
+    one splitter queued; without, every class is queued.  Each popped
+    splitter splits every class of two or more in every coloring by
     the multiset of codes from each member to the splitter's members in
     that coloring; corresponding pieces, those of one class with one
     multiset, get one color in every coloring.  The largest piece keeps the
@@ -195,11 +200,15 @@ def _refine_joint(colorings, codes, splitters=None):
     soon as two colorings' classes differ in size, or a splitter's pieces
     do, a class of one included; else the stable colorings, numbered in
     order of first appearance, first coloring first.  The colorings must
-    refine the diagonal.  ``codes`` are the n code rows ``_search_codes``
+    refine the diagonal.  ``codes`` are the n code rows ``automorphisms``
     builds.
     """
     n = len(codes)
     colorings = [list(colors) for colors in colorings]
+    if points is not None:
+        new = max(colorings[0]) + 1
+        for colors, x in zip(colorings, points):
+            colors[x] = new
     cells = []
     for colors in colorings:
         cell = {}
@@ -208,8 +217,8 @@ def _refine_joint(colorings, codes, splitters=None):
         cells.append(cell)
     if any(Counter(colors) != Counter(colorings[0]) for colors in colorings[1:]):
         return None
-    queue = list(cells[0]) if splitters is None else list(splitters)
-    fresh = max(map(max, colorings)) + 1
+    queue = list(cells[0]) if points is None else [new]
+    fresh = max(colorings[0], default=0) + 1  # the colorings share one multiset of colors
     while queue and len(cells[0]) < n:
         s = queue.pop()
         keys = []
@@ -248,43 +257,11 @@ def refine(colors, *, codes, point=None):
     """Refine one structure's coloring until the partition is stable.
 
     ``colors`` must refine the diagonal: equal colors, equal diagonal
-    entries.  With ``point``, ``colors`` must be stable: the point is
-    individualized (``_individualize``) and its new color is the one
-    splitter queued; else every class is.  A discrete coloring is returned
-    as it is, with no split.  ``codes`` are as for ``_refine_joint``.
+    entries.  With ``point``, ``colors`` must be stable, and the point is
+    individualized and its new color the one splitter queued; else every
+    class is.  ``codes`` are as for ``_refine_joint``.
     """
-    splitters = None
-    if point is not None:
-        (colors,) = _individualize(colors, point)
-        splitters = [colors[point]]
-    if len(set(colors)) == len(colors):
-        return list(colors)
-    return _refine_joint((colors,), codes, splitters)[0]
-
-
-def _individualize(colors, *points):
-    """``colors`` with each of ``points`` individualized in turn: one
-    coloring per point, each point given the same new color."""
-    fresh = max(colors) + 1
-    individualized = [list(colors) for _ in points]
-    for x, seed in zip(points, individualized):
-        seed[x] = fresh
-    return individualized
-
-
-def _diagonal_colors(m):
-    """Each vertex's rank among the distinct diagonal values."""
-    rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(len(m))}))}
-    return [rank[m[v][v]] for v in range(len(m))]
-
-
-def _child(ca, cb, v, u, codes):
-    """``_refine_joint`` of ca with v and cb with u individualized, their
-    shared new color the one splitter queued: a node of ``iso_search``'s
-    tree, or None."""
-    a, b = list(ca), list(cb)
-    a[v] = b[u] = max(ca) + 1
-    return _refine_joint((a, b), codes, [a[v]])
+    return _refine_joint((colors,), codes, None if point is None else (point,))[0]
 
 
 def iso_search(colors, x, y, *, codes):
@@ -292,7 +269,7 @@ def iso_search(colors, x, y, *, codes):
     maps x to y, or None.
 
     A walk over a tree of coloring pairs (ca, cb), each refined side by
-    side (``_child``).  The root is ``colors`` with x and with y
+    side (``_refine_joint``).  The root is ``colors`` with x and with y
     individualized.  At a node, a vertex's candidate images are its class
     in cb, and the vertices are mapped once, with no backtracking, in order
     of their candidate count (ties by index): each to its first unused
@@ -308,7 +285,7 @@ def iso_search(colors, x, y, *, codes):
     ``_refine_joint``.
     """
     n = len(colors)
-    stack = [filter(None, [_child(colors, colors, x, y, codes)])]
+    stack = [filter(None, [_refine_joint((colors, colors), codes, (x, y))])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -337,7 +314,7 @@ def iso_search(colors, x, y, *, codes):
             return mapping
         v = next((v for v in order if len(cands[v]) > 1), None)
         if v is not None:
-            stack.append(filter(None, (_child(ca, cb, v, u, codes) for u in cands[v])))
+            stack.append(filter(None, (_refine_joint((ca, cb), codes, (v, u)) for u in cands[v])))
     return None
 
 
@@ -356,12 +333,6 @@ def _shift_row(m):
         return m.row
     doubled = m[0] * 2
     return m[0] if all(m[u] == doubled[n - u : 2 * n - u] for u in range(1, n)) else None
-
-
-def _search_codes(m, first):
-    """m's code rows, given its ``_shift_row`` ``first``: from row 0 in one
-    pass (``_convolution``) when there is one, else dense."""
-    return _pair_codes(m) if first is None else _convolution(first)
 
 
 def _close_orbit(orbit, gens):
@@ -398,10 +369,11 @@ def automorphisms(m):
 
     Pair codes are built once per call and shared by every refinement and
     search.  A level whose refined partition is discrete ends the descent.
-    Level 0 refines the diagonal coloring, every class queued; each later
-    level refines the previous level's stable coloring with its base point
-    individualized (``refine``'s ``point``), the point alone queued.  Both
-    reach the stable partition that refining the
+    Level 0 refines the ranks of the codes' diagonal, which are the ranks of
+    m's diagonal since a code is monotone in its diagonal entry, every class
+    queued; each later level refines the previous level's stable coloring
+    with its base point individualized (``refine``'s ``point``), the point
+    alone queued.  Both reach the stable partition that refining the
     diagonal with every base point individualized reaches: refinement gives
     the coarsest equitable partition finer than its seed, and the two seeds
     have the same one.
@@ -437,8 +409,10 @@ def automorphisms(m):
         gens, order, point = [tuple(range(1, n)) + (0,)], n, 0
         if _fixes_every_vertex(first):
             return gens, order
-    codes = _search_codes(m, first)
-    colors = [0] * n if first is not None else _diagonal_colors(m)
+    codes = _pair_codes(m) if first is None else _convolution(first)
+    diagonal = [row[v] for v, row in enumerate(codes)]
+    rank = {d: i for i, d in enumerate(sorted(set(diagonal)))}
+    colors = [rank[d] for d in diagonal]
     levels = []
     while True:
         colors = refine(colors, codes=codes, point=point)

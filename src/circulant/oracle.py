@@ -16,7 +16,7 @@ from typing import Optional
 
 from ._record import Record, set_field
 from ._refine import Circulant
-from .abelian import AbelianType, enumerate_abelian
+from .abelian import AbelianType, enumerate_abelian, text_of
 from .analyzer import ConnectionSet, realizable_groups
 from .arith import factorize
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, cayley_digraph, tower_connection_set
@@ -229,7 +229,7 @@ def cross_validate(
     aut = automorphism_group(digraph, vertex_cap=vertex_cap)
     aut_order = aut.order()
     if aut_order == n:
-        path, actual = REGULAR, ("x".join(f"Z{p**a}" for p, a in factorize(n)),)  # Z_n's text
+        path, actual = REGULAR, ("x".join(text_of(p, (a,)) for p, a in factorize(n)),)  # Z_n's text
     elif aut_order == factorial(n):
         path, actual = SYMMETRIC, tuple(g.text() for g in enumerate_abelian(n))
     else:

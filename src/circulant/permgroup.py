@@ -15,7 +15,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from . import _refine
-from ._record import Record
+from ._record import Record, set_field
 from .arith import factorize
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP
 from .errors import CapacityError
@@ -38,8 +38,7 @@ class PermGroup(Record):
 
     ``cached_order``, when present, is trusted as the exact order (the
     automorphism engine sets it); otherwise the order comes from capped
-    element enumeration.  Unlike the frozen records, its fields can be
-    assigned, so it is unhashable.
+    element enumeration.
     """
 
     __slots__ = ("degree", "generators", "cached_order")
@@ -47,14 +46,10 @@ class PermGroup(Record):
     generators: tuple[tuple[int, ...], ...]
     cached_order: Optional[int]
 
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
     def __init__(self, degree, generators, cached_order=None):
-        self.degree = degree
-        self.generators = tuple(generators)
-        self.cached_order = cached_order
+        set_field(self, "degree", degree)
+        set_field(self, "generators", tuple(generators))
+        set_field(self, "cached_order", cached_order)
         for g in self.generators:
             if sorted(g) != list(range(self.degree)):
                 raise ValueError(f"not a permutation of 0..{self.degree - 1}: {g}")

@@ -406,6 +406,7 @@ class TestPoset:
         assert child.stdout.readline() == "5604 abelian groups of order 1073741824:\n"
         child.stdout.close()
         stderr = child.stderr.read()
+        child.stderr.close()
         assert child.wait(timeout=120) == cli.EXIT_ERROR
         assert stderr == ""  # no traceback, and no error from the exit flush
 

@@ -38,9 +38,15 @@ def cells(colors):
     return sorted(out.values())
 
 
+def diagonal_ranks(m):
+    """Each vertex's rank among the distinct values on m's diagonal."""
+    rank = {d: i for i, d in enumerate(sorted({m[v][v] for v in range(len(m))}))}
+    return [rank[m[v][v]] for v in range(len(m))]
+
+
 def seeded(m, individualized):
     """Diagonal colors with the given vertices individualized, each a color of its own."""
-    colors = _refine._diagonal_colors(m)
+    colors = diagonal_ranks(m)
     next_color = max(colors) + 1
     for i, v in enumerate(individualized):
         colors[v] = next_color + i
@@ -50,7 +56,16 @@ def seeded(m, individualized):
 def search_codes(m):
     """Whether the shift preserves m, and the codes ``automorphisms`` builds for m."""
     first = _refine._shift_row(m)
-    return first is not None, _refine._search_codes(m, first)
+    return first is not None, _refine._pair_codes(m) if first is None else _refine._convolution(first)
+
+
+def individualize(colors, points):
+    """One coloring per point: ``colors`` with that point given the one new
+    color max(colors) + 1, the seeds ``_refine_joint``'s ``points`` make."""
+    seeds = [list(colors) for _ in points]
+    for x, seed in zip(points, seeds):
+        seed[x] = max(colors) + 1
+    return seeds
 
 
 def row_codes(m):
@@ -473,7 +488,8 @@ class TestRegularCertificate:
     def test_dense_shift_invariant_rows_are_certified(self, monkeypatch):
         # the certificate reads row 0 wherever the shift holds, not only of
         # a Circulant view; no code is built
-        monkeypatch.setattr(_refine, "_search_codes", None)
+        monkeypatch.setattr(_refine, "_pair_codes", None)
+        monkeypatch.setattr(_refine, "_convolution", None)
         m = dense([0, 1, 1, 1, 0, 0, 0])
         assert _refine.automorphisms(m) == ([(1, 2, 3, 4, 5, 6, 0)], 7)
 
@@ -594,26 +610,36 @@ class TestIsoSearch:
 
 class TestIndividualize:
     def test_points_share_one_rank_table_and_one_color(self):
-        # the colorings of x and of y: v in the first and u in the second get
-        # one color exactly when both are the point, or neither is and their
-        # stable colors agree; the splits by the codes to the point are
-        # refinement's
+        # ``_refine_joint`` with x in the first coloring and y in the second:
+        # the two points share one color, a class of their own in each, and
+        # v in the first and u in the second share a color only when both
+        # are the point, or neither is and their stable colors agree; a
+        # single coloring keeps its point alone likewise
         rng = random.Random(149)
+        outcomes = Counter()
         for _ in range(200):
             m = random_structure(rng)
             n = len(m)
             _, codes = search_codes(m)
             colors = _refine.refine(seeded(m, []), codes=codes)
             x, y = rng.randrange(n), rng.randrange(n)
-            cx, cy = _refine._individualize(colors, x, y)
-            assert cx[x] == cy[y] not in colors
 
             def key(v, point):
                 return None if v == point else colors[v]
 
+            (single,) = _refine._refine_joint((colors,), codes, (x,))
+            assert single.count(single[x]) == 1, (m, x)
+            assert all(key(v, x) == key(u, x) for v in range(n) for u in range(n) if single[v] == single[u]), (m, x)
+            refined = _refine._refine_joint((colors, colors), codes, (x, y))
+            outcomes[refined is None, x == y] += 1
+            if refined is None:
+                continue
+            cx, cy = refined
+            assert cx[x] == cy[y] and cx.count(cx[x]) == cy.count(cy[y]) == 1, (m, x, y)
             for v in range(n):
                 for u in range(n):
-                    assert (cx[v] == cy[u]) == (key(v, x) == key(u, y)), (m, x, y, v, u)
+                    assert cx[v] != cy[u] or key(v, x) == key(u, y), (m, x, y, v, u)
+        assert set(outcomes) == {(True, False), (False, False), (False, True)}, outcomes
 
 
 def relabel_values(values, rng, low, high):
@@ -769,6 +795,34 @@ class TestAutomorphismPaths:
         assert _refine.automorphisms(relabeled)[1] == 40
         assert sizes == [40] + level_1 + [size for size in level_1 for _ in range(2)]
 
+    def test_level_0_starts_from_the_diagonal_ranks(self, monkeypatch):
+        # the descent's first coloring is the ranks of the codes' diagonal,
+        # which are the ranks of m's diagonal: on dense digraphs with loops,
+        # on arc colorings and on circulant views, uniform there
+        firsts = []
+        real = _refine.refine
+
+        def recording(colors, *, codes, point=None):
+            firsts.append(list(colors))
+            return real(colors, codes=codes, point=point)
+
+        monkeypatch.setattr(_refine, "refine", recording)
+        rng = random.Random(229)
+        structures = [random_structure(rng) for _ in range(150)]
+        structures += [_refine.Circulant(row) for row in reference_rows(rng, range(2, 81, 3))]
+        checked = Counter()
+        for m in structures:
+            _, codes = search_codes(m)
+            expected = diagonal_ranks(m)
+            diagonal = [row[v] for v, row in enumerate(codes)]
+            assert cells(diagonal) == cells(expected), m
+            firsts.clear()
+            _refine.automorphisms(m)
+            if firsts:
+                assert firsts[0] == expected, m
+                checked[type(m).__name__, len(set(expected)) > 1] += 1
+        assert set(checked) == {("list", True), ("list", False), ("Circulant", False)}, checked
+
     def test_shift_must_preserve_the_diagonal(self):
         # the shift preserves every arc of the 6-cycle but not the loop at 0
         m = [list(r) for r in cayley_digraph(6, {1})]
@@ -888,31 +942,38 @@ class TestOpenCellRounds:
                 assert cells(refined) == cells(full_refine(m, [seeded(m, base)])[0]), (m, base)
 
     def test_joint_refinement_of_iso_search(self):
-        # the stable coloring of a random base with x and with y
-        # individualized, refined with every class queued and with the
-        # shared new color alone, as the search does: where the full rounds
-        # keep equal class sizes, the same classes under one renumbering;
-        # where they refute x -> y, so does the search
+        # the stable coloring of a random base, with x individualized alone,
+        # and with x and with y individualized side by side, refined with
+        # every class queued and with the shared new color alone, as the
+        # search does; y is a random vertex, x itself, or x's image under a
+        # generator that keeps the coloring, so many pairs survive.  Where
+        # the full rounds keep equal class sizes, the same classes under one
+        # renumbering; where they refute x -> y, so does the search
         rng = random.Random(179)
         structures = [circulant(row) for row in reference_rows(rng, range(2, 81, 2))]
+        structures += [_refine.Circulant(row) for row in reference_rows(rng, range(2, 81, 3))]
         structures += [random_structure(rng) for _ in range(150)]
         outcomes = Counter()
         for m in structures:
             n = len(m)
             _, codes = search_codes(m)
-            colors = _refine.refine(_refine._diagonal_colors(m), codes=codes)
+            colors = _refine.refine(diagonal_ranks(m), codes=codes)
             for x in rng.sample(range(n), min(n, rng.randint(0, 2))):
                 colors = _refine.refine(colors, codes=codes, point=x)
-            x, y = rng.randrange(n), rng.randrange(n)
-            seeds = _refine._individualize(colors, x, y)
-            expected = full_refine(m, seeds)
-            outcomes[expected is None] += 1
-            for refined in (_refine._refine_joint(seeds, codes), _refine._refine_joint(seeds, codes, [seeds[0][x]])):
-                if expected is None:
-                    assert refined is None or _refine.iso_search(colors, x, y, codes=codes) is None, (m, x, y)
-                else:
-                    assert refined is not None and same_classes(refined, expected), (m, x, y)
-        assert outcomes[True] > 0 and outcomes[False] > 0
+            x = rng.randrange(n)
+            (single,) = _refine._refine_joint((colors,), codes, (x,))
+            assert cells(single) == cells(full_refine(m, individualize(colors, (x,)))[0]), (m, x)
+            gens = _refine.automorphisms(m)[0]
+            for y in [rng.randrange(n), x] + [g[x] for g in gens if all(colors[g[v]] == colors[v] for v in range(n))]:
+                seeds = individualize(colors, (x, y))
+                expected = full_refine(m, seeds)
+                outcomes[expected is None] += 1
+                for refined in (_refine._refine_joint(seeds, codes), _refine._refine_joint((colors, colors), codes, (x, y))):
+                    if expected is None:
+                        assert refined is None or _refine.iso_search(colors, x, y, codes=codes) is None, (m, x, y)
+                    else:
+                        assert refined is not None and same_classes(refined, expected), (m, x, y)
+        assert outcomes[True] > 100 and outcomes[False] > 300, outcomes
 
     @pytest.mark.parametrize("n", range(16, 65))
     def test_first_level_is_one_full_round(self, n):
@@ -924,7 +985,7 @@ class TestOpenCellRounds:
         for row in reference_rows(rng, [n]) + reference_rows(rng, [n]):
             m = _refine.Circulant(row)
             _, codes = search_codes(m)
-            (individualized,) = _refine._individualize([0] * n, 0)
+            (individualized,) = individualize([0] * n, (0,))
             (one_round,) = full_refine(m, [individualized], rounds=1)
             assert cells([(individualized[v], codes[v][0]) for v in range(n)]) == cells(one_round), row
             (stable,) = full_refine(m, [individualized])
@@ -932,7 +993,7 @@ class TestOpenCellRounds:
 
     def test_rounds_run_inside_refine_and_iso_search(self, monkeypatch):
         # perfbench times refinement as the spans of refine and iso_search:
-        # every refinement and every individualization must run inside one
+        # every refinement, individualization included, must run inside one
         # of them
         depth, outside = [0], []
 
@@ -956,8 +1017,7 @@ class TestOpenCellRounds:
 
         for name in ("refine", "iso_search"):
             monkeypatch.setattr(_refine, name, span(getattr(_refine, name)))
-        for name in ("_refine_joint", "_individualize"):
-            monkeypatch.setattr(_refine, name, work(name, getattr(_refine, name)))
+        monkeypatch.setattr(_refine, "_refine_joint", work("_refine_joint", _refine._refine_joint))
         rng = random.Random(181)
         paths = Counter()
         instances = [(n, {x for x in range(n) if rng.random() < 0.4}) for n in (6, 9, 12, 16, 25, 27, 40, 64)]
