@@ -37,14 +37,6 @@ the guess fails it branches on one class, individualizing one more vertex
 and each of its candidate images in turn, each child refined from that new
 color alone.
 
-Regular certificate: most circulants have Aut = Z_n, and one product of row
-0 can prove it before any code is built (``_fixes_every_vertex``).  With x
-the arcs of the row's top color, the 2-paths 0 -> u -> v of that color and
-the arcs 0 -> v and v -> 0 key each v, and every automorphism fixing 0
-keeps each key, so it fixes each vertex alone in its key.  Conjugating by
-the shift, the points it fixes are closed under adding each such offset;
-when those offsets and n have gcd 1, the stabilizer of 0 is trivial.
-
 Circulant input: a circulant may come in as its row 0, wrapped in the
 read-only view ``Circulant``, an input format only: entry [u][v] is
 row[(v - u) mod n], and the engine reads its ``row`` and indexes no row of
@@ -78,7 +70,6 @@ ceil(log2 |Aut|) + 1.
 """
 
 from collections import Counter
-from math import gcd
 from operator import itemgetter
 
 
@@ -135,52 +126,6 @@ def _convolution(first):
         r = bytes(r)
     n, doubled = len(r), (r[:1] + r[:0:-1]) * 2
     return [doubled[n - v : 2 * n - v] for v in range(n)]
-
-
-def _fixes_every_vertex(first):
-    """Whether one product proves that every automorphism fixing 0 of the
-    shift-preserved matrix with row 0 ``first`` fixes every vertex.
-
-    x holds the bytes of "entry e of ``first`` is its top value": x[v] and
-    x[-v] are the arcs 0 -> v and v -> 0 of the top color.  For X the int
-    of x doubled and Y the int of x, bytes n..2n-1 of X * Y count, for each
-    v, the 2-paths 0 -> u -> v of that color (Kronecker substitution).  An
-    automorphism fixing 0 keeps each key (paths[v], x[v], x[-v]), so it
-    fixes v when v is alone in its key; conjugating by the shift, one
-    fixing t then fixes t + v.  The points Aut_0 fixes thus contain 0 and
-    are closed under adding each singled-out offset, so when those offsets
-    and n have gcd 1, Aut_0 = 1; the scan stops once their gcd is 1.
-
-    A count is at most n, so from n = 256 on it could carry into the next
-    byte, and no proof is tried.  x is read by one ``bytes.translate``,
-    and by a comparison per entry only when some entry lies outside
-    0..255.  Each key is one int, the 16-bit lane whose two bytes are
-    paths[v] and 2 x[v] + x[-v], each under 256, so equal ints are equal
-    keys and equal keys equal ints.
-    """
-    n = len(first)
-    if n >= 256:
-        return False
-    top = max(first)
-    try:
-        x = bytes(first).translate(bytes(top) + b"\1" + bytes(255 - top))
-    except ValueError:
-        x = bytes(map(top.__eq__, first))
-    arcs_out = int.from_bytes(x, "little")
-    paths = (int.from_bytes(x + x, "little") * arcs_out).to_bytes(3 * n, "little")[n : 2 * n]
-    arcs = 2 * arcs_out + int.from_bytes(x[:1] + x[:0:-1], "little")
-    lanes = bytearray(2 * n)
-    lanes[::2] = paths
-    lanes[1::2] = arcs.to_bytes(n, "little")
-    keys = memoryview(lanes).cast("H").tolist()
-    sizes = Counter(keys)
-    g = n
-    for v, key in enumerate(keys):
-        if sizes[key] == 1:
-            g = gcd(g, v)
-            if g == 1:
-                return True
-    return False
 
 
 def _refine_joint(colorings, codes, points=None):
@@ -388,27 +333,15 @@ def automorphisms(m):
     0, and level 1 starts from the diagonal, stable under a transitive
     group, split by vertex 0.
 
-    Regular certificate: below 256 vertices, ``_fixes_every_vertex`` first
-    tries to prove from row 0 that Aut_0 = 1: an automorphism fixing 0
-    keeps each vertex's 2-paths from 0 and arcs to and from 0 in the row's
-    top color, so it fixes a vertex alone in that key, and, by the shift,
-    the points it fixes are closed under adding such a vertex.  When the
-    proof holds, (the shift, n) is returned before any code is built;
-    refinement would return the same, since no search finds a witness in a
-    trivial stabilizer.
-
     m may be a ``Circulant``, an input format: the engine reads its ``row``
-    alone and indexes no row of the view.  A circulant the certificate
-    settles builds no code; any other gets its code rows from that row
-    (``_convolution``).
+    alone, indexes no row of the view and builds its code rows from that
+    row (``_convolution``).
     """
     n = len(m)
     first = _shift_row(m)
     gens, order, point = [], 1, None
     if first is not None:
         gens, order, point = [tuple(range(1, n)) + (0,)], n, 0
-        if _fixes_every_vertex(first):
-            return gens, order
     codes = _pair_codes(m) if first is None else _convolution(first)
     diagonal = [row[v] for v, row in enumerate(codes)]
     rank = {d: i for i, d in enumerate(sorted(set(diagonal)))}

@@ -1,17 +1,20 @@
 """Brute-force ground truth and cross-validation of the analyzer.
 
-The oracle hands the automorphism engine the circulant as its first row, in
-the engine's ``_refine.Circulant`` view, and gets the exact order of its
-automorphism group.  It decides the regular abelian subgroups from that
-order when it can; otherwise it enumerates the group (or, for n = p^a, its
-meet with the automorphism group of the tower circulant, a Sylow
-subgroup), under a cap, and searches it, as its closure holds it, for
-regular abelian subgroups of every candidate isomorphism type.  Agreement
-with the analyzer must be exact when the arithmetic condition holds and a
-sound superset otherwise; anything else is a MISMATCH.
+The oracle first tries to prove from the circulant's 0/1 row alone that its
+automorphism group is the rotation group (``_fixes_every_vertex``).  Else
+it hands the automorphism engine that row, in the engine's
+``_refine.Circulant`` view, and gets the exact order of the group.  It
+decides the regular abelian subgroups from that order when it can;
+otherwise it enumerates the group (or, for n = p^a, its meet with the
+automorphism group of the tower circulant, a Sylow subgroup), under a cap,
+and searches it, as its closure holds it, for regular abelian subgroups of
+every candidate isomorphism type.  Agreement with the analyzer must be
+exact when the arithmetic condition holds and a sound superset otherwise;
+anything else is a MISMATCH.
 """
 
-from math import factorial
+from collections import Counter
+from math import factorial, gcd
 from typing import Optional
 
 from ._record import Record, set_field
@@ -198,6 +201,45 @@ def _sylow_subgroup(adjacency: tuple[int, ...], vertex_cap: int) -> Optional[Per
     return automorphism_group(Circulant(paired), vertex_cap=vertex_cap)
 
 
+def _fixes_every_vertex(row) -> bool:
+    """Whether one product proves that the stabilizer Aut_0 of vertex 0 in
+    Aut(Cay(Z_n, S)), S given by its 0/1 row, is trivial, so |Aut| = n.
+
+    x is the row's bytes: x[v] and x[-v] are the arcs 0 -> v and v -> 0.
+    For X the int of x doubled and Y the int of x, bytes n..2n-1 of X * Y
+    count, for each v, the 2-paths 0 -> u -> v (Kronecker substitution).
+    An automorphism fixing 0 keeps each key (paths[v], x[v], x[-v]), so it
+    fixes v when v is alone in its key; conjugating by the rotation, one
+    fixing t then fixes t + v.  The points Aut_0 fixes thus contain 0 and
+    are closed under adding each singled-out offset, so when those offsets
+    and n have gcd 1, Aut_0 = 1; the scan stops once their gcd is 1.
+
+    A count is at most n, so from n = 256 on it could carry into the next
+    byte, and no proof is tried.  Each key is one int, the 16-bit lane
+    whose two bytes are paths[v] and 2 x[v] + x[-v], each under 256, so
+    equal ints are equal keys and equal keys equal ints.
+    """
+    n = len(row)
+    if n >= 256:
+        return False
+    x = bytes(row)
+    arcs_out = int.from_bytes(x, "little")
+    paths = (int.from_bytes(x + x, "little") * arcs_out).to_bytes(3 * n, "little")[n : 2 * n]
+    arcs = 2 * arcs_out + int.from_bytes(x[:1] + x[:0:-1], "little")
+    lanes = bytearray(2 * n)
+    lanes[::2] = paths
+    lanes[1::2] = arcs.to_bytes(n, "little")
+    keys = memoryview(lanes).cast("H").tolist()
+    sizes = Counter(keys)
+    g = n
+    for v, key in enumerate(keys):
+        if sizes[key] == 1:
+            g = gcd(g, v)
+            if g == 1:
+                return True
+    return False
+
+
 def cross_validate(
     s: ConnectionSet,
     cap: int = DEFAULT_ELEMENT_CAP,
@@ -205,9 +247,10 @@ def cross_validate(
 ) -> ValidationReport:
     """Compare the analyzer's prediction against the oracle.
 
-    n past ``vertex_cap`` is capped before anything is built.  Otherwise the
-    engine gives |Aut| for the circulant matrix, and the first path that
-    applies decides the regular abelian types:
+    n past ``vertex_cap`` is capped before anything is built.  Otherwise
+    |Aut| = n when ``_fixes_every_vertex`` proves it from the 0/1 row, and
+    else the engine gives |Aut| for the circulant matrix; the first path
+    that applies decides the regular abelian types:
 
     - regular: |Aut| = n, so Aut is the rotation group and only Z_n occurs;
     - symmetric: |Aut| = n!, so every abelian group of order n occurs, each
@@ -226,8 +269,8 @@ def cross_validate(
         capped_by = {"cap": "vertex_cap", "value": vertex_cap}
         return ValidationReport(n, members, predicted, None, ORACLE_CAPPED, capped_by=capped_by)
     digraph = cayley_digraph(n, s.members)
-    aut = automorphism_group(digraph, vertex_cap=vertex_cap)
-    aut_order = aut.order()
+    aut = None if _fixes_every_vertex(digraph.row) else automorphism_group(digraph, vertex_cap=vertex_cap)
+    aut_order = n if aut is None else aut.order()
     if aut_order == n:
         path, actual = REGULAR, ("x".join(text_of(p, (a,)) for p, a in factorize(n)),)  # Z_n's text
     elif aut_order == factorial(n):

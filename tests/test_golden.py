@@ -10,7 +10,7 @@ with 2 <= n <= 9, which take the regular, symmetric, sylow and enumerate
 paths.  tests/data/verify_kernel_golden.jsonl, named for a convolution
 kernel the engine no longer has, holds seeded verify calls at
 16 <= n <= 64, where the engine refines by splitters every circulant the
-regular certificate does not settle: random S (the regular path), empty and complete S (symmetric), and S = -S
+oracle's regular certificate does not settle: random S (the regular path), empty and complete S (symmetric), and S = -S
 at n = 16, 25, 27 and 32 and unions of multiplier orbits at n = 25 (sylow).
 tests/data/witness_golden.jsonl keeps the sha256 of standard output
 in place of the text, since a tower prints one line per arc.

@@ -1,8 +1,10 @@
+import importlib
 import json
 import random
 import time
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -593,3 +595,49 @@ class TestPaths:
             assert (report.path, report.aut_order) == ("regular", n), (n, sorted(s))
             assert indexed == [], (n, sorted(s))
             checked += 1
+
+
+class TestRegularCertificate:
+    """``_fixes_every_vertex`` as the regular path's first test: where it
+    holds, ``cross_validate`` takes the path with |Aut| = n and calls no
+    engine; where it does not, the engine decides as before."""
+
+    def test_a_singled_out_offset_must_generate_z_n(self):
+        # Cay(Z_4, {2}): offset 2 is alone in its key, so Aut_0 fixes 0 and
+        # 2, but not 1 and 3, and |Aut| = 8
+        assert not oracle._fixes_every_vertex(cayley_digraph(4, {2}).row)
+        report = cross_validate(ConnectionSet.of(4, [2]))
+        assert (report.path, report.aut_order, report.verdict) == ("sylow", 8, EXACT_MATCH)
+
+    def test_an_undecided_row_goes_to_the_engine(self, monkeypatch):
+        # |Aut| = 40, which the certificate does not see; the engine proves it
+        calls = []
+        real = oracle.automorphism_group
+
+        def counted(*args, **kwargs):
+            group = real(*args, **kwargs)
+            calls.append(group.order())
+            return group
+
+        monkeypatch.setattr(oracle, "automorphism_group", counted)
+        assert not oracle._fixes_every_vertex(cayley_digraph(40, {1, 2, 5, 17}).row)
+        report = cross_validate(ConnectionSet.of(40, [1, 2, 5, 17]))
+        assert (report.path, report.aut_order, report.verdict) == ("regular", 40, EXACT_MATCH)
+        assert calls == [40]
+
+    def test_certified_lines_make_no_engine_call(self, monkeypatch):
+        # Z_3, Z_12 and the base instances of perfbench's verify_connected
+        # workload, connected and co-connected circulants at n = 40..64
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        instances = [(3, {1}), (12, {1})]
+        instances += [(inst.n, inst.s) for inst in workloads.connected(random.Random(workloads.CORPUS_SEED))]
+        assert len(instances) == 122
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a certified line called the engine")
+
+        monkeypatch.setattr(oracle, "automorphism_group", refused)
+        for n, s in instances:
+            report = cross_validate(ConnectionSet.of(n, s))
+            assert (report.path, report.aut_order, report.verdict) == ("regular", n, EXACT_MATCH), (n, sorted(s))
