@@ -19,7 +19,6 @@ from .analyzer import (
     decompose,
     product_type_witness,
     realizable_groups,
-    subgroup_of_order,
     translation_check,
 )
 from .arith import factorize
@@ -56,7 +55,6 @@ __all__ = [
     "product_type_witness",
     "realizable_groups",
     "regular_abelian_types",
-    "subgroup_of_order",
     "tower_connection_set",
     "tower_digraph",
     "translation_check",

@@ -15,6 +15,11 @@ valuation of a nonzero member of S (a if there is none), the valuation of
 gcd(n, S).  Every nonzero x then lies in W_l once a - l <= low, so the levels
 l >= a - low hold outright, and only the levels below them are tested, each
 stopping at its first failing x.
+
+translation_check witnesses the same verdict from the automorphism side,
+without the decomposition: level l is valid exactly when the block-local
+translations lie in Aut(Cay(Z_n, S)), and one map per level decides that, in
+either direction.
 """
 
 from itertools import product
@@ -99,14 +104,6 @@ def _parse_literal(text: str) -> tuple[ConnectionSet, list[str]]:
         messages = [f"element {x} reduced mod {n}" for x in values if not 0 <= x < n]
         values = [x % n for x in values]
     return ConnectionSet(n, frozenset(values)), messages
-
-
-def subgroup_of_order(n: int, d: int) -> frozenset[int]:
-    """The unique subgroup of Z_n of order d (d must divide n)."""
-    if d < 1 or n % d != 0:
-        raise ValueError(f"{d} does not divide {n}")
-    step = n // d
-    return frozenset(range(0, n, step))
 
 
 class PrimeLayers(Record):
@@ -256,26 +253,31 @@ def product_type_witness(s: ConnectionSet) -> list[tuple[int, int, Iterator[tupl
 
 
 def translation_check(s: ConnectionSet, p: int, level: int) -> bool:
-    """Directly verify that block-local translations are digraph automorphisms.
+    """Whether the block-local translations at this level are digraph automorphisms.
 
-    For W the envelope subgroup and P the level subgroup, the permutation
-    "add t on one coset of W, fix everything else" must preserve the arc set
-    for every coset and every t in P.  This is the structural consequence of
-    the coset condition, checked on arcs rather than via the condition: u -> v
-    is an arc exactly when v - u lies in S, so no digraph is built.
+    Write P = <n/p^l> and W = <p^(a-l)> for p^a || n.  A block-local
+    translation adds some t in P on one coset of W and fixes everything
+    else.  One map is checked, tau: add n/p^l on W itself.  The rotation by
+    c is an automorphism and conjugates tau to the same map on the coset
+    c + W, and the powers of tau add every t in P on W, so tau preserves the
+    arcs exactly when every block-local translation does.  tau is a
+    bijection, so preserving the arcs makes it an automorphism.  u -> v is
+    an arc exactly when v - u lies in S, so the arcs are checked by
+    difference and no digraph is built.
+
+    decompose is not consulted, yet by the paper's lemma the answer is True
+    exactly when l is one of its valid levels.  A p that is not a prime
+    divisor of n, or a level outside 1..a-1, is an error.
     """
     n, members = s.n, s.members
-    layers = decompose(s).for_prime(p)
-    if level not in layers.valid_levels:
+    a = dict(factorize(n)).get(p)
+    if a is None:
+        raise ValueError(f"{p} does not divide {n}")
+    if not 1 <= level < a:
         raise ValueError(f"level {level} is not a valid level for p={p}")
-    generator = n // p**level
-    envelope = p ** (layers.a - level)  # W is the multiples of p^(a-level); its cosets are the residues mod it
-    for rep in range(envelope):
-        for t in range(generator, n, generator):
-            image = [(x + t) % n if x % envelope == rep else x for x in range(n)]
-            if any((image[(u + x) % n] - image[u]) % n not in members for u in range(n) for x in members):
-                return False
-    return True
+    envelope, step = p ** (a - level), n // p**level
+    image = [(x + step) % n if x % envelope == 0 else x for x in range(n)]
+    return all((image[(u + x) % n] - image[u]) % n in members for u in range(n) for x in members)
 
 
 def analysis_report(s: ConnectionSet) -> dict:

@@ -4,7 +4,8 @@ These deliberately avoid the library's algorithms: subdivision is checked by
 exhausting labeled bin assignments, automorphisms by scanning all of Sym(n),
 pair-orbit preservation directly from the definition, pair orbits by a
 search over pairs, the coset condition on the explicit subgroups of Z_n (or,
-at large n, on every translate), color
+at large n, on every translate), the block-local translations one coset and
+one t at a time, color
 refinement by a plain loop over every ordered pair (of one coloring, or of
 several side by side, every vertex signed every round), the automorphism search
 by refining every level afresh and backtracking over plain pair checks,
@@ -27,7 +28,7 @@ from itertools import permutations, product
 from math import gcd, lcm, prod
 
 from circulant.abelian import AbelianType
-from circulant.analyzer import ConnectionSet, subgroup_of_order
+from circulant.analyzer import ConnectionSet
 from circulant.arith import factorize
 from circulant.digraph import _tower_factors, cayley_digraph
 from circulant.errors import CapacityError
@@ -162,6 +163,29 @@ def brute_hasse_edges(n):
         for h in above[g]
         if not any(preceq(k, h) for k in above[g] if k != h)
     ]
+
+
+def subgroup_of_order(n, d):
+    """The unique subgroup of Z_n of order d, for d dividing n, as a set."""
+    return frozenset(range(0, n, n // d))
+
+
+def brute_translation_check(s, p, level):
+    """Every block-local translation, "add t on one coset of W, fix everything
+    else", for every coset of W and every t in P, preserves the arcs u -> v,
+    v - u in S.  Any level 1..a-1 is accepted, valid or not."""
+    n, members = s.n, s.members
+    a = 0
+    while n % p ** (a + 1) == 0:
+        a += 1
+    generator = n // p**level
+    envelope = p ** (a - level)  # W is the multiples of p^(a-level); its cosets are the residues mod it
+    for rep in range(envelope):
+        for t in range(generator, n, generator):
+            image = [(x + t) % n if x % envelope == rep else x for x in range(n)]
+            if any((image[(u + x) % n] - image[u]) % n not in members for u in range(n) for x in members):
+                return False
+    return True
 
 
 def brute_coset_condition(s, p, level):

@@ -159,10 +159,10 @@ def test_criterion_6_unconditional_soundness():
 def test_criterion_7_coset_condition_iff_local_translations():
     with _criterion("7: translation check on 500 random instances, n <= 100", 60.0):
         rng = random.Random(77)
-        from circulant.analyzer import subgroup_of_order
+        from brute import subgroup_of_order
         from circulant.arith import factorize
 
-        exercised = 0
+        exercised = rejected = 0
         for _ in range(500):
             n = rng.randrange(4, 101)
             if rng.random() < 0.5:
@@ -180,10 +180,13 @@ def test_criterion_7_coset_condition_iff_local_translations():
                         members |= {(base + t) % n for t in sub}
             s = ConnectionSet.of(n, members)
             for layers in decompose(s).per_prime:
-                for level in layers.valid_levels:
-                    assert translation_check(s, layers.p, level) is True
-                    exercised += 1
+                for level in range(1, layers.a):
+                    valid = level in layers.valid_levels
+                    assert translation_check(s, layers.p, level) is valid
+                    exercised += valid
+                    rejected += not valid
         assert exercised > 100
+        assert rejected > 100
 
 
 def test_criterion_8_generate_analyze_round_trip():

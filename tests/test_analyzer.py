@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from brute import (
     brute_coset_condition,
     brute_partitions,
+    brute_translation_check,
     brute_up_set,
     matrix,
     parse_literal_loop,
     preceq,
     scan_coset_condition,
+    subgroup_of_order,
 )
 from circulant import abelian, analyzer, arith
 from circulant.abelian import AbelianType, enumerate_abelian, up_set
@@ -24,7 +26,6 @@ from circulant.analyzer import (
     decompose,
     product_type_witness,
     realizable_groups,
-    subgroup_of_order,
     translation_check,
 )
 from circulant.arith import factorize
@@ -124,24 +125,6 @@ class TestConnectionSet:
             assert str(raised.value) == str(exc)
             return
         assert analyzer._parse_literal(text) == expected
-
-
-class TestSubgroupOfOrder:
-    def test_order_three_in_45(self):
-        assert subgroup_of_order(45, 3) == frozenset({0, 15, 30})
-
-    def test_order_fifteen_in_45(self):
-        assert subgroup_of_order(45, 15) == frozenset(range(0, 45, 3))
-
-    def test_non_divisor(self):
-        with pytest.raises(ValueError):
-            subgroup_of_order(45, 2)
-
-    def test_group_laws(self):
-        for n, d in ((12, 4), (100, 10), (7, 7), (9, 1)):
-            sub = subgroup_of_order(n, d)
-            assert len(sub) == d
-            assert all((a + b) % n in sub for a in sub for b in sub)
 
 
 class TestCosetCondition:
@@ -410,8 +393,24 @@ class TestTranslationCheck:
         assert translation_check(EXAMPLE_8, 2, 2) is True
 
     def test_invalid_level_is_error(self):
-        with pytest.raises(ValueError):
-            translation_check(EXAMPLE_45, 3, 1)
+        # level 1 at p = 3 is in range but breaks the coset condition: False, not an error
+        assert translation_check(EXAMPLE_45, 3, 1) is False
+
+    @pytest.mark.parametrize("n", [4, 8, 9, 12, 16])
+    def test_matches_brute_force_and_valid_levels_exhaustively(self, n):
+        # the one map, every coset and every t, and the coset condition agree on every level
+        subsets = chain.from_iterable(combinations(range(n), k) for k in range(n + 1))
+        valid = invalid = 0
+        for members in subsets:
+            s = ConnectionSet.of(n, members)
+            for layers in decompose(s).per_prime:
+                for level in range(1, layers.a):
+                    expected = level in layers.valid_levels
+                    assert translation_check(s, layers.p, level) is expected, (members, layers.p, level)
+                    assert brute_translation_check(s, layers.p, level) is expected, (members, layers.p, level)
+                    valid += expected
+                    invalid += not expected
+        assert valid and invalid
 
     def test_checks_arcs_by_difference(self, monkeypatch):
         def no_digraph(self):

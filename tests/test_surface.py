@@ -28,8 +28,9 @@ REMOVED_FUNCTIONS = [
     ("abelian", "preceq_p"),
     ("analyzer", "coset_condition"),  # level in decompose(s).for_prime(p).valid_levels
     ("analyzer", "minimal_group"),  # decompose(s).minimal_group()
-    ("analyzer", "_prime_exponent"),  # translation_check reads a off decompose(s).for_prime(p)
+    ("analyzer", "_prime_exponent"),  # translation_check reads a off factorize(n)
     ("analyzer", "parse_connection_set"),  # the CLI reads literals with _parse_literal
+    ("analyzer", "subgroup_of_order"),  # no caller in src/; brute.subgroup_of_order builds P and W for tests
     ("arith", "euler_phi"),
     ("arith", "arithmetic_condition"),  # LayerDecomposition.arithmetic_condition()
     ("arith", "big_omega"),  # _tower_factors tests primality on factorize(p)
