@@ -168,14 +168,13 @@ def _capacity_exit(exc: CapacityError, strict: bool, where: str = "") -> int:
     return EXIT_CAPACITY if strict else EXIT_ERROR
 
 
-def _verdict_exit(verdicts: list[str], strict: bool, failure_exit: int) -> int:
-    """The exit code of a verify run: a mismatch first, then a capped verdict
-    under --strict, then the worst exit of a line that failed."""
-    if any(v == MISMATCH for v in verdicts):
-        return EXIT_MISMATCH
-    if strict and any(v == ORACLE_CAPPED for v in verdicts):
-        return EXIT_CAPACITY
-    return failure_exit
+def _batch(path: str):
+    """(where, text) for each line of the corpus at ``path`` that is neither
+    blank nor a comment, read one line at a time."""
+    with open(path, encoding="utf-8-sig", errors="replace") as handle:
+        for k, text in enumerate(map(str.strip, handle), start=1):
+            if text and not text.startswith("#"):
+                yield f"{path}:{k}: ", text
 
 
 def _report_line(report, fmt: str) -> str:
@@ -190,35 +189,36 @@ def _run_verify(args) -> int:
     if (args.instance is None) == (args.batch is None):
         print("error: verify needs exactly one of an instance literal or --batch", file=sys.stderr)
         return EXIT_ERROR
-    instances = [("", args.instance)]  # (where, instance); a batch line's instance is its text
-    if args.batch is not None:
-        try:
-            with open(args.batch, encoding="utf-8-sig", errors="replace") as handle:
-                lines = list(enumerate(map(str.strip, handle), start=1))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        instances = [(f"{args.batch}:{k}: ", text) for k, text in lines if text and not text.startswith("#")]
-    verdicts = []
-    # a line that is malformed, trips a cap or cannot be decided is reported,
-    # and the lines after it still run; a cap under --strict (3) outranks an error (1)
-    failure_exit = EXIT_OK
-    for where, instance in instances:
-        try:
-            if isinstance(instance, str):
-                instance, messages = _parse_literal(instance)
-                for message in messages:
-                    print(f"warning: {where}{message}", file=sys.stderr)
-            report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
-        except CapacityError as exc:
-            failure_exit = max(failure_exit, _capacity_exit(exc, args.strict, where))
-        except ValueError as exc:
-            print(f"error: {where}{exc}", file=sys.stderr)
-            failure_exit = max(failure_exit, EXIT_ERROR)
-        else:
-            verdicts.append(report.verdict)
-            print(_report_line(report, args.fmt))
-    return _verdict_exit(verdicts, args.strict, failure_exit)
+    # (where, instance): the literal, or each batch line's text, answered before the next is read
+    instances = [("", args.instance)] if args.batch is None else _batch(args.batch)
+    # a line that is malformed, trips a cap or cannot be decided is reported, and
+    # the lines after it still run; a mismatch (2) outranks everything, and a cap
+    # or capped verdict under --strict (3) outranks an error (1)
+    mismatch, failure_exit = False, EXIT_OK
+    try:
+        for where, instance in instances:
+            try:
+                if isinstance(instance, str):
+                    instance, messages = _parse_literal(instance)
+                    for message in messages:
+                        print(f"warning: {where}{message}", file=sys.stderr)
+                report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
+            except CapacityError as exc:
+                failure_exit = max(failure_exit, _capacity_exit(exc, args.strict, where))
+            except ValueError as exc:
+                print(f"error: {where}{exc}", file=sys.stderr)
+                failure_exit = max(failure_exit, EXIT_ERROR)
+            else:
+                print(_report_line(report, args.fmt))
+                mismatch |= report.verdict == MISMATCH
+                if args.strict and report.verdict == ORACLE_CAPPED:
+                    failure_exit = EXIT_CAPACITY
+    except BrokenPipeError:
+        raise  # a closed stdout, which main answers
+    except OSError as exc:  # the batch could not be opened or read
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    return EXIT_MISMATCH if mismatch else failure_exit
 
 
 def _run_poset(args) -> int:

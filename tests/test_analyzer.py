@@ -392,7 +392,7 @@ class TestTranslationCheck:
         assert translation_check(EXAMPLE_8, 2, 1) is True
         assert translation_check(EXAMPLE_8, 2, 2) is True
 
-    def test_invalid_level_is_error(self):
+    def test_invalid_level_is_false(self):
         # level 1 at p = 3 is in range but breaks the coset condition: False, not an error
         assert translation_check(EXAMPLE_45, 3, 1) is False
 
@@ -418,21 +418,6 @@ class TestTranslationCheck:
 
         monkeypatch.setattr(ConnectionSet, "digraph", no_digraph)
         assert translation_check(ConnectionSet.of(16, [1, 4, 5, 9, 13]), 2, 2) is True
-
-    def test_soundness_link_random(self):
-        # every valid level found by decompose admits the block-local
-        # translations as honest digraph automorphisms
-        rng = random.Random(61)
-        checked = 0
-        for _ in range(500):
-            n = rng.randrange(4, 101)
-            s = _random_instance(rng, n)
-            d = decompose(s)
-            for layers in d.per_prime:
-                for level in layers.valid_levels:
-                    assert translation_check(s, layers.p, level) is True
-                    checked += 1
-        assert checked > 100  # the sampler must actually exercise valid levels
 
     def test_monotone_under_coset_union(self):
         rng = random.Random(67)

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
+import select
 import subprocess
 import sys
 import time
@@ -329,6 +332,70 @@ class TestVerify:
         assert "MISMATCH" in out
         assert err.startswith(f"capacity: {corpus}:1: ")
 
+    def test_batch_mismatch_outranks_a_strict_capped_line_and_an_error_line(self, capsys, tmp_path, monkeypatch):
+        real = cli.cross_validate
+        fake = ValidationReport(4, (1,), ("Z4",), (), oracle.MISMATCH)
+        monkeypatch.setattr(cli, "cross_validate", lambda s, **k: fake if s.n == 4 else real(s, **k))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("n=12;S=6\nn=4;S=1\nn=1;S=\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), "--cap", "100", "--strict")
+        assert code == 2
+        assert [line.rsplit("=", 1)[1] for line in out.splitlines()] == ["oracle-capped", "MISMATCH"]
+        assert err == f"error: {corpus}:3: decomposition needs n >= 2, got 1\n"
+
+    # a capped verdict raises the exit to 3 under --strict, whichever side of
+    # an error line it falls on; without --strict only the error counts
+    @pytest.mark.parametrize("lines", [("n=12;S=6", "n=1;S="), ("n=1;S=", "n=12;S=6")])
+    @pytest.mark.parametrize("flags,exit_code", [((), 1), (("--strict",), 3)])
+    def test_batch_strict_capped_line_outranks_an_error_line(self, capsys, tmp_path, lines, flags, exit_code):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), "--cap", "100", *flags)
+        assert code == exit_code
+        assert out.endswith("verdict=oracle-capped\n") and out.count("\n") == 1
+        assert err == f"error: {corpus}:{lines.index('n=1;S=') + 1}: decomposition needs n >= 2, got 1\n"
+
+    def test_batch_file_missing(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run_cli(capsys, "verify", "--batch", str(missing))
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    def test_batch_read_error_keeps_the_lines_answered(self, capsys, monkeypatch):
+        # line 1 is answered before line 2 is read, so its report stands when that read fails
+        class FailsOnSecondRead(io.StringIO):
+            def __next__(self):
+                if self.tell():
+                    raise OSError(5, "Input/output error")
+                return super().__next__()
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: FailsOnSecondRead("n=9;S=3,6\nn=4;S=1\n"), raising=False)
+        code, out, err = run_cli(capsys, "verify", "--batch", "corpus.txt")
+        assert code == 1
+        assert out == "n=9 S=[3, 6] predicted=[Z3^2, Z9] actual=[Z3^2, Z9] verdict=exact-match\n"
+        assert err == "error: [Errno 5] Input/output error\n"
+
+    def test_batch_on_a_pipe_answers_each_line_as_it_arrives(self):
+        # the first line's report is printed while stdin is still open
+        with _verify_on_a_pipe() as child:
+            child.stdin.write("n=9;S=3,6\n")
+            child.stdin.flush()
+            ready, _, _ = select.select([child.stdout], [], [], 10)
+            assert ready, "no report before stdin was closed"
+            assert json.loads(child.stdout.readline())["verdict"] == "exact-match"
+            child.stdin.write("# c\nn=4;S=1\n")
+            child.stdin.close()
+            assert [json.loads(line)["n"] for line in child.stdout] == [4]
+            assert child.wait(timeout=120) == 0
+
+    def test_batch_on_a_closed_pipe_exits_without_a_traceback(self):
+        with _verify_on_a_pipe() as child:
+            child.stdout.close()
+            child.stdin.write("n=9;S=3,6\nn=4;S=1\n")
+            child.stdin.close()
+            assert child.wait(timeout=120) == cli.EXIT_ERROR
+            assert child.stderr.read() == ""  # main answers the closed stdout, not the batch's read error
+
     def test_needs_instance_or_batch(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 1
@@ -556,6 +623,22 @@ def run_capped(*argv, megabytes=300, script=CLI_SCRIPT):
     )
 
 
+@contextlib.contextmanager
+def _verify_on_a_pipe():
+    """`verify --batch /dev/stdin --format json` in a child, unbuffered, with
+    its three streams on pipes; killed if the test leaves it running."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen(
+        [sys.executable, "-c", CLI_SCRIPT, "verify", "--batch", "/dev/stdin", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"),
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as child:
+        try:
+            yield child
+        finally:
+            child.kill()
+
+
 class TestMemoryBound:
     """Inputs far past the oracle's reach run in memory that does not grow with
     n, or fail loudly before they could exhaust it."""
@@ -589,6 +672,18 @@ class TestMemoryBound:
         report = oracle.cross_validate(ConnectionSet.of(16777216, [1]))
         assert time.perf_counter() - start < 0.1
         assert report.capped_by == payload["capped_by"]
+
+    def test_verify_batch_reads_a_line_at_a_time(self, tmp_path):
+        # two instances around 10^6 comment lines (14 MB): answered a line at a
+        # time in 100 MB, where holding every line died with MemoryError
+        corpus = tmp_path / "corpus.txt"
+        with corpus.open("w", encoding="utf-8") as handle:
+            handle.write("n=9;S=3,6\n")
+            handle.writelines(f"# line {i}\n" for i in range(10**6))
+            handle.write("n=4;S=1\n")
+        result = run_capped("verify", "--batch", str(corpus), "--format", "json", megabytes=100)
+        assert result.returncode == 0, result.stderr
+        assert [json.loads(line)["n"] for line in result.stdout.splitlines()] == [9, 4]
 
     def test_cayley_digraph_past_the_vertex_cap(self):
         # the 400,000-vertex circulant is held as its adjacency row, and the

@@ -36,6 +36,7 @@ REMOVED_FUNCTIONS = [
     ("arith", "big_omega"),  # _tower_factors tests primality on factorize(p)
     ("arith", "Factorization"),  # factorize returns its (p, a) pairs
     ("cli", "_COMMANDS"),  # each subcommand's parser sets its runner as the run default
+    ("cli", "_verdict_exit"),  # _run_verify keeps the exit code as it answers each line
     ("digraph", "digraph"),
     ("digraph", "Digraph"),  # a digraph is the adjacency matrix the engine reads
     ("digraph", "empty_digraph"),
