@@ -6,28 +6,30 @@ p-groups by chains with cyclic quotients (dominance of the exponent
 partitions) and groups of order n prime by prime; its test on one pair of
 groups is the dominance reference in tests/brute.py.
 
-Up-sets and Hasse diagrams are walked by covers, never filtered from all
-partitions.  In dominance order a partition's covers move one box up from
-row j to a row i < j, where j = i + 1 or rows i and j have equal length
-(T. Brylawski, "The lattice of integer partitions", Discrete Math. 6, 1973).
-Every partition of a dominates 1^a, so the groups of order n are the up-set
-of the elementary abelian group, and enumerate_abelian walks it as up_set
-walks any other.
+Up-sets are walked, never filtered from all partitions.  One walk
+(_dominating) lists the partitions dominating a partition in ascending
+lexicographic order, placing rows largest first under the prefix bound of
+dominance and writing each run of equal rows as one piece (generation in
+lexicographic order: D. E. Knuth, TAOCP 4A, 7.2.1.4).  Every partition of a
+dominates 1^a, so the groups of order n are the up-set of the elementary
+abelian group, and enumerate_abelian walks it as up_set walks any other;
+_up_set_groups builds groups from the walk's partitions for both, and the
+analyzer has it write each partition straight to text, for its report and
+for the oracle's prediction alike.
 Lists of groups are counted before they are built and capped at
 GROUP_LIST_CAP; a count grows as it goes, so it stops once past the cap.
 An up-set of a partition of a has at most p(a) members, so one whose
-product of p(a) is within the cap is not counted.
-One helper (_up_closures) counts and walks an up-set prime by prime:
-_up_set_groups builds groups from it for up_set and enumerate_abelian, and
-the analyzer writes each partition straight to text with text_of, for its
-report and for the oracle's prediction alike.  One cover walk
-(_cover_pairs) pairs the enumerated groups by index, for hasse_edges and
-for the CLI's poset.
+product of p(a) is within the cap is not counted (_cap_up_set).
+Hasse diagrams are walked by covers: in dominance order a partition's
+covers move one box up from row j to a row i < j, where j = i + 1 or rows i
+and j have equal length (T. Brylawski, "The lattice of integer partitions",
+Discrete Math. 6, 1973).  One cover walk (_cover_pairs) pairs the
+enumerated groups by index, for hasse_edges and for the CLI's poset.
 """
 
-from itertools import product
+from itertools import accumulate, product
 from math import prod
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from ._record import Record, set_field
 from .arith import factorize
@@ -35,9 +37,16 @@ from .errors import CapacityError
 
 # A listed group of order 2^45 costs about 300 bytes as objects, its partition
 # included, so a list of this many stays near 30 MB; `poset` at 2^45 (89,134
-# groups, 329,433 cover pairs) peaks near 66 MB of RSS in text and dot, which
-# write line by line, and 128 MB in json.
+# groups, 329,433 cover pairs) peaks near 61 MB of RSS in text and dot and
+# 64 MB in json, all three written as they go.
 GROUP_LIST_CAP = 10**5
+
+T = TypeVar("T", str, tuple)
+
+
+def _run_text(p: int, e: int, count: int) -> str:
+    """Canonical text of count parts e of a p-group, e.g. "Z9", "Z3^2"."""
+    return f"Z{p**e}" if count == 1 else f"Z{p**e}^{count}"
 
 
 def text_of(p: int, parts: tuple[int, ...]) -> str:
@@ -46,8 +55,7 @@ def text_of(p: int, parts: tuple[int, ...]) -> str:
         return f"Z{p**parts[0]}"
     pieces = []
     for e in dict.fromkeys(parts):  # the distinct parts, largest first
-        count = parts.count(e)
-        pieces.append(f"Z{p**e}" if count == 1 else f"Z{p**e}^{count}")
+        pieces.append(_run_text(p, e, parts.count(e)))
     return "x".join(pieces)
 
 
@@ -172,15 +180,6 @@ def _partition_count(a: int) -> int | None:
     return _PARTITIONS[a] if a < len(_PARTITIONS) and _PARTITIONS[a] <= GROUP_LIST_CAP else None
 
 
-def _cap_group_list(counts: list[int | None], what: str) -> None:
-    """Refuse a list whose per-prime counts (see _dominating_count) multiply past GROUP_LIST_CAP."""
-    if None in counts:
-        raise CapacityError(f"{what} would have more than {GROUP_LIST_CAP} groups", GROUP_LIST_CAP)
-    count = prod(counts)
-    if count > GROUP_LIST_CAP:
-        raise CapacityError(f"{what} would have {count} groups", GROUP_LIST_CAP)
-
-
 def _covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The partitions covering parts in dominance order (Brylawski 1973).
 
@@ -205,34 +204,73 @@ def _covers(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return covers
 
 
-def _up_closure(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The partitions dominating parts, in ascending lexicographic order."""
-    seen = {parts}
-    frontier = [parts]
-    while frontier:
-        frontier = {c for x in frontier for c in _covers(x)} - seen
-        seen |= frontier
-    return sorted(seen)
+def _dominating(parts: tuple[int, ...], piece: Callable[[int, int], T], sep: T) -> list[T]:
+    """The partitions dominating parts, in ascending lexicographic order, so
+    parts comes first and (a) last, a = sum(parts).
+
+    Each is written as the pieces of its runs joined by sep, where
+    piece(e, c) writes a run of c rows of length e: ``(e,) * c`` joined by
+    ``()`` gives the partition itself, and _run_text at p joined by "x"
+    gives the p-group's canonical text.  Rows are placed largest first, and
+    a prefix of k rows is kept while its sum is at least parts[0] + ... +
+    parts[k-1], the bound _dominating_count walks.  A run is chosen by its
+    length e, smallest first, then by its count c, smallest first, and the
+    rows after it are shorter than e: that is ascending lexicographic order.
+    A longer run of e has the shorter one as a prefix, so c stops at the
+    first count that fails the bound.
+
+    The recursion is one level per run, so its depth is at most the row
+    count of parts.  Under GROUP_LIST_CAP that is at most 45 rows, as in
+    1^45: a partition of a with r rows lies below the hook
+    (a - r + 1, 1^(r-1)), whose up-set alone has p(0) + ... + p(r-1)
+    members once a >= 2r - 2.
+    """
+    a = sum(parts)
+    need = list(accumulate(parts, initial=0))  # need[k]: the least sum of k rows; need[len(parts)] = a
+    found: list[T] = []
+
+    def place(k: int, s: int, top: int, prefix: T) -> None:
+        # k rows placed, summing to s; the rows still to place are at most top
+        for e in range(max(1, need[k + 1] - s), min(top, a - s) + 1):
+            t, row = s, k
+            while t + e <= a:
+                t += e
+                row += 1
+                if t < need[row]:
+                    break
+                if t == a:
+                    found.append(prefix + piece(e, row - k))
+                elif e > 1:  # rows shorter than 1 cannot complete it
+                    place(row, t, e - 1, prefix + piece(e, row - k) + sep)
+
+    place(0, 0, a, sep[:0])  # the empty prefix, "" or ()
+    return found
 
 
-def _up_closures(sylow: Sequence[tuple[int, tuple[int, ...]]], what: str) -> list[list[tuple[int, ...]]]:
-    """Per prime (p, parts) of sylow, the partitions dominating parts.
+def _cap_up_set(sylow: Sequence[tuple[int, tuple[int, ...]]], what: Callable[[], str]) -> None:
+    """Refuse an up-set of more than GROUP_LIST_CAP groups before it is built.
 
-    The up-set is their product, at most the product of p(a) over the
-    exponents a.  Only when that bound passes GROUP_LIST_CAP is the up-set
-    counted first, and more than GROUP_LIST_CAP groups raise CapacityError
-    naming `what` ("order 64", "up-set of Z4xZ2") before anything is built.
+    The up-set is the product over the primes (p, parts) of sylow of the
+    partitions dominating parts, at most the product of p(a) over the
+    exponents a.  Only when that bound passes the cap is the up-set counted
+    (see _dominating_count), and only a refusal writes what() ("order 64",
+    "up-set of Z4xZ2") into its CapacityError.
     """
     bounds = [_partition_count(sum(parts)) for _, parts in sylow]
-    if None in bounds or prod(bounds) > GROUP_LIST_CAP:
-        _cap_group_list([_dominating_count(parts) for _, parts in sylow], what)
-    return [_up_closure(parts) for _, parts in sylow]
+    if None not in bounds and prod(bounds) <= GROUP_LIST_CAP:
+        return
+    counts = [_dominating_count(parts) for _, parts in sylow]
+    if None in counts:
+        raise CapacityError(f"{what()} would have more than {GROUP_LIST_CAP} groups", GROUP_LIST_CAP)
+    count = prod(counts)
+    if count > GROUP_LIST_CAP:
+        raise CapacityError(f"{what()} would have {count} groups", GROUP_LIST_CAP)
 
 
-def _up_set_groups(sylow: Sequence[tuple[int, tuple[int, ...]]], what: str) -> list[AbelianType]:
-    """The groups above sylow's, lexicographic by prime then partition (see _up_closures)."""
-    closures = _up_closures(sylow, what)
-    per_prime = [[(p, parts) for parts in closure] for (p, _), closure in zip(sylow, closures)]
+def _up_set_groups(sylow: Sequence[tuple[int, tuple[int, ...]]], what: Callable[[], str]) -> list[AbelianType]:
+    """The groups above sylow's, lexicographic by prime then partition (see _dominating and _cap_up_set)."""
+    _cap_up_set(sylow, what)
+    per_prime = [[(p, mu) for mu in _dominating(parts, lambda e, c: (e,) * c, ())] for p, parts in sylow]
     return [AbelianType(combo) for combo in product(*per_prime)]
 
 
@@ -240,28 +278,29 @@ def enumerate_abelian(n: int) -> list[AbelianType]:
     """All abelian groups of order n, once each, lexicographic by prime then partition.
 
     They are the up-set of the elementary abelian group, 1^a at each prime
-    power p^a || n, walked cover by cover.  More than GROUP_LIST_CAP groups,
-    prod p(a), raise CapacityError before anything is built.
+    power p^a || n, which every partition of a dominates.  More than
+    GROUP_LIST_CAP groups, prod p(a), raise CapacityError before anything
+    is built.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    return _up_set_groups([(p, (1,) * a) for p, a in factorize(n)], f"order {n}")
+    return _up_set_groups([(p, (1,) * a) for p, a in factorize(n)], lambda: f"order {n}")
 
 
 def up_set(h: AbelianType) -> list[AbelianType]:
     """All groups of the same order that are >= h in the partial order, h included.
 
-    Per prime, the partitions dominating h's are walked cover by cover from
-    it (see _covers), so the cost follows the answer, not the number of
-    partitions.  The up-set is counted first, and more than GROUP_LIST_CAP
-    groups raise CapacityError before anything is built.  The order's
-    factorization is read off h, so nothing is factorized.  A cyclic h,
-    one part per prime, dominates every group of its order, so its up-set
-    is [h] and nothing is walked.
+    Per prime, the walk lists only the partitions dominating h's (see
+    _dominating), so the cost follows the answer, not the number of
+    partitions.  An up-set that may pass GROUP_LIST_CAP is counted first,
+    and more than GROUP_LIST_CAP groups raise CapacityError before anything
+    is built.  The order's factorization is read off h, so nothing is
+    factorized.  A cyclic h, one part per prime, dominates every group of
+    its order, so its up-set is [h] and nothing is walked.
     """
     if all(len(parts) == 1 for _, parts in h.sylow):
         return [h]
-    return _up_set_groups(h.sylow, f"up-set of {h.text()}")
+    return _up_set_groups(h.sylow, lambda: f"up-set of {h.text()}")
 
 
 def _cover_pairs(groups: list[AbelianType]) -> Iterator[tuple[int, int]]:

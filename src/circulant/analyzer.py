@@ -22,6 +22,7 @@ translations lie in Aut(Cay(Z_n, S)), and one map per level decides that, in
 either direction.
 """
 
+from functools import partial
 from itertools import product
 from math import gcd
 from operator import sub
@@ -29,7 +30,7 @@ from typing import Iterator
 
 # up_set has no caller here: it stays as the patch point of perfbench's
 # abelian.up_set span, as ConnectionSet.digraph stays for digraph.digraph.
-from .abelian import AbelianType, _up_closures, text_of, up_set
+from .abelian import AbelianType, _cap_up_set, _dominating, _run_text, text_of, up_set
 from ._record import Record, set_field
 from ._refine import Circulant
 from .arith import _radical_condition, factorize
@@ -210,19 +211,20 @@ def decompose(s: ConnectionSet) -> LayerDecomposition:
 def _up_set_texts(decomposition: LayerDecomposition) -> tuple[str, list[str]]:
     """The minimal group's canonical text and its up-set's, in up_set's order.
 
-    Each group is written straight from its (p, parts) pairs with text_of,
-    so no group object is built.  A minimal group with one part per prime
-    is cyclic, the top of its order, and is its own up-set without a walk.
+    The walk writes each prime's partitions straight to text, run by run,
+    so no group object is built, and the minimal group's text is the
+    first.  A minimal group with one part per prime is cyclic, the top of
+    its order, and is its own up-set without a walk.
     """
     sylow = [(layers.p, layers.minimal_parts) for layers in decomposition.per_prime]
-    minimal = "x".join([text_of(p, parts) for p, parts in sylow])
     if all(len(parts) == 1 for _, parts in sylow):
+        minimal = "x".join([text_of(p, parts) for p, parts in sylow])
         return minimal, [minimal]
-    per_prime = [
-        [text_of(p, parts) for parts in closure]
-        for (p, _), closure in zip(sylow, _up_closures(sylow, f"up-set of {minimal}"))
-    ]
-    return minimal, ["x".join(texts) for texts in product(*per_prime)]
+    # a default, not a closure: a cell for decomposition would slow the cyclic return above
+    _cap_up_set(sylow, lambda d=decomposition: f"up-set of {d.minimal_group().text()}")
+    per_prime = [_dominating(parts, partial(_run_text, p), "x") for p, parts in sylow]
+    texts = ["x".join(combo) for combo in product(*per_prime)]
+    return texts[0], texts
 
 
 def realizable_groups(s: ConnectionSet) -> tuple[list[str], bool]:

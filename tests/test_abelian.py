@@ -17,9 +17,11 @@ from circulant import abelian
 from circulant.abelian import (
     AbelianType,
     _covers,
+    _dominating,
     _dominating_count,
     _partition_count,
-    _up_closure,
+    _run_text,
+    text_of,
     enumerate_abelian,
     hasse_edges,
     up_set,
@@ -242,10 +244,10 @@ class TestUpSet:
         small = [AbelianType.cyclic(n) for n in range(2, 65)]
         expected = [brute_up_set(h) for h in small]
 
-        def no_walk(sylow, what):
-            raise AssertionError(f"up_set walked the {what}")
+        def no_walk(parts, piece, sep):
+            raise AssertionError(f"up_set walked the up-set of {parts}")
 
-        monkeypatch.setattr(abelian, "_up_closures", no_walk)
+        monkeypatch.setattr(abelian, "_dominating", no_walk)
         assert [up_set(h) for h in small] == expected
         for n in (2**61, 3**38, 2**30 * 3**18, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 1_000_000_007):
             h = AbelianType.cyclic(n)
@@ -285,6 +287,18 @@ class TestUpSet:
 
 
 class TestDominanceWalk:
+    def test_walk_matches_brute_force(self):
+        # ascending lexicographic order is sorted order, so parts comes first and (k) last
+        for k in range(1, 17):
+            parts = brute_partitions(k)
+            for lam in parts:
+                above = sorted(mu for mu in parts if dominates(mu, lam))
+                assert _dominating(lam, lambda e, c: (e,) * c, ()) == above, lam
+                assert above[0] == lam and above[-1] == (k,)
+                for p in (2, 3):
+                    texts = _dominating(lam, lambda e, c: _run_text(p, e, c), "x")
+                    assert texts == [text_of(p, mu) for mu in above], (p, lam)
+
     def test_covers_match_brute_force(self):
         for k in range(1, 16):
             parts = brute_partitions(k)
@@ -302,8 +316,9 @@ class TestDominanceWalk:
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 10, 30, 100])
     def test_dominating_count_at_or_below_the_cap_is_exact(self, cap):
         for k in range(1, 13):
-            for lam in brute_partitions(k):
-                size = len(_up_closure(lam))
+            parts = brute_partitions(k)
+            for lam in parts:
+                size = sum(dominates(mu, lam) for mu in parts)
                 got = _dominating_count(lam, cap)
                 if size <= cap:
                     assert got == size, lam

@@ -339,6 +339,23 @@ class TestUpSetTexts:
             walked += self.assert_brute(_sparse_coset_union(rng, n), cache)
         assert walked > 400  # 478 of them walk an up-set
 
+    def test_cyclic_minimal_group_takes_no_walk(self, monkeypatch):
+        # the prediction of every verify_connected line, and a report past the
+        # partition-count cap: Z_n is the top of its order, so it is the whole list
+        def no_walk(*args):
+            raise AssertionError(f"walked or counted the up-set of {args[0]}")
+
+        monkeypatch.setattr(analyzer, "_dominating", no_walk)
+        monkeypatch.setattr(analyzer, "_cap_up_set", no_walk)
+        sets = [ConnectionSet.of(n, [x for x in range(n) if mask >> x & 1]) for n in range(2, 13) for mask in range(2**n)]
+        cyclic = [s for s in sets if decompose(s).minimal_group() == AbelianType.cyclic(s.n)]
+        assert len(cyclic) > 7000  # 7,588 of the 8,188 sets
+        for s in cyclic + [ConnectionSet.of(2**61, [1])]:
+            text = AbelianType.cyclic(s.n).text()
+            assert realizable_groups(s)[0] == [text], s
+            report = analysis_report(s)
+            assert (report["minimal_group"], report["realizable"]) == (text, [text]), s
+
 
 def witness_towers(s):
     """``product_type_witness`` with each tower's arcs collected into an adjacency matrix."""

@@ -26,6 +26,8 @@ REMOVED_FUNCTIONS = [
     ("abelian", "partitions"),  # enumerate_abelian walks up from 1^a; brute.brute_partitions is the reference
     ("abelian", "preceq"),
     ("abelian", "preceq_p"),
+    ("abelian", "_up_closure"),  # _dominating lists an up-set in lexicographic order, no cover BFS
+    ("abelian", "_up_closures"),  # _cap_up_set counts, and each caller walks with its own piece
     ("analyzer", "coset_condition"),  # level in decompose(s).for_prime(p).valid_levels
     ("analyzer", "minimal_group"),  # decompose(s).minimal_group()
     ("analyzer", "_prime_exponent"),  # translation_check reads a off factorize(n)
