@@ -59,13 +59,19 @@ _json_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser for every subcommand and argparse's own table of the
-    subcommand parsers by name, built on the first call and reused.  Each
-    subcommand's parser sets its runner as the ``run`` default.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[tuple, argparse.Namespace]]:
+    """The parser for every subcommand, argparse's own table of the
+    subcommand parsers by name, and the scripted shapes, built on the first
+    call and reused.  Each subcommand's parser sets its runner as the
+    ``run`` default.
 
-    Parsing returns a fresh namespace each time and no default is mutable,
-    so nothing carries over from one call of `main` to the next.
+    A scripted shape is ``COMMAND LITERAL`` or ``COMMAND LITERAL --format
+    F`` for a command that takes a literal; it is keyed by its argv without
+    the literal, and its value is the subcommand parser's own namespace for
+    a placeholder literal.  argparse stores a literal that does not start
+    with ``-`` unchanged, so that namespace with the literal swapped in is
+    the one it would build.  `main` copies the namespace it uses, and no
+    default is mutable, so nothing carries over from one call to the next.
     """
     parser = _Parser(prog="circulant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,10 +81,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.set_defaults(run=run)
         return p
 
+    shapes = []  # (name, parser, --format choices) of each command that takes a literal
+
     def instance_command(name, run, help, other_format, nargs=None):
         p = command(name, run, help)
         p.add_argument("instance", nargs=nargs, help='connection set literal, e.g. "n=45;S=0,1,15,30"')
-        p.add_argument("--format", dest="fmt", choices=["text", other_format], default="text")
+        fmt = p.add_argument("--format", dest="fmt", choices=["text", other_format], default="text")
+        shapes.append((name, p, fmt.choices))
         return p
 
     instance_command("analyze", _run_analyze, "levels, minimal group, realizable groups", "json")
@@ -97,7 +106,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = command("poset", _run_poset, "abelian groups of order n with Hasse cover pairs")
     p.add_argument("n", type=int)
     p.add_argument("--format", dest="fmt", choices=["text", "json", "dot"], default="text")
-    return parser, sub.choices
+    scripted = {
+        (name, *flags): subparser.parse_args(["LITERAL", *flags])
+        for name, subparser, choices in shapes
+        for flags in [(), *(("--format", choice) for choice in choices)]
+    }
+    return parser, sub.choices, scripted
 
 
 def _prime_line(entry: dict) -> str:
@@ -254,17 +268,23 @@ def _run_poset(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    parser, commands, scripted = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # A call that names a subcommand is parsed by that subcommand's parser,
-    # as the full parser would hand it on.  Every other call, and one that
-    # leaves an argument over, goes to the full parser, which answers it (or
-    # reports the leftover) exactly as it always has.
-    name = argv[0] if argv else None
-    if name in commands:
-        args, leftover = commands[name].parse_known_args(argv[1:])
-    if name not in commands or leftover:
-        args = parser.parse_args(argv)
+    # A scripted shape takes a copy of argparse's namespace for it, with the
+    # literal in place.  Any other call that names a subcommand is parsed by
+    # that subcommand's parser, as the full parser would hand it on.  Every
+    # other call, and one that leaves an argument over, goes to the full
+    # parser, which answers it (or reports the leftover) as it always has.
+    template = scripted.get((argv[0], *argv[2:])) if len(argv) > 1 and argv[1][:1] != "-" else None
+    if template is not None:
+        args = argparse.Namespace(**vars(template))
+        args.instance = argv[1]
+    else:
+        name = argv[0] if argv else None
+        if name in commands:
+            args, leftover = commands[name].parse_known_args(argv[1:])
+        if name not in commands or leftover:
+            args = parser.parse_args(argv)
     try:
         if getattr(args, "instance", None) is not None:
             args.instance, messages = _parse_literal(args.instance)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -565,16 +566,27 @@ class TestParser:
         assert json.loads(out)["n"] == 8
 
     def test_full_parser_only_for_what_it_reports(self, capsys, monkeypatch):
-        # a well-formed call is parsed by its subcommand's parser alone; a
-        # leftover argument and an unknown command go to the full parser
-        parser, _ = cli.build_parser()
-        calls = []
+        # a scripted call is parsed by no parser, any other call that names a
+        # subcommand by that subcommand's parser alone; a leftover argument
+        # and an unknown command go to the full parser
+        parser, commands, _ = cli.build_parser()
+        calls, sub_calls = [], []
         real = parser.parse_args
         monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or real(argv))
+
+        def counted(name, real):
+            return lambda args=None, namespace=None: sub_calls.append(name) or real(args, namespace)
+
+        for name, sub in commands.items():
+            monkeypatch.setattr(sub, "parse_known_args", counted(name, sub.parse_known_args))
         run_cli(capsys, "analyze", "n=8;S=4", "--format", "json")
-        run_cli(capsys, "decompose", "n=8;S=4", "--prime", "2")
+        run_cli(capsys, "witness", "n=8;S=4")
         run_cli(capsys, "verify", "n=8;S=4")
-        assert calls == []
+        assert (calls, sub_calls) == ([], [])
+        run_cli(capsys, "decompose", "n=8;S=4", "--prime", "2")
+        run_cli(capsys, "analyze", "--format", "json", "n=8;S=4")
+        run_cli(capsys, "poset", "8")
+        assert (calls, sub_calls) == ([], ["decompose", "analyze", "poset"])
         for argv in (["analyze", "n=8;S=4", "--strip-loops"], ["frobnicate"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -602,6 +614,96 @@ class TestParser:
         run_cli(capsys, "decompose", "n=8;S=4")
         run_cli(capsys, "verify", "n=8;S=4")
         assert built == []
+
+
+# every call of the form COMMAND LITERAL [--format F], F one of the command's choices
+SCRIPTED_SHAPES = [
+    (name, flags)
+    for name, choices in [("analyze", "text json"), ("decompose", "text json"), ("witness", "text dot"),
+                          ("verify", "text json")]
+    for flags in [(), *(("--format", choice) for choice in choices.split())]
+]
+SCRIPTED_LITERALS = ["", " ", "n=8;S=4", "n=8; S=0,1 ", "n=\u0668;S=1", "x", "=", "n=8;\tS=4", "n=8;S=4\n", "\t", "\n"]
+# calls the scripted table leaves to argparse: a literal that starts with -, a
+# flag spelled or placed otherwise, a refused format, another flag, a leftover
+# argument, and a command without a literal
+ARGPARSE_ROUTED = [
+    ("analyze", "-"), ("analyze", "-1"), ("analyze", "--"), ("analyze", "-h"), ("verify", "-", "--format", "json"),
+    ("analyze", "n=8;S=4", "--format=json"), ("analyze", "n=8;S=4", "--form", "json"),
+    ("analyze", "--format", "json", "n=8;S=4"), ("analyze", "n=8;S=4", "--format", "dot"),
+    ("decompose", "n=45;S=0,1,15,30", "--prime", "3"), ("analyze", "n=8;S=4", "--strip-loops"),
+    ("analyze", "n=8;S=4", "--format", "json", "--strip-loops"), ("verify", "n=8;S=4", "--format"),
+    ("poset", "8"),
+]
+
+
+def _recording(template, seen):
+    """``template`` with a runner that keeps the namespace it is handed."""
+    return argparse.Namespace(**{**vars(template), "run": lambda args: seen.append(args) or 0})
+
+
+class TestScripted:
+    """`main` answers COMMAND LITERAL [--format F] from argparse's own
+    namespace for that shape, with the literal swapped in."""
+
+    def test_table_holds_every_scripted_shape(self):
+        _, _, scripted = cli.build_parser()
+        assert sorted(scripted) == sorted((name, *flags) for name, flags in SCRIPTED_SHAPES)
+
+    @pytest.mark.parametrize("name,flags", SCRIPTED_SHAPES, ids=[" ".join((n, *f)) for n, f in SCRIPTED_SHAPES])
+    def test_namespace_is_argparses(self, monkeypatch, name, flags):
+        _, commands, scripted = cli.build_parser()
+        key, seen = (name, *flags), []
+        template = scripted[key]
+        monkeypatch.setitem(scripted, key, _recording(template, seen))
+        monkeypatch.setattr(cli, "_parse_literal", lambda text: (text, []))  # the runner sees the literal as given
+        for literal in SCRIPTED_LITERALS:
+            assert main([name, literal, *flags]) == 0
+            (args,) = seen
+            seen.clear()
+            assert {**vars(args), "run": template.run} == vars(commands[name].parse_args([literal, *flags])), literal
+
+    def test_each_call_gets_its_own_namespace(self, capsys, monkeypatch):
+        _, _, scripted = cli.build_parser()
+        before = {key: dict(vars(template)) for key, template in scripted.items()}
+        key, seen = ("analyze", "--format", "json"), []
+        monkeypatch.setitem(scripted, key, _recording(scripted[key], seen))
+        main(["analyze", "n=8;S=4", "--format", "json"])
+        main(["analyze", "n=9;S=3,6", "--format", "json"])
+        first, second = seen
+        assert first is not second
+        assert (first.instance.n, second.instance.n) == (8, 9)
+        monkeypatch.undo()
+        for name, *flags in scripted:
+            assert run_cli(capsys, name, "n=8;S=4", *flags)[0] == 0
+        assert {key: vars(template) for key, template in scripted.items()} == before
+
+    def test_scripted_calls_run_no_parser(self, capsys, monkeypatch):
+        argvs = [("analyze", "n=45;S=0,1,15,30", "--format", "json"), ("decompose", "n=45;S=0,1,15,30"),
+                 ("witness", "n=9;S=3,6", "--format", "dot"), ("verify", "n=9;S=3,6", "--format", "text")]
+        expected = [run_cli(capsys, *argv) for argv in argvs]  # also builds the parser and its table
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a scripted call")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        assert [run_cli(capsys, *argv) for argv in argvs] == expected
+
+    @pytest.mark.parametrize("argv", ARGPARSE_ROUTED, ids=" ".join)
+    def test_argparse_answers_the_rest(self, capsys, monkeypatch, argv):
+        # each call answers as it does with no scripted table at all
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        routed = outcome()
+        parser, commands, _ = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: (parser, commands, {}))
+        assert routed == outcome()
 
 
 def _cap_address_space(megabytes):

@@ -133,7 +133,7 @@ def test_orbital_coloring_is_not_exported():
 
 def test_cli_command_table_is_argparse_own():
     cli = importlib.import_module("circulant.cli")
-    _, commands = cli.build_parser()
+    _, commands, _ = cli.build_parser()
     assert set(commands) == {"analyze", "decompose", "witness", "generate", "verify", "poset"}
     for name, parser in commands.items():
         assert parser.get_default("run") is getattr(cli, f"_run_{name}"), name
