@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from itertools import chain
 
 from .abelian import _cover_pairs, _covers, enumerate_abelian
@@ -59,7 +60,7 @@ _json_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[tuple, argparse.Namespace]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[tuple, Callable]]:
     """The parser for every subcommand, argparse's own table of the
     subcommand parsers by name, and the scripted shapes, built on the first
     call and reused.  Each subcommand's parser sets its runner as the
@@ -67,11 +68,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     A scripted shape is ``COMMAND LITERAL`` or ``COMMAND LITERAL --format
     F`` for a command that takes a literal; it is keyed by its argv without
-    the literal, and its value is the subcommand parser's own namespace for
-    a placeholder literal.  argparse stores a literal that does not start
-    with ``-`` unchanged, so that namespace with the literal swapped in is
-    the one it would build.  `main` copies the namespace it uses, and no
-    default is mutable, so nothing carries over from one call to the next.
+    the literal, and its value is a function that returns the subcommand
+    parser's own namespace for a placeholder literal, parsed on the shape's
+    first use and kept, so a process that makes one call runs one parse, as
+    argparse alone would.
+    argparse stores a literal that does not start with ``-`` unchanged, so
+    that namespace with the literal swapped in is the one it would build.
+    `main` copies the namespace it uses, and no default is mutable, so
+    nothing carries over from one call to the next.
     """
     parser = _Parser(prog="circulant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,7 +111,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("n", type=int)
     p.add_argument("--format", dest="fmt", choices=["text", "json", "dot"], default="text")
     scripted = {
-        (name, *flags): subparser.parse_args(["LITERAL", *flags])
+        (name, *flags): functools.cache(functools.partial(subparser.parse_args, ["LITERAL", *flags]))
         for name, subparser, choices in shapes
         for flags in [(), *(("--format", choice) for choice in choices)]
     }
@@ -270,14 +274,10 @@ def _run_poset(args) -> int:
 def main(argv=None) -> int:
     parser, commands, scripted = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # A scripted shape takes a copy of argparse's namespace for it, with the
-    # literal in place.  Any other call that names a subcommand is parsed by
-    # that subcommand's parser, as the full parser would hand it on.  Every
-    # other call, and one that leaves an argument over, goes to the full
-    # parser, which answers it (or reports the leftover) as it always has.
+    # routes: a scripted shape, else the named subcommand's parser, else (or on a leftover) the full parser
     template = scripted.get((argv[0], *argv[2:])) if len(argv) > 1 and argv[1][:1] != "-" else None
     if template is not None:
-        args = argparse.Namespace(**vars(template))
+        args = argparse.Namespace(**vars(template()))
         args.instance = argv[1]
     else:
         name = argv[0] if argv else None

@@ -566,10 +566,13 @@ class TestParser:
         assert json.loads(out)["n"] == 8
 
     def test_full_parser_only_for_what_it_reports(self, capsys, monkeypatch):
-        # a scripted call is parsed by no parser, any other call that names a
-        # subcommand by that subcommand's parser alone; a leftover argument
-        # and an unknown command go to the full parser
+        # a scripted call is parsed by no parser once its shape has been used,
+        # any other call that names a subcommand by that subcommand's parser
+        # alone; a leftover argument and an unknown command go to the full parser
         parser, commands, _ = cli.build_parser()
+        scripted_argvs = [("analyze", "n=8;S=4", "--format", "json"), ("witness", "n=8;S=4"), ("verify", "n=8;S=4")]
+        for argv in scripted_argvs:
+            run_cli(capsys, *argv)
         calls, sub_calls = [], []
         real = parser.parse_args
         monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or real(argv))
@@ -579,9 +582,8 @@ class TestParser:
 
         for name, sub in commands.items():
             monkeypatch.setattr(sub, "parse_known_args", counted(name, sub.parse_known_args))
-        run_cli(capsys, "analyze", "n=8;S=4", "--format", "json")
-        run_cli(capsys, "witness", "n=8;S=4")
-        run_cli(capsys, "verify", "n=8;S=4")
+        for argv in scripted_argvs:
+            run_cli(capsys, *argv)
         assert (calls, sub_calls) == ([], [])
         run_cli(capsys, "decompose", "n=8;S=4", "--prime", "2")
         run_cli(capsys, "analyze", "--format", "json", "n=8;S=4")
@@ -654,8 +656,9 @@ class TestScripted:
     def test_namespace_is_argparses(self, monkeypatch, name, flags):
         _, commands, scripted = cli.build_parser()
         key, seen = (name, *flags), []
-        template = scripted[key]
-        monkeypatch.setitem(scripted, key, _recording(template, seen))
+        template = scripted[key]()
+        recording = _recording(template, seen)
+        monkeypatch.setitem(scripted, key, lambda: recording)
         monkeypatch.setattr(cli, "_parse_literal", lambda text: (text, []))  # the runner sees the literal as given
         for literal in SCRIPTED_LITERALS:
             assert main([name, literal, *flags]) == 0
@@ -665,9 +668,10 @@ class TestScripted:
 
     def test_each_call_gets_its_own_namespace(self, capsys, monkeypatch):
         _, _, scripted = cli.build_parser()
-        before = {key: dict(vars(template)) for key, template in scripted.items()}
+        before = {key: dict(vars(template())) for key, template in scripted.items()}
         key, seen = ("analyze", "--format", "json"), []
-        monkeypatch.setitem(scripted, key, _recording(scripted[key], seen))
+        recording = _recording(scripted[key](), seen)
+        monkeypatch.setitem(scripted, key, lambda: recording)
         main(["analyze", "n=8;S=4", "--format", "json"])
         main(["analyze", "n=9;S=3,6", "--format", "json"])
         first, second = seen
@@ -676,12 +680,26 @@ class TestScripted:
         monkeypatch.undo()
         for name, *flags in scripted:
             assert run_cli(capsys, name, "n=8;S=4", *flags)[0] == 0
-        assert {key: vars(template) for key, template in scripted.items()} == before
+        assert {key: vars(template()) for key, template in scripted.items()} == before
+
+    def test_a_shape_is_parsed_on_its_first_use_only(self, capsys, monkeypatch):
+        # a process that makes one scripted call runs one parse, as argparse alone would
+        built = cli.build_parser.__wrapped__()
+        monkeypatch.setattr(cli, "build_parser", lambda: built)
+        parses, real = [], argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda self, *args: parses.append(self.prog) or real(self, *args))
+        run_cli(capsys, "analyze", "n=8;S=4", "--format", "json")
+        assert parses == ["circulant analyze"]
+        run_cli(capsys, "analyze", "n=9;S=3,6", "--format", "json")
+        run_cli(capsys, "analyze", "n=9;S=3,6")
+        run_cli(capsys, "analyze", "n=8;S=4")
+        assert parses == ["circulant analyze"] * 2
 
     def test_scripted_calls_run_no_parser(self, capsys, monkeypatch):
         argvs = [("analyze", "n=45;S=0,1,15,30", "--format", "json"), ("decompose", "n=45;S=0,1,15,30"),
                  ("witness", "n=9;S=3,6", "--format", "dot"), ("verify", "n=9;S=3,6", "--format", "text")]
-        expected = [run_cli(capsys, *argv) for argv in argvs]  # also builds the parser and its table
+        expected = [run_cli(capsys, *argv) for argv in argvs]  # also parses each shape's template
 
         def refuse(*args, **kwargs):
             raise AssertionError("argparse parsed a scripted call")
