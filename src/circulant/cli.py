@@ -60,20 +60,20 @@ _json_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[tuple, Callable]]:
-    """The parser for every subcommand, argparse's own table of the
-    subcommand parsers by name, and the scripted shapes, built on the first
-    call and reused.  Each subcommand's parser sets its runner as the
+def build_parser() -> tuple[argparse.ArgumentParser, dict[tuple, Callable]]:
+    """The parser for every subcommand and the scripted shapes, built on the
+    first call and reused.  Each subcommand's parser sets its runner as the
     ``run`` default.
 
     A scripted shape is ``COMMAND LITERAL`` or ``COMMAND LITERAL --format
     F`` for a command that takes a literal; it is keyed by its argv without
-    the literal, and its value is a function that returns the subcommand
-    parser's own namespace for a placeholder literal, parsed on the shape's
+    the literal, and its value is a function that returns the parser's
+    namespace for that argv with a placeholder literal, parsed on the shape's
     first use and kept, so a process that makes one call runs one parse, as
     argparse alone would.
-    argparse stores a literal that does not start with ``-`` unchanged, so
-    that namespace with the literal swapped in is the one it would build.
+    argparse stores a positional that does not start with ``-`` unchanged,
+    and nothing else in the namespace depends on it, so that namespace with
+    the literal swapped in equals ``parser.parse_args(argv)``.
     `main` copies the namespace it uses, and no default is mutable, so
     nothing carries over from one call to the next.
     """
@@ -85,13 +85,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.set_defaults(run=run)
         return p
 
-    shapes = []  # (name, parser, --format choices) of each command that takes a literal
+    shapes = []  # (name, --format choices) of each command that takes a literal
 
     def instance_command(name, run, help, other_format, nargs=None):
         p = command(name, run, help)
         p.add_argument("instance", nargs=nargs, help='connection set literal, e.g. "n=45;S=0,1,15,30"')
         fmt = p.add_argument("--format", dest="fmt", choices=["text", other_format], default="text")
-        shapes.append((name, p, fmt.choices))
+        shapes.append((name, fmt.choices))
         return p
 
     instance_command("analyze", _run_analyze, "levels, minimal group, realizable groups", "json")
@@ -111,11 +111,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("n", type=int)
     p.add_argument("--format", dest="fmt", choices=["text", "json", "dot"], default="text")
     scripted = {
-        (name, *flags): functools.cache(functools.partial(subparser.parse_args, ["LITERAL", *flags]))
-        for name, subparser, choices in shapes
+        (name, *flags): functools.cache(functools.partial(parser.parse_args, [name, "LITERAL", *flags]))
+        for name, choices in shapes
         for flags in [(), *(("--format", choice) for choice in choices)]
     }
-    return parser, sub.choices, scripted
+    return parser, scripted
 
 
 def _prime_line(entry: dict) -> str:
@@ -186,6 +186,15 @@ def _capacity_exit(exc: CapacityError, strict: bool, where: str = "") -> int:
     return EXIT_CAPACITY if strict else EXIT_ERROR
 
 
+def _read_literal(text: str, where: str = "") -> ConnectionSet:
+    """The connection set ``text`` names; each reduction warning is printed,
+    prefixed by ``where`` (a batch line)."""
+    instance, messages = _parse_literal(text)
+    for message in messages:
+        print(f"warning: {where}{message}", file=sys.stderr)
+    return instance
+
+
 def _batch(path: str):
     """(where, text) for each line of the corpus at ``path`` that is neither
     blank nor a comment, read one line at a time."""
@@ -217,9 +226,7 @@ def _run_verify(args) -> int:
         for where, instance in instances:
             try:
                 if isinstance(instance, str):
-                    instance, messages = _parse_literal(instance)
-                    for message in messages:
-                        print(f"warning: {where}{message}", file=sys.stderr)
+                    instance = _read_literal(instance, where)
                 report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
             except CapacityError as exc:
                 failure_exit = max(failure_exit, _capacity_exit(exc, args.strict, where))
@@ -272,24 +279,18 @@ def _run_poset(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, commands, scripted = build_parser()
+    parser, scripted = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # routes: a scripted shape, else the named subcommand's parser, else (or on a leftover) the full parser
+    # routes: a scripted shape, else the full parser
     template = scripted.get((argv[0], *argv[2:])) if len(argv) > 1 and argv[1][:1] != "-" else None
-    if template is not None:
+    if template is None:
+        args = parser.parse_args(argv)
+    else:
         args = argparse.Namespace(**vars(template()))
         args.instance = argv[1]
-    else:
-        name = argv[0] if argv else None
-        if name in commands:
-            args, leftover = commands[name].parse_known_args(argv[1:])
-        if name not in commands or leftover:
-            args = parser.parse_args(argv)
     try:
         if getattr(args, "instance", None) is not None:
-            args.instance, messages = _parse_literal(args.instance)
-            for message in messages:
-                print(f"warning: {message}", file=sys.stderr)
+            args.instance = _read_literal(args.instance)
         return args.run(args)
     except CapacityError as exc:
         return _capacity_exit(exc, getattr(args, "strict", False))

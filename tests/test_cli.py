@@ -566,34 +566,45 @@ class TestParser:
         assert json.loads(out)["n"] == 8
 
     def test_full_parser_only_for_what_it_reports(self, capsys, monkeypatch):
-        # a scripted call is parsed by no parser once its shape has been used,
-        # any other call that names a subcommand by that subcommand's parser
-        # alone; a leftover argument and an unknown command go to the full parser
-        parser, commands, _ = cli.build_parser()
+        # a scripted call is parsed by no parser once its shape has been used;
+        # every other call is one parse by the full parser, and main runs no
+        # subcommand parser's parse_known_args itself
+        parser, _ = cli.build_parser()
         scripted_argvs = [("analyze", "n=8;S=4", "--format", "json"), ("witness", "n=8;S=4"), ("verify", "n=8;S=4")]
         for argv in scripted_argvs:
             run_cli(capsys, *argv)
-        calls, sub_calls = [], []
+        calls, inside, stray = [], [], []
         real = parser.parse_args
-        monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or real(argv))
 
-        def counted(name, real):
-            return lambda args=None, namespace=None: sub_calls.append(name) or real(args, namespace)
+        def full(argv):
+            calls.append(argv)
+            inside.append(argv)
+            try:
+                return real(argv)
+            finally:
+                inside.pop()
 
-        for name, sub in commands.items():
-            monkeypatch.setattr(sub, "parse_known_args", counted(name, sub.parse_known_args))
+        real_known = argparse.ArgumentParser.parse_known_args
+
+        def known(self, args=None, namespace=None):
+            if not inside:  # a parse that no full-parser parse made
+                stray.append(self.prog)
+            return real_known(self, args, namespace)
+
+        monkeypatch.setattr(parser, "parse_args", full)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", known)
         for argv in scripted_argvs:
             run_cli(capsys, *argv)
-        assert (calls, sub_calls) == ([], [])
-        run_cli(capsys, "decompose", "n=8;S=4", "--prime", "2")
-        run_cli(capsys, "analyze", "--format", "json", "n=8;S=4")
-        run_cli(capsys, "poset", "8")
-        assert (calls, sub_calls) == ([], ["decompose", "analyze", "poset"])
+        assert (calls, stray) == ([], [])
+        others = [["decompose", "n=8;S=4", "--prime", "2"], ["analyze", "--format", "json", "n=8;S=4"], ["poset", "8"]]
+        for argv in others:
+            assert main(argv) == 0
+        assert (calls, stray) == (others, [])
         for argv in (["analyze", "n=8;S=4", "--strip-loops"], ["frobnicate"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1
-        assert calls == [["analyze", "n=8;S=4", "--strip-loops"], ["frobnicate"]]
+        assert (calls, stray) == ([*others, ["analyze", "n=8;S=4", "--strip-loops"], ["frobnicate"]], [])
         assert capsys.readouterr().err.count("usage: circulant [-h]") == 2
 
     def test_reads_sys_argv_by_default(self, capsys, monkeypatch):
@@ -649,12 +660,12 @@ class TestScripted:
     namespace for that shape, with the literal swapped in."""
 
     def test_table_holds_every_scripted_shape(self):
-        _, _, scripted = cli.build_parser()
+        _, scripted = cli.build_parser()
         assert sorted(scripted) == sorted((name, *flags) for name, flags in SCRIPTED_SHAPES)
 
     @pytest.mark.parametrize("name,flags", SCRIPTED_SHAPES, ids=[" ".join((n, *f)) for n, f in SCRIPTED_SHAPES])
     def test_namespace_is_argparses(self, monkeypatch, name, flags):
-        _, commands, scripted = cli.build_parser()
+        parser, scripted = cli.build_parser()
         key, seen = (name, *flags), []
         template = scripted[key]()
         recording = _recording(template, seen)
@@ -664,10 +675,10 @@ class TestScripted:
             assert main([name, literal, *flags]) == 0
             (args,) = seen
             seen.clear()
-            assert {**vars(args), "run": template.run} == vars(commands[name].parse_args([literal, *flags])), literal
+            assert {**vars(args), "run": template.run} == vars(parser.parse_args([name, literal, *flags])), literal
 
     def test_each_call_gets_its_own_namespace(self, capsys, monkeypatch):
-        _, _, scripted = cli.build_parser()
+        _, scripted = cli.build_parser()
         before = {key: dict(vars(template())) for key, template in scripted.items()}
         key, seen = ("analyze", "--format", "json"), []
         recording = _recording(scripted[key](), seen)
@@ -684,17 +695,17 @@ class TestScripted:
 
     def test_a_shape_is_parsed_on_its_first_use_only(self, capsys, monkeypatch):
         # a process that makes one scripted call runs one parse, as argparse alone would
-        built = cli.build_parser.__wrapped__()
+        parses, real = [], argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda self, args=None, namespace=None: parses.append(self.prog) or real(self, args, namespace))
+        built = cli.build_parser.__wrapped__()  # its templates bind the counted parse_args
         monkeypatch.setattr(cli, "build_parser", lambda: built)
-        parses, real = [], argparse.ArgumentParser.parse_known_args
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
-                            lambda self, *args: parses.append(self.prog) or real(self, *args))
         run_cli(capsys, "analyze", "n=8;S=4", "--format", "json")
-        assert parses == ["circulant analyze"]
+        assert parses == ["circulant"]
         run_cli(capsys, "analyze", "n=9;S=3,6", "--format", "json")
         run_cli(capsys, "analyze", "n=9;S=3,6")
         run_cli(capsys, "analyze", "n=8;S=4")
-        assert parses == ["circulant analyze"] * 2
+        assert parses == ["circulant"] * 2
 
     def test_scripted_calls_run_no_parser(self, capsys, monkeypatch):
         argvs = [("analyze", "n=45;S=0,1,15,30", "--format", "json"), ("decompose", "n=45;S=0,1,15,30"),
@@ -719,8 +730,8 @@ class TestScripted:
             return (code, *capsys.readouterr())
 
         routed = outcome()
-        parser, commands, _ = cli.build_parser()
-        monkeypatch.setattr(cli, "build_parser", lambda: (parser, commands, {}))
+        parser, _ = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))
         assert routed == outcome()
 
 
