@@ -7,8 +7,11 @@ error as printed.  Each call is replayed through `circulant.cli.main` and
 must print the same bytes, so a change that speeds up the analyzer or the
 oracle cannot change their answers unnoticed.  The verify calls are every S
 with 2 <= n <= 9, which take the regular, symmetric, sylow and enumerate
-paths.  tests/data/verify_kernel_golden.jsonl, named for a convolution
-kernel the engine no longer has, holds seeded verify calls at
+paths, then each cap with and without --strict, an element reduced mod n,
+and one --batch over tests/data/verify_batch.txt, named from the
+repository root, where every file is recorded.
+tests/data/verify_kernel_golden.jsonl, named for a convolution kernel the
+engine no longer has, holds seeded verify calls at
 16 <= n <= 64, where the engine refines by splitters every circulant the
 oracle's regular certificate does not settle: random S (the regular path), empty and complete S (symmetric), and S = -S
 at n = 16, 25, 27 and 32 and unions of multiplier orbits at n = 25 (sylow).
@@ -52,6 +55,8 @@ KERNEL_GOLDEN = Path(__file__).parent / "data" / "verify_kernel_golden.jsonl"
 WITNESS_GOLDEN = Path(__file__).parent / "data" / "witness_golden.jsonl"
 POSET_GOLDEN = Path(__file__).parent / "data" / "poset_golden.jsonl"
 USAGE_GOLDEN = Path(__file__).parent / "data" / "usage_golden.jsonl"
+ROOT = Path(__file__).parent.parent
+VERIFY_BATCH = "tests/data/verify_batch.txt"  # from ROOT, as the batch's reports name it
 SEED = 20261018
 LARGE_NS = [2**k for k in range(16, 23)] + [3**13, 5**9, 2**10 * 3**6, 2**12 * 5**4]
 
@@ -119,6 +124,13 @@ def _verify_calls():
     for n in range(2, 10):
         for mask in range(2**n):
             yield ["verify", _literal(n, [x for x in range(n) if mask >> x & 1]), "--format", "json"]
+    # each cap as a report and as exit 3, an element reduced mod n, and a batch
+    for capped in (["n=65; S=1"], ["n=12;S=6", "--cap", "100"]):
+        for fmt in ("text", "json"):
+            yield ["verify", *capped, "--format", fmt]
+            yield ["verify", *capped, "--format", fmt, "--strict"]
+    yield ["verify", "n=8;S=9,-1", "--format", "json"]
+    yield ["verify", "--batch", VERIFY_BATCH, "--cap", "100", "--format", "json"]
 
 
 def _kernel_verify_calls():
@@ -237,10 +249,12 @@ def test_verify_golden_covers_every_call():
     assert [r["argv"] for r in _records(VERIFY_GOLDEN)] == list(_verify_calls())
 
 
-def test_verify_replays_byte_for_byte():
+def test_verify_replays_byte_for_byte(monkeypatch):
+    monkeypatch.chdir(ROOT)
     records = _records(VERIFY_GOLDEN)
-    paths = {json.loads(r["stdout"])["path"] for r in records}
-    assert paths == {"regular", "symmetric", "sylow", "enumerate"}
+    lines = [json.loads(line) for r in records if "json" in r["argv"] for line in r["stdout"].splitlines()]
+    assert {line["path"] for line in lines} == {"regular", "symmetric", "sylow", "enumerate", None}
+    assert {r["code"] for r in records} == {0, 1, 3}
     for record in records:
         assert _run(record["argv"]) == record, record["argv"]
 
