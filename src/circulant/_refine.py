@@ -267,15 +267,15 @@ def _shift_row(m):
     """Row 0 of m if the shift v -> v+1 preserves m, diagonal included;
     else None.
 
-    A ``Circulant`` is preserved by definition, and its row 0 is its
-    ``row``, so no row of the view is built; any other matrix is tested by
-    n row comparisons.
+    A ``Circulant`` is preserved by definition, at every n, and its row 0
+    is its ``row``, so no row of the view is built; any other matrix is
+    tested by n row comparisons, from n = 2.
     """
+    if isinstance(m, Circulant):
+        return m.row
     n = len(m)
     if n < 2:
         return None
-    if isinstance(m, Circulant):
-        return m.row
     doubled = m[0] * 2
     return m[0] if all(m[u] == doubled[n - u : 2 * n - u] for u in range(1, n)) else None
 
@@ -323,14 +323,14 @@ def automorphisms(m):
     the coarsest equitable partition finer than its seed, and the two seeds
     have the same one.
 
-    Shift seeding: if the shift v -> v+1 preserves m, diagonal included
-    (``_shift_row``), level 0 is resolved without refinement or search.
-    The shift is the first generator, vertex 0 the first base point, and
-    its orbit is every vertex; it closes no deeper orbit, since it fixes no
-    point.  This is the level the search would have reached, since a
-    transitive group leaves one cell and 0 is its first vertex.  The
-    diagonal is then uniform and the pair codes are rotations of their row
-    0, and level 1 starts from the diagonal, stable under a transitive
+    Shift seeding: if n >= 2 and the shift v -> v+1 preserves m, diagonal
+    included (``_shift_row``), level 0 is resolved without refinement or
+    search.  The shift is the first generator, vertex 0 the first base
+    point, and its orbit is every vertex; it closes no deeper orbit, since
+    it fixes no point.  This is the level the search would have reached,
+    since a transitive group leaves one cell and 0 is its first vertex.
+    The diagonal is then uniform and the pair codes are rotations of their
+    row 0, and level 1 starts from the diagonal, stable under a transitive
     group, split by vertex 0.
 
     m may be a ``Circulant``, an input format: the engine reads its ``row``
@@ -340,7 +340,7 @@ def automorphisms(m):
     n = len(m)
     first = _shift_row(m)
     gens, order, point = [], 1, None
-    if first is not None:
+    if first is not None and n > 1:  # at n = 1 the shift is the identity, no generator
         gens, order, point = [tuple(range(1, n)) + (0,)], n, 0
     codes = _pair_codes(m) if first is None else _convolution(first)
     diagonal = [row[v] for v, row in enumerate(codes)]

@@ -12,10 +12,11 @@ lexicographic order, placing rows largest first under the prefix bound of
 dominance and writing each run of equal rows as one piece (generation in
 lexicographic order: D. E. Knuth, TAOCP 4A, 7.2.1.4).  Every partition of a
 dominates 1^a, so the groups of order n are the up-set of the elementary
-abelian group, and enumerate_abelian walks it as up_set walks any other;
-_up_set_groups builds groups from the walk's partitions for both, and the
-analyzer has it write each partition straight to text, for its report and
-for the oracle's prediction alike.
+abelian group, and enumerate_abelian walks it as up_set walks any other.
+One up-set writer (_up_set) caps, walks and writes them all: as groups
+for both (_up_set_groups), and straight to text, partition by partition,
+for the analyzer's report and prediction and for the oracle's Z_n
+(up_set_texts).  A cyclic group is its own up-set, and is not walked.
 Lists of groups are counted before they are built and capped at
 GROUP_LIST_CAP; a count grows as it goes, so it stops once past the cap.
 An up-set of a partition of a has at most p(a) members, so one whose
@@ -27,9 +28,10 @@ Discrete Math. 6, 1973).  One cover walk (_cover_pairs) pairs the
 enumerated groups by index, for hasse_edges and for the CLI's poset.
 """
 
+from functools import partial
 from itertools import accumulate, product
 from math import prod
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ._record import Record, set_field
 from .arith import factorize
@@ -267,11 +269,37 @@ def _cap_up_set(sylow: Sequence[tuple[int, tuple[int, ...]]], what: Callable[[],
         raise CapacityError(f"{what()} would have {count} groups", GROUP_LIST_CAP)
 
 
-def _up_set_groups(sylow: Sequence[tuple[int, tuple[int, ...]]], what: Callable[[], str]) -> list[AbelianType]:
-    """The groups above sylow's, lexicographic by prime then partition (see _dominating and _cap_up_set)."""
+def _up_set(
+    sylow: Sequence[tuple[int, tuple[int, ...]]], what: Callable[[], str], piece: Callable[[int, int, int], T], sep: T
+) -> Iterable[tuple[T, ...]]:
+    """The groups above sylow's, lexicographic by prime then partition, each
+    as one partition per prime written by piece at p and sep (see
+    _dominating), after _cap_up_set.  A cyclic group, one part per prime,
+    dominates every group of its order, so it is its own up-set and nothing
+    is counted or walked."""
+    if all(len(parts) == 1 for _, parts in sylow):
+        return [tuple([piece(p, a, 1) for p, (a,) in sylow])]
     _cap_up_set(sylow, what)
-    per_prime = [[(p, mu) for mu in _dominating(parts, lambda e, c: (e,) * c, ())] for p, parts in sylow]
-    return [AbelianType(combo) for combo in product(*per_prime)]
+    return product(*[_dominating(parts, partial(piece, p), sep) for p, parts in sylow])
+
+
+def _up_set_groups(sylow: Sequence[tuple[int, tuple[int, ...]]], what: Callable[[], str]) -> list[AbelianType]:
+    """The groups above sylow's as AbelianTypes, in _up_set's order."""
+    primes = [p for p, _ in sylow]
+    walked = _up_set(sylow, what, lambda p, e, c: (e,) * c, ())
+    return [AbelianType(tuple(zip(primes, combo))) for combo in walked]
+
+
+def up_set_texts(sylow: Sequence[tuple[int, tuple[int, ...]]]) -> list[str]:
+    """The canonical texts of the groups above sylow's, in up_set's order,
+    so sylow's own text comes first and Z_n's last.
+
+    The walk writes each prime's partitions straight to text, run by run,
+    so no group object is built.  Only a refusal builds sylow's group, to
+    name it in its CapacityError.
+    """
+    walked = _up_set(sylow, lambda: f"up-set of {AbelianType(tuple(sylow)).text()}", _run_text, "x")
+    return ["x".join(combo) for combo in walked]
 
 
 def enumerate_abelian(n: int) -> list[AbelianType]:
@@ -295,11 +323,9 @@ def up_set(h: AbelianType) -> list[AbelianType]:
     partitions.  An up-set that may pass GROUP_LIST_CAP is counted first,
     and more than GROUP_LIST_CAP groups raise CapacityError before anything
     is built.  The order's factorization is read off h, so nothing is
-    factorized.  A cyclic h, one part per prime, dominates every group of
-    its order, so its up-set is [h] and nothing is walked.
+    factorized.  A cyclic h, one part per prime, is its own up-set, and
+    nothing is walked.
     """
-    if all(len(parts) == 1 for _, parts in h.sylow):
-        return [h]
     return _up_set_groups(h.sylow, lambda: f"up-set of {h.text()}")
 
 

@@ -22,15 +22,13 @@ translations lie in Aut(Cay(Z_n, S)), and one map per level decides that, in
 either direction.
 """
 
-from functools import partial
-from itertools import product
 from math import gcd
 from operator import sub
 from typing import Iterator
 
 # up_set has no caller here: it stays as the patch point of perfbench's
 # abelian.up_set span, as ConnectionSet.digraph stays for digraph.digraph.
-from .abelian import AbelianType, _cap_up_set, _dominating, _run_text, text_of, up_set
+from .abelian import AbelianType, up_set, up_set_texts
 from ._record import Record, set_field
 from ._refine import Circulant
 from .arith import _radical_condition, factorize
@@ -154,6 +152,11 @@ class LayerDecomposition(Record):
     def minimal_group(self) -> AbelianType:
         return AbelianType(tuple((layers.p, layers.minimal_parts) for layers in self.per_prime))
 
+    def realizable(self) -> list[str]:
+        """The canonical texts of the minimal group's up-set, in up_set's
+        order: the minimal group's text first and Z_n's last."""
+        return up_set_texts([(layers.p, layers.minimal_parts) for layers in self.per_prime])
+
     def arithmetic_condition(self) -> bool:
         """gcd(k, phi(k)) = 1 for k the radical of n, read off the factorization."""
         return _radical_condition([layers.p for layers in self.per_prime])
@@ -208,25 +211,6 @@ def decompose(s: ConnectionSet) -> LayerDecomposition:
     return LayerDecomposition(s.n, tuple(per_prime))
 
 
-def _up_set_texts(decomposition: LayerDecomposition) -> tuple[str, list[str]]:
-    """The minimal group's canonical text and its up-set's, in up_set's order.
-
-    The walk writes each prime's partitions straight to text, run by run,
-    so no group object is built, and the minimal group's text is the
-    first.  A minimal group with one part per prime is cyclic, the top of
-    its order, and is its own up-set without a walk.
-    """
-    sylow = [(layers.p, layers.minimal_parts) for layers in decomposition.per_prime]
-    if all(len(parts) == 1 for _, parts in sylow):
-        minimal = "x".join([text_of(p, parts) for p, parts in sylow])
-        return minimal, [minimal]
-    # a default, not a closure: a cell for decomposition would slow the cyclic return above
-    _cap_up_set(sylow, lambda d=decomposition: f"up-set of {d.minimal_group().text()}")
-    per_prime = [_dominating(parts, partial(_run_text, p), "x") for p, parts in sylow]
-    texts = ["x".join(combo) for combo in product(*per_prime)]
-    return texts[0], texts
-
-
 def realizable_groups(s: ConnectionSet) -> tuple[list[str], bool]:
     """The canonical texts of the groups realizing the digraph, plus an
     exactness flag.
@@ -236,7 +220,7 @@ def realizable_groups(s: ConnectionSet) -> tuple[list[str], bool]:
     the arithmetic condition on n holds.
     """
     decomposition = decompose(s)
-    return _up_set_texts(decomposition)[1], decomposition.arithmetic_condition()
+    return decomposition.realizable(), decomposition.arithmetic_condition()
 
 
 def product_type_witness(s: ConnectionSet) -> list[tuple[int, int, Iterator[tuple[int, int]]]]:
@@ -286,17 +270,18 @@ def analysis_report(s: ConnectionSet) -> dict:
     """JSON-ready report of the full analysis.
 
     Groups are written as text straight from their per-prime partitions
-    (``_up_set_texts``); the list matches up_set's, in its order.
+    (``LayerDecomposition.realizable``); the list matches up_set's, in its
+    order, and the minimal group's text is its first.
     """
     decomposition = decompose(s)
-    minimal, realizable = _up_set_texts(decomposition)
+    realizable = decomposition.realizable()
     exact = decomposition.arithmetic_condition()
     return {
         "n": s.n,
         "S": sorted(s.members),
         "arithmetic_condition": exact,
         "per_prime": [layers.to_json_dict() for layers in decomposition.per_prime],
-        "minimal_group": minimal,
+        "minimal_group": realizable[0],
         "realizable": realizable,
         "exact": exact,
     }

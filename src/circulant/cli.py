@@ -123,7 +123,7 @@ def _prime_line(entry: dict) -> str:
 
 
 def _run_analyze(args) -> int:
-    report = analysis_report(args.instance)
+    report = analysis_report(_read_literal(args.instance))
     if args.fmt == "json":
         print(_json_dumps(report))
         return EXIT_OK
@@ -139,7 +139,7 @@ def _run_analyze(args) -> int:
 
 
 def _run_decompose(args) -> int:
-    decomposition = decompose(args.instance)
+    decomposition = decompose(_read_literal(args.instance))
     entries = [
         layers.to_json_dict() for layers in decomposition.per_prime
         if args.prime is None or layers.p == args.prime
@@ -160,7 +160,7 @@ def _run_decompose(args) -> int:
 
 
 def _run_witness(args) -> int:
-    for p, n, arcs in product_type_witness(args.instance):
+    for p, n, arcs in product_type_witness(_read_literal(args.instance)):
         if args.fmt == "dot":
             lines = dot_lines(n, arcs, name=f"tower_p{p}")
         else:
@@ -216,18 +216,16 @@ def _run_verify(args) -> int:
     if (args.instance is None) == (args.batch is None):
         print("error: verify needs exactly one of an instance literal or --batch", file=sys.stderr)
         return EXIT_ERROR
-    # (where, instance): the literal, or each batch line's text, answered before the next is read
-    instances = [("", args.instance)] if args.batch is None else _batch(args.batch)
+    # (where, text): the literal, or each batch line's text, answered before the next is read
+    texts = [("", args.instance)] if args.batch is None else _batch(args.batch)
     # a line that is malformed, trips a cap or cannot be decided is reported, and
     # the lines after it still run; a mismatch (2) outranks everything, and a cap
     # or capped verdict under --strict (3) outranks an error (1)
     mismatch, failure_exit = False, EXIT_OK
     try:
-        for where, instance in instances:
+        for where, text in texts:
             try:
-                if isinstance(instance, str):
-                    instance = _read_literal(instance, where)
-                report = cross_validate(instance, cap=args.cap, vertex_cap=args.vertex_cap)
+                report = cross_validate(_read_literal(text, where), cap=args.cap, vertex_cap=args.vertex_cap)
             except CapacityError as exc:
                 failure_exit = max(failure_exit, _capacity_exit(exc, args.strict, where))
             except ValueError as exc:
@@ -289,11 +287,9 @@ def main(argv=None) -> int:
         args = argparse.Namespace(**vars(template()))
         args.instance = argv[1]
     try:
-        if getattr(args, "instance", None) is not None:
-            args.instance = _read_literal(args.instance)
         return args.run(args)
-    except CapacityError as exc:
-        return _capacity_exit(exc, getattr(args, "strict", False))
+    except CapacityError as exc:  # verify answers its own, --strict included
+        return _capacity_exit(exc, False)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

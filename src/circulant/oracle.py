@@ -8,9 +8,10 @@ decides the regular abelian subgroups from that order when it can;
 otherwise it enumerates the group (or, for n = p^a, its meet with the
 automorphism group of the tower circulant, a Sylow subgroup), under a cap,
 and searches it, as its closure holds it, for regular abelian subgroups of
-every candidate isomorphism type.  Agreement with the analyzer must be
-exact when the arithmetic condition holds and a sound superset otherwise;
-anything else is a MISMATCH.
+every candidate isomorphism type.  Each path, or the cap that stops it,
+ends in the same evidence, from which one verdict and one report are made.
+Agreement with the analyzer must be exact when the arithmetic condition
+holds and a sound superset otherwise; anything else is a MISMATCH.
 """
 
 from collections import Counter
@@ -19,7 +20,7 @@ from typing import Optional
 
 from ._record import Record, set_field
 from ._refine import Circulant
-from .abelian import AbelianType, enumerate_abelian, text_of
+from .abelian import AbelianType, enumerate_abelian, up_set_texts
 from .analyzer import ConnectionSet, realizable_groups
 from .arith import factorize
 from .digraph import DEFAULT_ELEMENT_CAP, DEFAULT_VERTEX_CAP, cayley_digraph, tower_connection_set
@@ -259,38 +260,37 @@ def cross_validate(
       ``_sylow_subgroup``), is searched in place of Aut;
     - enumerate: Aut itself is searched.
 
-    The last two enumerate a group under ``cap`` elements.
+    The last two enumerate a group under ``cap`` elements.  Each path ends
+    in ``(actual, aut_order, capped_by, path)``, None where it did not get
+    that far, and the verdict and the report are made once from it.
     """
     predicted, exact = realizable_groups(s)
     predicted = tuple(predicted)
     n = s.n
-    members = tuple(sorted(s.members))
+    actual = aut_order = capped_by = path = None
     if n > vertex_cap:
         capped_by = {"cap": "vertex_cap", "value": vertex_cap}
-        return ValidationReport(n, members, predicted, None, ORACLE_CAPPED, capped_by=capped_by)
-    digraph = cayley_digraph(n, s.members)
-    aut = None if _fixes_every_vertex(digraph.row) else automorphism_group(digraph, vertex_cap=vertex_cap)
-    aut_order = n if aut is None else aut.order()
-    if aut_order == n:
-        path, actual = REGULAR, ("x".join(text_of(p, (a,)) for p, a in factorize(n)),)  # Z_n's text
-    elif aut_order == factorial(n):
-        path, actual = SYMMETRIC, tuple(g.text() for g in enumerate_abelian(n))
     else:
-        sylow = _sylow_subgroup(digraph.row, vertex_cap)
-        path, group = (ENUMERATE, aut) if sylow is None else (SYLOW, sylow)
-        try:
-            actual = tuple(g.text() for g in regular_abelian_types(group, cap))
-        except CapacityError as exc:
-            capped_by = {"cap": "element_cap", "value": exc.cap}
-            return ValidationReport(
-                n, members, predicted, None, ORACLE_CAPPED,
-                aut_order=aut_order, capped_by=capped_by, path=path,
-            )
-    predicted_set, actual_set = set(predicted), set(actual)
-    if predicted_set == actual_set:
+        digraph = cayley_digraph(n, s.members)
+        aut = None if _fixes_every_vertex(digraph.row) else automorphism_group(digraph, vertex_cap=vertex_cap)
+        aut_order = n if aut is None else aut.order()
+        if aut_order == n:
+            path, actual = REGULAR, tuple(up_set_texts([(p, (a,)) for p, a in factorize(n)]))  # Z_n alone
+        elif aut_order == factorial(n):
+            path, actual = SYMMETRIC, tuple(g.text() for g in enumerate_abelian(n))
+        else:
+            sylow = _sylow_subgroup(digraph.row, vertex_cap)
+            path, group = (ENUMERATE, aut) if sylow is None else (SYLOW, sylow)
+            try:
+                actual = tuple(g.text() for g in regular_abelian_types(group, cap))
+            except CapacityError as exc:
+                capped_by = {"cap": "element_cap", "value": exc.cap}
+    if actual is None:
+        verdict = ORACLE_CAPPED
+    elif set(predicted) == set(actual):
         verdict = EXACT_MATCH
-    elif predicted_set < actual_set:
+    elif set(predicted) < set(actual):
         verdict = MISMATCH if exact else SOUND_SUBSET  # completeness was promised
     else:
         verdict = MISMATCH  # soundness violated
-    return ValidationReport(n, members, predicted, actual, verdict, aut_order=aut_order, path=path)
+    return ValidationReport(n, tuple(sorted(s.members)), predicted, actual, verdict, aut_order, capped_by, path)

@@ -308,15 +308,18 @@ class TestMinimalAndRealizable:
 
 
 class TestUpSetTexts:
-    """``_up_set_texts``, shared by the report and the oracle's prediction,
-    against the brute-force up-set written as text."""
+    """``abelian.up_set_texts``, which ``LayerDecomposition.realizable``
+    calls for the report and the oracle's prediction alike, against the
+    brute-force up-set written as text."""
 
     @staticmethod
     def assert_brute(s, cache):
-        minimal = decompose(s).minimal_group()
+        decomposition = decompose(s)
+        minimal = decomposition.minimal_group()
         if minimal not in cache:
             cache[minimal] = [g.text() for g in brute_up_set(minimal)]
-        assert analyzer._up_set_texts(decompose(s)) == (minimal.text(), cache[minimal]), s
+        assert abelian.up_set_texts(minimal.sylow) == decomposition.realizable() == cache[minimal], s
+        assert cache[minimal][0] == minimal.text(), s
         assert realizable_groups(s)[0] == cache[minimal], s
         return len(minimal.invariant_factors()) > 1
 
@@ -345,8 +348,8 @@ class TestUpSetTexts:
         def no_walk(*args):
             raise AssertionError(f"walked or counted the up-set of {args[0]}")
 
-        monkeypatch.setattr(analyzer, "_dominating", no_walk)
-        monkeypatch.setattr(analyzer, "_cap_up_set", no_walk)
+        monkeypatch.setattr(abelian, "_dominating", no_walk)
+        monkeypatch.setattr(abelian, "_cap_up_set", no_walk)
         sets = [ConnectionSet.of(n, [x for x in range(n) if mask >> x & 1]) for n in range(2, 13) for mask in range(2**n)]
         cyclic = [s for s in sets if decompose(s).minimal_group() == AbelianType.cyclic(s.n)]
         assert len(cyclic) > 7000  # 7,588 of the 8,188 sets

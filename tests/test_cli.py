@@ -402,6 +402,14 @@ class TestVerify:
         assert code == 1
         assert "exactly one" in err
 
+    def test_literal_and_batch_are_refused_before_either_is_read(self, capsys, tmp_path):
+        # _run_verify reads its literal, so a literal that also names a batch is not read
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("n=9;S=3,6\n")
+        for literal in ("n=8;S=9", "n=8;S=x"):
+            assert run_cli(capsys, "verify", literal, "--batch", str(corpus)) == (
+                1, "", "error: verify needs exactly one of an instance literal or --batch\n")
+
 
 class TestUnfactorable:
     """n with a cofactor past the trial-division bound fails loudly."""
@@ -670,7 +678,6 @@ class TestScripted:
         template = scripted[key]()
         recording = _recording(template, seen)
         monkeypatch.setitem(scripted, key, lambda: recording)
-        monkeypatch.setattr(cli, "_parse_literal", lambda text: (text, []))  # the runner sees the literal as given
         for literal in SCRIPTED_LITERALS:
             assert main([name, literal, *flags]) == 0
             (args,) = seen
@@ -687,7 +694,7 @@ class TestScripted:
         main(["analyze", "n=9;S=3,6", "--format", "json"])
         first, second = seen
         assert first is not second
-        assert (first.instance.n, second.instance.n) == (8, 9)
+        assert (first.instance, second.instance) == ("n=8;S=4", "n=9;S=3,6")  # each runner reads its literal
         monkeypatch.undo()
         for name, *flags in scripted:
             assert run_cli(capsys, name, "n=8;S=4", *flags)[0] == 0

@@ -389,8 +389,10 @@ class TestCirculantView:
             # the Sylow search's pairing rows, and the tower paired with S empty
             paired = reference_rows(rng, [p**a])[2]
             rows += [paired, [c & 2 for c in paired]]
+        rows += [[0], [1]]  # n = 1: no shift generator, and no row of the view either
         expected = [reference_automorphisms(dense(row)) for row in rows]
-        assert expected[1][1] == 256 and [order for _, order in expected[3::2]] == [2**15, 5**6, 3**13]
+        assert expected[1][1] == 256 and [order for _, order in expected[3:-2:2]] == [2**15, 5**6, 3**13]
+        assert expected[-2:] == [([], 1)] * 2
 
         def refuse(*args):
             raise AssertionError("a row of the Circulant view was indexed")

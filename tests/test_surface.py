@@ -33,6 +33,7 @@ REMOVED_FUNCTIONS = [
     ("analyzer", "_prime_exponent"),  # translation_check reads a off factorize(n)
     ("analyzer", "parse_connection_set"),  # the CLI reads literals with _parse_literal
     ("analyzer", "subgroup_of_order"),  # no caller in src/; brute.subgroup_of_order builds P and W for tests
+    ("analyzer", "_up_set_texts"),  # abelian.up_set_texts, called by LayerDecomposition.realizable
     ("arith", "euler_phi"),
     ("arith", "arithmetic_condition"),  # LayerDecomposition.arithmetic_condition()
     ("arith", "big_omega"),  # _tower_factors tests primality on factorize(p)
