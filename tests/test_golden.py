@@ -14,7 +14,8 @@ tests/data/verify_kernel_golden.jsonl, named for a convolution kernel the
 engine no longer has, holds seeded verify calls at
 16 <= n <= 64, where the engine refines by splitters every circulant the
 oracle's regular certificate does not settle: random S (the regular path), empty and complete S (symmetric), and S = -S
-at n = 16, 25, 27 and 32 and unions of multiplier orbits at n = 25 (sylow).
+at n = 16, 25, 27 and 32, unions of multiplier orbits at n = 25 and
+n = 27 with S = {4, 13, 22}, the slowest known search (sylow).
 tests/data/witness_golden.jsonl keeps the sha256 of standard output
 in place of the text, since a tower prints one line per arc.
 tests/data/poset_golden.jsonl keeps it the same way for `poset` in text,
@@ -149,6 +150,7 @@ def _kernel_verify_calls():
     for _ in range(4):  # orbits of x -> 6x, of order 5 on Z_25
         picked = [x for x in range(25) if rng.random() < 0.3]
         literals.append(_literal(25, {x * 6**k % 25 for x in picked for k in range(5)}))
+    literals.append("n=27; S=4,13,22")  # the slowest known sylow line: |Aut| = 90,699,264
     for literal in literals:
         yield ["verify", literal, "--format", "json"]
 
