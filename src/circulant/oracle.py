@@ -115,41 +115,47 @@ def _uniform_cycles(images) -> tuple[Optional[int], list[int]]:
 def _search_type(pools, factors: tuple[int, ...], degree: int) -> bool:
     """Backtrack over commuting tuples matching the invariant-factor orders.
 
+    Invariant: every pool element at a node commutes with each element
+    chosen above it.  A chosen g of order d cuts each pool of an order still
+    to place to g's centralizer, the pool of order d from g's successor on
+    (generators of equal order are interchangeable), and the child gets the
+    cut pools.
+
     The chosen elements generate a semiregular abelian group H, kept only as
     its orbits: ``orbit_of[x]`` numbers the orbit of x.  A pool element g of
-    order d that commutes with them permutes these orbits, and <H, g> is
+    order d, commuting with H, permutes these orbits, and <H, g> is
     semiregular of order |H|*d iff the induced permutation has every cycle of
     length exactly d; its cycles, merged, are the orbits of <H, g>.  If: when
     h*g^j fixes x, g^j fixes the orbit Hx, so d | j, g^j = 1 and h = 1 (and
     likewise the h*g^j are distinct).  Only if: when g^j fixes an orbit Hx
     for some 0 < j < d, some h^-1*g^j fixes x, so g^j is in H and the order
     falls short.  A g inside H induces the identity and is rejected too.
-    Pools hold elements in ``_encoding(degree)``; each chosen c keeps its table.
+    Pools hold elements in ``_encoding(degree)``, each built into its table
+    once per call.
     """
     _, table, compose = _encoding(degree)
 
-    def extend(i: int, chosen: list, orbit_of: list[int], start: int) -> bool:
+    def centralizer(pool: list, g, g_table) -> list:
+        # h commutes with g iff h(g(x)) = g(h(x)) for every x; x = 0 alone rejects most h at once
+        return [(h, t) for h, t in pool if h[g[0]] == g[h[0]] and compose(h, g_table) == compose(g, t)]
+
+    def extend(i: int, pools: dict, orbit_of: list[int]) -> bool:
         if i == len(factors):
             return True  # order n and semiregular, hence regular
         d = factors[i]
-        pool = pools.get(d, [])
-        # generators of equal order are interchangeable: scan forward only
-        begin = start if i > 0 and factors[i - 1] == d else 0
-        for j in range(begin, len(pool)):
-            g = pool[j]
-            g_table = table(g)  # g commutes with c iff c(g(x)) = g(c(x)) for every x
-            if any(compose(g, c_table) != compose(c, g_table) for c, c_table in chosen):
-                continue
+        pool = pools[d]
+        for j, (g, g_table) in enumerate(pool):
             # g sends the orbit of x to the orbit of g(x)
             induced = dict(zip(orbit_of, map(orbit_of.__getitem__, g)))
             length, cycle_of = _uniform_cycles(induced)
             if length != d:
                 continue
-            if extend(i + 1, chosen + [(g, g_table)], [cycle_of[o] for o in orbit_of], j + 1):
+            cut = {e: centralizer(pool[j + 1 :] if e == d else pools[e], g, g_table) for e in set(factors[i + 1 :])}
+            if extend(i + 1, cut, [cycle_of[o] for o in orbit_of]):
                 return True
         return False
 
-    return extend(0, [], list(range(degree)), 0)
+    return extend(0, {d: [(g, table(g)) for g in pools.get(d, [])] for d in set(factors)}, list(range(degree)))
 
 
 def regular_abelian_types(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> list[AbelianType]:
@@ -176,7 +182,7 @@ def regular_abelian_types(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> l
     return found
 
 
-def _sylow_subgroup(adjacency: tuple[int, ...], vertex_cap: int) -> Optional[PermGroup]:
+def _sylow_subgroup(adjacency: tuple[int, ...]) -> Optional[PermGroup]:
     """Aut(Γ) ∩ W, a Sylow p-subgroup of Aut(Γ), for n = p^a with a >= 2;
     otherwise None.  W is the automorphism group of the tower circulant
     ``tower_connection_set(p, (1,) * a)``: the iterated wreath product
@@ -191,7 +197,8 @@ def _sylow_subgroup(adjacency: tuple[int, ...], vertex_cap: int) -> Optional[Per
     p-group Aut(Γ) ∩ W, so it is that group.  Sylow's theorem conjugates
     each regular abelian subgroup, of order p^a, into it, type unchanged.
     It is the automorphism group of the adjacency row paired with the
-    tower's 0/1 row, one more engine call.
+    tower's 0/1 row, one more engine call, uncapped: cross_validate calls
+    it only within its vertex cap.
     """
     factors = factorize(len(adjacency))
     if len(factors) != 1 or factors[0][1] < 2:
@@ -199,7 +206,7 @@ def _sylow_subgroup(adjacency: tuple[int, ...], vertex_cap: int) -> Optional[Per
     ((p, a),) = factors
     _, tower = tower_connection_set(p, (1,) * a)
     paired = (2 * (x in tower) + adjacent for x, adjacent in enumerate(adjacency))
-    return automorphism_group(Circulant(paired), vertex_cap=vertex_cap)
+    return automorphism_group(Circulant(paired), vertex_cap=len(adjacency))
 
 
 def _fixes_every_vertex(row) -> bool:
@@ -279,7 +286,7 @@ def cross_validate(
         elif aut_order == factorial(n):
             path, actual = SYMMETRIC, tuple(g.text() for g in enumerate_abelian(n))
         else:
-            sylow = _sylow_subgroup(digraph.row, vertex_cap)
+            sylow = _sylow_subgroup(digraph.row)
             path, group = (ENUMERATE, aut) if sylow is None else (SYLOW, sylow)
             try:
                 actual = tuple(g.text() for g in regular_abelian_types(group, cap))

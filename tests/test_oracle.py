@@ -140,26 +140,37 @@ class TestRegularAbelianTypes:
 
     def test_matches_element_set_search_random(self):
         # half the draws are unions of cosets of a subgroup H outside H, which
-        # give wreath-like groups with several types; the rest are plain
+        # give wreath-like groups with several types; the rest are plain.  The
+        # Sylow subgroups of coset unions at n = 16 and 27 add p-groups whose
+        # types repeat an order, where the search cuts the same-order pool
         rng = random.Random(113)
-        checked = several = 0
+
+        def coset_union(n):
+            step = rng.choice([e for e in range(1, n) if n % e == 0])
+            h = range(0, n, step)
+            s = {x for x in h if x and rng.random() < 0.5}
+            return s | {x + t for x in range(1, step) if rng.random() < 0.5 for t in h}
+
+        groups = []
         for _ in range(60):
             n = rng.randrange(9, 17)
-            if rng.random() < 0.5:
-                s = set(rng.sample(range(1, n), rng.randrange(1, n - 1)))
-            else:
-                step = rng.choice([e for e in range(1, n) if n % e == 0])
-                h = range(0, n, step)
-                s = {x for x in h if x and rng.random() < 0.5}
-                s |= {x + t for x in range(1, step) if rng.random() < 0.5 for t in h}
-            aut = automorphism_group(cayley_digraph(n, s))
-            if aut.cached_order > 10**6:
+            s = set(rng.sample(range(1, n), rng.randrange(1, n - 1))) if rng.random() < 0.5 else coset_union(n)
+            groups.append((n, s, automorphism_group(cayley_digraph(n, s))))
+        for n in (16, 27):
+            for _ in range(20):
+                s = coset_union(n)
+                sylow = _sylow_subgroup(cayley_digraph(n, s).row)
+                if sylow.cached_order <= 10**4:  # the reference builds each subgroup as a set
+                    groups.append((n, s, sylow))
+        checked = several = 0
+        for n, s, group in groups:
+            if group.cached_order > 10**6:
                 continue  # past the element cap
-            found = regular_abelian_types(aut)
-            assert found == element_set_types(aut, n), (n, s)
+            found = regular_abelian_types(group)
+            assert found == element_set_types(group, n), (n, s)
             checked += 1
             several += len(found) > 1
-        assert checked > 50 and several > 5
+        assert checked > 85 and several > 15
 
     def test_directed_nine_cycle(self):
         aut = automorphism_group(cayley_digraph(9, {1}))
@@ -487,7 +498,7 @@ class TestPaths:
                 g for g in aut.elements()
                 if all(tower[(g[v] - g[u]) % n] == tower[(v - u) % n] for u in range(n) for v in range(n))
             }
-            sylow = _sylow_subgroup(adjacency, 64)
+            sylow = _sylow_subgroup(adjacency)
             assert set(sylow.elements()) == preserved, adjacency
             checked += 1
         assert checked > 2**n // 2
@@ -502,7 +513,7 @@ class TestPaths:
         for mask in masks:
             row = [mask >> x & 1 for x in range(n)]
             aut = automorphism_group(_refine.Circulant(row))
-            index, rest = divmod(aut.order(), _sylow_subgroup(row, 64).order())
+            index, rest = divmod(aut.order(), _sylow_subgroup(row).order())
             assert rest == 0 and index % p != 0, (n, mask)
 
     @pytest.mark.parametrize("n,s", [(9, {3, 6}), (16, {1, 4, 5, 9, 13})])
