@@ -22,7 +22,7 @@ from .analyzer import (
     translation_check,
 )
 from .arith import factorize
-from .digraph import cayley_digraph, tower_connection_set, tower_digraph
+from .digraph import cayley_digraph, tower_connection_set
 from .errors import CapacityError
 from .oracle import ValidationReport, cross_validate, regular_abelian_types
 from .permgroup import (
@@ -56,7 +56,6 @@ __all__ = [
     "realizable_groups",
     "regular_abelian_types",
     "tower_connection_set",
-    "tower_digraph",
     "translation_check",
     "two_closure",
     "up_set",

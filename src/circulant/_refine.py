@@ -41,7 +41,8 @@ Circulant input: a circulant may come in as its row 0, wrapped in the
 read-only view ``Circulant``, an input format only: entry [u][v] is
 row[(v - u) mod n], and the engine reads its ``row`` and indexes no row of
 the view.  The shift v -> v+1 preserves such a matrix by construction, so
-it is not tested row by row, and the diagonal is the constant row[0].
+it is not tested row by row, and the diagonal is the constant row[0].  Any
+other matrix must be square.
 
 Codes are rows: every structure's pair codes reach refinement and search as
 a list of n code rows.  A circulant's are their ranks, built in one pass
@@ -49,9 +50,9 @@ over row 0 (``_convolution``): row v is one slice of the doubled rank row,
 bytes when every rank fits in a byte, else a list.  Refinement and search
 read the pair codes alone, vertex colors included: a code (v, v) holds v's
 diagonal entry, so the descent starts from the ranks of the codes'
-diagonal.  Only ``_shift_row`` and ``_pair_codes`` read the matrix.  The
-search walks its tree in a loop, so Python's recursion limit does not bound
-its depth.
+diagonal.  Only the squareness check in ``automorphisms``, ``_shift_row``
+and ``_pair_codes`` read the matrix.  The search walks its tree in a loop,
+so Python's recursion limit does not bound its depth.
 
 The automorphism search individualizes one vertex per level and multiplies
 orbit sizes, which yields the exact group order without enumerating elements.
@@ -335,9 +336,13 @@ def automorphisms(m):
 
     m may be a ``Circulant``, an input format: the engine reads its ``row``
     alone, indexes no row of the view and builds its code rows from that
-    row (``_convolution``).
+    row (``_convolution``).  Any other m must be square: a ragged one is
+    refused with ValueError before ``_shift_row``, which would take its
+    row 0 as a circulant's row.
     """
     n = len(m)
+    if not isinstance(m, Circulant) and any(len(row) != n for row in m):
+        raise ValueError("color matrix must be square")
     first = _shift_row(m)
     gens, order, point = [], 1, None
     if first is not None and n > 1:  # at n = 1 the shift is the identity, no generator

@@ -115,7 +115,7 @@ def _partition_numbers(p: list[int], a: int) -> list[int]:
     return p
 
 
-def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int | None:
+def _dominating_count(parts: tuple[int, ...]) -> int | None:
     """The number of partitions of sum(parts) that dominate parts.
 
     Rows are placed largest first.  A prefix of k rows with sum s and last
@@ -129,10 +129,11 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
     that reads only p(r), as a near-flat partition's does until it passes
     the cap, takes O(a) ints.
 
-    The count never decreases, so once it passes cap on a row of more than
-    one prefix the walk stops and returns None: the answer is more than
-    cap.  Each row is extended largest row first, so the next row meets the
-    prefixes that are counted, not extended, first.  p(a) at 1^a is
+    The count never decreases, so once it passes GROUP_LIST_CAP, read at
+    call time, on a row of more than one prefix the walk stops and returns
+    None: the answer is more than the cap.  Each row is extended largest
+    row first, so the next row meets the prefixes that are counted, not
+    extended, first.  p(a) at 1^a is
     counted in the walk's first row, as q(a, a), and is exact whatever its
     size.
     """
@@ -159,7 +160,7 @@ def _dominating_count(parts: tuple[int, ...], cap: int = GROUP_LIST_CAP) -> int 
         for (s, m), c in prefixes.items():
             if a - s <= rows - k:
                 count += c * q(m, a - s)
-                if count > cap and len(prefixes) > 1:
+                if count > GROUP_LIST_CAP and len(prefixes) > 1:
                     return None
                 continue
             for x in range(min(m, a - s), max(1, bound - s) - 1, -1):
@@ -353,7 +354,5 @@ def hasse_edges(n: int) -> list[tuple[AbelianType, AbelianType]]:
     Pairs are listed by g, then h, in enumeration order, and pair the
     enumerated groups (see _cover_pairs), so no group is built here.
     """
-    if n < 2:
-        raise ValueError(f"expected n >= 2, got {n}")
     groups = enumerate_abelian(n)
     return [(groups[i], groups[j]) for i, j in _cover_pairs(groups)]

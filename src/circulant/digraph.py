@@ -1,10 +1,13 @@
 """Digraphs as adjacency matrices: Cayley construction and canonical towers.
 
-A digraph is the 0/1 matrix the automorphism engine reads: a Cayley digraph
-the ``Circulant`` view of its adjacency row, a tower a dense list of rows.
-Loops are ordinary arcs (v, v); K_2 means the digon carrying both arcs and
-K_2-bar the arcless graph on two vertices, which is exactly the distinction
-the tower construction's case split needs.
+A digraph is the 0/1 matrix the automorphism engine reads, and a Cayley
+digraph is the ``Circulant`` view of its adjacency row.  A tower, whose
+automorphism group is the iterated wreath product of cyclic groups of orders
+p^k, is a circulant too (``tower_connection_set``); ``tower_arcs`` streams
+its arcs relabeled so that each factor's copies are blocks of consecutive
+vertices.  Loops are ordinary arcs (v, v); K_2 means the digon carrying both
+arcs and K_2-bar the arcless graph on two vertices, which is exactly the
+distinction the tower construction's case split needs.
 """
 
 from typing import Collection, Iterable, Iterator
@@ -14,7 +17,7 @@ from .arith import factorize
 from .errors import CapacityError
 
 DEFAULT_VERTEX_CAP = 64
-DEFAULT_ELEMENT_CAP = 10**6  # caps group elements, tower arcs, tower matrix entries and tower connection sets
+DEFAULT_ELEMENT_CAP = 10**6  # caps group elements, tower arcs and tower connection sets
 
 
 def cayley_digraph(n: int, members: Collection[int]) -> Circulant:
@@ -29,7 +32,13 @@ def cayley_digraph(n: int, members: Collection[int]) -> Circulant:
 
 
 def _tower_factors(p: int, layers: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
-    """Each factor as its connection set (q, A), so that it is Cay(Z_q, A)."""
+    """Each factor as its connection set (q, A), so that it is Cay(Z_q, A),
+    outermost first.
+
+    A factor is the directed cycle of length q = p^k, except that order-2
+    factors alternate between the digon and the arcless pair, so that
+    consecutive Sym(2) factors cannot merge into a larger symmetric group.
+    """
     if p < 2 or factorize(p) != ((p, 1),):
         raise ValueError(f"p must be prime, got {p}")
     if not layers or any(k < 1 for k in layers):
@@ -61,26 +70,6 @@ def _tower_size(factors: list[tuple[int, frozenset[int]]]) -> tuple[int, int]:
         size += len(a) * n
         n *= q
     return n, size
-
-
-def tower_digraph(p: int, layers: Iterable[int]) -> list[list[int]]:
-    """Canonical digraph whose automorphism group is the iterated wreath product
-    of cyclic groups of orders p^k over the given layers (outermost first).
-
-    Each factor is the directed cycle of length p^k, except that order-2
-    factors alternate between the digon and the arcless pair so consecutive
-    Sym(2) factors cannot merge into a larger symmetric group.  Its arcs, those
-    of ``tower_arcs``, fill a dense matrix, refused before it is built when its
-    n^2 entries pass DEFAULT_ELEMENT_CAP.
-    """
-    layers = tuple(layers)
-    n, _ = _tower_size(_tower_factors(p, layers))
-    if n * n > DEFAULT_ELEMENT_CAP:
-        raise CapacityError(f"tower digraph would have {n * n} matrix entries", DEFAULT_ELEMENT_CAP)
-    matrix = [[0] * n for _ in range(n)]
-    for u, v in tower_arcs(p, layers)[1]:
-        matrix[u][v] = 1
-    return matrix
 
 
 def tower_arcs(p: int, layers: Iterable[int]) -> tuple[int, Iterator[tuple[int, int]]]:

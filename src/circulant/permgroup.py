@@ -4,11 +4,11 @@ A permutation is its image tuple, held and composed as ``_encoding`` says,
 and groups are given by generators.  Element enumeration is Dimino's
 closure, a whole coset at a time, under a cap (default 10^6); it
 deliberately uses no stabilizer chain, and nilpotency is read off a
-certified prime-power order or Sylow counts.  Automorphism groups come from the refinement search
-engine, which reads a square matrix of arc colors (a digraph is its 0/1
-adjacency matrix, and a circulant the engine's view of its first row),
-resolves a stabilizer chain deepest level first, and reports the exact
-group order, cached on the returned group.
+certified prime-power order or Sylow counts.  Automorphism groups come
+from the refinement search engine, which reads a square matrix of arc
+colors (a digraph is its 0/1 adjacency matrix, in any input format the
+engine takes), resolves a stabilizer chain deepest level first, and
+reports the exact group order, cached on the returned group.
 """
 
 from math import lcm
@@ -163,15 +163,13 @@ def automorphism_group(matrix: Sequence[Sequence[int]], vertex_cap: int = DEFAUL
     order cached.
 
     Entry [u][v] colors the ordered pair (u, v), and the diagonal colors the
-    vertices; a digraph is its 0/1 adjacency matrix.  The matrix may be the
-    engine's ``_refine.Circulant`` view of a first row, an input format from
-    which the engine reads that row alone.
+    vertices; a digraph is its 0/1 adjacency matrix.  The matrix is read in
+    any input format the engine takes (see ``_refine.automorphisms``), which
+    also refuses one that is not square.
     """
     n = len(matrix)
     if n > vertex_cap:
         raise CapacityError("structure too large for automorphism search", vertex_cap)
-    if not isinstance(matrix, _refine.Circulant) and any(len(row) != n for row in matrix):
-        raise ValueError("color matrix must be square")
     gens, order = _refine.automorphisms(matrix)
     return PermGroup(n, gens, cached_order=order)
 

@@ -645,7 +645,8 @@ def wreath(outer, inner):
 
 def wreath_tower(p, layers):
     """The tower digraph's adjacency matrix built factor by factor, outermost
-    first, by wreath: the reference for the circulant build of ``tower_digraph``."""
+    first, by wreath: the reference for the circulant build, ``tower_arcs`` and
+    ``tower_connection_set``."""
     result, *inner = [[list(r) for r in cayley_digraph(q, a)] for q, a in _tower_factors(p, tuple(layers))]
     for f in inner:
         result = wreath(result, f)

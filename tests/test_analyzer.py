@@ -17,6 +17,7 @@ from brute import (
     preceq,
     scan_coset_condition,
     subgroup_of_order,
+    wreath_tower,
 )
 from circulant import abelian, analyzer, arith
 from circulant.abelian import AbelianType, enumerate_abelian, up_set
@@ -29,7 +30,7 @@ from circulant.analyzer import (
     translation_check,
 )
 from circulant.arith import factorize
-from circulant.digraph import cayley_digraph, tower_connection_set, tower_digraph
+from circulant.digraph import cayley_digraph, tower_connection_set
 from circulant.permgroup import automorphism_group
 
 # the n of perfbench's analyze_large workload
@@ -369,7 +370,7 @@ class TestWitness:
     def test_block_example_tower(self):
         ((p, tower),) = witness_towers(EXAMPLE_9)
         assert p == 3
-        assert tower == tower_digraph(3, (1, 1))
+        assert tower == wreath_tower(3, (1, 1))
 
     def test_worked_example_directed_cycles(self):
         cycles = [(3, cayley_digraph(9, {1})), (5, cayley_digraph(5, {1}))]
@@ -377,7 +378,7 @@ class TestWitness:
 
     def test_digon_stack_tower(self):
         ((_, tower),) = witness_towers(EXAMPLE_8)
-        assert tower == tower_digraph(2, (1, 1, 1))
+        assert tower == wreath_tower(2, (1, 1, 1))
 
     def test_witness_tower_matches_wreathed_four_cycles(self):
         # the (2,2)-layer instance IS its own witness tower's circulant
@@ -385,7 +386,7 @@ class TestWitness:
         # tower's automorphism order matches the digraph's exactly
         s = ConnectionSet.of(16, [1, 4, 5, 9, 13])
         ((_, tower),) = witness_towers(s)
-        assert tower == tower_digraph(2, (2, 2))
+        assert tower == wreath_tower(2, (2, 2))
         assert tower_connection_set(2, (2, 2)) == (s.n, s.members)
         assert automorphism_group(tower).cached_order == 1024
         assert automorphism_group(s.digraph()).cached_order == 1024
@@ -398,10 +399,10 @@ class TestWitness:
         assert layers.valid_levels == (1,)
         assert layers.layer_sizes == (1, 2)
         ((_, tower),) = witness_towers(s)
-        assert tower == tower_digraph(2, (2, 1))
+        assert tower == wreath_tower(2, (2, 1))
         # the swapped tower is not isomorphic: its automorphism group is smaller
         assert automorphism_group(tower).cached_order == 64
-        assert automorphism_group(tower_digraph(2, (1, 2))).cached_order == 32
+        assert automorphism_group(wreath_tower(2, (1, 2))).cached_order == 32
 
 
 class TestTranslationCheck:

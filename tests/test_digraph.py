@@ -10,7 +10,6 @@ from circulant.digraph import (
     edge_list_lines,
     tower_arcs,
     tower_connection_set,
-    tower_digraph,
 )
 from circulant.errors import CapacityError
 from circulant.permgroup import automorphism_group
@@ -149,31 +148,24 @@ class TestWreath:
 
 class TestTower:
     def test_single_layer_is_directed_cycle(self):
-        assert tower_digraph(3, (1,)) == [list(r) for r in cayley_digraph(3, {1})]
-        assert tower_digraph(5, (1,)) == [list(r) for r in cayley_digraph(5, {1})]
+        assert matrix(*tower_arcs(3, (1,))) == [list(r) for r in cayley_digraph(3, {1})]
+        assert matrix(*tower_arcs(5, (1,))) == [list(r) for r in cayley_digraph(5, {1})]
 
     def test_p2_digon_alternation(self):
-        t = tower_digraph(2, (1, 1))
+        t = matrix(*tower_arcs(2, (1, 1)))
         assert t == wreath(K2, K2BAR)
         # third factor is K_2 again because the second was K_2-bar
-        t3 = tower_digraph(2, (1, 1, 1))
+        t3 = matrix(*tower_arcs(2, (1, 1, 1)))
         assert t3 == wreath(wreath(K2, K2BAR), K2)
 
     def test_p2_11_automorphism_count_brute(self):
-        assert len(brute_automorphisms(tower_digraph(2, (1, 1)))) == 8
-
-    @pytest.mark.parametrize("p,max_total", [(2, 7), (3, 4), (5, 3)])
-    def test_matches_the_wreath_build(self, p, max_total):
-        # every tower on at most 128, 81 and 125 vertices: the relabeled
-        # circulant has the arcs of the factor-by-factor wreath build, also
-        # when the layers come as a one-shot iterator
-        for total in range(1, max_total + 1):
-            for layers in _compositions(total):
-                assert tower_digraph(p, iter(layers)) == wreath_tower(p, layers), (p, layers)
+        assert len(brute_automorphisms(matrix(*tower_arcs(2, (1, 1))))) == 8
 
     @pytest.mark.parametrize("p,max_total", [(2, 7), (3, 4), (5, 3)])
     def test_arcs_come_in_sorted_order(self, p, max_total):
-        # tower_arcs generates the arcs of the wreath build, each once, in sorted order
+        # every tower on at most 128, 81 and 125 vertices: tower_arcs generates the
+        # arcs of the factor-by-factor wreath build, each once, in sorted order, also
+        # when the layers come as a one-shot iterator
         for total in range(1, max_total + 1):
             for layers in _compositions(total):
                 n, arcs = tower_arcs(p, iter(layers))
@@ -182,9 +174,9 @@ class TestTower:
 
     def test_rejects_bad_layers(self):
         with pytest.raises(ValueError):
-            tower_digraph(2, ())
+            tower_arcs(2, ())
         with pytest.raises(ValueError):
-            tower_digraph(2, (0,))
+            tower_arcs(2, (0,))
 
     def test_arc_cap_is_checked_before_building(self, monkeypatch):
         # the arithmetic arc count is exact: a cap of arcs builds, arcs - 1 refuses
@@ -199,32 +191,13 @@ class TestTower:
         with pytest.raises(CapacityError, match="16777216 arcs"):
             tower_arcs(2, (24,))
 
-    def test_matrix_cap_is_checked_before_building(self, monkeypatch):
-        # the 2,048-vertex tower has 897,024 arcs, under the arc cap, but its
-        # matrix would hold 2048^2 entries: refused before an arc is made
-        def refuse(p, layers):
-            raise AssertionError("tower arcs generated past the matrix cap")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(digraph, "tower_arcs", refuse)
-            with pytest.raises(CapacityError, match="would have 4194304 matrix entries"):
-                tower_digraph(2, (3, 1, 2, 1, 2, 1, 1))
-        # the entry count n^2 is exact: a cap of n^2 builds, n^2 - 1 refuses
-        for p, layers in [(2, (1,)), (2, (2, 1)), (3, (1, 2)), (2, (3, 1, 2, 1))]:
-            n = p ** sum(layers)
-            monkeypatch.setattr(digraph, "DEFAULT_ELEMENT_CAP", n * n)
-            assert tower_digraph(p, layers) == wreath_tower(p, layers)
-            monkeypatch.setattr(digraph, "DEFAULT_ELEMENT_CAP", n * n - 1)
-            with pytest.raises(CapacityError, match=f"would have {n * n} matrix entries"):
-                tower_digraph(p, layers)
-
     @pytest.mark.parametrize("p,max_total", [(2, 4), (3, 3)])
     def test_automorphism_order_matches_wreath_formula(self, p, max_total):
         # every tower with total degree <= 16 (p=2) resp. <= 27 (p=3); the
         # engine's cached order is exact even past the element cap (3^13)
         for total in range(1, max_total + 1):
             for layers in _compositions(total):
-                group = automorphism_group(tower_digraph(p, layers))
+                group = automorphism_group(matrix(*tower_arcs(p, layers)))
                 assert group.cached_order == tower_order_formula(p, layers), (p, layers)
 
 
@@ -235,7 +208,7 @@ class TestTowerConnectionSet:
         n, s = tower_connection_set(p, layers)
         assert sorted(tower_vertex(p, layers, g) for g in range(n)) == list(range(n))
         image = {(tower_vertex(p, layers, u), tower_vertex(p, layers, v)) for u, v in arc_set(cayley_digraph(n, s))}
-        assert image == arc_set(tower_digraph(p, layers))
+        assert image == arc_set(wreath_tower(p, layers))
 
     def test_element_cap_is_checked_before_building(self, monkeypatch):
         # the arithmetic size is exact: a cap of |S| builds, |S| - 1 refuses
@@ -257,7 +230,7 @@ class TestTowerConnectionSet:
         with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
             tower_connection_set(p, (1, 1))
         with pytest.raises(ValueError, match="p must be prime"):
-            tower_digraph(p, (1,))
+            tower_arcs(p, (1,))
 
 
 class TestFormats:

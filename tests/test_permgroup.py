@@ -19,7 +19,7 @@ from brute import (
 )
 from test_acceptance import criterion_9_catalogue
 from circulant import _refine, permgroup
-from circulant.digraph import cayley_digraph, tower_digraph
+from circulant.digraph import cayley_digraph, tower_arcs
 from circulant.errors import CapacityError
 from circulant.abelian import AbelianType
 from circulant.oracle import _sylow_subgroup, regular_abelian_types
@@ -112,7 +112,7 @@ class TestElements:
         assert err.value.cap == 10**6
 
     def test_cached_order_validated_by_enumeration(self):
-        for d in (cayley_digraph(5, {1}), tower_digraph(2, (1, 1)), matrix(4, ())):
+        for d in (cayley_digraph(5, {1}), matrix(*tower_arcs(2, (1, 1))), matrix(4, ())):
             g = automorphism_group(d)
             assert g.cached_order == len(g.elements())
 
@@ -238,7 +238,7 @@ class TestNilpotent:
 
     def test_certified_prime_power_order_needs_no_enumeration(self):
         # |Aut| = 3^13 is past the element cap, but the engine certified it
-        group = automorphism_group(tower_digraph(3, (1, 1, 1)))
+        group = automorphism_group(matrix(*tower_arcs(3, (1, 1, 1))))
         assert group.cached_order == 3**13 > permgroup.DEFAULT_ELEMENT_CAP
         assert is_nilpotent(group)
 
@@ -283,7 +283,7 @@ class TestNilpotent:
             assert is_nilpotent(group) is nilpotent
 
     def test_order_two_to_the_fifteen_tower_group(self):
-        group = automorphism_group(tower_digraph(2, (1, 1, 1, 1)))
+        group = automorphism_group(matrix(*tower_arcs(2, (1, 1, 1, 1))))
         assert group.order() == 2**15
         start = time.perf_counter()
         assert is_nilpotent(group)
@@ -299,7 +299,7 @@ class TestAutomorphismGroup:
         assert automorphism_group(matrix(4, ())).cached_order == 24
 
     def test_tower_2_11(self):
-        assert automorphism_group(tower_digraph(2, (1, 1))).cached_order == 8
+        assert automorphism_group(matrix(*tower_arcs(2, (1, 1)))).cached_order == 8
 
     def test_matches_brute_force(self):
         rng = random.Random(31)

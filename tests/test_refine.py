@@ -422,6 +422,22 @@ class TestCirculantView:
         assert search_codes(m)[0] is False
         assert _refine.automorphisms(m) == ([], 1)
 
+    def test_a_ragged_matrix_is_refused_before_it_is_read(self, monkeypatch):
+        # row 1 is row 0 rotated right by one, so read as a circulant the 3-entry
+        # row 0 would give the 2-vertex shift; the engine refuses it before the
+        # shift test reads a row, and the wrapper's answer is the engine's
+        ragged = [[0, 1, 0], [1, 0]]
+
+        def refuse(m):
+            raise AssertionError("the shift test read a ragged matrix")
+
+        for shift_row in (_refine._shift_row, refuse):
+            monkeypatch.setattr(_refine, "_shift_row", shift_row)
+            for search in (automorphism_group, _refine.automorphisms):
+                with pytest.raises(ValueError) as raised:
+                    search(ragged)
+                assert str(raised.value) == "color matrix must be square"
+
 
 class TestRegularCertificate:
     """The oracle's ``_fixes_every_vertex`` on every adjacency row up to

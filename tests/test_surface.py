@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 import circulant
-from circulant import _refine
+from circulant import _refine, abelian
 from circulant.abelian import AbelianType
 from circulant.oracle import ValidationReport, regular_abelian_types
 from circulant.analyzer import ConnectionSet, LayerDecomposition, PrimeLayers
 from circulant.permgroup import PermGroup, automorphism_group, is_nilpotent, two_closure
-from circulant.digraph import cayley_digraph, tower_digraph
+from circulant.digraph import cayley_digraph
 
 # Names with no caller in the analyzer, the oracle or the CLI, by defining module.
 REMOVED_FUNCTIONS = [
@@ -46,7 +46,8 @@ REMOVED_FUNCTIONS = [
     ("digraph", "complete_digraph"),
     ("digraph", "directed_cycle"),
     ("digraph", "parse_edge_list"),
-    ("digraph", "wreath"),  # tower_digraph relabels the tower circulant; brute.wreath is the reference
+    ("digraph", "wreath"),  # tower_arcs relabels the tower circulant; brute.wreath is the reference
+    ("digraph", "tower_digraph"),  # matrix(*tower_arcs(p, layers)) in tests; brute.wreath_tower is the reference
     ("permgroup", "ArcColoring"),
     ("permgroup", "circulant_coloring"),
     ("permgroup", "rotation"),  # PermGroup.cyclic(n).generators[0]
@@ -102,11 +103,9 @@ def test_group_elements_are_plain_tuples():
 
 
 def test_digraphs_are_matrices():
-    # a Cayley digraph is the engine's view of its adjacency row, a tower its dense rows
+    # a Cayley digraph is the engine's view of its adjacency row
     d = cayley_digraph(6, {1, 2})
     assert type(d) is _refine.Circulant and d.row == (0, 1, 1, 0, 0, 0)
-    tower = tower_digraph(2, (1, 1))
-    assert type(tower) is list and all(type(row) is list for row in tower)
 
 
 def test_benchmark_patch_points_resolve(monkeypatch):
@@ -159,6 +158,7 @@ def test_factorization_is_not_exported():
     (_refine._refine_joint, ["colorings", "codes", "points"]),  # every class, or one point per coloring individualized
     (_refine.iso_search, ["colors", "x", "y", "codes"]),
     (_refine._pair_codes, ["m"]),  # a circulant's codes come from _convolution
+    (abelian._dominating_count, ["parts"]),  # the cap is GROUP_LIST_CAP, read at call time
 ])
 def test_options_no_caller_sets_are_gone(function, params):
     assert list(inspect.signature(function).parameters) == params
