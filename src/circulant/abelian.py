@@ -311,8 +311,6 @@ def enumerate_abelian(n: int) -> list[AbelianType]:
     GROUP_LIST_CAP groups, prod p(a), raise CapacityError before anything
     is built.
     """
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
     return _up_set_groups([(p, (1,) * a) for p, a in factorize(n)], lambda: f"order {n}")
 
 

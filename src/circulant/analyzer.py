@@ -144,10 +144,12 @@ class LayerDecomposition(Record):
         set_field(self, "per_prime", per_prime)
 
     def for_prime(self, p: int) -> PrimeLayers:
+        """The layers of the prime p.  A p that is not a prime dividing n is
+        refused as translation_check and ``decompose --prime`` refuse it."""
         for layers in self.per_prime:
             if layers.p == p:
                 return layers
-        raise ValueError(f"{p} does not divide {self.n}")
+        raise _not_a_prime_divisor(p, self.n)
 
     def minimal_group(self) -> AbelianType:
         return AbelianType(tuple((layers.p, layers.minimal_parts) for layers in self.per_prime))
@@ -160,6 +162,14 @@ class LayerDecomposition(Record):
     def arithmetic_condition(self) -> bool:
         """gcd(k, phi(k)) = 1 for k the radical of n, read off the factorization."""
         return _radical_condition([layers.p for layers in self.per_prime])
+
+
+def _not_a_prime_divisor(p: int, n: int) -> ValueError:
+    """The refusal of a p that is not a prime dividing n: a divisor of n is
+    named as no prime, and any other p, 0 among them, as no divisor."""
+    if p and n % p == 0:
+        return ValueError(f"{p} is not a prime dividing {n}")
+    return ValueError(f"{p} does not divide {n}")
 
 
 def _valid_levels(s: ConnectionSet, p: int, a: int) -> tuple[int, ...]:
@@ -253,14 +263,16 @@ def translation_check(s: ConnectionSet, p: int, level: int) -> bool:
 
     decompose is not consulted, yet by the paper's lemma the answer is True
     exactly when l is one of its valid levels.  A p that is not a prime
-    divisor of n, or a level outside 1..a-1, is an error.
+    divisor of n is refused as ``LayerDecomposition.for_prime`` refuses it,
+    and a level outside 1..a-1 is refused with that range; a level in the
+    range that fails the coset condition gives False.
     """
     n, members = s.n, s.members
     a = dict(factorize(n)).get(p)
     if a is None:
-        raise ValueError(f"{p} does not divide {n}")
+        raise _not_a_prime_divisor(p, n)
     if not 1 <= level < a:
-        raise ValueError(f"level {level} is not a valid level for p={p}")
+        raise ValueError(f"level {level} is outside 1..a-1 for p^a = {p}^{a}")
     envelope, step = p ** (a - level), n // p**level
     image = [(x + step) % n if x % envelope == 0 else x for x in range(n)]
     return all((image[(u + x) % n] - image[u]) % n in members for u in range(n) for x in members)

@@ -140,17 +140,8 @@ def _run_analyze(args) -> int:
 
 def _run_decompose(args) -> int:
     decomposition = decompose(_read_literal(args.instance))
-    entries = [
-        layers.to_json_dict() for layers in decomposition.per_prime
-        if args.prime is None or layers.p == args.prime
-    ]
-    if args.prime is not None and not entries:
-        n = decomposition.n
-        if args.prime != 0 and n % args.prime == 0:
-            print(f"error: {args.prime} is not a prime dividing {n}", file=sys.stderr)
-        else:
-            print(f"error: {args.prime} does not divide {n}", file=sys.stderr)
-        return EXIT_ERROR
+    per_prime = decomposition.per_prime if args.prime is None else [decomposition.for_prime(args.prime)]
+    entries = [layers.to_json_dict() for layers in per_prime]
     if args.fmt == "json":
         print(_json_dumps({"n": decomposition.n, "per_prime": entries}))
         return EXIT_OK

@@ -26,6 +26,7 @@ from circulant.abelian import (
     hasse_edges,
     up_set,
 )
+from circulant.cli import main
 from circulant.errors import CapacityError
 
 # orders past 400 with many groups: 231, 30 and 42 * 11 of them
@@ -171,6 +172,17 @@ class TestEnumerate:
         groups = enumerate_abelian(1)
         assert len(groups) == 1
         assert groups[0].text() == "Z1"
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_order_is_refused(self, capsys, n):
+        # the refusal is factorize's, word for word, from the library and from poset
+        message = f"expected a positive integer, got {n}"
+        for listing in (enumerate_abelian, hasse_edges):
+            with pytest.raises(ValueError) as raised:
+                listing(n)
+            assert str(raised.value) == message
+        assert main(["poset", str(n)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_partition_counts(self):
         # number of abelian groups of order p^k is the partition count of k

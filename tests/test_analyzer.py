@@ -30,6 +30,7 @@ from circulant.analyzer import (
     translation_check,
 )
 from circulant.arith import factorize
+from circulant.cli import main
 from circulant.digraph import cayley_digraph, tower_connection_set
 from circulant.permgroup import automorphism_group
 
@@ -140,18 +141,58 @@ class TestCosetCondition:
         assert holds(ConnectionSet.of(9, [1]), 3, 1) is False
 
     def test_invalid_level(self):
-        # a level outside 1..a-1 is never valid, so translation_check refuses it
-        with pytest.raises(ValueError):
+        # a level outside 1..a-1 is never valid, so translation_check refuses it, naming the range
+        with pytest.raises(ValueError, match=r"^level 2 is outside 1\.\.a-1 for p\^a = 3\^2$"):
             translation_check(EXAMPLE_9, 3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^level 0 is outside 1\.\.a-1 for p\^a = 3\^2$"):
             translation_check(EXAMPLE_9, 3, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^level 1 is outside 1\.\.a-1 for p\^a = 5\^1$"):
             translation_check(EXAMPLE_45, 5, 1)  # a=1 admits no levels
 
-    @pytest.mark.parametrize("n,p", [(16, 4), (15, 2), (16, 1), (16, 0), (16, -3)])
+    # a divisor of n is named as no prime, any other p (0 among them) as no divisor
+    REFUSALS_16 = {
+        (16, 4): "4 is not a prime dividing 16",
+        (15, 2): "2 does not divide 15",
+        (16, 1): "1 is not a prime dividing 16",
+        (16, 0): "0 does not divide 16",
+        (16, -3): "-3 does not divide 16",
+    }
+    REFUSALS_45 = {
+        3: None,
+        5: None,
+        9: "9 is not a prime dividing 45",
+        15: "15 is not a prime dividing 45",
+        45: "45 is not a prime dividing 45",
+        1: "1 is not a prime dividing 45",
+        0: "0 does not divide 45",
+        -3: "-3 is not a prime dividing 45",
+        -5: "-5 is not a prime dividing 45",
+        2: "2 does not divide 45",
+        7: "7 does not divide 45",
+    }
+
+    @pytest.mark.parametrize("n,p", list(REFUSALS_16))
     def test_rejects_p_that_is_not_a_prime_divisor(self, n, p):
-        with pytest.raises(ValueError, match=f"{p} does not divide {n}"):
+        with pytest.raises(ValueError) as raised:
             translation_check(ConnectionSet.of(n, [1]), p, 1)
+        assert str(raised.value) == self.REFUSALS_16[n, p]
+
+    @pytest.mark.parametrize("p", list(REFUSALS_45))
+    def test_one_refusal_for_a_prime_that_n_lacks(self, capsys, p):
+        # for_prime, translation_check and decompose --prime refuse a p that is no prime of 45 in one text
+        refusal = self.REFUSALS_45[p]
+        decomposition = decompose(EXAMPLE_45)
+        code = main(["decompose", EXAMPLE_45.text(), "--prime", str(p)])
+        out, err = capsys.readouterr()
+        if refusal is None:
+            assert decomposition.for_prime(p).p == p
+            assert (code, err) == (0, "") and out.startswith(f"p = {p}^")
+            return
+        assert (code, out, err) == (1, "", f"error: {refusal}\n")
+        for call in (lambda: decomposition.for_prime(p), lambda: translation_check(EXAMPLE_45, p, 1)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == refusal
 
     def test_full_coset_union_satisfies(self):
         # S = (1 + <5>) in Z_25 is one full coset of the order-5 subgroup
