@@ -17,6 +17,8 @@ One up-set writer (_up_set) caps, walks and writes them all: as groups
 for both (_up_set_groups), and straight to text, partition by partition,
 for the analyzer's report and prediction and for the oracle's Z_n
 (up_set_texts).  A cyclic group is its own up-set, and is not walked.
+AbelianType.text and up_set_texts write the empty product, the group of
+order 1, as Z1 by one rule (_product_text).
 Lists of groups are counted before they are built and capped at
 GROUP_LIST_CAP; a count grows as it goes, so it stops once past the cap.
 An up-set of a partition of a has at most p(a) members, so one whose
@@ -53,12 +55,17 @@ def _run_text(p: int, e: int, count: int) -> str:
 
 def text_of(p: int, parts: tuple[int, ...]) -> str:
     """Canonical text of the p-group with these parts, e.g. "Z9", "Z3^2", "Z8xZ2^2"."""
-    if len(parts) == 1:
-        return f"Z{p**parts[0]}"
     pieces = []
     for e in dict.fromkeys(parts):  # the distinct parts, largest first
         pieces.append(_run_text(p, e, parts.count(e)))
     return "x".join(pieces)
+
+
+def _product_text(pieces: Iterable[str]) -> str:
+    """Canonical text of a group from the texts of its Sylow subgroups,
+    primes increasing, joined by "x"; the empty product, the group of
+    order 1, is "Z1"."""
+    return "x".join(pieces) or "Z1"
 
 
 class AbelianType(Record):
@@ -95,7 +102,7 @@ class AbelianType(Record):
 
     def text(self) -> str:
         """Canonical text form: prime powers joined by "x", e.g. "Z9xZ5", "Z3^2xZ5"."""
-        return "x".join([text_of(p, parts) for p, parts in self.sylow]) or "Z1"
+        return _product_text([text_of(p, parts) for p, parts in self.sylow])
 
 
 def _partition_numbers(p: list[int], a: int) -> list[int]:
@@ -300,7 +307,7 @@ def up_set_texts(sylow: Sequence[tuple[int, tuple[int, ...]]]) -> list[str]:
     name it in its CapacityError.
     """
     walked = _up_set(sylow, lambda: f"up-set of {AbelianType(tuple(sylow)).text()}", _run_text, "x")
-    return ["x".join(combo) for combo in walked]
+    return list(map(_product_text, walked))
 
 
 def enumerate_abelian(n: int) -> list[AbelianType]:

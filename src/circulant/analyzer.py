@@ -205,14 +205,13 @@ def _valid_levels(s: ConnectionSet, p: int, a: int) -> tuple[int, ...]:
 
 
 def decompose(s: ConnectionSet) -> LayerDecomposition:
-    """Valid levels and layer sizes for every prime dividing n.
+    """Valid levels and layer sizes for every prime dividing n, n >= 1.
 
     Z_n has one subgroup per divisor, so the maximal chain of valid levels is
     canonical and layer sizes are just the gaps between consecutive
-    boundaries.
+    boundaries.  n = 1 has no prime, so its decomposition has no layers and
+    its minimal group is the empty product, Z1.
     """
-    if s.n < 2:
-        raise ValueError(f"decomposition needs n >= 2, got {s.n}")
     per_prime = []
     for p, a in factorize(s.n):
         valid = _valid_levels(s, p, a)

@@ -1,3 +1,4 @@
+import json
 import time
 from itertools import product
 
@@ -168,10 +169,16 @@ class TestEnumerate:
         groups = enumerate_abelian(45)
         assert [g.text() for g in groups] == ["Z3^2xZ5", "Z9xZ5"]
 
-    def test_order_1(self):
+    def test_order_1(self, capsys):
+        # the empty product has one text wherever it is written
         groups = enumerate_abelian(1)
         assert len(groups) == 1
-        assert groups[0].text() == "Z1"
+        assert groups[0].text() == AbelianType(()).text() == "Z1"
+        assert abelian.up_set_texts([]) == ["Z1"]
+        assert main(["poset", "1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["groups"] == ["Z1"]
+        assert main(["analyze", "n=1;S=", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["minimal_group"] == "Z1"
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_nonpositive_order_is_refused(self, capsys, n):

@@ -86,6 +86,7 @@ def test_factorize_roundtrip_sampled_large():
         (15, True),
         (21, False),  # 3 | phi(21)=12... gcd(21,12)=3
         (6, False),
+        (1, True),  # k=1, phi(1)=1: n = 1 has no prime, and Z1 is its one group
     ],
 )
 def test_arithmetic_condition(n, expected):
@@ -96,11 +97,6 @@ def test_arithmetic_condition_prime_powers():
     for p in (2, 3, 5, 7, 11, 13):
         for a in range(1, 6):
             assert arithmetic_condition(p**a)
-
-
-def test_arithmetic_condition_rejects_small_n():
-    with pytest.raises(ValueError):
-        arithmetic_condition(1)
 
 
 def test_condition_depends_only_on_radical():

@@ -291,14 +291,14 @@ class TestVerify:
         )
         assert err == f"capacity: {corpus}:2: up-set of Z2^50 would have 204226 groups (cap=100000)\n"
 
-    # n = 1 parses but has no decomposition: the line gets its error, the
+    # a malformed literal is never decomposed: the line gets its error, the
     # lines after it are still answered, and a strict cap keeps its exit 3
     @pytest.mark.parametrize("flags,capped,exit_code", [
         ((), False, 1), (("--strict",), False, 1), ((), True, 1), (("--strict",), True, 3),
     ])
     def test_batch_line_without_decomposition(self, capsys, tmp_path, flags, capped, exit_code):
         corpus = tmp_path / "corpus.txt"
-        lines = ["n=4; S=1", "n=1; S=", "n=5; S=1"] + ["n=1125899906842624;S="] * capped
+        lines = ["n=4; S=1", "n=4; S=x", "n=5; S=1"] + ["n=1125899906842624;S="] * capped
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), *flags)
         assert code == exit_code
@@ -306,7 +306,7 @@ class TestVerify:
             "n=4 S=[1] predicted=[Z4] actual=[Z4] verdict=exact-match\n"
             "n=5 S=[1] predicted=[Z5] actual=[Z5] verdict=exact-match\n"
         )
-        expected = f"error: {corpus}:2: decomposition needs n >= 2, got 1\n"
+        expected = f"error: {corpus}:2: bad element 'x' at index 0 in 'n=4; S=x'\n"
         if capped:
             expected += f"capacity: {corpus}:4: up-set of Z2^50 would have 204226 groups (cap=100000)\n"
         assert err == expected
@@ -316,11 +316,11 @@ class TestVerify:
         fake = ValidationReport(4, (1,), ("Z4",), (), oracle.MISMATCH)
         monkeypatch.setattr(cli, "cross_validate", lambda s, **k: fake if s.n == 4 else real(s, **k))
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("n=1;S=\nn=4;S=1\n", encoding="utf-8")
+        corpus.write_text("n=4;S=x\nn=4;S=1\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", "--batch", str(corpus))
         assert code == 2
         assert "MISMATCH" in out
-        assert err == f"error: {corpus}:1: decomposition needs n >= 2, got 1\n"
+        assert err == f"error: {corpus}:1: bad element 'x' at index 0 in 'n=4;S=x'\n"
 
     def test_batch_mismatch_outranks_a_capacity_error(self, capsys, tmp_path, monkeypatch):
         real = cli.cross_validate
@@ -338,15 +338,15 @@ class TestVerify:
         fake = ValidationReport(4, (1,), ("Z4",), (), oracle.MISMATCH)
         monkeypatch.setattr(cli, "cross_validate", lambda s, **k: fake if s.n == 4 else real(s, **k))
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("n=12;S=6\nn=4;S=1\nn=1;S=\n", encoding="utf-8")
+        corpus.write_text("n=12;S=6\nn=4;S=1\nn=4;S=x\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), "--cap", "100", "--strict")
         assert code == 2
         assert [line.rsplit("=", 1)[1] for line in out.splitlines()] == ["oracle-capped", "MISMATCH"]
-        assert err == f"error: {corpus}:3: decomposition needs n >= 2, got 1\n"
+        assert err == f"error: {corpus}:3: bad element 'x' at index 0 in 'n=4;S=x'\n"
 
     # a capped verdict raises the exit to 3 under --strict, whichever side of
     # an error line it falls on; without --strict only the error counts
-    @pytest.mark.parametrize("lines", [("n=12;S=6", "n=1;S="), ("n=1;S=", "n=12;S=6")])
+    @pytest.mark.parametrize("lines", [("n=12;S=6", "n=4;S=x"), ("n=4;S=x", "n=12;S=6")])
     @pytest.mark.parametrize("flags,exit_code", [((), 1), (("--strict",), 3)])
     def test_batch_strict_capped_line_outranks_an_error_line(self, capsys, tmp_path, lines, flags, exit_code):
         corpus = tmp_path / "corpus.txt"
@@ -354,7 +354,8 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--batch", str(corpus), "--cap", "100", *flags)
         assert code == exit_code
         assert out.endswith("verdict=oracle-capped\n") and out.count("\n") == 1
-        assert err == f"error: {corpus}:{lines.index('n=1;S=') + 1}: decomposition needs n >= 2, got 1\n"
+        bad = lines.index("n=4;S=x") + 1
+        assert err == f"error: {corpus}:{bad}: bad element 'x' at index 0 in 'n=4;S=x'\n"
 
     def test_batch_file_missing(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"

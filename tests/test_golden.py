@@ -103,7 +103,7 @@ def _instances():
         "n=12; S=13,-1",  # reduced mod n, with a warning
         f"n={2**40}; S=1,3,5,7",
         f"n={2**50}; S=",  # past the group cap
-        "n=1; S=",  # no decomposition at n = 1
+        "n=1; S=",  # no prime: no layers, and the one group Z1
     ]
     return literals
 
@@ -170,7 +170,7 @@ def _witness_literals():
         "n=125;S=25,50,75,100",
         "n=72;S=",
         f"n={2**20};S=",  # past the arc cap
-        "n=1;S=",  # no decomposition at n = 1
+        "n=1;S=",  # no prime, so no tower
     ]
     for _ in range(145):
         n = rng.randrange(2, 129)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from brute import (
+    brute_automorphisms,
     compose,
     element_order,
     element_set_search,
@@ -16,6 +17,7 @@ from brute import (
     from_cycles,
     has_fixed_point,
     is_identity,
+    matrix,
     tower_row,
 )
 from circulant import _refine, oracle, permgroup
@@ -327,6 +329,20 @@ class TestCrossValidate:
                 report = cross_validate(ConnectionSet.of(8, combo), cap=10**6)
                 assert report.verdict == EXACT_MATCH, combo
 
+    def test_every_set_up_to_order_5_matches_brute_force(self):
+        # n = 1 included: one vertex, whose only automorphism is the identity,
+        # so Z1 is the one regular group
+        pairs = 0
+        for n in range(1, 6):
+            for r in range(n + 1):
+                for combo in combinations(range(n), r):
+                    found = brute_automorphisms(matrix(n, [(u, (u + x) % n) for u in range(n) for x in combo]))
+                    expected = sorted(t.text() for t in element_set_types(PermGroup(n, tuple(found)), n))
+                    report = cross_validate(ConnectionSet.of(n, combo))
+                    assert (sorted(report.actual), report.verdict) == (expected, EXACT_MATCH), (n, combo)
+                    pairs += 1
+        assert pairs == 62
+
     def test_prime_orders_trivially_exact(self):
         # single abelian group per prime order; the gcd condition always holds
         rng = random.Random(89)
@@ -415,6 +431,7 @@ class TestPaths:
             (9, [3, 6], "sylow", 1296),  # the Sylow subgroup has index 16
             (12, [6], "enumerate", 46080),
             (65, [1], None, None),  # past the vertex cap
+            (1, [0], "regular", 1),  # one vertex: the certificate proves Aut_0 = 1
         ],
     )
     def test_one_instance_per_path(self, n, s, path, aut_order):
